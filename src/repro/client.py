@@ -203,7 +203,15 @@ def connect(
 
 
 class _DefaultsClient(Client):
-    """Decorator client filling in default kernel/oracle for every call."""
+    """Decorator client filling in default kernel/oracle for every call.
+
+    The default oracle reaches ``disReach`` only, like the process-wide
+    default (:func:`repro.core.engine.plan_for`): distance and RPQ local
+    evaluations have no oracle seam, so a mixed stream of queries must not
+    inherit it.  A batch carries one oracle, so it gets the default when
+    every query in it runs ``disReach``.  An explicit per-call ``oracle=``
+    is forwarded as given (and raises where the algorithm takes none).
+    """
 
     def __init__(
         self,
@@ -215,20 +223,32 @@ class _DefaultsClient(Client):
         self._kernel = kernel
         self._oracle = oracle
 
+    def _default_oracle(self, queries: Sequence[Any], algorithm: Optional[str]):
+        if self._oracle is None:
+            return None
+        from .core.queries import ReachQuery
+
+        if algorithm is None:
+            applies = all(isinstance(query, ReachQuery) for query in queries)
+        else:
+            applies = algorithm == "disReach"
+        return self._oracle if applies else None
+
     def query(self, query, algorithm=None, kernel=None, oracle=None):
         return self._inner.query(
             query,
             algorithm,
             kernel=kernel or self._kernel,
-            oracle=oracle or self._oracle,
+            oracle=oracle or self._default_oracle([query], algorithm),
         )
 
     def batch(self, queries, algorithm=None, kernel=None, oracle=None):
+        queries = list(queries)
         return self._inner.batch(
             queries,
             algorithm,
             kernel=kernel or self._kernel,
-            oracle=oracle or self._oracle,
+            oracle=oracle or self._default_oracle(queries, algorithm),
         )
 
     def session(self, query, kernel=None):

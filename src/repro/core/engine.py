@@ -23,7 +23,9 @@ on a graph + mapper count rather than on a prebuilt cluster.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Type, Union
+import functools
+import inspect
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, Type, Union
 
 from ..baselines.message_passing import dis_reach_m
 from ..baselines.pregel_programs import dis_dist_m
@@ -70,6 +72,20 @@ PLANS: Dict[str, Tuple[Type, Callable[..., QueryPlan]]] = {
     "disDist": (BoundedReachQuery, BoundedReachPlan),
     "disRPQ": (RegularReachQuery, RegularReachPlan),
 }
+
+
+#: Per-evaluation options an algorithm may decline: how the refusal reads.
+_OPTION_TAKERS: Dict[str, str] = {
+    "kernel": "a kernel (only the partial-evaluation algorithms do)",
+    "oracle": "a reachability oracle (only disReach does)",
+    "shortcuts": "shortcuts (only the message-passing baselines do)",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_options(fn: Algorithm) -> FrozenSet[str]:
+    """Parameter names of ``fn``, inspected once per implementation."""
+    return frozenset(inspect.signature(fn).parameters)
 
 
 def is_batchable(algorithm: str) -> bool:
@@ -171,33 +187,14 @@ def evaluate(
             f"got {type(query).__name__}"
         )
     kwargs: Dict[str, object] = {}
-    if kernel is not None:
-        import inspect
-
-        if "kernel" not in inspect.signature(fn).parameters:
+    for option, value in (("kernel", kernel), ("oracle", oracle), ("shortcuts", shortcuts)):
+        if value is None:
+            continue
+        if option not in _accepted_options(fn):
             raise QueryError(
-                f"algorithm {algorithm!r} does not take a kernel "
-                "(only the partial-evaluation algorithms do)"
+                f"algorithm {algorithm!r} does not take {_OPTION_TAKERS[option]}"
             )
-        kwargs["kernel"] = kernel
-    if oracle is not None:
-        import inspect
-
-        if "oracle" not in inspect.signature(fn).parameters:
-            raise QueryError(
-                f"algorithm {algorithm!r} does not take a reachability oracle "
-                "(only disReach does)"
-            )
-        kwargs["oracle"] = oracle
-    if shortcuts is not None:
-        import inspect
-
-        if "shortcuts" not in inspect.signature(fn).parameters:
-            raise QueryError(
-                f"algorithm {algorithm!r} does not take shortcuts "
-                "(only the message-passing baselines do)"
-            )
-        kwargs["shortcuts"] = shortcuts
+        kwargs[option] = value
     if executor is None:
         return fn(cluster, query, **kwargs)
     with cluster.using_executor(executor):

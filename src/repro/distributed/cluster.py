@@ -163,12 +163,20 @@ class Run:
     # ------------------------------------------------------------------
     # messaging
     # ------------------------------------------------------------------
-    def broadcast(self, payload: object, kind: MessageKind = MessageKind.QUERY) -> None:
+    def broadcast(
+        self,
+        payload: object,
+        kind: MessageKind = MessageKind.QUERY,
+        size: Optional[int] = None,
+    ) -> None:
         """Coordinator posts ``payload`` to every site (1 visit each).
 
         All transfers happen concurrently: one latency, one payload time.
+        ``size`` is the payload's already-computed :func:`payload_size`
+        (see :meth:`send_to_coordinator`).
         """
-        size = payload_size(payload)
+        if size is None:
+            size = payload_size(payload)
         for site in self.cluster.sites:
             self.stats.record_message(COORDINATOR, site.site_id, kind, size)
         self._charge_round(size)
@@ -180,14 +188,18 @@ class Run:
         kind: MessageKind = MessageKind.QUERY,
         src: int = COORDINATOR,
         charge_time: bool = True,
+        size: Optional[int] = None,
     ) -> None:
         """Targeted delivery of work to one site (counts as a visit).
 
         Round-based algorithms that batch many sends should pass
         ``charge_time=False`` and account the round via :meth:`network_round`.
+        ``size`` is the payload's already-computed :func:`payload_size`
+        (see :meth:`send_to_coordinator`).
         """
         self.cluster.site(site_id)  # validates the id
-        size = payload_size(payload)
+        if size is None:
+            size = payload_size(payload)
         self.stats.record_message(src, site_id, kind, size)
         if charge_time:
             self._charge_round(size)
@@ -206,9 +218,10 @@ class Run:
         outside, it is charged immediately as its own round.
 
         ``size`` overrides the payload-size computation for callers that
-        already serialized site-side — e.g. the ship-all baselines, whose
-        executor tasks charge the serialization to the site's compute time
-        and return only the byte counts.
+        already know it — the ship-all baselines, whose executor tasks
+        charge the serialization to the site's compute time and return only
+        the byte counts, and the serving engine, which sizes a partial
+        answer once when its cache entry is produced (DESIGN.md §6).
         """
         if size is None:
             if payload is None:

@@ -6,9 +6,13 @@ run immediately: they enter a bounded admission queue (the backpressure
 bound — when ``max_inflight`` queries are in flight, readers stop
 accepting more, which TCP propagates to the clients) and a batcher
 coroutine drains it with an *admission window*: the first query opens a
-window of ``window`` seconds, everything arriving before it closes (up to
-``max_batch``) joins the same engine batch, so concurrent clients get the
-cross-query amortization the batch engine exists for (DESIGN.md §6).
+window of at most ``window`` seconds, everything arriving before it closes
+(up to ``max_batch``) joins the same engine batch, so concurrent clients
+get the cross-query amortization the batch engine exists for (DESIGN.md
+§6).  The window exists to wait for arrivals, so it closes early once
+every open connection is owed a reply: a connection is request/response,
+nothing can arrive on it before its reply leaves, and waiting out the
+timer would only delay the batch (DESIGN.md §10).
 
 Per-query latency is measured enqueue→reply and served as p50/p99 through
 the ``stats`` op — the quantities the closed-loop ``bench serving`` load
@@ -45,23 +49,32 @@ def percentile(samples: List[float], q: float) -> float:
     return ordered[rank]
 
 
+class _Connection:
+    """One client connection: its write side and what the server owes it."""
+
+    __slots__ = ("writer", "lock", "sessions", "owed", "open")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.lock = asyncio.Lock()  # one reply frame on the wire at a time
+        self.sessions: Set[int] = set()
+        #: Frames read from the connection and not yet replied to.
+        self.owed = 0
+        #: False once the server stopped reading from the connection.
+        self.open = True
+
+
 class _Pending:
     """One admitted query waiting for (or riding in) a batch."""
 
-    __slots__ = ("qid", "request", "writer", "lock", "enqueued", "done")
+    __slots__ = ("qid", "request", "conn", "enqueued", "done")
 
     def __init__(
-        self,
-        qid: Any,
-        request: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        enqueued: float,
+        self, qid: Any, request: Dict[str, Any], conn: _Connection, enqueued: float
     ) -> None:
         self.qid = qid
         self.request = request
-        self.writer = writer
-        self.lock = lock
+        self.conn = conn
         self.enqueued = enqueued
         self.done = False
 
@@ -84,7 +97,12 @@ class ServingServer:
         max_batch: int = 32,
         max_inflight: int = 256,
     ) -> None:
-        """Configure the front end (``port=0`` picks an ephemeral port)."""
+        """Configure the front end (``port=0`` picks an ephemeral port).
+
+        ``window`` and ``max_batch`` are upper bounds on how long and how
+        large an admitted batch may grow; a batch closes before either once
+        no open connection could still add to it.
+        """
         if window < 0:
             raise DistributedError(f"window must be >= 0, got {window}")
         if max_batch < 1:
@@ -111,8 +129,14 @@ class ServingServer:
         self._sessions: Dict[int, Any] = {}
         self._session_ids = itertools.count(1)
         self._served = 0
-        self._batches = 0
+        #: Admitted batches by what closed their window.
+        self._closed_by = {"early": 0, "timer": 0, "max_batch": 0}
         self._latencies: deque = deque(maxlen=8192)
+        #: Open connections owed no reply: the ones a frame may arrive on.
+        self._listening = 0
+        #: Set when the batcher's wait may be over (arrival, timer, or a
+        #: change to ``_listening``).
+        self._wakeup: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -121,6 +145,7 @@ class ServingServer:
         """Bind the listener and launch the batcher (call inside a loop)."""
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.max_inflight)
+        self._wakeup = asyncio.Event()
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -170,8 +195,8 @@ class ServingServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Read frames from one client until EOF or a torn frame."""
-        lock = asyncio.Lock()
-        owned_sessions: Set[int] = set()
+        conn = _Connection(writer)
+        self._listening += 1
         try:
             while True:
                 try:
@@ -181,13 +206,17 @@ class ServingServer:
                 except QueryError as exc:
                     # A torn or malformed frame leaves the stream position
                     # unknown: report the error and close the connection.
-                    await self._reply(writer, lock, {"qid": None, "error": exc})
+                    self._hang_up(conn)
+                    self._owe(conn)
+                    await self._reply(conn, {"qid": None, "error": exc})
                     break
-                await self._dispatch(request, writer, lock, owned_sessions)
+                self._owe(conn)
+                await self._dispatch(request, conn)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
-            for sid in owned_sessions:
+            self._hang_up(conn)
+            for sid in conn.sessions:
                 self._sessions.pop(sid, None)
             writer.close()
             try:
@@ -195,18 +224,39 @@ class ServingServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        payload: Dict[str, Any],
-    ) -> None:
+    # Owed-reply bookkeeping: every frame read is owed exactly one reply,
+    # and ``_listening`` counts the open connections owed none.  Only these
+    # three methods touch either.
+    def _owe(self, conn: _Connection) -> None:
+        """A frame was read from ``conn``: it is owed one more reply."""
+        conn.owed += 1
+        if conn.owed == 1 and conn.open:
+            self._listening -= 1
+            self._wakeup.set()
+
+    def _settle(self, conn: _Connection) -> None:
+        """One reply to ``conn`` left (or its client is gone)."""
+        conn.owed -= 1
+        if conn.owed == 0 and conn.open:
+            self._listening += 1
+
+    def _hang_up(self, conn: _Connection) -> None:
+        """The server reads no more from ``conn`` (idempotent)."""
+        if conn.open:
+            conn.open = False
+            if conn.owed == 0:
+                self._listening -= 1
+            self._wakeup.set()
+
+    async def _reply(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         """Write one reply frame under the connection's write lock."""
         try:
-            async with lock:
-                await write_frame(writer, payload)
+            async with conn.lock:
+                await write_frame(conn.writer, payload)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # client went away; nothing to tell it
+        finally:
+            self._settle(conn)
 
     async def _in_engine(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
         """Run ``fn`` on the serializing engine thread."""
@@ -215,13 +265,7 @@ class ServingServer:
             self._engine_pool, partial(fn, *args, **kwargs)
         )
 
-    async def _dispatch(
-        self,
-        request: Any,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        owned_sessions: Set[int],
-    ) -> None:
+    async def _dispatch(self, request: Any, conn: _Connection) -> None:
         """Route one request frame."""
         op = request.get("op") if isinstance(request, dict) else None
         qid = request.get("qid") if isinstance(request, dict) else None
@@ -230,10 +274,9 @@ class ServingServer:
                 assert self._queue is not None and self._loop is not None
                 if "query" not in request:
                     raise QueryError("malformed 'query' request: missing 'query'")
-                item = _Pending(
-                    qid, request, writer, lock, enqueued=self._loop.time()
-                )
+                item = _Pending(qid, request, conn, enqueued=self._loop.time())
                 await self._queue.put(item)  # blocks at max_inflight
+                self._wakeup.set()
                 return
             if op == "batch":
                 value = await self._in_engine(
@@ -252,22 +295,22 @@ class ServingServer:
                 )
                 sid = next(self._session_ids)
                 self._sessions[sid] = session
-                owned_sessions.add(sid)
+                conn.sessions.add(sid)
                 value = {"sid": sid, "answer": session.answer}
             elif op == "session":
-                value = await self._session_op(request, owned_sessions)
+                value = await self._session_op(request, conn.sessions)
             elif op == "stats":
                 value = self.stats_snapshot()
             else:
                 raise QueryError(f"unknown serving op {op!r}")
         except ReproError as exc:
-            await self._reply(writer, lock, {"qid": qid, "error": exc})
+            await self._reply(conn, {"qid": qid, "error": exc})
             return
         except (KeyError, TypeError) as exc:
             error = QueryError(f"malformed {op!r} request: {exc!r}")
-            await self._reply(writer, lock, {"qid": qid, "error": error})
+            await self._reply(conn, {"qid": qid, "error": error})
             return
-        await self._reply(writer, lock, {"qid": qid, "value": value})
+        await self._reply(conn, {"qid": qid, "value": value})
 
     async def _session_op(
         self, request: Dict[str, Any], owned_sessions: Set[int]
@@ -294,21 +337,11 @@ class ServingServer:
     # ------------------------------------------------------------------
     async def _batcher(self) -> None:
         """Drain the admission queue window by window, forever."""
-        assert self._queue is not None and self._loop is not None
+        assert self._queue is not None
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = self._loop.time() + self.window
-            while len(batch) < self.max_batch:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            batch = [await self._queue.get()]
+            closed_by = await self._fill(batch)
+            self._closed_by[closed_by] += 1
             try:
                 await self._run_admitted(batch)
             except Exception as exc:  # noqa: BLE001 - batcher must survive
@@ -317,6 +350,35 @@ class ServingServer:
                 error = QueryError(f"internal serving error: {exc!r}")
                 for item in batch:
                     await self._finish(item, {"qid": item.qid, "error": error})
+
+    async def _fill(self, batch: List[_Pending]) -> str:
+        """Grow ``batch`` until its window closes; returns what closed it.
+
+        Whatever is already queued joins first.  Then the batch waits for
+        arrivals — at most ``window`` seconds, at most ``max_batch`` queries
+        — but only while some open connection is owed no reply: once every
+        one has a frame outstanding, nothing can arrive before this batch
+        is answered, and the window closes ``"early"``.
+        """
+        assert self._queue is not None and self._loop is not None
+        deadline = self._loop.time() + self.window
+        timer = self._loop.call_at(deadline, self._wakeup.set)
+        try:
+            while True:
+                while len(batch) < self.max_batch and not self._queue.empty():
+                    batch.append(self._queue.get_nowait())
+                if len(batch) >= self.max_batch:
+                    return "max_batch"
+                if self._listening == 0:
+                    return "early"
+                if self._loop.time() >= deadline:
+                    return "timer"
+                # No await separates the checks above from the wait, so no
+                # arrival or bookkeeping change can fall between them.
+                self._wakeup.clear()
+                await self._wakeup.wait()
+        finally:
+            timer.cancel()
 
     async def _run_admitted(self, batch: List[_Pending]) -> None:
         """Evaluate one admitted batch, grouped by (algorithm, kernel, oracle)."""
@@ -329,7 +391,6 @@ class ServingServer:
                 item.request.get("oracle"),
             )
             groups.setdefault(key, []).append(item)
-        self._batches += 1
         for (algorithm, kernel, oracle), items in groups.items():
             queries = [item.request["query"] for item in items]
             try:
@@ -382,17 +443,23 @@ class ServingServer:
         item.done = True
         self._latencies.append(self._loop.time() - item.enqueued)
         self._served += 1
-        await self._reply(item.writer, item.lock, payload)
+        await self._reply(item.conn, payload)
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, Any]:
-        """Served counters and latency percentiles (the ``stats`` op)."""
+        """Served counters and latency percentiles (the ``stats`` op).
+
+        ``batches`` splits into ``batches_closed_early`` (every open
+        connection was owed a reply), ``batches_closed_timer`` (the window
+        ran out) and ``batches_closed_max_batch``.
+        """
         samples = list(self._latencies)
         return {
             "served": self._served,
-            "batches": self._batches,
+            "batches": sum(self._closed_by.values()),
+            **{f"batches_closed_{why}": n for why, n in self._closed_by.items()},
             "p50_ms": percentile(samples, 0.50) * 1e3,
             "p99_ms": percentile(samples, 0.99) * 1e3,
             "inflight": self._queue.qsize() if self._queue is not None else 0,
@@ -492,10 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=0,
                         help="listen port (default: 0 = ephemeral, printed)")
     parser.add_argument("--window", type=float, default=2.0, metavar="MS",
-                        help="admission-batching window in milliseconds "
-                        "(default: 2.0)")
+                        help="upper bound on the admission-batching window "
+                        "in milliseconds; a batch closes sooner once every "
+                        "open connection is owed a reply (default: 2.0)")
     parser.add_argument("--max-batch", type=int, default=32,
-                        help="queries per admitted batch (default: 32)")
+                        help="upper bound on queries per admitted batch "
+                        "(default: 32)")
     parser.add_argument("--max-inflight", type=int, default=256,
                         help="bounded in-flight queries before backpressure "
                         "(default: 256)")

@@ -13,10 +13,11 @@ every stale entry simply stops being reachable — :meth:`invalidate_fragment`
 additionally drops the dead entries eagerly so a long-lived serving process
 does not leak them.
 
-Entries store the equations *and* the compute seconds the evaluation took,
-so a cache hit can replay the per-query response-time accounting that
-one-by-one evaluation would have charged (the serving engine's bit-identical
-stats contract).
+Entries store the equations, the compute seconds the evaluation took *and*
+the modeled wire size of the partial answer, so a cache hit can replay the
+per-query response-time and traffic accounting that one-by-one evaluation
+would have charged (the serving engine's bit-identical stats contract)
+without re-walking the rvset.
 """
 
 from __future__ import annotations
@@ -29,10 +30,17 @@ CacheKey = Tuple[int, int, str, Hashable]
 
 
 class CacheEntry(NamedTuple):
-    """One fragment's cached partial answer plus its measured compute time."""
+    """One fragment's cached partial answer, its compute time and wire size.
+
+    ``size`` is ``payload_size(plan.wrap_partial(equations))`` — a pure
+    function of the equations and the algorithm in the key, so the engine
+    computes it once, when the entry is produced.  ``None`` (an entry built
+    without it) makes the engine size the entry when it first resolves it.
+    """
 
     equations: Dict[Any, Any]
     seconds: float
+    size: Optional[int] = None
 
 
 class SiteResultCache:

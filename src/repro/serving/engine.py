@@ -16,7 +16,10 @@ engine exploits that three ways:
 3. **amortized accounting** — the batch's own :class:`Run` charges only
    what a batching coordinator would really pay (one broadcast round, one
    compute round over the distinct tasks, one overlapped partial round),
-   while every query still gets the paper-faithful *per-query* stats.
+   while every query still gets the paper-faithful *per-query* stats.  A
+   partial answer's modeled wire size is a function of its rvset alone, so
+   it is computed once, when the cache entry is produced, and every later
+   charge reads it from the entry.
 
 The per-query accounting contract: each query's answer, details, visits,
 traffic, message log and superstep count are **bit-identical** to
@@ -117,6 +120,11 @@ def _accumulate(workload: WorkloadStats, stats: ExecutionStats) -> None:
     workload.total_messages += stats.num_messages
 
 
+def _sized_entry(plan: QueryPlan, equations: Dict, seconds: float) -> CacheEntry:
+    """A cache entry carrying the wire size of ``plan``'s wrapped partial."""
+    return CacheEntry(equations, seconds, payload_size(plan.wrap_partial(equations)))
+
+
 def execute_plans(
     cluster: SimulatedCluster,
     plans: Sequence[QueryPlan],
@@ -142,6 +150,7 @@ def execute_plans(
     workload = WorkloadStats(num_queries=len(plans))
     trivials: List[Optional[Tuple[bool, Dict[str, object]]]] = []
     payloads: List[Optional[object]] = []
+    payload_sizes: List[int] = []
     plan_keys: List[Optional[Dict[int, CacheKey]]] = []
     #: key -> resolved entry (None = scheduled, filled in by phase 2).
     resolved: Dict[CacheKey, Optional[CacheEntry]] = {}
@@ -156,10 +165,12 @@ def execute_plans(
         trivials.append(trivial)
         if trivial is not None:
             payloads.append(None)
+            payload_sizes.append(0)
             plan_keys.append(None)
             workload.num_trivial += 1
             continue
         payloads.append(plan.broadcast_payload())
+        payload_sizes.append(payload_size(payloads[-1]))
         keys: Dict[int, CacheKey] = {}
         missed = False
         for site in cluster.sites:
@@ -184,8 +195,12 @@ def execute_plans(
                         # fragment's pre-move equations): resolved at zero
                         # compute cost and cached for the rest of the batch
                         # under the fragment's current version.
-                        entry = CacheEntry(reused, 0.0)
+                        entry = _sized_entry(plan, reused, 0.0)
                         cache.put(key, entry)
+                elif entry.size is None:
+                    # Stored by a caller that did not size it: size it once.
+                    entry = _sized_entry(plan, entry.equations, entry.seconds)
+                    cache.put(key, entry)
                 if entry is not None:
                     workload.cache_hits += 1
                     resolved[key] = entry
@@ -207,12 +222,19 @@ def execute_plans(
     if jobs_by_site:
         # A batching coordinator ships the distinct outstanding payloads
         # once, and only to sites that actually have work this round.
-        bundle = tuple(dict.fromkeys(payloads[i] for i in plans_with_misses))
-        bundle_size = payload_size(bundle)
+        # The bundle is a tuple, so its size is the 2-byte header plus the
+        # already-known sizes of the distinct payloads in it.
+        distinct = {payloads[i]: payload_sizes[i] for i in plans_with_misses}
+        bundle = tuple(distinct)
+        bundle_size = 2 + sum(distinct.values())
         site_ids = sorted(jobs_by_site)
         for site_id in site_ids:
             batch_run.send_to_site(
-                site_id, bundle, MessageKind.QUERY, charge_time=False
+                site_id,
+                bundle,
+                MessageKind.QUERY,
+                charge_time=False,
+                size=bundle_size,
             )
         batch_run.network_round({site_id: bundle_size for site_id in site_ids})
         with batch_run.parallel_phase() as phase:
@@ -232,19 +254,19 @@ def execute_plans(
                 ],
             )
             for site_id, values in zip(site_ids, site_values):
-                wrapped = []
+                shipped = 2  # the tuple header of the site's partials
                 for (key, plan, _fragment), (equations, seconds) in zip(
                     jobs_by_site[site_id], values
                 ):
-                    entry = CacheEntry(equations, seconds)
+                    entry = _sized_entry(plan, equations, seconds)
                     resolved[key] = entry
                     cache.put(key, entry)
                     workload.tasks_executed += 1
-                    wrapped.append(plan.wrap_partial(equations))
+                    shipped += entry.size
                 # Each distinct partial crosses the wire once; transfers of
                 # one round overlap (charged at phase exit as their max).
                 batch_run.send_to_coordinator(
-                    site_id, tuple(wrapped), MessageKind.PARTIAL
+                    site_id, kind=MessageKind.PARTIAL, size=shipped
                 )
 
     # ------------------------------------------------------------------
@@ -271,10 +293,23 @@ def execute_plans(
             continue
         keys = plan_keys[index]
         run = cluster.start_run(plan.algorithm)
-        run.broadcast(payloads[index], MessageKind.QUERY)
+        run.broadcast(payloads[index], MessageKind.QUERY, size=payload_sizes[index])
         partials: Dict[int, Dict] = {}
         with run.parallel_phase() as phase:
             for site in cluster.sites:
+                if len(site.fragments) == 1:
+                    # The site ships exactly this entry's partial answer.
+                    fid = site.fragments[0].fid
+                    entry = resolved[keys[fid]]
+                    partials[fid] = entry.equations
+                    phase.credit(site.site_id, entry.seconds)
+                    run.send_to_coordinator(
+                        site.site_id, kind=MessageKind.PARTIAL, size=entry.size
+                    )
+                    continue
+                # Several fragments on one site ship one combined partial
+                # whose column table is shared, so its size is not the sum
+                # of the entries' sizes: size the merged equations.
                 site_equations: Dict = {}
                 seconds = 0.0
                 for fragment in site.fragments:

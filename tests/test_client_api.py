@@ -54,6 +54,32 @@ def server():
     srv.shutdown()
 
 
+def _assert_oracle_default_reaches_dis_reach_only(open_client, cache_of):
+    """A connect-level oracle serves a mixed stream; an explicit one raises."""
+    with open_client() as plain, open_client(oracle="tol") as indexed:
+        for query in QUERIES:  # reach, bounded and regular, one by one
+            a, b = plain.query(query), indexed.query(query)
+            assert (a.answer, a.stats.traffic_bytes) == (b.answer, b.stats.traffic_bytes)
+        # the oracle is part of a disReach cache key and of no other
+        oracles = {}
+        for _fid, _version, algorithm, params in cache_of(indexed)._entries:
+            oracles.setdefault(algorithm, set()).add("tol" in params)
+        assert True in oracles["disReach"]
+        assert oracles["disDist"] == oracles["disRPQ"] == {False}
+        assert indexed.batch(QUERIES).answers == plain.batch(QUERIES).answers
+        assert indexed.batch(QUERIES[:2]).answers == [True, False]
+        # an explicit algorithm decides as the query class does
+        assert indexed.query(QUERIES[0], algorithm="disReach").answer is True
+        assert indexed.query(QUERIES[0], algorithm="disReachn").answer is True
+        # only the default is filtered: asking for an oracle where none
+        # applies is still an error, with or without a default
+        for client in (plain, indexed):
+            with pytest.raises(QueryError, match="only disReach"):
+                client.query(QUERIES[2], oracle="tol")
+            with pytest.raises(QueryError, match="only disReach"):
+                client.batch(QUERIES, oracle="tol")
+
+
 class TestConnectLocal:
     def test_graph_target_builds_a_cluster(self):
         client = connect(_chain_graph(), fragments=2, seed=0)
@@ -113,6 +139,15 @@ class TestConnectLocal:
             assert a.stats.traffic_bytes == b.stats.traffic_bytes
         # the decorator still exposes the wrapped client's attributes
         assert vectorized.cluster.num_sites == 2
+
+    def test_oracle_default_reaches_dis_reach_only(self):
+        cluster = SimulatedCluster.from_graph(
+            _chain_graph(), 2, partitioner="chunk", seed=0
+        )
+        _assert_oracle_default_reaches_dis_reach_only(
+            lambda **kwargs: connect(cluster, **kwargs),
+            lambda client: client.engine.cache,
+        )
 
     def test_garbage_target_rejected(self):
         with pytest.raises(QueryError, match="connect\\(\\) takes"):
@@ -205,6 +240,12 @@ class TestRemoteTransport:
         with connect(server.address) as remote:
             with pytest.raises(QueryError, match="unknown algorithm|not batchable"):
                 remote.query(ReachQuery("a", "d"), algorithm="nope")
+
+    def test_oracle_default_reaches_dis_reach_only(self, server):
+        _assert_oracle_default_reaches_dis_reach_only(
+            lambda **kwargs: connect(server.address, **kwargs),
+            lambda _client: server.engine.cache,
+        )
 
     def test_stats_report_latency_percentiles(self, server):
         with connect(server.address) as remote:

@@ -76,3 +76,41 @@ class TestEvaluate:
         _, _, cluster = figure1
         with pytest.raises(QueryError):
             evaluate(cluster, "not a query")
+
+    def test_declined_options_read_as_before(self, figure1):
+        # The refusals are part of the CLI's error surface (exit 2).
+        _, _, cluster = figure1
+        reach = ReachQuery("Ann", "Mark")
+        cases = [
+            ("disReachn", {"kernel": "python"},
+             "algorithm 'disReachn' does not take a kernel "
+             "(only the partial-evaluation algorithms do)"),
+            ("disReachm", {"oracle": "tol"},
+             "algorithm 'disReachm' does not take a reachability oracle "
+             "(only disReach does)"),
+            ("disReach", {"shortcuts": "reach"},
+             "algorithm 'disReach' does not take shortcuts "
+             "(only the message-passing baselines do)"),
+        ]
+        for algorithm, options, message in cases:
+            with pytest.raises(QueryError) as raised:
+                evaluate(cluster, reach, algorithm, **options)
+            assert str(raised.value) == message
+
+    def test_signatures_are_inspected_once_per_algorithm(self, figure1, monkeypatch):
+        import inspect
+
+        from repro.core import engine
+
+        _, _, cluster = figure1
+        calls = []
+        real = inspect.signature
+        monkeypatch.setattr(
+            engine.inspect, "signature", lambda fn: calls.append(fn) or real(fn)
+        )
+        engine._accepted_options.cache_clear()
+        for _ in range(3):
+            assert evaluate(
+                cluster, ReachQuery("Ann", "Mark"), kernel="python", oracle="tol"
+            ).answer
+        assert calls == [REGISTRY["disReach"][1]]

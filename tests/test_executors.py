@@ -10,6 +10,8 @@ nondeterministic; they are checked for sanity, not equality.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.engine import evaluate
@@ -183,9 +185,31 @@ class TestPhaseMap:
         assert values == [0, 2, 4]
         assert stats.supersteps == 1
 
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_stats_round_trip_through_worker_processes(self, backend, figure1):
+        # Message is a slotted frozen dataclass (no __dict__ to pickle): it
+        # and the stats holding it must survive both directions of a real
+        # process boundary, and every pickle protocol the wire may pick.
+        _graph, _fragmentation, cluster = figure1
+        stats = evaluate(cluster, ReachQuery("Ann", "Mark")).stats
+        assert stats.messages and not hasattr(stats.messages[0], "__dict__")
+        with cluster.using_executor(backend):
+            run = cluster.start_run("x")
+            with run.parallel_phase() as phase:
+                echoed = phase.map(_echo, [(0, (stats,)), (1, (stats.messages[0],))])
+            run.finish()
+        assert echoed == [stats, stats.messages[0]]
+        assert echoed[0].messages[0].kind is stats.messages[0].kind
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(stats, protocol)) == stats
+
 
 def _double(x):
     return 2 * x
+
+
+def _echo(x):
+    return x
 
 
 def _explode():
