@@ -29,8 +29,6 @@ The package mirrors the paper:
   the per-figure experiment harness
 """
 
-import warnings as _warnings
-
 from .automata import PositionNFA, QueryAutomaton, parse_regex
 from .client import Client, connect
 from .core import (
@@ -71,63 +69,6 @@ from .partition import (
 
 __version__ = "1.1.0"
 
-#: Old entry points now fronted by :func:`connect` — still importable from
-#: here, behind a :class:`DeprecationWarning` (PEP 562 module __getattr__).
-#: Importing them from their home modules stays warning-free.
-_DEPRECATED = {
-    "evaluate": (
-        "repro.core.engine",
-        "evaluate",
-        "use repro.connect(...).query(...) (or import it from "
-        "repro.core.engine)",
-    ),
-    "execute_plans": (
-        "repro.serving.engine",
-        "execute_plans",
-        "use repro.connect(...).batch(...) (or import it from "
-        "repro.serving.engine)",
-    ),
-    "BatchQueryEngine": (
-        "repro.serving.engine",
-        "BatchQueryEngine",
-        "use repro.connect(...) (or import it from repro.serving.engine)",
-    ),
-    "IncrementalReachSession": (
-        "repro.core.incremental",
-        "IncrementalReachSession",
-        "use repro.connect(...).session(ReachQuery(...)) (or import it "
-        "from repro.core.incremental)",
-    ),
-    "IncrementalRegularSession": (
-        "repro.core.incremental",
-        "IncrementalRegularSession",
-        "use repro.connect(...).session(RegularReachQuery(...)) (or "
-        "import it from repro.core.incremental)",
-    ),
-}
-
-
-def __getattr__(name):
-    """Deprecation shims: resolve old entry points with a warning."""
-    try:
-        module_name, attr, hint = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    _warnings.warn(
-        f"repro.{name} is deprecated; {hint}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    """Advertise the blessed surface plus the deprecated shims."""
-    return sorted(set(globals()) | set(_DEPRECATED))
-
-
 __all__ = [
     "BooleanEquationSystem",
     "BoundedReachQuery",
@@ -161,7 +102,6 @@ __all__ = [
     "dis_reach",
     "dis_rpq",
     "distance",
-    "evaluate",
     "evaluate_centralized",
     "mrd_dist",
     "mrd_reach",

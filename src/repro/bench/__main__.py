@@ -24,10 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..core.kernels import KERNELS, set_default_kernel
-from ..distributed.executors import EXECUTORS, set_default_executor
-from ..graph.shortcuts import SHORTCUT_MODES, set_default_shortcuts
-from ..index.registry import ORACLES, set_default_oracle
+from ..core.options import STRATEGIES, add_strategy_arguments, set_strategy_defaults
 from .experiments import EXPERIMENTS
 
 
@@ -102,50 +99,13 @@ def main(argv=None) -> int:
         help="also write results as JSON here (what benchmarks/check_regression.py "
         "compares against benchmarks/baseline.json)",
     )
-    parser.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default="sequential",
-        help="execution backend for site-local work in every cluster the "
-        "experiments build (default: sequential; modeled metrics are "
-        "backend-independent, wall time is not)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=sorted(KERNELS),
-        default=None,
-        help="local-evaluation kernel for every plan the experiments build "
-        "(default: REPRO_KERNEL env var, else python; modeled metrics are "
-        "kernel-independent, wall time is not — see the 'kernels' experiment)",
-    )
-    parser.add_argument(
-        "--oracle",
-        choices=sorted(ORACLES),
-        default=None,
-        help="reachability index for every disReach plan the experiments "
-        "build (default: REPRO_ORACLE env var, else none); the mutation "
-        "experiment additionally reports its maintain-vs-rebuild sweep "
-        "for the named oracle",
-    )
-    parser.add_argument(
-        "--shortcuts",
-        choices=sorted(SHORTCUT_MODES),
-        default=None,
-        help="shortcut precompute for every message-passing baseline the "
-        "experiments run (default: REPRO_SHORTCUTS env var, else none); "
-        "the 'shortcuts' experiment sweeps all modes regardless "
-        "(DESIGN.md §13)",
-    )
+    add_strategy_arguments(parser)
     args = parser.parse_args(argv)
-    # Experiments construct their own clusters internally; the process-wide
-    # default is how one flag reaches all of them.
-    set_default_executor(args.executor)
-    if args.kernel is not None:
-        set_default_kernel(args.kernel)
-    if args.oracle is not None:
-        set_default_oracle(args.oracle)
-    if args.shortcuts is not None:
-        set_default_shortcuts(args.shortcuts)
+    # Experiments construct their own clusters and plans internally; the
+    # process-wide defaults are how one flag reaches all of them (the
+    # mutation experiment additionally sweeps maintain-vs-rebuild for a
+    # named --oracle; the 'kernels'/'shortcuts' experiments sweep all).
+    set_strategy_defaults(args, STRATEGIES)
 
     if not args.experiment:
         print("available experiments:")

@@ -1437,13 +1437,12 @@ def exp_kernels(
       that amortizes the CSR build).  ``speedup`` is python_ms / eval_ms;
       the CI gate holds the numpy row above ``KERNEL_SPEEDUP_FLOOR``.
     """
-    from ..core.bounded import local_eval_bounded
+    from ..core.engine import plan_for
+    from ..core.kernels import KERNELS as ALL_KERNELS
     from ..core.kernels import available_kernels
-    from ..core.reachability import local_eval_reach
+    from ..core.options import EvalOptions
     from ..distributed.executors import EXECUTORS
     from ..serving.engine import BatchQueryEngine, eval_fragment_jobs
-
-    from ..core.kernels import KERNELS as ALL_KERNELS
 
     kernels = available_kernels()
     amazon = load_dataset("amazon", scale=scale, seed=seed)
@@ -1525,15 +1524,22 @@ def exp_kernels(
         amazon, card, partitioner="chunk", seed=seed
     )
     fragments = [cluster.site(i).fragment for i in range(cluster.num_sites)]
-    jobs = tuple(
-        [(local_eval_reach, f, (q, None)) for q in reach_queries for f in fragments]
-        + [(local_eval_bounded, f, (q, None)) for q in bounded_queries for f in fragments]
-    )
     timings: Dict[str, float] = {}
     for kernel in kernels:
-        eval_fragment_jobs(jobs, kernel=kernel)  # warmup: builds CSR + condensation
+        # The same job list per kernel: each plan ships its resolved names
+        # inside the job args, exactly as the serving engine submits them.
+        plans = [
+            plan_for(query, options=EvalOptions(kernel=kernel))
+            for query in list(reach_queries) + list(bounded_queries)
+        ]
+        jobs = tuple(
+            (plan.local_eval(), fragment, plan.local_eval_args())
+            for plan in plans
+            for fragment in fragments
+        )
+        eval_fragment_jobs(jobs)  # warmup: builds CSR + condensation
         timings[kernel] = min(
-            sum(elapsed for _, elapsed in eval_fragment_jobs(jobs, kernel=kernel))
+            sum(elapsed for _, elapsed in eval_fragment_jobs(jobs))
             for _ in range(3)
         )
     for kernel in kernels:

@@ -48,14 +48,11 @@ import sys
 from pathlib import Path
 
 from .core.engine import algorithms_for, evaluate
-from .core.kernels import KERNELS, set_default_kernel
-from .index.registry import ORACLES, set_default_oracle
+from .core.options import OPTIONS, add_strategy_arguments, set_strategy_defaults
 from .core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from .distributed.cluster import SimulatedCluster
-from .distributed.executors import EXECUTORS
 from .errors import ReproError
 from .graph import graph_io
-from .graph.shortcuts import SHORTCUT_MODES, set_default_shortcuts
 from .partition.partitioners import PARTITIONERS
 from .workload.datasets import DATASETS, load_dataset
 
@@ -85,29 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algorithm", default=None,
                         help="algorithm name (default: the paper's partial-"
                         "evaluation algorithm for the query class)")
-    parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                        default="sequential",
-                        help="execution backend for site-local work "
-                        "(default: sequential; answers and modeled costs "
-                        "are identical under every backend)")
-    parser.add_argument("--kernel", choices=sorted(KERNELS), default=None,
-                        help="local-evaluation kernel (default: REPRO_KERNEL "
-                        "env var, else python); numpy/numba sweep fragments "
-                        "as CSR int arrays — same answers and modeled costs, "
-                        "much faster wall-clock (DESIGN.md §9)")
-    parser.add_argument("--oracle", choices=sorted(ORACLES), default=None,
-                        help="reachability index for disReach local "
-                        "evaluation (default: REPRO_ORACLE env var, else "
-                        "none); built per fragment, cached by mutation "
-                        "stamp, maintained incrementally under edge "
-                        "mutation (DESIGN.md §12)")
-    parser.add_argument("--shortcuts", choices=sorted(SHORTCUT_MODES),
-                        default=None,
-                        help="shortcut precompute for the message-passing "
-                        "baselines disReachm/disDistm (default: "
-                        "REPRO_SHORTCUTS env var, else none); 'reach' and "
-                        "'hopset' cut supersteps to sub-diameter with "
-                        "answers bit-identical (DESIGN.md §13)")
+    add_strategy_arguments(parser)
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="also print per-site visit counts")
 
@@ -274,18 +249,10 @@ def main(argv=None) -> int:
     if args.mutations is not None and args.mutations < 0:
         parser.error("--mutations must be non-negative")
     try:
-        if args.kernel is not None:
-            # Process-wide default: every plan this invocation constructs
-            # (single query, workload batches, session remaps) uses it.
-            set_default_kernel(args.kernel)
-        if args.oracle is not None:
-            # Same mechanism for the reachability index; only disReach
-            # plans consult it.
-            set_default_oracle(args.oracle)
-        if args.shortcuts is not None:
-            # Same mechanism for the shortcut overlay; only the
-            # message-passing baselines consult it.
-            set_default_shortcuts(args.shortcuts)
+        # Process-wide defaults: every plan and baseline run this invocation
+        # builds (single query, workload batches, session remaps) uses them
+        # where its algorithm takes them (soft; DESIGN.md §14).
+        set_strategy_defaults(args, OPTIONS)
         if args.graph:
             graph = graph_io.load(args.graph)
         else:

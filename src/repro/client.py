@@ -30,11 +30,35 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Union
 
+from .core.engine import resolve_algorithm
+from .core.options import EvalOptions
 from .errors import QueryError
 
 
 class Client:
-    """The unified query surface ``connect()`` returns (both transports)."""
+    """The unified query surface ``connect()`` returns (both transports).
+
+    A client holds the connect-level strategy defaults itself.  They are
+    *soft* (DESIGN.md §14): each call is sent with its explicit options
+    plus the defaults every one of its queries' algorithms takes — a
+    default oracle serves a mixed stream without reaching the bounded or
+    regular queries in it — while an explicit option the algorithm does
+    not take raises :class:`~repro.errors.QueryError`.
+    """
+
+    _defaults = EvalOptions()
+
+    def _options(
+        self,
+        queries: Sequence[Any],
+        algorithm: Optional[str],
+        kernel: Optional[str],
+        oracle: Optional[str],
+    ) -> EvalOptions:
+        """One call's options: explicit over the defaults that apply."""
+        return EvalOptions(kernel=kernel, oracle=oracle).over(
+            self._defaults, {resolve_algorithm(query, algorithm) for query in queries}
+        )
 
     def query(
         self,
@@ -77,28 +101,29 @@ class Client:
 class LocalClient(Client):
     """In-process transport: a :class:`BatchQueryEngine` over one cluster."""
 
-    def __init__(self, cluster: Any) -> None:
+    def __init__(self, cluster: Any, defaults: EvalOptions = EvalOptions()) -> None:
         """Serve ``cluster`` through a fresh batch engine."""
         from .serving import BatchQueryEngine
 
         self.cluster = cluster
         self.engine = BatchQueryEngine(cluster)
+        self._defaults = defaults
         self._served = 0
 
     def query(self, query, algorithm=None, kernel=None, oracle=None):
         """Evaluate one query through the serving path (a batch of one)."""
-        self._served += 1
-        return self.engine.evaluate(query, algorithm, kernel=kernel, oracle=oracle)
+        return self.batch([query], algorithm, kernel=kernel, oracle=oracle).results[0]
 
     def batch(self, queries, algorithm=None, kernel=None, oracle=None):
         """Evaluate ``queries`` as one engine batch."""
         queries = list(queries)
+        options = self._options(queries, algorithm, kernel, oracle)
         self._served += len(queries)
-        return self.engine.run_batch(queries, algorithm, kernel=kernel, oracle=oracle)
+        return self.engine.run_batch(queries, algorithm, **options.given())
 
     def session(self, query, kernel=None):
         """Open a standing incremental session against the local cluster."""
-        return self.engine.open_session(query, kernel=kernel)
+        return self.engine.open_session(query, kernel=kernel or self._defaults.kernel)
 
     def stats(self):
         """Local serving stats (served count and cache hit rate)."""
@@ -112,28 +137,33 @@ class LocalClient(Client):
 class RemoteClient(Client):
     """TCP transport: a :class:`~repro.net.client.ServeClient` wrapper."""
 
-    def __init__(self, address: str, timeout: float = 60.0) -> None:
+    def __init__(
+        self,
+        address: str,
+        timeout: float = 60.0,
+        defaults: EvalOptions = EvalOptions(),
+    ) -> None:
         """Connect to a ``repro-serve`` front end at ``address``."""
         from .net.client import ServeClient
 
         self.address = address
         self._client = ServeClient(address, timeout=timeout)
+        self._defaults = defaults
 
     def query(self, query, algorithm=None, kernel=None, oracle=None):
         """Evaluate one query on the server (admission-batched)."""
-        return self._client.query(
-            query, algorithm=algorithm, kernel=kernel, oracle=oracle
-        )
+        options = self._options([query], algorithm, kernel, oracle)
+        return self._client.query(query, algorithm, options)
 
     def batch(self, queries, algorithm=None, kernel=None, oracle=None):
         """Evaluate ``queries`` as one server-side engine batch."""
-        return self._client.batch(
-            queries, algorithm=algorithm, kernel=kernel, oracle=oracle
-        )
+        queries = list(queries)
+        options = self._options(queries, algorithm, kernel, oracle)
+        return self._client.batch(queries, algorithm, options)
 
     def session(self, query, kernel=None):
         """Open a standing incremental session on the server."""
-        return self._client.session(query, kernel=kernel)
+        return self._client.session(query, kernel=kernel or self._defaults.kernel)
 
     def stats(self):
         """The server's serving stats (served, batches, p50/p99, inflight)."""
@@ -167,21 +197,20 @@ def connect(
 
     ``executor`` (name or :class:`ExecutorBackend` instance) selects the
     execution backend when this call constructs the cluster; ``kernel``
-    sets the default local-evaluation kernel and ``oracle`` the default
-    reachability index (a :mod:`repro.index.registry` name, validated
-    here so typos fail at connect time) for queries issued through the
-    returned client.  The parameter names match the ``repro`` CLI flags
-    (``--fragments --partitioner --executor --kernel --oracle --seed``).
+    and ``oracle`` set the client's default local-evaluation kernel and
+    reachability index (registry names, validated here so typos fail at
+    connect time; soft defaults — see :class:`Client`).  The parameter
+    names match the ``repro`` CLI flags (``--fragments --partitioner
+    --executor --kernel --oracle --seed``).
     """
     from .distributed.cluster import SimulatedCluster
     from .graph.digraph import DiGraph
-    from .index.registry import resolve_oracle
 
-    if oracle is not None:
-        resolve_oracle(oracle)
+    defaults = EvalOptions(kernel=kernel, oracle=oracle)
+    defaults.check_names()
     if isinstance(target, SimulatedCluster):
-        client: Client = LocalClient(target)
-    elif isinstance(target, DiGraph):
+        return LocalClient(target, defaults)
+    if isinstance(target, DiGraph):
         cluster = SimulatedCluster.from_graph(
             target,
             fragments,
@@ -189,76 +218,10 @@ def connect(
             seed=seed,
             executor=executor,
         )
-        client = LocalClient(cluster)
-    elif isinstance(target, str) and ":" in target:
-        client = RemoteClient(target, timeout=timeout)
-    else:
-        raise QueryError(
-            "connect() takes a SimulatedCluster, a DiGraph, or a "
-            f"'host:port' address; got {target!r}"
-        )
-    if kernel is not None or oracle is not None:
-        client = _DefaultsClient(client, kernel=kernel, oracle=oracle)
-    return client
-
-
-class _DefaultsClient(Client):
-    """Decorator client filling in default kernel/oracle for every call.
-
-    The default oracle reaches ``disReach`` only, like the process-wide
-    default (:func:`repro.core.engine.plan_for`): distance and RPQ local
-    evaluations have no oracle seam, so a mixed stream of queries must not
-    inherit it.  A batch carries one oracle, so it gets the default when
-    every query in it runs ``disReach``.  An explicit per-call ``oracle=``
-    is forwarded as given (and raises where the algorithm takes none).
-    """
-
-    def __init__(
-        self,
-        inner: Client,
-        kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
-    ) -> None:
-        self._inner = inner
-        self._kernel = kernel
-        self._oracle = oracle
-
-    def _default_oracle(self, queries: Sequence[Any], algorithm: Optional[str]):
-        if self._oracle is None:
-            return None
-        from .core.queries import ReachQuery
-
-        if algorithm is None:
-            applies = all(isinstance(query, ReachQuery) for query in queries)
-        else:
-            applies = algorithm == "disReach"
-        return self._oracle if applies else None
-
-    def query(self, query, algorithm=None, kernel=None, oracle=None):
-        return self._inner.query(
-            query,
-            algorithm,
-            kernel=kernel or self._kernel,
-            oracle=oracle or self._default_oracle([query], algorithm),
-        )
-
-    def batch(self, queries, algorithm=None, kernel=None, oracle=None):
-        queries = list(queries)
-        return self._inner.batch(
-            queries,
-            algorithm,
-            kernel=kernel or self._kernel,
-            oracle=oracle or self._default_oracle(queries, algorithm),
-        )
-
-    def session(self, query, kernel=None):
-        return self._inner.session(query, kernel=kernel or self._kernel)
-
-    def stats(self):
-        return self._inner.stats()
-
-    def close(self):
-        self._inner.close()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+        return LocalClient(cluster, defaults)
+    if isinstance(target, str) and ":" in target:
+        return RemoteClient(target, timeout=timeout, defaults=defaults)
+    raise QueryError(
+        "connect() takes a SimulatedCluster, a DiGraph, or a "
+        f"'host:port' address; got {target!r}"
+    )

@@ -32,6 +32,7 @@ from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .kernels import resolve_kernel
 from .minplus import TARGET, MinPlusSystem, Term
+from .options import EvalOptions
 from .queries import BoundedReachQuery
 from .results import QueryResult
 
@@ -166,15 +167,14 @@ class BoundedReachPlan(QueryPlan):
         self,
         query: Union[BoundedReachQuery, Tuple[Node, Node, int]],
         oracle_factory: Optional[DistanceOracleFactory] = None,
-        kernel: Optional[str] = None,
+        options: EvalOptions = EvalOptions(),
     ) -> None:
         if not isinstance(query, BoundedReachQuery):
             query = BoundedReachQuery(*query)
         self.query = query
         self.oracle_factory = oracle_factory
-        # Resolved at construction; excluded from fragment_params because
-        # all kernels emit identical equations (see ReachPlan.__init__).
-        self.kernel = resolve_kernel(kernel)
+        self.options = options.resolved(self.algorithm)
+        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)
@@ -192,13 +192,14 @@ class BoundedReachPlan(QueryPlan):
         return local_eval_bounded
 
     def local_eval_args(self) -> Tuple[object, ...]:
-        return (self.query, self.oracle_factory, self.kernel)
+        return (self.query, self.oracle_factory, self.options.kernel)
 
     def fragment_params(self, fragment: Fragment) -> Hashable:
         return (
             *endpoint_params(fragment, self.query.source, self.query.target),
             self.query.bound,
             self.oracle_factory,
+            *self._keyed,
         )
 
     def wrap_partial(self, site_equations: BoundedEquations) -> BoundedPartialAnswer:
@@ -233,6 +234,6 @@ def dis_dist(
     The batch-of-one special case of the serving engine; see
     :func:`repro.core.reachability.dis_reach`.
     """
-    plan = BoundedReachPlan(query, oracle_factory, kernel=kernel)
+    plan = BoundedReachPlan(query, oracle_factory, EvalOptions(kernel=kernel))
     batch = execute_plans(cluster, [plan], collect_details=collect_details)
     return batch.results[0]

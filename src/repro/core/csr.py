@@ -26,10 +26,11 @@ access.  Invalidation therefore needs no registration anywhere:
   graph's stamp, so the next access rebuilds — only that one fragment's
   arrays;
 * **cross-fragment mutation** replaces the (at most two) affected
-  :class:`~repro.partition.fragment.Fragment` objects via
-  ``replace_fragments``; the replacements start with an empty cache slot,
-  while every *untouched* fragment keeps its cached arrays — the ≤2-rebuild
-  property the incremental sessions rely on;
+  :class:`~repro.partition.fragment.Fragment` objects
+  (:meth:`~repro.partition.fragment.Fragment.replaced` carries the cache
+  slot across): the source side's graph changed, so its carried view fails
+  the stamp check and rebuilds; the target side's graph did not, so it —
+  like every *untouched* fragment — keeps its cached arrays;
 * **repartition** builds entirely new fragments, so old arrays simply die
   with the old objects.
 

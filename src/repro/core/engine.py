@@ -23,9 +23,7 @@ on a graph + mapper count rather than on a prebuilt cluster.)
 
 from __future__ import annotations
 
-import functools
-import inspect
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Type, Union
+from typing import Callable, Dict, Optional, Tuple, Type, Union
 
 from ..baselines.message_passing import dis_reach_m
 from ..baselines.pregel_programs import dis_dist_m
@@ -36,6 +34,7 @@ from ..distributed.executors import ExecutorBackend
 from ..errors import QueryError
 from ..serving.plans import QueryPlan
 from .bounded import BoundedReachPlan, dis_dist
+from .options import EvalOptions
 from .queries import BoundedReachQuery, Query, ReachQuery, RegularReachQuery
 from .reachability import ReachPlan, dis_reach
 from .regular import RegularReachPlan, dis_rpq
@@ -67,25 +66,10 @@ _DEFAULTS: Dict[Type, str] = {
 #: Batchable algorithms: the paper's partial-evaluation family, whose
 #: per-fragment partial results the serving layer can cache and share
 #: across queries.  Baselines stay un-batched (DESIGN.md §6).
-PLANS: Dict[str, Tuple[Type, Callable[..., QueryPlan]]] = {
-    "disReach": (ReachQuery, ReachPlan),
-    "disDist": (BoundedReachQuery, BoundedReachPlan),
-    "disRPQ": (RegularReachQuery, RegularReachPlan),
+PLANS: Dict[str, Callable[..., QueryPlan]] = {
+    plan_cls.algorithm: plan_cls
+    for plan_cls in (ReachPlan, BoundedReachPlan, RegularReachPlan)
 }
-
-
-#: Per-evaluation options an algorithm may decline: how the refusal reads.
-_OPTION_TAKERS: Dict[str, str] = {
-    "kernel": "a kernel (only the partial-evaluation algorithms do)",
-    "oracle": "a reachability oracle (only disReach does)",
-    "shortcuts": "shortcuts (only the message-passing baselines do)",
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _accepted_options(fn: Algorithm) -> FrozenSet[str]:
-    """Parameter names of ``fn``, inspected once per implementation."""
-    return frozenset(inspect.signature(fn).parameters)
 
 
 def is_batchable(algorithm: str) -> bool:
@@ -93,49 +77,54 @@ def is_batchable(algorithm: str) -> bool:
     return algorithm in PLANS
 
 
-def plan_for(
-    query: Query,
-    algorithm: Optional[str] = None,
-    kernel: Optional[str] = None,
-    oracle: Optional[str] = None,
-) -> QueryPlan:
-    """Build the :class:`~repro.serving.plans.QueryPlan` for ``query``.
+def resolve_algorithm(query: Query, algorithm: Optional[str] = None) -> str:
+    """The registered algorithm that evaluates ``query``.
 
     With no ``algorithm``, the paper's partial-evaluation algorithm for the
-    query's class is chosen — every default algorithm is batchable, so a
-    mixed workload needs no per-query configuration.  ``kernel`` selects
-    the local-evaluation kernel (:mod:`repro.core.kernels`); the default is
-    the process-wide default kernel.  ``oracle`` names a registered
-    reachability index (:mod:`repro.index.registry`) and applies to
-    ``disReach`` only; the process-wide default oracle likewise reaches
-    only reachability plans — distance and RPQ local evaluations have no
-    oracle seam.
+    query's class; a named one is checked against :data:`REGISTRY` and the
+    query's class.
     """
     if algorithm is None:
         try:
-            algorithm = _DEFAULTS[type(query)]
+            return _DEFAULTS[type(query)]
         except KeyError:
             raise QueryError(f"unsupported query type {type(query).__name__}") from None
     try:
-        query_type, plan_cls = PLANS[algorithm]
+        query_type, _ = REGISTRY[algorithm]
     except KeyError:
-        known = ", ".join(sorted(PLANS))
-        raise QueryError(
-            f"algorithm {algorithm!r} is not batchable (batchable: {known})"
-        ) from None
+        known = ", ".join(sorted(REGISTRY))
+        raise QueryError(f"unknown algorithm {algorithm!r}; known: {known}") from None
     if not isinstance(query, query_type):
         raise QueryError(
             f"algorithm {algorithm!r} evaluates {query_type.__name__}, "
             f"got {type(query).__name__}"
         )
-    if algorithm == "disReach":
-        return plan_cls(query, kernel=kernel, oracle=oracle)
-    if oracle is not None and oracle != "none":
+    return algorithm
+
+
+def plan_for(
+    query: Query,
+    algorithm: Optional[str] = None,
+    options: EvalOptions = EvalOptions(),
+) -> QueryPlan:
+    """Build the :class:`~repro.serving.plans.QueryPlan` for ``query``.
+
+    With no ``algorithm``, the paper's partial-evaluation algorithm for the
+    query's class is chosen — every default algorithm is batchable, so a
+    mixed workload needs no per-query configuration.  ``options`` are the
+    caller's *explicit* strategy choices (hard: an option the algorithm
+    does not take raises :class:`QueryError`); the plan resolves the rest
+    from the registry defaults (:mod:`repro.core.options`).
+    """
+    algorithm = resolve_algorithm(query, algorithm)
+    try:
+        plan_cls = PLANS[algorithm]
+    except KeyError:
+        known = ", ".join(sorted(PLANS))
         raise QueryError(
-            f"algorithm {algorithm!r} does not take a reachability oracle "
-            "(only disReach does)"
-        )
-    return plan_cls(query, kernel=kernel)
+            f"algorithm {algorithm!r} is not batchable (batchable: {known})"
+        ) from None
+    return plan_cls(query, options=options)
 
 
 def algorithms_for(query: Query) -> Tuple[str, ...]:
@@ -161,41 +150,17 @@ def evaluate(
     With no ``algorithm``, the paper's partial-evaluation algorithm for the
     query's class is used.  ``executor`` overrides the cluster's execution
     backend for this one evaluation (``sequential``/``thread``/``process``/
-    ``socket``); ``kernel`` selects the local-evaluation kernel for the
-    partial-evaluation algorithms and ``oracle`` a registered reachability
-    index for ``disReach`` (the baselines take neither — passing one
-    raises :class:`QueryError`).  ``shortcuts`` selects a precomputed
-    shortcut overlay (DESIGN.md §13) for the message-passing baselines
-    ``disReachm``/``disDistm`` — the only algorithms that pay O(diameter)
-    supersteps; every other algorithm rejects it.  Backends, kernels,
-    oracles and shortcuts change superstep/wall-clock behavior only —
-    answers are identical under all.
+    ``socket``).  ``kernel``, ``oracle`` and ``shortcuts`` are explicit
+    strategy choices: which algorithms take which is the option table of
+    :mod:`repro.core.options` (DESIGN.md §14), and passing one to an
+    algorithm that does not take it raises :class:`QueryError`.  Backends,
+    kernels, oracles and shortcuts change superstep/wall-clock behavior
+    only — answers are identical under all.
     """
-    if algorithm is None:
-        try:
-            algorithm = _DEFAULTS[type(query)]
-        except KeyError:
-            raise QueryError(f"unsupported query type {type(query).__name__}") from None
-    try:
-        query_type, fn = REGISTRY[algorithm]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise QueryError(f"unknown algorithm {algorithm!r}; known: {known}") from None
-    if not isinstance(query, query_type):
-        raise QueryError(
-            f"algorithm {algorithm!r} evaluates {query_type.__name__}, "
-            f"got {type(query).__name__}"
-        )
-    kwargs: Dict[str, object] = {}
-    for option, value in (("kernel", kernel), ("oracle", oracle), ("shortcuts", shortcuts)):
-        if value is None:
-            continue
-        if option not in _accepted_options(fn):
-            raise QueryError(
-                f"algorithm {algorithm!r} does not take {_OPTION_TAKERS[option]}"
-            )
-        kwargs[option] = value
+    algorithm = resolve_algorithm(query, algorithm)
+    names = EvalOptions(kernel, oracle, shortcuts).resolved(algorithm).given()
+    fn = REGISTRY[algorithm][1]
     if executor is None:
-        return fn(cluster, query, **kwargs)
+        return fn(cluster, query, **names)
     with cluster.using_executor(executor):
-        return fn(cluster, query, **kwargs)
+        return fn(cluster, query, **names)

@@ -51,24 +51,18 @@ fragment, version counter or cache is touched.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from ..automata.query_automaton import QueryAutomaton
 from ..distributed.cluster import SimulatedCluster
 from ..distributed.messages import MessageKind, payload_size
 from ..errors import QueryError
 from ..graph.digraph import Node
 from ..serving.engine import eval_fragment_jobs, execute_plans
 from ..serving.plans import QueryPlan, SessionRemapPlan
-from .kernels import resolve_kernel
+from .options import EvalOptions
 from .queries import ReachQuery, RegularReachQuery
-from .reachability import ReachPartialAnswer, ReachPlan, assemble_reach, local_eval_reach
-from .regular import (
-    RegularPartialAnswer,
-    RegularReachPlan,
-    assemble_regular,
-    local_eval_regular,
-)
+from .reachability import ReachPlan
+from .regular import RegularReachPlan
 from .results import QueryResult
 
 
@@ -77,13 +71,17 @@ class _IncrementalSession:
 
     algorithm = "incremental"
 
-    def __init__(
-        self, cluster: SimulatedCluster, kernel: Optional[str] = None
-    ) -> None:
+    def __init__(self, cluster: SimulatedCluster, plan: QueryPlan) -> None:
         self.cluster = cluster
-        #: Resolved local-evaluation kernel used by every (re-)evaluation
-        #: this session runs — full, remap, and post-mutation partial alike.
-        self.kernel = resolve_kernel(kernel)
+        #: The standing query's partial-evaluation plan.  Every
+        #: (re-)evaluation this session runs — full, remap, and
+        #: post-mutation partial alike — asks this one plan for its local
+        #: evaluation, payloads and assembly, so all paths run under the
+        #: same resolved options.
+        self.plan = plan
+        if plan.trivial() is not None:
+            raise QueryError("trivially-true query needs no standing session")
+        plan.validate(cluster)
         self._partials: Dict[int, dict] = {}
         self._answer: Optional[bool] = None
         self._epoch: Optional[int] = None
@@ -101,24 +99,6 @@ class _IncrementalSession:
         #: Fragments the most recent remap reused instead of re-evaluating.
         self.last_remap_reused = 0
         cluster.register_session(self)
-
-    # -- subclass hooks --------------------------------------------------
-    def _remap_plan(self) -> QueryPlan:
-        """The underlying partial-evaluation plan of the standing query."""
-        raise NotImplementedError
-
-    def _local_eval_task(self) -> Tuple[Callable, Tuple]:
-        """``(fn, args)`` of the picklable per-fragment evaluation task."""
-        raise NotImplementedError
-
-    def _assemble(self, partials: Dict[int, dict]) -> bool:
-        raise NotImplementedError
-
-    def _wrap_payload(self, equations: dict):
-        raise NotImplementedError
-
-    def _broadcast_payload(self):
-        raise NotImplementedError
 
     # -- lifecycle --------------------------------------------------------
     def initialize(self) -> QueryResult:
@@ -202,6 +182,11 @@ class _IncrementalSession:
         return True
 
     @property
+    def query(self):
+        """The standing query."""
+        return self.plan.query
+
+    @property
     def answer(self) -> bool:
         if self._answer is None:
             raise QueryError("session not initialized; call initialize() first")
@@ -247,13 +232,14 @@ class _IncrementalSession:
                 # Serving-layer caches key partial results on the fragment
                 # version; bumping retires every cached rvset of the fragment.
                 self.cluster.bump_fragment_version(fid)
-        payload = self._broadcast_payload()
+        plan = self.plan
+        payload = plan.broadcast_payload()
         size = payload_size(payload)
         site_ids = sorted(by_site)
         for site_id in site_ids:
             run.send_to_site(site_id, payload, MessageKind.QUERY, charge_time=False)
         run.network_round({site_id: size for site_id in by_site})
-        fn, args = self._local_eval_task()
+        fn, args = plan.local_eval(), plan.local_eval_args()
         with run.parallel_phase() as phase:
             site_values = phase.map(
                 eval_fragment_jobs,
@@ -278,10 +264,10 @@ class _IncrementalSession:
                     self._partials[fragment.fid] = equations
                     site_equations.update(equations)
                 run.send_to_coordinator(
-                    site_id, self._wrap_payload(site_equations), MessageKind.PARTIAL
+                    site_id, plan.wrap_partial(site_equations), MessageKind.PARTIAL
                 )
         with run.coordinator_work():
-            self._answer = self._assemble(self._partials)
+            self._answer, _details = plan.assemble(self._partials, False)
         stats = run.finish()
         return QueryResult(
             self._answer,
@@ -333,30 +319,7 @@ class IncrementalReachSession(_IncrementalSession):
         query: Union[ReachQuery, Tuple],
         kernel: Optional[str] = None,
     ):
-        super().__init__(cluster, kernel=kernel)
-        if not isinstance(query, ReachQuery):
-            query = ReachQuery(*query)
-        if query.source == query.target:
-            raise QueryError("trivial query (s == t) needs no standing session")
-        cluster.site_of(query.source)
-        cluster.site_of(query.target)
-        self.query = query
-
-    def _broadcast_payload(self):
-        return self.query
-
-    def _remap_plan(self) -> ReachPlan:
-        return ReachPlan(self.query, kernel=self.kernel)
-
-    def _local_eval_task(self):
-        return local_eval_reach, (self.query, None, self.kernel)
-
-    def _wrap_payload(self, equations):
-        return ReachPartialAnswer(equations)
-
-    def _assemble(self, partials):
-        answer, _ = assemble_reach(partials, self.query)
-        return answer
+        super().__init__(cluster, ReachPlan(query, EvalOptions(kernel=kernel)))
 
 
 class IncrementalRegularSession(_IncrementalSession):
@@ -370,33 +333,4 @@ class IncrementalRegularSession(_IncrementalSession):
         query: Union[RegularReachQuery, Tuple],
         kernel: Optional[str] = None,
     ):
-        super().__init__(cluster, kernel=kernel)
-        if not isinstance(query, RegularReachQuery):
-            query = RegularReachQuery(*query)
-        cluster.site_of(query.source)
-        cluster.site_of(query.target)
-        self.query = query
-        self.automaton: QueryAutomaton = query.automaton()
-        if query.source == query.target and self.automaton.analysis.nullable:
-            raise QueryError("trivially-true query needs no standing session")
-
-    def _broadcast_payload(self):
-        return self.automaton
-
-    def _remap_plan(self) -> RegularReachPlan:
-        plan = RegularReachPlan(self.query, kernel=self.kernel)
-        # One automaton instance per session: the plan's own compile is
-        # structurally identical, but sharing the object keeps the session's
-        # later update-path equations on the exact same automaton.
-        plan.automaton = self.automaton
-        return plan
-
-    def _local_eval_task(self):
-        return local_eval_regular, (self.automaton, self.kernel)
-
-    def _wrap_payload(self, equations):
-        return RegularPartialAnswer(equations)
-
-    def _assemble(self, partials):
-        answer, _ = assemble_regular(partials, self.automaton)
-        return answer
+        super().__init__(cluster, RegularReachPlan(query, EvalOptions(kernel=kernel)))

@@ -25,12 +25,11 @@ This module reimplements those sweeps as array kernels over the
     for plain reachability, synchronous levels where distances matter).
     Optional: gated on numba being importable, soft-fail legs in CI.
 
-Selection precedence: an explicit ``kernel=`` argument, else the
-process-wide default (:func:`set_default_kernel` — what ``--kernel``
-sets), else the ``REPRO_KERNEL`` environment variable, else ``python``.
-Plans resolve the name once at construction, so the resolved string — not
-ambient state — travels to process-pool workers inside
-``local_eval_args``.
+Selection follows the one strategy-registry precedence (explicit >
+``set_default_kernel`` > ``REPRO_KERNEL`` > ``python``;
+:mod:`repro.strategies`, DESIGN.md §14).  Plans resolve the name once at
+construction, so the resolved string — not ambient state — travels to
+process-pool workers inside ``local_eval_args``.
 
 **Identity contract**: every kernel produces bit-identical equations to
 the python reference — same disjunct sets, same term tuples in the same
@@ -45,10 +44,10 @@ choice is deliberately absent from serving-cache keys
 from __future__ import annotations
 
 import importlib.util
-import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import KernelError
+from ..strategies import StrategyRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.query_automaton import QueryAutomaton
@@ -57,73 +56,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The selectable kernel names (``--kernel`` choices).
 KERNELS: Tuple[str, ...] = ("python", "numpy", "numba")
 
-#: Environment variable consulted when no explicit/default kernel is set.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_default_kernel_name: Optional[str] = None
-
-
-def kernel_available(name: str) -> bool:
-    """Whether ``name`` can run in this interpreter (deps importable)."""
-    if name == "python":
-        return True
-    if name == "numpy":
-        return importlib.util.find_spec("numpy") is not None
-    if name == "numba":
-        return (
-            importlib.util.find_spec("numba") is not None
-            and importlib.util.find_spec("numpy") is not None
-        )
-    return False
+#: Kernel -> (modules it imports, how the install advice names them).
+_REQUIRES = {
+    "numpy": (("numpy",), "numpy"),
+    "numba": (("numba", "numpy"), "numba (and numpy)"),
+}
 
 
-def available_kernels() -> Tuple[str, ...]:
-    """The kernels runnable right now, in registry order."""
-    return tuple(name for name in KERNELS if kernel_available(name))
+def _missing_dependency(name: str) -> Optional[str]:
+    """What ``name`` needs that is not importable here (``None`` = runnable)."""
+    modules, advice = _REQUIRES.get(name, ((), None))
+    for module in modules:
+        if importlib.util.find_spec(module) is None:
+            return advice
+    return None
 
 
-def set_default_kernel(name: Optional[str]) -> None:
-    """Set the process-wide default kernel (what ``kernel=None`` means).
+#: The kernel family of the one strategy registry (DESIGN.md §14).
+KERNEL_REGISTRY = StrategyRegistry(
+    "kernel",
+    KERNELS,
+    fallback="python",
+    error=KernelError,
+    env_var="REPRO_KERNEL",
+    missing=_missing_dependency,
+    summary="local-evaluation kernel: numpy/numba sweep fragments as CSR int "
+    "arrays, same answers and modeled costs, faster wall-clock (DESIGN.md §9)",
+)
 
-    Mirrors :func:`repro.distributed.executors.set_default_executor`: entry
-    points (``--kernel numpy``) switch every plan they construct without
-    threading a parameter through each experiment function.  ``None``
-    resets to the environment/``python`` fallback.
-    """
-    global _default_kernel_name
-    if name is not None:
-        _check_name(name)
-    _default_kernel_name = name
-
-
-def default_kernel() -> str:
-    """The effective default: ``set_default_kernel`` > env var > python."""
-    if _default_kernel_name is not None:
-        return _default_kernel_name
-    env = os.environ.get(KERNEL_ENV_VAR, "").strip()
-    if env:
-        _check_name(env)
-        return env
-    return "python"
-
-
-def _check_name(name: str) -> None:
-    if name not in KERNELS:
-        known = ", ".join(KERNELS)
-        raise KernelError(f"unknown kernel {name!r}; known: {known}")
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Coerce ``kernel`` (name or None = default) to an available kernel name."""
-    name = kernel if kernel is not None else default_kernel()
-    _check_name(name)
-    if not kernel_available(name):
-        dep = "numba (and numpy)" if name == "numba" else name
-        raise KernelError(
-            f"kernel {name!r} is unavailable: {dep} is not installed in "
-            "this environment (the 'python' kernel is always available)"
-        )
-    return name
+KERNEL_ENV_VAR = KERNEL_REGISTRY.env_var
+kernel_available = KERNEL_REGISTRY.is_available
+available_kernels = KERNEL_REGISTRY.available
+set_default_kernel = KERNEL_REGISTRY.set_default
+default_kernel = KERNEL_REGISTRY.default
+resolve_kernel = KERNEL_REGISTRY.resolve
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from ..distributed.cluster import SimulatedCluster
 from ..distributed.messages import equation_set_size
 from ..graph.digraph import Node
 from ..graph.reachsets import reachable_seed_masks_from
-from ..index.base import OracleFactory
 from ..index.registry import resolve_oracle
 from ..index.store import fragment_oracle
 from ..partition.fragment import Fragment
@@ -32,6 +31,7 @@ from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .bes import TRUE, BooleanEquationSystem, Disjunct
 from .kernels import resolve_kernel
+from .options import EvalOptions
 from .queries import ReachQuery
 from .results import QueryResult
 
@@ -64,7 +64,6 @@ class ReachPartialAnswer:
 def local_eval_reach(
     fragment: Fragment,
     query: ReachQuery,
-    oracle_factory: Optional[OracleFactory] = None,
     kernel: Optional[str] = None,
     oracle: Optional[str] = None,
 ) -> ReachEquations:
@@ -81,11 +80,12 @@ def local_eval_reach(
     bit-identical equations.  ``oracle`` names a registry index (Section
     3's "any indexing techniques ... can be applied here") resolved from
     the fragment's per-stamp store — built at most once, maintained
-    across mutations — while ``oracle_factory`` keeps the seed-era
-    escape hatch of a caller-supplied per-eval factory.  Both inner
-    engines are exact, so equations stay bit-identical either way.
+    across mutations.  Both inner engines are exact, so equations stay
+    bit-identical either way.  Plans pass resolved names; ``None`` falls
+    back to the registry defaults for direct callers.
     """
     kernel = resolve_kernel(kernel)
+    oracle = resolve_oracle(oracle)
     iset = set(fragment.in_nodes)
     oset = set(fragment.virtual_nodes)
     if query.source in fragment.nodes:
@@ -103,16 +103,8 @@ def local_eval_reach(
     if not seeds:
         return {v: frozenset() for v in iset}
 
-    local = fragment.local_graph
-    if oracle_factory is None and oracle not in (None, "none"):
+    if oracle != "none":
         engine = fragment_oracle(fragment, oracle)
-        for v in iset:
-            equations[v] = frozenset(
-                as_disjunct(o) for o in seeds if engine.reaches(v, o)
-            )
-        return equations
-    if oracle_factory is not None:
-        engine = oracle_factory(local)
         for v in iset:
             equations[v] = frozenset(
                 as_disjunct(o) for o in seeds if engine.reaches(v, o)
@@ -126,7 +118,7 @@ def local_eval_reach(
         masks = reach_seed_masks(fragment, roots, seeds, kernel)
     else:
         # Sweep only what the in-nodes can see (one shared forward closure).
-        masks = reachable_seed_masks_from(roots, local.successors, seeds)
+        masks = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
     # Nodes in the same SCC share one mask; decode each distinct mask once
     # (on well-connected fragments this collapses thousands of decodes).
     decoded: Dict[int, FrozenSet[Disjunct]] = {}
@@ -169,25 +161,16 @@ class ReachPlan(QueryPlan):
     def __init__(
         self,
         query: Union[ReachQuery, Tuple[Node, Node]],
-        oracle_factory: Optional[OracleFactory] = None,
-        kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
+        options: EvalOptions = EvalOptions(),
     ) -> None:
         if not isinstance(query, ReachQuery):
             query = ReachQuery(*query)
         self.query = query
-        self.oracle_factory = oracle_factory
         # Resolved here (not at eval time) so the concrete kernel/oracle
         # names ship inside local_eval_args to process-pool and socket
-        # workers, independent of their environment.  The kernel is
-        # deliberately absent from fragment_params (all kernels are
-        # bit-identical, so partials are kernel-invariant); the oracle
-        # name is included — the registry guarantees exact answers too,
-        # but keeping oracle identity in serving-cache keys means a
-        # cached partial is never attributed to an engine that did not
-        # produce it.
-        self.kernel = resolve_kernel(kernel)
-        self.oracle = resolve_oracle(oracle)
+        # workers, independent of their environment.
+        self.options = options.resolved(self.algorithm)
+        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)  # validates existence
@@ -206,13 +189,12 @@ class ReachPlan(QueryPlan):
         return local_eval_reach
 
     def local_eval_args(self) -> Tuple[object, ...]:
-        return (self.query, self.oracle_factory, self.kernel, self.oracle)
+        return (self.query, self.options.kernel, self.options.oracle)
 
     def fragment_params(self, fragment: Fragment) -> Hashable:
         return (
             *endpoint_params(fragment, self.query.source, self.query.target),
-            self.oracle_factory,
-            self.oracle,
+            *self._keyed,
         )
 
     def wrap_partial(self, site_equations: ReachEquations) -> ReachPartialAnswer:
@@ -237,7 +219,6 @@ class ReachPlan(QueryPlan):
 def dis_reach(
     cluster: SimulatedCluster,
     query: Union[ReachQuery, Tuple[Node, Node]],
-    oracle_factory: Optional[OracleFactory] = None,
     collect_details: bool = False,
     kernel: Optional[str] = None,
     oracle: Optional[str] = None,
@@ -249,6 +230,6 @@ def dis_reach(
     cache, the same broadcast → parallel local evaluation → assemble
     message sequence and accounting as ever.
     """
-    plan = ReachPlan(query, oracle_factory, kernel=kernel, oracle=oracle)
+    plan = ReachPlan(query, EvalOptions(kernel=kernel, oracle=oracle))
     batch = execute_plans(cluster, [plan], collect_details=collect_details)
     return batch.results[0]

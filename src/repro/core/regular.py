@@ -40,6 +40,7 @@ from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .bes import TRUE, BooleanEquationSystem, Disjunct
 from .kernels import resolve_kernel
+from .options import EvalOptions
 from .queries import RegularReachQuery
 from .results import QueryResult
 
@@ -186,7 +187,7 @@ class RegularReachPlan(QueryPlan):
     def __init__(
         self,
         query: Union[RegularReachQuery, Tuple[Node, Node, object]],
-        kernel: Optional[str] = None,
+        options: EvalOptions = EvalOptions(),
     ) -> None:
         if not isinstance(query, RegularReachQuery):
             query = RegularReachQuery(*query)
@@ -194,9 +195,8 @@ class RegularReachPlan(QueryPlan):
         # Step 1: the coordinator builds Gq(R) once and posts it (not the
         # raw regex) to every site — its size is O(|R|), independent of |G|.
         self.automaton = query.automaton()
-        # Resolved at construction; excluded from fragment_params because
-        # all kernels emit identical equations (see ReachPlan.__init__).
-        self.kernel = resolve_kernel(kernel)
+        self.options = options.resolved(self.algorithm)
+        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)
@@ -214,7 +214,7 @@ class RegularReachPlan(QueryPlan):
         return local_eval_regular
 
     def local_eval_args(self) -> Tuple[object, ...]:
-        return (self.automaton, self.kernel)
+        return (self.automaton, self.options.kernel)
 
     def fragment_params(self, fragment: Fragment) -> Hashable:
         return (
@@ -225,6 +225,7 @@ class RegularReachPlan(QueryPlan):
                 self.query.target,
                 source_matters_as_in_node=True,
             ),
+            *self._keyed,
         )
 
     def wrap_partial(self, site_equations: RegularEquations) -> RegularPartialAnswer:
@@ -260,6 +261,6 @@ def dis_rpq(
     The batch-of-one special case of the serving engine; see
     :func:`repro.core.reachability.dis_reach`.
     """
-    plan = RegularReachPlan(query, kernel=kernel)
+    plan = RegularReachPlan(query, EvalOptions(kernel=kernel))
     batch = execute_plans(cluster, [plan], collect_details=collect_details)
     return batch.results[0]

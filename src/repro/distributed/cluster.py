@@ -56,7 +56,6 @@ from __future__ import annotations
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace as dataclass_replace
 from typing import (
     Any,
     Callable,
@@ -652,13 +651,10 @@ class SimulatedCluster:
                 for slot, held in enumerate(site.fragments):
                     if held.fid == fragment.fid:
                         site.fragments[slot] = fragment
-            # dataclasses.replace dropped the instance-dict cache slots;
-            # move the oracle caches onto the rebuilt Fragment objects,
-            # then route the delta to the source side — only its local
-            # graph changed (the target side's anatomy bookkeeping does
-            # not touch local_graph).
-            self.oracle_store.migrate(frag_u, replacements[0])
-            self.oracle_store.migrate(frag_v, replacements[1])
+            # The replacements carried their CSR/oracle cache slots over
+            # (Fragment.replaced); route the delta to the source side —
+            # only its local graph changed (the target side's anatomy
+            # bookkeeping does not touch local_graph).
             self.oracle_store.on_edge_mutation(replacements[0], u, v, add)
             affected = (fu, fv)
 
@@ -681,12 +677,11 @@ class SimulatedCluster:
             # (Section 2.1: cross edges ship the labels of virtual nodes).
             local.add_node(v, frag_v.local_graph.label(v))
         local.add_edge(u, v)
-        new_u = dataclass_replace(
-            frag_u,
+        new_u = frag_u.replaced(
             virtual_nodes=frag_u.virtual_nodes | {v},
             cross_edges=tuple(sorted(frag_u.cross_edges + ((u, v),), key=repr)),
         )
-        new_v = dataclass_replace(frag_v, in_nodes=frag_v.in_nodes | {v})
+        new_v = frag_v.replaced(in_nodes=frag_v.in_nodes | {v})
         return new_u, new_v
 
     def _remove_cross_edge(
@@ -703,7 +698,7 @@ class SimulatedCluster:
             # local edges, and its remaining incoming ones would be cross).
             virtual = virtual - {v}
             local.remove_node(v)
-        new_u = dataclass_replace(frag_u, virtual_nodes=virtual, cross_edges=new_cross)
+        new_u = frag_u.replaced(virtual_nodes=virtual, cross_edges=new_cross)
         still_in = any(target == v for _src, target in new_u.cross_edges) or any(
             target == v
             for fragment in self.fragmentation
@@ -711,7 +706,7 @@ class SimulatedCluster:
             for _src, target in fragment.cross_edges
         )
         in_nodes = frag_v.in_nodes if still_in else frag_v.in_nodes - {v}
-        new_v = dataclass_replace(frag_v, in_nodes=in_nodes)
+        new_v = frag_v.replaced(in_nodes=in_nodes)
         return new_u, new_v
 
     def _invalidate_caches(self, fids: Iterable[int]) -> None:

@@ -56,6 +56,7 @@ from concurrent import futures
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 from ..errors import DistributedError
+from ..strategies import StrategyRegistry
 
 
 class SiteTask(NamedTuple):
@@ -302,46 +303,34 @@ EXECUTORS: Dict[str, Type[ExecutorBackend]] = {
     SocketExecutor.name: SocketExecutor,
 }
 
-_default_executor_name = SequentialExecutor.name
+#: The executor family of the one strategy registry (DESIGN.md §14); the
+#: only family without an environment variable.
+EXECUTOR_REGISTRY = StrategyRegistry(
+    "executor",
+    EXECUTORS,
+    fallback=SequentialExecutor.name,
+    error=DistributedError,
+    summary="execution backend for site-local work: answers and modeled "
+    "costs are identical under every backend, wall time is not; 'socket' "
+    "runs the sites on TCP broker processes (DESIGN.md §5, §10)",
+)
+
+set_default_executor = EXECUTOR_REGISTRY.set_default
+default_executor_name = EXECUTOR_REGISTRY.default
 
 
-def get_executor(name: str, **kwargs: Any) -> ExecutorBackend:
-    """Instantiate a backend by registry name."""
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        known = ", ".join(sorted(EXECUTORS))
-        raise DistributedError(f"unknown executor {name!r}; known: {known}") from None
-    return cls(**kwargs)
-
-
-def set_default_executor(name: str) -> None:
-    """Set the process-wide default backend (what ``executor=None`` means).
-
-    Lets entry points like ``python -m repro.bench --executor thread`` switch
-    every cluster they construct without threading a parameter through each
-    experiment function.
-    """
-    if name not in EXECUTORS:
-        known = ", ".join(sorted(EXECUTORS))
-        raise DistributedError(f"unknown executor {name!r}; known: {known}")
-    global _default_executor_name
-    _default_executor_name = name
-
-
-def default_executor_name() -> str:
-    return _default_executor_name
+def get_executor(name: Optional[str] = None, **kwargs: Any) -> ExecutorBackend:
+    """Instantiate a backend by registry name (``None`` = the default)."""
+    return EXECUTORS[EXECUTOR_REGISTRY.resolve(name)](**kwargs)
 
 
 def resolve_executor(
     spec: Union[str, ExecutorBackend, None] = None,
 ) -> ExecutorBackend:
     """Coerce ``spec`` (name, instance, or None = default) to a backend."""
-    if spec is None:
-        return get_executor(_default_executor_name)
     if isinstance(spec, ExecutorBackend):
         return spec
-    if isinstance(spec, str):
+    if spec is None or isinstance(spec, str):
         return get_executor(spec)
     raise DistributedError(
         f"executor must be a name, an ExecutorBackend, or None; got {type(spec).__name__}"

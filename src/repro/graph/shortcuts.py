@@ -36,70 +36,44 @@ substrate classify every generated message as original-edge or
 shortcut-edge traffic by target membership alone — the provenance tags
 the accounting layer uses to report shortcut traffic separately.
 
-Mode selection mirrors the kernel/oracle registries: an explicit
-``shortcuts=`` argument beats the process-wide default
-(:func:`set_default_shortcuts`, what ``--shortcuts`` sets), which beats
-the ``REPRO_SHORTCUTS`` environment variable, which defaults to ``none``.
+Mode selection follows the one strategy-registry precedence (explicit >
+``set_default_shortcuts`` > ``REPRO_SHORTCUTS`` > ``none``;
+:mod:`repro.strategies`, DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ShortcutError
+from ..strategies import StrategyRegistry
 from .digraph import DiGraph, Node
 
 #: The selectable shortcut modes (``--shortcuts`` choices).
 SHORTCUT_MODES: Tuple[str, ...] = ("none", "reach", "hopset")
 
-#: Environment variable consulted when no explicit/default mode is set.
-SHORTCUTS_ENV_VAR = "REPRO_SHORTCUTS"
+#: The shortcut-mode family of the one strategy registry (DESIGN.md §14).
+SHORTCUT_REGISTRY = StrategyRegistry(
+    "shortcuts",
+    SHORTCUT_MODES,
+    fallback="none",
+    error=ShortcutError,
+    env_var="REPRO_SHORTCUTS",
+    kind="shortcut mode",
+    summary="shortcut precompute for the message-passing baselines "
+    "disReachm/disDistm: 'reach' and 'hopset' cut supersteps to "
+    "sub-diameter, answers bit-identical (DESIGN.md §13)",
+)
 
-_default_shortcuts_name: Optional[str] = None
-
-
-def set_default_shortcuts(name: Optional[str]) -> None:
-    """Set the process-wide default shortcut mode (what ``None`` means).
-
-    Mirrors :func:`repro.core.kernels.set_default_kernel`: entry points
-    (``--shortcuts hopset``) switch every Pregel baseline they run without
-    threading a parameter through each call site.  ``None`` resets to the
-    environment/``none`` fallback.
-    """
-    global _default_shortcuts_name
-    if name is not None:
-        _check_mode(name)
-    _default_shortcuts_name = name
-
-
-def default_shortcuts() -> str:
-    """The effective default: ``set_default_shortcuts`` > env var > none."""
-    if _default_shortcuts_name is not None:
-        return _default_shortcuts_name
-    env = os.environ.get(SHORTCUTS_ENV_VAR, "").strip()
-    if env:
-        _check_mode(env)
-        return env
-    return "none"
-
-
-def _check_mode(name: str) -> None:
-    if name not in SHORTCUT_MODES:
-        known = ", ".join(SHORTCUT_MODES)
-        raise ShortcutError(f"unknown shortcut mode {name!r}; known: {known}")
-
-
-def resolve_shortcuts(shortcuts: Optional[str] = None) -> str:
-    """Coerce ``shortcuts`` (mode name or None = default) to a mode name."""
-    name = shortcuts if shortcuts is not None else default_shortcuts()
-    _check_mode(name)
-    return name
+SHORTCUTS_ENV_VAR = SHORTCUT_REGISTRY.env_var
+set_default_shortcuts = SHORTCUT_REGISTRY.set_default
+default_shortcuts = SHORTCUT_REGISTRY.default
+resolve_shortcuts = SHORTCUT_REGISTRY.resolve
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +237,7 @@ def build_shortcuts(
     order and the per-source target order are all fixed, so every backend
     and every rebuild sees the same augmented adjacency.
     """
-    _check_mode(kind)
+    SHORTCUT_REGISTRY.check(kind)
     if kind == "none":
         raise ShortcutError("mode 'none' has no shortcut set to build")
     if kind == "reach" and weight_fn is not None:

@@ -35,16 +35,6 @@ from .tol import TOLOracle
 from .transitive_closure import TransitiveClosureOracle
 from .twohop import TwoHopOracle
 
-#: name -> oracle factory, for the index-choice ablation bench.  Kept for
-#: back-compat ("2hop" spelling included); the registry in
-#: :mod:`repro.index.registry` is the canonical name -> factory map.
-REACHABILITY_INDEXES = {
-    "bfs": BFSOracle,
-    "transitive-closure": TransitiveClosureOracle,
-    "grail": GrailOracle,
-    "2hop": TwoHopOracle,
-}
-
 __all__ = [
     "BFSDistanceOracle",
     "BFSOracle",
@@ -61,7 +51,6 @@ __all__ = [
     "OracleFactory",
     "OracleStore",
     "OracleStoreStats",
-    "REACHABILITY_INDEXES",
     "ReachabilityOracle",
     "TOLOracle",
     "TransitiveClosureOracle",

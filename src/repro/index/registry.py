@@ -1,12 +1,11 @@
-"""Named, picklable oracle registry with ``--kernel``-style precedence.
+"""Named, picklable reachability-oracle registry.
 
 Plans and serving-cache keys carry an oracle *name*, never a closure:
 names survive ``pickle`` across the process and socket executors, where a
-per-call factory lambda would not.  Precedence mirrors
-:mod:`repro.core.kernels` exactly — an explicit ``oracle=`` argument,
-else the process-wide default (:func:`set_default_oracle` — what
-``--oracle`` sets), else the ``REPRO_ORACLE`` environment variable, else
-``none`` (the label-sweep path with no oracle at all).
+per-call factory lambda would not.  Selection follows the one
+strategy-registry precedence (explicit > ``set_default_oracle`` >
+``REPRO_ORACLE`` > ``none`` — the label-sweep path with no oracle at all;
+:mod:`repro.strategies`, DESIGN.md §14).
 
 Unknown names raise :class:`~repro.errors.QueryError` listing the
 registered names, whether they arrive via CLI, environment, or
@@ -18,12 +17,12 @@ waiting to happen and identity reachability is already exact.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import QueryError
 from ..graph.digraph import DiGraph
-from .base import BFSOracle, ReachabilityOracle, TrivialOracle
+from ..strategies import StrategyRegistry
+from .base import BFSOracle, OracleFactory, ReachabilityOracle, TrivialOracle
 from .grail import GrailOracle
 from .landmarks import LandmarkOracle
 from .tol import TOLOracle
@@ -32,7 +31,7 @@ from .twohop import TwoHopOracle
 
 #: Registry name -> oracle class; ``none`` means "no oracle" (the
 #: kernel/bitmask sweep path in ``local_eval_reach``).
-ORACLES: Dict[str, Optional[Callable[[DiGraph], ReachabilityOracle]]] = {
+ORACLES: Dict[str, Optional[OracleFactory]] = {
     "none": None,
     "bfs": BFSOracle,
     "transitive-closure": TransitiveClosureOracle,
@@ -42,51 +41,26 @@ ORACLES: Dict[str, Optional[Callable[[DiGraph], ReachabilityOracle]]] = {
     "landmarks": LandmarkOracle,
 }
 
-#: The oracle names that actually build an index (``none`` excluded).
+#: The registered oracle names, ``none`` included, in registry order.
 ORACLE_NAMES: Tuple[str, ...] = tuple(ORACLES)
 
-#: Environment variable consulted when no explicit/default oracle is set.
-ORACLE_ENV_VAR = "REPRO_ORACLE"
+#: The oracle family of the one strategy registry (DESIGN.md §14).
+ORACLE_REGISTRY = StrategyRegistry(
+    "oracle",
+    ORACLES,
+    fallback="none",
+    error=QueryError,
+    env_var="REPRO_ORACLE",
+    listing="registered oracles",
+    summary="reachability index for disReach local evaluation: built per "
+    "fragment, cached by mutation stamp, maintained incrementally under "
+    "edge mutation (DESIGN.md §12)",
+)
 
-_default_oracle_name: Optional[str] = None
-
-
-def _check_name(name: str) -> None:
-    if name not in ORACLES:
-        known = ", ".join(ORACLES)
-        raise QueryError(f"unknown oracle {name!r}; registered oracles: {known}")
-
-
-def set_default_oracle(name: Optional[str]) -> None:
-    """Set the process-wide default oracle (what ``oracle=None`` means).
-
-    Mirrors :func:`repro.core.kernels.set_default_kernel`: entry points
-    (``--oracle tol``) switch every reachability plan they construct
-    without threading a parameter through each call site.  ``None``
-    resets to the environment/``none`` fallback.
-    """
-    global _default_oracle_name
-    if name is not None:
-        _check_name(name)
-    _default_oracle_name = name
-
-
-def default_oracle() -> str:
-    """The effective default: ``set_default_oracle`` > env var > none."""
-    if _default_oracle_name is not None:
-        return _default_oracle_name
-    env = os.environ.get(ORACLE_ENV_VAR, "").strip()
-    if env:
-        _check_name(env)
-        return env
-    return "none"
-
-
-def resolve_oracle(oracle: Optional[str] = None) -> str:
-    """Coerce ``oracle`` (name or None = default) to a registered name."""
-    name = oracle if oracle is not None else default_oracle()
-    _check_name(name)
-    return name
+ORACLE_ENV_VAR = ORACLE_REGISTRY.env_var
+set_default_oracle = ORACLE_REGISTRY.set_default
+default_oracle = ORACLE_REGISTRY.default
+resolve_oracle = ORACLE_REGISTRY.resolve
 
 
 def build_oracle(name: str, graph: DiGraph) -> ReachabilityOracle:
@@ -96,7 +70,7 @@ def build_oracle(name: str, graph: DiGraph) -> ReachabilityOracle:
     Degenerate graphs (≤ 1 node, or no edges) get a
     :class:`TrivialOracle` regardless of ``name``.
     """
-    _check_name(name)
+    ORACLE_REGISTRY.check(name)
     factory = ORACLES[name]
     if factory is None:
         raise QueryError(

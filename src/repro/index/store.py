@@ -20,9 +20,9 @@ The lifecycle this module owns (DESIGN.md §12):
   every mutation, which is exactly what maintained indexes must survive.
 
 * **Migration/adoption** — cross-fragment mutations replace ``Fragment``
-  objects via ``dataclasses.replace`` (dropping instance ``__dict__``
-  extras), so the store moves the slot across; after a repartition it
-  adopts entries for fragments whose local graph *content* is unchanged,
+  objects through :meth:`~repro.partition.fragment.Fragment.replaced`,
+  which carries the slot across; after a repartition the store adopts
+  entries for fragments whose local graph *content* is unchanged,
   rebinding maintained oracles to the rebuilt graph object, so only
   moved fragments pay a rebuild.
 """
@@ -157,17 +157,6 @@ class OracleStore:
             entry.maintain_seconds += time.perf_counter() - start
             entry.maintains += 1
             entry.stamp = graph.mutation_stamp
-
-    def migrate(self, old_fragment: "Fragment", new_fragment: "Fragment") -> None:
-        """Carry the oracle slot across a ``dataclasses.replace`` rebuild.
-
-        Cross-fragment mutations replace Fragment objects while keeping
-        (or in-place mutating) the same local graph object; the cached
-        oracles follow the graph, so they move wholesale.
-        """
-        cache = old_fragment.__dict__.pop(_ORACLE_SLOT, None)
-        if cache:
-            object.__setattr__(new_fragment, _ORACLE_SLOT, cache)
 
     def after_repartition(self, old_fragments: Iterable["Fragment"]) -> int:
         """Adopt maintained oracles for fragments that did not move.

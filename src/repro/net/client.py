@@ -16,6 +16,7 @@ import socket
 import threading
 from typing import Any, Dict, Optional, Sequence
 
+from ..core.options import EvalOptions
 from ..errors import QueryError
 from .framing import recv_frame, send_frame
 
@@ -111,26 +112,18 @@ class ServeClient:
         self,
         query: Any,
         algorithm: Optional[str] = None,
-        kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
+        options: EvalOptions = EvalOptions(),
     ) -> Any:
         """Evaluate one query (admission-batched server side)."""
         return self._request(
-            {
-                "op": "query",
-                "query": query,
-                "algorithm": algorithm,
-                "kernel": kernel,
-                "oracle": oracle,
-            }
+            {"op": "query", "query": query, "algorithm": algorithm, **options.wire()}
         )
 
     def batch(
         self,
         queries: Sequence[Any],
         algorithm: Optional[str] = None,
-        kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
+        options: EvalOptions = EvalOptions(),
     ) -> Any:
         """Evaluate ``queries`` as one explicit engine batch."""
         return self._request(
@@ -138,8 +131,7 @@ class ServeClient:
                 "op": "batch",
                 "queries": list(queries),
                 "algorithm": algorithm,
-                "kernel": kernel,
-                "oracle": oracle,
+                **options.wire(),
             }
         )
 

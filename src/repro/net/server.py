@@ -36,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core.options import SERVED, EvalOptions, add_strategy_arguments, set_strategy_defaults
 from ..errors import DistributedError, QueryError, ReproError
 from .framing import read_frame, write_frame
 
@@ -283,8 +284,7 @@ class ServingServer:
                     self.engine.run_batch,
                     request["queries"],
                     request.get("algorithm"),
-                    kernel=request.get("kernel"),
-                    oracle=request.get("oracle"),
+                    **EvalOptions.from_wire(request).given(),
                 )
                 self._served += len(request["queries"])
             elif op == "session_open":
@@ -381,31 +381,23 @@ class ServingServer:
             timer.cancel()
 
     async def _run_admitted(self, batch: List[_Pending]) -> None:
-        """Evaluate one admitted batch, grouped by (algorithm, kernel, oracle)."""
+        """Evaluate one admitted batch, grouped by (algorithm, options)."""
         assert self._loop is not None
-        groups: "OrderedDict[Tuple[Any, Any, Any], List[_Pending]]" = OrderedDict()
+        groups: "OrderedDict[Tuple[Any, EvalOptions], List[_Pending]]" = OrderedDict()
         for item in batch:
-            key = (
-                item.request.get("algorithm"),
-                item.request.get("kernel"),
-                item.request.get("oracle"),
-            )
+            key = (item.request.get("algorithm"), EvalOptions.from_wire(item.request))
             groups.setdefault(key, []).append(item)
-        for (algorithm, kernel, oracle), items in groups.items():
+        for (algorithm, options), items in groups.items():
             queries = [item.request["query"] for item in items]
             try:
                 result = await self._in_engine(
-                    self.engine.run_batch,
-                    queries,
-                    algorithm,
-                    kernel=kernel,
-                    oracle=oracle,
+                    self.engine.run_batch, queries, algorithm, **options.given()
                 )
             except ReproError:
                 # One bad query can poison a batch; replay one by one so
                 # the error lands on the query that caused it.
                 for item in items:
-                    await self._run_single(item, algorithm, kernel, oracle)
+                    await self._run_single(item, algorithm, options)
                 continue
             if len(result.results) != len(items):
                 error = QueryError(
@@ -419,7 +411,7 @@ class ServingServer:
                 await self._finish(item, {"qid": item.qid, "value": query_result})
 
     async def _run_single(
-        self, item: _Pending, algorithm: Any, kernel: Any, oracle: Any = None
+        self, item: _Pending, algorithm: Any, options: EvalOptions
     ) -> None:
         """Fallback path: evaluate one admitted query alone."""
         try:
@@ -427,8 +419,7 @@ class ServingServer:
                 self.engine.evaluate,
                 item.request["query"],
                 algorithm,
-                kernel=kernel,
-                oracle=oracle,
+                **options.given(),
             )
         except ReproError as exc:
             await self._finish(item, {"qid": item.qid, "error": exc})
@@ -511,9 +502,6 @@ def start_background_server(engine: Any, **kwargs: Any) -> ServingServer:
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro-serve`` argument parser (mirrors the ``repro`` CLI)."""
-    from ..core.kernels import KERNELS
-    from ..distributed.executors import EXECUTORS
-    from ..index.registry import ORACLES
     from ..partition.partitioners import PARTITIONERS
     from ..workload.datasets import DATASETS
 
@@ -535,21 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--partitioner", choices=sorted(PARTITIONERS),
                         default="chunk", help="node placement strategy")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                        default="sequential",
-                        help="execution backend for site-local work; "
-                        "'socket' runs the sites on broker processes")
+    add_strategy_arguments(parser, ("executor", *SERVED))
     parser.add_argument("--brokers", type=int, default=None, metavar="N",
                         help="broker processes to spawn (socket executor)")
     parser.add_argument("--broker-address", action="append", default=None,
                         metavar="HOST:PORT",
                         help="connect to an externally started broker "
                         "(repeatable; socket executor; overrides --brokers)")
-    parser.add_argument("--kernel", choices=sorted(KERNELS), default=None,
-                        help="local-evaluation kernel default for the server")
-    parser.add_argument("--oracle", choices=sorted(ORACLES), default=None,
-                        help="reachability-index default for the server "
-                        "(registry name; maintained per fragment)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--allow-remote", action="store_true",
                         help="permit a non-loopback --host bind (frames are "
@@ -573,11 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``repro-serve``: boot a cluster and serve it over TCP."""
-    from ..core.kernels import set_default_kernel
     from ..distributed.cluster import SimulatedCluster
     from ..distributed.executors import SocketExecutor
     from ..graph import graph_io
-    from ..index.registry import set_default_oracle
     from ..serving import BatchQueryEngine
     from ..workload.datasets import load_dataset
     from .framing import guard_bind_host
@@ -585,10 +563,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         guard_bind_host(args.host, args.allow_remote, "repro-serve")
-        if args.kernel is not None:
-            set_default_kernel(args.kernel)
-        if args.oracle is not None:
-            set_default_oracle(args.oracle)
+        set_strategy_defaults(args, SERVED)
         if args.graph:
             graph = graph_io.load(args.graph)
         else:

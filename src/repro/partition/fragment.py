@@ -20,11 +20,16 @@ invariants above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FragmentationError, NodeNotFound
 from ..graph.digraph import DiGraph, Edge, Node
+
+
+#: Instance-dict slots holding derived, process-local caches
+#: (:mod:`repro.core.csr`, :mod:`repro.index.store`).
+_CACHE_SLOTS = ("_csr_cache", "_oracle_cache")
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,25 @@ class Fragment:
         own caches lazily on first use.
         """
         state = dict(self.__dict__)
-        state.pop("_csr_cache", None)
-        state.pop("_oracle_cache", None)
+        for slot in _CACHE_SLOTS:
+            state.pop(slot, None)
         return state
+
+    def replaced(self, **changes) -> "Fragment":
+        """A copy with ``changes`` applied that keeps the site-local caches.
+
+        :func:`dataclasses.replace` alone drops the instance-dict cache
+        slots.  Both caches follow ``local_graph`` and are validated
+        against its ``mutation_stamp`` on every use, so carrying them
+        never serves a stale view: a replacement whose graph did not
+        change (the target side of a cross-fragment edge) keeps its CSR
+        arrays and oracles, one whose graph did rebuilds on next use.
+        """
+        new = replace(self, **changes)
+        for slot in _CACHE_SLOTS:
+            if slot in self.__dict__:
+                object.__setattr__(new, slot, self.__dict__[slot])
+        return new
 
     def __setstate__(self, state: dict) -> None:
         for key, value in state.items():

@@ -64,28 +64,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids the core cycle)
 FragmentJob = Tuple[Callable[..., Any], Fragment, Tuple[Any, ...]]
 
 
-def eval_fragment_jobs(
-    jobs: Tuple[FragmentJob, ...], kernel: Optional[str] = None
-) -> Tuple[Tuple[Any, float], ...]:
+def eval_fragment_jobs(jobs: Tuple[FragmentJob, ...]) -> Tuple[Tuple[Any, float], ...]:
     """One site's visit in a batched round: run its missing fragment jobs.
 
     Module-level (hence picklable) so the process backend can ship it; each
     job is timed individually (CPU time, the simulator's per-site clock) so
-    cache entries can later replay per-query response accounting.
-
-    Plans ship their resolved kernel name *inside* each job's args, so the
-    normal serving path leaves ``kernel`` unset.  Passing ``kernel``
-    forwards it as a keyword override to every job — for callers (the
-    kernel bench) that build args without one and want to time the same
-    job list under several kernels.
+    cache entries can later replay per-query response accounting.  Plans
+    ship their resolved strategy names *inside* each job's args.
     """
     out = []
     for fn, fragment, args in jobs:
         start = time.thread_time()
-        if kernel is None:
-            equations = fn(fragment, *args)
-        else:
-            equations = fn(fragment, *args, kernel=kernel)
+        equations = fn(fragment, *args)
         out.append((equations, time.thread_time() - start))
     return tuple(out)
 
@@ -382,25 +372,23 @@ class BatchQueryEngine:
     ) -> BatchResult:
         """Evaluate ``queries`` as one batch (default algorithm per class).
 
-        ``kernel`` selects the local-evaluation kernel for every plan in
-        the batch (default: the process-wide default kernel); cached
-        partials are shared across kernels because all kernels produce
-        bit-identical equations.  ``oracle`` names a registered
-        reachability index for the ``disReach`` plans in the batch;
-        unlike the kernel it *is* part of the cache key (via
-        ``fragment_params``), so partials stay attributed to the engine
-        that produced them.
+        ``kernel`` and ``oracle`` are explicit strategy choices for every
+        query in the batch (hard: a query whose algorithm does not take
+        one raises :class:`~repro.errors.QueryError`, baselines included;
+        DESIGN.md §14).  Cached partials are shared across kernels — all
+        kernels produce bit-identical equations — while the oracle name is
+        part of the cache key.
         """
         from ..core.engine import evaluate, is_batchable, plan_for
+        from ..core.options import EvalOptions
 
+        options = EvalOptions(kernel=kernel, oracle=oracle)
         queries = list(queries)
         if algorithm is not None and not is_batchable(algorithm):
             # Baselines have no partial results to cache; evaluate honestly
             # one by one and report the batch as entirely un-batched.
-            # Forwarding the oracle keeps the registry's error contract:
-            # baselines take none, so an explicit oracle raises QueryError.
             results = [
-                evaluate(self.cluster, query, algorithm, oracle=oracle)
+                evaluate(self.cluster, query, algorithm, **options.given())
                 for query in queries
             ]
             workload = WorkloadStats(
@@ -409,10 +397,7 @@ class BatchQueryEngine:
             for result in results:
                 _accumulate(workload, result.stats)
             return BatchResult(results=results, workload=workload)
-        plans = [
-            plan_for(query, algorithm, kernel=kernel, oracle=oracle)
-            for query in queries
-        ]
+        plans = [plan_for(query, algorithm, options) for query in queries]
         return execute_plans(
             self.cluster, plans, cache=self.cache, collect_details=collect_details
         )

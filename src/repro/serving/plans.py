@@ -164,7 +164,7 @@ class SessionRemapPlan(QueryPlan):
     :class:`~repro.serving.cache.SiteResultCache`.
 
     Every protocol hook delegates to the session's underlying partial-
-    evaluation plan (``session._remap_plan()`` — a
+    evaluation plan (``session.plan`` — a
     :class:`~repro.core.reachability.ReachPlan` or
     :class:`~repro.core.regular.RegularReachPlan`), including ``algorithm``:
     the cache keys of a remap task are *identical* to the ordinary query's,
@@ -178,7 +178,7 @@ class SessionRemapPlan(QueryPlan):
     def __init__(self, session) -> None:
         """Wrap ``session`` (any ``core.incremental`` session object)."""
         self.session = session
-        self.inner: QueryPlan = session._remap_plan()
+        self.inner: QueryPlan = session.plan
         # Shadow the class attribute so cache keys match the inner plan's.
         self.algorithm = self.inner.algorithm
 

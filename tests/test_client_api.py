@@ -4,9 +4,8 @@ The api_redesign contract: ``connect()`` accepts a graph, a cluster, or a
 ``host:port`` address of a ``repro-serve`` front end, and the returned
 client's ``query``/``batch``/``session`` behave identically over both
 transports (answers and modeled stats bit-identical; sessions see
-mutations).  Old entry points (``repro.evaluate`` & co.) keep working
-behind :class:`DeprecationWarning` shims, while their home-module imports
-stay warning-free.
+mutations).  The old entry points (``repro.evaluate`` & co.) live in their
+home modules only; the deprecation shims at the package root are gone.
 """
 
 from __future__ import annotations
@@ -137,7 +136,8 @@ class TestConnectLocal:
             a, b = plain.query(query), vectorized.query(query)
             assert a.answer == b.answer
             assert a.stats.traffic_bytes == b.stats.traffic_bytes
-        # the decorator still exposes the wrapped client's attributes
+        # the client holds its defaults itself: cluster/engine are real attributes
+        assert isinstance(vectorized, LocalClient)
         assert vectorized.cluster.num_sites == 2
 
     def test_oracle_default_reaches_dis_reach_only(self):
@@ -157,14 +157,6 @@ class TestConnectLocal:
 
 
 class TestDeprecationShims:
-    def test_evaluate_warns_and_still_works(self):
-        cluster = SimulatedCluster.from_graph(
-            _chain_graph(), 2, partitioner="chunk", seed=0
-        )
-        with pytest.warns(DeprecationWarning, match="repro.evaluate is deprecated"):
-            result = repro.evaluate(cluster, ReachQuery("a", "d"))
-        assert result.answer is True
-
     @pytest.mark.parametrize(
         "name",
         [
@@ -175,10 +167,9 @@ class TestDeprecationShims:
             "IncrementalRegularSession",
         ],
     )
-    def test_every_shim_warns_and_resolves(self, name):
-        with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-            assert getattr(repro, name) is not None
-        assert name in dir(repro)
+    def test_old_entry_points_left_the_package_root(self, name):
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__ and name not in dir(repro)
 
     def test_home_module_imports_stay_warning_free(self):
         with warnings.catch_warnings():

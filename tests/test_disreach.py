@@ -7,7 +7,6 @@ from repro.core.bes import TRUE
 from repro.core.reachability import ReachPartialAnswer, assemble_reach
 from repro.distributed import MessageKind, SimulatedCluster, payload_size
 from repro.errors import QueryError
-from repro.index import TransitiveClosureOracle
 
 
 class TestLocalEval:
@@ -70,7 +69,7 @@ class TestLocalEval:
         query = ReachQuery("Ann", "Mark")
         for frag in fragmentation:
             default = local_eval_reach(frag, query)
-            indexed = local_eval_reach(frag, query, TransitiveClosureOracle)
+            indexed = local_eval_reach(frag, query, oracle="transitive-closure")
             assert default == indexed
 
 

@@ -96,21 +96,3 @@ class TestEvaluate:
             with pytest.raises(QueryError) as raised:
                 evaluate(cluster, reach, algorithm, **options)
             assert str(raised.value) == message
-
-    def test_signatures_are_inspected_once_per_algorithm(self, figure1, monkeypatch):
-        import inspect
-
-        from repro.core import engine
-
-        _, _, cluster = figure1
-        calls = []
-        real = inspect.signature
-        monkeypatch.setattr(
-            engine.inspect, "signature", lambda fn: calls.append(fn) or real(fn)
-        )
-        engine._accepted_options.cache_clear()
-        for _ in range(3):
-            assert evaluate(
-                cluster, ReachQuery("Ann", "Mark"), kernel="python", oracle="tol"
-            ).answer
-        assert calls == [REGISTRY["disReach"][1]]

@@ -27,7 +27,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.bounded import local_eval_bounded  # noqa: E402
 from repro.core.csr import CSRCondensation, cached_csr, fragment_csr  # noqa: E402
-from repro.core.engine import evaluate  # noqa: E402
+from repro.core.engine import evaluate, plan_for  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     KERNEL_ENV_VAR,
     KERNELS,
@@ -37,6 +37,7 @@ from repro.core.kernels import (  # noqa: E402
     resolve_kernel,
     set_default_kernel,
 )
+from repro.core.options import EvalOptions  # noqa: E402
 from repro.core.queries import BoundedReachQuery, ReachQuery  # noqa: E402
 from repro.core.reachability import local_eval_reach  # noqa: E402
 from repro.core.regular import local_eval_regular  # noqa: E402
@@ -276,15 +277,27 @@ class TestCSRInvalidation:
         _, cluster = self._cluster()
         warmed = self._warm(cluster)
         u, v = self._absent_cross_pair(cluster)
-        affected = cluster.apply_edge_mutation(u, v, add=True)
-        assert len(affected) == 2
+        source, target = affected = cluster.apply_edge_mutation(u, v, add=True)
         for fragment in cluster.fragmentation:
-            if fragment.fid in affected:
-                # replaced fragment objects start with an empty cache slot
+            if fragment.fid == source:
+                # only the source side's local graph changed: its carried
+                # view is stale (stamp moved) and the next access rebuilds
                 assert cached_csr(fragment) is None
                 assert fragment_csr(fragment) is not warmed[fragment.fid]
             else:
+                # the target side was replaced too (its in-node set grew),
+                # but its graph did not move: the warmed arrays carry over
                 assert cached_csr(fragment) is warmed[fragment.fid]
+        assert source != target and len(affected) == 2
+        self._assert_fresh_everywhere(cluster)
+        # and back: removing the edge again rebuilds the source side only
+        rewarmed = self._warm(cluster)
+        cluster.apply_edge_mutation(u, v, add=False)
+        for fragment in cluster.fragmentation:
+            if fragment.fid == source:
+                assert cached_csr(fragment) is None
+            else:
+                assert cached_csr(fragment) is rewarmed[fragment.fid]
         self._assert_fresh_everywhere(cluster)
 
     def test_stale_arrays_never_reach_a_kernel_sweep(self):
@@ -405,20 +418,29 @@ class TestClusterIdentity:
 
 class TestEvalFragmentJobs:
     def test_jobs_are_timed_and_kernel_overridable(self):
+        # The kernel rides inside each job's args, exactly as a plan ships
+        # it: the same job list is rebuilt per kernel from plans.
         _, fragmentation = _fragmented(seed=11)
         nodes = sorted(fragmentation[0].nodes, key=repr)
-        query = ReachQuery(nodes[0], nodes[-1])
-        bounded = BoundedReachQuery(nodes[0], nodes[-1], 3)
-        jobs = tuple(
-            [(local_eval_reach, f, (query, None)) for f in fragmentation]
-            + [(local_eval_bounded, f, (bounded, None)) for f in fragmentation]
-        )
-        timed = eval_fragment_jobs(jobs)
-        assert len(timed) == len(jobs)
+        queries = [
+            ReachQuery(nodes[0], nodes[-1]),
+            BoundedReachQuery(nodes[0], nodes[-1], 3),
+        ]
+
+        def jobs_under(kernel):
+            plans = [plan_for(q, options=EvalOptions(kernel=kernel)) for q in queries]
+            return tuple(
+                (plan.local_eval(), fragment, plan.local_eval_args())
+                for plan in plans
+                for fragment in fragmentation
+            )
+
+        timed = eval_fragment_jobs(jobs_under("python"))
+        assert len(timed) == len(queries) * len(fragmentation)
         reference = [equations for equations, _ in timed]
         assert all(elapsed >= 0.0 for _, elapsed in timed)
         for kernel in COMPILED:
-            rerun = eval_fragment_jobs(jobs, kernel=kernel)
+            rerun = eval_fragment_jobs(jobs_under(kernel))
             assert [equations for equations, _ in rerun] == reference
 
 
