@@ -2,8 +2,9 @@
 
 Every experiment in :mod:`repro.bench.experiments` produces an
 :class:`ExperimentResult` — a titled table whose rows mirror what the paper
-prints (Table 2 rows, figure series points).  The same helpers are used by
-the pytest benchmarks, the ``python -m repro.bench`` CLI and EXPERIMENTS.md.
+prints (Table 2 rows, figure series points).  The same helpers back the
+``python -m repro.bench`` CLI (whose JSON ``benchmarks/check_regression.py``
+gates), the shape tests and the tables EXPERIMENTS.md records.
 """
 
 from __future__ import annotations

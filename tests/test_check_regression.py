@@ -111,18 +111,29 @@ class TestGate:
     def test_missing_experiment_rejected(self, gate, tmp_path):
         bad = _write(tmp_path, "bad.json", {"table2": {"rows": []}})
         good = _write(tmp_path, "good.json", _payload())
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             gate.main([bad, good])
+        assert excinfo.value.code == 2
+
+    def test_unreadable_file_exits_2(self, gate, tmp_path, capsys):
+        good = _write(tmp_path, "good.json", _payload())
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json", encoding="utf-8")
+        for current in (str(garbage), str(tmp_path / "absent.json")):
+            with pytest.raises(SystemExit) as excinfo:
+                gate.main([current, good])
+            assert excinfo.value.code == 2
+            assert "cannot read" in capsys.readouterr().err
 
     def test_committed_baseline_is_wellformed(self, gate):
         baseline = SCRIPT.parent / "baseline.json"
-        rows = gate.load_rows(baseline)
-        assert {"one-by-one", "batch"} <= set(rows)
+        rows = gate.rows_by_key(gate.load_payload(baseline), "workload")
+        assert {("one-by-one",), ("batch",)} <= set(rows)
         assert gate.main([str(baseline), str(baseline)]) == 0
 
     def test_committed_baseline_has_partition_experiment(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.partition_rows(payload)
+        rows = gate.rows_by_key(payload, "partition")
         assert rows, "baseline.json must carry the pinned partition sweep"
         partitioners = {p for _d, p, _a in rows}
         assert {"hash", "refined", "multilevel"} <= partitioners
@@ -211,8 +222,9 @@ class TestPartitionGate:
                 del row["Vf"]
         base = self._both(tmp_path, "base.json", _payload(), _partition_payload())
         cur = self._both(tmp_path, "cur.json", _payload(), partition)
-        with pytest.raises(SystemExit, match="refined"):
+        with pytest.raises(SystemExit, match="refined") as excinfo:
             gate.main([cur, base])
+        assert excinfo.value.code == 2
 
 
 def _mutation_payload(refinements=2, moves=20, budget=32, vf_ratio=1.05,
@@ -288,10 +300,10 @@ class TestMutationGate:
 
     def test_committed_baseline_has_mutation_experiment(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.mutation_rows(payload)
+        rows = gate.rows_by_key(payload, "mutation")
         assert rows, "baseline.json must carry the pinned mutation run"
-        assert {"static", "drift-refine"} <= set(rows)
-        drift = rows["drift-refine"]
+        assert {("static",), ("drift-refine",)} <= set(rows)
+        drift = rows[("drift-refine",)]
         assert drift["refinements"] >= 1
         assert drift["moves"] <= drift["refinements"] * drift["budget"]
         assert drift["vf_ratio"] <= drift["vf_tol"]
@@ -375,8 +387,8 @@ class TestSessionRemapGate:
 
     def test_committed_baseline_has_session_sweep(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.mutation_rows(payload)
-        sweep = {s: r for s, r in rows.items() if s.startswith("sessions-")}
+        rows = gate.rows_by_key(payload, "mutation")
+        sweep = {s: r for (s,), r in rows.items() if s.startswith("sessions-")}
         assert sweep, "baseline.json must carry the --sessions sweep"
         big = max(sweep.values(), key=lambda r: r["sessions"])
         assert big["sessions"] >= 4
@@ -472,7 +484,7 @@ class TestBaselinesGate:
 
     def test_committed_baseline_has_baselines_experiment(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.baselines_rows(payload)
+        rows = gate.rows_by_key(payload, "baselines")
         assert rows, "baseline.json must carry the pinned baselines run"
         backends = {backend for _a, backend in rows}
         assert backends == {"sequential", "thread", "process", "socket"}
@@ -622,13 +634,16 @@ class TestKernelsGate:
 
     def test_committed_baseline_has_kernels_experiment(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.kernels_rows(payload)
+        rows = gate.rows_by_key(payload, "kernels")
         assert rows, "baseline.json must carry the pinned kernels run"
         kernels = {k for _d, mode, k, _b in rows if mode == "evaluate"}
-        assert set(gate.REQUIRED_KERNELS) <= kernels
+        checks = gate.GATES["kernels"].checks
+        required = next(c.require["kernel"] for c in checks if c.require)
+        assert set(required) <= kernels
         jobs = rows.get(("amazon", "jobs", "numpy", "None"))
         assert jobs is not None
-        assert jobs["speedup"] >= gate.KERNEL_SPEEDUP_FLOOR
+        floor = next(c.limit for c in checks if c.metrics == ("speedup",))
+        assert jobs["speedup"] >= floor
 
 
 def _snap_payload(
@@ -772,10 +787,121 @@ class TestSnapGate:
 
     def test_committed_baseline_has_snap_experiment(self, gate):
         payload = gate.load_payload(SCRIPT.parent / "baseline.json")
-        rows = gate.snap_rows(payload)
+        rows = gate.rows_by_key(payload, "snap")
         assert rows, "baseline.json must carry the pinned snap fixture run"
-        modes = {str(row.get("mode")) for row in rows}
+        modes = {str(row.get("mode")) for row in rows.values()}
         assert {"load", "static", "replay", "replay-monitor"} <= modes
         assert all(
-            row.get("env_ok") == 1 for row in rows if row.get("mode") == "static"
+            row.get("env_ok") == 1 for row in rows.values() if row.get("mode") == "static"
         )
+
+
+BASELINE = SCRIPT.parent / "baseline.json"
+
+
+def _load_gate():
+    spec = importlib.util.spec_from_file_location("check_regression_table", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: (experiment, check index) of every GATES entry, for parametrization.
+_CHECKS = [
+    pytest.param(experiment, index, id=f"{experiment}-{index}-{check.kind}")
+    for experiment, entry in _load_gate().GATES.items()
+    for index, check in enumerate(entry.checks)
+]
+
+
+def _selected(check, rows):
+    return [row for row in rows if check.where(row)]
+
+
+def _changed(value):
+    return value + "X" if isinstance(value, str) else value + 1
+
+
+def _perturb(check, rows):
+    """Break one cell (or drop one row) the way ``check`` forbids."""
+    chosen = _selected(check, rows)
+    metric = check.metrics[0] if check.metrics else None
+    if check.kind == "present":
+        rows.remove(next(
+            row for row in chosen
+            if all(str(row.get(c)) in v for c, v in (check.require or {}).items())
+        ))
+    elif check.kind in ("exact", "ceiling"):
+        chosen[0][metric] = _changed(chosen[0][metric])
+    elif check.kind == "scaled":
+        value = chosen[0][metric]
+        chosen[0][metric] = (
+            value * check.factor * 2 + 1 if check.op == "<=" else value * check.factor / 2
+        )
+    elif check.kind == "bound":
+        row = chosen[0]
+        limit = check.limit(row) if callable(check.limit) else check.limit
+        row[metric] = {
+            ">=": lambda: limit - 1,
+            "<=": lambda: limit + 1,
+            "<": lambda: limit,
+            "==": lambda: _changed(limit),
+            "startswith": lambda: f"not {limit}",
+            "covers": lambda: "sequential",
+        }[check.op]()
+    else:
+        def group_of(row):
+            return tuple(str(row.get(c)) for c in check.group)
+
+        def is_ref(row):
+            return all(str(row.get(k)) == v for k, v in check.ref.items())
+
+        if check.kind == "same":
+            firsts = {}
+            for row in chosen:
+                reference = firsts.setdefault(group_of(row), row)
+                if row is not reference and (check.ref is None or not is_ref(row)):
+                    row[metric] = _changed(row[metric])
+                    return
+        for row in chosen:  # wins: every selected row loses to its reference
+            other = next(r for r in rows if group_of(r) == group_of(row) and is_ref(r))
+            factor = check.factor(row) if callable(check.factor) else check.factor
+            row[metric] = factor * other[metric] + 1
+
+
+class TestGateTable:
+    """The GATES table checks itself against the committed baseline."""
+
+    @pytest.mark.parametrize("experiment, index", _CHECKS)
+    def test_check_selects_a_baseline_row(self, gate, experiment, index):
+        check = gate.GATES[experiment].checks[index]
+        rows = json.loads(BASELINE.read_text())[experiment]["rows"]
+        assert _selected(check, rows), "a check that selects nothing passes vacuously"
+
+    @pytest.mark.parametrize("experiment, index", _CHECKS)
+    def test_perturbed_cell_fails_with_its_why(
+        self, gate, experiment, index, tmp_path, capsys
+    ):
+        check = gate.GATES[experiment].checks[index]
+        payload = json.loads(BASELINE.read_text())
+        _perturb(check, payload[experiment]["rows"])
+        perturbed = _write(tmp_path, "perturbed.json", payload)
+        assert gate.main([perturbed, str(BASELINE)]) == 1
+        assert check.why in capsys.readouterr().err
+
+    def test_oracle_rebuild_fallback_fails(self, gate, tmp_path, capsys):
+        payload = json.loads(BASELINE.read_text())
+        for row in payload["oracles"]["rows"]:
+            if row["oracle"] == "tol":
+                row["rebuilds"] += 1
+        perturbed = _write(tmp_path, "perturbed.json", payload)
+        assert gate.main([perturbed, str(BASELINE), "--only", "oracles"]) == 1
+        assert "oracles/tol/rebuilds" in capsys.readouterr().err
+
+    def test_experiments_md_names_every_experiment_and_gate(self, gate):
+        from repro.bench import EXPERIMENTS
+
+        text = (SCRIPT.parent.parent / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        commands = [f"python -m repro.bench {name}" for name in EXPERIMENTS]
+        entries = [f'GATES["{name}"]' for name in gate.GATES]
+        assert [needle for needle in commands + entries if needle not in text] == []
