@@ -215,8 +215,8 @@ GATES: Dict[str, Gate] = {
     ]),
     # Local-evaluation kernels (DESIGN.md §9): a kernel may change how a
     # fragment is swept, never what the cost model observes.  python and
-    # numpy legs are required on every backend; numba rows are compared when
-    # present, never required.
+    # numpy legs are required on every backend; rows of any other kernel
+    # are compared when present, never required.
     "kernels": Gate(("dataset", "mode", "kernel", "backend"), [
         Check("present", (), "a kernel leg dropped out of the run",
               where=rows_with(mode="evaluate"), group=("dataset", "mode"),

@@ -28,6 +28,23 @@ from ..core.options import STRATEGIES, add_strategy_arguments, set_strategy_defa
 from .experiments import EXPERIMENTS
 
 
+#: CLI flag (argparse dest) -> the experiment parameter it feeds.  A flag
+#: that was given is forwarded iff the experiment's signature takes that
+#: parameter; otherwise it is ignored (not every experiment has a scale, a
+#: query count or a fixture mode).
+_FORWARDED = {
+    "seed": "seed",
+    "scale": "scale",
+    "queries": "num_queries",
+    "sessions": "sessions",
+    "fixture": "fixture",
+    "oracle": "oracle",
+    "snap_graph": "snap_graphs",
+    "wall_budget_s": "wall_budget_s",
+    "rss_budget_mb": "rss_budget_mb",
+}
+
+
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1 (an empty workload has no means)."""
     value = int(text)
@@ -63,6 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fixture",
         action="store_true",
+        default=None,
         help="snap experiment: sweep the committed tests/data/ fixtures "
         "instead of downloaded datasets (fully offline — the CI smoke)",
     )
@@ -123,27 +141,12 @@ def main(argv=None) -> int:
     csv_chunks = []
     json_payload = {}
     for name in names:
-        # Per-experiment knobs are forwarded only when the experiment's
-        # signature accepts them (not every experiment has a scale or a
-        # fixture mode).
         accepted = inspect.signature(EXPERIMENTS[name]).parameters
-        kwargs = {"seed": args.seed}
-        if args.scale is not None and "scale" in accepted:
-            kwargs["scale"] = args.scale
-        if args.queries is not None:
-            kwargs["num_queries"] = args.queries
-        if args.sessions is not None and "sessions" in accepted:
-            kwargs["sessions"] = args.sessions
-        if args.fixture and "fixture" in accepted:
-            kwargs["fixture"] = True
-        if args.oracle is not None and "oracle" in accepted:
-            kwargs["oracle"] = args.oracle
-        if args.snap_graph and "snap_graphs" in accepted:
-            kwargs["snap_graphs"] = tuple(args.snap_graph)
-        if args.wall_budget_s is not None and "wall_budget_s" in accepted:
-            kwargs["wall_budget_s"] = args.wall_budget_s
-        if args.rss_budget_mb is not None and "rss_budget_mb" in accepted:
-            kwargs["rss_budget_mb"] = args.rss_budget_mb
+        kwargs = {
+            param: getattr(args, flag)
+            for flag, param in _FORWARDED.items()
+            if param in accepted and getattr(args, flag) is not None
+        }
         start = time.perf_counter()
         result = EXPERIMENTS[name](**kwargs)
         elapsed = time.perf_counter() - start

@@ -1424,8 +1424,8 @@ def exp_kernels(
     Two row families (the ``mode`` column):
 
     * ``evaluate`` — the pinned workloads served end-to-end through
-      :class:`~repro.serving.engine.BatchQueryEngine` under every available
-      kernel x every executor backend.  Answers and all modeled stats
+      :class:`~repro.serving.engine.BatchQueryEngine` under both kernels
+      (python, and numpy where it is installed) x every executor backend.  Answers and all modeled stats
       (visits, traffic, messages, supersteps) are kernel- and
       backend-invariant — asserted here, then exactly enforced by
       ``benchmarks/check_regression.py``.  The amazon analog is unlabeled,
@@ -1468,8 +1468,8 @@ def exp_kernels(
             "evaluate rows: modeled stats are kernel- and backend-invariant "
             "by assertion; jobs rows: summed per-job CPU ms on the amazon "
             "reach+bounded mix, best of 3 after warmup (speedup vs python); "
-            "a registered kernel missing its dependencies gets a loud skip "
-            "row, never a silently missing cell"
+            "numpy, where it is not installed, gets a loud skip row, never "
+            "a silently missing cell"
         ),
     )
     for name in ALL_KERNELS:

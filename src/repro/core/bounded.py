@@ -26,7 +26,6 @@ from ..distributed.cluster import SimulatedCluster
 from ..distributed.messages import payload_size
 from ..graph.digraph import Node
 from ..graph.traversal import bfs_distances
-from ..index.distance import DistanceOracleFactory
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
@@ -66,7 +65,6 @@ class BoundedPartialAnswer:
 def local_eval_bounded(
     fragment: Fragment,
     query: BoundedReachQuery,
-    oracle_factory: Optional[DistanceOracleFactory] = None,
     kernel: Optional[str] = None,
 ) -> BoundedEquations:
     """Procedure ``localEvald`` on one fragment.
@@ -76,9 +74,7 @@ def local_eval_bounded(
     of how many in-nodes ask; ``kernel`` swaps the sweeps for a vectorized
     level-synchronous one (:mod:`repro.core.kernels`).  Every path emits
     each equation's terms in the same canonical sorted-boundary order, so
-    kernels are tuple-identical.  An optional distance oracle (e.g. the
-    per-fragment distance matrix of :mod:`repro.index.distance`) replaces
-    the sweeps entirely.
+    kernels are tuple-identical.
     """
     kernel = resolve_kernel(kernel)
     iset = set(fragment.in_nodes)
@@ -94,30 +90,19 @@ def local_eval_bounded(
         return TARGET if boundary == query.target else boundary
 
     seeds = sorted(oset, key=repr)
-    terms: Dict[Node, list] = {v: [] for v in iset}
-    local = fragment.local_graph
-    if oracle_factory is not None:
-        oracle = oracle_factory(local)
-        for v in iset:
-            for o in seeds:
-                d = oracle.distance(v, o)
-                if d is not None and d <= query.bound:
-                    terms[v].append((as_term_var(o), float(d)))
-        return {v: tuple(ts) for v, ts in terms.items()}
-
     if kernel != "python":
         from .kernels import bounded_seed_terms
 
         roots = sorted(iset, key=repr)
         term_vars = [as_term_var(o) for o in seeds]
-        return bounded_seed_terms(
-            fragment, roots, seeds, query.bound, term_vars, kernel
-        )
+        return bounded_seed_terms(fragment, roots, seeds, query.bound, term_vars)
 
     # One BFS per node on the smaller side of the (iset × oset) rectangle:
     # forward out-balls from in-nodes, or reverse in-balls from boundary
     # nodes — whichever needs fewer sweeps.  (On hub-dominated graphs the
     # ball shapes differ enormously, so this is a large constant factor.)
+    terms: Dict[Node, list] = {v: [] for v in iset}
+    local = fragment.local_graph
     if len(iset) <= len(oset):
         for v in iset:
             dist_from_v = bfs_distances(local, v, cutoff=query.bound)
@@ -166,13 +151,11 @@ class BoundedReachPlan(QueryPlan):
     def __init__(
         self,
         query: Union[BoundedReachQuery, Tuple[Node, Node, int]],
-        oracle_factory: Optional[DistanceOracleFactory] = None,
         options: EvalOptions = EvalOptions(),
     ) -> None:
         if not isinstance(query, BoundedReachQuery):
             query = BoundedReachQuery(*query)
         self.query = query
-        self.oracle_factory = oracle_factory
         self.options = options.resolved(self.algorithm)
         self._keyed = self.options.cache_key()
 
@@ -192,13 +175,12 @@ class BoundedReachPlan(QueryPlan):
         return local_eval_bounded
 
     def local_eval_args(self) -> Tuple[object, ...]:
-        return (self.query, self.oracle_factory, self.options.kernel)
+        return (self.query, self.options.kernel)
 
     def fragment_params(self, fragment: Fragment) -> Hashable:
         return (
             *endpoint_params(fragment, self.query.source, self.query.target),
             self.query.bound,
-            self.oracle_factory,
             *self._keyed,
         )
 
@@ -225,7 +207,6 @@ class BoundedReachPlan(QueryPlan):
 def dis_dist(
     cluster: SimulatedCluster,
     query: Union[BoundedReachQuery, Tuple[Node, Node, int]],
-    oracle_factory: Optional[DistanceOracleFactory] = None,
     collect_details: bool = False,
     kernel: Optional[str] = None,
 ) -> QueryResult:
@@ -234,6 +215,6 @@ def dis_dist(
     The batch-of-one special case of the serving engine; see
     :func:`repro.core.reachability.dis_reach`.
     """
-    plan = BoundedReachPlan(query, oracle_factory, EvalOptions(kernel=kernel))
+    plan = BoundedReachPlan(query, EvalOptions(kernel=kernel))
     batch = execute_plans(cluster, [plan], collect_details=collect_details)
     return batch.results[0]

@@ -20,11 +20,6 @@ This module reimplements those sweeps as array kernels over the
     the OR-propagation per automaton transition over a ``[V, states,
     words]`` cube with a vectorized label-match mask.
 
-``numba``
-    The same CSR arrays swept by ``@njit``-compiled loops (Gauss–Seidel
-    for plain reachability, synchronous levels where distances matter).
-    Optional: gated on numba being importable, soft-fail legs in CI.
-
 Selection follows the one strategy-registry precedence (explicit >
 ``set_default_kernel`` > ``REPRO_KERNEL`` > ``python``;
 :mod:`repro.strategies`, DESIGN.md §14).  Plans resolve the name once at
@@ -54,22 +49,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..partition.fragment import Fragment
 
 #: The selectable kernel names (``--kernel`` choices).
-KERNELS: Tuple[str, ...] = ("python", "numpy", "numba")
-
-
-#: Kernel -> (modules it imports, how the install advice names them).
-_REQUIRES = {
-    "numpy": (("numpy",), "numpy"),
-    "numba": (("numba", "numpy"), "numba (and numpy)"),
-}
+KERNELS: Tuple[str, ...] = ("python", "numpy")
 
 
 def _missing_dependency(name: str) -> Optional[str]:
     """What ``name`` needs that is not importable here (``None`` = runnable)."""
-    modules, advice = _REQUIRES.get(name, ((), None))
-    for module in modules:
-        if importlib.util.find_spec(module) is None:
-            return advice
+    if name == "numpy" and importlib.util.find_spec("numpy") is None:
+        return "numpy"
     return None
 
 
@@ -81,7 +67,7 @@ KERNEL_REGISTRY = StrategyRegistry(
     error=KernelError,
     env_var="REPRO_KERNEL",
     missing=_missing_dependency,
-    summary="local-evaluation kernel: numpy/numba sweep fragments as CSR int "
+    summary="local-evaluation kernel: numpy sweeps fragments as CSR int "
     "arrays, same answers and modeled costs, faster wall-clock (DESIGN.md §9)",
 )
 
@@ -94,17 +80,9 @@ resolve_kernel = KERNEL_REGISTRY.resolve
 
 
 # ---------------------------------------------------------------------------
-# shared array helpers (numpy is an optional import — only reached when a
-# compiled kernel was requested and resolve_kernel() verified availability)
+# shared array helpers (numpy is an optional import — only reached when the
+# numpy kernel was requested and resolve_kernel() verified availability)
 # ---------------------------------------------------------------------------
-def _seed_bits(np, num_nodes: int, words: int, seed_rows: Sequence[int]):
-    """A ``uint64[V, W]`` bitset with seed ``j``'s bit set on its own row."""
-    bits = np.zeros((num_nodes, words), dtype=np.uint64)
-    for j, row in enumerate(seed_rows):
-        bits[row, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-    return bits
-
-
 def _row_to_int(np, row) -> int:
     """One bitset row decoded to the python int the decode loops expect."""
     return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
@@ -123,7 +101,6 @@ def reach_seed_masks(
     fragment: "Fragment",
     roots: Sequence[Any],
     seeds: Sequence[Any],
-    kernel: str,
 ) -> Dict[Any, int]:
     """Per-root seed bitmasks (python-int), bit ``j`` = reaches ``seeds[j]``.
 
@@ -147,11 +124,6 @@ def reach_seed_masks(
     csr = fragment_csr(fragment)
     index = csr.index
     words = max(1, (len(seeds) + 63) >> 6)
-    if kernel == "numba":  # pragma: no cover - optional dependency
-        bits = _seed_bits(np, csr.num_nodes, words, [index[s] for s in seeds])
-        _numba_kernels().reach_fixpoint(csr.indptr, csr.indices, bits)
-        return {root: _row_to_int(np, bits[index[root]]) for root in roots}
-
     cond = csr.condensation()
     comp, level_ptr = cond.comp, cond.level_ptr
     cindptr, cindices = cond.cindptr, cond.cindices
@@ -178,7 +150,6 @@ def bounded_seed_terms(
     seeds: Sequence[Any],
     bound: int,
     term_vars: Sequence[Any],
-    kernel: str,
 ) -> Dict[Any, Tuple[Tuple[Any, float], ...]]:
     """Per-root equation terms ``((term_vars[j], dist), ...)``, dist <= bound.
 
@@ -205,41 +176,32 @@ def bounded_seed_terms(
     num_seeds = len(seeds)
     root_rows = np.asarray([index[r] for r in roots], dtype=np.int64)
     dists = np.full((len(roots), num_seeds), -1, dtype=np.int64)
-    if kernel == "numba":  # pragma: no cover - optional dependency
-        words = max(1, (num_seeds + 63) >> 6)
-        bits = _seed_bits(np, csr.num_nodes, words, [index[s] for s in seeds])
-        _numba_kernels().bounded_levels(
-            csr.indptr, csr.indices, bits, root_rows, dists, bound
-        )
-    else:
-        # Packed uint64 bitset (seed j = bit j): ~S/64 words per row keeps
-        # every per-level array op narrow — at fragment scale the op cost,
-        # not the algorithmic work, dominates.
-        words = max(1, (num_seeds + 63) >> 6)
-        bits = np.zeros((csr.num_nodes, words), dtype=np.uint64)
-        seed_rows = np.asarray([index[s] for s in seeds], dtype=np.int64)
-        seed_j = np.arange(num_seeds)
-        bits[seed_rows, seed_j >> 6] = np.uint64(1) << (seed_j & 63).astype(
-            np.uint64
-        )
-        known = _unpack_rows(np, bits[root_rows], num_seeds)
-        dists[known] = 0
-        indices = csr.indices
-        rows, starts = csr.nonempty_rows()
-        for level in range(1, bound + 1) if rows.size else ():
-            # Jacobi step (gather fully precedes update): row r's bitset at
-            # level L is exactly "reachable within L hops".
-            agg = np.bitwise_or.reduceat(bits[indices], starts, axis=0)
-            cur = bits[rows]
-            new = cur | agg
-            if np.array_equal(new, cur):
-                break
-            bits[rows] = new
-            now = _unpack_rows(np, bits[root_rows], num_seeds)
-            fresh = now & ~known
-            if fresh.any():
-                dists[fresh] = level
-                known = now
+    # Packed uint64 bitset (seed j = bit j): ~S/64 words per row keeps
+    # every per-level array op narrow — at fragment scale the op cost,
+    # not the algorithmic work, dominates.
+    words = max(1, (num_seeds + 63) >> 6)
+    bits = np.zeros((csr.num_nodes, words), dtype=np.uint64)
+    seed_rows = np.asarray([index[s] for s in seeds], dtype=np.int64)
+    seed_j = np.arange(num_seeds)
+    bits[seed_rows, seed_j >> 6] = np.uint64(1) << (seed_j & 63).astype(np.uint64)
+    known = _unpack_rows(np, bits[root_rows], num_seeds)
+    dists[known] = 0
+    indices = csr.indices
+    rows, starts = csr.nonempty_rows()
+    for level in range(1, bound + 1) if rows.size else ():
+        # Jacobi step (gather fully precedes update): row r's bitset at
+        # level L is exactly "reachable within L hops".
+        agg = np.bitwise_or.reduceat(bits[indices], starts, axis=0)
+        cur = bits[rows]
+        new = cur | agg
+        if np.array_equal(new, cur):
+            break
+        bits[rows] = new
+        now = _unpack_rows(np, bits[root_rows], num_seeds)
+        fresh = now & ~known
+        if fresh.any():
+            dists[fresh] = level
+            known = now
     # Decode all roots in one nonzero scan (per-root scans are pure
     # overhead at fragment scale); (ri, rj) come out row-major, so each
     # root's terms stay in seed order.
@@ -321,7 +283,6 @@ def regular_seed_masks(
     automaton: "QueryAutomaton",
     roots: Sequence[Tuple[Any, int]],
     seeds: Sequence[Tuple[Any, int]],
-    kernel: str,
 ) -> Dict[Tuple[Any, int], int]:
     """Per-root-pair seed bitmasks over the local product graph.
 
@@ -336,6 +297,7 @@ def regular_seed_masks(
     """
     import numpy as np
 
+    from ..graph.scc import tarjan_scc
     from .csr import fragment_csr
 
     csr = fragment_csr(fragment)
@@ -354,186 +316,62 @@ def regular_seed_masks(
     for j, (node, state) in enumerate(seeds):
         bits[index[node], col_of[state], j >> 6] |= np.uint64(1) << np.uint64(j & 63)
 
-    transitions = [
-        (col_of[u], col_of[u2]) for u, u2 in automaton.transitions()
-    ]
-    if kernel == "numba":  # pragma: no cover - optional dependency
-        trans = np.asarray(transitions, dtype=np.int64).reshape(-1, 2)
-        _numba_kernels().regular_fixpoint(
-            csr.indptr, csr.indices, bits, match, trans
-        )
-    else:
-        from ..graph.scc import tarjan_scc
+    # Per successor-state column, the sub-CSR of graph edges whose
+    # *target* matches that state — bits only ever flow through
+    # label-consistent product pairs, so restricting the edge set up
+    # front replaces a full [V, W] mask allocation per transition per
+    # round with a one-time filter.
+    indptr, indices = csr.indptr, csr.indices
+    edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+    sub_csr: Dict[int, Any] = {}
+    for u2_col in {col_of[u2] for _, u2 in automaton.transitions()}:
+        emask = match[indices, u2_col]
+        targets = indices[emask]
+        if not targets.size:
+            sub_csr[u2_col] = None
+            continue
+        counts = np.bincount(edge_src[emask], minlength=num_nodes)
+        rows = np.flatnonzero(counts)
+        lens = counts[rows]
+        # emask preserves CSR (source-grouped) edge order, so targets
+        # are already segmented per source row.
+        sub_csr[u2_col] = (rows, np.cumsum(lens) - lens, targets)
 
-        # Per successor-state column, the sub-CSR of graph edges whose
-        # *target* matches that state — bits only ever flow through
-        # label-consistent product pairs, so restricting the edge set up
-        # front replaces a full [V, W] mask allocation per transition per
-        # round with a one-time filter.
-        indptr, indices = csr.indptr, csr.indices
-        edge_src = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
-        )
-        sub_csr: Dict[int, Any] = {}
-        for u2_col in {t[1] for t in transitions}:
-            emask = match[indices, u2_col]
-            targets = indices[emask]
-            if not targets.size:
-                sub_csr[u2_col] = None
-                continue
-            counts = np.bincount(edge_src[emask], minlength=num_nodes)
-            rows = np.flatnonzero(counts)
-            lens = counts[rows]
-            # emask preserves CSR (source-grouped) edge order, so targets
-            # are already segmented per source row.
-            sub_csr[u2_col] = (rows, np.cumsum(lens) - lens, targets)
+    def step(u_col: int, u2_col: int) -> bool:
+        entry = sub_csr[u2_col]
+        if entry is None:
+            return False
+        rows, starts, targets = entry
+        agg = np.bitwise_or.reduceat(bits[targets, u2_col, :], starts, axis=0)
+        cur = bits[rows, u_col, :]
+        new = cur | agg
+        if np.array_equal(new, cur):
+            return False
+        bits[rows, u_col, :] = new
+        return True
 
-        def step(u_col: int, u2_col: int) -> bool:
-            entry = sub_csr[u2_col]
-            if entry is None:
-                return False
-            rows, starts, targets = entry
-            agg = np.bitwise_or.reduceat(
-                bits[targets, u2_col, :], starts, axis=0
-            )
-            cur = bits[rows, u_col, :]
-            new = cur | agg
-            if np.array_equal(new, cur):
-                return False
-            bits[rows, u_col, :] = new
-            return True
-
-        # Schedule transitions along the automaton's own SCC condensation
-        # (emitted successors-first): by the time a component runs, every
-        # successor state's plane outside it is final, so cross-component
-        # transitions apply exactly once and only intra-component cycles
-        # need a fixpoint loop.
-        for members in tarjan_scc(states, automaton.successors):
-            member_set = set(members)
-            incoming = []
-            internal = []
-            for u in members:
-                for u2 in automaton.successors(u):
-                    pair = (col_of[u], col_of[u2])
-                    (internal if u2 in member_set else incoming).append(pair)
-            for u_col, u2_col in incoming:
-                step(u_col, u2_col)
-            changed = bool(internal)
-            while changed:
-                changed = False
-                for u_col, u2_col in internal:
-                    if step(u_col, u2_col):
-                        changed = True
+    # Schedule transitions along the automaton's own SCC condensation
+    # (emitted successors-first): by the time a component runs, every
+    # successor state's plane outside it is final, so cross-component
+    # transitions apply exactly once and only intra-component cycles
+    # need a fixpoint loop.
+    for members in tarjan_scc(states, automaton.successors):
+        member_set = set(members)
+        incoming = []
+        internal = []
+        for u in members:
+            for u2 in automaton.successors(u):
+                pair = (col_of[u], col_of[u2])
+                (internal if u2 in member_set else incoming).append(pair)
+        for u_col, u2_col in incoming:
+            step(u_col, u2_col)
+        changed = bool(internal)
+        while changed:
+            changed = False
+            for u_col, u2_col in internal:
+                if step(u_col, u2_col):
+                    changed = True
     return {
         (node, state): _row_to_int(np, bits[index[node], col_of[state]])
         for node, state in roots
     }
-
-
-# ---------------------------------------------------------------------------
-# numba variants (optional dependency; compiled lazily, cached per process)
-# ---------------------------------------------------------------------------
-_NUMBA_CACHE: Optional[Any] = None
-
-
-def _numba_kernels():  # pragma: no cover - numba absent in the default env
-    """Compile (once) and return the ``@njit`` fixpoint loops.
-
-    The numba kernels reuse this module's CSR/bitset layout and only
-    replace the propagation loops; results are bit-identical to the numpy
-    path (monotone fixpoints are schedule-independent, and the bounded
-    kernel keeps the numpy path's synchronous levels where schedule would
-    matter).
-    """
-    global _NUMBA_CACHE
-    if _NUMBA_CACHE is not None:
-        return _NUMBA_CACHE
-
-    import numba
-    import numpy as np
-
-    @numba.njit(cache=True)
-    def reach_fixpoint(indptr, indices, bits):
-        num_nodes, words = bits.shape
-        changed = True
-        while changed:
-            changed = False
-            for u in range(num_nodes):
-                for e in range(indptr[u], indptr[u + 1]):
-                    v = indices[e]
-                    for w in range(words):
-                        merged = bits[u, w] | bits[v, w]
-                        if merged != bits[u, w]:
-                            bits[u, w] = merged
-                            changed = True
-        return bits
-
-    @numba.njit(cache=True)
-    def bounded_levels(indptr, indices, bits, root_rows, dists, bound):
-        num_nodes, words = bits.shape
-        num_roots = root_rows.shape[0]
-        num_seeds = dists.shape[1]
-        for r in range(num_roots):
-            row = root_rows[r]
-            for j in range(num_seeds):
-                if (bits[row, j >> 6] >> np.uint64(j & 63)) & np.uint64(1):
-                    dists[r, j] = 0
-        prev = bits.copy()
-        for level in range(1, bound + 1):
-            changed = False
-            cur = prev.copy()
-            for u in range(num_nodes):
-                for e in range(indptr[u], indptr[u + 1]):
-                    v = indices[e]
-                    for w in range(words):
-                        merged = cur[u, w] | prev[v, w]
-                        if merged != cur[u, w]:
-                            cur[u, w] = merged
-                            changed = True
-            if not changed:
-                break
-            for r in range(num_roots):
-                row = root_rows[r]
-                for j in range(num_seeds):
-                    if dists[r, j] < 0 and (
-                        (cur[row, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-                    ):
-                        dists[r, j] = level
-            prev = cur
-        for w in range(words):
-            for u in range(num_nodes):
-                bits[u, w] = prev[u, w]
-        return dists
-
-    @numba.njit(cache=True)
-    def regular_fixpoint(indptr, indices, bits, match, transitions):
-        num_nodes = bits.shape[0]
-        words = bits.shape[2]
-        num_transitions = transitions.shape[0]
-        changed = True
-        while changed:
-            changed = False
-            for t in range(num_transitions):
-                u_col = transitions[t, 0]
-                u2_col = transitions[t, 1]
-                for v in range(num_nodes):
-                    for e in range(indptr[v], indptr[v + 1]):
-                        w_node = indices[e]
-                        if not match[w_node, u2_col]:
-                            continue
-                        for w in range(words):
-                            merged = bits[v, u_col, w] | bits[w_node, u2_col, w]
-                            if merged != bits[v, u_col, w]:
-                                bits[v, u_col, w] = merged
-                                changed = True
-        return bits
-
-    class _Kernels:
-        pass
-
-    kernels = _Kernels()
-    kernels.reach_fixpoint = reach_fixpoint
-    kernels.bounded_levels = bounded_levels
-    kernels.regular_fixpoint = regular_fixpoint
-    _NUMBA_CACHE = kernels
-    return kernels

@@ -142,10 +142,13 @@ class EvalOptions:
                 raise QueryError(f"algorithm {algorithm!r} does not take {spec.refusal}")
         return EvalOptions(**names)
 
-    def cache_key(self) -> Tuple[Optional[str], ...]:
-        """The projection that joins serving-cache keys (``keys_cache`` rows)."""
+    def cache_key(self) -> Tuple[str, ...]:
+        """The names that join serving-cache keys: the ``keys_cache`` rows
+        that are set — after :meth:`resolved`, those the algorithm takes."""
         return tuple(
-            getattr(self, name) for name, spec in OPTIONS.items() if spec.keys_cache
+            value
+            for name, spec in OPTIONS.items()
+            if spec.keys_cache and (value := getattr(self, name)) is not None
         )
 
     def wire(self) -> Dict[str, Optional[str]]:

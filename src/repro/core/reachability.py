@@ -115,7 +115,7 @@ def local_eval_reach(
     if kernel != "python":
         from .kernels import reach_seed_masks
 
-        masks = reach_seed_masks(fragment, roots, seeds, kernel)
+        masks = reach_seed_masks(fragment, roots, seeds)
     else:
         # Sweep only what the in-nodes can see (one shared forward closure).
         masks = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)

@@ -115,7 +115,7 @@ def local_eval_regular(
         roots, seeds = regular_boundary_pairs(fragment, automaton, iset, oset)
         if not seeds:
             return {pair: frozenset() for pair in roots}
-        masks = regular_seed_masks(fragment, automaton, roots, seeds, kernel)
+        masks = regular_seed_masks(fragment, automaton, roots, seeds)
     else:
         local = fragment.local_graph
         matches = automaton.match_fn(local)

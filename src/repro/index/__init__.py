@@ -1,4 +1,4 @@
-"""Pluggable local reachability/distance indexes (Section 3's remark)."""
+"""Pluggable local reachability indexes (Section 3's remark)."""
 
 from .base import (
     BFSOracle,
@@ -6,12 +6,6 @@ from .base import (
     OracleFactory,
     ReachabilityOracle,
     TrivialOracle,
-)
-from .distance import (
-    BFSDistanceOracle,
-    DistanceMatrixOracle,
-    DistanceOracle,
-    DistanceOracleFactory,
 )
 from .grail import GrailOracle
 from .landmarks import LandmarkOracle
@@ -36,11 +30,7 @@ from .transitive_closure import TransitiveClosureOracle
 from .twohop import TwoHopOracle
 
 __all__ = [
-    "BFSDistanceOracle",
     "BFSOracle",
-    "DistanceMatrixOracle",
-    "DistanceOracle",
-    "DistanceOracleFactory",
     "GrailOracle",
     "LandmarkOracle",
     "MaintainableOracle",

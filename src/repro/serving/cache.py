@@ -34,13 +34,12 @@ class CacheEntry(NamedTuple):
 
     ``size`` is ``payload_size(plan.wrap_partial(equations))`` — a pure
     function of the equations and the algorithm in the key, so the engine
-    computes it once, when the entry is produced.  ``None`` (an entry built
-    without it) makes the engine size the entry when it first resolves it.
+    computes it once, when the entry is produced.
     """
 
     equations: Dict[Any, Any]
     seconds: float
-    size: Optional[int] = None
+    size: int
 
 
 class SiteResultCache:

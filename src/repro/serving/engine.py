@@ -187,10 +187,6 @@ def execute_plans(
                         # under the fragment's current version.
                         entry = _sized_entry(plan, reused, 0.0)
                         cache.put(key, entry)
-                elif entry.size is None:
-                    # Stored by a caller that did not size it: size it once.
-                    entry = _sized_entry(plan, entry.equations, entry.seconds)
-                    cache.put(key, entry)
                 if entry is not None:
                     workload.cache_hits += 1
                     resolved[key] = entry

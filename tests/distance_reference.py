@@ -1,20 +1,25 @@
-"""Local distance oracles for ``localEvald`` (Section 4's index remark).
+"""Reference distance oracles: an independent check on ``localEvald``.
 
 The paper notes that local evaluation cost can be cut "e.g., with constant
 time via a distance matrix".  :class:`DistanceMatrixOracle` precomputes
 all-pairs BFS distances of a fragment-local graph once and answers lookups
 in O(1); :class:`BFSDistanceOracle` is the index-free default.
+:func:`oracle_terms` rebuilds one fragment's min-plus equations from
+either, so tests can compare them against
+:func:`repro.core.bounded.local_eval_bounded`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Type
 
-from ..graph.digraph import DiGraph, Node
-from ..graph.traversal import bfs_distance, bfs_distances
-
-DistanceOracleFactory = Callable[[DiGraph], "DistanceOracle"]
+from repro.core.bounded import BoundedEquations
+from repro.core.minplus import TARGET
+from repro.core.queries import BoundedReachQuery
+from repro.graph.digraph import DiGraph, Node
+from repro.graph.traversal import bfs_distance, bfs_distances
+from repro.partition.fragment import Fragment
 
 
 class DistanceOracle(ABC):
@@ -57,3 +62,32 @@ class DistanceMatrixOracle(DistanceOracle):
         if row is None:
             return None
         return row.get(target)
+
+
+def oracle_terms(
+    fragment: Fragment,
+    query: BoundedReachQuery,
+    oracle_cls: Type[DistanceOracle],
+) -> BoundedEquations:
+    """``localEvald`` on one fragment, every distance looked up in an oracle
+    built over the fragment's local graph (same ``iset``/``oset`` and the
+    same target→``TARGET`` rewrite as the real procedure)."""
+    iset = set(fragment.in_nodes)
+    oset = set(fragment.virtual_nodes)
+    if query.source in fragment.nodes:
+        iset.add(query.source)
+    if query.target in fragment.nodes:
+        oset.add(query.target)
+    if not oset:
+        return {v: () for v in iset}
+    oracle = oracle_cls(fragment.local_graph)
+    seeds = sorted(oset, key=repr)
+    terms = {}
+    for v in iset:
+        legs = ((o, oracle.distance(v, o)) for o in seeds)
+        terms[v] = tuple(
+            (TARGET if o == query.target else o, float(d))
+            for o, d in legs
+            if d is not None and d <= query.bound
+        )
+    return terms

@@ -21,7 +21,7 @@ from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.distributed import COORDINATOR, Message, MessageKind, SimulatedCluster, payload_size
 from repro.graph import erdos_renyi
 from repro.partition import build_fragmentation, random_partition
-from repro.serving import BatchQueryEngine, CacheEntry, SiteResultCache
+from repro.serving import BatchQueryEngine, SiteResultCache
 from repro.serving.engine import execute_plans
 
 K = 4
@@ -135,24 +135,6 @@ def test_preresolved_reuse_charges_a_fresh_sizing():
     # shipped partials.
     shipped = {m.src for m in batch.workload.batch.messages if m.kind is MessageKind.PARTIAL}
     assert shipped == {1, 3}
-
-
-def test_two_argument_entries_are_sized_when_first_resolved():
-    # CacheEntry(equations, seconds) is public API: an entry stored without
-    # a size must be charged exactly like one the engine produced.
-    cluster = _cluster()
-    plans = _plans()
-    sized = SiteResultCache()
-    execute_plans(cluster, plans, cache=sized)
-    unsized = SiteResultCache()
-    for key, entry in sized._entries.items():
-        assert entry.size is not None
-        unsized.put(key, CacheEntry(entry.equations, entry.seconds))
-    batch = execute_plans(cluster, plans, cache=unsized)
-    assert batch.workload.cache_misses == 0
-    _assert_fresh(cluster, plans, batch.results)
-    assert dict(unsized._entries) == dict(sized._entries)  # sized in place, once
-    unsized.check_index()
 
 
 def test_batch_run_ships_each_distinct_partial_once():

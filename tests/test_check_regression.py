@@ -581,7 +581,7 @@ class TestKernelsGate:
     def test_numba_rows_optional_but_compared_when_present(
         self, gate, tmp_path, capsys
     ):
-        # absent entirely: fine (numba never required) ...
+        # absent entirely: fine (only python and numpy are required) ...
         base = self._both(tmp_path, "base.json", _kernels_payload())
         cur = self._both(tmp_path, "cur.json", _kernels_payload())
         assert gate.main([cur, base]) == 0
@@ -589,12 +589,12 @@ class TestKernelsGate:
         cur = self._both(
             tmp_path, "cur2.json",
             _kernels_payload(
-                kernels=("python", "numpy", "numba"),
-                drift_pair=("numba", "sequential"),
+                kernels=("python", "numpy", "turbo"),
+                drift_pair=("turbo", "sequential"),
             ),
         )
         assert gate.main([cur, base]) == 1
-        assert "numba" in capsys.readouterr().err
+        assert "turbo" in capsys.readouterr().err
 
     def test_missing_jobs_row_fails(self, gate, tmp_path, capsys):
         base = self._both(tmp_path, "base.json", _kernels_payload())

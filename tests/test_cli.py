@@ -144,6 +144,26 @@ class TestCli:
         )
         assert code == 0
 
+    def test_queries_flag_ignored_by_experiments_without_num_queries(
+        self, monkeypatch, capsys
+    ):
+        # --queries follows the same signature rule as every other flag
+        # (the shortcuts sweep, for one, fixes its own query set).
+        from repro.bench import __main__ as bench_main
+        from repro.bench.harness import ExperimentResult
+
+        seen = {}
+
+        def exp_fixed(seed: int = 0) -> ExperimentResult:
+            """A sweep with a fixed query set."""
+            seen["seed"] = seed
+            return ExperimentResult("fixed", "Fixed sweep", ["seed"], [{"seed": seed}])
+
+        monkeypatch.setattr(bench_main, "EXPERIMENTS", {"fixed": exp_fixed})
+        assert main(["fixed", "--queries", "2", "--seed", "3"]) == 0
+        assert seen == {"seed": 3}
+        assert "Fixed sweep" in capsys.readouterr().out
+
     def test_baselines_experiment_runs(self, capsys):
         code = main(["baselines", "--scale", "0.0005", "--queries", "1"])
         assert code == 0

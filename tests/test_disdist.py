@@ -1,12 +1,12 @@
 """Unit tests for disDist (Section 4)."""
 
 import pytest
+from distance_reference import DistanceMatrixOracle, oracle_terms
 
 from repro.core import BoundedReachQuery, bounded_reachable, dis_dist, distance
 from repro.core.bounded import local_eval_bounded
 from repro.core.minplus import TARGET
 from repro.errors import QueryError
-from repro.index.distance import DistanceMatrixOracle
 
 
 class TestLocalEvalBounded:
@@ -50,7 +50,7 @@ class TestLocalEvalBounded:
         query = BoundedReachQuery("Ann", "Mark", 6)
         for frag in fragmentation:
             default = local_eval_bounded(frag, query)
-            indexed = local_eval_bounded(frag, query, DistanceMatrixOracle)
+            indexed = oracle_terms(frag, query, DistanceMatrixOracle)
             assert {k: dict(v) for k, v in default.items()} == {
                 k: dict(v) for k, v in indexed.items()
             }

@@ -1,11 +1,11 @@
-"""Unit tests for distance oracles."""
+"""Unit tests for the reference distance oracles (``distance_reference``)."""
 
 import random
 
 import pytest
+from distance_reference import BFSDistanceOracle, DistanceMatrixOracle
 
 from repro.graph import DiGraph, bfs_distance, erdos_renyi
-from repro.index import BFSDistanceOracle, DistanceMatrixOracle
 
 ORACLES = [BFSDistanceOracle, DistanceMatrixOracle]
 

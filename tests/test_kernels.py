@@ -11,7 +11,7 @@ Four contracts (DESIGN.md §9):
 * **invalidation** — a stale CSR is never swept after
   ``apply_edge_mutation``: only the (at most two) affected fragments
   rebuild; every untouched fragment keeps the identical cached arrays.
-* **identity** — every compiled kernel produces bit-identical equations,
+* **identity** — the numpy kernel produces bit-identical equations,
   answers and modeled stats to the python reference, across all three
   query classes, all three executor backends, and repartitions
   (hypothesis-driven at the fragment level, pinned at the cluster level).
@@ -33,7 +33,6 @@ from repro.core.kernels import (  # noqa: E402
     KERNELS,
     available_kernels,
     default_kernel,
-    kernel_available,
     resolve_kernel,
     set_default_kernel,
 )
@@ -50,7 +49,7 @@ from repro.serving import BatchQueryEngine  # noqa: E402
 from repro.serving.engine import eval_fragment_jobs  # noqa: E402
 from repro.workload.query_gen import random_regular_queries  # noqa: E402
 
-#: Every non-reference kernel runnable here (numpy always, numba if present).
+#: Every non-reference kernel runnable here (numpy: this module requires it).
 COMPILED = [name for name in available_kernels() if name != "python"]
 BACKENDS = sorted(EXECUTORS)
 
@@ -107,12 +106,17 @@ class TestKernelSelection:
         with pytest.raises(KernelError, match="unknown kernel"):
             default_kernel()
 
-    @pytest.mark.skipif(
-        kernel_available("numba"), reason="numba installed: nothing unavailable"
-    )
-    def test_unavailable_kernel_rejected_with_advice(self):
+    def test_unavailable_kernel_rejected_with_advice(self, monkeypatch):
+        import importlib.util
+
+        real = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util,
+            "find_spec",
+            lambda name, *a: None if name == "numpy" else real(name, *a),
+        )
         with pytest.raises(KernelError, match="unavailable"):
-            resolve_kernel("numba")
+            resolve_kernel("numpy")
 
     def test_available_kernels_is_ordered_subset(self):
         available = available_kernels()

@@ -227,11 +227,16 @@ class TestTheCarrier:
         plan = plan_for(QUERIES[ReachQuery], options=EvalOptions(oracle="tol"))
         assert plan.options == EvalOptions("python", "tol", None)
         assert plan.local_eval_args() == (QUERIES[ReachQuery], "python", "tol")
+        fragment = _cluster().sites[0].fragments[0]
         for query in QUERIES.values():
-            assert all(
-                arg is None or not isinstance(arg, EvalOptions)
-                for arg in plan_for(query).local_eval_args()
-            )
+            plan = plan_for(query)
+            assert list(inspect.signature(type(plan)).parameters) == ["query", "options"]
+            # only resolved names follow the query (or its automaton) to
+            # workers, and only plain hashable values key the site cache
+            assert all(isinstance(arg, str) for arg in plan.local_eval_args()[1:])
+            params = plan.fragment_params(fragment)
+            assert not any(p is None or callable(p) for p in params), params
+            hash(params)
 
     def test_cache_key_holds_the_oracle_and_not_the_kernel(self):
         pytest.importorskip("numpy")

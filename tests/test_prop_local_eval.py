@@ -6,6 +6,7 @@ engine (the shared sweep or any registered oracle), the produced equations
 are identical — so the index choice is purely a performance knob.
 """
 
+from distance_reference import BFSDistanceOracle, DistanceMatrixOracle, oracle_terms
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bounded import local_eval_bounded
@@ -14,7 +15,6 @@ from repro.core.reachability import ReachPartialAnswer, local_eval_reach
 from repro.distributed import payload_size
 from repro.graph import DiGraph
 from repro.index import ORACLE_NAMES
-from repro.index.distance import BFSDistanceOracle, DistanceMatrixOracle
 from repro.partition import build_fragmentation
 
 
@@ -65,7 +65,7 @@ def test_distance_engines_agree(case, bound):
         for oracle in (BFSDistanceOracle, DistanceMatrixOracle):
             got = {
                 k: sorted(v, key=repr)
-                for k, v in local_eval_bounded(fragment, query, oracle).items()
+                for k, v in oracle_terms(fragment, query, oracle).items()
             }
             assert got == reference, oracle
 

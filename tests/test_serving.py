@@ -52,36 +52,36 @@ class TestSiteResultCache:
         cache = SiteResultCache()
         key = (0, 0, "disReach", ("a", "b"))
         assert cache.get(key) is None
-        cache.put(key, CacheEntry({"x": frozenset()}, 0.5))
+        cache.put(key, CacheEntry({"x": frozenset()}, 0.5, 7))
         entry = cache.get(key)
         assert entry.equations == {"x": frozenset()}
-        assert entry.seconds == 0.5
+        assert entry.seconds == 0.5 and entry.size == 7
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5 and cache.lookups == 2
 
     def test_lru_eviction(self):
         cache = SiteResultCache(max_entries=2)
         for fid in range(3):
-            cache.put((fid, 0, "disReach", ()), CacheEntry({}, 0.0))
+            cache.put((fid, 0, "disReach", ()), CacheEntry({}, 0.0, 0))
         assert len(cache) == 2 and cache.evictions == 1
         assert (0, 0, "disReach", ()) not in cache
         # touching an entry refreshes its recency
         cache.get((1, 0, "disReach", ()))
-        cache.put((3, 0, "disReach", ()), CacheEntry({}, 0.0))
+        cache.put((3, 0, "disReach", ()), CacheEntry({}, 0.0, 0))
         assert (1, 0, "disReach", ()) in cache
         assert (2, 0, "disReach", ()) not in cache
 
     def test_invalidate_fragment_drops_only_that_fragment(self):
         cache = SiteResultCache()
-        cache.put((0, 0, "disReach", ()), CacheEntry({}, 0.0))
-        cache.put((0, 0, "disDist", (6,)), CacheEntry({}, 0.0))
-        cache.put((1, 0, "disReach", ()), CacheEntry({}, 0.0))
+        cache.put((0, 0, "disReach", ()), CacheEntry({}, 0.0, 0))
+        cache.put((0, 0, "disDist", (6,)), CacheEntry({}, 0.0, 0))
+        cache.put((1, 0, "disReach", ()), CacheEntry({}, 0.0, 0))
         assert cache.invalidate_fragment(0) == 2
         assert len(cache) == 1 and (1, 0, "disReach", ()) in cache
 
     def test_clear_and_bad_size(self):
         cache = SiteResultCache()
-        cache.put((0, 0, "x", ()), CacheEntry({}, 0.0))
+        cache.put((0, 0, "x", ()), CacheEntry({}, 0.0, 0))
         cache.clear()
         assert len(cache) == 0
         with pytest.raises(ValueError):
@@ -277,7 +277,7 @@ class TestCacheFragmentIndex:
         cache = SiteResultCache()
         for fid in range(5):
             for version in range(3):
-                cache.put(self._key(fid, version), CacheEntry({}, 0.0))
+                cache.put(self._key(fid, version), CacheEntry({}, 0.0, 0))
         assert cache.invalidate_fragment(2) == 3
         assert cache.invalidate_fragment(2) == 0
         assert len(cache) == 12
@@ -287,7 +287,7 @@ class TestCacheFragmentIndex:
     def test_eviction_keeps_index_consistent(self):
         cache = SiteResultCache(max_entries=4)
         for fid in range(10):
-            cache.put(self._key(fid), CacheEntry({}, 0.0))
+            cache.put(self._key(fid), CacheEntry({}, 0.0, 0))
         assert len(cache) == 4
         assert cache.evictions == 6
         cache.check_index()
@@ -298,8 +298,8 @@ class TestCacheFragmentIndex:
 
     def test_overwrite_does_not_duplicate_index(self):
         cache = SiteResultCache()
-        cache.put(self._key(1), CacheEntry({}, 0.0))
-        cache.put(self._key(1), CacheEntry({}, 1.0))
+        cache.put(self._key(1), CacheEntry({}, 0.0, 0))
+        cache.put(self._key(1), CacheEntry({}, 1.0, 0))
         assert len(cache) == 1
         cache.check_index()
         assert cache.invalidate_fragment(1) == 1
@@ -309,7 +309,7 @@ class TestCacheFragmentIndex:
     def test_clear_resets_index(self):
         cache = SiteResultCache()
         for fid in range(4):
-            cache.put(self._key(fid), CacheEntry({}, 0.0))
+            cache.put(self._key(fid), CacheEntry({}, 0.0, 0))
         cache.clear()
         cache.check_index()
         assert cache.invalidate_fragment(0) == 0
@@ -319,7 +319,7 @@ class TestCacheFragmentIndex:
         puts = 0
         for fid in range(6):
             for version in range(3):
-                cache.put(self._key(fid, version), CacheEntry({}, 0.0))
+                cache.put(self._key(fid, version), CacheEntry({}, 0.0, 0))
                 puts += 1
         cache.invalidate_fragment(5)
         cache.clear()
@@ -329,7 +329,7 @@ class TestCacheFragmentIndex:
 
     def test_check_index_catches_desync(self):
         cache = SiteResultCache()
-        cache.put(self._key(1), CacheEntry({}, 0.0))
+        cache.put(self._key(1), CacheEntry({}, 0.0, 0))
         del cache._entries[self._key(1)]  # simulate a bookkeeping bug
         with pytest.raises(AssertionError, match="desync"):
             cache.check_index()

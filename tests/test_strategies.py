@@ -56,7 +56,7 @@ FAMILIES = {
 def family(request, monkeypatch):
     """One family with a clean selection state, restored afterwards."""
     registry, error, message, other = FAMILIES[request.param]
-    if other is None:  # kernels: whichever compiled kernel is importable
+    if other is None:  # kernels: numpy, when it is importable
         compiled = [name for name in registry.available() if name != registry.fallback]
         if not compiled:
             pytest.skip("no kernel besides the fallback is installed")
@@ -164,13 +164,11 @@ class TestAvailabilityProbe:
         monkeypatch.setattr(
             importlib.util,
             "find_spec",
-            lambda name, *a: None if name in ("numpy", "numba") else real(name, *a),
+            lambda name, *a: None if name == "numpy" else real(name, *a),
         )
         assert kernels.available_kernels() == ("python",)
         with pytest.raises(KernelError, match="numpy is not installed"):
             kernels.resolve_kernel("numpy")
-        with pytest.raises(KernelError, match=r"numba \(and numpy\) is not installed"):
-            kernels.resolve_kernel("numba")
         assert kernels.resolve_kernel("python") == "python"
 
     def test_families_without_a_probe_run_every_registered_name(self):
