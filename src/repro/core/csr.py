@@ -19,18 +19,16 @@ form vectorized (and jitted) kernels want:
 A :class:`FragmentCSR` is *derived, read-only state*: it is built lazily by
 :func:`fragment_csr`, cached on the fragment, and validated against the
 local graph's :attr:`~repro.graph.digraph.DiGraph.mutation_stamp` on every
-access.  Invalidation therefore needs no registration anywhere:
+access — a content check (one int compare), not an identity.  Its row of
+the carry table (``partition.fragment.CARRY``) is ``kept``:
 
-* **intra-fragment mutation** (``apply_edge_mutation`` on an edge whose
-  endpoints share a fragment, or direct ``local_graph`` edits) bumps the
-  graph's stamp, so the next access rebuilds — only that one fragment's
-  arrays;
-* **cross-fragment mutation** replaces the (at most two) affected
-  :class:`~repro.partition.fragment.Fragment` objects
-  (:meth:`~repro.partition.fragment.Fragment.replaced` carries the cache
-  slot across): the source side's graph changed, so its carried view fails
-  the stamp check and rebuilds; the target side's graph did not, so it —
-  like every *untouched* fragment — keeps its cached arrays;
+* **every write** installs successor fragment states that carry the cache
+  slot (:meth:`~repro.partition.fragment.Fragment.replaced`): the edge's
+  source side changed its graph, so its view fails the stamp check and
+  rebuilds; a version bump, the target side of a cross edge and every
+  untouched fragment keep their arrays;
+* **direct** ``local_graph`` **edits** bump the stamp, so the next access
+  rebuilds even before anyone bumps the version;
 * **repartition** builds entirely new fragments, so old arrays simply die
   with the old objects.
 
@@ -272,9 +270,11 @@ class CSRCondensation:
 def fragment_csr(fragment: "Fragment") -> FragmentCSR:
     """The (cached) :class:`FragmentCSR` of ``fragment``'s local graph.
 
-    Built at most once per (fragment object, graph mutation stamp): the
-    cache lives in the frozen dataclass's instance dict (installed with
-    ``object.__setattr__``) and is revalidated against the live graph's
+    Built at most once per graph mutation stamp: the cache lives in the
+    frozen dataclass's instance dict (installed with
+    ``object.__setattr__``, carried to successor states by
+    :meth:`~repro.partition.fragment.Fragment.replaced`) and is
+    revalidated against the live graph's
     ``mutation_stamp`` on every call, so a stale view is never returned —
     the regression contract of ``apply_edge_mutation``.
     """

@@ -215,23 +215,22 @@ class _IncrementalSession:
         executor backend like every other evaluation.
 
         ``refresh=True`` (the :meth:`resync` path — a change applied
-        *outside* this session) additionally bumps the fragments' versions
-        and drops their sites' index caches, which
+        *outside* this session) first installs a successor state of each
+        fragment (:meth:`~repro.distributed.cluster.SimulatedCluster.
+        bump_fragment_version`), which
         :meth:`~repro.distributed.cluster.SimulatedCluster.apply_edge_mutation`
         already did for the session's own mutations.
         """
         run = self.cluster.start_run(f"{self.algorithm}:update")
         by_site: Dict[int, list] = {}
         for fid in fids:
-            fragment = self.cluster.fragmentation[fid]
-            by_site.setdefault(self.cluster.site_of_fragment(fid).site_id, []).append(
-                fragment
-            )
             if refresh:
-                self.cluster.site_of_fragment(fid).invalidate_indexes()
                 # Serving-layer caches key partial results on the fragment
                 # version; bumping retires every cached rvset of the fragment.
                 self.cluster.bump_fragment_version(fid)
+            by_site.setdefault(self.cluster.site_of_fragment(fid).site_id, []).append(
+                self.cluster.fragmentation[fid]
+            )
         plan = self.plan
         payload = plan.broadcast_payload()
         size = payload_size(payload)

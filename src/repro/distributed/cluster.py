@@ -44,11 +44,10 @@ programs submitted through ``phase.map`` — every algorithm in the repo
 evaluates through the executor protocol; ``phase.at`` is kept for ad-hoc
 callers and tests.)
 
-The cluster also tracks a monotone *version* per fragment
-(:meth:`SimulatedCluster.fragment_version`): the serving layer
-(:mod:`repro.serving`) keys its cross-query partial-result cache on it, so
-in-place fragment mutation plus :meth:`~SimulatedCluster.bump_fragment_version`
-is all the invalidation protocol there is (DESIGN.md §6).
+Every fragment state carries a process-unique ``Fragment.version``, which
+the serving layer (:mod:`repro.serving`) keys its partial-result cache on;
+every write installs successor states through one function, so that is all
+the invalidation protocol there is (DESIGN.md §6/§8).
 """
 
 from __future__ import annotations
@@ -319,6 +318,22 @@ def _resolve_assignment(
     return call_partitioner(fn, graph, num_fragments, seed), label
 
 
+def _match_fragments(old: Fragmentation, new: Fragmentation) -> Dict[int, Fragment]:
+    """New fid -> the outgoing fragment with the same node set and equal
+    local graph content (so every content-pure derived artifact carries
+    over), preferring the same fid.  Computed once per repartition.
+    """
+    by_nodes = {frag.nodes: frag for frag in old}
+    matches: Dict[int, Fragment] = {}
+    for frag in new:
+        previous = old[frag.fid] if frag.fid < len(old) else None
+        if previous is None or previous.nodes != frag.nodes:
+            previous = by_nodes.get(frag.nodes)
+        if previous is not None and previous.local_graph == frag.local_graph:
+            matches[frag.fid] = previous
+    return matches
+
+
 class SimulatedCluster:
     """Sites holding the fragments of one graph, plus a coordinator."""
 
@@ -352,15 +367,6 @@ class SimulatedCluster:
         self.executor = resolve_executor(executor)
         self.executor.bind_cluster(self)
         self._install_fragmentation(fragmentation, fragment_assignment)
-        # Monotone per-fragment data versions: serving-layer caches key their
-        # entries on these, so bumping a version (after any in-place fragment
-        # mutation) invalidates every cached partial result for the fragment.
-        self._fragment_versions: Dict[int, int] = {f.fid: 0 for f in fragmentation}
-        # Last version of every fragment id this cluster *ever* hosted:
-        # repartition() retires versions here so a fragment id that
-        # disappears and later reappears continues its counter instead of
-        # restarting at 0 (which would resurrect stale cache entries).
-        self._retired_versions: Dict[int, int] = {}
         # Dynamic-graph protocol state (DESIGN.md §8): the partition epoch
         # counts fragmentation generations, the weak registries hold the
         # open incremental sessions / serving caches that must be notified
@@ -380,10 +386,10 @@ class SimulatedCluster:
         # every mutation, while maintained oracles must *survive* one —
         # apply_edge_mutation routes each delta into the store explicitly.
         self.oracle_store = OracleStore(self)
-        # Shortcut overlays (DESIGN.md §13), cached per mode.  Keyed on the
-        # partition epoch plus every fragment version, so any mutation or
-        # repartition makes the cached set unreachable and the next query
-        # rebuilds from the restored graph (mutate-then-rebuild soundness).
+        # Shortcut overlays (DESIGN.md §13), cached per mode.  Keyed on
+        # every fragment version, so any write or repartition makes the
+        # cached set unreachable and the next query rebuilds from the
+        # restored graph (mutate-then-rebuild soundness).
         self._shortcut_sets: Dict[tuple, "ShortcutSet"] = {}
 
     def _install_fragmentation(
@@ -463,21 +469,23 @@ class SimulatedCluster:
             raise DistributedError(f"no fragment {fid} in this cluster") from None
 
     def fragment_version(self, fid: int) -> int:
-        """The current data version of fragment ``fid`` (see serving caches)."""
-        try:
-            return self._fragment_versions[fid]
-        except KeyError:
-            raise DistributedError(f"no fragment {fid} in this cluster") from None
+        """The version of fragment ``fid``'s installed state (cache keys)."""
+        if not 0 <= fid < len(self.fragmentation):
+            raise DistributedError(f"no fragment {fid} in this cluster")
+        return self.fragmentation[fid].version
 
     def bump_fragment_version(self, fid: int) -> int:
         """Mark fragment ``fid`` as changed; returns the new version.
 
-        Anything that mutates a fragment's local graph in place (the
-        incremental sessions, direct test mutation) must call this so
-        serving-layer partial-result caches stop serving stale entries.
+        Anything that mutates a fragment's local graph in place outside
+        :meth:`apply_edge_mutation` (a session's ``resync``, direct test
+        mutation) must call this: it installs a successor state through
+        :meth:`_write`, so serving-layer partial results stop being served
+        and registered caches drop them.
         """
-        self._fragment_versions[fid] = self.fragment_version(fid) + 1
-        return self._fragment_versions[fid]
+        self.fragment_version(fid)  # validates the id
+        self._write({fid: {}})
+        return self.fragmentation[fid].version
 
     def shortcut_set(self, kind: str) -> "ShortcutSet":
         """The cached shortcut overlay for ``kind`` (``reach``/``hopset``).
@@ -485,23 +493,19 @@ class SimulatedCluster:
         Built once per (mode, fragmentation state) from the restored global
         graph with the pinned seed 0 — construction is deterministic, so
         every executor backend sees the same augmented adjacency.  The cache
-        key folds in the partition epoch and all fragment versions: any edge
-        mutation or repartition invalidates the overlay, and the next call
-        rebuilds it against the current graph (DESIGN.md §13).
+        key is every fragment version: any write or repartition installs new
+        versions, so the overlay is rebuilt against the current graph on the
+        next call (DESIGN.md §13).
         """
         from ..graph.shortcuts import build_shortcuts
 
-        key = (
-            kind,
-            self._partition_epoch,
-            tuple(sorted(self._fragment_versions.items())),
-        )
+        key = (kind, tuple(fragment.version for fragment in self.fragmentation))
         cached = self._shortcut_sets.get(key)
         if cached is None:
             graph = self.fragmentation.restore_graph()
             cached = build_shortcuts(graph, kind, seed=0)
-            # Older fragmentation states can never come back (versions and
-            # the epoch are monotone), so keep only the current overlay.
+            # Versions are globally monotone, so older states can never
+            # come back: keep only the current overlay.
             self._shortcut_sets = {key: cached}
         return self._shortcut_sets[key]
 
@@ -571,10 +575,10 @@ class SimulatedCluster:
     def ensure_current_fragment(self, fragment: Fragment) -> Fragment:
         """Assert ``fragment`` is the currently installed object for its fid.
 
-        Raises :class:`QueryError` for *retired* handles — fragments
-        replaced by a repartition or a cross-fragment mutation.  Writing
-        through such a handle would mutate a dead object (its site no
-        longer serves it).  The cluster's own mutation paths never hold
+        Raises :class:`QueryError` for *retired* handles — every write and
+        every repartition installs new fragment states, and writing through
+        an old one would bypass the state its site now serves.  The
+        cluster's own mutation paths never hold
         handles — :meth:`apply_edge_mutation` re-resolves fragments by fid
         at call time — so this is the guard for *callers* that keep a
         :class:`Fragment` reference across mutations: call it (or
@@ -587,8 +591,8 @@ class SimulatedCluster:
             or self.fragmentation[fid] is not fragment
         ):
             raise QueryError(
-                f"fragment {fid} handle is stale: the cluster repartitioned "
-                "or rebuilt it since the handle was taken; re-resolve via "
+                f"fragment {fid} handle is stale: the cluster wrote or "
+                "repartitioned it since the handle was taken; re-resolve via "
                 "cluster.fragmentation before mutating"
             )
         return fragment
@@ -608,10 +612,8 @@ class SimulatedCluster:
           target fragment are rebuilt (the "bookkeeping, not algorithmics"
           the incremental-session module used to rule out).
 
-        Every affected fragment gets its version bumped, its site's index
-        cache dropped, and its registered serving-cache entries eagerly
-        invalidated; the attached :attr:`mutation_monitor` (if any) is
-        notified last — it may react by triggering a repartition.
+        Then :meth:`_write` installs the successor states; the attached
+        :attr:`mutation_monitor`, notified last, may repartition.
 
         Returns:
             The affected fragment ids — ``(fid,)`` for intra-fragment
@@ -634,60 +636,67 @@ class SimulatedCluster:
                 frag_u.local_graph.add_edge(u, v)
             else:
                 frag_u.local_graph.remove_edge(u, v)
-            # Maintained oracles repair in place instead of dying with the
-            # version bump below (the maintenance contract: the graph is
-            # already mutated when the delta arrives).
-            self.oracle_store.on_edge_mutation(frag_u, u, v, add)
-            affected: Tuple[int, ...] = (fu,)
+            changes: Dict[int, Dict[str, Any]] = {fu: {}}
+        elif add:
+            changes = self._add_cross_edge(frag_u, self.fragmentation[fv], u, v)
         else:
-            frag_v = self.fragmentation[fv]
-            if add:
-                replacements = self._add_cross_edge(frag_u, frag_v, u, v)
-            else:
-                replacements = self._remove_cross_edge(frag_u, frag_v, u, v)
-            self.fragmentation.replace_fragments(replacements)
-            for fragment in replacements:
-                site = self.site_of_fragment(fragment.fid)
-                for slot, held in enumerate(site.fragments):
-                    if held.fid == fragment.fid:
-                        site.fragments[slot] = fragment
-            # The replacements carried their CSR/oracle cache slots over
-            # (Fragment.replaced); route the delta to the source side —
-            # only its local graph changed (the target side's anatomy
-            # bookkeeping does not touch local_graph).
-            self.oracle_store.on_edge_mutation(replacements[0], u, v, add)
-            affected = (fu, fv)
+            changes = self._remove_cross_edge(frag_u, self.fragmentation[fv], u, v)
+        return self._write(changes, edge=(u, v, add))
 
-        for fid in affected:
-            self.bump_fragment_version(fid)
-            self.site_of_fragment(fid).invalidate_indexes()
+    def _write(
+        self,
+        changes: Mapping[int, Mapping[str, Any]],
+        edge: Optional[Tuple[Node, Node, bool]] = None,
+    ) -> Tuple[int, ...]:
+        """Every write's one path (DESIGN.md §8): install successor states.
+
+        ``changes`` maps each written fid (the edge's source side first) to
+        its anatomy changes; ``edge`` is the ``(u, v, added)`` delta already
+        applied to the source side's graph, ``None`` for a version bump.
+        Successors come from ``Fragment.replaced`` (carry table ``CARRY``);
+        then maintained oracles get the delta, registered caches drop the
+        fids and the monitor hears of the edge.
+        """
+        successors = [
+            self.fragmentation[fid].replaced(**fields)
+            for fid, fields in changes.items()
+        ]
+        self.fragmentation.replace_fragments(successors)
+        for fragment in successors:
+            site = self.site_of_fragment(fragment.fid)
+            for slot, held in enumerate(site.fragments):
+                if held.fid == fragment.fid:
+                    site.fragments[slot] = fragment
+        affected = tuple(changes)
+        if edge is not None:
+            u, v, added = edge
+            self.oracle_store.on_edge_mutation(successors[0], u, v, added)
         self._invalidate_caches(affected)
         monitor = self.mutation_monitor
-        if monitor is not None:
+        if edge is not None and monitor is not None:
             monitor.record_mutation(u, v, affected)
         return affected
 
     def _add_cross_edge(
         self, frag_u: Fragment, frag_v: Fragment, u: Node, v: Node
-    ) -> Tuple[Fragment, Fragment]:
-        """Rebuilt (source, target) fragments after inserting cross ``(u, v)``."""
+    ) -> Dict[int, Dict[str, Any]]:
+        """Apply cross ``(u, v)``; the (source, target) anatomy changes."""
         local = frag_u.local_graph
         if not local.has_node(v):
             # The virtual placeholder carries the remote node's label
             # (Section 2.1: cross edges ship the labels of virtual nodes).
             local.add_node(v, frag_v.local_graph.label(v))
         local.add_edge(u, v)
-        new_u = frag_u.replaced(
-            virtual_nodes=frag_u.virtual_nodes | {v},
-            cross_edges=tuple(sorted(frag_u.cross_edges + ((u, v),), key=repr)),
-        )
-        new_v = frag_v.replaced(in_nodes=frag_v.in_nodes | {v})
-        return new_u, new_v
+        cross = tuple(sorted(frag_u.cross_edges + ((u, v),), key=repr))
+        return {
+            frag_u.fid: {"virtual_nodes": frag_u.virtual_nodes | {v}, "cross_edges": cross},
+            frag_v.fid: {"in_nodes": frag_v.in_nodes | {v}},
+        }
 
     def _remove_cross_edge(
         self, frag_u: Fragment, frag_v: Fragment, u: Node, v: Node
-    ) -> Tuple[Fragment, Fragment]:
-        """Rebuilt (source, target) fragments after deleting cross ``(u, v)``."""
+    ) -> Dict[int, Dict[str, Any]]:
+        """Delete cross ``(u, v)``; the (source, target) anatomy changes."""
         local = frag_u.local_graph
         local.remove_edge(u, v)
         new_cross = tuple(edge for edge in frag_u.cross_edges if edge != (u, v))
@@ -698,16 +707,17 @@ class SimulatedCluster:
             # local edges, and its remaining incoming ones would be cross).
             virtual = virtual - {v}
             local.remove_node(v)
-        new_u = frag_u.replaced(virtual_nodes=virtual, cross_edges=new_cross)
-        still_in = any(target == v for _src, target in new_u.cross_edges) or any(
+        still_in = any(target == v for _src, target in new_cross) or any(
             target == v
             for fragment in self.fragmentation
             if fragment.fid not in (frag_u.fid, frag_v.fid)
             for _src, target in fragment.cross_edges
         )
         in_nodes = frag_v.in_nodes if still_in else frag_v.in_nodes - {v}
-        new_v = frag_v.replaced(in_nodes=in_nodes)
-        return new_u, new_v
+        return {
+            frag_u.fid: {"virtual_nodes": virtual, "cross_edges": new_cross},
+            frag_v.fid: {"in_nodes": in_nodes},
+        }
 
     def _invalidate_caches(self, fids: Iterable[int]) -> None:
         """Eagerly drop registered caches' entries for the given fragments."""
@@ -734,14 +744,13 @@ class SimulatedCluster:
         any query are unchanged (the guarantees are partition-agnostic); what
         moves are the boundary statistics the theorems charge traffic to.
 
-        Cache soundness: every ``fragment_version`` is bumped past any
-        version its fragment id ever had on this cluster, so serving-layer
-        :class:`~repro.serving.cache.SiteResultCache` entries keyed
-        ``(fid, version, ...)`` for the *old* fragments can never be served
-        for the new ones — repartitioning needs no cache cooperation
-        (registered caches additionally get their dead entries reclaimed
-        eagerly).  Site-local index caches die with the old :class:`Site`
-        objects.
+        Cache soundness: every new fragment state has a never-issued version,
+        so serving-layer :class:`~repro.serving.cache.SiteResultCache`
+        entries keyed ``(fid, version, ...)`` for the *old* fragments can
+        never be served for the new ones (registered caches also get their
+        dead entries reclaimed eagerly).  Old and new fragments are matched
+        once (:func:`_match_fragments`) for oracle adoption and session
+        remap reuse alike.
 
         Dynamic-world protocol (DESIGN.md §8): the move is *not* free —
         every node whose hosting site changes is charged ``O(|Fi|)``-style
@@ -792,40 +801,27 @@ class SimulatedCluster:
             node: self._site_of_fragment[fid]
             for node, fid in self.fragmentation.placement.items()
         }
-        # Retire the outgoing versions, then issue each new fragment a
-        # version strictly greater than any its fid ever carried here.
-        self._retired_versions.update(self._fragment_versions)
-        old_fids = tuple(self._fragment_versions)
-        old_fragments = self.fragmentation.fragments
-        # Boundary-anatomy snapshot for the incremental-remap delta: a new
-        # fragment matching an outgoing one on fid, node set, in/out-node
-        # sets AND local graph content produces byte-identical partial
-        # answers, so open sessions may keep its pre-move partials instead
-        # of re-evaluating it during the remap.
-        old_by_fid = {frag.fid: frag for frag in old_fragments}
+        old_fids = tuple(frag.fid for frag in self.fragmentation)
+        matches = _match_fragments(self.fragmentation, fragmentation)
         self._install_fragmentation(fragmentation, fragment_assignment)
+        # The incremental-remap delta: a match that also kept its fid and
+        # in-node set (hence its whole boundary anatomy) produces
+        # byte-identical partial answers, so open sessions keep its
+        # pre-move partials instead of re-evaluating it during the remap.
         preserved = tuple(
             sorted(
-                frag.fid
-                for frag in fragmentation
-                if frag.fid in old_by_fid
-                and frag.nodes == old_by_fid[frag.fid].nodes
-                and frag.in_nodes == old_by_fid[frag.fid].in_nodes
-                and frag.virtual_nodes == old_by_fid[frag.fid].virtual_nodes
-                and frag.local_graph == old_by_fid[frag.fid].local_graph
+                fid
+                for fid, old in matches.items()
+                if old.fid == fid and old.in_nodes == fragmentation[fid].in_nodes
             )
         )
-        self._fragment_versions = {
-            f.fid: self._retired_versions.get(f.fid, -1) + 1 for f in fragmentation
-        }
         self._partition_epoch += 1
-        # Fragments whose node set and local graph content survived the
-        # repartition keep their maintained oracles (rebound to the new
-        # graph objects); only moved fragments pay an index rebuild.
-        self.oracle_store.after_repartition(old_fragments)
+        # Matched fragments keep their maintained oracles (rebound to the
+        # new graph objects); only moved fragments pay an index rebuild.
+        self.oracle_store.after_repartition(matches)
         moved_nodes, shipping = self._charge_shipping(graph, old_site_of_node)
         # Versions alone keep registered caches *sound*; eager invalidation
-        # reclaims the memory of every retired fragment generation.
+        # reclaims the memory of every retired fragment state.
         self._invalidate_caches(old_fids)
         (
             remapped,

@@ -109,8 +109,8 @@ class ExecutorBackend:
         """Notify the backend which cluster it executes for (optional hook).
 
         The in-process backends ignore this; the socket backend uses it to
-        key shipped fragments by ``(cluster, fid, fragment_version)`` so
-        mutations and repartitions invalidate remote broker state.
+        key shipped fragments by ``(cluster, fid, Fragment.version, stamp)``
+        so writes and repartitions invalidate remote broker state.
         """
 
     def close(self) -> None:
@@ -225,9 +225,8 @@ class ThreadExecutor(_PoolBackend):
 class ProcessExecutor(_PoolBackend):
     """True multi-core parallelism on a shared process pool.
 
-    Requires module-level task functions and picklable inputs/outputs; a
-    custom oracle factory passed to the local-eval entry points must itself
-    be picklable (a class or module-level function — not a lambda).
+    Requires module-level task functions and picklable inputs/outputs.
+    Strategies (kernel, oracle) cross the boundary as registry names.
     """
 
     name = "process"
@@ -240,7 +239,7 @@ class SocketExecutor(ExecutorBackend):
     The networked shape of the process backend: a coordinator (this side)
     round-robins each phase's tasks over a pool of broker processes
     speaking length-prefixed pickle frames, shipping each fragment across
-    the wire once and addressing it by ``(fid, fragment_version)``
+    the wire once and addressing it by ``(fid, Fragment.version, stamp)``
     afterwards.  Answers and modeled stats stay bit-identical to
     ``sequential``; broker death degrades to retry-then-inline evaluation
     (``degraded_tasks`` counts how often), never to a wrong answer.

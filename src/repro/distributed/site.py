@@ -8,20 +8,17 @@ of fragments; the algorithms evaluate all of a site's fragments during its
 single visit and ship one combined partial answer.
 
 Sites stay thin otherwise: the algorithms are pure functions over
-fragments, and the site adds identity plus an optional cache of local
-reachability indexes (the paper's Section 3 remark that "any indexing
-techniques ... can be applied here").
+fragments, and the site adds identity only.  Local reachability indexes
+(the paper's Section 3 remark that "any indexing techniques ... can be
+applied here") live on the fragments themselves (:mod:`repro.index.store`).
 
 Executor note (DESIGN.md §5): site-local tasks receive *fragments*, not
-sites, so the process backend never has to ship a :class:`Site`.  Should one
-cross a process boundary anyway, pickling drops the index cache — built
-indexes hold arbitrary (possibly unpicklable) objects and are a per-process
-warm-up concern, not state.
+sites, so the process backend never has to ship a :class:`Site`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..errors import DistributedError
 from ..partition.fragment import Fragment
@@ -35,8 +32,6 @@ class Site:
             raise DistributedError(f"site {site_id} must hold at least one fragment")
         self.site_id = site_id
         self.fragments: List[Fragment] = list(fragments)
-        # (index name, fragment id) -> built index; populated lazily.
-        self.index_cache: Dict[object, object] = {}
 
     @property
     def fragment(self) -> Fragment:
@@ -47,23 +42,6 @@ class Site:
                 "iterate site.fragments instead"
             )
         return self.fragments[0]
-
-    def get_index(self, name: str, builder, fragment: Fragment = None) -> object:
-        """Build-once cache for local indexes (reachability matrix, 2-hop...)."""
-        fragment = fragment if fragment is not None else self.fragment
-        key = (name, fragment.fid)
-        if key not in self.index_cache:
-            self.index_cache[key] = builder(fragment)
-        return self.index_cache[key]
-
-    def invalidate_indexes(self) -> None:
-        self.index_cache.clear()
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the index cache (rebuilt lazily per process)."""
-        state = self.__dict__.copy()
-        state["index_cache"] = {}
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Site(id={self.site_id}, fragments={[f.fid for f in self.fragments]})"

@@ -3,8 +3,10 @@
 Section 3's remark: "any indexing techniques (e.g., reachability matrix
 [31], 2-hop index [5]) ... developed for centralized graph query evaluation
 can be applied here, which will lead to lower computational cost."  The
-``localEval`` procedures accept an *oracle factory*; the concrete indexes
-live in sibling modules and the ablation bench compares them.
+``localEval`` procedures select an oracle by *registry name*
+(:mod:`repro.index.registry`), resolved per fragment by
+:func:`repro.index.store.fragment_oracle`; the concrete indexes live in
+sibling modules and the ablation bench compares them.
 """
 
 from __future__ import annotations

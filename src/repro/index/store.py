@@ -4,34 +4,36 @@ The lifecycle this module owns (DESIGN.md §12):
 
 * **Caching** — oracles live *on* their fragment (the CSR idiom: a
   ``_oracle_cache`` slot in the frozen dataclass's instance ``__dict__``)
-  keyed by registry name, each entry stamped with the local graph's
-  ``mutation_stamp`` at build time.  :func:`fragment_oracle` is the one
-  resolution point: any executor backend, in any process, lazily builds
-  what its fragment copy is missing (pickling drops the slot — see
-  ``Fragment.__getstate__``) and everything stays valid exactly as long
-  as the stamp matches.
+  keyed by registry name.  Each entry records the local graph's
+  ``mutation_stamp`` at build time — a content check, not an identity:
+  it is what catches a direct ``local_graph`` edit between two sweeps.
+  :func:`fragment_oracle` is the one resolution point: any executor
+  backend, in any process, lazily builds what its fragment copy is
+  missing (pickling drops the slot — see ``Fragment.__getstate__``).
 
 * **Maintenance** — the cluster owns one :class:`OracleStore` and calls
-  it from ``apply_edge_mutation``: live :class:`MaintainableOracle`
+  it from its one write path (oracles are the ``repaired`` row of
+  ``partition.fragment.CARRY``): live :class:`MaintainableOracle`
   entries get the delta routed into ``on_edge_added``/``on_edge_removed``
   (timed, counted) instead of being discarded; anything else is left to
   stamp-invalidate and rebuild on next use.  The store is deliberately
   *not* in ``cluster._caches`` — those registries exist to invalidate on
   every mutation, which is exactly what maintained indexes must survive.
 
-* **Migration/adoption** — cross-fragment mutations replace ``Fragment``
-  objects through :meth:`~repro.partition.fragment.Fragment.replaced`,
+* **Migration/adoption** — every write installs successor ``Fragment``
+  states through :meth:`~repro.partition.fragment.Fragment.replaced`,
   which carries the slot across; after a repartition the store adopts
-  entries for fragments whose local graph *content* is unchanged,
-  rebinding maintained oracles to the rebuilt graph object, so only
-  moved fragments pay a rebuild.
+  entries for the fragments the cluster matched to an outgoing one
+  (same node set, same local graph *content*), rebinding maintained
+  oracles to the rebuilt graph object, so only moved fragments pay a
+  rebuild.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from .base import MaintainableOracle, ReachabilityOracle
 from .registry import build_oracle
@@ -158,25 +160,21 @@ class OracleStore:
             entry.maintains += 1
             entry.stamp = graph.mutation_stamp
 
-    def after_repartition(self, old_fragments: Iterable["Fragment"]) -> int:
+    def after_repartition(self, matches: Mapping[int, "Fragment"]) -> int:
         """Adopt maintained oracles for fragments that did not move.
 
-        A repartition rebuilds every Fragment (new local graph objects),
-        but fragments whose local graph content is unchanged can keep
-        their maintained indexes: derived state is content-pure by the
-        :class:`MaintainableOracle` contract, so rebinding the graph
+        A repartition rebuilds every Fragment (new local graph objects);
+        ``matches`` maps each new fid to the outgoing fragment with the same
+        node set and local graph content (the cluster's one match pass).
+        Those keep their maintained indexes: derived state is content-pure
+        by the :class:`MaintainableOracle` contract, so rebinding the graph
         reference is enough.  Returns the number of adopted entries.
         """
-        by_nodes = {frag.nodes: frag for frag in old_fragments}
         adopted_total = 0
-        for fragment in self._cluster.fragmentation:
-            old = by_nodes.get(fragment.nodes)
-            if old is None:
-                continue
+        for fid, old in matches.items():
+            fragment = self._cluster.fragmentation[fid]
             cache = old.__dict__.get(_ORACLE_SLOT)
             if not cache:
-                continue
-            if fragment.local_graph != old.local_graph:
                 continue
             adopted: Dict[str, OracleEntry] = {}
             for name, entry in cache.items():
@@ -195,21 +193,13 @@ class OracleStore:
         return adopted_total
 
     # ------------------------------------------------------------------
-    def keys(self) -> List[Tuple[int, int, int, str]]:
-        """Live store keys: ``(fid, fragment_version, mutation_stamp, name)``."""
-        out: List[Tuple[int, int, int, str]] = []
-        for fragment in self._cluster.fragmentation:
-            cache = fragment.__dict__.get(_ORACLE_SLOT) or {}
-            for name in sorted(cache):
-                out.append(
-                    (
-                        fragment.fid,
-                        self._cluster.fragment_version(fragment.fid),
-                        fragment.local_graph.mutation_stamp,
-                        name,
-                    )
-                )
-        return out
+    def keys(self) -> List[Tuple[int, int, str]]:
+        """Live store keys: ``(fid, fragment version, name)``."""
+        return [
+            (fragment.fid, fragment.version, name)
+            for fragment in self._cluster.fragmentation
+            for name in sorted(fragment.__dict__.get(_ORACLE_SLOT) or {})
+        ]
 
     def maintenance_stats(self) -> Dict[str, OracleStoreStats]:
         """Aggregate per-name build/maintain/rebuild accounting."""

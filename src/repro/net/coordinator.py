@@ -11,11 +11,11 @@ ride along in the same ``run`` frame (TCP ordering makes ship-before-use
 implicit), and every later round addresses them by key.
 
 Fragment keys tie remote state to the cluster's own invalidation
-machinery.  A fragment reachable through a bound cluster is keyed
-``("v", cluster_token, fid, fragment_version, mutation_stamp)`` — bumping
-the fragment version (mutations) or installing a new fragmentation
-(repartitions) changes the key, so brokers lazily age out stale copies
-exactly like the serving cache does.  Free-standing fragments fall back to
+machinery.  A fragment installed in a bound cluster is keyed
+``("v", cluster_token, fid, fragment.version, mutation_stamp)`` — every
+write and every repartition installs a state with a new version, which
+changes the key, so brokers lazily age out stale copies exactly like the
+serving cache does.  Free-standing fragments fall back to
 ``("o", object_token, mutation_stamp)``.
 
 Failure model (DESIGN.md §10): *task* exceptions are authoritative — the
@@ -303,7 +303,7 @@ def _fragment_key(executor: Any, fragment: Any) -> Tuple[Any, ...]:
             and 0 <= fid < len(fragmentation)
             and fragmentation[fid] is fragment
         ):
-            return ("v", token, fid, cluster.fragment_version(fid), stamp)
+            return ("v", token, fid, fragment.version, stamp)
     token = getattr(fragment, "_net_token", None)
     if token is None:
         token = _next_token()

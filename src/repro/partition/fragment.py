@@ -20,16 +20,32 @@ invariants above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FragmentationError, NodeNotFound
 from ..graph.digraph import DiGraph, Edge, Node
 
 
+#: How each derived artifact crosses a write (DESIGN.md §8).  ``kept``:
+#: carried, revalidated by ``mutation_stamp`` on use.  ``repaired``:
+#: carried, the cluster routes the edge delta in, the rest rebuild on a
+#: stamp mismatch.  ``dropped``: the cluster invalidates every registered
+#: holder.
+CARRY = {"_csr_cache": "kept", "_oracle_cache": "repaired", "serving": "dropped"}
+
 #: Instance-dict slots holding derived, process-local caches
-#: (:mod:`repro.core.csr`, :mod:`repro.index.store`).
-_CACHE_SLOTS = ("_csr_cache", "_oracle_cache")
+#: (:mod:`repro.core.csr`, :mod:`repro.index.store`) — the carried rows.
+_CACHE_SLOTS = tuple(slot for slot, rule in CARRY.items() if rule != "dropped")
+
+#: The one process-wide version source: no two fragment states share a
+#: version, and a retired version never comes back.
+next_version = itertools.count().__next__
+
+
+def _anatomy(fragment: "Fragment") -> tuple:
+    return fragment.virtual_nodes, fragment.in_nodes, fragment.cross_edges
 
 
 @dataclass(frozen=True)
@@ -41,6 +57,10 @@ class Fragment:
     Virtual nodes keep the labels of the remote nodes they stand for (the
     paper: cross edges carry "IRIs or semantic labels of the virtual
     nodes"), which regular reachability needs for state matching.
+
+    A ``Fragment`` is one *state* of fragment ``fid``; ``version``, unique
+    in the process, is its identity and every cache key reads it.  A write
+    installs a successor built by :meth:`replaced`.
     """
 
     fid: int
@@ -49,6 +69,7 @@ class Fragment:
     virtual_nodes: FrozenSet[Node]  # Fi.O
     in_nodes: FrozenSet[Node]  # Fi.I
     cross_edges: Tuple[Edge, ...]  # cEi
+    version: int = field(default_factory=next_version, compare=False)
 
     @property
     def num_internal_edges(self) -> int:
@@ -80,16 +101,15 @@ class Fragment:
         return state
 
     def replaced(self, **changes) -> "Fragment":
-        """A copy with ``changes`` applied that keeps the site-local caches.
+        """The successor state: ``changes`` applied, a fresh version, the
+        derived caches carried per :data:`CARRY`.
 
         :func:`dataclasses.replace` alone drops the instance-dict cache
-        slots.  Both caches follow ``local_graph`` and are validated
-        against its ``mutation_stamp`` on every use, so carrying them
-        never serves a stale view: a replacement whose graph did not
-        change (the target side of a cross-fragment edge) keeps its CSR
-        arrays and oracles, one whose graph did rebuilds on next use.
+        slots.  The carried caches are validated against ``local_graph``'s
+        ``mutation_stamp`` on use, so a successor whose graph did not change
+        keeps its CSR arrays and oracles; one whose graph did rebuilds.
         """
-        new = replace(self, **changes)
+        new = replace(self, version=next_version(), **changes)
         for slot in _CACHE_SLOTS:
             if slot in self.__dict__:
                 object.__setattr__(new, slot, self.__dict__[slot])
@@ -101,7 +121,7 @@ class Fragment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Fragment(fid={self.fid}, |Vi|={len(self.nodes)}, "
+            f"Fragment(fid={self.fid}, v{self.version}, |Vi|={len(self.nodes)}, "
             f"|Fi.I|={len(self.in_nodes)}, |Fi.O|={len(self.virtual_nodes)}, "
             f"|cEi|={len(self.cross_edges)})"
         )
@@ -197,13 +217,11 @@ class Fragmentation:
         return sum(len(f.cross_edges) for f in self._fragments)
 
     def replace_fragments(self, replacements: Sequence[Fragment]) -> None:
-        """Swap updated :class:`Fragment` objects in by fragment id.
+        """Swap successor :class:`Fragment` states in by fragment id.
 
-        The in-place mutation hook for cross-fragment edge updates
-        (:meth:`repro.distributed.cluster.SimulatedCluster.apply_edge_mutation`):
-        ownership (``placement``) is untouched — only the boundary anatomy
-        (``Fi.O``/``Fi.I``/``cEi``) of the replaced fragments changes — and
-        the cached fragment graph is dropped so ``|Vf|`` is recomputed.
+        The install hook of every cluster write: ownership (``placement``)
+        is untouched, and the cached fragment graph is dropped only when a
+        replacement's boundary anatomy (``Fi.O``/``Fi.I``/``cEi``) changed.
         """
         fragments = list(self._fragments)
         for replacement in replacements:
@@ -212,9 +230,10 @@ class Fragmentation:
                     f"no fragment {replacement.fid} in a card-{len(fragments)} "
                     "fragmentation"
                 )
+            if _anatomy(replacement) != _anatomy(fragments[replacement.fid]):
+                self._fragment_graph = None
             fragments[replacement.fid] = replacement
         self._fragments = tuple(fragments)
-        self._fragment_graph = None
 
     def restore_graph(self) -> DiGraph:
         """Reassemble the original global graph ``G`` from the fragments.

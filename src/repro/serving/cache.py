@@ -7,11 +7,12 @@ the rvset a site would ship for that fragment.  Keys are
 
 where the boundary-relevant params come from
 :meth:`repro.serving.plans.QueryPlan.fragment_params`.  The fragment
-*version* (:meth:`repro.distributed.cluster.SimulatedCluster.fragment_version`)
-makes invalidation structural: mutating a fragment bumps its version, so
-every stale entry simply stops being reachable — :meth:`invalidate_fragment`
-additionally drops the dead entries eagerly so a long-lived serving process
-does not leak them.
+*version* (:attr:`repro.partition.fragment.Fragment.version`) makes
+invalidation structural: every write installs a fragment state with a new,
+process-unique version, so every stale entry simply stops being reachable
+— :meth:`invalidate_fragment` additionally drops the dead entries eagerly
+(the cluster's write path calls it) so a long-lived serving process does
+not leak them.
 
 Entries store the equations, the compute seconds the evaluation took *and*
 the modeled wire size of the partial answer, so a cache hit can replay the

@@ -167,7 +167,7 @@ def execute_plans(
             for fragment in site.fragments:
                 key: CacheKey = (
                     fragment.fid,
-                    cluster.fragment_version(fragment.fid),
+                    fragment.version,
                     plan.algorithm,
                     plan.fragment_params(fragment),
                 )

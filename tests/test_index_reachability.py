@@ -77,18 +77,3 @@ class TestGrailSpecifics:
             oracle = GrailOracle(cycle_graph, num_labelings=k, seed=k)
             assert oracle.reaches(0, 3)
             assert not oracle.reaches(3, 0)
-
-
-class TestUsageInLocalEval:
-    def test_site_cache_speeds_second_query(self, figure1):
-        _, _, cluster = figure1
-        site = cluster.site(0)
-        built = []
-
-        def factory(graph):
-            built.append(1)
-            return TransitiveClosureOracle(graph)
-
-        site.get_index("tc", lambda frag: factory(frag.local_graph))
-        site.get_index("tc", lambda frag: factory(frag.local_graph))
-        assert len(built) == 1

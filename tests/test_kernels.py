@@ -26,8 +26,14 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core.bounded import local_eval_bounded  # noqa: E402
-from repro.core.csr import CSRCondensation, cached_csr, fragment_csr  # noqa: E402
+from repro.core.csr import (  # noqa: E402
+    CSRCondensation,
+    FragmentCSR,
+    cached_csr,
+    fragment_csr,
+)
 from repro.core.engine import evaluate, plan_for  # noqa: E402
+from repro.core.incremental import IncrementalReachSession  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     KERNEL_ENV_VAR,
     KERNELS,
@@ -303,6 +309,64 @@ class TestCSRInvalidation:
             else:
                 assert cached_csr(fragment) is rewarmed[fragment.fid]
         self._assert_fresh_everywhere(cluster)
+
+    @staticmethod
+    def _absent_intra_pair(cluster):
+        for fragment in cluster.fragmentation:
+            nodes = sorted(fragment.nodes, key=repr)
+            for u in nodes:
+                for v in nodes:
+                    if u != v and not fragment.local_graph.has_edge(u, v):
+                        return u, v
+        raise AssertionError("fixture graph has no absent intra-fragment pair")
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["intra", "cross"])
+    def test_session_writes_lower_the_source_side_only(self, monkeypatch, cross):
+        # The carry rule for CSR arrays across a write: one lowering per
+        # edge write (its source side), none for a resync's version bump
+        # and none for the target side of a cross edge.
+        graph, cluster = self._cluster()
+        nodes = sorted(graph.nodes(), key=repr)
+        sessions = [
+            IncrementalReachSession(cluster, ReachQuery(s, t), kernel="numpy")
+            for s, t in ((nodes[0], nodes[-1]), (nodes[1], nodes[-2]))
+        ]
+        for session in sessions:
+            session.initialize()
+        pair = self._absent_cross_pair if cross else self._absent_intra_pair
+        u, v = pair(cluster)
+        source = cluster.fragmentation.placement[u]
+        lowered = []
+        init = FragmentCSR.__init__
+
+        def counting(csr, local_graph):
+            lowered.append(local_graph)
+            init(csr, local_graph)
+
+        monkeypatch.setattr(FragmentCSR, "__init__", counting)
+
+        def owners():
+            found = [
+                fragment.fid
+                for graph in lowered
+                for fragment in cluster.fragmentation
+                if fragment.local_graph is graph
+            ]
+            lowered.clear()
+            return found
+
+        first, second = sessions
+        for writer, other, write in (
+            (first, second, first.add_edge),
+            (second, first, second.remove_edge),
+        ):
+            write(u, v)
+            assert owners() == [source]
+            other.resync(u)
+            if cross:
+                other.resync(v)
+            assert owners() == []
+            assert writer.answer == other.answer == evaluate(cluster, other.query).answer
 
     def test_stale_arrays_never_reach_a_kernel_sweep(self):
         graph, cluster = self._cluster(seed=9)

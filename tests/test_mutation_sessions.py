@@ -207,6 +207,24 @@ class TestStaleStateGuards:
         current = cluster.fragmentation[placement[u]]
         assert cluster.ensure_current_fragment(current) is current
 
+    def test_stale_fragment_handle_after_intra_mutation(self):
+        graph, cluster = _case()
+        placement = cluster.fragmentation.placement
+        u, v = next(
+            (u, v)
+            for u in sorted(graph.nodes())
+            for v in sorted(graph.nodes())
+            if u != v and placement[u] == placement[v] and not graph.has_edge(u, v)
+        )
+        handle = cluster.fragmentation[placement[u]]
+        cluster.apply_edge_mutation(u, v, add=True)
+        # every write installs a successor state, intra-fragment ones too
+        with pytest.raises(QueryError, match="stale"):
+            cluster.ensure_current_fragment(handle)
+        current = cluster.fragmentation[placement[u]]
+        assert current.version > handle.version
+        assert cluster.ensure_current_fragment(current) is current
+
     def test_uninitialized_session_rejects_mutation(self):
         graph, cluster = _case()
         session = IncrementalReachSession(cluster, (0, N - 1))

@@ -229,9 +229,12 @@ class TestInvalidation:
 
     def test_fragment_version_roundtrip(self):
         cluster = self._chain_cluster()
-        assert cluster.fragment_version(0) == 0
-        assert cluster.bump_fragment_version(0) == 1
-        assert cluster.fragment_version(0) == 1
+        seen = {cluster.fragment_version(0)}
+        bumped = cluster.bump_fragment_version(0)
+        assert bumped > max(seen)
+        assert cluster.fragment_version(0) == bumped
+        seen.add(bumped)
+        assert cluster.bump_fragment_version(0) > max(seen)
         with pytest.raises(DistributedError):
             cluster.fragment_version(99)
         with pytest.raises(DistributedError):
@@ -258,12 +261,32 @@ class TestInvalidation:
         assert engine.evaluate(query).answer is False
         session = IncrementalReachSession(cluster, query)
         session.initialize()
-        before = cluster.fragment_version(1)
+        seen = {cluster.fragment_version(1)}
         session.add_edge(3, 5)
-        assert cluster.fragment_version(1) == before + 1
+        assert cluster.fragment_version(1) > max(seen)
         assert session.answer is True
         # the serving cache sees the new version and recomputes
         assert engine.evaluate(query).answer is True
+
+    def test_resync_drops_registered_entries(self):
+        cluster = self._chain_cluster()
+        engine = BatchQueryEngine(cluster)
+        assert engine.evaluate(ReachQuery(0, 5)).answer is False
+        session = IncrementalReachSession(cluster, ReachQuery(0, 5))
+        session.initialize()
+        before = cluster.fragment_version(1)
+        assert any(
+            key[0] == 1 and key[1] == before for key in engine.cache._entries
+        )
+        # A change made outside the session, then resynced.
+        cluster.fragmentation[1].local_graph.add_edge(3, 5)
+        assert session.resync(3).answer is True
+        assert cluster.fragment_version(1) > before
+        assert not any(
+            key[0] == 1 and key[1] < cluster.fragment_version(1)
+            for key in engine.cache._entries
+        )
+        engine.cache.check_index()
 
 
 class TestCacheFragmentIndex:
