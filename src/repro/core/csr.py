@@ -50,6 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Name of the per-Fragment cache slot (instance dict; dataclass is frozen).
 _CACHE_SLOT = "_csr_cache"
 
+#: ``(rows, starts, targets)``: a source-grouped subset of the CSR's edges.
+SubCSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(column, edges)`` of one label code (:meth:`FragmentCSR.label_filter`).
+LabelFilter = Tuple[np.ndarray, Optional[SubCSR]]
+
 
 class FragmentCSR:
     """Int-array view of one fragment's local graph.
@@ -77,7 +82,7 @@ class FragmentCSR:
         "stamp",
         "_cond",
         "_rows",
-        "_match",
+        "_labels",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -112,7 +117,7 @@ class FragmentCSR:
         self.stamp: int = graph.mutation_stamp
         self._cond: Optional["CSRCondensation"] = None
         self._rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._match: Dict[Any, np.ndarray] = {}
+        self._labels: Dict[Optional[int], LabelFilter] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -137,33 +142,46 @@ class FragmentCSR:
             self._cond = CSRCondensation(self)
         return self._cond
 
-    def position_match(self, analysis: Any) -> np.ndarray:
-        """``bool[V, P]``: may node row ``v`` occupy Glushkov position ``p``?
+    def label_filter(self, code: Optional[int]) -> LabelFilter:
+        """``(column, edges)`` of label code ``code`` (``None`` = wildcard).
 
-        The hoisted automaton-match prologue of the regular algorithm:
-        column ``p`` is all-true for a wildcard position, else one
-        vectorized comparison of the interned label codes.  Cached per
-        :class:`~repro.automata.glushkov.GlushkovAnalysis` (frozen, hence
-        hashable) with this CSR's lifetime — the serving engine evaluates
-        the same automaton against a fragment many times (batch dedup,
-        incremental refresh), and the matrix is query-independent given
-        the analysis, so every caller after the first gets it for free.
-        The returned array is shared: treat it as read-only.
+        ``column`` is ``bool[V]``: does row ``v`` carry the label (all-true
+        for the wildcard)?  ``edges`` is :meth:`edges_into` of that column —
+        the only graph edges a product transition into a state with this
+        label can follow.  Both depend on the label alone, not on the
+        automaton or the position that asks, so the cache holds at most
+        ``len(labels) + 1`` entries however many distinct regular queries
+        run; it shares this CSR's lifetime like :meth:`condensation`.  The
+        returned arrays are shared: treat them as read-only.
         """
-        cached = self._match.get(analysis)
+        cached = self._labels.get(code)
         if cached is None:
-            cached = np.zeros(
-                (self.num_nodes, analysis.num_positions), dtype=bool
-            )
-            for position, expected in enumerate(analysis.position_labels):
-                if expected is None:
-                    cached[:, position] = True
-                else:
-                    code = self.label_index.get(expected)
-                    if code is not None:
-                        cached[:, position] = self.label_codes == code
-            self._match[analysis] = cached
+            if code is None:
+                column = np.ones(self.num_nodes, dtype=bool)
+            else:
+                column = self.label_codes == code
+            cached = (column, self.edges_into(column))
+            self._labels[code] = cached
         return cached
+
+    def edges_into(self, column: np.ndarray) -> Optional[SubCSR]:
+        """``(rows, starts, targets)``: the sub-CSR of edges into ``column``.
+
+        ``targets`` lists, in CSR order, every edge target ``w`` with
+        ``column[w]``; ``rows`` are the source rows keeping at least one
+        such edge and ``starts`` their segment offsets into ``targets`` —
+        exactly the ``reduceat`` boundaries of a gather over ``targets``.
+        ``None`` when no edge qualifies.
+        """
+        keep = column.take(self.indices)
+        targets = self.indices[keep]
+        if not targets.size:
+            return None
+        kept_before = np.zeros(self.num_edges + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        offsets = kept_before[self.indptr]
+        rows = np.flatnonzero(np.diff(offsets))
+        return rows, offsets[rows], targets
 
     def nonempty_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, starts)``: rows with >= 1 successor and their offsets.
@@ -202,9 +220,13 @@ class CSRCondensation:
         cindptr: ``int64[C + 1]`` component-DAG CSR offsets.
         cindices: ``int64[·]`` deduplicated successor component ids
             (every successor of a level-``l`` component has level < ``l``).
+        schedule: the sweep's gather plan, one ``(c0, c1, segment,
+            starts)`` per level ``>= 1`` in ascending order — components
+            ``c0:c1`` absorb ``bitwise_or.reduceat(bits[segment], starts)``.
+            Query-independent, so built once here rather than per sweep.
     """
 
-    __slots__ = ("comp", "num_comps", "level_ptr", "cindptr", "cindices")
+    __slots__ = ("comp", "num_comps", "level_ptr", "cindptr", "cindices", "schedule")
 
     def __init__(self, csr: FragmentCSR) -> None:
         """Condense ``csr`` (Tarjan over interned ids + level numbering)."""
@@ -260,11 +282,24 @@ class CSRCondensation:
         level_ptr = np.zeros(num_levels + 1, dtype=np.int64)
         np.cumsum(level_counts, out=level_ptr[1:])
 
+        cindices = np.asarray(cols, dtype=np.int64)
+        bounds = level_ptr.tolist()
         self.comp = rank_arr[raw]
         self.num_comps = num_comps
         self.level_ptr = level_ptr
         self.cindptr = cindptr
-        self.cindices = np.asarray(cols, dtype=np.int64)
+        self.cindices = cindices
+        # Every component at level >= 1 has a successor, so each segment is
+        # non-empty and the starts strictly ascend, as reduceat requires.
+        self.schedule: Tuple[Tuple[int, int, np.ndarray, np.ndarray], ...] = tuple(
+            (
+                c0,
+                c1,
+                cindices[cindptr[c0] : cindptr[c1]],
+                cindptr[c0:c1] - cindptr[c0],
+            )
+            for c0, c1 in zip(bounds[1:-1], bounds[2:])
+        )
 
 
 def fragment_csr(fragment: "Fragment") -> FragmentCSR:

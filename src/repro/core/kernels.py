@@ -12,13 +12,15 @@ This module reimplements those sweeps as array kernels over the
     stdlib, always available.
 
 ``numpy``
-    Bitset/frontier sweeps over CSR arrays: seed-reachability packs seed
-    memberships into ``uint64`` words and runs a Jacobi OR-propagation to
-    fixpoint (one fancy-index gather + ``bitwise_or.reduceat`` per round);
-    bounded distance runs the same propagation level-by-level, reading off
-    each root's newly acquired seeds per level; regular reachability runs
-    the OR-propagation per automaton transition over a ``[V, states,
-    words]`` cube with a vectorized label-match mask.
+    Bitset sweeps over CSR arrays, seed memberships packed into ``uint64``
+    words: seed-reachability ORs the bits up the fragment's cached
+    level-ordered SCC condensation in a single pass (one ``take`` row
+    gather + ``bitwise_or.reduceat`` per condensation level); bounded
+    distance runs a Jacobi OR-propagation level by level and reads BFS
+    distances off one snapshot of the root rows per level; regular
+    reachability runs the propagation per automaton transition over a
+    ``[states, V, words]`` cube, each transition restricted to the cached
+    sub-CSR of edges into nodes carrying its target state's label.
 
 Selection follows the one strategy-registry precedence (explicit >
 ``set_default_kernel`` > ``REPRO_KERNEL`` > ``python``;
@@ -81,17 +83,36 @@ resolve_kernel = KERNEL_REGISTRY.resolve
 
 # ---------------------------------------------------------------------------
 # shared array helpers (numpy is an optional import — only reached when the
-# numpy kernel was requested and resolve_kernel() verified availability)
+# numpy kernel was requested and resolve_kernel() verified availability).
+# At fragment scale (~10^3 rows, 1-2 words) the per-call overhead of numpy,
+# not the bytes, is the cost: row gathers use the ``take(rows, axis=0)``
+# method (an advanced-index gather of a 2-D array costs several times more,
+# and the ``np.take`` wrapper adds about as much again as the gather itself)
+# and row scatters are one store through flat 1-D indices.
 # ---------------------------------------------------------------------------
-def _row_to_int(np, row) -> int:
-    """One bitset row decoded to the python int the decode loops expect."""
-    return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
+def _seed_bits(np, num_seeds: int):
+    """``(word, bit)``: seed ``j``'s word index and its ``uint64`` bit."""
+    j = np.arange(num_seeds, dtype=np.int64)
+    return j >> 6, np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
 
 
-def _unpack_rows(np, rows, width: int):
-    """Bitset rows -> bool matrix of the first ``width`` bit columns."""
-    as_bytes = np.ascontiguousarray(rows.astype("<u8", copy=False)).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :width].astype(bool)
+def _flat_rows(np, rows, words: int):
+    """Flat indices of every word of ``rows`` in a C-ordered ``[·, words]`` array."""
+    if words == 1:
+        return rows
+    return (rows[:, None] * words + np.arange(words)).ravel()
+
+
+def _node_rows(np, index: Dict[Any, int], nodes: Sequence[Any]):
+    """Interned ids of ``nodes``, in order, as an ``int64`` array."""
+    return np.fromiter((index[node] for node in nodes), dtype=np.int64, count=len(nodes))
+
+
+def _rows_to_ints(bitset_rows) -> List[int]:
+    """Bitset rows decoded to the python ints the decode loops expect."""
+    raw = bitset_rows.astype("<u8", copy=False).tobytes()
+    width = bitset_rows.shape[1] * 8
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +132,32 @@ def reach_seed_masks(
     its bit via the empty path).
 
     The numpy path sweeps the fragment's *cached* level-ordered SCC
-    condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): seed
-    bits are ORed into their components, then each condensation level
-    absorbs its successor levels in one ``reduceat`` — a single pass
-    touching every condensation edge once, with the Tarjan work amortized
-    across all queries on the fragment version.
+    condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): every
+    seed bit is ORed into its component in one ``bitwise_or.at`` (two
+    seeds in one SCC share a component row, so their bits must
+    accumulate, not overwrite), then each level of the condensation's
+    cached ``schedule`` absorbs its successor levels in one ``reduceat`` —
+    a single pass touching every condensation edge once, with the Tarjan
+    work amortized across all queries on the fragment version.
     """
     import numpy as np
 
     from .csr import fragment_csr
 
     csr = fragment_csr(fragment)
-    index = csr.index
-    words = max(1, (len(seeds) + 63) >> 6)
     cond = csr.condensation()
-    comp, level_ptr = cond.comp, cond.level_ptr
-    cindptr, cindices = cond.cindptr, cond.cindices
-    cbits = np.zeros((cond.num_comps, words), dtype=np.uint64)
-    for j, seed in enumerate(seeds):
-        cbits[comp[index[seed]], j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-    # Ascending levels: every component at level >= 1 has at least one
-    # successor, and all successors live at strictly lower (final) levels.
-    for level in range(1, len(level_ptr) - 1):
-        c0, c1 = int(level_ptr[level]), int(level_ptr[level + 1])
-        segment = cindices[cindptr[c0] : cindptr[c1]]
-        starts = cindptr[c0:c1] - cindptr[c0]
-        agg = np.bitwise_or.reduceat(cbits[segment], starts, axis=0)
-        cbits[c0:c1] |= agg
-    return {root: _row_to_int(np, cbits[comp[index[root]]]) for root in roots}
+    words = max(1, (len(seeds) + 63) >> 6)
+    word, bit = _seed_bits(np, len(seeds))
+    seed_comps = cond.comp.take(_node_rows(np, csr.index, seeds))
+    cbits = np.zeros(cond.num_comps * words, dtype=np.uint64)
+    np.bitwise_or.at(cbits, seed_comps * words + word, bit)
+    cbits = cbits.reshape(cond.num_comps, words)
+    for c0, c1, segment, starts in cond.schedule:
+        cbits[c0:c1] |= np.bitwise_or.reduceat(
+            cbits.take(segment, axis=0), starts, axis=0
+        )
+    root_comps = cond.comp.take(_node_rows(np, csr.index, roots))
+    return dict(zip(roots, _rows_to_ints(cbits.take(root_comps, axis=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +172,16 @@ def bounded_seed_terms(
 ) -> Dict[Any, Tuple[Tuple[Any, float], ...]]:
     """Per-root equation terms ``((term_vars[j], dist), ...)``, dist <= bound.
 
-    Level-synchronous propagation of a per-seed reachability matrix: a
-    seed's column first turns true on a row at level ``d`` exactly when the
-    row's shortest path to the seed has ``d`` hops, so per-level new-column
-    extraction at the root rows reads off BFS distances without a
-    Dijkstra-style priority queue.  The reachability state is an unpacked
-    ``bool[V, S]`` matrix (bounded never needs packed python-int masks, and
-    the unpacked form keeps each level to a handful of array ops — at
-    fragment scale the op *count*, not the byte count, is the cost).
+    Level-synchronous propagation of a per-seed reachability bitset: seed
+    ``j``'s bit first turns on in a row at level ``d`` exactly when the
+    row's shortest path to the seed has ``d`` hops.  The state is a packed
+    ``uint64[V, words]`` bitset (seed ``j`` = bit ``j``), which keeps every
+    level to a handful of narrow array ops — at fragment scale the op
+    *count*, not the byte count, is the cost.  Each level keeps one
+    ``take`` snapshot of the root rows; bits only grow, so a root's
+    distance to seed ``j`` is the number of snapshots in which bit ``j`` is
+    still clear, read off all snapshots in one unpack after the sweep — no
+    Dijkstra-style priority queue and no per-level bookkeeping.
 
     ``term_vars`` are the caller's equation variables, one per seed in seed
     order; terms are emitted per root in that order with float distances —
@@ -172,43 +193,40 @@ def bounded_seed_terms(
     from .csr import fragment_csr
 
     csr = fragment_csr(fragment)
-    index = csr.index
     num_seeds = len(seeds)
-    root_rows = np.asarray([index[r] for r in roots], dtype=np.int64)
-    dists = np.full((len(roots), num_seeds), -1, dtype=np.int64)
-    # Packed uint64 bitset (seed j = bit j): ~S/64 words per row keeps
-    # every per-level array op narrow — at fragment scale the op cost,
-    # not the algorithmic work, dominates.
     words = max(1, (num_seeds + 63) >> 6)
+    word, bit = _seed_bits(np, num_seeds)
     bits = np.zeros((csr.num_nodes, words), dtype=np.uint64)
-    seed_rows = np.asarray([index[s] for s in seeds], dtype=np.int64)
-    seed_j = np.arange(num_seeds)
-    bits[seed_rows, seed_j >> 6] = np.uint64(1) << (seed_j & 63).astype(np.uint64)
-    known = _unpack_rows(np, bits[root_rows], num_seeds)
-    dists[known] = 0
+    # Seeds are distinct nodes, so their cells are distinct: one store.
+    bits.reshape(-1)[_node_rows(np, csr.index, seeds) * words + word] = bit
+    root_rows = _node_rows(np, csr.index, roots)
+    snapshots = [bits.take(root_rows, axis=0)]
     indices = csr.indices
     rows, starts = csr.nonempty_rows()
-    for level in range(1, bound + 1) if rows.size else ():
-        # Jacobi step (gather fully precedes update): row r's bitset at
+    flat = _flat_rows(np, rows, words)
+    for _ in range(bound) if rows.size else ():
+        # Jacobi step (gather fully precedes update): row r's bitset after
         # level L is exactly "reachable within L hops".
-        agg = np.bitwise_or.reduceat(bits[indices], starts, axis=0)
-        cur = bits[rows]
+        agg = np.bitwise_or.reduceat(bits.take(indices, axis=0), starts, axis=0)
+        cur = bits.take(rows, axis=0)
         new = cur | agg
         if np.array_equal(new, cur):
             break
-        bits[rows] = new
-        now = _unpack_rows(np, bits[root_rows], num_seeds)
-        fresh = now & ~known
-        if fresh.any():
-            dists[fresh] = level
-            known = now
+        bits.reshape(-1)[flat] = new.reshape(-1)
+        snapshots.append(bits.take(root_rows, axis=0))
+    held = np.unpackbits(
+        np.stack(snapshots).astype("<u8", copy=False).view(np.uint8),
+        axis=-1,
+        bitorder="little",
+    )[..., :num_seeds]
+    held_in = held.sum(axis=0, dtype=np.int64)
     # Decode all roots in one nonzero scan (per-root scans are pure
     # overhead at fragment scale); (ri, rj) come out row-major, so each
     # root's terms stay in seed order.
+    ri, rj = np.nonzero(held_in)
+    dists = (len(snapshots) - held_in[ri, rj]).astype(np.float64)
     lists: Dict[Any, List[Tuple[Any, float]]] = {root: [] for root in roots}
-    ri, rj = np.nonzero(dists >= 0)
-    hit = dists[ri, rj].astype(np.float64)
-    for i, j, d in zip(ri.tolist(), rj.tolist(), hit.tolist()):
+    for i, j, d in zip(ri.tolist(), rj.tolist(), dists.tolist()):
         lists[roots[i]].append((term_vars[j], d))
     return {root: tuple(terms) for root, terms in lists.items()}
 
@@ -216,27 +234,41 @@ def bounded_seed_terms(
 # ---------------------------------------------------------------------------
 # regular reachability (localEvalr)
 # ---------------------------------------------------------------------------
-def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton") -> Any:
-    """``bool[V, num_states]``: the node×state match matrix, column-aligned
-    with ``automaton.states()`` (``US``, positions, ``UT``).
+def _position_filters(csr: Any, automaton: "QueryAutomaton") -> List[Any]:
+    """Per Glushkov position, the CSR's cached ``(column, edges)`` filter of
+    its label (:meth:`~repro.core.csr.FragmentCSR.label_filter`).
 
-    The position columns come from the CSR view's cached
-    :meth:`~repro.core.csr.FragmentCSR.position_match` (query-independent
-    per Glushkov analysis, so repeated evaluations of the same automaton
-    shape reuse them); only the two one-hot endpoint columns (``US`` =
-    the source row, ``UT`` = the target row) are assembled per call.
-    Treat the result as read-only — the position block is shared.
+    ``None`` where no node of the fragment carries the position's label,
+    so nothing here can occupy that position.
+    """
+    label_index = csr.label_index
+    filters: List[Any] = []
+    for expected in automaton.analysis.position_labels:
+        if expected is None:
+            filters.append(csr.label_filter(None))
+        else:
+            code = label_index.get(expected)
+            filters.append(None if code is None else csr.label_filter(code))
+    return filters
+
+
+def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton", rows: Any) -> Any:
+    """``bool[len(rows), num_states]``: may node row ``rows[i]`` occupy the
+    state at column ``c``?  Columns align with ``automaton.states()``
+    (``US``, positions, ``UT``).
+
+    Position columns are gathered from the CSR view's cached per-label
+    columns; the endpoint states match by node identity (``US`` = the
+    source row, ``UT`` = the target row).
     """
     import numpy as np
 
-    match = np.zeros((csr.num_nodes, automaton.num_states), dtype=bool)
-    match[:, 1:-1] = csr.position_match(automaton.analysis)
-    source_row = csr.index.get(automaton.source)
-    if source_row is not None:
-        match[source_row, 0] = True
-    target_row = csr.index.get(automaton.target)
-    if target_row is not None:
-        match[target_row, -1] = True
+    match = np.zeros((rows.size, automaton.num_states), dtype=bool)
+    match[:, 0] = rows == csr.index.get(automaton.source, -1)
+    match[:, -1] = rows == csr.index.get(automaton.target, -1)
+    for col, found in enumerate(_position_filters(csr, automaton), start=1):
+        if found is not None:
+            match[:, col] = found[0].take(rows)
     return match
 
 
@@ -260,22 +292,21 @@ def regular_boundary_pairs(
     from .csr import fragment_csr
 
     csr = fragment_csr(fragment)
-    match = automaton_match_matrix(csr, automaton)
     states = automaton.states()
 
-    def pairs(nodes: Any, columns: Any, column_states: Any) -> List[Tuple[Any, int]]:
+    def pairs(nodes: Any, first_col: int) -> List[Tuple[Any, int]]:
         rows = np.asarray(sorted(csr.index[node] for node in nodes), dtype=np.int64)
         if not rows.size:
             return []
-        hit_rows, hit_cols = np.nonzero(match[rows][:, columns])
+        match = automaton_match_matrix(csr, automaton, rows)
+        hit_rows, hit_cols = np.nonzero(match[:, first_col:])
+        column_states = states[first_col:]
         return [
             (csr.order[rows[i]], column_states[j])
             for i, j in zip(hit_rows.tolist(), hit_cols.tolist())
         ]
 
-    roots = pairs(iset, slice(None), states)
-    seeds = pairs(oset, slice(1, None), states[1:])
-    return roots, seeds
+    return pairs(iset, 0), pairs(oset, 1)
 
 
 def regular_seed_masks(
@@ -286,17 +317,20 @@ def regular_seed_masks(
 ) -> Dict[Tuple[Any, int], int]:
     """Per-root-pair seed bitmasks over the local product graph.
 
-    The product vertex set is ``V x Vq`` laid out as a ``[V, states,
-    words]`` bitset cube.  Bits flow against product edges — for every
-    automaton transition ``u -> u'`` and graph edge ``v -> w`` with
+    The product vertex set is ``V x Vq`` laid out as a ``[states, V,
+    words]`` bitset cube, so each state's plane is one contiguous
+    ``uint64[V, words]`` array.  Bits flow against product edges — for
+    every automaton transition ``u -> u'`` and graph edge ``v -> w`` with
     ``(w, u')`` label-consistent, row ``(v, u)`` absorbs ``(w, u')`` — so
     the fixpoint at a root pair is exactly the python path's closure sweep
-    over :func:`repro.graph.product.product_successors`.  Label matching is
-    one vectorized comparison of interned label codes per state column;
-    the ``us``/``ut`` endpoint states match by node identity.
+    over :func:`repro.graph.product.product_successors`.  A position state
+    ``u'`` restricts the edges to the CSR view's cached sub-CSR of edges
+    into nodes carrying its label; ``UT`` matches by node identity, so its
+    sub-CSR (edges into the target row) is built per call.
     """
     import numpy as np
 
+    from ..automata.query_automaton import UT
     from ..graph.scc import tarjan_scc
     from .csr import fragment_csr
 
@@ -306,48 +340,54 @@ def regular_seed_masks(
     col_of = {state: col for col, state in enumerate(states)}
     num_nodes = csr.num_nodes
 
-    # match[:, col]: may node v occupy the state at col?  Position columns
-    # come cached from the CSR view (the hoisted match prologue).
-    match = automaton_match_matrix(csr, automaton)
+    def cells(pairs: Sequence[Tuple[Any, int]]) -> Any:
+        """Row ids of ``(node, state)`` pairs in the cube's ``[states * V]`` rows."""
+        return np.fromiter(
+            (col_of[state] * num_nodes + index[node] for node, state in pairs),
+            dtype=np.int64,
+            count=len(pairs),
+        )
 
-    num_seeds = len(seeds)
-    words = max(1, (num_seeds + 63) >> 6)
-    bits = np.zeros((num_nodes, len(states), words), dtype=np.uint64)
-    for j, (node, state) in enumerate(seeds):
-        bits[index[node], col_of[state], j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+    words = max(1, (len(seeds) + 63) >> 6)
+    word, bit = _seed_bits(np, len(seeds))
+    bits = np.zeros((len(states), num_nodes, words), dtype=np.uint64)
+    # Seed pairs are distinct, so their cells are distinct: one store.
+    bits.reshape(-1)[cells(seeds) * words + word] = bit
 
-    # Per successor-state column, the sub-CSR of graph edges whose
-    # *target* matches that state — bits only ever flow through
-    # label-consistent product pairs, so restricting the edge set up
-    # front replaces a full [V, W] mask allocation per transition per
-    # round with a one-time filter.
-    indptr, indices = csr.indptr, csr.indices
-    edge_src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
-    sub_csr: Dict[int, Any] = {}
-    for u2_col in {col_of[u2] for _, u2 in automaton.transitions()}:
-        emask = match[indices, u2_col]
-        targets = indices[emask]
-        if not targets.size:
-            sub_csr[u2_col] = None
-            continue
-        counts = np.bincount(edge_src[emask], minlength=num_nodes)
-        rows = np.flatnonzero(counts)
-        lens = counts[rows]
-        # emask preserves CSR (source-grouped) edge order, so targets
-        # are already segmented per source row.
-        sub_csr[u2_col] = (rows, np.cumsum(lens) - lens, targets)
+    # Per successor-state column, the sub-CSR of graph edges whose target
+    # may occupy that state — bits only ever flow through label-consistent
+    # product pairs — plus the flat scatter index of its source rows.
+    positions = _position_filters(csr, automaton)
+    target_row = index.get(automaton.target)
+    edges: Dict[int, Any] = {}
+    for u2 in {u2 for _, u2 in automaton.transitions()}:
+        if u2 == UT:
+            if target_row is None:
+                continue
+            column = np.zeros(num_nodes, dtype=bool)
+            column[target_row] = True
+            sub = csr.edges_into(column)
+        else:
+            found = positions[u2]
+            sub = None if found is None else found[1]
+        if sub is not None:
+            rows, starts, targets = sub
+            edges[col_of[u2]] = (rows, starts, targets, _flat_rows(np, rows, words))
 
     def step(u_col: int, u2_col: int) -> bool:
-        entry = sub_csr[u2_col]
+        entry = edges.get(u2_col)
         if entry is None:
             return False
-        rows, starts, targets = entry
-        agg = np.bitwise_or.reduceat(bits[targets, u2_col, :], starts, axis=0)
-        cur = bits[rows, u_col, :]
+        rows, starts, targets, flat = entry
+        plane = bits[u_col]
+        agg = np.bitwise_or.reduceat(
+            bits[u2_col].take(targets, axis=0), starts, axis=0
+        )
+        cur = plane.take(rows, axis=0)
         new = cur | agg
         if np.array_equal(new, cur):
             return False
-        bits[rows, u_col, :] = new
+        plane.reshape(-1)[flat] = new.reshape(-1)
         return True
 
     # Schedule transitions along the automaton's own SCC condensation
@@ -371,7 +411,5 @@ def regular_seed_masks(
             for u_col, u2_col in internal:
                 if step(u_col, u2_col):
                     changed = True
-    return {
-        (node, state): _row_to_int(np, bits[index[node], col_of[state]])
-        for node, state in roots
-    }
+    masks = _rows_to_ints(bits.reshape(-1, words).take(cells(roots), axis=0))
+    return dict(zip(roots, masks))

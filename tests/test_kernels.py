@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.automata.query_automaton import QueryAutomaton  # noqa: E402
 from repro.core.bounded import local_eval_bounded  # noqa: E402
 from repro.core.csr import (  # noqa: E402
     CSRCondensation,
@@ -39,6 +40,7 @@ from repro.core.kernels import (  # noqa: E402
     KERNELS,
     available_kernels,
     default_kernel,
+    reach_seed_masks,
     resolve_kernel,
     set_default_kernel,
 )
@@ -50,6 +52,7 @@ from repro.distributed import SimulatedCluster  # noqa: E402
 from repro.distributed.executors import EXECUTORS  # noqa: E402
 from repro.errors import KernelError  # noqa: E402
 from repro.graph import DiGraph, erdos_renyi  # noqa: E402
+from repro.graph.reachsets import reachable_seed_masks_from  # noqa: E402
 from repro.partition import build_fragmentation, random_partition  # noqa: E402
 from repro.serving import BatchQueryEngine  # noqa: E402
 from repro.serving.engine import eval_fragment_jobs  # noqa: E402
@@ -204,6 +207,18 @@ class TestFragmentCSR:
                     assert row.size == 0
                 else:  # level = 1 + max successor level, so the max is hit
                     assert level_of[row].max() == level_of[c] - 1
+            # the cached gather schedule: one entry per level >= 1, whose
+            # reduceat segments are exactly its components' successor rows
+            bounds = cond.level_ptr.tolist()
+            assert [entry[:2] for entry in cond.schedule] == list(
+                zip(bounds[1:-1], bounds[2:])
+            )
+            for c0, c1, segment, starts in cond.schedule:
+                ends = [*starts[1:].tolist(), segment.size]
+                for c, start, end in zip(range(c0, c1), starts.tolist(), ends):
+                    row = cond.cindices[cond.cindptr[c] : cond.cindptr[c + 1]]
+                    assert start < end
+                    assert segment[start:end].tolist() == row.tolist()
             # node-level edges never point to a later component
             for i in range(csr.num_nodes):
                 row = csr.indices[csr.indptr[i] : csr.indptr[i + 1]]
@@ -221,6 +236,7 @@ class TestFragmentCSR:
         cond = csr.condensation()
         assert cond.num_comps == 3
         assert cond.level_ptr.tolist() == [0, 3]  # all sinks, single level
+        assert cond.schedule == ()  # nothing to absorb
 
 
 class TestCSRInvalidation:
@@ -435,6 +451,147 @@ class TestKernelIdentityProperties:
                 assert (
                     local_eval_regular(fragment, automaton, kernel=kernel) == reference
                 )
+
+
+#: The hub fixture's core: fragment 0, labeled L0..L2.
+HUB_CORE = [f"h{i:02d}" for i in range(12)]
+
+
+def _hub_case(fanout):
+    """A hub fragment whose bitsets span several ``uint64`` words.
+
+    Fragment 0 is a 12-node labeled core (a path whose tail ``h04..h11``
+    closes into a cycle) with an edge to each of ``fanout`` nodes of
+    fragment 1, so it sweeps ``fanout`` boundary seeds — over 64 or over
+    128 — at several distances; every outer node also points back into the
+    core, so every core node is an in-node.  Outer nodes carry L0..L3: L3
+    occurs only outside the hub fragment.
+    """
+    graph = DiGraph()
+    outer = [f"o{k:03d}" for k in range(fanout)]
+    for i, node in enumerate(HUB_CORE):
+        graph.add_node(node, label=f"L{i % 3}")
+    for k, node in enumerate(outer):
+        graph.add_node(node, label=f"L{k % 4}")
+    for a, b in zip(HUB_CORE, HUB_CORE[1:]):
+        graph.add_edge(a, b)
+    graph.add_edge(HUB_CORE[-1], HUB_CORE[4])
+    for k, node in enumerate(outer):
+        graph.add_edge(HUB_CORE[k % 12], node)
+        graph.add_edge(node, HUB_CORE[5 * k % 12])
+    assignment = {node: 0 for node in HUB_CORE}
+    assignment.update({node: 1 for node in outer})
+    return graph, build_fragmentation(graph, assignment, 2), outer
+
+
+#: Regular queries over the hub: labels shared across automata at different
+#: positions, wildcard positions, and a label absent from the hub fragment.
+HUB_REGEXES = (
+    "L0",
+    "L0 L1",
+    "L1 L0",
+    ". L0",
+    "L0 .",
+    ".*",
+    ". .",
+    "(L0 | L1 | L2)* L3",
+    ".* L3",
+    "L1* . L2",
+    "L2 (L0 | .)* L1",
+    "L3 L3*",
+)
+
+
+class TestMultiWordKernels:
+    """Deterministic identity where seeds need 2 and 3 bitset words, and
+    on warm per-fragment caches.
+
+    The property tests above draw at most 14 nodes, so their bitsets never
+    leave the first word and every example lowers a fresh graph; here one
+    fragmentation serves a whole sequence of queries, so every cached
+    schedule and label sub-CSR is reused by later queries of other shapes
+    and word counts.
+    """
+
+    @pytest.fixture(scope="class", params=[70, 150], ids=["2-words", "3-words"])
+    def hub(self, request):
+        return _hub_case(request.param)
+
+    @staticmethod
+    def _pairs(outer):
+        # (target outside the hub fragment), (target inside it, on the
+        # cycle), (source outside, target on the path before the cycle)
+        return [
+            (HUB_CORE[0], outer[-1]),
+            (HUB_CORE[1], HUB_CORE[9]),
+            (outer[3], HUB_CORE[2]),
+        ]
+
+    def test_hub_seeds_span_the_words(self, hub):
+        _, fragmentation, outer = hub
+        assert set(fragmentation[0].virtual_nodes) == set(outer)
+        assert set(fragmentation[0].in_nodes) == set(HUB_CORE)
+
+    def test_reach_equations_identical(self, hub):
+        _, fragmentation, outer = hub
+        for s, t in self._pairs(outer):
+            query = ReachQuery(s, t)
+            for fragment in fragmentation:
+                reference = local_eval_reach(fragment, query)
+                for kernel in COMPILED:
+                    assert local_eval_reach(fragment, query, kernel=kernel) == reference
+
+    def test_bounded_equations_identical(self, hub):
+        _, fragmentation, outer = hub
+        for s, t in self._pairs(outer):
+            for bound in range(7):
+                query = BoundedReachQuery(s, t, bound)
+                for fragment in fragmentation:
+                    reference = local_eval_bounded(fragment, query)
+                    for kernel in COMPILED:
+                        got = local_eval_bounded(fragment, query, kernel=kernel)
+                        assert got == reference, (s, t, bound)
+
+    def test_regular_equations_identical_on_warm_caches(self, hub):
+        _, fragmentation, outer = hub
+        for s, t in self._pairs(outer):
+            for regex in HUB_REGEXES:
+                automaton = QueryAutomaton.build(regex, s, t)
+                for fragment in fragmentation:
+                    reference = local_eval_regular(fragment, automaton)
+                    for kernel in COMPILED:
+                        got = local_eval_regular(fragment, automaton, kernel=kernel)
+                        assert got == reference, (s, t, regex)
+
+    def test_seeds_sharing_a_component_keep_both_bits(self, hub):
+        _, fragmentation, _ = hub
+        fragment = fragmentation[0]
+        # h05 and h09 lie on the cycle h04..h11: one condensation component
+        seeds = [HUB_CORE[5], HUB_CORE[9]]
+        roots = [HUB_CORE[0], HUB_CORE[5], HUB_CORE[11]]
+        masks = reach_seed_masks(fragment, roots, seeds)
+        assert masks == {root: 0b11 for root in roots}
+        reference = reachable_seed_masks_from(
+            roots, fragment.local_graph.successors, seeds
+        )
+        assert masks == {root: reference[root] for root in roots}
+
+    def test_label_cache_is_bounded_by_the_alphabet(self, hub):
+        graph, fragmentation, _ = hub
+        fragment = fragmentation[0]
+        regexes = {}
+        for query in random_regular_queries(graph, 80, num_states=6, seed=3):
+            regexes.setdefault(str(query.regex), query)
+        queries = list(regexes.values())[:40]
+        assert len(queries) == 40
+        for query in queries:
+            automaton = _automaton_of(query)
+            reference = local_eval_regular(fragment, automaton)
+            assert local_eval_regular(fragment, automaton, kernel="numpy") == reference
+        # one entry per label code plus the wildcard, however many
+        # distinct automata ran
+        csr = fragment_csr(fragment)
+        assert len(csr._labels) <= len(csr.labels) + 1
 
 
 def _result_signature(result):
