@@ -20,7 +20,7 @@ Guarantees (Theorem 2): identical to Theorem 1 — one visit per site,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..distributed.cluster import SimulatedCluster
 from ..distributed.messages import payload_size
@@ -30,14 +30,10 @@ from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .kernels import resolve_kernel
-from .minplus import TARGET, MinPlusSystem, Term
+from .minplus import TARGET, BoundedRows, MinPlusSystem
 from .options import EvalOptions
 from .queries import BoundedReachQuery
 from .results import QueryResult
-
-#: One fragment's partial answer: in-node -> min-plus terms of its equation.
-BoundedEquations = Dict[Node, Tuple[Term, ...]]
-
 
 @dataclass(frozen=True)
 class BoundedPartialAnswer:
@@ -46,35 +42,37 @@ class BoundedPartialAnswer:
     Wire format mirrors the Boolean case (shared column table of boundary
     ids) except each set entry also carries its local distance — 2 bytes of
     column index + 4 bytes of distance per term, bounded by O(|Vf|^2) total
-    as Theorem 2 requires."""
+    as Theorem 2 requires.  The matrix already is that format, so its size
+    is arithmetic over the buffers: only the row ids and the distinct
+    referenced column ids are sized one by one."""
 
-    equations: BoundedEquations
+    equations: BoundedRows
 
     def payload_size(self) -> int:
-        columns = {var for terms in self.equations.values() for var, _ in terms}
-        total = 2
-        for row_id in self.equations:
-            total += payload_size(row_id)
-        for col_id in columns:
-            total += payload_size(col_id)
-        for terms in self.equations.values():
-            total += 6 * len(terms)
-        return total
+        rows = self.equations
+        referenced = map(rows.columns.__getitem__, set(rows.cols))
+        return (
+            2
+            + sum(map(payload_size, rows.rows))
+            + sum(map(payload_size, referenced))
+            + 6 * len(rows.cols)
+        )
 
 
 def local_eval_bounded(
     fragment: Fragment,
     query: BoundedReachQuery,
     kernel: Optional[str] = None,
-) -> BoundedEquations:
+) -> BoundedRows:
     """Procedure ``localEvald`` on one fragment.
 
     Local distances are computed with one *reverse* BFS per boundary node
     (cut off at the bound), so the work is ``O(|Fi.O| · |Fi|)`` regardless
     of how many in-nodes ask; ``kernel`` swaps the sweeps for a vectorized
     level-synchronous one (:mod:`repro.core.kernels`).  Every path emits
-    each equation's terms in the same canonical sorted-boundary order, so
-    kernels are tuple-identical.
+    the same :class:`~.minplus.BoundedRows`: rows (``iset``) and columns
+    (``oset``, the target as ``TARGET``) sorted by ``repr``, each row's
+    terms in column order, so kernels are identical row for row.
     """
     kernel = resolve_kernel(kernel)
     iset = set(fragment.in_nodes)
@@ -83,49 +81,46 @@ def local_eval_bounded(
         iset.add(query.source)
     if query.target in fragment.nodes:
         oset.add(query.target)
+    roots = sorted(iset, key=repr)
     if not iset or not oset:
-        return {v: () for v in iset}
-
-    def as_term_var(boundary: Node) -> Hashable:
-        return TARGET if boundary == query.target else boundary
+        return BoundedRows.from_lists(roots, (), ([] for _ in roots))
 
     seeds = sorted(oset, key=repr)
+    term_vars = [TARGET if o == query.target else o for o in seeds]
     if kernel != "python":
-        from .kernels import bounded_seed_terms
+        from .kernels import bounded_seed_rows
 
-        roots = sorted(iset, key=repr)
-        term_vars = [as_term_var(o) for o in seeds]
-        return bounded_seed_terms(fragment, roots, seeds, query.bound, term_vars)
+        return bounded_seed_rows(fragment, roots, seeds, query.bound, term_vars)
 
     # One BFS per node on the smaller side of the (iset × oset) rectangle:
     # forward out-balls from in-nodes, or reverse in-balls from boundary
     # nodes — whichever needs fewer sweeps.  (On hub-dominated graphs the
     # ball shapes differ enormously, so this is a large constant factor.)
-    terms: Dict[Node, list] = {v: [] for v in iset}
+    # Either way each row collects ``(seed index, hops)`` in seed order.
+    terms: List[List[Tuple[int, int]]] = [[] for _ in roots]
     local = fragment.local_graph
     if len(iset) <= len(oset):
-        for v in iset:
+        for row, v in zip(terms, roots):
             dist_from_v = bfs_distances(local, v, cutoff=query.bound)
-            for o in seeds:
+            for j, o in enumerate(seeds):
                 d = dist_from_v.get(o)
                 if d is not None and d <= query.bound:
-                    terms[v].append((as_term_var(o), float(d)))
+                    row.append((j, d))
     else:
         reverse_successors = local.predecessors
-        for o in seeds:
+        for j, o in enumerate(seeds):
             dist_to_o = bfs_distances(
                 None, o, successors=reverse_successors, cutoff=query.bound
             )
-            term_var = as_term_var(o)
-            for v in iset:
+            for row, v in zip(terms, roots):
                 d = dist_to_o.get(v)
                 if d is not None and d <= query.bound:
-                    terms[v].append((term_var, float(d)))
-    return {v: tuple(ts) for v, ts in terms.items()}
+                    row.append((j, d))
+    return BoundedRows.from_lists(roots, term_vars, terms)
 
 
 def assemble_bounded(
-    partials: Dict[int, BoundedEquations],
+    partials: Dict[int, BoundedRows],
     query: BoundedReachQuery,
 ) -> Tuple[bool, Optional[float], MinPlusSystem]:
     """Procedure ``evalDGd``: Dijkstra over the weighted dependency graph."""
@@ -184,11 +179,14 @@ class BoundedReachPlan(QueryPlan):
             *self._keyed,
         )
 
-    def wrap_partial(self, site_equations: BoundedEquations) -> BoundedPartialAnswer:
+    def merge_partials(self, parts: Sequence[BoundedRows]) -> BoundedRows:
+        return BoundedRows.concat(parts)
+
+    def wrap_partial(self, site_equations: BoundedRows) -> BoundedPartialAnswer:
         return BoundedPartialAnswer(site_equations)
 
     def assemble(
-        self, partials: Dict[int, BoundedEquations], collect_details: bool
+        self, partials: Dict[int, BoundedRows], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
         answer, dist, system = assemble_bounded(partials, self.query)
         details: Dict[str, object] = {

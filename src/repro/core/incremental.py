@@ -256,14 +256,16 @@ class _IncrementalSession:
                 ],
             )
             for site_id, values in zip(site_ids, site_values):
-                site_equations: dict = {}
+                parts = []
                 for fragment, (equations, _seconds) in zip(
                     by_site[site_id], values
                 ):
                     self._partials[fragment.fid] = equations
-                    site_equations.update(equations)
+                    parts.append(equations)
                 run.send_to_coordinator(
-                    site_id, plan.wrap_partial(site_equations), MessageKind.PARTIAL
+                    site_id,
+                    plan.wrap_partial(plan.merge_partials(parts)),
+                    MessageKind.PARTIAL,
                 )
         with run.coordinator_work():
             self._answer, _details = plan.assemble(self._partials, False)

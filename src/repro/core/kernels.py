@@ -29,10 +29,11 @@ construction, so the resolved string — not ambient state — travels to
 process-pool workers inside ``local_eval_args``.
 
 **Identity contract**: every kernel produces bit-identical equations to
-the python reference — same disjunct sets, same term tuples in the same
-order — because all kernels share the python paths' deterministic
-sorted-by-``repr`` seed/root order and return plain python objects drawn
-from the fragment's own node set.  The kernels change *how* a fragment is
+the python reference — same disjunct sets, same
+:class:`~repro.core.minplus.BoundedRows` rows, columns and buffers —
+because all kernels share the python paths' deterministic
+sorted-by-``repr`` seed/root order and return stdlib objects drawn from
+the fragment's own node set.  The kernels change *how* a fragment is
 swept, never *what* the paper's cost model observes, which is why kernel
 choice is deliberately absent from serving-cache keys
 (:meth:`~repro.serving.plans.QueryPlan.fragment_params`).
@@ -49,6 +50,7 @@ from ..strategies import StrategyRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.query_automaton import QueryAutomaton
     from ..partition.fragment import Fragment
+    from .minplus import BoundedRows
 
 #: The selectable kernel names (``--kernel`` choices).
 KERNELS: Tuple[str, ...] = ("python", "numpy")
@@ -163,14 +165,14 @@ def reach_seed_masks(
 # ---------------------------------------------------------------------------
 # bounded distance (localEvald)
 # ---------------------------------------------------------------------------
-def bounded_seed_terms(
+def bounded_seed_rows(
     fragment: "Fragment",
     roots: Sequence[Any],
     seeds: Sequence[Any],
     bound: int,
     term_vars: Sequence[Any],
-) -> Dict[Any, Tuple[Tuple[Any, float], ...]]:
-    """Per-root equation terms ``((term_vars[j], dist), ...)``, dist <= bound.
+) -> "BoundedRows":
+    """Per-root hop distances to each seed within ``bound``, as a matrix.
 
     Level-synchronous propagation of a per-seed reachability bitset: seed
     ``j``'s bit first turns on in a row at level ``d`` exactly when the
@@ -184,13 +186,13 @@ def bounded_seed_terms(
     Dijkstra-style priority queue and no per-level bookkeeping.
 
     ``term_vars`` are the caller's equation variables, one per seed in seed
-    order; terms are emitted per root in that order with float distances —
-    exactly the python path's append order, fused here so the distance
-    matrix is decoded straight into equation tuples in one pass.
+    order; they become the matrix columns, and the ``(root, seed)`` hits
+    its entries, handed over as ``int64`` buffers with no per-term loop.
     """
     import numpy as np
 
     from .csr import fragment_csr
+    from .minplus import BoundedRows
 
     csr = fragment_csr(fragment)
     num_seeds = len(seeds)
@@ -220,15 +222,19 @@ def bounded_seed_terms(
         bitorder="little",
     )[..., :num_seeds]
     held_in = held.sum(axis=0, dtype=np.int64)
-    # Decode all roots in one nonzero scan (per-root scans are pure
-    # overhead at fragment scale); (ri, rj) come out row-major, so each
-    # root's terms stay in seed order.
+    # All roots in one nonzero scan; (ri, rj) come out row-major, so each
+    # root's entries are contiguous and in seed order: row starts are a
+    # searchsorted over ri.
     ri, rj = np.nonzero(held_in)
-    dists = (len(snapshots) - held_in[ri, rj]).astype(np.float64)
-    lists: Dict[Any, List[Tuple[Any, float]]] = {root: [] for root in roots}
-    for i, j, d in zip(ri.tolist(), rj.tolist(), dists.tolist()):
-        lists[roots[i]].append((term_vars[j], d))
-    return {root: tuple(terms) for root, terms in lists.items()}
+    dists = len(snapshots) - held_in[ri, rj]
+    row_starts = np.searchsorted(ri, np.arange(len(roots) + 1))
+    return BoundedRows(
+        roots,
+        term_vars,
+        row_starts.astype(np.int64, copy=False).tobytes(),
+        rj.astype(np.int64, copy=False).tobytes(),
+        dists.astype(np.int64, copy=False).tobytes(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,13 @@ class ReachPartialAnswer:
     equations: ReachEquations
 
     def payload_size(self) -> int:
-        columns = set()
-        for disjuncts in self.equations.values():
-            columns |= disjuncts
+        # Rows of one SCC share one frozenset: union each distinct set once.
+        rows = self.equations.values()
+        columns = set().union(*{id(d): d for d in rows}.values())
         return equation_set_size(
             row_ids=self.equations.keys(),
             col_ids=columns,
-            row_counts=[len(d) for d in self.equations.values()],
+            row_counts=map(len, rows),
             num_cols=len(columns),
         )
 

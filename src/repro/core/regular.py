@@ -62,13 +62,13 @@ class RegularPartialAnswer:
     equations: RegularEquations
 
     def payload_size(self) -> int:
-        columns = set()
-        for disjuncts in self.equations.values():
-            columns |= disjuncts
+        # Rows of one SCC share one frozenset: union each distinct set once.
+        rows = self.equations.values()
+        columns = set().union(*{id(d): d for d in rows}.values())
         return equation_set_size(
             row_ids=self.equations.keys(),
             col_ids=columns,
-            row_counts=[len(d) for d in self.equations.values()],
+            row_counts=map(len, rows),
             num_cols=len(columns),
         )
 
@@ -106,9 +106,9 @@ def local_eval_regular(
     # every state a boundary node may occupy.  (t, UT) is the ``true``
     # seed; (w, US) is unreachable by construction (no transition enters
     # the start state) and is omitted.  The array kernels enumerate both
-    # from the CSR view's cached match matrix — the hoisted prologue —
-    # in exactly the python loops' (sorted node, state order) order, and
-    # never build the per-pair ``match_fn`` closure at all.
+    # from a match matrix gathered out of the CSR view's cached per-label
+    # filters, in exactly the python loops' (sorted node, state order)
+    # order, and never build the per-pair ``match_fn`` closure at all.
     if kernel != "python":
         from .kernels import regular_boundary_pairs, regular_seed_masks
 

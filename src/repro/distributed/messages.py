@@ -120,11 +120,7 @@ def equation_set_size(
     any practical encoder would choose; both stay within the O(|Vf|^2)
     bound of Theorem 1 (and its |R|^2-scaled analog in Theorem 3).
     """
-    total = 2
-    for rid in row_ids:
-        total += payload_size(rid)
-    for cid in col_ids:
-        total += payload_size(cid)
+    total = 2 + sum(map(payload_size, row_ids)) + sum(map(payload_size, col_ids))
     dense_row = (num_cols + 7) // 8
     for count in row_counts:
         total += min(dense_row, 2 * count + 2)

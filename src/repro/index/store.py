@@ -32,6 +32,7 @@ The lifecycle this module owns (DESIGN.md §12):
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
@@ -129,7 +130,10 @@ class OracleStore:
     """The cluster-side router for the per-fragment oracle caches."""
 
     def __init__(self, cluster: "SimulatedCluster") -> None:
-        self._cluster = cluster
+        # A proxy, not a reference: the cluster owns this store, and a
+        # strong back-reference would make every dropped cluster (its
+        # graphs, CSRs and condensations) wait for a full cycle collection.
+        self._cluster = weakref.proxy(cluster)
 
     # ------------------------------------------------------------------
     def on_edge_mutation(

@@ -18,10 +18,14 @@ Per-query latency is measured enqueue→reply and served as p50/p99 through
 the ``stats`` op — the quantities the closed-loop ``bench serving`` load
 test reports and CI gates.
 
-All engine and session work runs on one dedicated worker thread: the
-engine, its cache and the cluster are single-threaded by design, and one
-serializing thread keeps the asyncio side free to accept, batch and reply
-while preserving the in-process execution semantics.
+All engine and session work runs on the event loop itself: the engine,
+its cache and the cluster are single-threaded by design, and the loop is
+the one thread that serializes them.  A batch holds the loop while it
+runs; frames that arrive meanwhile wait in the socket buffer and join the
+next batch — the batch they would join anyway, since the admission window
+of the running one is closed.  Under the GIL a separate engine thread
+bought no parallelism, only a worker wake-up and a thread-safe return per
+batch.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ import itertools
 import sys
 import threading
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.options import SERVED, EvalOptions, add_strategy_arguments, set_strategy_defaults
@@ -123,10 +125,6 @@ class ServingServer:
         self._batcher_task: Optional[asyncio.Task] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
-        # One worker thread serializes all engine/cluster/session access.
-        self._engine_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-engine"
-        )
         self._sessions: Dict[int, Any] = {}
         self._session_ids = itertools.count(1)
         self._served = 0
@@ -178,7 +176,6 @@ class ServingServer:
             await self._server.wait_closed()
             self._server = None
         self._sessions.clear()
-        self._engine_pool.shutdown(wait=False)
 
     def shutdown(self) -> None:
         """Thread-safe stop; joins the background thread when one exists."""
@@ -259,13 +256,6 @@ class ServingServer:
         finally:
             self._settle(conn)
 
-    async def _in_engine(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` on the serializing engine thread."""
-        assert self._loop is not None
-        return await self._loop.run_in_executor(
-            self._engine_pool, partial(fn, *args, **kwargs)
-        )
-
     async def _dispatch(self, request: Any, conn: _Connection) -> None:
         """Route one request frame."""
         op = request.get("op") if isinstance(request, dict) else None
@@ -280,16 +270,14 @@ class ServingServer:
                 self._wakeup.set()
                 return
             if op == "batch":
-                value = await self._in_engine(
-                    self.engine.run_batch,
+                value = self.engine.run_batch(
                     request["queries"],
                     request.get("algorithm"),
                     **EvalOptions.from_wire(request).given(),
                 )
                 self._served += len(request["queries"])
             elif op == "session_open":
-                session = await self._in_engine(
-                    self.engine.open_session,
+                session = self.engine.open_session(
                     request["query"],
                     kernel=request.get("kernel"),
                 )
@@ -298,7 +286,7 @@ class ServingServer:
                 conn.sessions.add(sid)
                 value = {"sid": sid, "answer": session.answer}
             elif op == "session":
-                value = await self._session_op(request, conn.sessions)
+                value = self._session_op(request, conn.sessions)
             elif op == "stats":
                 value = self.stats_snapshot()
             else:
@@ -312,9 +300,7 @@ class ServingServer:
             return
         await self._reply(conn, {"qid": qid, "value": value})
 
-    async def _session_op(
-        self, request: Dict[str, Any], owned_sessions: Set[int]
-    ) -> Any:
+    def _session_op(self, request: Dict[str, Any], owned_sessions: Set[int]) -> Any:
         """One action against an open incremental session."""
         sid = request["sid"]
         session = self._sessions.get(sid)
@@ -329,7 +315,7 @@ class ServingServer:
             return True
         if action in ("add_edge", "remove_edge"):
             u, v = request["args"]
-            return await self._in_engine(getattr(session, action), u, v)
+            return getattr(session, action)(u, v)
         raise QueryError(f"unknown session action {action!r}")
 
     # ------------------------------------------------------------------
@@ -390,9 +376,7 @@ class ServingServer:
         for (algorithm, options), items in groups.items():
             queries = [item.request["query"] for item in items]
             try:
-                result = await self._in_engine(
-                    self.engine.run_batch, queries, algorithm, **options.given()
-                )
+                result = self.engine.run_batch(queries, algorithm, **options.given())
             except ReproError:
                 # One bad query can poison a batch; replay one by one so
                 # the error lands on the query that caused it.
@@ -415,11 +399,8 @@ class ServingServer:
     ) -> None:
         """Fallback path: evaluate one admitted query alone."""
         try:
-            value = await self._in_engine(
-                self.engine.evaluate,
-                item.request["query"],
-                algorithm,
-                **options.given(),
+            value = self.engine.evaluate(
+                item.request["query"], algorithm, **options.given()
             )
         except ReproError as exc:
             await self._finish(item, {"qid": item.qid, "error": exc})

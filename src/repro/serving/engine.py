@@ -296,16 +296,18 @@ def execute_plans(
                 # Several fragments on one site ship one combined partial
                 # whose column table is shared, so its size is not the sum
                 # of the entries' sizes: size the merged equations.
-                site_equations: Dict = {}
+                parts = []
                 seconds = 0.0
                 for fragment in site.fragments:
                     entry = resolved[keys[fragment.fid]]
                     partials[fragment.fid] = entry.equations
-                    site_equations.update(entry.equations)
+                    parts.append(entry.equations)
                     seconds += entry.seconds
                 phase.credit(site.site_id, seconds)
                 run.send_to_coordinator(
-                    site.site_id, plan.wrap_partial(site_equations), MessageKind.PARTIAL
+                    site.site_id,
+                    plan.wrap_partial(plan.merge_partials(parts)),
+                    MessageKind.PARTIAL,
                 )
         with run.coordinator_work():
             answer, details = plan.assemble(partials, collect_details)

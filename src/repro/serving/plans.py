@@ -10,7 +10,8 @@ replay it:
 * the *boundary-relevant parameters* of that evaluation
   (:meth:`fragment_params`) — the part of the cache key that decides when
   two different queries may share one fragment's partial result;
-* how a site wraps its partial answer for the wire (:meth:`wrap_partial`);
+* how a site holding several fragments merges their partial answers
+  (:meth:`merge_partials`) and wraps one for the wire (:meth:`wrap_partial`);
 * the coordinator-side assembly (:meth:`assemble`).
 
 The concrete plans live next to their algorithms
@@ -25,7 +26,7 @@ without a cycle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..partition.fragment import Fragment
 
@@ -140,8 +141,19 @@ class QueryPlan(ABC):
         """
         return None
 
+    def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
+        """One site's partial from its fragments' ``parts`` (disjoint rows).
+
+        The default merges them into one dict; a plan whose partials are
+        not dicts merges its own type.
+        """
+        merged: Dict = {}
+        for part in parts:
+            merged.update(part)
+        return merged
+
     @abstractmethod
-    def wrap_partial(self, site_equations: Dict) -> object:
+    def wrap_partial(self, site_equations: Mapping) -> object:
         """Wrap one site's merged equations in its wire format."""
 
     @abstractmethod
@@ -223,7 +235,11 @@ class SessionRemapPlan(QueryPlan):
         """
         return self.session._remap_reuse.get(fragment.fid)
 
-    def wrap_partial(self, site_equations: Dict) -> object:
+    def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
+        """The underlying plan's merge of one site's fragment partials."""
+        return self.inner.merge_partials(parts)
+
+    def wrap_partial(self, site_equations: Mapping) -> object:
         """The underlying plan's wire format for one site's partial."""
         return self.inner.wrap_partial(site_equations)
 

@@ -12,10 +12,9 @@ either, so tests can compare them against
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Type
+from typing import Dict, Optional, Tuple, Type
 
-from repro.core.bounded import BoundedEquations
-from repro.core.minplus import TARGET
+from repro.core.minplus import TARGET, Term
 from repro.core.queries import BoundedReachQuery
 from repro.graph.digraph import DiGraph, Node
 from repro.graph.traversal import bfs_distance, bfs_distances
@@ -68,10 +67,11 @@ def oracle_terms(
     fragment: Fragment,
     query: BoundedReachQuery,
     oracle_cls: Type[DistanceOracle],
-) -> BoundedEquations:
+) -> Dict[Node, Tuple[Term, ...]]:
     """``localEvald`` on one fragment, every distance looked up in an oracle
     built over the fragment's local graph (same ``iset``/``oset`` and the
-    same target→``TARGET`` rewrite as the real procedure)."""
+    same target→``TARGET`` rewrite as the real procedure), in the dict form
+    a :class:`~repro.core.minplus.BoundedRows` compares equal to."""
     iset = set(fragment.in_nodes)
     oset = set(fragment.virtual_nodes)
     if query.source in fragment.nodes:

@@ -5,9 +5,10 @@ produced, and every later charge reads the entry (DESIGN.md §6).  The other
 serving tests compare the engine with itself (batch vs. one-by-one), which a
 wrong memoized size would pass.  Here every query's message log and traffic
 are compared with an independent reference that evaluates every fragment
-again and sizes ``plan.wrap_partial(...)`` from scratch — on a miss, on a
-hit, after a mutation, after a ``preresolved`` reuse, and on a site holding
-two fragments (where the engine must fall back to sizing the merged rvset).
+again and sizes its equations from scratch with a term-by-term walk — on a
+miss, on a hit, after a mutation, after a ``preresolved`` reuse, and on a
+site holding two fragments (where the engine must fall back to sizing the
+merged rvset).
 """
 
 from __future__ import annotations
@@ -51,6 +52,27 @@ def _queries():
     ]
 
 
+def _reference_size(plan, merged):
+    """The wire size of one site's merged equations, walked term by term.
+
+    Written out independently of the partial-answer classes (which size by
+    arithmetic over their own representation): rows, then the distinct
+    column ids, then per row the cheaper of a dense bitset and a sparse
+    list (Boolean and regular) or 6 bytes per min-plus term (bounded).
+    """
+    total = 2 + sum(payload_size(row) for row in merged)
+    if plan.algorithm == "disDist":
+        columns = {var for terms in merged.values() for var, _ in terms}
+        total += sum(payload_size(column) for column in columns)
+        return total + sum(6 * len(terms) for terms in merged.values())
+    columns = set()
+    for disjuncts in merged.values():
+        columns |= disjuncts
+    total += sum(payload_size(column) for column in columns)
+    dense_row = (len(columns) + 7) // 8
+    return total + sum(min(dense_row, 2 * len(d) + 2) for d in merged.values())
+
+
 def _fresh_messages(cluster, plan):
     """The message log of one query, every size computed from scratch."""
     query_size = payload_size(plan.broadcast_payload())
@@ -67,7 +89,7 @@ def _fresh_messages(cluster, plan):
                 site.site_id,
                 COORDINATOR,
                 MessageKind.PARTIAL,
-                payload_size(plan.wrap_partial(merged)),
+                _reference_size(plan, merged),
             )
         )
     return messages

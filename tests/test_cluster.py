@@ -241,3 +241,38 @@ class TestApplyEdgeMutation:
         check_fragmentation(g, cluster.fragmentation)
         restored = cluster.fragmentation.restore_graph()
         assert sorted(restored.edges()) == sorted(g.edges())
+
+
+def test_dropped_cluster_is_freed_by_refcount():
+    """No reference cycle keeps a used cluster alive until a full GC.
+
+    A cluster owns its graphs, CSR views and condensations; a cycle through
+    it (the oracle store's back-reference was one) defers all of that to
+    the cyclic collector, which a low-allocation workload reaches late.
+    """
+    import gc
+    import weakref
+
+    from repro.core.engine import evaluate
+    from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
+
+    graph = erdos_renyi(30, 60, seed=1, num_labels=2)
+    nodes = sorted(graph.nodes())
+    s, t = nodes[0], nodes[-1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cluster = SimulatedCluster.from_graph(graph, 3, partitioner="chunk")
+        for query in (
+            ReachQuery(s, t),
+            BoundedReachQuery(s, t, 4),
+            RegularReachQuery(s, t, "L0* | L1*"),
+        ):
+            evaluate(cluster, query)
+        evaluate(cluster, ReachQuery(s, t), oracle="bfs")
+        ref = weakref.ref(cluster)
+        del cluster
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

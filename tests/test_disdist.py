@@ -118,3 +118,36 @@ class TestDisDist:
         result = dis_dist(cluster, ("Ann", "Mark", 6), collect_details=True)
         assert "system" in result.details
         assert result.details["num_variables"] == 7
+
+
+class TestStdlibOnly:
+    def test_python_kernel_never_imports_numpy(self):
+        """The reference kernel stays stdlib-only for all three classes."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.core.engine import evaluate\n"
+            "from repro.core.queries import BoundedReachQuery, ReachQuery, "
+            "RegularReachQuery\n"
+            "from repro.distributed import SimulatedCluster\n"
+            "from repro.workload.paper_example import figure1_fragmentation\n"
+            "cluster = SimulatedCluster(figure1_fragmentation())\n"
+            "for query in (ReachQuery('Ann', 'Mark'), "
+            "BoundedReachQuery('Ann', 'Mark', 6), "
+            "RegularReachQuery('Ann', 'Mark', 'DB* | HR*')):\n"
+            "    assert evaluate(cluster, query, kernel='python').answer\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop("REPRO_KERNEL", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

@@ -434,10 +434,19 @@ class TestKernelIdentityProperties:
         query = BoundedReachQuery(s, t, bound)
         for fragment in fragmentation:
             # Compared without re-sorting: the identity contract covers the
-            # term tuples' order, not just their contents.
+            # term tuples' order, not just their contents — and the matrix
+            # itself, buffer for buffer.
             reference = local_eval_bounded(fragment, query)
             for kernel in COMPILED:
-                assert local_eval_bounded(fragment, query, kernel=kernel) == reference
+                got = local_eval_bounded(fragment, query, kernel=kernel)
+                assert got == reference
+                assert (got.rows, got.columns, got.starts, got.cols, got.dists) == (
+                    reference.rows,
+                    reference.columns,
+                    reference.starts,
+                    reference.cols,
+                    reference.dists,
+                )
 
     @given(labeled_cases())
     @settings(max_examples=25, deadline=None)

@@ -444,3 +444,39 @@ class TestOracleOverSocket:
             for proc in procs:
                 proc.kill()
                 proc.wait()
+
+
+class TestServingLoop:
+    """``repro-serve`` runs engine work on its event loop, not a worker."""
+
+    def test_engine_runs_on_the_loop_thread(self):
+        import threading
+
+        from repro import connect
+        from repro.net.server import start_background_server
+        from repro.serving.engine import BatchQueryEngine
+
+        engine = BatchQueryEngine(SimulatedCluster(figure1_fragmentation()))
+        seen = []
+        run_batch = engine.run_batch
+
+        def recording(*args, **kwargs):
+            seen.append(threading.current_thread().name)
+            return run_batch(*args, **kwargs)
+
+        engine.run_batch = recording
+        server = start_background_server(engine)
+        try:
+            with connect(server.address) as client:
+                for query in (
+                    ReachQuery("Ann", "Mark"),
+                    BoundedReachQuery("Ann", "Mark", 6),
+                    RegularReachQuery("Ann", "Mark", "DB* | HR*"),
+                ):
+                    assert client.query(query).answer is True
+                client.batch([ReachQuery("Ann", "Mark")])
+            names = {thread.name for thread in threading.enumerate()}
+        finally:
+            server.shutdown()
+        assert not any(name.startswith("repro-serve-engine") for name in names)
+        assert seen and set(seen) == {"repro-serve"}
