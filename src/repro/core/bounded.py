@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..distributed.cluster import SimulatedCluster
-from ..distributed.messages import payload_size
 from ..graph.digraph import Node
 from ..graph.traversal import bfs_distances
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .kernels import resolve_kernel
+from .kernels import python_boundary, resolve_kernel
 from .minplus import TARGET, BoundedRows, MinPlusSystem
 from .options import EvalOptions
 from .queries import BoundedReachQuery
@@ -43,18 +42,16 @@ class BoundedPartialAnswer:
     ids) except each set entry also carries its local distance — 2 bytes of
     column index + 4 bytes of distance per term, bounded by O(|Vf|^2) total
     as Theorem 2 requires.  The matrix already is that format, so its size
-    is arithmetic over the buffers: only the row ids and the distinct
-    referenced column ids are sized one by one."""
+    is arithmetic over the buffers and the id sizes the emitter recorded."""
 
     equations: BoundedRows
 
     def payload_size(self) -> int:
         rows = self.equations
-        referenced = map(rows.columns.__getitem__, set(rows.cols))
         return (
             2
-            + sum(map(payload_size, rows.rows))
-            + sum(map(payload_size, referenced))
+            + rows.row_bytes
+            + sum(map(rows.col_bytes.__getitem__, set(rows.cols)))
             + 6 * len(rows.cols)
         )
 
@@ -75,22 +72,14 @@ def local_eval_bounded(
     terms in column order, so kernels are identical row for row.
     """
     kernel = resolve_kernel(kernel)
-    iset = set(fragment.in_nodes)
-    oset = set(fragment.virtual_nodes)
-    if query.source in fragment.nodes:
-        iset.add(query.source)
-    if query.target in fragment.nodes:
-        oset.add(query.target)
-    roots = sorted(iset, key=repr)
-    if not iset or not oset:
-        return BoundedRows.from_lists(roots, (), ([] for _ in roots))
-
-    seeds = sorted(oset, key=repr)
-    term_vars = [TARGET if o == query.target else o for o in seeds]
     if kernel != "python":
         from .kernels import bounded_seed_rows
 
-        return bounded_seed_rows(fragment, roots, seeds, query.bound, term_vars)
+        return bounded_seed_rows(fragment, query.source, query.target, query.bound)
+    roots, seeds = python_boundary(fragment, query.source, query.target)
+    if not roots or not seeds:
+        return BoundedRows.from_lists(roots, (), ([] for _ in roots))
+    term_vars = [TARGET if o == query.target else o for o in seeds]
 
     # One BFS per node on the smaller side of the (iset × oset) rectangle:
     # forward out-balls from in-nodes, or reverse in-balls from boundary
@@ -99,7 +88,7 @@ def local_eval_bounded(
     # Either way each row collects ``(seed index, hops)`` in seed order.
     terms: List[List[Tuple[int, int]]] = [[] for _ in roots]
     local = fragment.local_graph
-    if len(iset) <= len(oset):
+    if len(roots) <= len(seeds):
         for row, v in zip(terms, roots):
             dist_from_v = bfs_distances(local, v, cutoff=query.bound)
             for j, o in enumerate(seeds):

@@ -14,7 +14,12 @@ form vectorized (and jitted) kernels want:
   compressed-sparse-row layout, per-row targets sorted by interned id;
 * **label codes** — node labels interned to small ints (sorted by ``repr``;
   unlabeled nodes share the code of ``None``), which turns the regular
-  algorithm's per-state label matching into one vectorized comparison.
+  algorithm's per-state label matching into one vectorized comparison;
+* **the boundary prologue** — ``Fi.I`` and ``Fi.O`` as sorted interned
+  rows with their modeled id sizes (:meth:`FragmentCSR.boundary`), from
+  which :func:`boundary_prologue` derives one query's roots and columns by
+  inserting ``s`` and ``t`` — the part of every local evaluation that does
+  not depend on the query, built once per fragment state.
 
 A :class:`FragmentCSR` is *derived, read-only state*: it is built lazily by
 :func:`fragment_csr`, cached on the fragment, and validated against the
@@ -32,16 +37,23 @@ the carry table (``partition.fragment.CARRY``) is ``kept``:
 * **repartition** builds entirely new fragments, so old arrays simply die
   with the old objects.
 
+The boundary prologue is the one piece that is not a function of the local
+graph: a cross-edge write replaces the *target* fragment's ``in_nodes``
+while its graph, and so its view, stays.  It is therefore validated by
+identity against the fragment's ``in_nodes``/``virtual_nodes`` objects
+(both frozensets, replaced on change, never mutated), not by the stamp.
+
 Requires numpy (an optional dependency — the pure-python kernels never
 import this module); :func:`~repro.core.kernels.kernel_available` gates it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..distributed.messages import payload_size
 from ..graph.scc import tarjan_scc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,6 +66,40 @@ _CACHE_SLOT = "_csr_cache"
 SubCSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: ``(column, edges)`` of one label code (:meth:`FragmentCSR.label_filter`).
 LabelFilter = Tuple[np.ndarray, Optional[SubCSR]]
+
+
+class Boundary(NamedTuple):
+    """``Fi.I`` and ``Fi.O`` of one fragment state, as interned rows.
+
+    ``in_ref``/``out_ref`` are the ``in_nodes``/``virtual_nodes`` objects
+    it was built from (the identity :meth:`FragmentCSR.boundary` checks);
+    rows ascend, so the node tuples are in the kernels' ``repr`` order.
+    """
+
+    in_ref: Any
+    out_ref: Any
+    in_rows: np.ndarray
+    in_nodes: Tuple[Any, ...]
+    in_bytes: int
+    out_rows: np.ndarray
+    out_nodes: Tuple[Any, ...]
+    out_bytes: np.ndarray
+
+
+class Prologue(NamedTuple):
+    """One query's roots (``iset``) and columns (``oset``) on one fragment.
+
+    ``row_bytes`` sums the roots' modeled id sizes; ``col_bytes`` holds one
+    per column (``int64``).  ``columns`` are nodes, except that the target
+    becomes the caller's token when one is given.
+    """
+
+    roots: Tuple[Any, ...]
+    root_rows: np.ndarray
+    row_bytes: int
+    columns: Tuple[Any, ...]
+    seed_rows: np.ndarray
+    col_bytes: np.ndarray
 
 
 class FragmentCSR:
@@ -69,6 +115,8 @@ class FragmentCSR:
         labels: label objects in code order (``labels[c]`` has code ``c``).
         label_index: label object -> code (inverse of ``labels``).
         stamp: the local graph's ``mutation_stamp`` when this was built.
+        node_bytes: ``int64[V]`` modeled id size (``payload_size``) per node,
+            built on first use.
     """
 
     __slots__ = (
@@ -83,6 +131,8 @@ class FragmentCSR:
         "_cond",
         "_rows",
         "_labels",
+        "_node_bytes",
+        "_boundary",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -118,6 +168,8 @@ class FragmentCSR:
         self._cond: Optional["CSRCondensation"] = None
         self._rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._labels: Dict[Optional[int], LabelFilter] = {}
+        self._node_bytes: Optional[np.ndarray] = None
+        self._boundary: Optional[Boundary] = None
 
     @property
     def num_nodes(self) -> int:
@@ -128,6 +180,54 @@ class FragmentCSR:
     def num_edges(self) -> int:
         """``E`` — entry count of the CSR matrix."""
         return int(self.indices.shape[0])
+
+    @property
+    def node_bytes(self) -> np.ndarray:
+        """``int64[V]``: each node's modeled id size, cached like
+        :meth:`condensation`."""
+        if self._node_bytes is None:
+            self._node_bytes = np.fromiter(
+                map(payload_size, self.order), dtype=np.int64, count=self.num_nodes
+            )
+        return self._node_bytes
+
+    def boundary(self, fragment: "Fragment") -> Boundary:
+        """The (cached) :class:`Boundary` of ``fragment``, whose local graph
+        this view lowers.
+
+        Rebuilt when ``fragment.in_nodes`` or ``fragment.virtual_nodes`` is
+        not the object it was built from: a cross-edge write keeps the
+        target side's view but gives it a new ``in_nodes``.
+        """
+        cached = self._boundary
+        if (
+            cached is not None
+            and cached.in_ref is fragment.in_nodes
+            and cached.out_ref is fragment.virtual_nodes
+        ):
+            return cached
+        order, node_bytes = self.order, self.node_bytes
+
+        def rows_of(nodes: Any) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+            rows = np.sort(
+                np.fromiter(map(self.index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+            )
+            return rows, tuple(map(order.__getitem__, rows.tolist()))
+
+        in_rows, in_nodes = rows_of(fragment.in_nodes)
+        out_rows, out_nodes = rows_of(fragment.virtual_nodes)
+        cached = Boundary(
+            fragment.in_nodes,
+            fragment.virtual_nodes,
+            in_rows,
+            in_nodes,
+            int(node_bytes.take(in_rows).sum()),
+            out_rows,
+            out_nodes,
+            node_bytes.take(out_rows),
+        )
+        self._boundary = cached
+        return cached
 
     def condensation(self) -> "CSRCondensation":
         """The (cached) level-ordered SCC condensation of the CSR view.
@@ -320,6 +420,42 @@ def fragment_csr(fragment: "Fragment") -> FragmentCSR:
     csr = FragmentCSR(graph)
     object.__setattr__(fragment, _CACHE_SLOT, csr)
     return csr
+
+
+def boundary_prologue(
+    fragment: "Fragment", source: Any, target: Any, token: Any = None
+) -> Tuple[FragmentCSR, Prologue]:
+    """The view of ``fragment`` and one query's :class:`Prologue` on it.
+
+    Roots are ``Fi.I`` plus ``source`` when it is stored here; columns are
+    ``Fi.O`` plus ``target`` when it is stored here.  Both come from the
+    cached :meth:`FragmentCSR.boundary`, the endpoints inserted by
+    ``searchsorted`` so every order stays the kernels' ``repr`` order.
+    With a ``token`` (``TRUE`` or ``TARGET``), the target's column — local
+    or virtual — becomes the token, charged at the token's size.
+    """
+    csr = fragment_csr(fragment)
+    found = csr.boundary(fragment)
+    roots, root_rows, row_bytes = found.in_nodes, found.in_rows, found.in_bytes
+    if source in fragment.nodes and source not in fragment.in_nodes:
+        row = csr.index[source]
+        at = int(np.searchsorted(root_rows, row))
+        roots = (*roots[:at], source, *roots[at:])
+        root_rows = np.insert(root_rows, at, row)
+        row_bytes += int(csr.node_bytes[row])
+    columns, seed_rows, col_bytes = found.out_nodes, found.out_rows, found.out_bytes
+    row = csr.index.get(target)
+    if row is not None:
+        at = int(np.searchsorted(seed_rows, row))
+        if target in fragment.nodes:
+            columns = (*columns[:at], target, *columns[at:])
+            seed_rows = np.insert(seed_rows, at, row)
+            col_bytes = np.insert(col_bytes, at, csr.node_bytes[row])
+        if token is not None:
+            columns = (*columns[:at], token, *columns[at + 1 :])
+            col_bytes = col_bytes.copy()
+            col_bytes[at] = payload_size(token)
+    return csr, Prologue(roots, root_rows, row_bytes, columns, seed_rows, col_bytes)
 
 
 def cached_csr(fragment: "Fragment") -> "FragmentCSR | None":

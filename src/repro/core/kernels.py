@@ -29,20 +29,23 @@ construction, so the resolved string — not ambient state — travels to
 process-pool workers inside ``local_eval_args``.
 
 **Identity contract**: every kernel produces bit-identical equations to
-the python reference — same disjunct sets, same
-:class:`~repro.core.minplus.BoundedRows` rows, columns and buffers —
-because all kernels share the python paths' deterministic
-sorted-by-``repr`` seed/root order and return stdlib objects drawn from
-the fragment's own node set.  The kernels change *how* a fragment is
-swept, never *what* the paper's cost model observes, which is why kernel
-choice is deliberately absent from serving-cache keys
+the python reference — the same :class:`~repro.core.bes.BitRows` and
+:class:`~repro.core.minplus.BoundedRows` rows, columns, id sizes and
+disjunct sets or buffers — because all kernels share the python paths'
+deterministic sorted-by-``repr`` seed/root order and return stdlib objects
+drawn from the fragment's own node set.  The python reference derives its
+roots and columns per call (:func:`python_boundary`); the numpy kernels
+read them from the boundary prologue cached on the CSR view
+(:func:`~repro.core.csr.boundary_prologue`).  The kernels change *how* a
+fragment is swept, never *what* the paper's cost model observes, which is
+why kernel choice is deliberately absent from serving-cache keys
 (:meth:`~repro.serving.plans.QueryPlan.fragment_params`).
 """
 
 from __future__ import annotations
 
 import importlib.util
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import KernelError
 from ..strategies import StrategyRegistry
@@ -50,6 +53,7 @@ from ..strategies import StrategyRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.query_automaton import QueryAutomaton
     from ..partition.fragment import Fragment
+    from .bes import BitRows
     from .minplus import BoundedRows
 
 #: The selectable kernel names (``--kernel`` choices).
@@ -83,6 +87,22 @@ default_kernel = KERNEL_REGISTRY.default
 resolve_kernel = KERNEL_REGISTRY.resolve
 
 
+def python_boundary(fragment: "Fragment", source: Any, target: Any) -> Tuple[list, list]:
+    """The python reference's roots and seeds on ``fragment``, sorted by ``repr``.
+
+    Roots are ``Fi.I`` plus ``source`` when it is stored here; seeds are
+    ``Fi.O`` plus ``target`` when it is stored here — what the numpy
+    kernels read from :func:`~repro.core.csr.boundary_prologue`.
+    """
+    iset = set(fragment.in_nodes)
+    oset = set(fragment.virtual_nodes)
+    if source in fragment.nodes:
+        iset.add(source)
+    if target in fragment.nodes:
+        oset.add(target)
+    return sorted(iset, key=repr), sorted(oset, key=repr)
+
+
 # ---------------------------------------------------------------------------
 # shared array helpers (numpy is an optional import — only reached when the
 # numpy kernel was requested and resolve_kernel() verified availability).
@@ -111,7 +131,7 @@ def _node_rows(np, index: Dict[Any, int], nodes: Sequence[Any]):
 
 
 def _rows_to_ints(bitset_rows) -> List[int]:
-    """Bitset rows decoded to the python ints the decode loops expect."""
+    """Bitset rows decoded to the python-int masks ``BitRows.from_masks`` takes."""
     raw = bitset_rows.astype("<u8", copy=False).tobytes()
     width = bitset_rows.shape[1] * 8
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
@@ -120,6 +140,31 @@ def _rows_to_ints(bitset_rows) -> List[int]:
 # ---------------------------------------------------------------------------
 # Boolean reachability (localEval)
 # ---------------------------------------------------------------------------
+def _reach_masks(np, csr: Any, root_rows: Any, seed_rows: Any) -> List[int]:
+    """Per root row, the python-int bitmask of the seed rows it reaches.
+
+    The sweep runs over the fragment's *cached* level-ordered SCC
+    condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): every
+    seed bit is ORed into its component in one ``bitwise_or.at`` (two
+    seeds in one SCC share a component row, so their bits must
+    accumulate, not overwrite), then each level of the condensation's
+    cached ``schedule`` absorbs its successor levels in one ``reduceat`` —
+    a single pass touching every condensation edge once, with the Tarjan
+    work amortized across all queries on the fragment version.
+    """
+    cond = csr.condensation()
+    words = max(1, (len(seed_rows) + 63) >> 6)
+    word, bit = _seed_bits(np, len(seed_rows))
+    cbits = np.zeros(cond.num_comps * words, dtype=np.uint64)
+    np.bitwise_or.at(cbits, cond.comp.take(seed_rows) * words + word, bit)
+    cbits = cbits.reshape(cond.num_comps, words)
+    for c0, c1, segment, starts in cond.schedule:
+        cbits[c0:c1] |= np.bitwise_or.reduceat(
+            cbits.take(segment, axis=0), starts, axis=0
+        )
+    return _rows_to_ints(cbits.take(cond.comp.take(root_rows), axis=0))
+
+
 def reach_seed_masks(
     fragment: "Fragment",
     roots: Sequence[Any],
@@ -132,45 +177,44 @@ def reach_seed_masks(
     ``roots`` (``include_self=True`` semantics: the fixpoint starts with
     every seed holding its own bit, so a root that is itself a seed keeps
     its bit via the empty path).
-
-    The numpy path sweeps the fragment's *cached* level-ordered SCC
-    condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): every
-    seed bit is ORed into its component in one ``bitwise_or.at`` (two
-    seeds in one SCC share a component row, so their bits must
-    accumulate, not overwrite), then each level of the condensation's
-    cached ``schedule`` absorbs its successor levels in one ``reduceat`` —
-    a single pass touching every condensation edge once, with the Tarjan
-    work amortized across all queries on the fragment version.
     """
     import numpy as np
 
     from .csr import fragment_csr
 
     csr = fragment_csr(fragment)
-    cond = csr.condensation()
-    words = max(1, (len(seeds) + 63) >> 6)
-    word, bit = _seed_bits(np, len(seeds))
-    seed_comps = cond.comp.take(_node_rows(np, csr.index, seeds))
-    cbits = np.zeros(cond.num_comps * words, dtype=np.uint64)
-    np.bitwise_or.at(cbits, seed_comps * words + word, bit)
-    cbits = cbits.reshape(cond.num_comps, words)
-    for c0, c1, segment, starts in cond.schedule:
-        cbits[c0:c1] |= np.bitwise_or.reduceat(
-            cbits.take(segment, axis=0), starts, axis=0
-        )
-    root_comps = cond.comp.take(_node_rows(np, csr.index, roots))
-    return dict(zip(roots, _rows_to_ints(cbits.take(root_comps, axis=0))))
+    masks = _reach_masks(
+        np, csr, _node_rows(np, csr.index, roots), _node_rows(np, csr.index, seeds)
+    )
+    return dict(zip(roots, masks))
+
+
+def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "BitRows":
+    """``localEval``'s :class:`~repro.core.bes.BitRows` for ``qr(source, target)``.
+
+    Roots, columns (``TRUE`` for the target) and their id sizes come from
+    the cached boundary prologue; the masks from one condensation sweep.
+    """
+    import numpy as np
+
+    from .bes import TRUE, BitRows
+    from .csr import boundary_prologue
+
+    csr, found = boundary_prologue(fragment, source, target, TRUE)
+    if found.root_rows.size and found.seed_rows.size:
+        masks = _reach_masks(np, csr, found.root_rows, found.seed_rows)
+    else:
+        masks = [0] * len(found.roots)
+    return BitRows.from_masks(
+        found.roots, found.columns, masks, found.row_bytes, found.col_bytes.tobytes()
+    )
 
 
 # ---------------------------------------------------------------------------
 # bounded distance (localEvald)
 # ---------------------------------------------------------------------------
 def bounded_seed_rows(
-    fragment: "Fragment",
-    roots: Sequence[Any],
-    seeds: Sequence[Any],
-    bound: int,
-    term_vars: Sequence[Any],
+    fragment: "Fragment", source: Any, target: Any, bound: int
 ) -> "BoundedRows":
     """Per-root hop distances to each seed within ``bound``, as a matrix.
 
@@ -185,23 +229,25 @@ def bounded_seed_rows(
     still clear, read off all snapshots in one unpack after the sweep — no
     Dijkstra-style priority queue and no per-level bookkeeping.
 
-    ``term_vars`` are the caller's equation variables, one per seed in seed
-    order; they become the matrix columns, and the ``(root, seed)`` hits
-    its entries, handed over as ``int64`` buffers with no per-term loop.
+    Roots, columns (``TARGET`` for the target) and their id sizes come from
+    the cached boundary prologue; the ``(root, seed)`` hits become the
+    matrix entries, handed over as ``int64`` buffers with no per-term loop.
     """
     import numpy as np
 
-    from .csr import fragment_csr
-    from .minplus import BoundedRows
+    from .csr import boundary_prologue
+    from .minplus import TARGET, BoundedRows
 
-    csr = fragment_csr(fragment)
-    num_seeds = len(seeds)
+    csr, found = boundary_prologue(fragment, source, target, TARGET)
+    roots, root_rows = found.roots, found.root_rows
+    if not roots or not found.columns:
+        return BoundedRows.from_lists(roots, (), ([] for _ in roots), found.row_bytes, ())
+    num_seeds = len(found.columns)
     words = max(1, (num_seeds + 63) >> 6)
     word, bit = _seed_bits(np, num_seeds)
     bits = np.zeros((csr.num_nodes, words), dtype=np.uint64)
     # Seeds are distinct nodes, so their cells are distinct: one store.
-    bits.reshape(-1)[_node_rows(np, csr.index, seeds) * words + word] = bit
-    root_rows = _node_rows(np, csr.index, roots)
+    bits.reshape(-1)[found.seed_rows * words + word] = bit
     snapshots = [bits.take(root_rows, axis=0)]
     indices = csr.indices
     rows, starts = csr.nonempty_rows()
@@ -230,10 +276,12 @@ def bounded_seed_rows(
     row_starts = np.searchsorted(ri, np.arange(len(roots) + 1))
     return BoundedRows(
         roots,
-        term_vars,
+        found.columns,
         row_starts.astype(np.int64, copy=False).tobytes(),
         rj.astype(np.int64, copy=False).tobytes(),
         dists.astype(np.int64, copy=False).tobytes(),
+        found.row_bytes,
+        found.col_bytes.tobytes(),
     )
 
 
@@ -278,50 +326,86 @@ def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton", rows: Any) -> 
     return match
 
 
-def regular_boundary_pairs(
-    fragment: "Fragment",
-    automaton: "QueryAutomaton",
-    iset: Any,
-    oset: Any,
-) -> Tuple[List[Tuple[Any, int]], List[Tuple[Any, int]]]:
-    """Vectorized enumeration of the regular algorithm's roots and seeds.
+class RegularPrologue(NamedTuple):
+    """The regular algorithm's :class:`~repro.core.csr.Prologue`: product
+    pairs, addressed as cells of the ``[states * V]`` cube."""
 
-    Returns ``(roots, seeds)`` in exactly the python prologue's order —
-    nodes sorted by ``repr``, states in ``automaton.states()`` order, one
-    pair per matching combination (seeds skip ``US``, which no transition
-    enters).  Interned ids ascend with ``repr`` order, so sorting the
-    subset's rows reproduces the node order, and row-major ``nonzero``
-    over the match matrix reproduces the nested loops.
+    roots: List[Tuple[Any, int]]
+    root_cells: Any
+    row_bytes: int
+    columns: List[Any]
+    seed_cells: Any
+    col_bytes: Any
+
+
+def regular_boundary_pairs(
+    fragment: "Fragment", automaton: "QueryAutomaton"
+) -> Tuple[Any, "RegularPrologue"]:
+    """The view of ``fragment`` and the regular algorithm's roots and seeds.
+
+    Node rows come from the cached boundary prologue; the pairs are in
+    exactly the python prologue's order — nodes sorted by ``repr``, states
+    in ``automaton.states()`` order, one pair per matching combination
+    (seeds skip ``US``, which no transition enters).  Row-major ``nonzero``
+    over the match matrix reproduces the nested loops.  The seed
+    ``(t, UT)`` becomes the ``TRUE`` column, and every pair's modeled id
+    size is ``2 + node + state`` bytes (a 2-tuple), read off the view's
+    ``node_bytes``.
     """
     import numpy as np
 
-    from .csr import fragment_csr
+    from ..automata.query_automaton import UT
+    from ..distributed.messages import payload_size
+    from .bes import TRUE
+    from .csr import boundary_prologue
 
-    csr = fragment_csr(fragment)
+    csr, found = boundary_prologue(fragment, automaton.source, automaton.target)
     states = automaton.states()
+    state_bytes = np.fromiter(map(payload_size, states), dtype=np.int64, count=len(states))
+    num_nodes = csr.num_nodes
 
-    def pairs(nodes: Any, first_col: int) -> List[Tuple[Any, int]]:
-        rows = np.asarray(sorted(csr.index[node] for node in nodes), dtype=np.int64)
-        if not rows.size:
-            return []
+    def pairs(rows: Any, first_col: int) -> Tuple[List[Tuple[Any, int]], Any, Any]:
         match = automaton_match_matrix(csr, automaton, rows)
         hit_rows, hit_cols = np.nonzero(match[:, first_col:])
-        column_states = states[first_col:]
-        return [
-            (csr.order[rows[i]], column_states[j])
-            for i, j in zip(hit_rows.tolist(), hit_cols.tolist())
-        ]
+        hit_cols += first_col
+        node_rows = rows.take(hit_rows)
+        nodes = map(csr.order.__getitem__, node_rows.tolist())
+        pair_list = list(zip(nodes, map(states.__getitem__, hit_cols.tolist())))
+        sizes = 2 + csr.node_bytes.take(node_rows) + state_bytes.take(hit_cols)
+        return pair_list, hit_cols * num_nodes + node_rows, sizes
 
-    return pairs(iset, 0), pairs(oset, 1)
+    roots, root_cells, root_bytes = pairs(found.root_rows, 0)
+    seeds, seed_cells, col_bytes = pairs(found.seed_rows, 1)
+    target_row = csr.index.get(automaton.target)
+    if target_row is not None:
+        for at in np.flatnonzero(seed_cells == states.index(UT) * num_nodes + target_row):
+            seeds[at] = TRUE
+            col_bytes[at] = payload_size(TRUE)
+    return csr, RegularPrologue(
+        roots, root_cells, int(root_bytes.sum()), seeds, seed_cells, col_bytes
+    )
 
 
-def regular_seed_masks(
-    fragment: "Fragment",
-    automaton: "QueryAutomaton",
-    roots: Sequence[Tuple[Any, int]],
-    seeds: Sequence[Tuple[Any, int]],
-) -> Dict[Tuple[Any, int], int]:
-    """Per-root-pair seed bitmasks over the local product graph.
+def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows":
+    """``localEvalr``'s :class:`~repro.core.bes.BitRows` for ``automaton``."""
+    import numpy as np
+
+    from .bes import BitRows
+
+    csr, found = regular_boundary_pairs(fragment, automaton)
+    if found.columns:
+        masks = _regular_masks(np, csr, automaton, found.root_cells, found.seed_cells)
+    else:
+        masks = [0] * len(found.roots)
+    return BitRows.from_masks(
+        found.roots, found.columns, masks, found.row_bytes, found.col_bytes.tobytes()
+    )
+
+
+def _regular_masks(
+    np, csr: Any, automaton: "QueryAutomaton", root_cells: Any, seed_cells: Any
+) -> List[int]:
+    """Per root cell, the seed bitmask it reaches over the local product graph.
 
     The product vertex set is ``V x Vq`` laid out as a ``[states, V,
     words]`` bitset cube, so each state's plane is one contiguous
@@ -334,31 +418,19 @@ def regular_seed_masks(
     into nodes carrying its label; ``UT`` matches by node identity, so its
     sub-CSR (edges into the target row) is built per call.
     """
-    import numpy as np
-
     from ..automata.query_automaton import UT
     from ..graph.scc import tarjan_scc
-    from .csr import fragment_csr
 
-    csr = fragment_csr(fragment)
     index = csr.index
     states = automaton.states()
     col_of = {state: col for col, state in enumerate(states)}
     num_nodes = csr.num_nodes
 
-    def cells(pairs: Sequence[Tuple[Any, int]]) -> Any:
-        """Row ids of ``(node, state)`` pairs in the cube's ``[states * V]`` rows."""
-        return np.fromiter(
-            (col_of[state] * num_nodes + index[node] for node, state in pairs),
-            dtype=np.int64,
-            count=len(pairs),
-        )
-
-    words = max(1, (len(seeds) + 63) >> 6)
-    word, bit = _seed_bits(np, len(seeds))
+    words = max(1, (len(seed_cells) + 63) >> 6)
+    word, bit = _seed_bits(np, len(seed_cells))
     bits = np.zeros((len(states), num_nodes, words), dtype=np.uint64)
     # Seed pairs are distinct, so their cells are distinct: one store.
-    bits.reshape(-1)[cells(seeds) * words + word] = bit
+    bits.reshape(-1)[seed_cells * words + word] = bit
 
     # Per successor-state column, the sub-CSR of graph edges whose target
     # may occupy that state — bits only ever flow through label-consistent
@@ -417,5 +489,4 @@ def regular_seed_masks(
             for u_col, u2_col in internal:
                 if step(u_col, u2_col):
                     changed = True
-    masks = _rows_to_ints(bits.reshape(-1, words).take(cells(roots), axis=0))
-    return dict(zip(roots, masks))
+    return _rows_to_ints(bits.reshape(-1, words).take(root_cells, axis=0))

@@ -36,6 +36,7 @@ from typing import (
 )
 
 from ..graph.digraph import DiGraph
+from .bes import int64s
 
 Var = Hashable
 
@@ -76,17 +77,6 @@ def _any_negative(values: array) -> bool:
     return bool(values.tobytes()[_SIGN_BYTE::8].translate(None, _NON_NEGATIVE_BYTES))
 
 
-def _int64s(buffer: Any) -> array:
-    """An ``array('q')`` over native-order int64 bytes (or any int iterable)."""
-    if isinstance(buffer, array) and buffer.typecode == "q":
-        return buffer
-    if isinstance(buffer, (bytes, bytearray, memoryview)):
-        out = array("q")
-        out.frombytes(buffer)
-        return out
-    return array("q", buffer)
-
-
 class BoundedRows(Mapping):
     """One partial answer of ``localEvald`` as a sparse distance matrix.
 
@@ -96,7 +86,8 @@ class BoundedRows(Mapping):
     ``starts[i]:starts[i + 1]`` — CSR over three ``array('q')`` buffers, so
     a kernel hands its distance matrix over without building a tuple per
     term, pickling is three buffer copies, and the wire size is arithmetic
-    over the buffers (DESIGN.md §3.1).
+    over the buffers (DESIGN.md §3.1).  ``row_bytes`` and ``col_bytes`` are
+    the modeled id sizes, as in :class:`~repro.core.bes.BitRows`.
 
     As a read-only mapping, ``rows[v]`` decodes to the term tuple the
     paper's ``Xv = min(Xv' + d, ...)`` lists, distances as floats, so it
@@ -104,7 +95,16 @@ class BoundedRows(Mapping):
     the python kernel builds it too.
     """
 
-    __slots__ = ("rows", "columns", "starts", "cols", "dists", "_index")
+    __slots__ = (
+        "rows",
+        "columns",
+        "starts",
+        "cols",
+        "dists",
+        "row_bytes",
+        "col_bytes",
+        "_index",
+    )
 
     def __init__(
         self,
@@ -113,17 +113,32 @@ class BoundedRows(Mapping):
         starts: Any,
         cols: Any,
         dists: Any,
+        row_bytes: Optional[int] = None,
+        col_bytes: Any = None,
     ) -> None:
         """Wrap row starts, column ids and hop distances (arrays, int
-        iterables or native int64 bytes)."""
+        iterables or native int64 bytes); id sizes left out are computed."""
         set_ = object.__setattr__
         set_(self, "rows", tuple(rows))
         set_(self, "columns", tuple(columns))
-        set_(self, "starts", _int64s(starts))
-        set_(self, "cols", _int64s(cols))
-        set_(self, "dists", _int64s(dists))
+        set_(self, "starts", int64s(starts))
+        set_(self, "cols", int64s(cols))
+        set_(self, "dists", int64s(dists))
+        if row_bytes is None or col_bytes is None:
+            from ..distributed.messages import payload_size
+
+            if row_bytes is None:
+                row_bytes = sum(map(payload_size, self.rows))
+            if col_bytes is None:
+                col_bytes = map(payload_size, self.columns)
+        set_(self, "row_bytes", int(row_bytes))
+        set_(self, "col_bytes", int64s(col_bytes))
         set_(self, "_index", None)
-        if len(self.starts) != len(self.rows) + 1 or len(self.cols) != len(self.dists):
+        if (
+            len(self.starts) != len(self.rows) + 1
+            or len(self.cols) != len(self.dists)
+            or len(self.col_bytes) != len(self.columns)
+        ):
             raise ValueError("BoundedRows buffers disagree on rows or terms")
 
     @classmethod
@@ -132,6 +147,8 @@ class BoundedRows(Mapping):
         rows: Sequence[Hashable],
         columns: Sequence[Hashable],
         terms: Iterable[Iterable[Tuple[int, int]]],
+        row_bytes: Optional[int] = None,
+        col_bytes: Any = None,
     ) -> "BoundedRows":
         """Build from per-row ``(column index, hops)`` lists, one per row."""
         starts = array("q", [0])
@@ -142,7 +159,7 @@ class BoundedRows(Mapping):
                 cols.append(column)
                 dists.append(hops)
             starts.append(len(cols))
-        return cls(rows, columns, starts, cols, dists)
+        return cls(rows, columns, starts, cols, dists, row_bytes, col_bytes)
 
     @classmethod
     def concat(cls, parts: Sequence["BoundedRows"]) -> "BoundedRows":
@@ -152,20 +169,29 @@ class BoundedRows(Mapping):
         so a variable two parts both reference is one column.
         """
         column_of: Dict[Hashable, int] = {}
+        col_bytes = array("q")
         rows: List[Hashable] = []
         starts = array("q", [0])
         cols = array("q")
         dists = array("q")
+        row_bytes = 0
         for part in parts:
-            remap = [column_of.setdefault(var, len(column_of)) for var in part.columns]
+            remap = []
+            for var, size in zip(part.columns, part.col_bytes):
+                j = column_of.get(var)
+                if j is None:
+                    j = column_of[var] = len(col_bytes)
+                    col_bytes.append(size)
+                remap.append(j)
             base = len(cols)
             rows.extend(part.rows)
             starts.extend(base + start for start in part.starts[1:])
             cols.extend(map(remap.__getitem__, part.cols))
             dists.extend(part.dists)
+            row_bytes += part.row_bytes
         if len(set(rows)) != len(rows):
             raise ValueError("BoundedRows.concat: parts define a row twice")
-        return cls(rows, tuple(column_of), starts, cols, dists)
+        return cls(rows, tuple(column_of), starts, cols, dists, row_bytes, col_bytes)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -173,7 +199,15 @@ class BoundedRows(Mapping):
     def __reduce__(self):
         return (
             BoundedRows,
-            (self.rows, self.columns, self.starts, self.cols, self.dists),
+            (
+                self.rows,
+                self.columns,
+                self.starts,
+                self.cols,
+                self.dists,
+                self.row_bytes,
+                self.col_bytes,
+            ),
         )
 
     # -- decoding ------------------------------------------------------------

@@ -10,18 +10,26 @@ The three steps of Fig. 3:
 3. the coordinator assembles the equations into a Boolean Equation System
    and solves it with :func:`assemble_reach` (procedure ``evalDG``).
 
+A fragment's equations travel as one :class:`~repro.core.bes.BitRows`:
+the in-node rows over the shared ``oset`` column table, rows of one local
+SCC pointing at one shared set.  Every path (python kernel, numpy kernel,
+oracle) emits it through :meth:`~repro.core.bes.BitRows.from_masks`, the
+wire size is arithmetic over it (:class:`BooleanPartialAnswer`), and the
+coordinator's :class:`~repro.core.bes.BooleanEquationSystem` loads it by
+reference.  The same wire type carries disRPQ's vectors
+(:mod:`repro.core.regular`).
+
 Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 ``O(|Vf||Fm|)`` time — asserted by the test suite on every run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from dataclasses import dataclass
 
 from ..distributed.cluster import SimulatedCluster
-from ..distributed.messages import equation_set_size
 from ..graph.digraph import Node
 from ..graph.reachsets import reachable_seed_masks_from
 from ..index.registry import resolve_oracle
@@ -29,36 +37,46 @@ from ..index.store import fragment_oracle
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import TRUE, BooleanEquationSystem, Disjunct
-from .kernels import resolve_kernel
+from .bes import TRUE, BitRows, BooleanEquationSystem
+from .kernels import python_boundary, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
 from .results import QueryResult
 
-#: One fragment's partial answer: in-node -> disjuncts of its equation.
-ReachEquations = Dict[Node, FrozenSet[Disjunct]]
-
 
 @dataclass(frozen=True)
-class ReachPartialAnswer:
-    """What a site ships to the coordinator: ``Fi.rvset``.
+class BooleanPartialAnswer:
+    """What a site ships to the coordinator: ``Fi.rvset`` (disReach, disRPQ).
 
-    Wire format per Section 3's traffic analysis — a shared column table of
-    boundary-node ids plus one (bitset or sparse) row per in-node equation.
+    Wire format per Sections 3 and 5's traffic analysis — a shared column
+    table of boundary ids plus one (bitset or sparse) row per equation.
+    The rows already are that format, so the size is arithmetic over them:
+    the charge :func:`~repro.distributed.messages.equation_set_size` models,
+    with each distinct set's row cost computed once.  A plain
+    ``{var: disjuncts}`` mapping is converted to :class:`BitRows` once.
     """
 
-    equations: ReachEquations
+    equations: BitRows
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.equations, BitRows):
+            object.__setattr__(self, "equations", BitRows.from_mapping(self.equations))
 
     def payload_size(self) -> int:
-        # Rows of one SCC share one frozenset: union each distinct set once.
-        rows = self.equations.values()
-        columns = set().union(*{id(d): d for d in rows}.values())
-        return equation_set_size(
-            row_ids=self.equations.keys(),
-            col_ids=columns,
-            row_counts=map(len, rows),
-            num_cols=len(columns),
+        rows = self.equations
+        used = set(rows.cols)
+        dense = (len(used) + 7) // 8
+        row_cost = [min(dense, 2 * count + 2) for count in rows.set_sizes()]
+        return (
+            2
+            + rows.row_bytes
+            + sum(map(rows.col_bytes.__getitem__, used))
+            + sum(map(row_cost.__getitem__, rows.row_set))
         )
+
+
+#: The disReach name of the one Boolean wire type.
+ReachPartialAnswer = BooleanPartialAnswer
 
 
 def local_eval_reach(
@@ -66,13 +84,13 @@ def local_eval_reach(
     query: ReachQuery,
     kernel: Optional[str] = None,
     oracle: Optional[str] = None,
-) -> ReachEquations:
+) -> BitRows:
     """Procedure ``localEval`` (Fig. 3) on one fragment.
 
     ``iset`` is ``Fi.I`` (plus ``s`` when local); ``oset`` is ``Fi.O`` (plus
     ``t`` when local).  For every ``v ∈ iset`` the equation's disjuncts are
     the ``oset`` members reachable from ``v`` inside the fragment, with the
-    target contributing ``true``.
+    target contributing ``true``.  Rows and columns are sorted by ``repr``.
 
     The default reachability engine answers all ``des(v, Fi) ∩ oset``
     questions in one SCC-condensation bitmask sweep; ``kernel`` swaps that
@@ -86,56 +104,28 @@ def local_eval_reach(
     """
     kernel = resolve_kernel(kernel)
     oracle = resolve_oracle(oracle)
-    iset = set(fragment.in_nodes)
-    oset = set(fragment.virtual_nodes)
-    if query.source in fragment.nodes:
-        iset.add(query.source)
-    if query.target in fragment.nodes:
-        oset.add(query.target)
+    if oracle == "none" and kernel != "python":
+        from .kernels import reach_rows
 
-    def as_disjunct(boundary: Node) -> Disjunct:
-        return TRUE if boundary == query.target else boundary
-
-    equations: ReachEquations = {}
-    if not iset:
-        return equations
-    seeds = sorted(oset, key=repr)
-    if not seeds:
-        return {v: frozenset() for v in iset}
-
+        return reach_rows(fragment, query.source, query.target)
+    roots, seeds = python_boundary(fragment, query.source, query.target)
+    columns = [TRUE if seed == query.target else seed for seed in seeds]
+    if not roots or not seeds:
+        return BitRows.from_masks(roots, columns, [0] * len(roots))
     if oracle != "none":
         engine = fragment_oracle(fragment, oracle)
-        for v in iset:
-            equations[v] = frozenset(
-                as_disjunct(o) for o in seeds if engine.reaches(v, o)
-            )
-        return equations
-
-    roots = sorted(iset, key=repr)
-    if kernel != "python":
-        from .kernels import reach_seed_masks
-
-        masks = reach_seed_masks(fragment, roots, seeds)
-    else:
-        # Sweep only what the in-nodes can see (one shared forward closure).
-        masks = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
-    # Nodes in the same SCC share one mask; decode each distinct mask once
-    # (on well-connected fragments this collapses thousands of decodes).
-    decoded: Dict[int, FrozenSet[Disjunct]] = {}
-    for v in iset:
-        mask = masks[v]
-        disjuncts = decoded.get(mask)
-        if disjuncts is None:
-            disjuncts = frozenset(
-                as_disjunct(seed) for i, seed in enumerate(seeds) if mask >> i & 1
-            )
-            decoded[mask] = disjuncts
-        equations[v] = disjuncts
-    return equations
+        masks = [
+            sum(1 << j for j, seed in enumerate(seeds) if engine.reaches(v, seed))
+            for v in roots
+        ]
+        return BitRows.from_masks(roots, columns, masks)
+    # Sweep only what the in-nodes can see (one shared forward closure).
+    reached = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
+    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
 
 
 def assemble_reach(
-    partials: Dict[int, ReachEquations],
+    partials: Dict[int, Mapping],
     query: ReachQuery,
 ) -> Tuple[bool, BooleanEquationSystem]:
     """Procedure ``evalDG`` (Fig. 4): solve the assembled BES for ``Xs``."""
@@ -197,11 +187,14 @@ class ReachPlan(QueryPlan):
             *self._keyed,
         )
 
-    def wrap_partial(self, site_equations: ReachEquations) -> ReachPartialAnswer:
-        return ReachPartialAnswer(site_equations)
+    def merge_partials(self, parts: Sequence[BitRows]) -> BitRows:
+        return BitRows.concat(parts)
+
+    def wrap_partial(self, site_equations: BitRows) -> BooleanPartialAnswer:
+        return BooleanPartialAnswer(site_equations)
 
     def assemble(
-        self, partials: Dict[int, ReachEquations], collect_details: bool
+        self, partials: Dict[int, BitRows], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
         answer, bes = assemble_reach(partials, self.query)
         details: Dict[str, object] = {

@@ -13,6 +13,12 @@ pairs of the query automaton ``Gq(R)``:
    variables and solves it (procedure ``evalDGr``): the answer is the value
    of ``X(s, us)`` (Lemma 4).
 
+A fragment's vectors travel as one :class:`~repro.core.bes.BitRows` over
+(node, state) rows and columns, ``TRUE`` standing for ``(t, ut)`` — the
+wire type, sizing and by-reference loading of
+:mod:`repro.core.reachability`, with every pair's id size ``2 + node +
+state`` bytes.
+
 Instead of the paper's recursive ``cmpRvec`` memoization — which, as
 written, does not terminate on cyclic fragments (the ``visit`` flag is only
 set after the recursion returns) — we compute all vectors simultaneously
@@ -25,59 +31,36 @@ Guarantees (Theorem 3): one visit per site, ``O(|R|^2 |Vf|^2)`` traffic,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
-
-from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..automata.query_automaton import US, UT, QueryAutomaton, State
 from ..distributed.cluster import SimulatedCluster
-from ..distributed.messages import equation_set_size
 from ..graph.digraph import Node
 from ..graph.product import product_successors
 from ..graph.reachsets import reachable_seed_masks_from
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import TRUE, BooleanEquationSystem, Disjunct
-from .kernels import resolve_kernel
+from .bes import TRUE, BitRows, BooleanEquationSystem
+from .kernels import python_boundary, resolve_kernel
 from .options import EvalOptions
 from .queries import RegularReachQuery
+from .reachability import BooleanPartialAnswer
 from .results import QueryResult
 
 #: A (node, state) product pair — the variables of the regular BES.
 Pair = Tuple[Node, State]
-#: One fragment's partial answer: (in-node, state) -> disjuncts.
-RegularEquations = Dict[Pair, FrozenSet[Disjunct]]
 
-
-@dataclass(frozen=True)
-class RegularPartialAnswer:
-    """What a site ships to the coordinator: the vector set ``Fi.rvset``.
-
-    Wire format per Section 5's traffic analysis
-    (``O(|R|^2 |Fi.I| |Fi.O|)``): a shared column table of boundary
-    (node, state) pairs plus one bitset-or-sparse row per in-node vector
-    entry."""
-
-    equations: RegularEquations
-
-    def payload_size(self) -> int:
-        # Rows of one SCC share one frozenset: union each distinct set once.
-        rows = self.equations.values()
-        columns = set().union(*{id(d): d for d in rows}.values())
-        return equation_set_size(
-            row_ids=self.equations.keys(),
-            col_ids=columns,
-            row_counts=map(len, rows),
-            num_cols=len(columns),
-        )
+#: The disRPQ name of the one Boolean wire type (Section 5's
+#: ``O(|R|^2 |Fi.I| |Fi.O|)`` vector set).
+RegularPartialAnswer = BooleanPartialAnswer
 
 
 def local_eval_regular(
     fragment: Fragment,
     automaton: QueryAutomaton,
     kernel: Optional[str] = None,
-) -> RegularEquations:
+) -> BitRows:
     """Procedures ``localEvalr``/``cmpRvec`` (Fig. 7) on one fragment.
 
     Every consistent (node, state) pair of the local product graph is a
@@ -89,19 +72,6 @@ def local_eval_regular(
     bit-identical equations.
     """
     kernel = resolve_kernel(kernel)
-    source, target = automaton.source, automaton.target
-    iset = set(fragment.in_nodes)
-    oset = set(fragment.virtual_nodes)
-    if source in fragment.nodes:
-        iset.add(source)
-    if target in fragment.nodes:
-        oset.add(target)
-    if not iset:
-        return {}
-
-    def as_disjunct(pair: Pair) -> Disjunct:
-        return TRUE if pair == (target, UT) else pair
-
     # Roots: every state each in-node (and local source) matches; seeds:
     # every state a boundary node may occupy.  (t, UT) is the ``true``
     # seed; (w, US) is unreachable by construction (no transition enters
@@ -110,58 +80,36 @@ def local_eval_regular(
     # filters, in exactly the python loops' (sorted node, state order)
     # order, and never build the per-pair ``match_fn`` closure at all.
     if kernel != "python":
-        from .kernels import regular_boundary_pairs, regular_seed_masks
+        from .kernels import regular_rows
 
-        roots, seeds = regular_boundary_pairs(fragment, automaton, iset, oset)
-        if not seeds:
-            return {pair: frozenset() for pair in roots}
-        masks = regular_seed_masks(fragment, automaton, roots, seeds)
-    else:
-        local = fragment.local_graph
-        matches = automaton.match_fn(local)
-        seeds = []
-        for o in sorted(oset, key=repr):
-            for state in automaton.states():
-                if state != US and matches(o, state):
-                    seeds.append((o, state))
-        if not seeds:
-            return {
-                (v, state): frozenset()
-                for v in iset
-                for state in automaton.states()
-                if matches(v, state)
-            }
-        roots = [
-            (v, state)
-            for v in sorted(iset, key=repr)
-            for state in automaton.states()
-            if matches(v, state)
-        ]
-        successors = product_successors(local, automaton.successors, matches)
-        # Sweep only the product vertices some in-pair can actually see: one
-        # shared forward closure from every (in-node, state) row, instead of
-        # enumerating the full |Fi| × |Vq| product (or, as the per-pair
-        # formulation of [30] does, re-walking it once per row).
-        masks = reachable_seed_masks_from(roots, successors, seeds)
-
-    equations: RegularEquations = {}
-    decoded: Dict[int, FrozenSet[Disjunct]] = {}
-    for pair in roots:
-        mask = masks[pair]
-        disjuncts = decoded.get(mask)
-        if disjuncts is None:
-            disjuncts = frozenset(
-                as_disjunct(seed)
-                for i, seed in enumerate(seeds)
-                if mask >> i & 1
-            )
-            decoded[mask] = disjuncts
-        equations[pair] = disjuncts
-    return equations
+        return regular_rows(fragment, automaton)
+    target = automaton.target
+    local = fragment.local_graph
+    matches = automaton.match_fn(local)
+    nodes, boundary = python_boundary(fragment, automaton.source, target)
+    roots = [
+        (v, state) for v in nodes for state in automaton.states() if matches(v, state)
+    ]
+    seeds = [
+        (o, state)
+        for o in boundary
+        for state in automaton.states()
+        if state != US and matches(o, state)
+    ]
+    columns = [TRUE if pair == (target, UT) else pair for pair in seeds]
+    if not roots or not seeds:
+        return BitRows.from_masks(roots, columns, [0] * len(roots))
+    successors = product_successors(local, automaton.successors, matches)
+    # Sweep only the product vertices some in-pair can actually see: one
+    # shared forward closure from every (in-node, state) row, instead of
+    # enumerating the full |Fi| × |Vq| product (or, as the per-pair
+    # formulation of [30] does, re-walking it once per row).
+    reached = reachable_seed_masks_from(roots, successors, seeds)
+    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
 
 
 def assemble_regular(
-    partials: Dict[int, RegularEquations],
+    partials: Dict[int, Mapping],
     automaton: QueryAutomaton,
 ) -> Tuple[bool, BooleanEquationSystem]:
     """Procedure ``evalDGr``: solve the (node, state) BES for ``X(s, us)``."""
@@ -228,11 +176,14 @@ class RegularReachPlan(QueryPlan):
             *self._keyed,
         )
 
-    def wrap_partial(self, site_equations: RegularEquations) -> RegularPartialAnswer:
-        return RegularPartialAnswer(site_equations)
+    def merge_partials(self, parts: Sequence[BitRows]) -> BitRows:
+        return BitRows.concat(parts)
+
+    def wrap_partial(self, site_equations: BitRows) -> BooleanPartialAnswer:
+        return BooleanPartialAnswer(site_equations)
 
     def assemble(
-        self, partials: Dict[int, RegularEquations], collect_details: bool
+        self, partials: Dict[int, BitRows], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
         answer, bes = assemble_regular(partials, self.automaton)
         details: Dict[str, object] = {

@@ -141,16 +141,11 @@ class QueryPlan(ABC):
         """
         return None
 
+    @abstractmethod
     def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
-        """One site's partial from its fragments' ``parts`` (disjoint rows).
-
-        The default merges them into one dict; a plan whose partials are
-        not dicts merges its own type.
-        """
-        merged: Dict = {}
-        for part in parts:
-            merged.update(part)
-        return merged
+        """One site's partial from its fragments' ``parts`` (disjoint rows):
+        the plan's row type concatenated under one shared column table
+        (``BitRows.concat``, ``BoundedRows.concat``)."""
 
     @abstractmethod
     def wrap_partial(self, site_equations: Mapping) -> object:

@@ -122,7 +122,8 @@ class TestDisDist:
 
 class TestStdlibOnly:
     def test_python_kernel_never_imports_numpy(self):
-        """The reference kernel stays stdlib-only for all three classes."""
+        """The reference kernel stays stdlib-only for all three classes,
+        emitting the same BitRows / BoundedRows wire types as numpy."""
         import os
         import subprocess
         import sys
@@ -138,10 +139,23 @@ class TestStdlibOnly:
             "from repro.distributed import SimulatedCluster\n"
             "from repro.workload.paper_example import figure1_fragmentation\n"
             "cluster = SimulatedCluster(figure1_fragmentation())\n"
+            "from repro.core.bes import BitRows\n"
+            "from repro.core.minplus import BoundedRows\n"
+            "from repro.core.bounded import local_eval_bounded\n"
+            "from repro.core.reachability import local_eval_reach\n"
+            "from repro.core.regular import local_eval_regular\n"
             "for query in (ReachQuery('Ann', 'Mark'), "
             "BoundedReachQuery('Ann', 'Mark', 6), "
             "RegularReachQuery('Ann', 'Mark', 'DB* | HR*')):\n"
             "    assert evaluate(cluster, query, kernel='python').answer\n"
+            "automaton = RegularReachQuery('Ann', 'Mark', 'DB* | HR*').automaton()\n"
+            "for fragment in cluster.fragmentation:\n"
+            "    reach = local_eval_reach(fragment, ReachQuery('Ann', 'Mark'), kernel='python')\n"
+            "    regular = local_eval_regular(fragment, automaton, kernel='python')\n"
+            "    bounded = local_eval_bounded(fragment, BoundedReachQuery('Ann', 'Mark', 6), "
+            "kernel='python')\n"
+            "    assert isinstance(reach, BitRows) and isinstance(regular, BitRows)\n"
+            "    assert isinstance(bounded, BoundedRows)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         env = dict(os.environ)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import ReachQuery, dis_reach, local_eval_reach, reachable
 from repro.core.bes import TRUE
+from repro.core.bes import BitRows
 from repro.core.reachability import ReachPartialAnswer, assemble_reach
 from repro.distributed import MessageKind, SimulatedCluster, payload_size
+from repro.distributed.messages import equation_set_size
 from repro.errors import QueryError
 
 
@@ -165,3 +167,29 @@ class TestPartialAnswerPayload:
         dense = ReachPartialAnswer({"a": cols})
         # header 2 + row id 1 + column table 800*8 + bitset row ceil(800/8)
         assert payload_size(dense) == 2 + 1 + 800 * 8 + 100
+
+    def test_plain_mapping_is_converted_once(self):
+        answer = ReachPartialAnswer({"a": frozenset({"x"})})
+        assert isinstance(answer.equations, BitRows)
+        assert ReachPartialAnswer(answer.equations).equations is answer.equations
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_arithmetic_size_matches_the_equation_set_model(self, random_case, kernel):
+        pytest.importorskip("numpy")
+        for seed in range(3):
+            graph, cluster = random_case(seed)
+            nodes = sorted(graph.nodes())
+            for s, t in [(nodes[0], nodes[-1]), (nodes[3], nodes[1])]:
+                parts = [
+                    local_eval_reach(fragment, ReachQuery(s, t), kernel=kernel)
+                    for fragment in cluster.fragmentation
+                ]
+                # one fragment each, then a site shipping all of them
+                for rows in (*parts, BitRows.concat(parts)):
+                    plain = {var: frozenset(d) for var, d in rows.items()}
+                    columns = set().union(*plain.values())
+                    expected = equation_set_size(
+                        plain.keys(), columns, map(len, plain.values()), len(columns)
+                    )
+                    assert payload_size(ReachPartialAnswer(rows)) == expected
+                    assert payload_size(ReachPartialAnswer(plain)) == expected

@@ -10,7 +10,9 @@ from repro.core.regular import (
     assemble_regular,
     local_eval_regular,
 )
+from repro.core.bes import BitRows
 from repro.distributed import payload_size
+from repro.distributed.messages import equation_set_size
 from repro.errors import QueryError
 
 
@@ -157,3 +159,29 @@ class TestRegularPartialPayload:
             }
         )
         assert payload_size(small) < payload_size(big)
+
+    def test_one_wire_type_for_both_boolean_classes(self):
+        from repro.core.reachability import BooleanPartialAnswer, ReachPartialAnswer
+
+        assert RegularPartialAnswer is BooleanPartialAnswer is ReachPartialAnswer
+        answer = RegularPartialAnswer({("a", 0): frozenset({("w", 1), TRUE})})
+        assert isinstance(answer.equations, BitRows)
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    def test_arithmetic_size_matches_the_equation_set_model(
+        self, figure1, figure1_automaton, kernel
+    ):
+        pytest.importorskip("numpy")
+        _, fragmentation, _ = figure1
+        parts = [
+            local_eval_regular(fragment, figure1_automaton, kernel=kernel)
+            for fragment in fragmentation
+        ]
+        for rows in (*parts, BitRows.concat(parts)):
+            plain = dict(rows)
+            columns = set().union(*plain.values())
+            expected = equation_set_size(
+                plain.keys(), columns, map(len, plain.values()), len(columns)
+            )
+            assert payload_size(RegularPartialAnswer(rows)) == expected
+            assert payload_size(RegularPartialAnswer(plain)) == expected

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.automata.query_automaton import QueryAutomaton  # noqa: E402
-from repro.core.bounded import local_eval_bounded  # noqa: E402
+from repro.core.bes import TRUE  # noqa: E402
+from repro.core.bounded import BoundedPartialAnswer, local_eval_bounded  # noqa: E402
 from repro.core.csr import (  # noqa: E402
     CSRCondensation,
     FragmentCSR,
@@ -45,9 +46,15 @@ from repro.core.kernels import (  # noqa: E402
     set_default_kernel,
 )
 from repro.core.options import EvalOptions  # noqa: E402
-from repro.core.queries import BoundedReachQuery, ReachQuery  # noqa: E402
-from repro.core.reachability import local_eval_reach  # noqa: E402
-from repro.core.regular import local_eval_regular  # noqa: E402
+from repro.core.minplus import TARGET  # noqa: E402
+from repro.core.queries import (  # noqa: E402
+    BoundedReachQuery,
+    ReachQuery,
+    RegularReachQuery,
+)
+from repro.core.reachability import ReachPartialAnswer, local_eval_reach  # noqa: E402
+from repro.core.regular import RegularPartialAnswer, local_eval_regular  # noqa: E402
+from repro.distributed.messages import payload_size  # noqa: E402
 from repro.distributed import SimulatedCluster  # noqa: E402
 from repro.distributed.executors import EXECUTORS  # noqa: E402
 from repro.errors import KernelError  # noqa: E402
@@ -460,6 +467,166 @@ class TestKernelIdentityProperties:
                 assert (
                     local_eval_regular(fragment, automaton, kernel=kernel) == reference
                 )
+
+
+def _prologue_fixture():
+    """Five fragments covering every boundary shape the prologue handles.
+
+    F0 = {a, bb, ccc}: in-node ``a``, virtual ``x`` and ``yy``;
+    F1 = {x, yy, zzz}: in-nodes ``x``, ``yy``, virtual ``a`` and ``q``;
+    F2 = {lonely}: no in-node and no virtual node;
+    F3 = {p}: no in-node, virtual ``a``;
+    F4 = {q}: in-node ``q``, no virtual node.
+    Node ids have different lengths, so a wrong id size shows in the bytes.
+    """
+    edges = [
+        ("a", "bb"), ("bb", "ccc"), ("ccc", "x"), ("bb", "yy"),
+        ("x", "yy"), ("yy", "zzz"), ("zzz", "a"), ("zzz", "x"),
+        ("p", "a"), ("x", "q"), ("ccc", "a"),
+    ]
+    labels = {node: ("L0", "L1")[len(node) % 2] for edge in edges for node in edge}
+    labels["lonely"] = "L0"
+    graph = DiGraph.from_edges(edges, labels=labels, nodes=["lonely"])
+    assignment = {
+        "a": 0, "bb": 0, "ccc": 0, "x": 1, "yy": 1, "zzz": 1,
+        "lonely": 2, "p": 3, "q": 4,
+    }
+    return build_fragmentation(graph, assignment, 5)
+
+
+#: (fragment, s, t, what the case covers) — every prologue edge case.
+PROLOGUE_CASES = [
+    (0, "zzz", "x", "t in Fi.O becomes the TRUE column"),
+    (0, "a", "zzz", "s already an in-node"),
+    (0, "bb", "zzz", "s local but not an in-node"),
+    (0, "zzz", "ccc", "t local"),
+    (0, "bb", "ccc", "s and t both local"),
+    (2, "a", "x", "empty iset and empty oset"),
+    (3, "zzz", "a", "empty iset, t virtual"),
+    (3, "p", "a", "s local into an empty iset"),
+    (4, "a", "x", "empty oset"),
+    (4, "a", "q", "empty oset, t local"),
+]
+
+
+def _sized(rows):
+    """Every id size recorded in ``rows`` against ``payload_size``."""
+    return rows.row_bytes == sum(map(payload_size, rows.rows)) and list(
+        rows.col_bytes
+    ) == [payload_size(column) for column in rows.columns]
+
+
+class TestBoundaryPrologue:
+    """The cached boundary prologue: numpy rows equal the python reference's
+    row for row — ids, columns, sets, id sizes and the modeled payload."""
+
+    @pytest.mark.parametrize(
+        "fid, s, t", [case[:3] for case in PROLOGUE_CASES],
+        ids=[case[3] for case in PROLOGUE_CASES],
+    )
+    def test_reach_rows_identical(self, fid, s, t):
+        fragment = _prologue_fixture()[fid]
+        query = ReachQuery(s, t)
+        reference = local_eval_reach(fragment, query)
+        got = local_eval_reach(fragment, query, kernel="numpy")
+        assert got == reference
+        for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
+            assert getattr(got, field) == getattr(reference, field), field
+        assert _sized(got)
+        assert payload_size(ReachPartialAnswer(got)) == payload_size(
+            ReachPartialAnswer(dict(reference))
+        )
+
+    @pytest.mark.parametrize(
+        "fid, s, t", [case[:3] for case in PROLOGUE_CASES],
+        ids=[case[3] for case in PROLOGUE_CASES],
+    )
+    def test_bounded_rows_identical(self, fid, s, t):
+        fragment = _prologue_fixture()[fid]
+        query = BoundedReachQuery(s, t, 3)
+        reference = local_eval_bounded(fragment, query)
+        got = local_eval_bounded(fragment, query, kernel="numpy")
+        for field in ("rows", "columns", "starts", "cols", "dists", "row_bytes", "col_bytes"):
+            assert getattr(got, field) == getattr(reference, field), field
+        assert _sized(got)
+        assert payload_size(BoundedPartialAnswer(got)) == payload_size(
+            BoundedPartialAnswer(reference)
+        )
+
+    @pytest.mark.parametrize(
+        "fid, s, t", [case[:3] for case in PROLOGUE_CASES],
+        ids=[case[3] for case in PROLOGUE_CASES],
+    )
+    @pytest.mark.parametrize("regex", [".*", "L1 (L0 | L1)*", "(L0 | L1)* L0 L1"])
+    def test_regular_rows_identical(self, fid, s, t, regex):
+        fragment = _prologue_fixture()[fid]
+        automaton = RegularReachQuery(s, t, regex).automaton()
+        reference = local_eval_regular(fragment, automaton)
+        got = local_eval_regular(fragment, automaton, kernel="numpy")
+        assert got == reference
+        for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
+            assert getattr(got, field) == getattr(reference, field), field
+        assert _sized(got)
+        assert payload_size(RegularPartialAnswer(got)) == payload_size(
+            RegularPartialAnswer(dict(reference))
+        )
+
+    def test_virtual_target_is_the_true_column(self):
+        fragment = _prologue_fixture()[0]
+        for kernel in ("python", "numpy"):
+            rows = local_eval_reach(fragment, ReachQuery("zzz", "x"), kernel=kernel)
+            assert "x" not in rows.columns and TRUE in rows.columns
+            assert rows.col_bytes[rows.columns.index(TRUE)] == 1
+            bounded = local_eval_bounded(
+                fragment, BoundedReachQuery("zzz", "x", 3), kernel=kernel
+            )
+            assert TARGET in bounded.columns and "x" not in bounded.columns
+
+    def test_boundary_is_cached_per_fragment_state(self):
+        fragment = _prologue_fixture()[0]
+        query = ReachQuery("bb", "ccc")
+        local_eval_reach(fragment, query, kernel="numpy")
+        csr = fragment_csr(fragment)
+        found = csr.boundary(fragment)
+        assert found.in_nodes == ("a",) and found.out_nodes == ("x", "yy")
+        assert found.in_bytes == 1 and list(found.out_bytes) == [1, 2]
+        assert list(csr.node_bytes) == [payload_size(node) for node in csr.order]
+        # other queries on the same fragment state reuse it
+        local_eval_reach(fragment, ReachQuery("a", "x"), kernel="numpy")
+        assert csr.boundary(fragment) is found
+
+    def test_cross_edge_write_refreshes_a_kept_view(self):
+        # The target side of a cross-edge write keeps its CSR view (its
+        # graph did not move) but gains an in-node: the prologue must see
+        # the new in_nodes object, not trust the view.
+        graph = erdos_renyi(24, 60, seed=3, num_labels=3)
+        cluster = SimulatedCluster.from_graph(graph, 3, "chunk")
+        placement = cluster.fragmentation.placement
+        u, v = next(
+            (u, v)
+            for u in sorted(placement, key=repr)
+            for v in sorted(placement, key=repr)
+            if placement[u] != placement[v]
+            and v not in cluster.fragmentation[placement[v]].in_nodes
+        )
+        nodes = sorted(graph.nodes(), key=repr)
+        query = ReachQuery(nodes[0], nodes[-1])
+        before = cluster.fragmentation[placement[v]]
+        local_eval_reach(before, query, kernel="numpy")
+        view = fragment_csr(before)
+        assert v not in view.boundary(before).in_nodes
+        cluster.apply_edge_mutation(u, v, add=True)
+        after = cluster.fragmentation[placement[v]]
+        assert after is not before and cached_csr(after) is view
+        rows = local_eval_reach(after, query, kernel="numpy")
+        assert v in rows.rows and v in view.boundary(after).in_nodes
+        reference = local_eval_reach(after, query)
+        assert (rows.rows, rows.columns, rows.row_bytes) == (
+            reference.rows,
+            reference.columns,
+            reference.row_bytes,
+        )
+        assert rows == reference
 
 
 #: The hub fixture's core: fragment 0, labeled L0..L2.
