@@ -19,7 +19,15 @@ form vectorized (and jitted) kernels want:
   rows with their modeled id sizes (:meth:`FragmentCSR.boundary`), from
   which :func:`boundary_prologue` derives one query's roots and columns by
   inserting ``s`` and ``t`` — the part of every local evaluation that does
-  not depend on the query, built once per fragment state.
+  not depend on the query, built once per fragment state;
+* **the forward cone** — the rows ``Fi.I`` reaches and the sweep plans
+  restricted to them (:class:`Cone`, :meth:`FragmentCSR.cone`): a root's
+  row depends only on the rows it reaches, so the kernels sweep the cone,
+  not the fragment.
+
+The adjacency is lowered in one vectorized step (one ``fromiter`` over
+every successor set, one ``lexsort`` over (target, source)), which pays
+for building cones on the write path's re-lowerings.
 
 A :class:`FragmentCSR` is *derived, read-only state*: it is built lazily by
 :func:`fragment_csr`, cached on the fragment, and validated against the
@@ -37,11 +45,15 @@ the carry table (``partition.fragment.CARRY``) is ``kept``:
 * **repartition** builds entirely new fragments, so old arrays simply die
   with the old objects.
 
-The boundary prologue is the one piece that is not a function of the local
-graph: a cross-edge write replaces the *target* fragment's ``in_nodes``
-while its graph, and so its view, stays.  It is therefore validated by
-identity against the fragment's ``in_nodes``/``virtual_nodes`` objects
-(both frozensets, replaced on change, never mutated), not by the stamp.
+Two pieces are not a function of the local graph alone: a cross-edge write
+replaces the *target* fragment's ``in_nodes`` while its graph, and so its
+view, stays.  The boundary prologue is therefore validated by identity
+against the fragment's ``in_nodes``/``virtual_nodes`` objects (both
+frozensets, replaced on change, never mutated), not by the stamp.  The
+in-node cone is validated by *coverage*: a cone built for a superset of
+the in-nodes is exact for any subset, so it is kept while it holds every
+in-node row and rebuilt only when an in-node falls outside it.  A cone
+holds no reference to its view, so retired views still die by refcount.
 
 Requires numpy (an optional dependency — the pure-python kernels never
 import this module); :func:`~repro.core.kernels.kernel_available` gates it.
@@ -49,6 +61,7 @@ import this module); :func:`~repro.core.kernels.kernel_available` gates it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -133,6 +146,8 @@ class FragmentCSR:
         "_labels",
         "_node_bytes",
         "_boundary",
+        "_cone",
+        "_whole",
     )
 
     def __init__(self, graph: Any) -> None:
@@ -140,13 +155,19 @@ class FragmentCSR:
         order = sorted(graph.nodes(), key=repr)
         index = {node: i for i, node in enumerate(order)}
         num_nodes = len(order)
+        # One pass over the successor sets in row order, then one lexsort
+        # over (target, source) sorts every row by interned id at once.
+        successor_sets = list(map(graph.successors, order))
+        degrees = np.fromiter(map(len, successor_sets), dtype=np.int64, count=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        cols = []
-        for i, node in enumerate(order):
-            row = sorted(index[succ] for succ in graph.successors(node))
-            cols.extend(row)
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = np.asarray(cols, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        targets = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(successor_sets)),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
+        sources = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        indices = targets.take(np.lexsort((targets, sources)))
 
         label_of = graph.label
         labels = sorted({label_of(node) for node in order}, key=repr)
@@ -170,6 +191,8 @@ class FragmentCSR:
         self._labels: Dict[Optional[int], LabelFilter] = {}
         self._node_bytes: Optional[np.ndarray] = None
         self._boundary: Optional[Boundary] = None
+        self._cone: Optional[Cone] = None
+        self._whole: Optional[Cone] = None
 
     @property
     def num_nodes(self) -> int:
@@ -227,6 +250,30 @@ class FragmentCSR:
             node_bytes.take(out_rows),
         )
         self._boundary = cached
+        return cached
+
+    def whole_cone(self) -> "Cone":
+        """The (cached) whole-fragment :class:`Cone`: today's plans as is."""
+        if self._whole is None:
+            self._whole = Cone(None)
+        return self._whole
+
+    def cone(self, roots: np.ndarray) -> "Cone":
+        """The (cached) forward :class:`Cone` of the in-node rows ``roots``.
+
+        Validated by *coverage*, not identity: a cone built for a superset
+        of ``roots`` is exact for ``roots`` too, so a cross-edge write that
+        removes an in-node, or adds one the cone already holds, keeps it;
+        only an in-node outside it builds a new one.  A closure that covers
+        every row is the :meth:`whole_cone`.  One cone per view, never grown
+        for a query's source (:func:`boundary_prologue` falls back to the
+        whole-fragment cone instead).
+        """
+        cached = self._cone
+        if cached is None or not cached.covers(roots):
+            mask = forward_closure(self, roots)
+            cached = self.whole_cone() if mask.all() else Cone(mask)
+            self._cone = cached
         return cached
 
     def condensation(self) -> "CSRCondensation":
@@ -402,6 +449,136 @@ class CSRCondensation:
         )
 
 
+def _concat_segments(
+    indices: np.ndarray, lo: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, targets)``: the segments ``indices[lo[i] : lo[i] +
+    lengths[i]]`` concatenated in order, and each one's offset into them."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1]) if ends.size else 0
+    return starts, indices.take(np.repeat(lo - starts, lengths) + np.arange(total))
+
+
+def forward_closure(csr: FragmentCSR, roots: np.ndarray) -> np.ndarray:
+    """``bool[V]``: the rows reachable from the rows ``roots``, roots included.
+
+    A frontier BFS over ``indptr``/``indices``: each round gathers every
+    frontier row's successors in one ``take`` and keeps the unmarked ones.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    mask = np.zeros(csr.num_nodes, dtype=bool)
+    frontier = np.unique(roots)
+    mask[frontier] = True
+    while frontier.size:
+        lo = indptr.take(frontier)
+        _, reached = _concat_segments(indices, lo, indptr.take(frontier + 1) - lo)
+        frontier = np.unique(reached[~mask.take(reached)])
+        mask[frontier] = True
+    return mask
+
+
+#: Marks a :class:`Cone` plan not built yet (``None`` is a valid plan).
+_UNBUILT: Any = object()
+
+
+class Cone:
+    """The forward cone of a set of root rows and the sweeps restricted to it.
+
+    A root's row depends only on the rows the root reaches, and those rows'
+    successors are in the cone again, so sweeping only the cone computes
+    every root row exactly as a whole-fragment sweep does.  ``mask`` is the
+    cone's ``bool[V]`` rows, ``None`` for the whole fragment.  The plans are
+    query-independent and built lazily, once each:
+
+    * :meth:`schedule` — the condensation schedule restricted to cone
+      components, ``(ids, starts, segment)`` per level, empty levels
+      skipped: components ``ids`` absorb ``bitwise_or.reduceat(
+      bits[segment], starts)``;
+    * :meth:`edges` — the nonempty-row :data:`SubCSR` of cone source rows;
+    * :meth:`label_edges` — each label's :meth:`FragmentCSR.label_filter`
+      sub-CSR restricted the same way, per code.
+
+    The whole-fragment cone hands back the view's own plans: the
+    condensation's schedule with slices for ``ids``, ``nonempty_rows()``
+    over ``indices``, and ``label_filter``.
+
+    A cone holds no reference to its view: the view caches the cone, so a
+    back-reference would be a cycle that keeps a retired view alive past
+    its refcount.  The plan methods therefore take the view (or its
+    condensation) as an argument, and must be given the one the cone was
+    built for.
+    """
+
+    __slots__ = ("mask", "_schedule", "_edges", "_labels")
+
+    def __init__(self, mask: Optional[np.ndarray]) -> None:
+        self.mask = mask
+        self._schedule: Optional[Tuple[Tuple[Any, np.ndarray, np.ndarray], ...]] = None
+        self._edges: Any = _UNBUILT
+        self._labels: Dict[Optional[int], Optional[SubCSR]] = {}
+
+    def covers(self, rows: Any) -> bool:
+        """Do the rows ``rows`` (an int or an int array) all lie in the cone?"""
+        return self.mask is None or bool(self.mask.take(rows).all())
+
+    def schedule(
+        self, cond: "CSRCondensation"
+    ) -> Tuple[Tuple[Any, np.ndarray, np.ndarray], ...]:
+        """``(ids, starts, segment)`` per condensation level with cone
+        components, ascending; ``ids`` is a slice on the whole fragment."""
+        if self._schedule is None:
+            if self.mask is None:
+                plan = [
+                    (slice(c0, c1), starts, segment)
+                    for c0, c1, segment, starts in cond.schedule
+                ]
+            else:
+                inside = np.zeros(cond.num_comps, dtype=bool)
+                inside[cond.comp[self.mask]] = True
+                plan = []
+                for c0, c1, _, _ in cond.schedule:
+                    ids = c0 + np.flatnonzero(inside[c0:c1])
+                    if ids.size:
+                        lo = cond.cindptr.take(ids)
+                        starts, segment = _concat_segments(
+                            cond.cindices, lo, cond.cindptr.take(ids + 1) - lo
+                        )
+                        plan.append((ids, starts, segment))
+            self._schedule = tuple(plan)
+        return self._schedule
+
+    def edges(self, csr: FragmentCSR) -> Optional[SubCSR]:
+        """``(rows, starts, targets)`` of every edge out of a cone row;
+        ``None`` when there is none."""
+        if self._edges is _UNBUILT:
+            rows, starts = csr.nonempty_rows()
+            self._edges = self.restrict((rows, starts, csr.indices) if rows.size else None)
+        return self._edges
+
+    def label_edges(self, csr: FragmentCSR, code: Optional[int]) -> Optional[SubCSR]:
+        """:meth:`FragmentCSR.label_filter`'s sub-CSR of ``code``, restricted
+        to cone source rows."""
+        found = self._labels.get(code, _UNBUILT)
+        if found is _UNBUILT:
+            found = self._labels[code] = self.restrict(csr.label_filter(code)[1])
+        return found
+
+    def restrict(self, sub: Optional[SubCSR]) -> Optional[SubCSR]:
+        """``sub`` with only its cone source rows (``None`` if none is left)."""
+        if sub is None or self.mask is None:
+            return sub
+        rows, starts, targets = sub
+        keep = self.mask.take(rows)
+        if keep.all():
+            return sub
+        if not keep.any():
+            return None
+        lengths = np.diff(starts, append=targets.size)
+        kept_starts, kept_targets = _concat_segments(targets, starts[keep], lengths[keep])
+        return rows[keep], kept_starts, kept_targets
+
+
 def fragment_csr(fragment: "Fragment") -> FragmentCSR:
     """The (cached) :class:`FragmentCSR` of ``fragment``'s local graph.
 
@@ -424,21 +601,27 @@ def fragment_csr(fragment: "Fragment") -> FragmentCSR:
 
 def boundary_prologue(
     fragment: "Fragment", source: Any, target: Any, token: Any = None
-) -> Tuple[FragmentCSR, Prologue]:
-    """The view of ``fragment`` and one query's :class:`Prologue` on it.
+) -> Tuple[FragmentCSR, Cone, Prologue]:
+    """The view of ``fragment``, the :class:`Cone` to sweep and one query's
+    :class:`Prologue` on it.
 
     Roots are ``Fi.I`` plus ``source`` when it is stored here; columns are
     ``Fi.O`` plus ``target`` when it is stored here.  Both come from the
     cached :meth:`FragmentCSR.boundary`, the endpoints inserted by
     ``searchsorted`` so every order stays the kernels' ``repr`` order.
     With a ``token`` (``TRUE`` or ``TARGET``), the target's column — local
-    or virtual — becomes the token, charged at the token's size.
+    or virtual — becomes the token, charged at the token's size.  The cone
+    is the view's in-node cone, or the whole-fragment cone when ``source``
+    is an extra root outside it.
     """
     csr = fragment_csr(fragment)
     found = csr.boundary(fragment)
+    cone = csr.cone(found.in_rows)
     roots, root_rows, row_bytes = found.in_nodes, found.in_rows, found.in_bytes
     if source in fragment.nodes and source not in fragment.in_nodes:
         row = csr.index[source]
+        if not cone.covers(row):
+            cone = csr.whole_cone()
         at = int(np.searchsorted(root_rows, row))
         roots = (*roots[:at], source, *roots[at:])
         root_rows = np.insert(root_rows, at, row)
@@ -455,7 +638,7 @@ def boundary_prologue(
             columns = (*columns[:at], token, *columns[at + 1 :])
             col_bytes = col_bytes.copy()
             col_bytes[at] = payload_size(token)
-    return csr, Prologue(roots, root_rows, row_bytes, columns, seed_rows, col_bytes)
+    return csr, cone, Prologue(roots, root_rows, row_bytes, columns, seed_rows, col_bytes)
 
 
 def cached_csr(fragment: "Fragment") -> "FragmentCSR | None":

@@ -20,7 +20,12 @@ This module reimplements those sweeps as array kernels over the
     distances off one snapshot of the root rows per level; regular
     reachability runs the propagation per automaton transition over a
     ``[states, V, words]`` cube, each transition restricted to the cached
-    sub-CSR of edges into nodes carrying its target state's label.
+    sub-CSR of edges into nodes carrying its target state's label.  All
+    three sweep only the forward cone of their roots
+    (:class:`~repro.core.csr.Cone`, handed over by the boundary prologue):
+    the condensation levels, edges and label sub-CSRs the root rows read,
+    through one code path whether the cone is proper or the whole
+    fragment.
 
 Selection follows the one strategy-registry precedence (explicit >
 ``set_default_kernel`` > ``REPRO_KERNEL`` > ``python``;
@@ -140,17 +145,19 @@ def _rows_to_ints(bitset_rows) -> List[int]:
 # ---------------------------------------------------------------------------
 # Boolean reachability (localEval)
 # ---------------------------------------------------------------------------
-def _reach_masks(np, csr: Any, root_rows: Any, seed_rows: Any) -> List[int]:
+def _reach_masks(np, csr: Any, cone: Any, root_rows: Any, seed_rows: Any) -> List[int]:
     """Per root row, the python-int bitmask of the seed rows it reaches.
 
     The sweep runs over the fragment's *cached* level-ordered SCC
     condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): every
     seed bit is ORed into its component in one ``bitwise_or.at`` (two
     seeds in one SCC share a component row, so their bits must
-    accumulate, not overwrite), then each level of the condensation's
-    cached ``schedule`` absorbs its successor levels in one ``reduceat`` —
-    a single pass touching every condensation edge once, with the Tarjan
-    work amortized across all queries on the fragment version.
+    accumulate, not overwrite), then each level of ``cone``'s cached
+    schedule absorbs its successor levels in one ``reduceat`` — a single
+    pass over the condensation edges *out of the roots' forward cone*
+    (:class:`~repro.core.csr.Cone`), the only components a root row reads,
+    with the Tarjan work amortized across all queries on the fragment
+    version.
     """
     cond = csr.condensation()
     words = max(1, (len(seed_rows) + 63) >> 6)
@@ -158,10 +165,8 @@ def _reach_masks(np, csr: Any, root_rows: Any, seed_rows: Any) -> List[int]:
     cbits = np.zeros(cond.num_comps * words, dtype=np.uint64)
     np.bitwise_or.at(cbits, cond.comp.take(seed_rows) * words + word, bit)
     cbits = cbits.reshape(cond.num_comps, words)
-    for c0, c1, segment, starts in cond.schedule:
-        cbits[c0:c1] |= np.bitwise_or.reduceat(
-            cbits.take(segment, axis=0), starts, axis=0
-        )
+    for ids, starts, segment in cone.schedule(cond):
+        cbits[ids] |= np.bitwise_or.reduceat(cbits.take(segment, axis=0), starts, axis=0)
     return _rows_to_ints(cbits.take(cond.comp.take(root_rows), axis=0))
 
 
@@ -184,7 +189,11 @@ def reach_seed_masks(
 
     csr = fragment_csr(fragment)
     masks = _reach_masks(
-        np, csr, _node_rows(np, csr.index, roots), _node_rows(np, csr.index, seeds)
+        np,
+        csr,
+        csr.whole_cone(),
+        _node_rows(np, csr.index, roots),
+        _node_rows(np, csr.index, seeds),
     )
     return dict(zip(roots, masks))
 
@@ -193,16 +202,17 @@ def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "BitRows":
     """``localEval``'s :class:`~repro.core.bes.BitRows` for ``qr(source, target)``.
 
     Roots, columns (``TRUE`` for the target) and their id sizes come from
-    the cached boundary prologue; the masks from one condensation sweep.
+    the cached boundary prologue; the masks from one condensation sweep
+    over the prologue's cone.
     """
     import numpy as np
 
     from .bes import TRUE, BitRows
     from .csr import boundary_prologue
 
-    csr, found = boundary_prologue(fragment, source, target, TRUE)
+    csr, cone, found = boundary_prologue(fragment, source, target, TRUE)
     if found.root_rows.size and found.seed_rows.size:
-        masks = _reach_masks(np, csr, found.root_rows, found.seed_rows)
+        masks = _reach_masks(np, csr, cone, found.root_rows, found.seed_rows)
     else:
         masks = [0] * len(found.roots)
     return BitRows.from_masks(
@@ -230,15 +240,17 @@ def bounded_seed_rows(
     Dijkstra-style priority queue and no per-level bookkeeping.
 
     Roots, columns (``TARGET`` for the target) and their id sizes come from
-    the cached boundary prologue; the ``(root, seed)`` hits become the
-    matrix entries, handed over as ``int64`` buffers with no per-term loop.
+    the cached boundary prologue, and the levels gather only the edges out
+    of its cone (:meth:`~repro.core.csr.Cone.edges`), the rows a root
+    reads; the ``(root, seed)`` hits become the matrix entries, handed over
+    as ``int64`` buffers with no per-term loop.
     """
     import numpy as np
 
     from .csr import boundary_prologue
     from .minplus import TARGET, BoundedRows
 
-    csr, found = boundary_prologue(fragment, source, target, TARGET)
+    csr, cone, found = boundary_prologue(fragment, source, target, TARGET)
     roots, root_rows = found.roots, found.root_rows
     if not roots or not found.columns:
         return BoundedRows.from_lists(roots, (), ([] for _ in roots), found.row_bytes, ())
@@ -249,13 +261,14 @@ def bounded_seed_rows(
     # Seeds are distinct nodes, so their cells are distinct: one store.
     bits.reshape(-1)[found.seed_rows * words + word] = bit
     snapshots = [bits.take(root_rows, axis=0)]
-    indices = csr.indices
-    rows, starts = csr.nonempty_rows()
-    flat = _flat_rows(np, rows, words)
-    for _ in range(bound) if rows.size else ():
+    edges = cone.edges(csr)
+    if edges is not None:
+        rows, starts, targets = edges
+        flat = _flat_rows(np, rows, words)
+    for _ in range(bound) if edges is not None else ():
         # Jacobi step (gather fully precedes update): row r's bitset after
         # level L is exactly "reachable within L hops".
-        agg = np.bitwise_or.reduceat(bits.take(indices, axis=0), starts, axis=0)
+        agg = np.bitwise_or.reduceat(bits.take(targets, axis=0), starts, axis=0)
         cur = bits.take(rows, axis=0)
         new = cur | agg
         if np.array_equal(new, cur):
@@ -288,22 +301,23 @@ def bounded_seed_rows(
 # ---------------------------------------------------------------------------
 # regular reachability (localEvalr)
 # ---------------------------------------------------------------------------
-def _position_filters(csr: Any, automaton: "QueryAutomaton") -> List[Any]:
-    """Per Glushkov position, the CSR's cached ``(column, edges)`` filter of
-    its label (:meth:`~repro.core.csr.FragmentCSR.label_filter`).
+#: :func:`_position_codes` entry of a label no node of the fragment carries.
+_ABSENT = -1
 
-    ``None`` where no node of the fragment carries the position's label,
+
+def _position_codes(csr: Any, automaton: "QueryAutomaton") -> List[Any]:
+    """Per Glushkov position, the CSR's label code of its label — the key of
+    :meth:`~repro.core.csr.FragmentCSR.label_filter`, ``None`` for the
+    wildcard.
+
+    ``_ABSENT`` where no node of the fragment carries the position's label,
     so nothing here can occupy that position.
     """
     label_index = csr.label_index
-    filters: List[Any] = []
-    for expected in automaton.analysis.position_labels:
-        if expected is None:
-            filters.append(csr.label_filter(None))
-        else:
-            code = label_index.get(expected)
-            filters.append(None if code is None else csr.label_filter(code))
-    return filters
+    return [
+        None if expected is None else label_index.get(expected, _ABSENT)
+        for expected in automaton.analysis.position_labels
+    ]
 
 
 def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton", rows: Any) -> Any:
@@ -320,9 +334,9 @@ def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton", rows: Any) -> 
     match = np.zeros((rows.size, automaton.num_states), dtype=bool)
     match[:, 0] = rows == csr.index.get(automaton.source, -1)
     match[:, -1] = rows == csr.index.get(automaton.target, -1)
-    for col, found in enumerate(_position_filters(csr, automaton), start=1):
-        if found is not None:
-            match[:, col] = found[0].take(rows)
+    for col, code in enumerate(_position_codes(csr, automaton), start=1):
+        if code != _ABSENT:
+            match[:, col] = csr.label_filter(code)[0].take(rows)
     return match
 
 
@@ -340,8 +354,9 @@ class RegularPrologue(NamedTuple):
 
 def regular_boundary_pairs(
     fragment: "Fragment", automaton: "QueryAutomaton"
-) -> Tuple[Any, "RegularPrologue"]:
-    """The view of ``fragment`` and the regular algorithm's roots and seeds.
+) -> Tuple[Any, Any, "RegularPrologue"]:
+    """The view of ``fragment``, the prologue's cone and the regular
+    algorithm's roots and seeds.
 
     Node rows come from the cached boundary prologue; the pairs are in
     exactly the python prologue's order — nodes sorted by ``repr``, states
@@ -359,7 +374,7 @@ def regular_boundary_pairs(
     from .bes import TRUE
     from .csr import boundary_prologue
 
-    csr, found = boundary_prologue(fragment, automaton.source, automaton.target)
+    csr, cone, found = boundary_prologue(fragment, automaton.source, automaton.target)
     states = automaton.states()
     state_bytes = np.fromiter(map(payload_size, states), dtype=np.int64, count=len(states))
     num_nodes = csr.num_nodes
@@ -381,7 +396,7 @@ def regular_boundary_pairs(
         for at in np.flatnonzero(seed_cells == states.index(UT) * num_nodes + target_row):
             seeds[at] = TRUE
             col_bytes[at] = payload_size(TRUE)
-    return csr, RegularPrologue(
+    return csr, cone, RegularPrologue(
         roots, root_cells, int(root_bytes.sum()), seeds, seed_cells, col_bytes
     )
 
@@ -392,9 +407,11 @@ def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows"
 
     from .bes import BitRows
 
-    csr, found = regular_boundary_pairs(fragment, automaton)
+    csr, cone, found = regular_boundary_pairs(fragment, automaton)
     if found.columns:
-        masks = _regular_masks(np, csr, automaton, found.root_cells, found.seed_cells)
+        masks = _regular_masks(
+            np, csr, cone, automaton, found.root_cells, found.seed_cells
+        )
     else:
         masks = [0] * len(found.roots)
     return BitRows.from_masks(
@@ -403,7 +420,7 @@ def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows"
 
 
 def _regular_masks(
-    np, csr: Any, automaton: "QueryAutomaton", root_cells: Any, seed_cells: Any
+    np, csr: Any, cone: Any, automaton: "QueryAutomaton", root_cells: Any, seed_cells: Any
 ) -> List[int]:
     """Per root cell, the seed bitmask it reaches over the local product graph.
 
@@ -416,7 +433,9 @@ def _regular_masks(
     over :func:`repro.graph.product.product_successors`.  A position state
     ``u'`` restricts the edges to the CSR view's cached sub-CSR of edges
     into nodes carrying its label; ``UT`` matches by node identity, so its
-    sub-CSR (edges into the target row) is built per call.
+    sub-CSR (edges into the target row) is built per call.  Every sub-CSR
+    keeps only the source rows in ``cone``, the graph rows a root pair's
+    product paths can pass (:meth:`~repro.core.csr.Cone.label_edges`).
     """
     from ..automata.query_automaton import UT
     from ..graph.scc import tarjan_scc
@@ -435,7 +454,7 @@ def _regular_masks(
     # Per successor-state column, the sub-CSR of graph edges whose target
     # may occupy that state — bits only ever flow through label-consistent
     # product pairs — plus the flat scatter index of its source rows.
-    positions = _position_filters(csr, automaton)
+    codes = _position_codes(csr, automaton)
     target_row = index.get(automaton.target)
     edges: Dict[int, Any] = {}
     for u2 in {u2 for _, u2 in automaton.transitions()}:
@@ -444,10 +463,10 @@ def _regular_masks(
                 continue
             column = np.zeros(num_nodes, dtype=bool)
             column[target_row] = True
-            sub = csr.edges_into(column)
+            sub = cone.restrict(csr.edges_into(column))
         else:
-            found = positions[u2]
-            sub = None if found is None else found[1]
+            code = codes[u2]
+            sub = None if code == _ABSENT else cone.label_edges(csr, code)
         if sub is not None:
             rows, starts, targets = sub
             edges[col_of[u2]] = (rows, starts, targets, _flat_rows(np, rows, words))

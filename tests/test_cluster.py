@@ -276,3 +276,57 @@ def test_dropped_cluster_is_freed_by_refcount():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_dropped_numpy_cluster_frees_its_views_by_refcount():
+    """The numpy kernel's CSR views, and the cones they cache, die by refcount.
+
+    A view caches its forward cones, so a cone holding its view would be a
+    cycle: every view — the one a write retires while the cluster lives as
+    much as those dropped with it — would wait for the cyclic collector.
+    """
+    pytest.importorskip("numpy")
+    import gc
+    import weakref
+
+    from repro.core.csr import FragmentCSR
+    from repro.core.engine import evaluate
+    from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
+
+    def live_views():
+        return sum(isinstance(obj, FragmentCSR) for obj in gc.get_objects())
+
+    graph = erdos_renyi(30, 60, seed=1, num_labels=2)
+    nodes = sorted(graph.nodes())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        start = live_views()
+        cluster = SimulatedCluster.from_graph(graph, 3, partitioner="chunk")
+        owned = sorted(cluster.fragmentation[0].nodes)
+        u = owned[0]
+        v = next(n for n in owned if not graph.has_edge(u, n))
+        queries = [
+            query
+            for s, t in ((nodes[0], nodes[-1]), (u, nodes[-1]))
+            for query in (
+                ReachQuery(s, t),
+                BoundedReachQuery(s, t, 4),
+                RegularReachQuery(s, t, "L0* | L1*"),
+            )
+        ]
+        for query in queries:
+            evaluate(cluster, query, kernel="numpy")
+        assert live_views() == start + 3
+        cluster.apply_edge_mutation(u, v, add=True)  # re-lowers fragment 0
+        for query in queries:
+            evaluate(cluster, query, kernel="numpy")
+        assert live_views() == start + 3  # the retired view is gone
+        ref = weakref.ref(cluster)
+        del cluster
+        assert ref() is None
+        assert live_views() == start
+    finally:
+        if enabled:
+            gc.enable()

@@ -6,18 +6,23 @@ Four contracts (DESIGN.md §9):
   (``--kernel``) > ``REPRO_KERNEL`` env var > ``python``; unknown or
   unavailable names raise :class:`~repro.errors.KernelError`.
 * **CSR lowering** — interning follows the kernels' canonical
-  sorted-by-``repr`` order, the arrays mirror the local graph exactly, and
-  derived state (condensation, nonempty rows) is level-consistent.
+  sorted-by-``repr`` order, the arrays mirror the local graph exactly (and
+  equal the per-row sorted reference lowering), and derived state
+  (condensation, nonempty rows) is level-consistent.
 * **invalidation** — a stale CSR is never swept after
   ``apply_edge_mutation``: only the (at most two) affected fragments
   rebuild; every untouched fragment keeps the identical cached arrays.
 * **identity** — the numpy kernel produces bit-identical equations,
   answers and modeled stats to the python reference, across all three
   query classes, all three executor backends, and repartitions
-  (hypothesis-driven at the fragment level, pinned at the cluster level).
+  (hypothesis-driven at the fragment level, pinned at the cluster level);
+  sweeping only the roots' forward cone gives the rows the whole-fragment
+  plans give, and the cached cone is kept exactly while it covers Fi.I.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +35,11 @@ from repro.core.bes import TRUE  # noqa: E402
 from repro.core.bounded import BoundedPartialAnswer, local_eval_bounded  # noqa: E402
 from repro.core.csr import (  # noqa: E402
     CSRCondensation,
+    Cone,
     FragmentCSR,
+    boundary_prologue,
     cached_csr,
+    forward_closure,
     fragment_csr,
 )
 from repro.core.engine import evaluate, plan_for  # noqa: E402
@@ -60,6 +68,7 @@ from repro.distributed.executors import EXECUTORS  # noqa: E402
 from repro.errors import KernelError  # noqa: E402
 from repro.graph import DiGraph, erdos_renyi  # noqa: E402
 from repro.graph.reachsets import reachable_seed_masks_from  # noqa: E402
+from repro.graph.traversal import descendants  # noqa: E402
 from repro.partition import build_fragmentation, random_partition  # noqa: E402
 from repro.serving import BatchQueryEngine  # noqa: E402
 from repro.serving.engine import eval_fragment_jobs  # noqa: E402
@@ -139,6 +148,34 @@ class TestKernelSelection:
         assert set(available) <= set(KERNELS)
         assert available[0] == "python"
         assert "numpy" in available  # this test module requires numpy
+
+
+def _reference_lowering(graph):
+    """``(indptr, indices)`` lowered row by row, each row's ids sorted —
+    the lowering :class:`FragmentCSR` replaced with one ``lexsort``."""
+    order = sorted(graph.nodes(), key=repr)
+    index = {node: i for i, node in enumerate(order)}
+    indptr, indices = [0], []
+    for node in order:
+        indices.extend(sorted(index[succ] for succ in graph.successors(node)))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+@st.composite
+def lowering_cases(draw):
+    """Graphs with isolated nodes and self-loops (empty included), over ids
+    whose ``repr`` order is not their numeric order."""
+    names = draw(st.lists(st.integers(0, 30), max_size=12, unique=True))
+    nodes = [*names, *(f"n{name}" for name in names[::3])]
+    graph = DiGraph()
+    for node in nodes:
+        graph.add_node(node)
+    if nodes:
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        for u, v in draw(st.lists(pairs, max_size=40)):
+            graph.add_edge(u, v)
+    return graph
 
 
 class TestFragmentCSR:
@@ -230,6 +267,25 @@ class TestFragmentCSR:
             for i in range(csr.num_nodes):
                 row = csr.indices[csr.indptr[i] : csr.indptr[i + 1]]
                 assert (cond.comp[row] <= cond.comp[i]).all()
+
+    @given(lowering_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_lowering_equals_the_per_row_reference(self, graph):
+        # the graph itself, then every fragment's local graph, whose
+        # virtual nodes have no successors
+        assignment = {node: len(repr(node)) % 2 for node in graph.nodes()}
+        fragmentation = build_fragmentation(graph, assignment, 2)
+        for local in (graph, *(fragment.local_graph for fragment in fragmentation)):
+            indptr, indices = _reference_lowering(local)
+            csr = FragmentCSR(local)
+            assert csr.indptr.dtype == csr.indices.dtype == np.int64
+            assert csr.indptr.tolist() == indptr
+            assert csr.indices.tolist() == indices
+
+    def test_empty_graph_lowering(self):
+        csr = FragmentCSR(DiGraph())
+        assert csr.indptr.tolist() == [0] and csr.indices.shape == (0,)
+        assert csr.indices.dtype == np.int64
 
     def test_edgeless_graph_lowering(self):
         graph = DiGraph()
@@ -627,6 +683,209 @@ class TestBoundaryPrologue:
             reference.row_bytes,
         )
         assert rows == reference
+
+
+def _cone_fixture():
+    """Four fragments whose in-node cones are proper, whole and edgeless.
+
+    F0 = {a, b, c, d, e}: in-node ``a``, cone {a, b, c, x} (``b``/``c`` a
+    cycle); ``d`` (self-loop) and ``e`` lie outside it, and so does the
+    virtual ``y``;
+    F1 = {x, y, z}: in-nodes ``x`` and ``y``, whose cone is the fragment;
+    F2 = {p}: no in-node;
+    F3 = {q, r}: in-node ``q`` without successors, so its cone has no
+    edge; ``r`` lies outside it.
+    """
+    edges = [
+        ("a", "b"), ("b", "c"), ("c", "b"), ("c", "x"),
+        ("d", "d"), ("d", "e"), ("e", "a"), ("e", "y"),
+        ("x", "z"), ("z", "a"), ("z", "q"),
+        ("p", "a"),
+        ("r", "q"), ("r", "x"),
+    ]
+    nodes = sorted({node for edge in edges for node in edge})
+    labels = {node: f"L{i % 2}" for i, node in enumerate(nodes)}
+    graph = DiGraph.from_edges(edges, labels=labels)
+    assignment = {
+        "a": 0, "b": 0, "c": 0, "d": 0, "e": 0,
+        "x": 1, "y": 1, "z": 1, "p": 2, "q": 3, "r": 3,
+    }
+    return graph, assignment
+
+
+#: (fragment, s, t, cone the prologue sweeps, what the case covers).
+CONE_CASES = [
+    (0, "a", "x", "in-node", "s in Fi.I, t virtual"),
+    (0, "b", "c", "in-node", "s local inside the cone, t inside it"),
+    (0, "a", "e", "in-node", "t local outside the cone"),
+    (0, "d", "e", "whole", "s local outside the cone: the fallback"),
+    (0, "d", "y", "whole", "fallback, t virtual outside the cone"),
+    (0, "z", "q", "in-node", "neither endpoint here"),
+    (1, "x", "a", "whole", "the cone covers the fragment"),
+    (2, "p", "a", "whole", "empty Fi.I, s local"),
+    (2, "z", "a", "in-node", "empty Fi.I, no root"),
+    (3, "z", "x", "in-node", "a cone with no edges"),
+    (3, "q", "r", "in-node", "s in an edgeless cone, t outside it"),
+    (3, "r", "x", "whole", "s outside an edgeless cone"),
+]
+
+CONE_REGEXES = (".*", "L0 L1", "(L0 | L1)* L1", "L1 .* L0", "L0*")
+
+
+def _whole_plans(thunk):
+    """``thunk()`` with every prologue sweeping the whole fragment."""
+    with mock.patch.object(FragmentCSR, "cone", lambda csr, roots: csr.whole_cone()):
+        return thunk()
+
+
+def _row_fields(rows):
+    names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
+    return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
+
+
+def _numpy_rows(fragment, query, bound=None):
+    """The numpy kernel's rows for ``query`` (``bound`` makes it bounded)."""
+    if isinstance(query, RegularReachQuery):
+        return local_eval_regular(fragment, query.automaton(), kernel="numpy")
+    if bound is not None:
+        query = BoundedReachQuery(query.source, query.target, bound)
+        return local_eval_bounded(fragment, query, kernel="numpy")
+    return local_eval_reach(fragment, query, kernel="numpy")
+
+
+class TestForwardCone:
+    """Sweeping the roots' forward cone gives the whole-fragment rows, and
+    the cached in-node cone is validated by coverage."""
+
+    @staticmethod
+    def _fragmentation():
+        graph, assignment = _cone_fixture()
+        return build_fragmentation(graph, assignment, 4)
+
+    @staticmethod
+    def _in_cone(fragment):
+        csr = fragment_csr(fragment)
+        return csr.cone(csr.boundary(fragment).in_rows)
+
+    @staticmethod
+    def _assert_same_rows(fragment, query, bound=None):
+        coned = _numpy_rows(fragment, query, bound)
+        whole = _whole_plans(lambda: _numpy_rows(fragment, query, bound))
+        assert _row_fields(coned) == _row_fields(whole)
+        assert dict(coned) == dict(whole)
+        return coned
+
+    def test_fixture_cones(self):
+        fragmentation = self._fragmentation()
+        members = [
+            None if cone.mask is None else set(np.array(fragment_csr(f).order)[cone.mask])
+            for f in fragmentation
+            for cone in [self._in_cone(f)]
+        ]
+        assert members == [{"a", "b", "c", "x"}, None, set(), {"q"}]
+        assert self._in_cone(fragmentation[1]) is fragment_csr(fragmentation[1]).whole_cone()
+        edgeless = self._in_cone(fragmentation[3])
+        cond = fragment_csr(fragmentation[3]).condensation()
+        assert edgeless.edges(fragment_csr(fragmentation[3])) is None
+        assert edgeless.schedule(cond) == ()
+
+    @pytest.mark.parametrize(
+        "fid, s, t, picked", [case[:4] for case in CONE_CASES],
+        ids=[case[4] for case in CONE_CASES],
+    )
+    def test_prologue_picks_the_cone(self, fid, s, t, picked):
+        fragment = self._fragmentation()[fid]
+        csr, cone, found = boundary_prologue(fragment, s, t)
+        expected = csr.whole_cone() if picked == "whole" else self._in_cone(fragment)
+        assert cone is expected
+        assert cone.covers(found.root_rows)
+
+    @pytest.mark.parametrize(
+        "fid, s, t", [case[:3] for case in CONE_CASES],
+        ids=[case[4] for case in CONE_CASES],
+    )
+    def test_cone_rows_equal_whole_fragment_rows(self, fid, s, t):
+        fragment = self._fragmentation()[fid]
+        reach = self._assert_same_rows(fragment, ReachQuery(s, t))
+        assert reach == local_eval_reach(fragment, ReachQuery(s, t))
+        for bound in range(7):
+            self._assert_same_rows(fragment, ReachQuery(s, t), bound)
+        for regex in CONE_REGEXES:
+            self._assert_same_rows(fragment, RegularReachQuery(s, t, regex))
+
+    @given(labeled_cases(), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_cone_rows_equal_whole_fragment_rows_on_random_graphs(self, case, bound):
+        graph, fragmentation, s, t, seed = case
+        (regular,) = random_regular_queries(graph, 1, num_states=6, seed=seed)
+        for fragment in fragmentation:
+            csr = fragment_csr(fragment)
+            in_rows = csr.boundary(fragment).in_rows
+            reached = set(fragment.in_nodes).union(
+                *(descendants(fragment.local_graph, node) for node in fragment.in_nodes)
+            )
+            assert forward_closure(csr, in_rows).tolist() == [
+                node in reached for node in csr.order
+            ]
+            self._assert_same_rows(fragment, ReachQuery(s, t))
+            self._assert_same_rows(fragment, ReachQuery(s, t), bound)
+            self._assert_same_rows(fragment, RegularReachQuery(s, t, regular.regex))
+
+    def _cluster(self):
+        graph, assignment = _cone_fixture()
+        return SimulatedCluster(build_fragmentation(graph, assignment, 4))
+
+    def _write(self, cluster, fid, u, v, add):
+        before = cluster.fragmentation[fid]
+        view, cone = fragment_csr(before), self._in_cone(before)
+        cluster.apply_edge_mutation(u, v, add=add)
+        after = cluster.fragmentation[fid]
+        assert after is not before and cached_csr(after) is view  # view kept
+        return after, cone
+
+    def test_removed_in_node_keeps_the_cone(self):
+        cluster = self._cluster()
+        after, cone = self._write(cluster, 3, "z", "q", add=False)
+        assert not after.in_nodes
+        assert self._in_cone(after) is cone
+
+    def test_in_node_added_inside_the_cone_keeps_it(self):
+        cluster = self._cluster()
+        after, cone = self._write(cluster, 0, "z", "b", add=True)
+        assert after.in_nodes == {"a", "b"}
+        assert self._in_cone(after) is cone
+
+    def test_in_node_added_outside_the_cone_builds_a_covering_one(self):
+        cluster = self._cluster()
+        after, cone = self._write(cluster, 0, "z", "d", add=True)
+        grown = self._in_cone(after)
+        assert grown is not cone and isinstance(grown, Cone)
+        csr = fragment_csr(after)
+        assert grown.covers(csr.boundary(after).in_rows)
+        assert grown.covers(csr.index["e"])  # d -> e rides along
+        self._assert_same_rows(after, ReachQuery("d", "x"))
+        self._assert_same_rows(after, ReachQuery("d", "x"), 4)
+
+    def test_relowered_view_builds_a_new_cone(self):
+        cluster = self._cluster()
+        before = cluster.fragmentation[0]
+        cone = self._in_cone(before)
+        cluster.apply_edge_mutation("a", "d", add=True)
+        after = cluster.fragmentation[0]
+        assert cached_csr(after) is None  # its graph moved
+        rebuilt = self._in_cone(after)
+        assert rebuilt is not cone
+        assert rebuilt.covers(fragment_csr(after).index["d"])
+
+    def test_cached_cone_never_grows_for_the_source(self):
+        fragment = self._fragmentation()[0]
+        cone = self._in_cone(fragment)
+        csr = fragment_csr(fragment)
+        for query in (ReachQuery("d", "x"), RegularReachQuery("e", "x", ".*")):
+            _numpy_rows(fragment, query)
+            _numpy_rows(fragment, query, 3)
+            assert self._in_cone(fragment) is cone
+            assert not cone.covers(csr.index[query.source])
 
 
 #: The hub fixture's core: fragment 0, labeled L0..L2.
