@@ -213,29 +213,20 @@ GATES: Dict[str, Gate] = {
         Check("exact", IDENTITY_METRICS, "sequential modeled stats " + STALE_WHY,
               where=rows_with(backend="sequential")),
     ]),
-    # Local-evaluation kernels (DESIGN.md §9): a kernel may change how a
-    # fragment is swept, never what the cost model observes.  python and
-    # numpy legs are required on every backend; rows of any other kernel
-    # are compared when present, never required.
+    # The local-evaluation kernel (DESIGN.md §9): the numpy kernel is
+    # required on every backend, and the sweep may change how a fragment
+    # is evaluated, never what the cost model observes; rows of any other
+    # kernel are compared when present, never required.
     "kernels": Gate(("dataset", "mode", "kernel", "backend"), [
         Check("present", (), "a kernel leg dropped out of the run",
               where=rows_with(mode="evaluate"), group=("dataset", "mode"),
-              require={"kernel": ("python", "numpy"),
+              require={"kernel": ("numpy",),
                        "backend": ("process", "sequential", "thread")}),
-        Check("present", (), "pinned speedup row missing; run "
-              "`python -m repro.bench kernels --json <file>`", where=rows_with(mode="jobs")),
+        Check("exact", IDENTITY_METRICS, "numpy/sequential modeled stats " + STALE_WHY,
+              where=rows_with(mode="evaluate", kernel="numpy", backend="sequential")),
         Check("same", IDENTITY_METRICS, "kernel identity broken",
               where=rows_with(mode="evaluate"), group=("dataset",),
-              ref={"kernel": "python", "backend": "sequential", "mode": "evaluate"}),
-        Check("exact", IDENTITY_METRICS, "python/sequential modeled stats " + STALE_WHY,
-              where=rows_with(mode="evaluate", kernel="python", backend="sequential")),
-        # The one measured floor here: CPU-time sums, best-of-3, so the gap
-        # below the typically observed ~6x absorbs CI-machine jitter without
-        # hiding a real de-vectorization regression.
-        Check("bound", ("speedup",), "numpy speedup below the floor — the vectorized "
-              "kernel lost its wall-clock advantage on the pinned amazon reach+bounded mix",
-              where=rows_with(dataset="amazon", mode="jobs", kernel="numpy"),
-              op=">=", limit=5.0),
+              ref={"kernel": "numpy", "backend": "sequential", "mode": "evaluate"}),
     ]),
     # Networked serving (DESIGN.md §10).  answers_match is deterministic
     # (every TCP-served answer vs direct sequential evaluation).  QPS and p99
@@ -370,8 +361,8 @@ def _fmt(value: object) -> str:
 
 
 def _describe(ref: Dict[str, str]) -> str:
-    """``{kernel: python, backend: sequential, mode: evaluate}`` ->
-    ``python/sequential evaluate`` (``mode`` names the row type)."""
+    """``{kernel: numpy, backend: sequential, mode: evaluate}`` ->
+    ``numpy/sequential evaluate`` (``mode`` names the row type)."""
     names = "/".join(v for k, v in ref.items() if k != "mode")
     return f"{names} {ref['mode']}" if "mode" in ref else names
 

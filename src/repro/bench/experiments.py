@@ -1419,32 +1419,22 @@ def exp_kernels(
     num_queries: int = 3,
     seed: int = 0,
 ) -> ExperimentResult:
-    """Local-eval kernels: bit-identity across backends + wall-clock speedup.
+    """Local-eval kernel: bit-identity across executor backends.
 
-    Two row families (the ``mode`` column):
-
-    * ``evaluate`` — the pinned workloads served end-to-end through
-      :class:`~repro.serving.engine.BatchQueryEngine` under both kernels
-      (python, and numpy where it is installed) x every executor backend.  Answers and all modeled stats
-      (visits, traffic, messages, supersteps) are kernel- and
-      backend-invariant — asserted here, then exactly enforced by
-      ``benchmarks/check_regression.py``.  The amazon analog is unlabeled,
-      so it carries the reach + bounded mix; the RPQ leg runs on the
-      labeled youtube analog.
-    * ``jobs`` — the same amazon reach + bounded fragment jobs timed
-      directly through :func:`~repro.serving.engine.eval_fragment_jobs`
-      (summed per-job CPU seconds, best of three passes after a warmup
-      that amortizes the CSR build).  ``speedup`` is python_ms / eval_ms;
-      the CI gate holds the numpy row above ``KERNEL_SPEEDUP_FLOOR``.
+    The pinned workloads served end-to-end through
+    :class:`~repro.serving.engine.BatchQueryEngine` under the numpy kernel
+    x every executor backend (``mode`` = ``evaluate``).  Answers and all
+    modeled stats (visits, traffic, messages, supersteps) are
+    backend-invariant — asserted here, then exactly enforced by
+    ``benchmarks/check_regression.py`` against the committed baseline.
+    The amazon analog is unlabeled, so it carries the reach + bounded mix;
+    the RPQ leg runs on the labeled youtube analog.
     """
-    from ..core.engine import plan_for
-    from ..core.kernels import KERNELS as ALL_KERNELS
-    from ..core.kernels import available_kernels
-    from ..core.options import EvalOptions
+    from ..core.kernels import resolve_kernel
     from ..distributed.executors import EXECUTORS
-    from ..serving.engine import BatchQueryEngine, eval_fragment_jobs
+    from ..serving.engine import BatchQueryEngine
 
-    kernels = available_kernels()
+    kernel = resolve_kernel()
     amazon = load_dataset("amazon", scale=scale, seed=seed)
     youtube = load_dataset("youtube", scale=scale, seed=seed)
     reach_queries = random_reach_queries(amazon, num_queries, seed=seed)
@@ -1457,99 +1447,54 @@ def exp_kernels(
 
     result = ExperimentResult(
         "kernels",
-        "Local-eval kernels: identity across backends + wall-clock speedup",
+        "Local-eval kernel: identity across backends",
         [
             "dataset", "mode", "kernel", "backend", "answers", "total_visits",
-            "traffic_KB", "messages", "supersteps", "eval_ms", "speedup",
-            "status",
+            "traffic_KB", "messages", "supersteps", "eval_ms", "status",
         ],
         notes=(
-            f"scale={scale}, card(F)={card}, kernels={'/'.join(kernels)}; "
-            "evaluate rows: modeled stats are kernel- and backend-invariant "
-            "by assertion; jobs rows: summed per-job CPU ms on the amazon "
-            "reach+bounded mix, best of 3 after warmup (speedup vs python); "
-            "numpy, where it is not installed, gets a loud skip row, never "
-            "a silently missing cell"
+            f"scale={scale}, card(F)={card}, kernel={kernel}; evaluate rows: "
+            "modeled stats are backend-invariant by assertion"
         ),
     )
-    for name in ALL_KERNELS:
-        if name not in kernels:
-            result.add_row(
-                mode="skip", kernel=name,
-                status=f"skipped: kernel {name!r} unavailable "
-                "(dependency not installed in this environment)",
-            )
 
     reference: Dict[str, Tuple] = {}
     for name, graph, queries in workloads:
-        for kernel in kernels:
-            for backend in sorted(EXECUTORS):
-                cluster = SimulatedCluster.from_graph(
-                    graph, card, partitioner="chunk", seed=seed, executor=backend
+        for backend in sorted(EXECUTORS):
+            cluster = SimulatedCluster.from_graph(
+                graph, card, partitioner="chunk", seed=seed, executor=backend
+            )
+            engine = BatchQueryEngine(cluster)
+            start = time.perf_counter()
+            batch = engine.run_batch(queries, kernel=kernel)
+            elapsed = time.perf_counter() - start
+            signature = (
+                "".join("T" if a else "F" for a in batch.answers),
+                sum(r.stats.total_visits for r in batch.results),
+                sum(r.stats.traffic_bytes for r in batch.results),
+                sum(r.stats.num_messages for r in batch.results),
+                sum(r.stats.supersteps for r in batch.results),
+            )
+            if name not in reference:
+                reference[name] = signature
+            elif signature != reference[name]:  # pragma: no cover - guard
+                raise AssertionError(
+                    f"the {backend} backend diverged on {name}: "
+                    f"{signature} vs {reference[name]}"
                 )
-                engine = BatchQueryEngine(cluster)
-                start = time.perf_counter()
-                batch = engine.run_batch(queries, kernel=kernel)
-                elapsed = time.perf_counter() - start
-                signature = (
-                    "".join("T" if a else "F" for a in batch.answers),
-                    sum(r.stats.total_visits for r in batch.results),
-                    sum(r.stats.traffic_bytes for r in batch.results),
-                    sum(r.stats.num_messages for r in batch.results),
-                    sum(r.stats.supersteps for r in batch.results),
-                )
-                if name not in reference:
-                    reference[name] = signature
-                elif signature != reference[name]:  # pragma: no cover - guard
-                    raise AssertionError(
-                        f"kernel {kernel!r} on the {backend} backend diverged "
-                        f"on {name}: {signature} vs {reference[name]}"
-                    )
-                answers, visits, traffic, messages, supersteps = signature
-                result.add_row(
-                    dataset=name,
-                    mode="evaluate",
-                    kernel=kernel,
-                    backend=backend,
-                    answers=answers,
-                    total_visits=visits,
-                    traffic_KB=traffic / 1e3,
-                    messages=messages,
-                    supersteps=supersteps,
-                    eval_ms=elapsed * 1e3,
-                )
-
-    # jobs mode: time the raw fragment-job sweep, outside the coordinator.
-    cluster = SimulatedCluster.from_graph(
-        amazon, card, partitioner="chunk", seed=seed
-    )
-    fragments = [cluster.site(i).fragment for i in range(cluster.num_sites)]
-    timings: Dict[str, float] = {}
-    for kernel in kernels:
-        # The same job list per kernel: each plan ships its resolved names
-        # inside the job args, exactly as the serving engine submits them.
-        plans = [
-            plan_for(query, options=EvalOptions(kernel=kernel))
-            for query in list(reach_queries) + list(bounded_queries)
-        ]
-        jobs = tuple(
-            (plan.local_eval(), fragment, plan.local_eval_args())
-            for plan in plans
-            for fragment in fragments
-        )
-        eval_fragment_jobs(jobs)  # warmup: builds CSR + condensation
-        timings[kernel] = min(
-            sum(elapsed for _, elapsed in eval_fragment_jobs(jobs))
-            for _ in range(3)
-        )
-    for kernel in kernels:
-        result.add_row(
-            dataset="amazon",
-            mode="jobs",
-            kernel=kernel,
-            eval_ms=timings[kernel] * 1e3,
-            speedup=timings["python"] / timings[kernel],
-        )
+            answers, visits, traffic, messages, supersteps = signature
+            result.add_row(
+                dataset=name,
+                mode="evaluate",
+                kernel=kernel,
+                backend=backend,
+                answers=answers,
+                total_visits=visits,
+                traffic_KB=traffic / 1e3,
+                messages=messages,
+                supersteps=supersteps,
+                eval_ms=elapsed * 1e3,
+            )
     return result
 
 
@@ -1893,8 +1838,8 @@ def exp_snap(
     * ``load`` — the streaming parse (:mod:`repro.workload.snap`) timed and
       RSS-stamped: the measured nodes/edges/wall/RSS record README's
       largest-graph-served number.
-    * ``static`` — the sweep of partitioners x algorithms x backends x
-      kernels.  Each cell reports the fragmentation's ``|Vf|``, the
+    * ``static`` — the sweep of partitioners x algorithms x backends.
+      Each cell reports the fragmentation's ``|Vf|``, the
       evaluated Theorem 1–2 envelope (``bound = |Vf|^2``) and the realized
       mean modeled traffic next to it; ``env_ok`` holds realized bytes
       under ``SNAP_ENV_FACTOR x bound`` and answers are asserted identical
@@ -1919,7 +1864,7 @@ def exp_snap(
     """
     from pathlib import Path as _Path
 
-    from ..core.kernels import available_kernels
+    from ..core.kernels import resolve_kernel
     from ..distributed.cluster import _resolve_assignment
     from ..partition.builder import build_fragmentation
     from ..partition.monitor import MutationMonitor
@@ -1931,17 +1876,15 @@ def exp_snap(
         datasets = [(name, "fixture") for name in sorted(snap_mod.FIXTURES)]
         partitioners: Sequence[str] = SNAP_FIXTURE_PARTITIONERS
         backends: Sequence[str] = SNAP_FIXTURE_BACKENDS
-        kernels: Sequence[str] = ("python",)
     elif snap_graphs:
         datasets = [(str(path), "path") for path in snap_graphs]
         partitioners = SNAP_PARTITIONERS
         backends = SNAP_BACKENDS
-        kernels = available_kernels()
     else:
         datasets = [(name, "snap") for name in sorted(snap_mod.SNAP_SPECS)]
         partitioners = SNAP_PARTITIONERS
         backends = SNAP_BACKENDS
-        kernels = available_kernels()
+    kernel = resolve_kernel()
 
     result = ExperimentResult(
         "snap",
@@ -2015,25 +1958,18 @@ def exp_snap(
             ("disReach", reach_queries), ("disDist", bounded_queries),
         ]
 
-        # -- static sweep: partitioners x backends x kernels x algorithms ---
-        # Modeled metrics (|Vf|, traffic, visits, answers) are backend- and
-        # kernel-independent, so a budgeted run must cover every partitioner
-        # once before widening: the primary cells (first backend, fastest
-        # kernel) answer the refined-vs-hash headline, the wide cells only
-        # add wall-clock cross-checks.  The replay rows run between the two
-        # passes, so the budget cuts the least informative cells first.
+        # -- static sweep: partitioners x backends x algorithms -------------
+        # Modeled metrics (|Vf|, traffic, visits, answers) are
+        # backend-independent, so a budgeted run must cover every partitioner
+        # once before widening: the primary cells (first backend) answer the
+        # refined-vs-hash headline, the wide cells only add wall-clock
+        # cross-checks.  The replay rows run between the two passes, so the
+        # budget cuts the least informative cells first.
         reference: Dict[str, Tuple] = {}
-        preferred_kernel = "numpy" if "numpy" in kernels else kernels[0]
-        primary_cells = []
-        wide_cells = []
-        for pname in partitioners:
-            for backend in backends:
-                for kernel in kernels:
-                    cell = (pname, backend, kernel)
-                    if backend == backends[0] and kernel == preferred_kernel:
-                        primary_cells.append(cell)
-                    else:
-                        wide_cells.append(cell)
+        primary_cells = [(pname, backends[0]) for pname in partitioners]
+        wide_cells = [
+            (pname, backend) for pname in partitioners for backend in backends[1:]
+        ]
 
         partition_cache: Dict[str, Tuple] = {}
 
@@ -2054,7 +1990,7 @@ def exp_snap(
         def run_cells(cells) -> bool:
             """Evaluate static cells in order; True if the budget cut them."""
             nonlocal engine_key, engine
-            for pname, backend, kernel in cells:
+            for pname, backend in cells:
                 assignment, quality = partition_info(pname)
                 if engine_key != (pname, backend):
                     engine = BatchQueryEngine(
@@ -2068,9 +2004,7 @@ def exp_snap(
                     if over_budget():
                         return True
                     with stopwatch() as watch:
-                        batch = engine.run_batch(
-                            queries, algorithm=algorithm, kernel=kernel
-                        )
+                        batch = engine.run_batch(queries, algorithm=algorithm)
                     answers = "".join(
                         "T" if a else "F" for a in batch.answers
                     )
@@ -2079,7 +2013,7 @@ def exp_snap(
                     elif answers != reference[algorithm]:  # pragma: no cover - guard
                         raise AssertionError(
                             f"{dataset}/{algorithm}: answers under "
-                            f"{pname}/{backend}/{kernel} diverge "
+                            f"{pname}/{backend} diverge "
                             f"({answers} vs {reference[algorithm]})"
                         )
                     n = len(queries)

@@ -108,7 +108,7 @@ class BitRows(Mapping):
 
     As a read-only mapping, ``rows[v]`` decodes to the frozenset of the
     equation ``Xv = ∨ ...``, so it compares equal to (and converts to) the
-    plain dict form.  Stdlib only: the python kernel builds it too.
+    plain dict form.  Stdlib only: decoding a row never needs numpy.
     """
 
     __slots__ = (

@@ -20,16 +20,15 @@ Guarantees (Theorem 2): identical to Theorem 1 — one visit per site,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
-from ..graph.traversal import bfs_distances
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .kernels import python_boundary, resolve_kernel
-from .minplus import TARGET, BoundedRows, MinPlusSystem
+from .kernels import bounded_seed_rows, resolve_kernel
+from .minplus import BoundedRows, MinPlusSystem
 from .options import EvalOptions
 from .queries import BoundedReachQuery
 from .results import QueryResult
@@ -63,49 +62,16 @@ def local_eval_bounded(
 ) -> BoundedRows:
     """Procedure ``localEvald`` on one fragment.
 
-    Local distances are computed with one *reverse* BFS per boundary node
-    (cut off at the bound), so the work is ``O(|Fi.O| · |Fi|)`` regardless
-    of how many in-nodes ask; ``kernel`` swaps the sweeps for a vectorized
-    level-synchronous one (:mod:`repro.core.kernels`).  Every path emits
-    the same :class:`~.minplus.BoundedRows`: rows (``iset``) and columns
-    (``oset``, the target as ``TARGET``) sorted by ``repr``, each row's
-    terms in column order, so kernels are identical row for row.
+    The numpy kernel propagates a per-seed bitset level by level, cut off
+    at the bound, and reads each root's hop distances off one snapshot of
+    the root rows per level (:mod:`repro.core.kernels`); ``kernel`` is
+    resolved, which rejects an unknown name.  The result is a
+    :class:`~.minplus.BoundedRows`: rows (``iset``) and columns (``oset``,
+    the target as ``TARGET``) sorted by ``repr``, each row's terms in
+    column order.
     """
-    kernel = resolve_kernel(kernel)
-    if kernel != "python":
-        from .kernels import bounded_seed_rows
-
-        return bounded_seed_rows(fragment, query.source, query.target, query.bound)
-    roots, seeds = python_boundary(fragment, query.source, query.target)
-    if not roots or not seeds:
-        return BoundedRows.from_lists(roots, (), ([] for _ in roots))
-    term_vars = [TARGET if o == query.target else o for o in seeds]
-
-    # One BFS per node on the smaller side of the (iset × oset) rectangle:
-    # forward out-balls from in-nodes, or reverse in-balls from boundary
-    # nodes — whichever needs fewer sweeps.  (On hub-dominated graphs the
-    # ball shapes differ enormously, so this is a large constant factor.)
-    # Either way each row collects ``(seed index, hops)`` in seed order.
-    terms: List[List[Tuple[int, int]]] = [[] for _ in roots]
-    local = fragment.local_graph
-    if len(roots) <= len(seeds):
-        for row, v in zip(terms, roots):
-            dist_from_v = bfs_distances(local, v, cutoff=query.bound)
-            for j, o in enumerate(seeds):
-                d = dist_from_v.get(o)
-                if d is not None and d <= query.bound:
-                    row.append((j, d))
-    else:
-        reverse_successors = local.predecessors
-        for j, o in enumerate(seeds):
-            dist_to_o = bfs_distances(
-                None, o, successors=reverse_successors, cutoff=query.bound
-            )
-            for row, v in zip(terms, roots):
-                d = dist_to_o.get(v)
-                if d is not None and d <= query.bound:
-                    row.append((j, d))
-    return BoundedRows.from_lists(roots, term_vars, terms)
+    resolve_kernel(kernel)
+    return bounded_seed_rows(fragment, query.source, query.target, query.bound)
 
 
 def assemble_bounded(

@@ -1,15 +1,15 @@
 """Compiled-friendly fragment core: interned ids + CSR adjacency arrays.
 
-The pure-python local-evaluation kernels walk ``dict``-of-``set`` adjacency
-with per-node Python objects — flexible, but every hop pays hashing and
-pointer chasing.  This module lowers a fragment's ``local_graph`` to the
-form vectorized (and jitted) kernels want:
+A fragment's ``local_graph`` is ``dict``-of-``set`` adjacency with
+per-node Python objects — flexible, but every hop pays hashing and
+pointer chasing.  This module lowers it to the form the vectorized
+kernels (:mod:`repro.core.kernels`) want:
 
 * **interning** — every node of the local graph is assigned a dense int id
   (its index in :attr:`FragmentCSR.order`).  Ids are assigned in sorted
-  ``repr`` order, the same deterministic order the python kernels already
-  use for seeds and roots, so array kernels reproduce their outputs
-  bit-for-bit;
+  ``repr`` order, the deterministic order of the equations' seeds and
+  roots, so the array kernels reproduce the pure-python reference's
+  outputs bit-for-bit;
 * **CSR adjacency** — ``indptr``/``indices`` arrays in the standard
   compressed-sparse-row layout, per-row targets sorted by interned id;
 * **label codes** — node labels interned to small ints (sorted by ``repr``;
@@ -55,8 +55,8 @@ the in-nodes is exact for any subset, so it is kept while it holds every
 in-node row and rebuilt only when an in-node falls outside it.  A cone
 holds no reference to its view, so retired views still die by refcount.
 
-Requires numpy (an optional dependency — the pure-python kernels never
-import this module); :func:`~repro.core.kernels.kernel_available` gates it.
+Imports numpy at module level, so only the kernels' function bodies
+import this module: building a cluster leaves numpy unloaded.
 """
 
 from __future__ import annotations

@@ -2,55 +2,52 @@
 
 The three local-evaluation procedures (``localEval`` / ``localEvald`` /
 ``localEvalr``) each reduce to one sweep over a fragment's local graph.
-This module reimplements those sweeps as array kernels over the
-:mod:`repro.core.csr` int-array view, selectable by name:
+This module runs those sweeps as array kernels over the
+:mod:`repro.core.csr` int-array view — the one runtime path of
+:mod:`repro.core.reachability` / ``bounded`` / ``regular``.  Bitset sweeps
+over CSR arrays, seed memberships packed into ``uint64`` words:
+seed-reachability ORs the bits up the fragment's cached level-ordered SCC
+condensation in a single pass (one ``take`` row gather +
+``bitwise_or.reduceat`` per condensation level); bounded distance runs a
+Jacobi OR-propagation level by level and reads BFS distances off one
+snapshot of the root rows per level; regular reachability runs the
+propagation per automaton transition over a ``[states, V, words]`` cube,
+each transition restricted to the cached sub-CSR of edges into nodes
+carrying its target state's label.  All three sweep only the forward cone
+of their roots (:class:`~repro.core.csr.Cone`, handed over by the boundary
+prologue): the condensation levels, edges and label sub-CSRs the root rows
+read, through one code path whether the cone is proper or the whole
+fragment.
 
-``python``
-    The default and the *reference*: the existing pure-python paths
-    (SCC-condensation bitmask sweeps, cutoff BFS) in
-    :mod:`repro.core.reachability` / ``bounded`` / ``regular``.  Pure
-    stdlib, always available.
+numpy is imported inside the functions, never at module level: importing
+the package, building a cluster or starting a broker or server leaves it
+unloaded, and the first local evaluation loads it.
 
-``numpy``
-    Bitset sweeps over CSR arrays, seed memberships packed into ``uint64``
-    words: seed-reachability ORs the bits up the fragment's cached
-    level-ordered SCC condensation in a single pass (one ``take`` row
-    gather + ``bitwise_or.reduceat`` per condensation level); bounded
-    distance runs a Jacobi OR-propagation level by level and reads BFS
-    distances off one snapshot of the root rows per level; regular
-    reachability runs the propagation per automaton transition over a
-    ``[states, V, words]`` cube, each transition restricted to the cached
-    sub-CSR of edges into nodes carrying its target state's label.  All
-    three sweep only the forward cone of their roots
-    (:class:`~repro.core.csr.Cone`, handed over by the boundary prologue):
-    the condensation levels, edges and label sub-CSRs the root rows read,
-    through one code path whether the cone is proper or the whole
-    fragment.
+``numpy`` is the one registered kernel name.  The registry keeps the
+selection surface (``kernel=``, ``--kernel``, ``REPRO_KERNEL``) working
+with that single value, following the one strategy-registry precedence
+(explicit > ``set_default_kernel`` > ``REPRO_KERNEL`` > ``numpy``;
+:mod:`repro.strategies`, DESIGN.md §14); an unknown name is rejected
+when a plan resolves it.
 
-Selection follows the one strategy-registry precedence (explicit >
-``set_default_kernel`` > ``REPRO_KERNEL`` > ``python``;
-:mod:`repro.strategies`, DESIGN.md §14).  Plans resolve the name once at
-construction, so the resolved string — not ambient state — travels to
-process-pool workers inside ``local_eval_args``.
-
-**Identity contract**: every kernel produces bit-identical equations to
-the python reference — the same :class:`~repro.core.bes.BitRows` and
+**Identity contract**: the kernels produce exactly the equations of the
+pure-python sweeps kept as the test reference (``tests/kernel_reference.py``)
+— the same :class:`~repro.core.bes.BitRows` and
 :class:`~repro.core.minplus.BoundedRows` rows, columns, id sizes and
-disjunct sets or buffers — because all kernels share the python paths'
+disjunct sets or buffers — because they keep that reference's
 deterministic sorted-by-``repr`` seed/root order and return stdlib objects
-drawn from the fragment's own node set.  The python reference derives its
-roots and columns per call (:func:`python_boundary`); the numpy kernels
-read them from the boundary prologue cached on the CSR view
+drawn from the fragment's own node set.  Roots and columns come from the
+boundary prologue cached on the CSR view
 (:func:`~repro.core.csr.boundary_prologue`).  The kernels change *how* a
 fragment is swept, never *what* the paper's cost model observes, which is
-why kernel choice is deliberately absent from serving-cache keys
+why the kernel is deliberately absent from serving-cache keys
 (:meth:`~repro.serving.plans.QueryPlan.fragment_params`).
 """
 
 from __future__ import annotations
 
 import importlib.util
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import KernelError
 from ..strategies import StrategyRegistry
@@ -62,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .minplus import BoundedRows
 
 #: The selectable kernel names (``--kernel`` choices).
-KERNELS: Tuple[str, ...] = ("python", "numpy")
+KERNELS: Tuple[str, ...] = ("numpy",)
 
 
 def _missing_dependency(name: str) -> Optional[str]:
@@ -76,12 +73,12 @@ def _missing_dependency(name: str) -> Optional[str]:
 KERNEL_REGISTRY = StrategyRegistry(
     "kernel",
     KERNELS,
-    fallback="python",
+    fallback="numpy",
     error=KernelError,
     env_var="REPRO_KERNEL",
     missing=_missing_dependency,
     summary="local-evaluation kernel: numpy sweeps fragments as CSR int "
-    "arrays, same answers and modeled costs, faster wall-clock (DESIGN.md §9)",
+    "arrays (DESIGN.md §9)",
 )
 
 KERNEL_ENV_VAR = KERNEL_REGISTRY.env_var
@@ -92,25 +89,9 @@ default_kernel = KERNEL_REGISTRY.default
 resolve_kernel = KERNEL_REGISTRY.resolve
 
 
-def python_boundary(fragment: "Fragment", source: Any, target: Any) -> Tuple[list, list]:
-    """The python reference's roots and seeds on ``fragment``, sorted by ``repr``.
-
-    Roots are ``Fi.I`` plus ``source`` when it is stored here; seeds are
-    ``Fi.O`` plus ``target`` when it is stored here — what the numpy
-    kernels read from :func:`~repro.core.csr.boundary_prologue`.
-    """
-    iset = set(fragment.in_nodes)
-    oset = set(fragment.virtual_nodes)
-    if source in fragment.nodes:
-        iset.add(source)
-    if target in fragment.nodes:
-        oset.add(target)
-    return sorted(iset, key=repr), sorted(oset, key=repr)
-
-
 # ---------------------------------------------------------------------------
-# shared array helpers (numpy is an optional import — only reached when the
-# numpy kernel was requested and resolve_kernel() verified availability).
+# shared array helpers (numpy is a function-level import, passed in as
+# ``np``).
 # At fragment scale (~10^3 rows, 1-2 words) the per-call overhead of numpy,
 # not the bytes, is the cost: row gathers use the ``take(rows, axis=0)``
 # method (an advanced-index gather of a 2-D array costs several times more,
@@ -128,11 +109,6 @@ def _flat_rows(np, rows, words: int):
     if words == 1:
         return rows
     return (rows[:, None] * words + np.arange(words)).ravel()
-
-
-def _node_rows(np, index: Dict[Any, int], nodes: Sequence[Any]):
-    """Interned ids of ``nodes``, in order, as an ``int64`` array."""
-    return np.fromiter((index[node] for node in nodes), dtype=np.int64, count=len(nodes))
 
 
 def _rows_to_ints(bitset_rows) -> List[int]:
@@ -168,34 +144,6 @@ def _reach_masks(np, csr: Any, cone: Any, root_rows: Any, seed_rows: Any) -> Lis
     for ids, starts, segment in cone.schedule(cond):
         cbits[ids] |= np.bitwise_or.reduceat(cbits.take(segment, axis=0), starts, axis=0)
     return _rows_to_ints(cbits.take(cond.comp.take(root_rows), axis=0))
-
-
-def reach_seed_masks(
-    fragment: "Fragment",
-    roots: Sequence[Any],
-    seeds: Sequence[Any],
-) -> Dict[Any, int]:
-    """Per-root seed bitmasks (python-int), bit ``j`` = reaches ``seeds[j]``.
-
-    Drop-in replacement for the python path's
-    :func:`repro.graph.reachsets.reachable_seed_masks_from` restricted to
-    ``roots`` (``include_self=True`` semantics: the fixpoint starts with
-    every seed holding its own bit, so a root that is itself a seed keeps
-    its bit via the empty path).
-    """
-    import numpy as np
-
-    from .csr import fragment_csr
-
-    csr = fragment_csr(fragment)
-    masks = _reach_masks(
-        np,
-        csr,
-        csr.whole_cone(),
-        _node_rows(np, csr.index, roots),
-        _node_rows(np, csr.index, seeds),
-    )
-    return dict(zip(roots, masks))
 
 
 def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "BitRows":
@@ -359,7 +307,7 @@ def regular_boundary_pairs(
     algorithm's roots and seeds.
 
     Node rows come from the cached boundary prologue; the pairs are in
-    exactly the python prologue's order — nodes sorted by ``repr``, states
+    exactly the python reference's order — nodes sorted by ``repr``, states
     in ``automaton.states()`` order, one pair per matching combination
     (seeds skip ``US``, which no transition enters).  Row-major ``nonzero``
     over the match matrix reproduces the nested loops.  The seed
@@ -429,7 +377,7 @@ def _regular_masks(
     ``uint64[V, words]`` array.  Bits flow against product edges — for
     every automaton transition ``u -> u'`` and graph edge ``v -> w`` with
     ``(w, u')`` label-consistent, row ``(v, u)`` absorbs ``(w, u')`` — so
-    the fixpoint at a root pair is exactly the python path's closure sweep
+    the fixpoint at a root pair is exactly the python reference's closure sweep
     over :func:`repro.graph.product.product_successors`.  A position state
     ``u'`` restricts the edges to the CSR view's cached sub-CSR of edges
     into nodes carrying its label; ``UT`` matches by node identity, so its

@@ -92,7 +92,7 @@ class BoundedRows(Mapping):
     As a read-only mapping, ``rows[v]`` decodes to the term tuple the
     paper's ``Xv = min(Xv' + d, ...)`` lists, distances as floats, so it
     compares equal to (and converts to) the plain dict form.  Stdlib only:
-    the python kernel builds it too.
+    decoding a row never needs numpy.
     """
 
     __slots__ = (

@@ -12,8 +12,8 @@ The three steps of Fig. 3:
 
 A fragment's equations travel as one :class:`~repro.core.bes.BitRows`:
 the in-node rows over the shared ``oset`` column table, rows of one local
-SCC pointing at one shared set.  Every path (python kernel, numpy kernel,
-oracle) emits it through :meth:`~repro.core.bes.BitRows.from_masks`, the
+SCC pointing at one shared set.  Both paths (the numpy kernel and an
+oracle) emit it through :meth:`~repro.core.bes.BitRows.from_masks`, the
 wire size is arithmetic over it (:class:`BooleanPartialAnswer`), and the
 coordinator's :class:`~repro.core.bes.BooleanEquationSystem` loads it by
 reference.  The same wire type carries disRPQ's vectors
@@ -25,20 +25,19 @@ Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from dataclasses import dataclass
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
-from ..graph.reachsets import reachable_seed_masks_from
 from ..index.registry import resolve_oracle
 from ..index.store import fragment_oracle
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .bes import TRUE, BitRows, BooleanEquationSystem
-from .kernels import python_boundary, resolve_kernel
+from .kernels import reach_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
 from .results import QueryResult
@@ -92,36 +91,48 @@ def local_eval_reach(
     the ``oset`` members reachable from ``v`` inside the fragment, with the
     target contributing ``true``.  Rows and columns are sorted by ``repr``.
 
-    The default reachability engine answers all ``des(v, Fi) ∩ oset``
-    questions in one SCC-condensation bitmask sweep; ``kernel`` swaps that
-    sweep for a vectorized one (:mod:`repro.core.kernels`) with
-    bit-identical equations.  ``oracle`` names a registry index (Section
-    3's "any indexing techniques ... can be applied here") resolved from
-    the fragment's per-stamp store — built at most once, maintained
-    across mutations.  Both inner engines are exact, so equations stay
-    bit-identical either way.  Plans pass resolved names; ``None`` falls
-    back to the registry defaults for direct callers.
+    The numpy kernel answers all ``des(v, Fi) ∩ oset`` questions in one
+    sweep of the fragment's SCC condensation (:mod:`repro.core.kernels`);
+    ``kernel`` is resolved, which rejects an unknown name.  ``oracle``
+    names a registry index (Section 3's "any indexing techniques ... can
+    be applied here") resolved from the fragment's per-stamp store — built
+    at most once, maintained across mutations.  Both inner engines are
+    exact, so equations stay bit-identical either way.  Plans pass
+    resolved names; ``None`` falls back to the registry defaults for
+    direct callers.
     """
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)
     oracle = resolve_oracle(oracle)
-    if oracle == "none" and kernel != "python":
-        from .kernels import reach_rows
-
+    if oracle == "none":
         return reach_rows(fragment, query.source, query.target)
-    roots, seeds = python_boundary(fragment, query.source, query.target)
+    roots, seeds = _boundary(fragment, query.source, query.target)
     columns = [TRUE if seed == query.target else seed for seed in seeds]
     if not roots or not seeds:
         return BitRows.from_masks(roots, columns, [0] * len(roots))
-    if oracle != "none":
-        engine = fragment_oracle(fragment, oracle)
-        masks = [
-            sum(1 << j for j, seed in enumerate(seeds) if engine.reaches(v, seed))
-            for v in roots
-        ]
-        return BitRows.from_masks(roots, columns, masks)
-    # Sweep only what the in-nodes can see (one shared forward closure).
-    reached = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
-    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
+    engine = fragment_oracle(fragment, oracle)
+    masks = [
+        sum(1 << j for j, seed in enumerate(seeds) if engine.reaches(v, seed))
+        for v in roots
+    ]
+    return BitRows.from_masks(roots, columns, masks)
+
+
+def _boundary(
+    fragment: Fragment, source: Node, target: Node
+) -> Tuple[List[Node], List[Node]]:
+    """The oracle path's roots and seeds on ``fragment``, sorted by ``repr``.
+
+    Roots are ``Fi.I`` plus ``source`` when it is stored here; seeds are
+    ``Fi.O`` plus ``target`` when it is stored here — what the numpy
+    kernel reads from :func:`~repro.core.csr.boundary_prologue`.
+    """
+    iset = set(fragment.in_nodes)
+    oset = set(fragment.virtual_nodes)
+    if source in fragment.nodes:
+        iset.add(source)
+    if target in fragment.nodes:
+        oset.add(target)
+    return sorted(iset, key=repr), sorted(oset, key=repr)
 
 
 def assemble_reach(

@@ -33,16 +33,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
-from ..automata.query_automaton import US, UT, QueryAutomaton, State
+from ..automata.query_automaton import US, QueryAutomaton, State
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
-from ..graph.product import product_successors
-from ..graph.reachsets import reachable_seed_masks_from
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import TRUE, BitRows, BooleanEquationSystem
-from .kernels import python_boundary, resolve_kernel
+from .bes import BitRows, BooleanEquationSystem
+from .kernels import regular_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import RegularReachQuery
 from .reachability import BooleanPartialAnswer
@@ -67,45 +65,14 @@ def local_eval_regular(
     product vertex; seeds are the boundary pairs — ``(w, uw)`` for virtual
     ``w`` — plus ``(t, ut)`` when the target is local, which contributes
     ``true``.  The returned equations cover every in-node (and the source,
-    when local) at every state it matches.  ``kernel`` swaps the product
-    closure sweep for a vectorized one (:mod:`repro.core.kernels`) with
-    bit-identical equations.
+    when local) at every state it matches, sorted by node ``repr`` and
+    then in ``automaton.states()`` order.  The numpy kernel sweeps the
+    product closure over a ``[states, V, words]`` bitset cube, one
+    transition at a time (:mod:`repro.core.kernels`); ``kernel`` is
+    resolved, which rejects an unknown name.
     """
-    kernel = resolve_kernel(kernel)
-    # Roots: every state each in-node (and local source) matches; seeds:
-    # every state a boundary node may occupy.  (t, UT) is the ``true``
-    # seed; (w, US) is unreachable by construction (no transition enters
-    # the start state) and is omitted.  The array kernels enumerate both
-    # from a match matrix gathered out of the CSR view's cached per-label
-    # filters, in exactly the python loops' (sorted node, state order)
-    # order, and never build the per-pair ``match_fn`` closure at all.
-    if kernel != "python":
-        from .kernels import regular_rows
-
-        return regular_rows(fragment, automaton)
-    target = automaton.target
-    local = fragment.local_graph
-    matches = automaton.match_fn(local)
-    nodes, boundary = python_boundary(fragment, automaton.source, target)
-    roots = [
-        (v, state) for v in nodes for state in automaton.states() if matches(v, state)
-    ]
-    seeds = [
-        (o, state)
-        for o in boundary
-        for state in automaton.states()
-        if state != US and matches(o, state)
-    ]
-    columns = [TRUE if pair == (target, UT) else pair for pair in seeds]
-    if not roots or not seeds:
-        return BitRows.from_masks(roots, columns, [0] * len(roots))
-    successors = product_successors(local, automaton.successors, matches)
-    # Sweep only the product vertices some in-pair can actually see: one
-    # shared forward closure from every (in-node, state) row, instead of
-    # enumerating the full |Fi| × |Vq| product (or, as the per-pair
-    # formulation of [30] does, re-walking it once per row).
-    reached = reachable_seed_masks_from(roots, successors, seeds)
-    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
+    resolve_kernel(kernel)
+    return regular_rows(fragment, automaton)
 
 
 def assemble_regular(

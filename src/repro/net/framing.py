@@ -5,8 +5,8 @@ and its clients is a *frame*::
 
     b"RPRO" + uint32(big-endian payload length) + pickle(payload)
 
-msgpack would be the conventional choice, but the runtime is pure stdlib
-by design (DESIGN.md §1) and the payloads are the library's own picklable
+msgpack would be the conventional choice, but the runtime is stdlib plus
+numpy by design (DESIGN.md §1) and the payloads are the library's own picklable
 objects — queries, automata, fragments, equations, ``QueryResult``\\ s —
 so :mod:`pickle` (highest protocol) is both the simplest and the fastest
 encoding available.  All endpoints are processes of this same codebase on

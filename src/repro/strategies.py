@@ -97,10 +97,14 @@ class StrategyRegistry:
         if self._missing is not None:
             dependency = self._missing(name)
             if dependency is not None:
+                advice = (
+                    f" (the {self.fallback!r} {self.kind} is always available)"
+                    if self.is_available(self.fallback)
+                    else ""
+                )
                 raise self.error(
                     f"{self.kind} {name!r} is unavailable: {dependency} is not "
-                    f"installed in this environment (the {self.fallback!r} "
-                    f"{self.kind} is always available)"
+                    f"installed in this environment{advice}"
                 )
         return name
 

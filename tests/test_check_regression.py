@@ -491,8 +491,7 @@ class TestBaselinesGate:
 
 
 def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
-                     speedup=6.5, kernels=("python", "numpy"),
-                     drift_pair=None):
+                     kernels=("numpy",), drift_pair=None):
     rows = []
     for dataset in ("amazon", "youtube"):
         for kernel in kernels:
@@ -512,21 +511,11 @@ def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
                 if drift_pair == (kernel, backend) and dataset == "amazon":
                     row["total_visits"] = visits + 3
                 rows.append(row)
-    for kernel in kernels:
-        rows.append(
-            {
-                "dataset": "amazon",
-                "mode": "jobs",
-                "kernel": kernel,
-                "eval_ms": 90.0 if kernel == "python" else 90.0 / speedup,
-                "speedup": 1.0 if kernel == "python" else speedup,
-            }
-        )
     return {"kernels": {"columns": [], "rows": rows}}
 
 
 class TestKernelsGate:
-    """Kernel bit-identity (exact) + the numpy wall-clock speedup floor."""
+    """Kernel bit-identity across backends and against the baseline (exact)."""
 
     def _both(self, tmp_path, name, extra):
         payload = _payload()
@@ -553,12 +542,6 @@ class TestKernelsGate:
         assert gate.main([cur, base]) == 1
         assert "drifted" in capsys.readouterr().err
 
-    def test_speedup_below_floor_fails(self, gate, tmp_path, capsys):
-        base = self._both(tmp_path, "base.json", _kernels_payload())
-        cur = self._both(tmp_path, "cur.json", _kernels_payload(speedup=3.0))
-        assert gate.main([cur, base]) == 1
-        assert "below the floor" in capsys.readouterr().err
-
     def test_eval_ms_never_compared(self, gate, tmp_path):
         base = self._both(tmp_path, "base.json", _kernels_payload())
         payload = _kernels_payload()
@@ -581,7 +564,7 @@ class TestKernelsGate:
     def test_numba_rows_optional_but_compared_when_present(
         self, gate, tmp_path, capsys
     ):
-        # absent entirely: fine (only python and numpy are required) ...
+        # absent entirely: fine (only numpy is required) ...
         base = self._both(tmp_path, "base.json", _kernels_payload())
         cur = self._both(tmp_path, "cur.json", _kernels_payload())
         assert gate.main([cur, base]) == 0
@@ -589,22 +572,12 @@ class TestKernelsGate:
         cur = self._both(
             tmp_path, "cur2.json",
             _kernels_payload(
-                kernels=("python", "numpy", "turbo"),
+                kernels=("numpy", "turbo"),
                 drift_pair=("turbo", "sequential"),
             ),
         )
         assert gate.main([cur, base]) == 1
         assert "turbo" in capsys.readouterr().err
-
-    def test_missing_jobs_row_fails(self, gate, tmp_path, capsys):
-        base = self._both(tmp_path, "base.json", _kernels_payload())
-        payload = _kernels_payload()
-        payload["kernels"]["rows"] = [
-            row for row in payload["kernels"]["rows"] if row["mode"] != "jobs"
-        ]
-        cur = self._both(tmp_path, "cur.json", payload)
-        assert gate.main([cur, base]) == 1
-        assert "pinned speedup row missing" in capsys.readouterr().err
 
     def test_missing_reference_row_fails(self, gate, tmp_path, capsys):
         base = self._both(tmp_path, "base.json", _kernels_payload())
@@ -613,13 +586,13 @@ class TestKernelsGate:
             row for row in payload["kernels"]["rows"]
             if not (
                 row["dataset"] == "youtube"
-                and row["kernel"] == "python"
+                and row["kernel"] == "numpy"
                 and row.get("backend") == "sequential"
             )
         ]
         cur = self._both(tmp_path, "cur.json", payload)
         assert gate.main([cur, base]) == 1
-        assert "no python/sequential evaluate row" in capsys.readouterr().err
+        assert "no numpy/sequential evaluate row" in capsys.readouterr().err
 
     def test_kernels_required_when_baseline_has_them(self, gate, tmp_path):
         base = self._both(tmp_path, "base.json", _kernels_payload())
@@ -629,7 +602,9 @@ class TestKernelsGate:
 
     def test_workload_only_baseline_skips_kernel_checks(self, gate, tmp_path):
         base = _write(tmp_path, "base.json", _payload())
-        cur = self._both(tmp_path, "cur.json", _kernels_payload(speedup=0.5))
+        cur = self._both(
+            tmp_path, "cur.json", _kernels_payload(drift_pair=("numpy", "thread"))
+        )
         assert gate.main([cur, base]) == 0
 
     def test_committed_baseline_has_kernels_experiment(self, gate):
@@ -640,10 +615,7 @@ class TestKernelsGate:
         checks = gate.GATES["kernels"].checks
         required = next(c.require["kernel"] for c in checks if c.require)
         assert set(required) <= kernels
-        jobs = rows.get(("amazon", "jobs", "numpy", "None"))
-        assert jobs is not None
-        floor = next(c.limit for c in checks if c.metrics == ("speedup",))
-        assert jobs["speedup"] >= floor
+        assert {mode for _d, mode, _k, _b in rows} == {"evaluate"}
 
 
 def _snap_payload(
@@ -669,7 +641,7 @@ def _snap_payload(
                         "partitioner": partitioner,
                         "algorithm": algorithm,
                         "backend": backend,
-                        "kernel": "python",
+                        "kernel": "numpy",
                         "Vf": vf,
                         "bound": vf * vf,
                         "traffic_KB": traffic * (2 if partitioner == "hash" else 1),

@@ -1,12 +1,13 @@
 """Unit tests for forward closures and closure-restricted mask sweeps."""
 
 
-from repro.graph import erdos_renyi
-from repro.graph.reachsets import (
+from kernel_reference import (
     forward_closure,
     reachable_seed_masks,
     reachable_seed_masks_from,
 )
+
+from repro.graph import erdos_renyi
 
 
 class TestForwardClosure:

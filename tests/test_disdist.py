@@ -118,50 +118,3 @@ class TestDisDist:
         result = dis_dist(cluster, ("Ann", "Mark", 6), collect_details=True)
         assert "system" in result.details
         assert result.details["num_variables"] == 7
-
-
-class TestStdlibOnly:
-    def test_python_kernel_never_imports_numpy(self):
-        """The reference kernel stays stdlib-only for all three classes,
-        emitting the same BitRows / BoundedRows wire types as numpy."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        script = (
-            "import sys\n"
-            "from repro.core.engine import evaluate\n"
-            "from repro.core.queries import BoundedReachQuery, ReachQuery, "
-            "RegularReachQuery\n"
-            "from repro.distributed import SimulatedCluster\n"
-            "from repro.workload.paper_example import figure1_fragmentation\n"
-            "cluster = SimulatedCluster(figure1_fragmentation())\n"
-            "from repro.core.bes import BitRows\n"
-            "from repro.core.minplus import BoundedRows\n"
-            "from repro.core.bounded import local_eval_bounded\n"
-            "from repro.core.reachability import local_eval_reach\n"
-            "from repro.core.regular import local_eval_regular\n"
-            "for query in (ReachQuery('Ann', 'Mark'), "
-            "BoundedReachQuery('Ann', 'Mark', 6), "
-            "RegularReachQuery('Ann', 'Mark', 'DB* | HR*')):\n"
-            "    assert evaluate(cluster, query, kernel='python').answer\n"
-            "automaton = RegularReachQuery('Ann', 'Mark', 'DB* | HR*').automaton()\n"
-            "for fragment in cluster.fragmentation:\n"
-            "    reach = local_eval_reach(fragment, ReachQuery('Ann', 'Mark'), kernel='python')\n"
-            "    regular = local_eval_regular(fragment, automaton, kernel='python')\n"
-            "    bounded = local_eval_bounded(fragment, BoundedReachQuery('Ann', 'Mark', 6), "
-            "kernel='python')\n"
-            "    assert isinstance(reach, BitRows) and isinstance(regular, BitRows)\n"
-            "    assert isinstance(bounded, BoundedRows)\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        env.pop("REPRO_KERNEL", None)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr

@@ -82,7 +82,7 @@ class TestEvaluate:
         _, _, cluster = figure1
         reach = ReachQuery("Ann", "Mark")
         cases = [
-            ("disReachn", {"kernel": "python"},
+            ("disReachn", {"kernel": "numpy"},
              "algorithm 'disReachn' does not take a kernel "
              "(only the partial-evaluation algorithms do)"),
             ("disReachm", {"oracle": "tol"},

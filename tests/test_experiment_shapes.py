@@ -11,7 +11,6 @@ import gc
 import pytest
 
 from repro.bench.harness import run_workload
-from repro.core.kernels import set_default_kernel
 from repro.distributed import SimulatedCluster
 from repro.workload import (
     load_dataset,
@@ -20,18 +19,6 @@ from repro.workload import (
 )
 
 pytestmark = pytest.mark.slow
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _reference_kernel():
-    # These tests assert *relative timing* relationships between the
-    # paper's algorithms, which hold for the reference python kernel; a
-    # vectorized kernel shifts constant factors on these tiny CI-scale
-    # fixtures (array setup dominates sub-ms sweeps).  Kernel identity
-    # and speedups are asserted elsewhere (test_kernels.py, bench).
-    set_default_kernel("python")
-    yield
-    set_default_kernel(None)
 
 
 @pytest.fixture(autouse=True)

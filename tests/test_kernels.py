@@ -3,8 +3,10 @@
 Four contracts (DESIGN.md §9):
 
 * **selection** — explicit ``kernel=`` argument > process-wide default
-  (``--kernel``) > ``REPRO_KERNEL`` env var > ``python``; unknown or
-  unavailable names raise :class:`~repro.errors.KernelError`.
+  (``--kernel``) > ``REPRO_KERNEL`` env var > ``numpy``; unknown or
+  unavailable names raise :class:`~repro.errors.KernelError`.  ``numpy``
+  is the one registered kernel, so precedence is checked with a made-up
+  second name registered for the test.
 * **CSR lowering** — interning follows the kernels' canonical
   sorted-by-``repr`` order, the arrays mirror the local graph exactly (and
   equal the per-row sorted reference lowering), and derived state
@@ -12,10 +14,11 @@ Four contracts (DESIGN.md §9):
 * **invalidation** — a stale CSR is never swept after
   ``apply_edge_mutation``: only the (at most two) affected fragments
   rebuild; every untouched fragment keeps the identical cached arrays.
-* **identity** — the numpy kernel produces bit-identical equations,
-  answers and modeled stats to the python reference, across all three
-  query classes, all three executor backends, and repartitions
-  (hypothesis-driven at the fragment level, pinned at the cluster level);
+* **identity** — the numpy kernel produces bit-identical equations to the
+  pure-python reference (``kernel_reference``) element by element — rows,
+  columns, sets or distances, id sizes — across all three query classes
+  (hypothesis-driven and pinned at the fragment level), and identical
+  answers and modeled stats across executor backends and repartitions;
   sweeping only the roots' forward cone gives the rows the whole-fragment
   plans give, and the cached cone is kept exactly while it covers Fi.I.
 """
@@ -46,10 +49,11 @@ from repro.core.engine import evaluate, plan_for  # noqa: E402
 from repro.core.incremental import IncrementalReachSession  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     KERNEL_ENV_VAR,
+    KERNEL_REGISTRY,
     KERNELS,
+    _reach_masks,
     available_kernels,
     default_kernel,
-    reach_seed_masks,
     resolve_kernel,
     set_default_kernel,
 )
@@ -67,26 +71,48 @@ from repro.distributed import SimulatedCluster  # noqa: E402
 from repro.distributed.executors import EXECUTORS  # noqa: E402
 from repro.errors import KernelError  # noqa: E402
 from repro.graph import DiGraph, erdos_renyi  # noqa: E402
-from repro.graph.reachsets import reachable_seed_masks_from  # noqa: E402
 from repro.graph.traversal import descendants  # noqa: E402
 from repro.partition import build_fragmentation, random_partition  # noqa: E402
 from repro.serving import BatchQueryEngine  # noqa: E402
 from repro.serving.engine import eval_fragment_jobs  # noqa: E402
 from repro.workload.query_gen import random_regular_queries  # noqa: E402
 
-#: Every non-reference kernel runnable here (numpy: this module requires it).
-COMPILED = [name for name in available_kernels() if name != "python"]
+import kernel_reference  # noqa: E402
+
 BACKENDS = sorted(EXECUTORS)
 
 
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
-    # Each test sees the hardcoded fallback ("python"), whatever the
-    # surrounding run exported (the kernel-identity CI job sets REPRO_KERNEL).
+    # Each test sees the hardcoded fallback ("numpy"), whatever the
+    # surrounding run exported in REPRO_KERNEL.
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     set_default_kernel(None)
     yield
     set_default_kernel(None)
+
+
+@pytest.fixture
+def turbo(monkeypatch):
+    """A made-up second kernel name, registered for one test.
+
+    Nothing reads a resolved kernel name beyond the check that it is
+    registered, so ``turbo`` evaluates exactly as ``numpy`` does.
+    """
+    monkeypatch.setattr(KERNEL_REGISTRY, "names", KERNELS + ("turbo",))
+    return "turbo"
+
+
+def _row_fields(rows):
+    names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
+    return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
+
+
+def _assert_identical(got, expected):
+    """Element-by-element identity of two partial answers: rows, columns,
+    sets or distances, and the recorded id sizes."""
+    assert got == expected
+    assert _row_fields(got) == _row_fields(expected)
 
 
 def _fragmented(seed=0, num_nodes=18, num_edges=40, k=3):
@@ -102,25 +128,27 @@ def _automaton_of(query):
 
 class TestKernelSelection:
     def test_fallback_is_python(self):
-        assert default_kernel() == "python"
-        assert resolve_kernel() == "python"
-        assert resolve_kernel(None) == "python"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
+        # The fallback is the one runtime kernel, numpy.
+        assert KERNELS == ("numpy",)
         assert default_kernel() == "numpy"
         assert resolve_kernel() == "numpy"
+        assert resolve_kernel(None) == "numpy"
 
-    def test_set_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        set_default_kernel("python")
-        assert resolve_kernel() == "python"
-        set_default_kernel(None)  # reset restores the env layer
-        assert resolve_kernel() == "numpy"
+    def test_env_var_selects(self, monkeypatch, turbo):
+        monkeypatch.setenv(KERNEL_ENV_VAR, turbo)
+        assert default_kernel() == turbo
+        assert resolve_kernel() == turbo
 
-    def test_explicit_argument_beats_default(self):
+    def test_set_default_beats_env(self, monkeypatch, turbo):
+        monkeypatch.setenv(KERNEL_ENV_VAR, turbo)
         set_default_kernel("numpy")
-        assert resolve_kernel("python") == "python"
+        assert resolve_kernel() == "numpy"
+        set_default_kernel(None)  # reset restores the env layer
+        assert resolve_kernel() == turbo
+
+    def test_explicit_argument_beats_default(self, turbo):
+        set_default_kernel(turbo)
+        assert resolve_kernel("numpy") == "numpy"
 
     def test_unknown_names_rejected(self, monkeypatch):
         with pytest.raises(KernelError, match="unknown kernel"):
@@ -146,8 +174,7 @@ class TestKernelSelection:
     def test_available_kernels_is_ordered_subset(self):
         available = available_kernels()
         assert set(available) <= set(KERNELS)
-        assert available[0] == "python"
-        assert "numpy" in available  # this test module requires numpy
+        assert available == ("numpy",)  # this test module requires numpy
 
 
 def _reference_lowering(graph):
@@ -457,9 +484,10 @@ class TestCSRInvalidation:
         x, y = self._absent_cross_pair(cluster)
         cluster.apply_edge_mutation(x, y, add=True)
         for fragment in cluster.fragmentation:
-            reference = local_eval_reach(fragment, query)
-            for kernel in COMPILED:
-                assert local_eval_reach(fragment, query, kernel=kernel) == reference
+            _assert_identical(
+                local_eval_reach(fragment, query),
+                kernel_reference.local_eval_reach(fragment, query),
+            )
 
 
 @st.composite
@@ -486,9 +514,10 @@ class TestKernelIdentityProperties:
         _, fragmentation, s, t, _ = case
         query = ReachQuery(s, t)
         for fragment in fragmentation:
-            reference = local_eval_reach(fragment, query)
-            for kernel in COMPILED:
-                assert local_eval_reach(fragment, query, kernel=kernel) == reference
+            _assert_identical(
+                local_eval_reach(fragment, query),
+                kernel_reference.local_eval_reach(fragment, query),
+            )
 
     @given(labeled_cases(), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
@@ -499,17 +528,10 @@ class TestKernelIdentityProperties:
             # Compared without re-sorting: the identity contract covers the
             # term tuples' order, not just their contents — and the matrix
             # itself, buffer for buffer.
-            reference = local_eval_bounded(fragment, query)
-            for kernel in COMPILED:
-                got = local_eval_bounded(fragment, query, kernel=kernel)
-                assert got == reference
-                assert (got.rows, got.columns, got.starts, got.cols, got.dists) == (
-                    reference.rows,
-                    reference.columns,
-                    reference.starts,
-                    reference.cols,
-                    reference.dists,
-                )
+            _assert_identical(
+                local_eval_bounded(fragment, query),
+                kernel_reference.local_eval_bounded(fragment, query),
+            )
 
     @given(labeled_cases())
     @settings(max_examples=25, deadline=None)
@@ -518,11 +540,10 @@ class TestKernelIdentityProperties:
         (query,) = random_regular_queries(graph, 1, num_states=6, seed=seed)
         automaton = _automaton_of(query)
         for fragment in fragmentation:
-            reference = local_eval_regular(fragment, automaton)
-            for kernel in COMPILED:
-                assert (
-                    local_eval_regular(fragment, automaton, kernel=kernel) == reference
-                )
+            _assert_identical(
+                local_eval_regular(fragment, automaton),
+                kernel_reference.local_eval_regular(fragment, automaton),
+            )
 
 
 def _prologue_fixture():
@@ -583,7 +604,7 @@ class TestBoundaryPrologue:
     def test_reach_rows_identical(self, fid, s, t):
         fragment = _prologue_fixture()[fid]
         query = ReachQuery(s, t)
-        reference = local_eval_reach(fragment, query)
+        reference = kernel_reference.local_eval_reach(fragment, query)
         got = local_eval_reach(fragment, query, kernel="numpy")
         assert got == reference
         for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
@@ -600,7 +621,7 @@ class TestBoundaryPrologue:
     def test_bounded_rows_identical(self, fid, s, t):
         fragment = _prologue_fixture()[fid]
         query = BoundedReachQuery(s, t, 3)
-        reference = local_eval_bounded(fragment, query)
+        reference = kernel_reference.local_eval_bounded(fragment, query)
         got = local_eval_bounded(fragment, query, kernel="numpy")
         for field in ("rows", "columns", "starts", "cols", "dists", "row_bytes", "col_bytes"):
             assert getattr(got, field) == getattr(reference, field), field
@@ -617,7 +638,7 @@ class TestBoundaryPrologue:
     def test_regular_rows_identical(self, fid, s, t, regex):
         fragment = _prologue_fixture()[fid]
         automaton = RegularReachQuery(s, t, regex).automaton()
-        reference = local_eval_regular(fragment, automaton)
+        reference = kernel_reference.local_eval_regular(fragment, automaton)
         got = local_eval_regular(fragment, automaton, kernel="numpy")
         assert got == reference
         for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
@@ -629,14 +650,16 @@ class TestBoundaryPrologue:
 
     def test_virtual_target_is_the_true_column(self):
         fragment = _prologue_fixture()[0]
-        for kernel in ("python", "numpy"):
-            rows = local_eval_reach(fragment, ReachQuery("zzz", "x"), kernel=kernel)
+        reach, bounded = ReachQuery("zzz", "x"), BoundedReachQuery("zzz", "x", 3)
+        for reach_eval, bounded_eval in (
+            (kernel_reference.local_eval_reach, kernel_reference.local_eval_bounded),
+            (local_eval_reach, local_eval_bounded),
+        ):
+            rows = reach_eval(fragment, reach)
             assert "x" not in rows.columns and TRUE in rows.columns
             assert rows.col_bytes[rows.columns.index(TRUE)] == 1
-            bounded = local_eval_bounded(
-                fragment, BoundedReachQuery("zzz", "x", 3), kernel=kernel
-            )
-            assert TARGET in bounded.columns and "x" not in bounded.columns
+            distances = bounded_eval(fragment, bounded)
+            assert TARGET in distances.columns and "x" not in distances.columns
 
     def test_boundary_is_cached_per_fragment_state(self):
         fragment = _prologue_fixture()[0]
@@ -676,13 +699,7 @@ class TestBoundaryPrologue:
         assert after is not before and cached_csr(after) is view
         rows = local_eval_reach(after, query, kernel="numpy")
         assert v in rows.rows and v in view.boundary(after).in_nodes
-        reference = local_eval_reach(after, query)
-        assert (rows.rows, rows.columns, rows.row_bytes) == (
-            reference.rows,
-            reference.columns,
-            reference.row_bytes,
-        )
-        assert rows == reference
+        _assert_identical(rows, kernel_reference.local_eval_reach(after, query))
 
 
 def _cone_fixture():
@@ -736,11 +753,6 @@ def _whole_plans(thunk):
     """``thunk()`` with every prologue sweeping the whole fragment."""
     with mock.patch.object(FragmentCSR, "cone", lambda csr, roots: csr.whole_cone()):
         return thunk()
-
-
-def _row_fields(rows):
-    names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
-    return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
 
 
 def _numpy_rows(fragment, query, bound=None):
@@ -807,7 +819,7 @@ class TestForwardCone:
     def test_cone_rows_equal_whole_fragment_rows(self, fid, s, t):
         fragment = self._fragmentation()[fid]
         reach = self._assert_same_rows(fragment, ReachQuery(s, t))
-        assert reach == local_eval_reach(fragment, ReachQuery(s, t))
+        _assert_identical(reach, kernel_reference.local_eval_reach(fragment, ReachQuery(s, t)))
         for bound in range(7):
             self._assert_same_rows(fragment, ReachQuery(s, t), bound)
         for regex in CONE_REGEXES:
@@ -972,9 +984,10 @@ class TestMultiWordKernels:
         for s, t in self._pairs(outer):
             query = ReachQuery(s, t)
             for fragment in fragmentation:
-                reference = local_eval_reach(fragment, query)
-                for kernel in COMPILED:
-                    assert local_eval_reach(fragment, query, kernel=kernel) == reference
+                _assert_identical(
+                    local_eval_reach(fragment, query),
+                    kernel_reference.local_eval_reach(fragment, query),
+                )
 
     def test_bounded_equations_identical(self, hub):
         _, fragmentation, outer = hub
@@ -982,10 +995,10 @@ class TestMultiWordKernels:
             for bound in range(7):
                 query = BoundedReachQuery(s, t, bound)
                 for fragment in fragmentation:
-                    reference = local_eval_bounded(fragment, query)
-                    for kernel in COMPILED:
-                        got = local_eval_bounded(fragment, query, kernel=kernel)
-                        assert got == reference, (s, t, bound)
+                    _assert_identical(
+                        local_eval_bounded(fragment, query),
+                        kernel_reference.local_eval_bounded(fragment, query),
+                    )
 
     def test_regular_equations_identical_on_warm_caches(self, hub):
         _, fragmentation, outer = hub
@@ -993,10 +1006,10 @@ class TestMultiWordKernels:
             for regex in HUB_REGEXES:
                 automaton = QueryAutomaton.build(regex, s, t)
                 for fragment in fragmentation:
-                    reference = local_eval_regular(fragment, automaton)
-                    for kernel in COMPILED:
-                        got = local_eval_regular(fragment, automaton, kernel=kernel)
-                        assert got == reference, (s, t, regex)
+                    _assert_identical(
+                        local_eval_regular(fragment, automaton),
+                        kernel_reference.local_eval_regular(fragment, automaton),
+                    )
 
     def test_seeds_sharing_a_component_keep_both_bits(self, hub):
         _, fragmentation, _ = hub
@@ -1004,9 +1017,21 @@ class TestMultiWordKernels:
         # h05 and h09 lie on the cycle h04..h11: one condensation component
         seeds = [HUB_CORE[5], HUB_CORE[9]]
         roots = [HUB_CORE[0], HUB_CORE[5], HUB_CORE[11]]
-        masks = reach_seed_masks(fragment, roots, seeds)
+        csr = fragment_csr(fragment)
+        masks = dict(
+            zip(
+                roots,
+                _reach_masks(
+                    np,
+                    csr,
+                    csr.whole_cone(),
+                    np.array([csr.index[root] for root in roots]),
+                    np.array([csr.index[seed] for seed in seeds]),
+                ),
+            )
+        )
         assert masks == {root: 0b11 for root in roots}
-        reference = reachable_seed_masks_from(
+        reference = kernel_reference.reachable_seed_masks_from(
             roots, fragment.local_graph.successors, seeds
         )
         assert masks == {root: reference[root] for root in roots}
@@ -1021,8 +1046,10 @@ class TestMultiWordKernels:
         assert len(queries) == 40
         for query in queries:
             automaton = _automaton_of(query)
-            reference = local_eval_regular(fragment, automaton)
-            assert local_eval_regular(fragment, automaton, kernel="numpy") == reference
+            _assert_identical(
+                local_eval_regular(fragment, automaton, kernel="numpy"),
+                kernel_reference.local_eval_regular(fragment, automaton),
+            )
         # one entry per label code plus the wildcard, however many
         # distinct automata ran
         csr = fragment_csr(fragment)
@@ -1041,8 +1068,8 @@ def _result_signature(result):
 
 
 class TestClusterIdentity:
-    """End-to-end: answers and modeled stats are invariant under kernel x
-    backend, before and after a repartition."""
+    """End-to-end: answers and modeled stats are invariant under the
+    executor backend, before and after a repartition."""
 
     def _workload(self, seed=7):
         graph = erdos_renyi(24, 60, seed=seed, num_labels=3)
@@ -1077,9 +1104,9 @@ class TestClusterIdentity:
 
 
 class TestEvalFragmentJobs:
-    def test_jobs_are_timed_and_kernel_overridable(self):
+    def test_jobs_are_timed_and_kernel_overridable(self, turbo):
         # The kernel rides inside each job's args, exactly as a plan ships
-        # it: the same job list is rebuilt per kernel from plans.
+        # it: the same job list is rebuilt per kernel name from plans.
         _, fragmentation = _fragmented(seed=11)
         nodes = sorted(fragmentation[0].nodes, key=repr)
         queries = [
@@ -1095,13 +1122,20 @@ class TestEvalFragmentJobs:
                 for fragment in fragmentation
             )
 
-        timed = eval_fragment_jobs(jobs_under("python"))
+        timed = eval_fragment_jobs(jobs_under("numpy"))
         assert len(timed) == len(queries) * len(fragmentation)
-        reference = [equations for equations, _ in timed]
+        reference = [
+            kernel_reference.local_eval_reach(fragment, query)
+            if isinstance(query, ReachQuery)
+            else kernel_reference.local_eval_bounded(fragment, query)
+            for query in queries
+            for fragment in fragmentation
+        ]
+        assert [equations for equations, _ in timed] == reference
         assert all(elapsed >= 0.0 for _, elapsed in timed)
-        for kernel in COMPILED:
-            rerun = eval_fragment_jobs(jobs_under(kernel))
-            assert [equations for equations, _ in rerun] == reference
+        assert {args[1] for _, _, args in jobs_under(turbo)} == {turbo}
+        rerun = eval_fragment_jobs(jobs_under(turbo))
+        assert [equations for equations, _ in rerun] == reference
 
 
 class TestExpKernelsShape:
@@ -1109,21 +1143,19 @@ class TestExpKernelsShape:
         from repro.bench.experiments import exp_kernels
 
         result = exp_kernels(scale=0.004, card=2, num_queries=2, seed=0)
-        assert "kernel" in result.columns and "speedup" in result.columns
+        assert "kernel" in result.columns and "speedup" not in result.columns
         rows = result.rows
+        assert {r["mode"] for r in rows} == {"evaluate"}
         evaluate_keys = {
             (r["dataset"], r["kernel"], r["backend"])
             for r in rows
             if r["mode"] == "evaluate"
         }
-        for kernel in available_kernels():
-            for backend in BACKENDS:
-                assert ("amazon", kernel, backend) in evaluate_keys
-                assert ("youtube", kernel, backend) in evaluate_keys
-        jobs = {r["kernel"]: r for r in rows if r["mode"] == "jobs"}
-        assert set(jobs) == set(available_kernels())
-        assert jobs["python"]["speedup"] == 1.0
-        assert jobs["numpy"]["eval_ms"] > 0.0
+        assert evaluate_keys == {
+            (dataset, "numpy", backend)
+            for dataset in ("amazon", "youtube")
+            for backend in BACKENDS
+        }
         # identity inside the experiment (it also asserts this itself)
         for dataset in ("amazon", "youtube"):
             stats = {
@@ -1135,3 +1167,39 @@ class TestExpKernelsShape:
                 if r["mode"] == "evaluate" and r["dataset"] == dataset
             }
             assert len(set(stats.values())) == 1
+
+
+class TestLazyNumpy:
+    def test_numpy_loads_with_the_first_evaluation(self):
+        """Importing the package, building the CLI parser, importing the
+        broker, the server and the bench experiments, and building a
+        cluster leave numpy unloaded; the first evaluation loads it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "import repro.net.broker, repro.net.server, repro.bench.experiments\n"
+            "from repro.distributed import SimulatedCluster\n"
+            "from repro.workload.paper_example import figure1_fragmentation\n"
+            "cluster = SimulatedCluster(figure1_fragmentation())\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported before evaluate'\n"
+            "from repro.core.engine import evaluate\n"
+            "from repro.core.queries import ReachQuery\n"
+            "assert evaluate(cluster, ReachQuery('Ann', 'Mark')).answer\n"
+            "assert 'numpy' in sys.modules, 'evaluate did not load numpy'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop(KERNEL_ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

