@@ -135,16 +135,6 @@ def _at_least_4_sessions(row: Row) -> bool:
     return isinstance(row.get("sessions"), int) and row["sessions"] >= 4
 
 
-def _skip_cell(row: Row) -> bool:
-    """The by-construction shortcuts skip: reach shortcuts carry no distances."""
-    return row.get("mode") == "reach" and row.get("algorithm") == "disDistm"
-
-
-def _swept_cell(row: Row) -> bool:
-    """Every shortcuts cell except the by-construction skip."""
-    return not _skip_cell(row)
-
-
 COST_WHY = "modeled cost regressed past the tolerance band (deterministic quantities)"
 DRIFT_WHY = "the drift-triggered refinement broke its declared envelope (deterministic)"
 REMAP_WHY = "the batched session remap did not dedupe shared per-fragment work (deterministic)"
@@ -272,24 +262,20 @@ GATES: Dict[str, Gate] = {
     # measured and never compared.
     "shortcuts": Gate(("dataset", "mode", "algorithm"), [
         Check("present", (), "a sweep cell was dropped or silently skipped"),
-        Check("bound", ("status",), "expected the by-construction skip row — a "
-              "weightless shortcut set reached a distance query", where=_skip_cell,
-              op="startswith", limit="skipped"),
         Check("bound", ("status",), "a shortcut sweep cell degraded to a skip "
-              "(backends must never drop silently)", where=_swept_cell, op="==", limit="ok"),
+              "(backends must never drop silently)", op="==", limit="ok"),
         Check("bound", ("backends",), "a backend is missing from the identity sweep",
-              where=_swept_cell, op="covers", limit="process/sequential/socket/thread"),
-        Check("exact", ("answers", "supersteps", "shortcut_edges", "shortcut_msgs"),
-              STALE_WHY.replace("cost-model", "shortcut-construction"), where=_swept_cell),
+              op="covers", limit="process/sequential/socket/thread"),
         # All superstep counts are deterministic; the tightest pinned cell
-        # (hopset x disDistm on the tall grid, where exact-distance shortcuts
-        # cannot skip the short axis) sits at ~4.05x, the rest at 17x-128x.
+        # (reach on the tall grid) sits at 17x, the path row at ~128x.
         # longcycle rows are identity-checked but not floored — they exist
         # to pin the cyclic-graph behavior.
         Check("bound", ("reduction",), "the precompute stopped paying on a pinned "
               "high-diameter dataset", where=rows_with(
-                  status="ok", dataset=("path", "grid"), mode=("reach", "hopset")),
+                  status="ok", dataset=("path", "grid"), mode="reach"),
               op=">=", limit=4.0),
+        Check("exact", ("answers", "supersteps", "shortcut_edges", "shortcut_msgs"),
+              STALE_WHY.replace("cost-model", "shortcut-construction")),
     ]),
     # The offline real-graph harness (DESIGN.md §11, `bench snap --fixture`).
     "snap": Gate(("dataset", "mode", "partitioner", "algorithm", "backend", "kernel"), [

@@ -60,7 +60,7 @@ class ReachTokenProgram(VertexProgram):
         vertex: Node,
         value: Any,
         messages: List[Any],
-        successors: Tuple[Tuple[Node, Optional[float]], ...],
+        successors: Tuple[Node, ...],
     ) -> VertexOutcome:
         if value:  # already active: tokens to active nodes are dropped (iii)
             return VertexOutcome()
@@ -72,7 +72,7 @@ class ReachTokenProgram(VertexProgram):
         return VertexOutcome(
             value=True,
             set_value=True,
-            messages=tuple((child, "T") for child, _weight in successors),
+            messages=tuple((child, "T") for child in successors),
         )
 
 
@@ -84,10 +84,10 @@ def dis_reach_m(
     """Distributed BFS over the Pregel substrate.
 
     ``shortcuts`` selects a precomputed shortcut overlay (DESIGN.md §13):
-    ``"reach"`` or ``"hopset"`` runs the token protocol over the augmented
-    adjacency — the answer is unchanged (shortcuts only connect pairs that
-    were already reachable) while the superstep count collapses to
-    sub-diameter; ``None`` defers to the process default / env var.
+    ``"reach"`` runs the token protocol over the augmented adjacency — the
+    answer is unchanged (shortcuts only connect pairs that were already
+    reachable) while the superstep count collapses to sub-diameter;
+    ``None`` defers to the process default / env var.
     """
     if not isinstance(query, ReachQuery):
         query = ReachQuery(*query)

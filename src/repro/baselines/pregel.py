@@ -41,18 +41,16 @@ The engine is generic: any :class:`VertexProgram` (BFS, SSSP — see
 
 **Shortcut precompute** (DESIGN.md §13): the engine optionally runs over a
 :class:`~repro.graph.shortcuts.ShortcutSet` — an augmented adjacency whose
-extra edges provably preserve reachability (and, for the ``hopset``
-variant, exact distances) while collapsing the superstep count from
-O(diameter) to ~O(sqrt(n)) on high-diameter graphs.  A program sees every
-successor as a ``(child, weight)`` pair: ``weight is None`` marks an
-original fragment edge (the program applies its own edge rule), a number
-marks a shortcut edge carrying the exact distance it replaces.  Shortcut
-targets are disjoint from original successors by construction, so every
-outgoing message is classified at the sending site (the ``via_shortcut``
-provenance tag) and the engine accounts shortcut routing — messages,
-master-routed transfers, bytes — separately from original-edge traffic.
-With no shortcut set installed the pipeline is byte-identical to the
-unaugmented substrate: same messages, same order, same modeled stats.
+extra edges provably preserve reachability while collapsing the superstep
+count from O(diameter) to ~O(sqrt(n)) on high-diameter graphs.  A program
+sees a plain tuple of successor nodes: the original fragment successors
+first, then any shortcut targets.  Shortcut targets are disjoint from
+original successors by construction, so every outgoing message is
+classified at the sending site (the ``via_shortcut`` provenance tag) and
+the engine accounts shortcut routing — messages, master-routed transfers,
+bytes — separately from original-edge traffic.  With no shortcut set
+installed the pipeline is byte-identical to the unaugmented substrate:
+same messages, same order, same modeled stats.
 """
 
 from __future__ import annotations
@@ -66,9 +64,9 @@ from ..graph.digraph import Node
 from ..graph.shortcuts import ShortcutSet
 from ..partition.fragment import Fragment
 
-#: Per-vertex shortcut successors as shipped to a site task: the pending
+#: Per-vertex shortcut targets as shipped to a site task: the pending
 #: vertices' slice of :attr:`~repro.graph.shortcuts.ShortcutSet.edges`.
-ShortcutSlice = Dict[Node, Tuple[Tuple[Node, Optional[float]], ...]]
+ShortcutSlice = Dict[Node, Tuple[Node, ...]]
 
 
 class VertexOutcome(NamedTuple):
@@ -104,17 +102,14 @@ class VertexProgram:
         vertex: Node,
         value: Any,
         messages: List[Any],
-        successors: Tuple[Tuple[Node, Optional[float]], ...],
+        successors: Tuple[Node, ...],
     ) -> VertexOutcome:
         """One vertex's reaction to its superstep inbox.
 
         ``value`` is the vertex's current state (``None`` if never set);
-        ``successors`` are ``(child, weight)`` pairs: the out-neighbors in
-        the owner fragment's local graph (internal edges and cross edges
-        to virtual nodes alike, ``weight is None`` — the program applies
-        its own edge rule), followed by any shortcut successors, whose
-        ``weight`` is the exact distance the shortcut replaces (``None``
-        for reach-only shortcut sets, which carry no distances).
+        ``successors`` are the out-neighbors in the owner fragment's local
+        graph (internal edges and cross edges to virtual nodes alike),
+        followed by any shortcut targets.
         """
         raise NotImplementedError
 
@@ -178,7 +173,7 @@ def run_superstep(
     halted = False
     result: Any = None
     for vertex, messages in vertex_messages.items():
-        successors: Tuple[Tuple[Node, Optional[float]], ...] = ()
+        successors: Tuple[Node, ...] = ()
         for fragment in fragments:
             if vertex in fragment.nodes:
                 # Deterministic (repr) order: successor sets iterate in hash
@@ -186,14 +181,11 @@ def run_superstep(
                 # the socket backend's brokers are fresh interpreters, so
                 # hash order there is not the coordinator's.
                 successors = tuple(
-                    (child, None)
-                    for child in sorted(
-                        fragment.local_graph.successors(vertex), key=repr
-                    )
+                    sorted(fragment.local_graph.successors(vertex), key=repr)
                 )
                 break
         extra = shortcuts.get(vertex, ()) if shortcuts else ()
-        shortcut_targets = {child for child, _weight in extra}
+        shortcut_targets = set(extra)
         value = updates.get(vertex, values.get(vertex))
         outcome = program.compute(vertex, value, messages, successors + extra)
         if outcome.set_value:

@@ -13,24 +13,6 @@ the engine's explicit per-vertex value dict, and each program declares a
 ``min`` combiner — distances are monotone, so only the smallest message to
 a vertex can change its state, and collapsing the rest at the sending
 fragment's boundary is the textbook Pregel combiner.
-
-**Shortcut weights** (DESIGN.md §13): successors arrive as ``(child,
-weight)`` pairs.  An original edge carries ``weight=None`` and the
-program applies its own rule (``+1`` for hops, ``weight_fn`` for SSSP); a
-``hopset`` shortcut carries the exact distance it replaces, which the
-program adds verbatim — so the converged distances are exactly the
-unaugmented ones (a shortcut can meet the true distance, never undercut
-it).  The distance programs refuse ``reach``-mode shortcut sets: those
-edges are weightless, so no distance-preserving correction exists.
-
-One wrinkle: without shortcuts, the *first* message to arrive at a vertex
-of a level-synchronous BFS carries its exact distance, which is what lets
-:class:`BoundedTokenProgram` halt the engine the moment the target is
-reached.  Over an augmented adjacency the first arrival may ride a
-suboptimal shortcut chain, so ``halt_at_target=False`` (set by
-``dis_dist_m`` whenever shortcuts are active) defers the decision: the
-target keeps refining its value until no message flows and the engine
-reads the converged — exact — distance afterwards.
 """
 
 from __future__ import annotations
@@ -42,19 +24,8 @@ from ..core.queries import BoundedReachQuery
 from ..core.results import QueryResult
 from ..distributed.cluster import SimulatedCluster
 from ..distributed.messages import MessageKind
-from ..errors import ShortcutError
 from ..graph.digraph import Node
-from ..graph.shortcuts import ShortcutSet, resolve_shortcuts
 from .pregel import PregelEngine, VertexOutcome, VertexProgram
-
-
-def _require_distance_preserving(shortcut_set: Optional[ShortcutSet]) -> None:
-    """Distance programs need weighted (hopset) shortcuts, never reach ones."""
-    if shortcut_set is not None and shortcut_set.kind != "hopset":
-        raise ShortcutError(
-            f"shortcut mode {shortcut_set.kind!r} carries no distances; "
-            "distance programs need --shortcuts hopset (or none)"
-        )
 
 
 @dataclass(frozen=True)
@@ -71,7 +42,7 @@ class BfsLevelProgram(VertexProgram):
         vertex: Node,
         value: Any,
         messages: List[Any],
-        successors: Tuple[Tuple[Node, Optional[float]], ...],
+        successors: Tuple[Node, ...],
     ) -> VertexOutcome:
         best = min(messages)
         if value is not None and value <= best:
@@ -81,10 +52,7 @@ class BfsLevelProgram(VertexProgram):
         return VertexOutcome(
             value=best,
             set_value=True,
-            messages=tuple(
-                (child, best + (1 if weight is None else weight))
-                for child, weight in successors
-            ),
+            messages=tuple((child, best + 1) for child in successors),
         )
 
 
@@ -94,9 +62,6 @@ class SsspProgram(VertexProgram):
 
     ``weight_fn`` must be picklable (a module-level function, not a
     lambda) to run on the process backend; ``None`` means unit weights.
-    Shortcut successors carry their own exact weight, which must have
-    been built against the same ``weight_fn``
-    (:func:`repro.graph.shortcuts.build_hopset`'s ``weight_fn``).
     """
 
     weight_fn: Optional[Callable[[Node, Node], float]] = None
@@ -109,7 +74,7 @@ class SsspProgram(VertexProgram):
         vertex: Node,
         value: Any,
         messages: List[Any],
-        successors: Tuple[Tuple[Node, Optional[float]], ...],
+        successors: Tuple[Node, ...],
     ) -> VertexOutcome:
         best = min(messages)
         if value is not None and value <= best:
@@ -119,11 +84,7 @@ class SsspProgram(VertexProgram):
             value=best,
             set_value=True,
             messages=tuple(
-                (
-                    child,
-                    best + (weight_fn(vertex, child) if weight is None else weight),
-                )
-                for child, weight in successors
+                (child, best + weight_fn(vertex, child)) for child in successors
             ),
         )
 
@@ -132,16 +93,13 @@ class SsspProgram(VertexProgram):
 class BoundedTokenProgram(VertexProgram):
     """disDistm's program: BFS levels capped at the bound, halt at target.
 
-    ``halt_at_target=False`` is the shortcut-aware mode: the first arrival
-    at the target may ride a suboptimal shortcut chain, so instead of
-    halting, the target stores (and keeps refining) its best value — it
-    reports "T" once, on first arrival, and never re-propagates — and the
-    caller reads the converged exact distance from the engine's state.
+    In a level-synchronous BFS the first message to reach a vertex carries
+    its exact distance, so the engine can halt the moment the target is
+    reached.
     """
 
     target: Node
     bound: int
-    halt_at_target: bool = True
 
     def combine(self, messages: List[Any]) -> List[Any]:
         return [min(messages)]
@@ -151,18 +109,12 @@ class BoundedTokenProgram(VertexProgram):
         vertex: Node,
         value: Any,
         messages: List[Any],
-        successors: Tuple[Tuple[Node, Optional[float]], ...],
+        successors: Tuple[Node, ...],
     ) -> VertexOutcome:
         best = min(messages)
         if value is not None and value <= best:
             return VertexOutcome()
         if vertex == self.target:
-            if not self.halt_at_target:
-                return VertexOutcome(
-                    value=best,
-                    set_value=True,
-                    report="T" if value is None else None,
-                )
             return VertexOutcome(
                 value=best, set_value=True, halt=True, result=best, report="T"
             )
@@ -171,10 +123,7 @@ class BoundedTokenProgram(VertexProgram):
         return VertexOutcome(
             value=best,
             set_value=True,
-            messages=tuple(
-                (child, best + (1 if weight is None else weight))
-                for child, weight in successors
-            ),
+            messages=tuple((child, best + 1) for child in successors),
         )
 
 
@@ -182,18 +131,14 @@ def pregel_bfs_levels(
     cluster: SimulatedCluster,
     source: Node,
     max_level: Optional[int] = None,
-    shortcuts: Optional[ShortcutSet] = None,
 ) -> Tuple[Dict[Node, int], object]:
     """BFS levels from ``source`` over the whole distributed graph.
 
     Returns ``(levels, stats)`` — hop distance for every reached node.
-    ``shortcuts`` must be a hopset (exact hop weights): converged levels
-    are then identical to the unaugmented run's, in fewer supersteps.
     """
-    _require_distance_preserving(shortcuts)
     cluster.site_of(source)
     run = cluster.start_run("pregelBFS")
-    engine = PregelEngine(cluster, run, shortcuts=shortcuts)
+    engine = PregelEngine(cluster, run)
     engine.execute(BfsLevelProgram(max_level), {source: [0]})
     return dict(engine.values), run.finish()
 
@@ -202,19 +147,15 @@ def pregel_sssp(
     cluster: SimulatedCluster,
     source: Node,
     weight_fn=None,
-    shortcuts: Optional[ShortcutSet] = None,
 ) -> Tuple[Dict[Node, float], object]:
     """Single-source shortest paths (non-negative weights; default 1.0/edge).
 
     The textbook Pregel SSSP: vertices keep their best-known distance and
-    propagate improvements until no message flows.  ``shortcuts`` must be
-    a hopset built with the *same* ``weight_fn`` (its edges carry the
-    exact weighted distances they replace).
+    propagate improvements until no message flows.
     """
-    _require_distance_preserving(shortcuts)
     cluster.site_of(source)
     run = cluster.start_run("pregelSSSP")
-    engine = PregelEngine(cluster, run, shortcuts=shortcuts)
+    engine = PregelEngine(cluster, run)
     engine.execute(SsspProgram(weight_fn), {source: [0.0]})
     return dict(engine.values), run.finish()
 
@@ -222,46 +163,26 @@ def pregel_sssp(
 def dis_dist_m(
     cluster: SimulatedCluster,
     query: Union[BoundedReachQuery, Tuple[Node, Node, int]],
-    shortcuts: Optional[str] = None,
 ) -> QueryResult:
     """Message-passing bounded reachability (extension; disReachm's sibling).
 
     BFS levels capped at the bound; true iff the target is reached within
     ``l`` hops.  Unbounded site visits, like every message-passing run.
-
-    ``shortcuts="hopset"`` runs over the distance-preserving augmented
-    adjacency: the reported answer *and* distance are bit-identical to the
-    unaugmented run (shortcut weights are exact, so the converged value at
-    the target is the true distance), in sub-diameter supersteps.
-    ``"reach"`` is rejected — weightless shortcuts cannot preserve
-    distances.  ``None`` defers to the process default / env var.
     """
     if not isinstance(query, BoundedReachQuery):
         query = BoundedReachQuery(*query)
     cluster.site_of(query.source)
     cluster.site_of(query.target)
-    mode = resolve_shortcuts(shortcuts)
-    shortcut_set = cluster.shortcut_set(mode) if mode != "none" else None
-    _require_distance_preserving(shortcut_set)
 
     run = cluster.start_run("disDistm")
     if query.source == query.target:
         return QueryResult(True, run.finish(), {"distance": 0.0, "trivial": True})
     run.broadcast(query, MessageKind.QUERY)
 
-    engine = PregelEngine(cluster, run, shortcuts=shortcut_set)
-    program = BoundedTokenProgram(
-        query.target, query.bound, halt_at_target=shortcut_set is None
+    engine = PregelEngine(cluster, run)
+    found = engine.execute(
+        BoundedTokenProgram(query.target, query.bound), {query.source: [0]}
     )
-    found = engine.execute(program, {query.source: [0]})
-    if shortcut_set is not None:
-        # Deferred halt: the converged state holds the exact distance.
-        # A value beyond the bound is only an upper bound (a shortcut can
-        # deliver a >l walk the cutoff would have pruned edge by edge);
-        # the unaugmented run never learns such distances, so drop it.
-        found = engine.values.get(query.target)
-        if found is not None and found > query.bound:
-            found = None
     answer = found is not None and found <= query.bound
     if not answer:
         for site in cluster.sites:
@@ -271,6 +192,4 @@ def dis_dist_m(
         "distance": float(found) if found is not None else None,
         "supersteps": stats.supersteps,
     }
-    if shortcut_set is not None:
-        details["shortcuts"] = engine.shortcut_details()
     return QueryResult(answer, stats, details)

@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     # Experiments construct their own clusters and plans internally; the
     # process-wide defaults are how one flag reaches all of them (the
     # mutation experiment additionally sweeps maintain-vs-rebuild for a
-    # named --oracle; the 'shortcuts' experiment sweeps every mode).
+    # named --oracle; the 'shortcuts' experiment sweeps none and reach).
     set_strategy_defaults(args, STRATEGIES)
 
     if not args.experiment:

@@ -1507,22 +1507,18 @@ def exp_shortcuts(
     """Shortcut precompute: sub-diameter supersteps on high-diameter graphs.
 
     Sweeps the pinned high-diameter datasets (path/grid/longcycle,
-    DESIGN.md §13) under every shortcut mode for both message-passing
-    baselines.  Queries span the diameter (and the disDistm bound is |V|,
-    so its superstep count is diameter-, not bound-limited).  Every
-    ``reach``/``hopset`` cell is additionally run on all four executor
-    backends and asserted bit-identical (answers, visits, traffic,
-    messages, supersteps) to the sequential run; an unavailable backend
-    gets a loud skip row.  ``reduction`` is the none-mode superstep count
-    divided by the mode's — the number the CI gate keeps >= 4x on the
-    path/grid rows (hopset x disDistm included; reach x disDistm is
-    rejected by construction and carries a loud skip row instead).
+    DESIGN.md §13) under both shortcut modes for the message-passing
+    baseline disReachm.  Queries span the diameter.  Every cell is run on
+    all four executor backends and asserted bit-identical (answers,
+    visits, traffic, messages, supersteps) to the sequential run; an
+    unavailable backend gets a loud skip row.  ``reduction`` is the
+    none-mode superstep count divided by the mode's — the number the CI
+    gate keeps >= 4x on the path/grid rows.
     ``build_ms``/``shortcut_edges``/``shortcut_msgs`` expose the
     precompute cost and how much of the traffic rode shortcut edges.
     """
     from ..distributed.executors import EXECUTORS
-    from ..core.queries import BoundedReachQuery, ReachQuery
-    from ..errors import ShortcutError
+    from ..core.queries import ReachQuery
 
     result = ExperimentResult(
         "shortcuts",
@@ -1533,88 +1529,77 @@ def exp_shortcuts(
             "build_ms", "time_ms", "status",
         ],
         notes=(
-            f"scale={scale}, card(F)={card}; queries span the diameter with "
-            "bound=|V|; answers/visits/traffic/messages/supersteps asserted "
+            f"scale={scale}, card(F)={card}; queries span the diameter; "
+            "answers/visits/traffic/messages/supersteps asserted "
             "identical across all available executor backends per cell; "
             "reduction = supersteps(none) / supersteps(mode)"
         ),
     )
+    algorithm = "disReachm"
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
         n = graph.num_nodes
         pairs = [(0, n - 1), (0, n // 2), (n // 4, 3 * n // 4), (n - 1, 0)]
-        workloads = {
-            "disReachm": [ReachQuery(s, t) for s, t in pairs],
-            "disDistm": [BoundedReachQuery(s, t, n) for s, t in pairs],
-        }
-        base_supersteps: Dict[str, int] = {}
-        for mode in ("none", "reach", "hopset"):
-            for algorithm, queries in workloads.items():
-                if mode == "reach" and algorithm == "disDistm":
+        queries = [ReachQuery(s, t) for s, t in pairs]
+        base_supersteps: Optional[int] = None
+        for mode in ("none", "reach"):
+            reference: Optional[Tuple] = None
+            swept: List[str] = []
+            evaluations = []
+            elapsed = 0.0
+            for backend in sorted(EXECUTORS):
+                try:
+                    cluster = SimulatedCluster.from_graph(
+                        graph, card, partitioner="chunk", seed=seed,
+                        executor=backend,
+                    )
+                    start = time.perf_counter()
+                    evaluations = [
+                        evaluate(cluster, q, algorithm, shortcuts=mode)
+                        for q in queries
+                    ]
+                    elapsed = time.perf_counter() - start
+                except Exception as exc:  # pragma: no cover - env-dependent
                     result.add_row(
                         dataset=name, mode=mode, algorithm=algorithm,
-                        status="skipped: reach shortcuts carry no distances "
-                        "(disDistm accepts hopset only)",
+                        backends=backend,
+                        status=f"skipped: backend unavailable ({exc})",
                     )
                     continue
-                reference: Optional[Tuple] = None
-                swept: List[str] = []
-                evaluations = []
-                elapsed = 0.0
-                for backend in sorted(EXECUTORS):
-                    try:
-                        cluster = SimulatedCluster.from_graph(
-                            graph, card, partitioner="chunk", seed=seed,
-                            executor=backend,
-                        )
-                        start = time.perf_counter()
-                        evaluations = [
-                            evaluate(cluster, q, algorithm, shortcuts=mode)
-                            for q in queries
-                        ]
-                        elapsed = time.perf_counter() - start
-                    except ShortcutError:
-                        raise
-                    except Exception as exc:  # pragma: no cover - env-dependent
-                        result.add_row(
-                            dataset=name, mode=mode, algorithm=algorithm,
-                            backends=backend,
-                            status=f"skipped: backend unavailable ({exc})",
-                        )
-                        continue
-                    signature = (
-                        "".join("T" if r.answer else "F" for r in evaluations),
-                        sum(r.stats.total_visits for r in evaluations),
-                        sum(r.stats.traffic_bytes for r in evaluations),
-                        sum(r.stats.num_messages for r in evaluations),
-                        sum(r.stats.supersteps for r in evaluations),
-                    )
-                    if reference is None:
-                        reference = signature
-                    elif signature != reference:  # pragma: no cover - guard
-                        raise AssertionError(
-                            f"{algorithm}/{mode} diverged on the {backend} "
-                            f"backend: {signature} vs {reference}"
-                        )
-                    swept.append(backend)
-                if reference is None:  # pragma: no cover - every backend down
-                    continue
-                answers, _visits, _traffic, _messages, supersteps = reference
-                base_supersteps.setdefault(algorithm, supersteps)
-                details = [r.details.get("shortcuts") for r in evaluations]
-                built = [d for d in details if d]
-                result.add_row(
-                    dataset=name, mode=mode, algorithm=algorithm,
-                    backends="/".join(swept),
-                    answers=answers,
-                    supersteps=supersteps,
-                    reduction=base_supersteps[algorithm] / supersteps,
-                    shortcut_edges=built[0]["edges"] if built else 0,
-                    shortcut_msgs=sum(d["messages"] for d in built),
-                    build_ms=built[0]["build_seconds"] * 1e3 if built else 0.0,
-                    time_ms=elapsed * 1e3,
-                    status="ok",
+                signature = (
+                    "".join("T" if r.answer else "F" for r in evaluations),
+                    sum(r.stats.total_visits for r in evaluations),
+                    sum(r.stats.traffic_bytes for r in evaluations),
+                    sum(r.stats.num_messages for r in evaluations),
+                    sum(r.stats.supersteps for r in evaluations),
                 )
+                if reference is None:
+                    reference = signature
+                elif signature != reference:  # pragma: no cover - guard
+                    raise AssertionError(
+                        f"{algorithm}/{mode} diverged on the {backend} "
+                        f"backend: {signature} vs {reference}"
+                    )
+                swept.append(backend)
+            if reference is None:  # pragma: no cover - every backend down
+                continue
+            answers, _visits, _traffic, _messages, supersteps = reference
+            if base_supersteps is None:
+                base_supersteps = supersteps
+            details = [r.details.get("shortcuts") for r in evaluations]
+            built = [d for d in details if d]
+            result.add_row(
+                dataset=name, mode=mode, algorithm=algorithm,
+                backends="/".join(swept),
+                answers=answers,
+                supersteps=supersteps,
+                reduction=base_supersteps / supersteps,
+                shortcut_edges=built[0]["edges"] if built else 0,
+                shortcut_msgs=sum(d["messages"] for d in built),
+                build_ms=built[0]["build_seconds"] * 1e3 if built else 0.0,
+                time_ms=elapsed * 1e3,
+                status="ok",
+            )
     return result
 
 

@@ -69,8 +69,8 @@ OPTIONS: Dict[str, OptionSpec] = {
     ),
     "shortcuts": OptionSpec(
         SHORTCUT_REGISTRY,
-        frozenset({"disReachm", "disDistm"}),
-        "shortcuts (only the message-passing baselines do)",
+        frozenset({"disReachm"}),
+        "shortcuts (only disReachm does)",
         keys_cache=False,
         served=False,
     ),

@@ -488,7 +488,7 @@ class SimulatedCluster:
         return self.fragmentation[fid].version
 
     def shortcut_set(self, kind: str) -> "ShortcutSet":
-        """The cached shortcut overlay for ``kind`` (``reach``/``hopset``).
+        """The cached disReachm shortcut overlay for ``kind`` (``reach``).
 
         Built once per (mode, fragmentation state) from the restored global
         graph with the pinned seed 0 — construction is deterministic, so

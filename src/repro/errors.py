@@ -51,8 +51,8 @@ class KernelError(ReproError):
 
 
 class ShortcutError(ReproError):
-    """An unknown shortcut mode was requested, or a shortcut set was used
-    with a program whose semantics it cannot preserve."""
+    """An unknown shortcut mode was requested, or a shortcut set was built
+    for mode ``none``."""
 
 
 class MapReduceError(ReproError):

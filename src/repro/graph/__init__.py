@@ -18,7 +18,6 @@ from .shortcuts import (
     SHORTCUT_MODES,
     ShortcutSet,
     ShortcutStats,
-    build_hopset,
     build_reach_shortcuts,
     build_shortcuts,
     default_shortcuts,
@@ -55,7 +54,6 @@ __all__ = [
     "bfs_distance",
     "bfs_distances",
     "bfs_order",
-    "build_hopset",
     "build_reach_shortcuts",
     "build_shortcuts",
     "condensation",

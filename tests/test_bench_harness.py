@@ -104,9 +104,8 @@ _TINY = {
     # batch/latency columns); test_exp_serving_smoke below runs it.
     # "snap" is absent likewise (its load/replay rows only carry their own
     # column subset); tests/test_snap.py::TestExpSnap smoke-runs it.
-    # "shortcuts" is absent likewise (the by-construction reach x disDistm
-    # skip row carries only the status columns); test_exp_shortcuts_smoke
-    # below runs it.
+    # "shortcuts" is absent: test_exp_shortcuts_smoke below runs it with
+    # its own identity and reduction assertions.
 }
 
 
@@ -125,28 +124,22 @@ def test_experiment_smoke(name):
 
 
 def test_exp_shortcuts_smoke():
-    """Tiny path-only shortcuts run: every mode present, reductions real."""
+    """Tiny path-only shortcuts run: both modes present, reduction real."""
     result = EXPERIMENTS["shortcuts"](scale=0.002, card=3, datasets=("path",))
     assert isinstance(result, ExperimentResult)
     rows = {(row["mode"], row["algorithm"]): row for row in result.rows}
-    assert set(rows) == {
-        ("none", "disReachm"), ("none", "disDistm"),
-        ("reach", "disReachm"), ("reach", "disDistm"),
-        ("hopset", "disReachm"), ("hopset", "disDistm"),
-    }
-    assert rows[("reach", "disDistm")]["status"].startswith("skipped")
-    for key, row in rows.items():
-        if key == ("reach", "disDistm"):
-            continue
+    assert set(rows) == {("none", "disReachm"), ("reach", "disReachm")}
+    none, reach = rows[("none", "disReachm")], rows[("reach", "disReachm")]
+    for row in (none, reach):
         assert row["status"] == "ok"
-        # same workload answers under every mode (identity), and the
-        # shortcut modes actually cut supersteps on the 200-node path
-        assert row["answers"] == rows[("none", row["algorithm"])]["answers"]
-        if row["mode"] == "none":
-            assert row["reduction"] == 1
-        else:
-            assert row["reduction"] > 1
-            assert row["supersteps"] < rows[("none", row["algorithm"])]["supersteps"]
+        for column in result.columns:
+            assert column in row, column
+    # same workload answers under both modes (identity), and the reach
+    # shortcuts actually cut supersteps on the 200-node path
+    assert reach["answers"] == none["answers"]
+    assert none["reduction"] == 1
+    assert reach["reduction"] > 1
+    assert reach["supersteps"] < none["supersteps"]
     assert result.format_table()
 
 

@@ -80,7 +80,7 @@ class TestEvaluate:
     def test_declined_options_read_as_before(self, figure1):
         # The refusals are part of the CLI's error surface (exit 2).
         _, _, cluster = figure1
-        reach = ReachQuery("Ann", "Mark")
+        queries = {"disDistm": BoundedReachQuery("Ann", "Mark", 6)}
         cases = [
             ("disReachn", {"kernel": "numpy"},
              "algorithm 'disReachn' does not take a kernel "
@@ -90,9 +90,13 @@ class TestEvaluate:
              "(only disReach does)"),
             ("disReach", {"shortcuts": "reach"},
              "algorithm 'disReach' does not take shortcuts "
-             "(only the message-passing baselines do)"),
+             "(only disReachm does)"),
+            ("disDistm", {"shortcuts": "reach"},
+             "algorithm 'disDistm' does not take shortcuts "
+             "(only disReachm does)"),
         ]
         for algorithm, options, message in cases:
+            query = queries.get(algorithm, ReachQuery("Ann", "Mark"))
             with pytest.raises(QueryError) as raised:
-                evaluate(cluster, reach, algorithm, **options)
+                evaluate(cluster, query, algorithm, **options)
             assert str(raised.value) == message

@@ -42,12 +42,11 @@ QUERIES = {
     RegularReachQuery: RegularReachQuery("Ann", "Mark", "DB* | HR*"),
 }
 
-#: One runnable non-fallback name per option (hopset: the one shortcut
-#: mode both message-passing baselines accept).
+#: One runnable non-fallback name per option.
 VALUES = {
     "kernel": OPTIONS["kernel"].registry.available()[-1],
     "oracle": "tol",
-    "shortcuts": "hopset",
+    "shortcuts": "reach",
 }
 
 CELLS = [(algorithm, option) for algorithm in REGISTRY for option in OPTIONS]
@@ -195,9 +194,9 @@ class TestTheCarrier:
             assert pickle.loads(pickle.dumps(options, protocol)) == options
 
     def test_wire_projection_is_the_served_options(self):
-        options = EvalOptions(kernel="numpy", shortcuts="hopset")
+        options = EvalOptions(kernel="numpy", shortcuts="reach")
         assert options.wire() == {"kernel": "numpy", "oracle": None}
-        request = {"op": "query", "kernel": "numpy", "shortcuts": "hopset"}
+        request = {"op": "query", "kernel": "numpy", "shortcuts": "reach"}
         assert EvalOptions.from_wire(request) == EvalOptions(kernel="numpy")
 
     @pytest.mark.parametrize("backend", ["process", "socket"])

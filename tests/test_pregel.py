@@ -31,7 +31,7 @@ class FloodProgram(VertexProgram):
         return VertexOutcome(
             value=True,
             set_value=True,
-            messages=tuple((child, "T") for child, _weight in successors),
+            messages=tuple((child, "T") for child in successors),
         )
 
 
@@ -136,7 +136,7 @@ class TestSuperstepTask:
         class NoCombine(VertexProgram):
             def compute(self, vertex, value, messages, successors):
                 return VertexOutcome(
-                    messages=tuple((child, "T") for child, _weight in successors)
+                    messages=tuple((child, "T") for child in successors)
                 )
 
         g = DiGraph.from_edges([("a", "c"), ("b", "c")])

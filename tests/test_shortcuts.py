@@ -1,25 +1,21 @@
-"""Shortcut/hopset soundness (DESIGN.md §13).
+"""Shortcut soundness (DESIGN.md §13).
 
 The contracts under test — the acceptance bar of the shortcut precompute:
 
 * **construction soundness** — every ``reach`` shortcut ``(u, v)`` connects
   a pair already related by the transitive closure, so the augmented graph
-  has *exactly* the original closure; every ``hopset`` shortcut carries a
-  weight that is both an upper bound on the true distance and the length
-  of a real walk, so augmented shortest distances equal the original ones
-  exactly (hypothesis, random DAGs and digraphs);
-* **answer identity** — the Pregel baselines return bit-identical answers
-  (and, for ``disDistm``, distances) with shortcuts on and off, across all
-  executor backends and all available kernels;
+  has *exactly* the original closure (hypothesis, random digraphs);
+* **answer identity** — disReachm returns bit-identical answers with
+  shortcuts on and off, across all executor backends and all available
+  kernels;
 * **mutate-then-rebuild** — after any edge mutation the cluster's cached
   shortcut set is unreachable (version-keyed) and the next query rebuilds
   against the mutated graph, so answers track the graph exactly;
 * **mode machinery** — explicit argument beats the process default beats
-  ``REPRO_SHORTCUTS`` beats ``none``; distance programs reject the
-  weightless ``reach`` mode with :class:`ShortcutError`.
+  ``REPRO_SHORTCUTS`` beats ``none``; every algorithm but disReachm
+  refuses an explicit mode with :class:`QueryError`.
 """
 
-import heapq
 import math
 
 import pytest
@@ -35,7 +31,6 @@ from repro.distributed.executors import EXECUTORS
 from repro.errors import QueryError, ShortcutError
 from repro.graph import (
     DiGraph,
-    build_hopset,
     build_reach_shortcuts,
     build_shortcuts,
     erdos_renyi,
@@ -49,41 +44,6 @@ from repro.graph.shortcuts import SHORTCUTS_ENV_VAR
 BACKENDS = sorted(EXECUTORS)
 
 
-# ---------------------------------------------------------------------------
-# ground-truth helpers (straight BFS/Dijkstra, no repro machinery)
-# ---------------------------------------------------------------------------
-def _bfs_dist(graph, source):
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for child in graph.successors(node):
-                if child not in dist:
-                    dist[child] = dist[node] + 1
-                    nxt.append(child)
-        frontier = nxt
-    return dist
-
-
-def _augmented_dist(graph, shortcut_set, source):
-    """Dijkstra over original unit edges plus weighted shortcut edges."""
-    dist = {}
-    heap = [(0.0, repr(source), source)]
-    while heap:
-        d, _key, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        for child in graph.successors(node):
-            if child not in dist:
-                heapq.heappush(heap, (d + 1, repr(child), child))
-        for child, weight in shortcut_set.targets(node):
-            if child not in dist:
-                heapq.heappush(heap, (d + weight, repr(child), child))
-    return dist
-
-
 def _reach_set(graph, shortcut_set, source):
     seen = {source}
     frontier = [source]
@@ -92,7 +52,7 @@ def _reach_set(graph, shortcut_set, source):
         for node in frontier:
             children = list(graph.successors(node))
             if shortcut_set is not None:
-                children += [child for child, _w in shortcut_set.targets(node)]
+                children += shortcut_set.edges.get(node, ())
             for child in children:
                 if child not in seen:
                     seen.add(child)
@@ -108,26 +68,6 @@ def digraphs(max_nodes=28):
         st.integers(2, max_nodes),
         st.integers(1, 3 * max_nodes),
         st.integers(0, 10_000),
-    )
-
-
-def dags(max_nodes=24):
-    """Random DAGs: edges only from lower to higher node id."""
-
-    def build(n, pairs):
-        g = DiGraph()
-        for i in range(n):
-            g.add_node(i)
-        for a, b in pairs:
-            u, v = a % n, b % n
-            if u != v:
-                g.add_edge(min(u, v), max(u, v))
-        return g
-
-    return st.builds(
-        build,
-        st.integers(2, max_nodes),
-        st.lists(st.tuples(st.integers(0, 96), st.integers(0, 96)), max_size=60),
     )
 
 
@@ -159,29 +99,28 @@ class TestConstruction:
         g = path_graph(4)
         with pytest.raises(ShortcutError, match="none"):
             build_shortcuts(g, "none")
-        with pytest.raises(ShortcutError, match="unknown"):
-            build_shortcuts(g, "teleport")
-        with pytest.raises(ShortcutError, match="weightless"):
-            build_shortcuts(g, "reach", weight_fn=lambda u, v: 1.0)
+        for unknown in ("teleport", "hopset"):
+            with pytest.raises(ShortcutError, match="unknown"):
+                build_shortcuts(g, unknown)
 
     def test_deterministic_rebuild(self):
         g = erdos_renyi(40, 120, seed=5)
-        for kind in ("reach", "hopset"):
-            first = build_shortcuts(g, kind, seed=0)
-            again = build_shortcuts(g, kind, seed=0)
-            assert first.edges == again.edges
-            assert first.stats.pivots == again.stats.pivots
+        first = build_shortcuts(g, "reach", seed=0)
+        again = build_shortcuts(g, "reach", seed=0)
+        assert first.edges == again.edges
+        assert first.stats.pivots == again.stats.pivots
+        assert first.stats.edges == sum(map(len, first.edges.values()))
 
     @settings(max_examples=40, deadline=None)
     @given(graph=digraphs())
     def test_shortcuts_disjoint_from_original_edges(self, graph):
-        for kind in ("reach", "hopset"):
-            built = build_shortcuts(graph, kind, seed=0)
-            for source, pairs in built.edges.items():
-                for target, weight in pairs:
-                    assert source != target
-                    assert not graph.has_edge(source, target)
-                    assert (weight is None) == (kind == "reach")
+        built = build_shortcuts(graph, "reach", seed=0)
+        for source, targets in built.edges.items():
+            # plain target nodes, in the deterministic repr order
+            assert targets == tuple(sorted(set(targets), key=repr))
+            for target in targets:
+                assert source != target
+                assert not graph.has_edge(source, target)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=digraphs())
@@ -193,26 +132,6 @@ class TestConstruction:
                 graph, None, source
             )
 
-    @settings(max_examples=40, deadline=None)
-    @given(graph=st.one_of(digraphs(), dags()))
-    def test_hopset_preserves_exact_distances(self, graph):
-        built = build_hopset(graph, seed=0)
-        for source in sorted(graph.nodes())[:5]:
-            truth = _bfs_dist(graph, source)
-            augmented = _augmented_dist(graph, built, source)
-            assert set(augmented) == set(truth)
-            for node, d in truth.items():
-                assert augmented[node] == d
-
-    def test_hopset_weights_are_real_walk_lengths(self):
-        g = path_graph(50)
-        built = build_hopset(g, seed=0)
-        assert built.edge_count > 0
-        for source, pairs in built.edges.items():
-            truth = _bfs_dist(g, source)
-            for target, weight in pairs:
-                assert weight == truth[target]  # exact on a path
-
 
 class TestModeMachinery:
     def teardown_method(self):
@@ -221,9 +140,9 @@ class TestModeMachinery:
     def test_precedence_explicit_beats_default_beats_env(self, monkeypatch):
         monkeypatch.setenv(SHORTCUTS_ENV_VAR, "reach")
         assert resolve_shortcuts() == "reach"
-        set_default_shortcuts("hopset")
-        assert resolve_shortcuts() == "hopset"
-        assert resolve_shortcuts("none") == "none"
+        set_default_shortcuts("none")
+        assert resolve_shortcuts() == "none"
+        assert resolve_shortcuts("reach") == "reach"
 
     def test_defaults_to_none(self, monkeypatch):
         monkeypatch.delenv(SHORTCUTS_ENV_VAR, raising=False)
@@ -234,6 +153,8 @@ class TestModeMachinery:
             set_default_shortcuts("warp")
         with pytest.raises(ShortcutError, match="known"):
             resolve_shortcuts("warp")
+        with pytest.raises(ShortcutError, match="known"):
+            resolve_shortcuts("hopset")
         monkeypatch.setenv(SHORTCUTS_ENV_VAR, "warp")
         with pytest.raises(ShortcutError, match="known"):
             resolve_shortcuts()
@@ -267,86 +188,61 @@ class TestAnswerIdentity:
         query = ReachQuery(source, target)
         plain = evaluate(cluster, query, "disReachm", shortcuts="none")
         assert plain.answer == reachable(graph, source, target)
-        for mode in ("reach", "hopset"):
-            boosted = evaluate(cluster, query, "disReachm", shortcuts=mode)
-            assert boosted.answer == plain.answer
-            if source != target:  # trivial queries never reach the engine
-                assert boosted.details["shortcuts"]["mode"] == mode
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        graph=digraphs(),
-        pair=st.tuples(st.integers(0, 27), st.integers(0, 27)),
-        bound=st.integers(1, 30),
-    )
-    def test_disdistm_identical_answer_and_distance(self, graph, pair, bound):
-        cluster = SimulatedCluster.from_graph(graph, 3, partitioner="hash", seed=0)
-        nodes = sorted(graph.nodes())
-        source = nodes[pair[0] % len(nodes)]
-        target = nodes[pair[1] % len(nodes)]
-        if source == target:
-            return
-        query = BoundedReachQuery(source, target, bound)
-        plain = evaluate(cluster, query, "disDistm", shortcuts="none")
-        boosted = evaluate(cluster, query, "disDistm", shortcuts="hopset")
+        boosted = evaluate(cluster, query, "disReachm", shortcuts="reach")
         assert boosted.answer == plain.answer
-        assert boosted.details["distance"] == plain.details["distance"]
-        truth = _bfs_dist(graph, source).get(target)
-        assert plain.answer == (truth is not None and truth <= bound)
+        if source != target:  # trivial queries never reach the engine
+            assert boosted.details["shortcuts"]["mode"] == "reach"
 
     def test_distance_programs_reject_reach_mode(self):
         g = path_graph(12)
         cluster = SimulatedCluster.from_graph(g, 2, partitioner="chunk", seed=0)
-        with pytest.raises(ShortcutError, match="hopset"):
+        with pytest.raises(QueryError) as raised:
             evaluate(
                 cluster, BoundedReachQuery(0, 11, 12), "disDistm", shortcuts="reach"
             )
+        assert str(raised.value) == (
+            "algorithm 'disDistm' does not take shortcuts (only disReachm does)"
+        )
 
     def test_non_message_passing_algorithms_reject_shortcuts(self):
         g = path_graph(12)
         cluster = SimulatedCluster.from_graph(g, 2, partitioner="chunk", seed=0)
         with pytest.raises(QueryError, match="shortcuts"):
-            evaluate(cluster, ReachQuery(0, 11), "disReach", shortcuts="hopset")
+            evaluate(cluster, ReachQuery(0, 11), "disReach", shortcuts="reach")
 
 
 class TestBackendsAndKernels:
     """Bit-identical modeled runs across executors x kernels."""
 
-    @pytest.mark.parametrize("mode", ["reach", "hopset"])
+    @pytest.mark.parametrize("mode", ["reach"])
     def test_identical_across_backends_and_kernels(self, mode):
         g = path_graph(60)
-        queries = [
-            ("disReachm", ReachQuery(0, 59)),
-            ("disDistm", BoundedReachQuery(0, 59, 60)),
-        ]
-        for algorithm, query in queries:
-            if algorithm == "disDistm" and mode == "reach":
-                continue  # weightless mode: rejected, covered above
-            reference = None
-            for backend in BACKENDS:
-                cluster = SimulatedCluster.from_graph(
-                    g, 3, partitioner="chunk", seed=0, executor=backend
-                )
-                for kernel in available_kernels():
-                    # The Pregel baselines take no kernel argument; pinning
-                    # the process-wide default instead proves the kernel
-                    # seam cannot leak into the message-passing path.
-                    set_default_kernel(kernel)
-                    try:
-                        result = evaluate(cluster, query, algorithm, shortcuts=mode)
-                    finally:
-                        set_default_kernel(None)
-                    signature = _signature(result)
-                    if reference is None:
-                        reference = signature
-                    assert signature == reference, (algorithm, backend, kernel)
+        query = ReachQuery(0, 59)
+        reference = None
+        for backend in BACKENDS:
+            cluster = SimulatedCluster.from_graph(
+                g, 3, partitioner="chunk", seed=0, executor=backend
+            )
+            for kernel in available_kernels():
+                # The Pregel baselines take no kernel argument; pinning
+                # the process-wide default instead proves the kernel
+                # seam cannot leak into the message-passing path.
+                set_default_kernel(kernel)
+                try:
+                    result = evaluate(cluster, query, "disReachm", shortcuts=mode)
+                finally:
+                    set_default_kernel(None)
+                signature = _signature(result)
+                if reference is None:
+                    reference = signature
+                assert signature == reference, (backend, kernel)
 
     def test_superstep_reduction_on_a_path(self):
         g = path_graph(300)
         cluster = SimulatedCluster.from_graph(g, 3, partitioner="chunk", seed=0)
         query = ReachQuery(0, 299)
         plain = evaluate(cluster, query, "disReachm", shortcuts="none")
-        boosted = evaluate(cluster, query, "disReachm", shortcuts="hopset")
+        boosted = evaluate(cluster, query, "disReachm", shortcuts="reach")
         assert boosted.answer == plain.answer
         assert plain.stats.supersteps >= 4 * boosted.stats.supersteps
         assert boosted.details["shortcuts"]["messages"] > 0
@@ -356,12 +252,11 @@ class TestMutateThenRebuild:
     def test_cluster_caches_and_invalidates_shortcut_sets(self):
         g = erdos_renyi(30, 80, seed=2)
         cluster = SimulatedCluster.from_graph(g, 3, partitioner="hash", seed=0)
-        first = cluster.shortcut_set("hopset")
-        assert cluster.shortcut_set("hopset") is first  # cached
-        assert cluster.shortcut_set("reach") is not first  # per-mode
+        first = cluster.shortcut_set("reach")
+        assert cluster.shortcut_set("reach") is first  # cached
         fid = next(iter(cluster.fragmentation)).fid
         cluster.bump_fragment_version(fid)
-        rebuilt = cluster.shortcut_set("hopset")
+        rebuilt = cluster.shortcut_set("reach")
         assert rebuilt is not first
         assert rebuilt.edges == first.edges  # same graph content
 
@@ -393,5 +288,5 @@ class TestMutateThenRebuild:
         target = nodes[pair[1] % len(nodes)]
         truth = reachable(shadow, source, target)
         query = ReachQuery(source, target)
-        for mode in ("none", "reach", "hopset"):
+        for mode in ("none", "reach"):
             assert evaluate(cluster, query, "disReachm", shortcuts=mode).answer == truth

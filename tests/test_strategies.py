@@ -40,8 +40,8 @@ FAMILIES = {
     "shortcuts": (
         shortcuts.SHORTCUT_REGISTRY,
         ShortcutError,
-        "unknown shortcut mode 'warp'; known: none, reach, hopset",
-        "hopset",
+        "unknown shortcut mode 'warp'; known: none, reach",
+        "reach",
     ),
     "executor": (
         executors.EXECUTOR_REGISTRY,
