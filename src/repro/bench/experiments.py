@@ -829,6 +829,7 @@ def exp_mutation(
     maintenance cost against the rebuild-at-every-mutation equivalent
     (the cumulative ratio's maximum over the stream).
     """
+    from ..core.centralized import reachable
     from ..core.incremental import IncrementalReachSession
     from ..partition.monitor import MutationMonitor
     from ..partition.refine import boundary_count, refined_partition
@@ -1012,7 +1013,24 @@ def exp_mutation(
             for session in open_sessions:
                 session.initialize()
             for op, u, v in mutations:
+                fired = len(monitor.refinements)
                 cluster.apply_edge_mutation(u, v, op == "add")
+                if len(monitor.refinements) == fired:
+                    continue
+                # The sessions never resync, so only a refinement's remap
+                # brings them up to date: it must, exactly.
+                current = cluster.fragmentation.restore_graph()
+                stale = [
+                    session.query
+                    for session in open_sessions
+                    if session.answer
+                    != reachable(current, session.query.source, session.query.target)
+                ]
+                if stale:  # pragma: no cover - guard
+                    raise AssertionError(
+                        f"sessions-{s}: remapped standing answers of {stale} "
+                        "disagree with the graph after a refinement"
+                    )
             reports = monitor.refinements
             saved = sum(r.remap_visits_saved for r in reports)
             remap_rounds = sum(r.remap_rounds for r in reports)

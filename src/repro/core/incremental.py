@@ -20,9 +20,9 @@ apply_edge_mutation`, and the session re-evaluates the (at most two)
 affected fragments — two visits, two rvsets, still independent of |G|.
 
 Sessions evaluate **entirely on the plan/executor protocol** (DESIGN.md
-§5/§6): a full (re-)evaluation is a batch-of-one
-:class:`~repro.serving.plans.SessionRemapPlan` through
-:func:`~repro.serving.engine.execute_plans`, and the post-mutation partial
+§5/§6): the initial evaluation runs the session's own plan as a
+batch-of-one through :func:`~repro.serving.engine.execute_plans` and
+installs the partials the batch resolved, and the post-mutation partial
 re-evaluation submits its affected fragments as picklable
 :func:`~repro.serving.engine.eval_fragment_jobs` tasks via
 :meth:`ParallelPhase.map` — so every session path runs on every executor
@@ -35,13 +35,14 @@ repartitions — explicitly, or because a drift-triggered refinement fired —
 the session is *remapped*: its cached per-fragment partials (keyed by
 fragment ids that may now name entirely different fragments) are dropped
 and the standing query is re-evaluated against the new fragmentation with
-honest modeled cost.  With several open sessions the cluster batches every
-remap into **one** deduplicated map round (the
-``SessionRemapPlan``/``execute_plans`` path above), so N standing queries
-over the same new fragmentation share the per-fragment work instead of
-paying it N times.  A session that somehow missed the notification (the
-epoch guard) refuses to mutate with a :class:`QueryError` instead of
-joining stale partials into a silently wrong standing answer.
+honest modeled cost.  The cluster runs every open session's plan as
+**one** ``execute_plans`` batch, so N standing queries over the same new
+fragmentation share the per-fragment work instead of paying it N times;
+the only reuse across the move is a version-keyed cache hit, so a session
+never contributes its own (possibly un-resynced) partials.  A session
+that somehow missed the notification (the epoch guard) refuses to mutate
+with a :class:`QueryError` instead of joining stale partials into a
+silently wrong standing answer.
 
 Errors follow one contract: anything a caller can get wrong — unknown
 nodes, inserting a present edge, deleting an absent one, mutating an
@@ -58,7 +59,7 @@ from ..distributed.messages import MessageKind, payload_size
 from ..errors import QueryError
 from ..graph.digraph import Node
 from ..serving.engine import eval_fragment_jobs, execute_plans
-from ..serving.plans import QueryPlan, SessionRemapPlan
+from ..serving.plans import QueryPlan
 from .options import EvalOptions
 from .queries import ReachQuery, RegularReachQuery
 from .reachability import ReachPlan
@@ -90,96 +91,44 @@ class _IncrementalSession:
         self.remaps = 0
         #: The re-initialization result of the most recent remap.
         self.last_remap: Optional[QueryResult] = None
-        #: Pre-repartition partials staged for reuse by the in-flight remap
-        #: (fragments whose boundary anatomy survived the move unchanged).
-        #: Populated by :meth:`_begin_remap`, drained by the remap's
-        #: :class:`~repro.serving.plans.SessionRemapPlan`, cleared when the
-        #: fresh partials install — empty at every other moment.
-        self._remap_reuse: Dict[int, dict] = {}
-        #: Fragments the most recent remap reused instead of re-evaluating.
-        self.last_remap_reused = 0
         cluster.register_session(self)
 
     # -- lifecycle --------------------------------------------------------
     def initialize(self) -> QueryResult:
         """The initial full evaluation (identical to the one-shot algorithm)."""
-        return self._evaluate_full("init")
+        batch = execute_plans(self.cluster, [self.plan])
+        self._install(batch.partials[0], batch.results[0].answer)
+        return self._labelled(batch.results[0], "init")
 
-    def _evaluate_full(self, label: str) -> QueryResult:
-        """Evaluate the standing query from scratch on the current fragments.
-
-        A batch-of-one through the serving engine: the
-        :class:`~repro.serving.plans.SessionRemapPlan` installs the fresh
-        partials and answer during ``assemble``, and the replayed stats are
-        bit-identical to the one-shot algorithm's.
-        """
-        batch = execute_plans(self.cluster, [SessionRemapPlan(self)])
-        result = batch.results[0]
-        # "sites" lists the sites this evaluation visited, like the update
-        # path's results — callers can rely on one details shape throughout.
-        details = {
-            "incremental": label,
-            "sites": tuple(site.site_id for site in self.cluster.sites),
-        }
-        return QueryResult(result.answer, result.stats, details)
-
-    def _install_remap(self, partials: Dict[int, dict], answer: bool) -> None:
-        """Plan hook: adopt a full evaluation's partials/answer/epoch."""
+    def _install(self, partials: Dict[int, dict], answer: bool) -> None:
+        """Adopt a full evaluation's partials and answer at the current epoch."""
         self._partials = partials
         self._answer = answer
         self._epoch = self.cluster.partition_epoch
-        self.last_remap_reused = len(self._remap_reuse)
-        self._remap_reuse = {}
 
-    def _begin_remap(self, preserved: Tuple[int, ...] = ()) -> bool:
-        """Cluster hook: drop stale partials; ``True`` iff a re-evaluation
-        is needed (the session was initialized).
-
-        ``preserved`` names fragments whose boundary anatomy (fid, node
-        set, in/out-node sets, local graph content) the repartition left
-        byte-identical — the cluster verified this against the outgoing
-        fragmentation.  Their partials depend only on that anatomy (plus
-        the standing query), so they are staged for the remap to reuse
-        instead of re-evaluating; everything else is dropped as stale.
-        """
-        if self._answer is not None:
-            self._remap_reuse = {
-                fid: self._partials[fid]
-                for fid in preserved
-                if fid in self._partials
-            }
-        self._partials.clear()
-        return self._answer is not None
-
-    def _finish_remap(self, result: QueryResult) -> None:
-        """Cluster hook: record one completed (possibly batched) remap."""
-        self.remaps += 1
-        self.last_remap = QueryResult(
+    def _labelled(self, result: QueryResult, label: str) -> QueryResult:
+        """``result`` with the session's details shape: every evaluation
+        lists the sites it visited (a full one visits them all)."""
+        return QueryResult(
             result.answer,
             result.stats,
             {
-                "incremental": "remap",
+                "incremental": label,
                 "sites": tuple(site.site_id for site in self.cluster.sites),
             },
         )
 
-    def _on_repartition(self, preserved: Tuple[int, ...] = ()) -> bool:
-        """Per-session (unbatched) remap — the batched path's reference.
+    def _begin_remap(self) -> bool:
+        """Cluster hook: drop stale partials; ``True`` iff a re-evaluation
+        is needed (the session was initialized)."""
+        self._partials = {}
+        return self._answer is not None
 
-        :meth:`SimulatedCluster.repartition` normally batches every open
-        session's remap through the serving engine; this method remains the
-        one-session-at-a-time equivalent (used with
-        ``repartition(batch_remaps=False)`` and by the equivalence tests).
-        ``preserved`` reaches :meth:`_begin_remap` either way, so the
-        incremental-remap delta applies identically on both paths.
-        Returns whether a re-evaluation actually ran.
-        """
-        if not self._begin_remap(preserved):
-            # Never initialized: nothing to remap; initialize() will bind
-            # to whatever fragmentation is current when it runs.
-            return False
-        self._finish_remap(self._evaluate_full("remap"))
-        return True
+    def _finish_remap(self, partials: Dict[int, dict], result: QueryResult) -> None:
+        """Cluster hook: install one batched remap's partials and answer."""
+        self._install(partials, result.answer)
+        self.remaps += 1
+        self.last_remap = self._labelled(result, "remap")
 
     @property
     def query(self):

@@ -353,8 +353,9 @@ class SimulatedCluster:
 
         ``executor`` selects the execution backend for parallel phases — a
         name from :data:`repro.distributed.executors.EXECUTORS`
-        (``sequential``/``thread``/``process``), a backend instance, or
-        ``None`` for the process-wide default (normally sequential)."""
+        (``sequential``/``thread``/``process``/``socket``), a backend
+        instance, or ``None`` for the process-wide default (normally
+        sequential)."""
         if bandwidth <= 0:
             raise DistributedError("bandwidth must be positive")
         if latency < 0:
@@ -533,9 +534,8 @@ class SimulatedCluster:
         """Weakly register an incremental session for repartition remapping.
 
         :meth:`repartition` remaps every live registered session after
-        installing the new fragmentation — by default as one **batched**
-        evaluation through the serving engine (every session wrapped in a
-        :class:`~repro.serving.plans.SessionRemapPlan`, deduplicating the
+        installing the new fragmentation, as one batched evaluation of the
+        sessions' own plans through the serving engine (deduplicating the
         shared per-fragment work).  The registry holds weak references
         only — dropping the session is all the deregistration there is.
         """
@@ -549,9 +549,10 @@ class SimulatedCluster:
         the *memory reclamation* half: fragment mutations and repartitions
         call ``cache.invalidate_fragment(fid)`` for every affected fragment
         so long-lived serving processes do not accumulate dead entries.
-        The first-registered live cache is additionally the one batched
-        session remaps share (:meth:`repartition`), so remap partials are
-        served from — and persist into — the serving layer's cache.
+        The first-registered live cache is additionally the one the batched
+        session remap shares (:meth:`repartition`), so remap partials are
+        served from — and persist into — the serving layer's cache, under
+        the same version keys as every other evaluation.
         """
         self._issue_registration_order(cache)
         self._caches.add(cache)
@@ -730,9 +731,6 @@ class SimulatedCluster:
         partitioner: Union[str, Callable, Mapping[Node, int]] = "refined",
         num_fragments: Optional[int] = None,
         seed: int = 0,
-        fragment_assignment: Optional[Dict[int, int]] = None,
-        validate: bool = True,
-        batch_remaps: bool = True,
     ) -> RepartitionReport:
         """Re-fragment the stored graph in place with a better partitioner.
 
@@ -740,17 +738,19 @@ class SimulatedCluster:
         (:meth:`Fragmentation.restore_graph`, deterministic order), split by
         ``partitioner`` (a :data:`~repro.partition.partitioners.PARTITIONERS`
         name — typically ``refined`` or ``multilevel`` — a callable, or a
-        ready node->fragment mapping), and the sites are rebuilt.  Answers to
-        any query are unchanged (the guarantees are partition-agnostic); what
-        moves are the boundary statistics the theorems charge traffic to.
+        ready node->fragment mapping), checked with
+        :func:`~repro.partition.validation.check_fragmentation`, and the
+        sites are rebuilt, one per fragment.  Answers to any query are
+        unchanged (the guarantees are partition-agnostic); what moves are
+        the boundary statistics the theorems charge traffic to.
 
         Cache soundness: every new fragment state has a never-issued version,
         so serving-layer :class:`~repro.serving.cache.SiteResultCache`
         entries keyed ``(fid, version, ...)`` for the *old* fragments can
         never be served for the new ones (registered caches also get their
         dead entries reclaimed eagerly).  Old and new fragments are matched
-        once (:func:`_match_fragments`) for oracle adoption and session
-        remap reuse alike.
+        once (:func:`_match_fragments`) so unmoved fragments keep their
+        maintained oracles.
 
         Dynamic-world protocol (DESIGN.md §8): the move is *not* free —
         every node whose hosting site changes is charged ``O(|Fi|)``-style
@@ -758,33 +758,14 @@ class SimulatedCluster:
         model, reported in the returned
         :attr:`~repro.partition.quality.RepartitionReport.shipping` stats.
         :attr:`partition_epoch` is bumped, every registered incremental
-        session is remapped onto the new fragmentation (its standing answer
-        is recomputed with honest modeled cost), and the attached mutation
-        monitor's drift baseline is reset.
-
-        Session remaps are **batched** by default: every open session is
-        wrapped in a :class:`~repro.serving.plans.SessionRemapPlan` and
-        executed in one :func:`~repro.serving.engine.execute_plans` call,
-        so N standing queries over the same new fragmentation dedupe their
-        per-fragment local-eval tasks into one map round and share the
-        first-registered serving :class:`~repro.serving.cache.
-        SiteResultCache`.  The saving is reported on the returned report
-        (``remap_visits_saved``/``remap_rounds``/``remap_tasks``); each
-        session's own ``last_remap`` stats stay bit-identical to a
-        per-session remap (the serving engine's replay contract).
+        session is remapped onto the new fragmentation
+        (:meth:`_remap_sessions`), and the attached mutation monitor's drift
+        baseline is reset.
 
         Args:
             partitioner: strategy name, callable, or explicit assignment.
             num_fragments: new ``card(F)`` (default: keep the current count).
             seed: forwarded to randomized partitioners.
-            fragment_assignment: optional fragment id -> site id placement
-                (default: one site per fragment).
-            validate: run
-                :func:`~repro.partition.validation.check_fragmentation` on
-                the rebuilt fragmentation before installing it.
-            batch_remaps: remap open sessions as one batched evaluation
-                (default) instead of one at a time; answers and per-session
-                stats are identical either way.
 
         Returns:
             A :class:`~repro.partition.quality.RepartitionReport` with
@@ -795,26 +776,14 @@ class SimulatedCluster:
         k = num_fragments if num_fragments is not None else len(self.fragmentation)
         assignment, label = _resolve_assignment(graph, k, partitioner, seed)
         fragmentation = build_fragmentation(graph, assignment, k)
-        if validate:
-            check_fragmentation(graph, fragmentation)
+        check_fragmentation(graph, fragmentation)
         old_site_of_node = {
             node: self._site_of_fragment[fid]
             for node, fid in self.fragmentation.placement.items()
         }
         old_fids = tuple(frag.fid for frag in self.fragmentation)
         matches = _match_fragments(self.fragmentation, fragmentation)
-        self._install_fragmentation(fragmentation, fragment_assignment)
-        # The incremental-remap delta: a match that also kept its fid and
-        # in-node set (hence its whole boundary anatomy) produces
-        # byte-identical partial answers, so open sessions keep its
-        # pre-move partials instead of re-evaluating it during the remap.
-        preserved = tuple(
-            sorted(
-                fid
-                for fid, old in matches.items()
-                if old.fid == fid and old.in_nodes == fragmentation[fid].in_nodes
-            )
-        )
+        self._install_fragmentation(fragmentation, None)
         self._partition_epoch += 1
         # Matched fragments keep their maintained oracles (rebound to the
         # new graph objects); only moved fragments pay an index rebuild.
@@ -823,13 +792,7 @@ class SimulatedCluster:
         # Versions alone keep registered caches *sound*; eager invalidation
         # reclaims the memory of every retired fragment state.
         self._invalidate_caches(old_fids)
-        (
-            remapped,
-            remap_saved,
-            remap_rounds,
-            remap_tasks,
-            remap_reused,
-        ) = self._remap_sessions(batch=batch_remaps, preserved=preserved)
+        remapped, remap_saved, remap_rounds, remap_tasks = self._remap_sessions()
         report = RepartitionReport(
             partitioner=label,
             before=before,
@@ -841,63 +804,48 @@ class SimulatedCluster:
             remap_visits_saved=remap_saved,
             remap_rounds=remap_rounds,
             remap_tasks=remap_tasks,
-            remap_fragments_reused=remap_reused,
         )
         monitor = self.mutation_monitor
         if monitor is not None:
             monitor.note_repartition(report)
         return report
 
-    def _remap_sessions(
-        self, batch: bool = True, preserved: Tuple[int, ...] = ()
-    ) -> Tuple[int, int, int, int, int]:
+    def _remap_sessions(self) -> Tuple[int, int, int, int]:
         """Remap every live registered session onto the new fragmentation.
 
-        Returns ``(sessions_remapped, visits_saved, map_rounds, tasks,
-        fragments_reused)``.  With ``batch=True`` the open sessions' full
-        re-evaluations run as ONE :func:`~repro.serving.engine.
-        execute_plans` batch: identical per-fragment tasks are deduplicated
-        across sessions and served from/into the first-registered serving
-        cache, while each session's per-query replayed stats remain
-        bit-identical to a per-session remap.  ``visits_saved`` is the
-        per-session visit total minus what the batched round actually
-        charged — the measurable saving of the dedup.  ``preserved`` names
-        fragments whose boundary anatomy survived the repartition
-        unchanged; each session reuses its pre-move partials for them (the
-        incremental-remap delta), and ``fragments_reused`` totals those
-        reuses across sessions.
+        Returns ``(sessions_remapped, visits_saved, map_rounds, tasks)``.
+        The initialized sessions' own plans run as ONE
+        :func:`~repro.serving.engine.execute_plans` batch: identical
+        per-fragment tasks are deduplicated across sessions and served
+        from/into the first-registered serving cache — a version-keyed hit
+        is the only reuse — and each session installs its partials and
+        answer from the batch.  Each session's replayed stats are
+        bit-identical to a fresh ``initialize()`` on the new fragmentation;
+        ``visits_saved`` is the per-session visit total minus what the
+        batched round actually charged, the measurable saving of the dedup.
         """
         sessions = sorted(
             self._sessions, key=lambda s: getattr(s, "_registration_order", 0)
         )
-        if not batch:
-            remapped = reused = 0
-            for session in sessions:
-                if session._on_repartition(preserved):
-                    remapped += 1
-                    reused += session.last_remap_reused
-            return remapped, 0, 0, 0, reused
-        live = [session for session in sessions if session._begin_remap(preserved)]
+        live = [session for session in sessions if session._begin_remap()]
         if not live:
-            return 0, 0, 0, 0, 0
+            return 0, 0, 0, 0
         # Imported here: serving.engine imports this module at load time.
         from ..serving.engine import execute_plans
-        from ..serving.plans import SessionRemapPlan
 
         caches = sorted(
             self._caches, key=lambda c: getattr(c, "_registration_order", 0)
         )
-        result = execute_plans(
+        batch = execute_plans(
             self,
-            [SessionRemapPlan(session) for session in live],
+            [session.plan for session in live],
             cache=caches[0] if caches else None,
         )
-        for session, query_result in zip(live, result.results):
-            session._finish_remap(query_result)
-        workload = result.workload
+        for session, partials, result in zip(live, batch.partials, batch.results):
+            session._finish_remap(partials, result)
+        workload = batch.workload
         saved = workload.total_visits - workload.batch.total_visits
-        reused = sum(session.last_remap_reused for session in live)
-        return len(live), saved, workload.batch.supersteps, workload.tasks_executed, reused
+        return len(live), saved, workload.batch.supersteps, workload.tasks_executed
 
     def _charge_shipping(
         self, graph: DiGraph, old_site_of_node: Dict[Node, int]

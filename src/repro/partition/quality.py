@@ -146,17 +146,13 @@ class RepartitionReport:
     after the move, and ``sessions_remapped`` counts the open incremental
     sessions that were remapped onto the new fragmentation.
 
-    Session remaps run **batched** through the serving engine
-    (``SessionRemapPlan``/``execute_plans``): identical per-fragment tasks
-    of different sessions are evaluated once.  ``remap_visits_saved`` is
+    Session remaps run as one batch of the sessions' own plans through the
+    serving engine (``execute_plans``): identical per-fragment tasks of
+    different sessions are evaluated once.  ``remap_visits_saved`` is
     the per-session visit total minus what the batched round actually
     charged (the measurable dedup saving, 0 when at most one session was
     open), ``remap_rounds`` the parallel map rounds the batch ran, and
     ``remap_tasks`` the distinct per-fragment evaluations it executed.
-    ``remap_fragments_reused`` counts the incremental-remap deltas: per
-    session, fragments whose boundary anatomy (fid, node set, in/out-node
-    sets, local graph content) survived the move unchanged keep their
-    pre-move partials instead of re-evaluating.
     """
 
     #: Partitioner name (or ``"<callable>"``/``"<assignment>"``) applied.
@@ -179,9 +175,6 @@ class RepartitionReport:
     remap_rounds: int = 0
     #: Distinct per-fragment local-eval tasks the batched remap executed.
     remap_tasks: int = 0
-    #: Anatomy-preserved fragments whose pre-move session partials were
-    #: reused instead of re-evaluated, summed over remapped sessions.
-    remap_fragments_reused: int = 0
 
     @property
     def boundary_delta(self) -> int:
@@ -209,8 +202,7 @@ class RepartitionReport:
             tail += (
                 f" remapped {self.sessions_remapped} session(s) in "
                 f"{self.remap_rounds} round(s), {self.remap_tasks} tasks, "
-                f"saved {self.remap_visits_saved} visits, reused "
-                f"{self.remap_fragments_reused} fragment partial(s)"
+                f"saved {self.remap_visits_saved} visits"
             )
         return (
             f"before: {self.before.summary()}\n"

@@ -10,7 +10,7 @@ shows what the amortization saved.
 
 from .cache import CacheEntry, CacheKey, SiteResultCache
 from .engine import BatchQueryEngine, BatchResult, eval_fragment_jobs, execute_plans
-from .plans import ABSENT, QueryPlan, SessionRemapPlan, endpoint_params
+from .plans import ABSENT, QueryPlan, endpoint_params
 
 __all__ = [
     "ABSENT",
@@ -19,7 +19,6 @@ __all__ = [
     "CacheEntry",
     "CacheKey",
     "QueryPlan",
-    "SessionRemapPlan",
     "SiteResultCache",
     "endpoint_params",
     "eval_fragment_jobs",

@@ -82,10 +82,16 @@ def eval_fragment_jobs(jobs: Tuple[FragmentJob, ...]) -> Tuple[Tuple[Any, float]
 
 @dataclass
 class BatchResult:
-    """Outcome of one batched evaluation: per-query results + batch stats."""
+    """Outcome of one batched evaluation: per-query results + batch stats.
+
+    ``partials`` holds, per query, the fid -> equations map its assembly
+    solved (``None`` for a trivially-answered query) — what an incremental
+    session installs as its standing state.
+    """
 
     results: List["QueryResult"] = field(default_factory=list)
     workload: WorkloadStats = field(default_factory=WorkloadStats)
+    partials: List[Optional[Dict[int, Dict]]] = field(default_factory=list)
 
     @property
     def answers(self) -> List[bool]:
@@ -108,11 +114,6 @@ def _accumulate(workload: WorkloadStats, stats: ExecutionStats) -> None:
     workload.total_traffic_bytes += stats.traffic_bytes
     workload.total_visits += stats.total_visits
     workload.total_messages += stats.num_messages
-
-
-def _sized_entry(plan: QueryPlan, equations: Dict, seconds: float) -> CacheEntry:
-    """A cache entry carrying the wire size of ``plan``'s wrapped partial."""
-    return CacheEntry(equations, seconds, payload_size(plan.wrap_partial(equations)))
 
 
 def execute_plans(
@@ -178,15 +179,6 @@ def execute_plans(
                     workload.cache_hits += 1
                     continue
                 entry = cache.get(key)
-                if entry is None:
-                    reused = plan.preresolved(fragment)
-                    if reused is not None:
-                        # Plan-supplied partial (a remap reusing a preserved
-                        # fragment's pre-move equations): resolved at zero
-                        # compute cost and cached for the rest of the batch
-                        # under the fragment's current version.
-                        entry = _sized_entry(plan, reused, 0.0)
-                        cache.put(key, entry)
                 if entry is not None:
                     workload.cache_hits += 1
                     resolved[key] = entry
@@ -244,7 +236,10 @@ def execute_plans(
                 for (key, plan, _fragment), (equations, seconds) in zip(
                     jobs_by_site[site_id], values
                 ):
-                    entry = _sized_entry(plan, equations, seconds)
+                    # Sized once, here: every later charge reads the entry.
+                    entry = CacheEntry(
+                        equations, seconds, payload_size(plan.wrap_partial(equations))
+                    )
                     resolved[key] = entry
                     cache.put(key, entry)
                     workload.tasks_executed += 1
@@ -268,6 +263,7 @@ def execute_plans(
     }
     executed_wall = batch_run.stats.phase_wall_seconds
     results: List[QueryResult] = []
+    resolved_partials: List[Optional[Dict[int, Dict]]] = []
     for index, plan in enumerate(plans):
         trivial = trivials[index]
         if trivial is not None:
@@ -276,6 +272,7 @@ def execute_plans(
             stats = run.finish()
             _accumulate(workload, stats)
             results.append(QueryResult(answer, stats, dict(details)))
+            resolved_partials.append(None)
             continue
         keys = plan_keys[index]
         run = cluster.start_run(plan.algorithm)
@@ -322,9 +319,10 @@ def execute_plans(
             stats.phase_wall_seconds = 0.0
         _accumulate(workload, stats)
         results.append(QueryResult(answer, stats, details))
+        resolved_partials.append(partials)
 
     workload.batch = batch_run.finish()
-    return BatchResult(results=results, workload=workload)
+    return BatchResult(results=results, workload=workload, partials=resolved_partials)
 
 
 class BatchQueryEngine:

@@ -129,18 +129,6 @@ class QueryPlan(ABC):
         of the serving cache.
         """
 
-    def preresolved(self, fragment: Fragment) -> Optional[Dict]:
-        """Equations the plan already holds for ``fragment``, or ``None``.
-
-        The engine consults this before cache lookup and scheduling: a
-        non-``None`` return enters the batch as a zero-compute resolved
-        entry — no local-eval task runs for the fragment.  The soundness
-        contract matches :meth:`fragment_params`: the returned equations
-        must be exactly what :meth:`local_eval` would produce on the
-        fragment's current content.  The default knows nothing.
-        """
-        return None
-
     @abstractmethod
     def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
         """One site's partial from its fragments' ``parts`` (disjoint rows):
@@ -156,93 +144,3 @@ class QueryPlan(ABC):
         self, partials: Dict[int, Dict], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
         """Coordinator step: solve the assembled system, build details."""
-
-
-class SessionRemapPlan(QueryPlan):
-    """Re-initialize one open incremental session as a batchable plan.
-
-    A repartition must re-evaluate every open standing query against the
-    new fragmentation.  Done per session, N sessions over one k-fragment
-    cluster pay ``N x k`` local evaluations even though most fragments'
-    partials are query-independent (see :func:`endpoint_params`).  Wrapping
-    each session in a ``SessionRemapPlan`` and running them all through
-    :func:`~repro.serving.engine.execute_plans` turns the remap sweep into
-    one deduplicated map round that also shares the serving layer's
-    :class:`~repro.serving.cache.SiteResultCache`.
-
-    Every protocol hook delegates to the session's underlying partial-
-    evaluation plan (``session.plan`` — a
-    :class:`~repro.core.reachability.ReachPlan` or
-    :class:`~repro.core.regular.RegularReachPlan`), including ``algorithm``:
-    the cache keys of a remap task are *identical* to the ordinary query's,
-    so remaps hit entries the serving engine cached and vice versa.
-    ``assemble`` is intercepted to install the fresh per-fragment partials
-    and standing answer back into the session — it runs coordinator-side,
-    in the main process, so holding the live session object is safe (plans
-    never travel to workers; only ``local_eval``/``local_eval_args`` do).
-    """
-
-    def __init__(self, session) -> None:
-        """Wrap ``session`` (any ``core.incremental`` session object)."""
-        self.session = session
-        self.inner: QueryPlan = session.plan
-        # Shadow the class attribute so cache keys match the inner plan's.
-        self.algorithm = self.inner.algorithm
-
-    def validate(self, cluster) -> None:
-        """Delegate endpoint validation to the underlying plan."""
-        self.inner.validate(cluster)
-
-    def trivial(self) -> Optional[Tuple[bool, Dict[str, object]]]:
-        """Never trivial: session constructors reject trivial standing
-        queries, and a trivially-answered plan would skip ``assemble`` —
-        the hook that installs the session's partials."""
-        return None
-
-    def broadcast_payload(self) -> object:
-        """The underlying plan's broadcast payload (query or automaton)."""
-        return self.inner.broadcast_payload()
-
-    def local_eval(self) -> Callable[..., Any]:
-        """The underlying plan's picklable per-fragment evaluation."""
-        return self.inner.local_eval()
-
-    def local_eval_args(self) -> Tuple[Any, ...]:
-        """The underlying plan's local-eval arguments."""
-        return self.inner.local_eval_args()
-
-    def fragment_params(self, fragment: Fragment) -> Hashable:
-        """The underlying plan's cache params — identical keys mean remap
-        tasks dedupe with ordinary query tasks and cache entries."""
-        return self.inner.fragment_params(fragment)
-
-    def preresolved(self, fragment: Fragment) -> Optional[Dict]:
-        """The session's pre-repartition partial for a preserved fragment.
-
-        :meth:`~repro.distributed.cluster.SimulatedCluster.repartition`
-        stages into ``session._remap_reuse`` the partials of fragments
-        whose boundary anatomy (fid, node set, in/out-node sets, local
-        graph content) survived the move byte-identically — the equations
-        of such a fragment cannot have changed, so the remap skips its
-        local-eval task instead of recomputing it (the incremental-remap
-        delta).  Empty outside a repartition remap, so ordinary
-        ``initialize()`` runs are never served stale partials.
-        """
-        return self.session._remap_reuse.get(fragment.fid)
-
-    def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
-        """The underlying plan's merge of one site's fragment partials."""
-        return self.inner.merge_partials(parts)
-
-    def wrap_partial(self, site_equations: Mapping) -> object:
-        """The underlying plan's wire format for one site's partial."""
-        return self.inner.wrap_partial(site_equations)
-
-    def assemble(
-        self, partials: Dict[int, Dict], collect_details: bool
-    ) -> Tuple[bool, Dict[str, object]]:
-        """Solve via the underlying plan, then install the fresh partials
-        and standing answer into the session (main-process side effect)."""
-        answer, details = self.inner.assemble(partials, collect_details)
-        self.session._install_remap(dict(partials), answer)
-        return answer, details

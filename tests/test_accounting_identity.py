@@ -6,14 +6,11 @@ serving tests compare the engine with itself (batch vs. one-by-one), which a
 wrong memoized size would pass.  Here every query's message log and traffic
 are compared with an independent reference that evaluates every fragment
 again and sizes its equations from scratch with a term-by-term walk — on a
-miss, on a hit, after a mutation, after a ``preresolved`` reuse, and on a
-site holding two fragments (where the engine must fall back to sizing the
-merged rvset).
+miss, on a hit, after a mutation, and on a site holding two fragments
+(where the engine must fall back to sizing the merged rvset).
 """
 
 from __future__ import annotations
-
-import copy
 
 import pytest
 
@@ -131,32 +128,6 @@ def test_miss_hit_and_mutation_charge_a_fresh_sizing(assignment):
     mutated = execute_plans(cluster, plans, cache=cache)
     assert 0 < mutated.workload.cache_misses < cold.workload.cache_misses
     _assert_fresh(cluster, plans, mutated.results)
-
-
-def test_preresolved_reuse_charges_a_fresh_sizing():
-    cluster = _cluster()
-
-    def reusing(plan, fids):
-        """``plan`` claiming to hold the partials of ``fids`` already."""
-        cls = type(plan)
-
-        def preresolved(self, fragment):
-            if fragment.fid in fids:
-                return cls.local_eval(self)(fragment, *cls.local_eval_args(self))
-            return None
-
-        clone = copy.copy(plan)
-        clone.__class__ = type("Reusing" + cls.__name__, (cls,), {"preresolved": preresolved})
-        return clone
-
-    plans = [reusing(plan, {0, 2}) for plan in _plans()]
-    batch = execute_plans(cluster, plans, cache=SiteResultCache())
-    assert batch.workload.tasks_executed < batch.workload.lookups
-    _assert_fresh(cluster, plans, batch.results)
-    # The batch ran nothing for the reused fragments: only sites 1 and 3
-    # shipped partials.
-    shipped = {m.src for m in batch.workload.batch.messages if m.kind is MessageKind.PARTIAL}
-    assert shipped == {1, 3}
 
 
 def test_batch_run_ships_each_distinct_partial_once():

@@ -3,21 +3,19 @@
 The contract under test — the acceptance bar of the session-remap
 batching:
 
-* after a repartition, every open session's standing answer and its
-  ``last_remap`` modeled stats are **bit-identical** whether the cluster
-  remapped the sessions as one batched ``execute_plans`` round (the
-  default) or one at a time (``batch_remaps=False``) — on all three
-  executor backends;
+* after a repartition, every open session's standing answer, per-fragment
+  partials and ``last_remap`` modeled stats are **bit-identical** to a
+  fresh ``initialize()`` on a cluster built directly with the new
+  placement — on every executor backend;
 * the batch actually dedupes: on a shared-fragment workload the distinct
   per-fragment tasks executed stay strictly below ``sessions x
   fragments``, and ``remap_visits_saved`` is positive;
 * the batched remap shares the registered serving cache, so a query
   served right after a repartition hits the remap's partials;
-* the incremental-remap delta: fragments whose boundary anatomy the
-  repartition left unchanged reuse their pre-move session partials
-  (``RepartitionReport.remap_fragments_reused``), and the reused partials
-  are bit-identical to a from-scratch evaluation on the new
-  fragmentation.
+* a version-keyed cache hit is the only reuse across a repartition: a
+  session that was not resynced after another session's write cannot
+  leak its stale partials into the remap, the cache or a one-shot
+  evaluation.
 """
 
 import pytest
@@ -30,7 +28,7 @@ from repro.core.incremental import IncrementalReachSession, IncrementalRegularSe
 from repro.core.queries import ReachQuery
 from repro.distributed import SimulatedCluster
 from repro.distributed.executors import EXECUTORS
-from repro.graph import erdos_renyi
+from repro.graph import DiGraph, erdos_renyi
 from repro.serving import BatchQueryEngine
 
 N = 24
@@ -58,21 +56,37 @@ def _cluster(seed=3, k=3, executor=None):
     return graph, cluster
 
 
+def _session(cluster, spec):
+    """An uninitialized session for one (is_regular, source, target) spec."""
+    is_regular, source, target = spec
+    if is_regular:
+        return IncrementalRegularSession(cluster, (source, target, REGEX))
+    return IncrementalReachSession(cluster, (source, target))
+
+
 def _open_sessions(cluster, specs):
-    """One initialized session per (is_regular, source, target) spec."""
-    sessions = []
-    for is_regular, source, target in specs:
-        if is_regular:
-            session = IncrementalRegularSession(cluster, (source, target, REGEX))
-        else:
-            session = IncrementalReachSession(cluster, (source, target))
+    """One initialized session per spec."""
+    sessions = [_session(cluster, spec) for spec in specs]
+    for session in sessions:
         session.initialize()
-        sessions.append(session)
     return sessions
 
 
+def _fresh_initializations(graph, cluster, specs, executor=None):
+    """Sessions initialized from scratch on ``cluster``'s current placement,
+    with their ``initialize()`` results — the reference a remap must equal."""
+    reference = SimulatedCluster.from_graph(
+        graph,
+        len(cluster.fragmentation),
+        partitioner=dict(cluster.fragmentation.placement),
+        executor=executor,
+    )
+    sessions = [_session(reference, spec) for spec in specs]
+    return sessions, [session.initialize() for session in sessions]
+
+
 class TestBatchedEqualsPerSession:
-    """Hypothesis: batched and per-session remaps are bit-identical."""
+    """Hypothesis: a batched remap equals a from-scratch initialization."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -88,30 +102,26 @@ class TestBatchedEqualsPerSession:
         specs = [spec for spec in specs if spec[1] != spec[2]]
         if not specs:
             return
-        graph, batched_cluster = _cluster()
-        _, reference_cluster = _cluster()
-        batched = _open_sessions(batched_cluster, specs)
-        reference = _open_sessions(reference_cluster, specs)
+        graph, cluster = _cluster()
+        sessions = _open_sessions(cluster, specs)
 
-        report = batched_cluster.repartition("refined", seed=0)
-        reference_cluster.repartition("refined", seed=0, batch_remaps=False)
+        report = cluster.repartition("refined", seed=0)
+        reference, initializations = _fresh_initializations(graph, cluster, specs)
 
         assert report.sessions_remapped == len(specs)
         assert report.remap_visits_saved >= 0
-        assert report.remap_tasks <= len(specs) * len(batched_cluster.fragmentation)
-        for b_session, r_session, (is_regular, source, target) in zip(
-            batched, reference, specs
+        assert report.remap_tasks <= len(specs) * len(cluster.fragmentation)
+        for session, ref_session, init, (is_regular, source, target) in zip(
+            sessions, reference, initializations, specs
         ):
             if is_regular:
                 expected = regular_reachable(graph, source, target, REGEX)
             else:
                 expected = reachable(graph, source, target)
-            assert b_session.answer == r_session.answer == expected
-            assert _modeled_signature(b_session.last_remap) == _modeled_signature(
-                r_session.last_remap
-            )
-            assert b_session._partials == r_session._partials
-            assert b_session._epoch == r_session._epoch == 1
+            assert session.answer == ref_session.answer == expected
+            assert _modeled_signature(session.last_remap) == _modeled_signature(init)
+            assert session._partials == ref_session._partials
+            assert session._epoch == 1
 
 
 class TestDedupAndBackends:
@@ -150,16 +160,16 @@ class TestDedupAndBackends:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_last_remap_matches_per_session_path(self, backend):
-        _, batched_cluster = _cluster(executor=backend)
-        _, reference_cluster = _cluster(executor=backend)
-        batched = _open_sessions(batched_cluster, self.SPECS)
-        reference = _open_sessions(reference_cluster, self.SPECS)
-        batched_cluster.repartition("refined", seed=0)
-        reference_cluster.repartition("refined", seed=0, batch_remaps=False)
-        for b_session, r_session in zip(batched, reference):
-            assert _modeled_signature(b_session.last_remap) == _modeled_signature(
-                r_session.last_remap
-            )
+        graph, cluster = _cluster(executor=backend)
+        sessions = _open_sessions(cluster, self.SPECS)
+        cluster.repartition("refined", seed=0)
+        reference, initializations = _fresh_initializations(
+            graph, cluster, self.SPECS, executor=backend
+        )
+        for session, ref_session, init in zip(sessions, reference, initializations):
+            assert session.answer == ref_session.answer
+            assert session._partials == ref_session._partials
+            assert _modeled_signature(session.last_remap) == _modeled_signature(init)
 
     def test_summary_mentions_remap(self):
         _, cluster = _cluster()
@@ -170,7 +180,7 @@ class TestDedupAndBackends:
 
 
 class TestIncrementalRemapDelta:
-    """Anatomy-preserved fragments reuse pre-move partials — identically."""
+    """Partial moves: remapped partials equal a from-scratch evaluation."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -185,11 +195,10 @@ class TestIncrementalRemapDelta:
         moved=st.sets(st.integers(0, N - 1), max_size=6),
     )
     def test_reused_partials_match_from_scratch(self, seed, specs, moved):
-        """Reuse is an identity: a remap that keeps some fragments' partials
-        produces the same standing answers AND the same per-fragment
-        equations as initializing fresh sessions directly on the new
-        fragmentation, and the report counts exactly the anatomy-preserved
-        fragments per session."""
+        """A repartition that moves a few nodes (leaving other fragments
+        untouched) produces the same standing answers AND the same
+        per-fragment equations as initializing fresh sessions directly on
+        the new fragmentation."""
         specs = [spec for spec in specs if spec[1] != spec[2]]
         if not specs:
             return
@@ -200,12 +209,7 @@ class TestIncrementalRemapDelta:
         target = dict(base)
         for node in moved:
             target[node] = (base[node] + 1) % k
-        report = cluster.repartition(target, num_fragments=k)
-
-        # A fragment's anatomy survives iff no node entered or left it.
-        touched = {base[node] for node in moved} | {target[node] for node in moved}
-        preserved = [fid for fid in range(k) if fid not in touched]
-        assert report.remap_fragments_reused == len(preserved) * len(specs)
+        cluster.repartition(target, num_fragments=k)
 
         reference_cluster = SimulatedCluster.from_graph(
             graph, k, partitioner=target
@@ -214,50 +218,12 @@ class TestIncrementalRemapDelta:
         for session, ref_session in zip(sessions, reference):
             assert session.answer == ref_session.answer
             assert session._partials == ref_session._partials
-            assert session._remap_reuse == {}  # drained by the remap
-
-    def test_identity_repartition_reuses_everything(self):
-        _, cluster = _cluster()
-        sessions = _open_sessions(cluster, [(False, 0, N - 1), (True, 1, N - 1)])
-        assignment = dict(cluster.fragmentation.placement)
-        report = cluster.repartition(
-            assignment, num_fragments=len(cluster.fragmentation)
-        )
-        # Every fragment preserved, for both sessions: zero local-eval
-        # tasks run, and the answers stand.
-        assert report.remap_fragments_reused == len(cluster.fragmentation) * 2
-        assert report.remap_tasks == 0
-        assert all(session.remaps == 1 for session in sessions)
-        assert "reused" in report.summary()
-
-    def test_batched_matches_per_session_reuse(self):
-        results = []
-        for batch_remaps in (True, False):
-            graph, cluster = _cluster()
-            sessions = _open_sessions(cluster, [(False, 0, N - 1), (False, 1, 2)])
-            target = dict(cluster.fragmentation.placement)
-            target[0] = (target[0] + 1) % len(cluster.fragmentation)
-            report = cluster.repartition(
-                target,
-                num_fragments=len(cluster.fragmentation),
-                batch_remaps=batch_remaps,
-            )
-            results.append(
-                (
-                    report.remap_fragments_reused,
-                    [session.answer for session in sessions],
-                    [session._partials for session in sessions],
-                    [_modeled_signature(session.last_remap) for session in sessions],
-                )
-            )
-        assert results[0] == results[1]
 
     def test_mutation_after_reusing_remap_stays_sound(self):
         graph, cluster = _cluster()
         session = _open_sessions(cluster, [(False, 0, N - 1)])[0]
         assignment = dict(cluster.fragmentation.placement)
         cluster.repartition(assignment, num_fragments=len(cluster.fragmentation))
-        assert session.last_remap_reused == len(cluster.fragmentation)
         # The standing query must keep tracking the mutated graph exactly.
         result = session.add_edge(0, N - 1)
         graph.add_edge(0, N - 1)
@@ -280,6 +246,36 @@ class TestSharedServingCache:
         batch = engine.run_batch([query])
         assert batch.workload.tasks_executed == 0
         assert batch.answers == [session.answer]
+
+    def test_lagging_session_cannot_poison_a_remap(self):
+        """Across a repartition the only reuse is a version-keyed cache hit.
+
+        Two sessions stand on one (s, t).  A write through the later one
+        makes t reachable; the earlier one is never resynced, so its own
+        copy of the written fragment's partial is stale.  An identity
+        repartition must not let that copy reach the up-to-date session,
+        the serving cache or a one-shot evaluation.
+        """
+        graph = DiGraph.from_edges([(0, 1), (2, 3), (3, 4), (4, 5)])
+        placement = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+        cluster = SimulatedCluster.from_graph(graph.copy(), 2, partitioner=placement)
+        engine = BatchQueryEngine(cluster)
+        query = ReachQuery(0, 4)
+        lagging = IncrementalReachSession(cluster, (0, 4))
+        writer = IncrementalReachSession(cluster, (0, 4))
+        lagging.initialize()
+        writer.initialize()
+        assert writer.add_edge(1, 2).answer is True  # intra-fragment write
+        graph.add_edge(1, 2)
+        assert lagging.answer is False  # never resynced
+
+        k = len(cluster.fragmentation)
+        cluster.repartition(dict(cluster.fragmentation.placement), num_fragments=k)
+        expected = reachable(graph, 0, 4)
+        assert expected is True
+        assert lagging.answer == writer.answer == expected
+        assert engine.evaluate(query).answer == expected
+        assert evaluate(cluster, query).answer == expected
 
     def test_uninitialized_sessions_skip_batch(self):
         _, cluster = _cluster()
