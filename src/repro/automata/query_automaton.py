@@ -16,17 +16,62 @@ so vectors indexed by state are cheap and the (node, state) pairs shipped by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, List, Tuple, Union as TUnion
 
 from ..graph.digraph import DiGraph, Node
+from ..graph.scc import tarjan_scc
 from .ast import RegexNode
-from .glushkov import GlushkovAnalysis, analyze
+from .glushkov import GlushkovAnalysis, PositionLabel, analyze
 from .parser import parse_regex
 
 US = -1  # start state, denotes the query's source node s
 UT = -2  # final state, denotes the query's target node t
 
 State = int
+ColumnPair = Tuple[int, int]  # (state column, successor-state column)
+
+
+@dataclass(frozen=True)
+class CompiledAutomaton:
+    """The per-query tables of ``Gq(R)`` the regular kernel reads, as ints.
+
+    Column ``c`` is state ``states[c]`` (``US``, the positions, ``UT``).
+    ``schedule`` follows the automaton's SCC condensation, successors
+    first: per component, its ``incoming`` transitions (applied once) and
+    its ``internal`` ones (iterated to a fixpoint).  ``target_cols`` are
+    the columns some transition enters.
+    """
+
+    states: Tuple[State, ...]
+    position_labels: Tuple[PositionLabel, ...]
+    schedule: Tuple[Tuple[Tuple[ColumnPair, ...], Tuple[ColumnPair, ...]], ...]
+    target_cols: Tuple[int, ...]
+    state_bytes: Tuple[int, ...]
+
+
+def compile_automaton(automaton: "QueryAutomaton") -> CompiledAutomaton:
+    """``automaton``'s tables (:attr:`QueryAutomaton.compiled` memoizes them)."""
+    from ..distributed.messages import payload_size
+
+    states = automaton.states()
+    col_of = {state: col for col, state in enumerate(states)}
+    schedule = []
+    for members in tarjan_scc(states, automaton.successors):
+        member_set = set(members)
+        incoming, internal = [], []
+        for u in members:
+            for u2 in automaton.successors(u):
+                pair = (col_of[u], col_of[u2])
+                (internal if u2 in member_set else incoming).append(pair)
+        schedule.append((tuple(incoming), tuple(internal)))
+    return CompiledAutomaton(
+        states,
+        automaton.analysis.position_labels,
+        tuple(schedule),
+        tuple(sorted({col_of[u2] for _, u2 in automaton.transitions()})),
+        tuple(map(payload_size, states)),
+    )
 
 
 @dataclass(frozen=True)
@@ -46,6 +91,14 @@ class QueryAutomaton:
     ) -> "QueryAutomaton":
         """Compile ``regex`` into a query automaton for ``(source, target)``."""
         return cls(analyze(parse_regex(regex)), source, target)
+
+    @cached_property
+    def compiled(self) -> CompiledAutomaton:
+        """This automaton's :class:`CompiledAutomaton`, built on first use
+        and kept in the instance dict, so it pickles along with the
+        automaton; equality, hashing and ``payload_size`` read the fields
+        only."""
+        return compile_automaton(self)
 
     # ------------------------------------------------------------------
     # structure

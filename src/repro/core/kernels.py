@@ -13,11 +13,12 @@ Jacobi OR-propagation level by level and reads BFS distances off one
 snapshot of the root rows per level; regular reachability runs the
 propagation per automaton transition over a ``[states, V, words]`` cube,
 each transition restricted to the cached sub-CSR of edges into nodes
-carrying its target state's label.  All three sweep only the forward cone
-of their roots (:class:`~repro.core.csr.Cone`, handed over by the boundary
-prologue): the condensation levels, edges and label sub-CSRs the root rows
-read, through one code path whether the cone is proper or the whole
-fragment.
+carrying its target state's label, in the transition schedule the query
+compiled once (``QueryAutomaton.compiled``), not per fragment.  All three
+sweep only the forward cone of their roots (:class:`~repro.core.csr.Cone`,
+handed over by the boundary prologue): the condensation levels, edges and
+label sub-CSRs the root rows read, through one code path whether the cone
+is proper or the whole fragment.
 
 numpy is imported inside the functions, never at module level: importing
 the package, building a cluster or starting a broker or server leaves it
@@ -185,13 +186,16 @@ def bounded_seed_rows(
     ``take`` snapshot of the root rows; bits only grow, so a root's
     distance to seed ``j`` is the number of snapshots in which bit ``j`` is
     still clear, read off all snapshots in one unpack after the sweep — no
-    Dijkstra-style priority queue and no per-level bookkeeping.
+    Dijkstra-style priority queue and no per-level bookkeeping.  The counts
+    sum in the narrowest unsigned dtype holding ``bound + 1``, so none
+    wraps; the hits are one ``flatnonzero`` over the flat ``[roots *
+    seeds]`` counts, split into ``(root, seed)`` by one ``divmod``.
 
     Roots, columns (``TARGET`` for the target) and their id sizes come from
     the cached boundary prologue, and the levels gather only the edges out
     of its cone (:meth:`~repro.core.csr.Cone.edges`), the rows a root
-    reads; the ``(root, seed)`` hits become the matrix entries, handed over
-    as ``int64`` buffers with no per-term loop.
+    reads; the hits become the matrix entries, handed over as ``int64``
+    buffers with no per-term loop.
     """
     import numpy as np
 
@@ -219,21 +223,22 @@ def bounded_seed_rows(
         agg = np.bitwise_or.reduceat(bits.take(targets, axis=0), starts, axis=0)
         cur = bits.take(rows, axis=0)
         new = cur | agg
-        if np.array_equal(new, cur):
+        if new.tobytes() == cur.tobytes():  # cheaper than array_equal here
             break
         bits.reshape(-1)[flat] = new.reshape(-1)
         snapshots.append(bits.take(root_rows, axis=0))
-    held = np.unpackbits(
+    held_in = np.unpackbits(
         np.stack(snapshots).astype("<u8", copy=False).view(np.uint8),
         axis=-1,
+        count=num_seeds,
         bitorder="little",
-    )[..., :num_seeds]
-    held_in = held.sum(axis=0, dtype=np.int64)
-    # All roots in one nonzero scan; (ri, rj) come out row-major, so each
-    # root's entries are contiguous and in seed order: row starts are a
-    # searchsorted over ri.
-    ri, rj = np.nonzero(held_in)
-    dists = len(snapshots) - held_in[ri, rj]
+    ).sum(axis=0, dtype=np.min_scalar_type(len(snapshots))).reshape(-1)
+    # All roots in one flat scan: hits come out row-major, so each root's
+    # entries are contiguous and in seed order, and row starts are a
+    # searchsorted over the hits' roots.
+    hits = np.flatnonzero(held_in)
+    ri, rj = np.divmod(hits, num_seeds)
+    dists = len(snapshots) - held_in.take(hits)
     row_starts = np.searchsorted(ri, np.arange(len(roots) + 1))
     return BoundedRows(
         roots,
@@ -249,48 +254,16 @@ def bounded_seed_rows(
 # ---------------------------------------------------------------------------
 # regular reachability (localEvalr)
 # ---------------------------------------------------------------------------
-#: :func:`_position_codes` entry of a label no node of the fragment carries.
+#: Label code of a position whose label no node of the fragment carries.
 _ABSENT = -1
-
-
-def _position_codes(csr: Any, automaton: "QueryAutomaton") -> List[Any]:
-    """Per Glushkov position, the CSR's label code of its label — the key of
-    :meth:`~repro.core.csr.FragmentCSR.label_filter`, ``None`` for the
-    wildcard.
-
-    ``_ABSENT`` where no node of the fragment carries the position's label,
-    so nothing here can occupy that position.
-    """
-    label_index = csr.label_index
-    return [
-        None if expected is None else label_index.get(expected, _ABSENT)
-        for expected in automaton.analysis.position_labels
-    ]
-
-
-def automaton_match_matrix(csr: Any, automaton: "QueryAutomaton", rows: Any) -> Any:
-    """``bool[len(rows), num_states]``: may node row ``rows[i]`` occupy the
-    state at column ``c``?  Columns align with ``automaton.states()``
-    (``US``, positions, ``UT``).
-
-    Position columns are gathered from the CSR view's cached per-label
-    columns; the endpoint states match by node identity (``US`` = the
-    source row, ``UT`` = the target row).
-    """
-    import numpy as np
-
-    match = np.zeros((rows.size, automaton.num_states), dtype=bool)
-    match[:, 0] = rows == csr.index.get(automaton.source, -1)
-    match[:, -1] = rows == csr.index.get(automaton.target, -1)
-    for col, code in enumerate(_position_codes(csr, automaton), start=1):
-        if code != _ABSENT:
-            match[:, col] = csr.label_filter(code)[0].take(rows)
-    return match
+#: Label code of the wildcard position, which every node matches.
+_WILDCARD = -2
 
 
 class RegularPrologue(NamedTuple):
     """The regular algorithm's :class:`~repro.core.csr.Prologue`: product
-    pairs, addressed as cells of the ``[states * V]`` cube."""
+    pairs, addressed as cells of the ``[states * V]`` cube, plus the
+    fragment's label code per position."""
 
     roots: List[Tuple[Any, int]]
     root_cells: Any
@@ -298,6 +271,7 @@ class RegularPrologue(NamedTuple):
     columns: List[Any]
     seed_cells: Any
     col_bytes: Any
+    codes: Any
 
 
 def regular_boundary_pairs(
@@ -306,46 +280,63 @@ def regular_boundary_pairs(
     """The view of ``fragment``, the prologue's cone and the regular
     algorithm's roots and seeds.
 
-    Node rows come from the cached boundary prologue; the pairs are in
-    exactly the python reference's order — nodes sorted by ``repr``, states
-    in ``automaton.states()`` order, one pair per matching combination
-    (seeds skip ``US``, which no transition enters).  Row-major ``nonzero``
-    over the match matrix reproduces the nested loops.  The seed
-    ``(t, UT)`` becomes the ``TRUE`` column, and every pair's modeled id
-    size is ``2 + node + state`` bytes (a 2-tuple), read off the view's
-    ``node_bytes``.
+    Node rows come from the cached boundary prologue, states and their id
+    sizes from the query's compiled tables
+    (:attr:`~repro.automata.query_automaton.QueryAutomaton.compiled`); per
+    fragment only the positions' label codes and one match matrix over the
+    root and seed rows are built.  The pairs are in exactly the python
+    reference's order — nodes sorted by ``repr``, states in column order,
+    one pair per matching combination (seeds skip ``US``, which no
+    transition enters).  Row-major ``nonzero`` over the match matrix
+    reproduces the nested loops.  The seed ``(t, UT)`` becomes the ``TRUE``
+    column, and every pair's modeled id size is ``2 + node + state`` bytes
+    (a 2-tuple), read off the view's ``node_bytes``.
     """
     import numpy as np
 
-    from ..automata.query_automaton import UT
     from ..distributed.messages import payload_size
     from .bes import TRUE
     from .csr import boundary_prologue
 
+    compiled = automaton.compiled
+    states = compiled.states
+    state_bytes = np.array(compiled.state_bytes, dtype=np.int64)
     csr, cone, found = boundary_prologue(fragment, automaton.source, automaton.target)
-    states = automaton.states()
-    state_bytes = np.fromiter(map(payload_size, states), dtype=np.int64, count=len(states))
     num_nodes = csr.num_nodes
-
-    def pairs(rows: Any, first_col: int) -> Tuple[List[Tuple[Any, int]], Any, Any]:
-        match = automaton_match_matrix(csr, automaton, rows)
-        hit_rows, hit_cols = np.nonzero(match[:, first_col:])
-        hit_cols += first_col
-        node_rows = rows.take(hit_rows)
-        nodes = map(csr.order.__getitem__, node_rows.tolist())
-        pair_list = list(zip(nodes, map(states.__getitem__, hit_cols.tolist())))
-        sizes = 2 + csr.node_bytes.take(node_rows) + state_bytes.take(hit_cols)
-        return pair_list, hit_cols * num_nodes + node_rows, sizes
-
-    roots, root_cells, root_bytes = pairs(found.root_rows, 0)
-    seeds, seed_cells, col_bytes = pairs(found.seed_rows, 1)
-    target_row = csr.index.get(automaton.target)
-    if target_row is not None:
-        for at in np.flatnonzero(seed_cells == states.index(UT) * num_nodes + target_row):
+    label_index = csr.label_index
+    codes = np.array(
+        [
+            _WILDCARD if label is None else label_index.get(label, _ABSENT)
+            for label in compiled.position_labels
+        ],
+        dtype=np.int64,
+    )
+    # bool[rows, states]: US is the source row, a position its label, UT the
+    # target row; seeds skip US, which no transition enters.
+    num_roots = found.root_rows.size
+    rows = np.concatenate((found.root_rows, found.seed_rows))
+    target_row = csr.index.get(automaton.target, -1)
+    match = np.empty((rows.size, len(states)), dtype=bool)
+    match[:, 0] = rows == csr.index.get(automaton.source, -1)
+    match[num_roots:, 0] = False
+    match[:, -1] = rows == target_row
+    np.equal(csr.label_codes.take(rows)[:, None], codes, out=match[:, 1:-1])
+    match[:, 1:-1] |= codes == _WILDCARD
+    # One row-major scan for roots and seeds; the roots' hits come first.
+    hit_rows, hit_cols = np.nonzero(match)
+    node_rows = rows.take(hit_rows)
+    nodes = map(csr.order.__getitem__, node_rows.tolist())
+    pairs = list(zip(nodes, map(states.__getitem__, hit_cols.tolist())))
+    cells = hit_cols * num_nodes + node_rows
+    sizes = 2 + csr.node_bytes.take(node_rows) + state_bytes.take(hit_cols)
+    split = int(np.searchsorted(hit_rows, num_roots))
+    seeds, seed_cells, col_bytes = pairs[split:], cells[split:], sizes[split:]
+    if target_row >= 0:
+        for at in np.flatnonzero(seed_cells == (len(states) - 1) * num_nodes + target_row):
             seeds[at] = TRUE
             col_bytes[at] = payload_size(TRUE)
     return csr, cone, RegularPrologue(
-        roots, root_cells, int(root_bytes.sum()), seeds, seed_cells, col_bytes
+        pairs[:split], cells[:split], int(sizes[:split].sum()), seeds, seed_cells, col_bytes, codes
     )
 
 
@@ -357,9 +348,7 @@ def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows"
 
     csr, cone, found = regular_boundary_pairs(fragment, automaton)
     if found.columns:
-        masks = _regular_masks(
-            np, csr, cone, automaton, found.root_cells, found.seed_cells
-        )
+        masks = _regular_masks(np, csr, cone, automaton, found)
     else:
         masks = [0] * len(found.roots)
     return BitRows.from_masks(
@@ -368,7 +357,7 @@ def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows"
 
 
 def _regular_masks(
-    np, csr: Any, cone: Any, automaton: "QueryAutomaton", root_cells: Any, seed_cells: Any
+    np, csr: Any, cone: Any, automaton: "QueryAutomaton", found: "RegularPrologue"
 ) -> List[int]:
     """Per root cell, the seed bitmask it reaches over the local product graph.
 
@@ -384,40 +373,40 @@ def _regular_masks(
     sub-CSR (edges into the target row) is built per call.  Every sub-CSR
     keeps only the source rows in ``cone``, the graph rows a root pair's
     product paths can pass (:meth:`~repro.core.csr.Cone.label_edges`).
+    The schedule and target columns are the query's compiled tables.
     """
-    from ..automata.query_automaton import UT
-    from ..graph.scc import tarjan_scc
-
-    index = csr.index
-    states = automaton.states()
-    col_of = {state: col for col, state in enumerate(states)}
+    compiled = automaton.compiled
+    num_states = len(compiled.states)
     num_nodes = csr.num_nodes
+    seed_cells = found.seed_cells
 
     words = max(1, (len(seed_cells) + 63) >> 6)
     word, bit = _seed_bits(np, len(seed_cells))
-    bits = np.zeros((len(states), num_nodes, words), dtype=np.uint64)
+    bits = np.zeros((num_states, num_nodes, words), dtype=np.uint64)
     # Seed pairs are distinct, so their cells are distinct: one store.
     bits.reshape(-1)[seed_cells * words + word] = bit
 
     # Per successor-state column, the sub-CSR of graph edges whose target
     # may occupy that state — bits only ever flow through label-consistent
     # product pairs — plus the flat scatter index of its source rows.
-    codes = _position_codes(csr, automaton)
-    target_row = index.get(automaton.target)
+    target_row = csr.index.get(automaton.target)
+    codes = found.codes.tolist()
     edges: Dict[int, Any] = {}
-    for u2 in {u2 for _, u2 in automaton.transitions()}:
-        if u2 == UT:
+    for u2_col in compiled.target_cols:
+        if u2_col == num_states - 1:
             if target_row is None:
                 continue
             column = np.zeros(num_nodes, dtype=bool)
             column[target_row] = True
             sub = cone.restrict(csr.edges_into(column))
         else:
-            code = codes[u2]
-            sub = None if code == _ABSENT else cone.label_edges(csr, code)
+            code = codes[u2_col - 1]
+            if code == _ABSENT:
+                continue
+            sub = cone.label_edges(csr, None if code == _WILDCARD else code)
         if sub is not None:
             rows, starts, targets = sub
-            edges[col_of[u2]] = (rows, starts, targets, _flat_rows(np, rows, words))
+            edges[u2_col] = (rows, starts, targets, _flat_rows(np, rows, words))
 
     def step(u_col: int, u2_col: int) -> bool:
         entry = edges.get(u2_col)
@@ -430,24 +419,17 @@ def _regular_masks(
         )
         cur = plane.take(rows, axis=0)
         new = cur | agg
-        if np.array_equal(new, cur):
+        # Bytes compare in a fraction of ``array_equal``'s call overhead.
+        if new.tobytes() == cur.tobytes():
             return False
         plane.reshape(-1)[flat] = new.reshape(-1)
         return True
 
-    # Schedule transitions along the automaton's own SCC condensation
-    # (emitted successors-first): by the time a component runs, every
-    # successor state's plane outside it is final, so cross-component
-    # transitions apply exactly once and only intra-component cycles
-    # need a fixpoint loop.
-    for members in tarjan_scc(states, automaton.successors):
-        member_set = set(members)
-        incoming = []
-        internal = []
-        for u in members:
-            for u2 in automaton.successors(u):
-                pair = (col_of[u], col_of[u2])
-                (internal if u2 in member_set else incoming).append(pair)
+    # By the time a component of the schedule runs, every successor
+    # state's plane outside it is final, so cross-component transitions
+    # apply exactly once and only intra-component cycles need a fixpoint
+    # loop.
+    for incoming, internal in compiled.schedule:
         for u_col, u2_col in incoming:
             step(u_col, u2_col)
         changed = bool(internal)
@@ -456,4 +438,4 @@ def _regular_masks(
             for u_col, u2_col in internal:
                 if step(u_col, u2_col):
                     changed = True
-    return _rows_to_ints(bits.reshape(-1, words).take(root_cells, axis=0))
+    return _rows_to_ints(bits.reshape(-1, words).take(found.root_cells, axis=0))

@@ -68,8 +68,10 @@ def local_eval_regular(
     when local) at every state it matches, sorted by node ``repr`` and
     then in ``automaton.states()`` order.  The numpy kernel sweeps the
     product closure over a ``[states, V, words]`` bitset cube, one
-    transition at a time (:mod:`repro.core.kernels`); ``kernel`` is
-    resolved, which rejects an unknown name.
+    transition at a time in the order of ``automaton.compiled`` — built by
+    the plan at the coordinator, or here on first use when called bare
+    (:mod:`repro.core.kernels`); ``kernel`` is resolved, which rejects an
+    unknown name.
     """
     resolve_kernel(kernel)
     return regular_rows(fragment, automaton)
@@ -108,8 +110,10 @@ class RegularReachPlan(QueryPlan):
             query = RegularReachQuery(*query)
         self.query = query
         # Step 1: the coordinator builds Gq(R) once and posts it (not the
-        # raw regex) to every site — its size is O(|R|), independent of |G|.
+        # raw regex) to every site — its size is O(|R|), independent of |G|;
+        # its compiled tables are built here once and travel inside it.
         self.automaton = query.automaton()
+        self.automaton.compiled
         self.options = options.resolved(self.algorithm)
         self._keyed = self.options.cache_key()
 

@@ -1,6 +1,6 @@
 """The CSR fragment core and the vectorized local-evaluation kernels.
 
-Four contracts (DESIGN.md §9):
+Five contracts (DESIGN.md §9):
 
 * **selection** — explicit ``kernel=`` argument > process-wide default
   (``--kernel``) > ``REPRO_KERNEL`` env var > ``numpy``; unknown or
@@ -21,10 +21,16 @@ Four contracts (DESIGN.md §9):
   answers and modeled stats across executor backends and repartitions;
   sweeping only the roots' forward cone gives the rows the whole-fragment
   plans give, and the cached cone is kept exactly while it covers Fi.I.
+  Bounded identity holds past 255 hops, where a narrow count would wrap.
+* **compile once** — a regular query's automaton tables are built once,
+  by its plan at the coordinator (or lazily by a bare
+  ``local_eval_regular``), and ride through pickling without changing
+  the automaton's equality, hash or modeled size.
 """
 
 from __future__ import annotations
 
+import pickle
 from unittest import mock
 
 import pytest
@@ -33,6 +39,7 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.automata import query_automaton  # noqa: E402
 from repro.automata.query_automaton import QueryAutomaton  # noqa: E402
 from repro.core.bes import TRUE  # noqa: E402
 from repro.core.bounded import BoundedPartialAnswer, local_eval_bounded  # noqa: E402
@@ -65,7 +72,11 @@ from repro.core.queries import (  # noqa: E402
     RegularReachQuery,
 )
 from repro.core.reachability import ReachPartialAnswer, local_eval_reach  # noqa: E402
-from repro.core.regular import RegularPartialAnswer, local_eval_regular  # noqa: E402
+from repro.core.regular import (  # noqa: E402
+    RegularPartialAnswer,
+    RegularReachPlan,
+    local_eval_regular,
+)
 from repro.distributed.messages import payload_size  # noqa: E402
 from repro.distributed import SimulatedCluster  # noqa: E402
 from repro.distributed.executors import EXECUTORS  # noqa: E402
@@ -1054,6 +1065,97 @@ class TestMultiWordKernels:
         # distinct automata ran
         csr = fragment_csr(fragment)
         assert len(csr._labels) <= len(csr.labels) + 1
+
+
+#: A 330-node path: fragment 0 holds p000..p299, fragment 1 the rest.
+LONG_PATH = [f"p{i:03d}" for i in range(330)]
+
+
+def _long_path_case():
+    """A fragment whose shortest paths run past 255 hops.
+
+    Back edges from fragment 1 make ``p000``, ``p045``, ``p050`` and
+    ``p299`` in-nodes of fragment 0, 300, 255, 250 and 1 hops from its one
+    virtual node ``p300``.  With ``p299`` as the target, a root is also a
+    seed, at distance 0: its count is the number of snapshots, ``bound +
+    1``, so a count summed in too narrow a dtype wraps and drops the entry.
+    """
+    graph = DiGraph.from_edges(
+        [*zip(LONG_PATH, LONG_PATH[1:]), ("p329", "p000"), ("p310", "p045"),
+         ("p320", "p050"), ("p305", "p299")]
+    )
+    assignment = {node: int(i >= 300) for i, node in enumerate(LONG_PATH)}
+    return build_fragmentation(graph, assignment, 2)
+
+
+class TestBoundsPastAByteCount:
+    """Bounded identity where distances and snapshot counts exceed 255."""
+
+    @pytest.mark.parametrize("bound", [254, 255, 256, 300])
+    @pytest.mark.parametrize(
+        "s, t", [("p000", "p299"), ("p020", "p300")], ids=["in-node-target", "virtual-target"]
+    )
+    def test_bounded_equations_identical(self, s, t, bound):
+        fragmentation = _long_path_case()
+        assert set(fragmentation[0].in_nodes) == {"p000", "p045", "p050", "p299"}
+        query = BoundedReachQuery(s, t, bound)
+        for fragment in fragmentation:
+            _assert_identical(
+                local_eval_bounded(fragment, query),
+                kernel_reference.local_eval_bounded(fragment, query),
+            )
+
+
+class TestCompiledAutomaton:
+    """The query automaton is compiled once per query, not per fragment."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        compile_automaton = query_automaton.compile_automaton
+
+        def counted(automaton):
+            calls.append(automaton)
+            return compile_automaton(automaton)
+
+        monkeypatch.setattr(query_automaton, "compile_automaton", counted)
+        return calls
+
+    def test_one_evaluate_compiles_once(self, monkeypatch):
+        graph = erdos_renyi(120, 360, seed=5, num_labels=3)
+        cluster = SimulatedCluster.from_graph(graph, 8, "chunk", executor="sequential")
+        queries = random_regular_queries(graph, 3, num_states=6, seed=5)
+        calls = self._counted(monkeypatch)
+        for count, query in enumerate(queries, start=1):
+            result = evaluate(cluster, query)
+            assert result.stats.visits and max(result.stats.visits.values()) == 1
+            assert len(calls) == count
+        # The plan compiles at the coordinator, before any fragment runs, so
+        # the automaton it posts carries the tables to every worker.
+        assert "compiled" in RegularReachPlan(queries[0]).automaton.__dict__
+
+    def test_bare_local_eval_compiles_lazily_once(self, monkeypatch):
+        graph, fragmentation = _fragmented(seed=4, num_nodes=30, num_edges=80, k=4)
+        (query,) = random_regular_queries(graph, 1, num_states=6, seed=4)
+        automaton = _automaton_of(query)
+        assert "compiled" not in automaton.__dict__
+        calls = self._counted(monkeypatch)
+        for fragment in fragmentation:
+            _assert_identical(
+                local_eval_regular(fragment, automaton),
+                kernel_reference.local_eval_regular(fragment, automaton),
+            )
+        assert calls == [automaton]
+
+    def test_pickled_compiled_automaton_keeps_identity(self):
+        compiled = QueryAutomaton.build("(L0 | L1)* . L2", "a", "b")
+        plain = QueryAutomaton.build("(L0 | L1)* . L2", "a", "b")
+        tables = compiled.compiled
+        shipped = pickle.loads(pickle.dumps(compiled))
+        assert shipped.__dict__["compiled"] == tables
+        assert "compiled" not in plain.__dict__
+        assert shipped == plain and hash(shipped) == hash(plain)
+        assert payload_size(shipped) == payload_size(plain) == payload_size(compiled)
 
 
 def _result_signature(result):
