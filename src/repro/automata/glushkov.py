@@ -29,7 +29,12 @@ PositionLabel = Optional[str]
 
 @dataclass(frozen=True)
 class GlushkovAnalysis:
-    """Position analysis of one regular expression."""
+    """Position analysis of one regular expression.
+
+    Serving-cache keys hold the analysis and hash it many times per query,
+    so its hash is memoized in the instance dict on first use.  Pickling
+    drops the memo: ``str`` hashes differ per process.
+    """
 
     regex: RegexNode
     position_labels: Tuple[PositionLabel, ...]  # index -> label (None = wildcard)
@@ -41,6 +46,21 @@ class GlushkovAnalysis:
     @property
     def num_positions(self) -> int:
         return len(self.position_labels)
+
+    def __hash__(self) -> int:
+        memo = self.__dict__.get("_hash")
+        if memo is None:
+            memo = self._field_hash()
+            object.__setattr__(self, "_hash", memo)
+        return memo
+
+    def _field_hash(self) -> int:
+        return hash(
+            (self.regex, self.position_labels, self.nullable, self.first, self.last, self.follow)
+        )
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
 
 @dataclass

@@ -26,22 +26,24 @@ kernels (:mod:`repro.core.kernels`) want:
   not the fragment.
 
 The adjacency is lowered in one vectorized step (one ``fromiter`` over
-every successor set, one ``lexsort`` over (target, source)), which pays
-for building cones on the write path's re-lowerings.
+every successor set, one ``lexsort`` over (target, source)).
 
 A :class:`FragmentCSR` is *derived, read-only state*: it is built lazily by
 :func:`fragment_csr`, cached on the fragment, and validated against the
 local graph's :attr:`~repro.graph.digraph.DiGraph.mutation_stamp` on every
 access — a content check (one int compare), not an identity.  Its row of
-the carry table (``partition.fragment.CARRY``) is ``kept``:
+the carry table (``partition.fragment.CARRY``) is ``repaired``:
 
-* **every write** installs successor fragment states that carry the cache
-  slot (:meth:`~repro.partition.fragment.Fragment.replaced`): the edge's
-  source side changed its graph, so its view fails the stamp check and
-  rebuilds; a version bump, the target side of a cross edge and every
+* **every edge write** installs successor fragment states that carry the
+  cache slot (:meth:`~repro.partition.fragment.Fragment.replaced`), and
+  :func:`repair_view` gives the edge's source side a *new* view derived
+  from its current one by the delta (:meth:`FragmentCSR.repaired`), its
+  SCC partition and in-node cone carried whenever the write provably
+  keeps them; a version bump, the target side of a cross edge and every
   untouched fragment keep their arrays;
 * **direct** ``local_graph`` **edits** bump the stamp, so the next access
-  rebuilds even before anyone bumps the version;
+  lowers afresh even before anyone bumps the version, and no later write
+  repairs a view its graph has left behind;
 * **repartition** builds entirely new fragments, so old arrays simply die
   with the old objects.
 
@@ -61,6 +63,8 @@ import this module: building a cluster leaves numpy unloaded.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from copy import copy
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
@@ -344,6 +348,63 @@ class FragmentCSR:
             self._rows = (rows, self.indptr[rows])
         return self._rows
 
+    def repaired(self, graph: Any, u: Any, v: Any, added: bool) -> Optional["FragmentCSR"]:
+        """The view of ``graph`` after the edge write ``(u, v, added)``,
+        derived from this one by the delta; ``None`` when it cannot be.
+
+        This view must be current just before the write: its stamp plus
+        the write's bumps (the edge, and a virtual ``v`` that appears or
+        disappears) is the graph's.  The edge is one ``indices`` entry with
+        the ``indptr`` tail shifted; a virtual node one row at its ``repr``
+        position, later ids shifted by one compare (``None`` if its label
+        enters or leaves the fragment: every code would move).  The
+        condensation and in-node cone carry over (their ``repaired``); every
+        other plan starts unbuilt.  This view's arrays are never touched.
+        """
+        order, index, indptr, indices = self.order, self.index, self.indptr, self.indices
+        codes, sizes = self.label_codes, self._node_bytes
+        row = index.get(v)
+        grown = row is None
+        dropped = not grown and not graph.has_node(v)
+        if graph.mutation_stamp != self.stamp + 1 + (grown or dropped):
+            return None
+        if grown:
+            code = self.label_index.get(graph.label(v))
+            if code is None:
+                return None
+            row = bisect_right(order, repr(v), key=repr)
+            order = (*order[:row], v, *order[row:])
+            indptr = np.insert(indptr, row, indptr[row])
+            indices = indices + (indices >= row)
+            codes = np.insert(codes, row, code)
+            if sizes is not None:
+                sizes = np.insert(sizes, row, payload_size(v))
+        elif dropped and np.count_nonzero(codes == codes[row]) == 1:
+            return None
+        tail = index[u] + (grown and index[u] >= row)
+        lo, hi = int(indptr[tail]), int(indptr[tail + 1])
+        at = lo + int(np.searchsorted(indices[lo:hi], row))
+        indices = np.insert(indices, at, row) if added else np.delete(indices, at)
+        indptr = np.concatenate((indptr[: tail + 1], indptr[tail + 1 :] + (1 if added else -1)))
+        if dropped:
+            order = (*order[:row], *order[row + 1 :])
+            indptr = np.delete(indptr, row)  # the row is empty: either bound goes
+            indices -= indices > row
+            codes = np.delete(codes, row)
+            if sizes is not None:
+                sizes = np.delete(sizes, row)
+        if grown or dropped:
+            index = dict(zip(order, range(len(order))))
+        new = copy(self)  # shares labels and label_index, the rest is reset
+        new.order, new.index, new.indptr, new.indices = order, index, indptr, indices
+        new.label_codes, new._node_bytes, new.stamp = codes, sizes, graph.mutation_stamp
+        new._rows = new._boundary = new._whole = None
+        new._labels = {}
+        shift = grown - dropped
+        new._cond = self._cond and self._cond.repaired(new, tail, row, added, shift)
+        new._cone = self._cone and self._cone.repaired(new, tail, row, added, shift)
+        return new
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FragmentCSR(V={self.num_nodes}, E={self.num_edges}, stamp={self.stamp})"
 
@@ -376,62 +437,54 @@ class CSRCondensation:
     __slots__ = ("comp", "num_comps", "level_ptr", "cindptr", "cindices", "schedule")
 
     def __init__(self, csr: FragmentCSR) -> None:
-        """Condense ``csr`` (Tarjan over interned ids + level numbering)."""
-        num_nodes = csr.num_nodes
-        indptr, indices = csr.indptr, csr.indices
-        indptr_list = indptr.tolist()
-        indices_list = indices.tolist()
+        """Condense ``csr``: Tarjan over interned ids, then :meth:`_derive`."""
+        indptr_list, indices_list = csr.indptr.tolist(), csr.indices.tolist()
 
         def successors(i: int) -> list:
             return indices_list[indptr_list[i] : indptr_list[i + 1]]
 
         # Emission order is reverse-topological: successors come earlier.
-        components = tarjan_scc(range(num_nodes), successors)
-        num_comps = len(components)
-        raw = np.empty(num_nodes, dtype=np.int64)
-        for cid, members in enumerate(components):
-            for member in members:
-                raw[member] = cid
+        components = tarjan_scc(range(csr.num_nodes), successors)
+        sizes = np.fromiter(map(len, components), dtype=np.int64, count=len(components))
+        members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=csr.num_nodes)
+        raw = np.empty(csr.num_nodes, dtype=np.int64)
+        raw[members] = np.repeat(np.arange(len(components), dtype=np.int64), sizes)
+        self._derive(csr, raw, len(components))
 
-        # Deduplicated component-DAG edges, vectorized over the CSR arrays.
-        successor_lists: list = [[] for _ in range(num_comps)]
-        if indices.size:
-            edge_src_comp = raw[np.repeat(np.arange(num_nodes), np.diff(indptr))]
-            edge_dst_comp = raw[indices]
-            cross = edge_src_comp != edge_dst_comp
-            packed = np.unique(edge_src_comp[cross] * num_comps + edge_dst_comp[cross])
-            for a, b in zip((packed // num_comps).tolist(), (packed % num_comps).tolist()):
-                successor_lists[a].append(b)  # b < a by emission order
+    def _derive(self, csr: FragmentCSR, raw: np.ndarray, num_comps: int) -> None:
+        """Everything else from the SCC partition ``raw`` (a component id
+        in ``0:num_comps`` per row): the exact DAG edges, longest-path
+        levels, the renumbering by (level, raw id) and the schedule."""
+        edge_src = raw.repeat(np.diff(csr.indptr))
+        edge_dst = raw.take(csr.indices)
+        cross = edge_src != edge_dst
+        packed = np.unique(edge_src[cross] * num_comps + edge_dst[cross])
+        tails, heads = np.divmod(packed, num_comps)
 
-        # Longest-path level, computable in one emission-order pass.
-        levels = [0] * num_comps
-        for cid in range(num_comps):
-            if successor_lists[cid]:
-                levels[cid] = 1 + max(levels[b] for b in successor_lists[cid])
+        # Longest path to a sink, one edge further per round until fixed:
+        # fewer than num_comps rounds, unless raw is no SCC partition.
+        levels = np.zeros(num_comps, dtype=np.int64)
+        for _ in range(num_comps + 1):
+            reach = np.zeros(num_comps, dtype=np.int64)
+            np.maximum.at(reach, tails, levels.take(heads) + 1)
+            if not (reach > levels).any():
+                break
+            np.maximum(levels, reach, out=levels)
+        else:
+            raise AssertionError("the component DAG has a cycle")
 
-        order = sorted(range(num_comps), key=lambda cid: (levels[cid], cid))
-        rank = [0] * num_comps
-        for new_id, cid in enumerate(order):
-            rank[cid] = new_id
-        rank_arr = np.asarray(rank, dtype=np.int64)
-
+        rank = np.empty(num_comps, dtype=np.int64)
+        rank[np.lexsort((np.arange(num_comps), levels))] = np.arange(num_comps)
+        tails, heads = rank.take(tails), rank.take(heads)
         cindptr = np.zeros(num_comps + 1, dtype=np.int64)
-        cols: list = []
-        for new_id, cid in enumerate(order):
-            row = sorted(rank[b] for b in successor_lists[cid])
-            cols.extend(row)
-            cindptr[new_id + 1] = cindptr[new_id] + len(row)
-
-        num_levels = (max(levels) + 1) if num_comps else 0
-        level_counts = np.bincount(
-            [levels[cid] for cid in order], minlength=num_levels
-        )
+        np.cumsum(np.bincount(tails, minlength=num_comps), out=cindptr[1:])
+        cindices = np.sort(tails * num_comps + heads) % num_comps
+        num_levels = int(levels.max()) + 1 if num_comps else 0
         level_ptr = np.zeros(num_levels + 1, dtype=np.int64)
-        np.cumsum(level_counts, out=level_ptr[1:])
+        np.cumsum(np.bincount(levels, minlength=num_levels), out=level_ptr[1:])
 
-        cindices = np.asarray(cols, dtype=np.int64)
         bounds = level_ptr.tolist()
-        self.comp = rank_arr[raw]
+        self.comp = rank.take(raw)
         self.num_comps = num_comps
         self.level_ptr = level_ptr
         self.cindptr = cindptr
@@ -447,6 +500,44 @@ class CSRCondensation:
             )
             for c0, c1 in zip(bounds[1:-1], bounds[2:])
         )
+
+    def repaired(
+        self, csr: FragmentCSR, tail: int, head: int, added: bool, shift: int
+    ) -> Optional["CSRCondensation"]:
+        """The condensation of ``csr``, the :meth:`FragmentCSR.repaired`
+        view of this one's view after the edge ``tail -> head``
+        (``shift``: +1 when ``head`` is a new row, -1 when its row left).
+
+        The SCC partition carries whenever the write provably keeps it: a
+        virtual sink that appears or disappears, an add whose head
+        component cannot reach the tail's, a remove between components;
+        :meth:`_derive` does the rest.  An add inside one component, or
+        along an existing DAG edge, changes nothing: this object is kept.
+        A cycle-closing add and a remove inside one component give
+        ``None``, so Tarjan runs again.
+        """
+        comp = self.comp
+        if shift > 0:
+            raw = np.insert(comp + 1, head, 0)  # the new sink is component 0
+        elif shift < 0:
+            raw = np.delete(comp, head)
+            raw -= raw > comp[head]
+        else:
+            ct, ch = int(comp[tail]), int(comp[head])
+            if ct == ch:
+                return self if added else None
+            if added:
+                lo, hi = self.cindptr[ct], self.cindptr[ct + 1]
+                if (self.cindices[lo:hi] == ch).any():
+                    return self  # the DAG edge is there already
+                # Ids ascend with level, and a component reaches only lower
+                # ones; a path from head back to tail never uses the edge.
+                if ch > ct and forward_closure(csr, [head])[tail]:
+                    return None
+            raw = comp
+        cond = CSRCondensation.__new__(CSRCondensation)
+        cond._derive(csr, raw, self.num_comps + shift)
+        return cond
 
 
 def _concat_segments(
@@ -517,6 +608,23 @@ class Cone:
         self._schedule: Optional[Tuple[Tuple[Any, np.ndarray, np.ndarray], ...]] = None
         self._edges: Any = _UNBUILT
         self._labels: Dict[Optional[int], Optional[SubCSR]] = {}
+
+    def repaired(
+        self, csr: FragmentCSR, tail: int, head: int, added: bool, shift: int
+    ) -> "Cone":
+        """This cone on ``csr`` (as :meth:`CSRCondensation.repaired`), rows
+        remapped, grown only by the closure of a head it newly reaches, plans
+        unbuilt.  A remove keeps it: a forward-closed superset of the roots'
+        cone sweeps their rows exactly."""
+        if self.mask is None:
+            return csr.whole_cone()
+        if shift < 0:
+            mask = np.delete(self.mask, head)
+        else:
+            mask = np.insert(self.mask, head, False) if shift else self.mask
+            if added and mask[tail] and not mask[head]:
+                mask = mask | forward_closure(csr, [head])
+        return csr.whole_cone() if mask.all() else Cone(mask)
 
     def covers(self, rows: Any) -> bool:
         """Do the rows ``rows`` (an int or an int array) all lie in the cone?"""
@@ -597,6 +705,18 @@ def fragment_csr(fragment: "Fragment") -> FragmentCSR:
     csr = FragmentCSR(graph)
     object.__setattr__(fragment, _CACHE_SLOT, csr)
     return csr
+
+
+def repair_view(fragment: "Fragment", u: Any, v: Any, added: bool) -> None:
+    """Install on ``fragment``, the source side of the applied edge write
+    ``(u, v, added)``, the :meth:`FragmentCSR.repaired` view of its carried
+    one; left alone (the stamp check then lowers afresh) when there is
+    none."""
+    cached = fragment.__dict__.get(_CACHE_SLOT)
+    if cached is not None:
+        repaired = cached.repaired(fragment.local_graph, u, v, added)
+        if repaired is not None:
+            object.__setattr__(fragment, _CACHE_SLOT, repaired)
 
 
 def boundary_prologue(

@@ -655,8 +655,9 @@ class SimulatedCluster:
         its anatomy changes; ``edge`` is the ``(u, v, added)`` delta already
         applied to the source side's graph, ``None`` for a version bump.
         Successors come from ``Fragment.replaced`` (carry table ``CARRY``);
-        then maintained oracles get the delta, registered caches drop the
-        fids and the monitor hears of the edge.
+        then the source side's CSR view is repaired by the delta
+        (``core.csr.repair_view``) and its maintained oracles get it,
+        registered caches drop the fids and the monitor hears of the edge.
         """
         successors = [
             self.fragmentation[fid].replaced(**fields)
@@ -671,6 +672,10 @@ class SimulatedCluster:
         affected = tuple(changes)
         if edge is not None:
             u, v, added = edge
+            if "_csr_cache" in successors[0].__dict__:  # numpy is loaded
+                from ..core.csr import repair_view
+
+                repair_view(successors[0], u, v, added)
             self.oracle_store.on_edge_mutation(successors[0], u, v, added)
         self._invalidate_caches(affected)
         monitor = self.mutation_monitor

@@ -30,10 +30,11 @@ from ..graph.digraph import DiGraph, Edge, Node
 
 #: How each derived artifact crosses a write (DESIGN.md §8).  ``kept``:
 #: carried, revalidated by ``mutation_stamp`` on use.  ``repaired``:
-#: carried, the cluster routes the edge delta in, the rest rebuild on a
-#: stamp mismatch.  ``dropped``: the cluster invalidates every registered
-#: holder.
-CARRY = {"_csr_cache": "kept", "_oracle_cache": "repaired", "serving": "dropped"}
+#: carried, and the cluster routes the edge delta into the source side's
+#: copy (a new CSR view, maintained oracles); whatever it cannot repair
+#: rebuilds on its stamp mismatch.  ``dropped``: the cluster invalidates
+#: every registered holder.
+CARRY = {"_csr_cache": "repaired", "_oracle_cache": "repaired", "serving": "dropped"}
 
 #: Instance-dict slots holding derived, process-local caches
 #: (:mod:`repro.core.csr`, :mod:`repro.index.store`) — the carried rows.
@@ -106,8 +107,8 @@ class Fragment:
 
         :func:`dataclasses.replace` alone drops the instance-dict cache
         slots.  The carried caches are validated against ``local_graph``'s
-        ``mutation_stamp`` on use, so a successor whose graph did not change
-        keeps its CSR arrays and oracles; one whose graph did rebuilds.
+        ``mutation_stamp`` on use: a successor whose graph did not change
+        keeps them, one whose graph did rebuilds what the write left stale.
         """
         new = replace(self, version=next_version(), **changes)
         for slot in _CACHE_SLOTS:

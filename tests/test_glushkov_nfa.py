@@ -1,10 +1,13 @@
 """Unit tests for Glushkov analysis and the position NFA."""
 
+import collections
+import pickle
 import re
+from unittest import mock
 
 import pytest
 
-from repro.automata import PositionNFA, analyze, parse_regex, to_python_regex
+from repro.automata import GlushkovAnalysis, PositionNFA, analyze, parse_regex, to_python_regex
 from repro.automata.nfa import START
 
 
@@ -41,6 +44,46 @@ class TestAnalysis:
     def test_wildcard_position_label_is_none(self):
         a = analyze(parse_regex("a ."))
         assert a.position_labels == ("a", None)
+
+
+class TestAnalysisHash:
+    """The hash is memoized per instance and never crosses a pickle."""
+
+    def test_equal_analyses_hash_equal(self):
+        first, second = analyze(parse_regex("(a | b)* c")), analyze(parse_regex("(a | b)* c"))
+        assert first is not second and first == second
+        assert hash(first) == hash(second) == hash(first)
+        assert first.__dict__["_hash"] == first._field_hash()
+
+    def test_pickle_carries_no_memo_and_rehashes_equal(self):
+        analysis = analyze(parse_regex("a b* (c | .)"))
+        hash(analysis)
+        assert "_hash" in analysis.__dict__
+        clone = pickle.loads(pickle.dumps(analysis))
+        assert "_hash" not in clone.__dict__
+        assert clone == analysis and hash(clone) == hash(analysis)
+        assert "_hash" in clone.__dict__
+
+    def test_regular_evaluate_hashes_each_analysis_once(self):
+        from repro.core.engine import evaluate
+        from repro.core.queries import RegularReachQuery
+        from repro.distributed import SimulatedCluster
+        from repro.graph import erdos_renyi
+
+        graph = erdos_renyi(40, 100, seed=1, num_labels=3)
+        cluster = SimulatedCluster.from_graph(graph, 4, "chunk")
+        nodes = sorted(graph.nodes(), key=repr)
+        computed = collections.Counter()
+        field_hash = GlushkovAnalysis._field_hash
+
+        def counting(analysis):
+            computed[id(analysis)] += 1
+            return field_hash(analysis)
+
+        with mock.patch.object(GlushkovAnalysis, "_field_hash", counting):
+            for regex in ("L0* L1", "(L0 | L2)* ."):
+                evaluate(cluster, RegularReachQuery(nodes[0], nodes[-1], regex))
+        assert len(computed) == 2 and set(computed.values()) == {1}
 
 
 class TestAcceptance:

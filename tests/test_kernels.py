@@ -12,8 +12,10 @@ Five contracts (DESIGN.md §9):
   equal the per-row sorted reference lowering), and derived state
   (condensation, nonempty rows) is level-consistent.
 * **invalidation** — a stale CSR is never swept after
-  ``apply_edge_mutation``: only the (at most two) affected fragments
-  rebuild; every untouched fragment keeps the identical cached arrays.
+  ``apply_edge_mutation``: the source side holds a view repaired by the
+  delta (Tarjan reruns only for a cycle-closing add or a remove inside one
+  component, a fresh lowering only for a label entering or leaving it);
+  every other fragment keeps the identical cached arrays.
 * **identity** — the numpy kernel produces bit-identical equations to the
   pure-python reference (``kernel_reference``) element by element — rows,
   columns, sets or distances, id sizes — across all three query classes
@@ -341,8 +343,31 @@ class TestFragmentCSR:
 
 
 class TestCSRInvalidation:
-    """The mutation regression contract: stale arrays are never swept and
-    at most the <= 2 affected fragments rebuild."""
+    """The mutation regression contract: stale arrays are never swept, the
+    source side of a write holds a view repaired by the delta, and every
+    other fragment keeps its own."""
+
+    @staticmethod
+    def _count_lowerings(monkeypatch):
+        """Count ``FragmentCSR`` lowerings and ``CSRCondensation`` Tarjan
+        runs, by the graph or view each was given."""
+        calls = {FragmentCSR: [], CSRCondensation: []}
+        for cls, found in calls.items():
+
+            def counting(obj, arg, _init=cls.__init__, _found=found):
+                _found.append(arg)
+                _init(obj, arg)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return calls
+
+    @staticmethod
+    def _assert_repaired(fragment, before):
+        """``fragment`` holds a new view, current on its graph."""
+        repaired = cached_csr(fragment)
+        assert repaired is not None and repaired is not before
+        assert repaired.stamp == fragment.local_graph.mutation_stamp
+        return repaired
 
     def _cluster(self, seed=3):
         graph = erdos_renyi(24, 60, seed=seed, num_labels=3)
@@ -384,47 +409,91 @@ class TestCSRInvalidation:
         for fragment in cluster.fragmentation:
             assert fragment_csr(fragment).stamp == fragment.local_graph.mutation_stamp
 
-    def test_intra_fragment_mutation_rebuilds_only_the_owner(self):
+    def test_intra_fragment_mutation_rebuilds_only_the_owner(self, monkeypatch):
+        # The owner's view is repaired, never lowered; a cycle-closing add
+        # and a remove inside one component rerun Tarjan on its next use.
         _, cluster = self._cluster()
         warmed = self._warm(cluster)
+        for csr in warmed.values():
+            csr.condensation()
+        calls = self._count_lowerings(monkeypatch)
         u, v = self._intra_edge(cluster)
-        affected = cluster.apply_edge_mutation(u, v, add=False)
-        assert len(affected) == 1
-        for fragment in cluster.fragmentation:
-            if fragment.fid in affected:
-                assert cached_csr(fragment) is None  # stale view retired
-                rebuilt = fragment_csr(fragment)
-                assert rebuilt is not warmed[fragment.fid]
-                assert rebuilt.stamp == fragment.local_graph.mutation_stamp
-            else:
-                assert cached_csr(fragment) is warmed[fragment.fid]
+        owner = cluster.fragmentation.placement[u]
+        assert not cluster.fragmentation[owner].local_graph.has_edge(v, u)
+        for x, y, add in ((u, v, False), (u, v, True), (v, u, True), (v, u, False)):
+            before = cluster.fragmentation[owner]
+            view = fragment_csr(before)
+            # Tarjan reruns iff (x, y) closes or lies on a cycle (the
+            # edge (u, v) itself makes (v, u) do both).
+            tarjan = x in descendants(before.local_graph, y) and (
+                not add or y not in descendants(before.local_graph, x)
+            )
+            assert cluster.apply_edge_mutation(x, y, add=add) == (owner,)
+            for fragment in cluster.fragmentation:
+                if fragment.fid == owner:
+                    self._assert_repaired(fragment, view).condensation()
+                else:
+                    assert cached_csr(fragment) is warmed[fragment.fid]
+            assert calls[FragmentCSR] == []
+            assert len(calls[CSRCondensation]) == tarjan
+            calls[CSRCondensation].clear()
+            if (x, y) == (v, u):
+                assert tarjan  # one write of each fallback class
         self._assert_fresh_everywhere(cluster)
 
-    def test_cross_fragment_mutation_rebuilds_at_most_two(self):
-        _, cluster = self._cluster()
+    def test_cross_fragment_mutation_rebuilds_at_most_two(self, monkeypatch):
+        graph, cluster = self._cluster()
+        # A node some other fragment does not hold yet gets a label no
+        # other node carries (labels do not move the chunk partition).
+        nodes = sorted(graph.nodes(), key=repr)
+        lonely, writer = next(
+            (x, w)
+            for x in reversed(nodes)
+            for w in nodes
+            if not cluster.fragmentation.fragment_of(w).local_graph.has_node(x)
+        )
+        graph.set_label(lonely, "lonely")
+        cluster = SimulatedCluster.from_graph(graph, 3, "chunk")
         warmed = self._warm(cluster)
+        for csr in warmed.values():
+            csr.condensation()
+        calls = self._count_lowerings(monkeypatch)
         u, v = self._absent_cross_pair(cluster)
+        assert lonely not in (u, v)
         source, target = affected = cluster.apply_edge_mutation(u, v, add=True)
         for fragment in cluster.fragmentation:
             if fragment.fid == source:
                 # only the source side's local graph changed: its carried
-                # view is stale (stamp moved) and the next access rebuilds
-                assert cached_csr(fragment) is None
-                assert fragment_csr(fragment) is not warmed[fragment.fid]
+                # view is repaired by the delta into a new, current one
+                self._assert_repaired(fragment, warmed[source]).condensation()
             else:
                 # the target side was replaced too (its in-node set grew),
                 # but its graph did not move: the warmed arrays carry over
                 assert cached_csr(fragment) is warmed[fragment.fid]
         assert source != target and len(affected) == 2
         self._assert_fresh_everywhere(cluster)
-        # and back: removing the edge again rebuilds the source side only
+        # and back: removing the edge again repairs the source side only
         rewarmed = self._warm(cluster)
         cluster.apply_edge_mutation(u, v, add=False)
         for fragment in cluster.fragmentation:
             if fragment.fid == source:
-                assert cached_csr(fragment) is None
+                self._assert_repaired(fragment, rewarmed[source]).condensation()
             else:
                 assert cached_csr(fragment) is rewarmed[fragment.fid]
+        self._assert_fresh_everywhere(cluster)
+        assert calls == {FragmentCSR: [], CSRCondensation: []}
+        # A virtual node whose label is new to the source side, and its
+        # removal, which takes the label away again, renumber the label
+        # codes: both fall back to one fresh lowering and one Tarjan run.
+        home = cluster.fragmentation.placement[writer]
+        for add in (True, False):
+            self._warm(cluster)[home].condensation()
+            cluster.apply_edge_mutation(writer, lonely, add=add)
+            assert cached_csr(cluster.fragmentation[home]) is None
+            fragment_csr(cluster.fragmentation[home]).condensation()
+            assert [len(found) for found in calls.values()] == [1, 1]
+            calls[FragmentCSR].clear()
+            calls[CSRCondensation].clear()
         self._assert_fresh_everywhere(cluster)
 
     @staticmethod
@@ -439,9 +508,11 @@ class TestCSRInvalidation:
 
     @pytest.mark.parametrize("cross", [False, True], ids=["intra", "cross"])
     def test_session_writes_lower_the_source_side_only(self, monkeypatch, cross):
-        # The carry rule for CSR arrays across a write: one lowering per
-        # edge write (its source side), none for a resync's version bump
-        # and none for the target side of a cross edge.
+        # The carry rule for CSR arrays across a write: the source side of
+        # an edge write holds a new view repaired by the delta, with no
+        # lowering; a resync's version bump and the target side of a cross
+        # edge keep theirs.  Tarjan reruns only for a write that closes a
+        # cycle or cuts inside one component.
         graph, cluster = self._cluster()
         nodes = sorted(graph.nodes(), key=repr)
         sessions = [
@@ -453,36 +524,29 @@ class TestCSRInvalidation:
         pair = self._absent_cross_pair if cross else self._absent_intra_pair
         u, v = pair(cluster)
         source = cluster.fragmentation.placement[u]
-        lowered = []
-        init = FragmentCSR.__init__
-
-        def counting(csr, local_graph):
-            lowered.append(local_graph)
-            init(csr, local_graph)
-
-        monkeypatch.setattr(FragmentCSR, "__init__", counting)
-
-        def owners():
-            found = [
-                fragment.fid
-                for graph in lowered
-                for fragment in cluster.fragmentation
-                if fragment.local_graph is graph
-            ]
-            lowered.clear()
-            return found
+        local = cluster.fragmentation[source].local_graph
+        tarjan = not cross and u in descendants(local, v)  # a cross v is a sink
+        calls = self._count_lowerings(monkeypatch)
 
         first, second = sessions
         for writer, other, write in (
             (first, second, first.add_edge),
             (second, first, second.remove_edge),
         ):
+            before = cluster.fragmentation[source]
+            view = cached_csr(before)
+            kept = {f.fid: cached_csr(f) for f in cluster.fragmentation if f.fid != source}
             write(u, v)
-            assert owners() == [source]
+            self._assert_repaired(cluster.fragmentation[source], view)
+            assert calls[FragmentCSR] == []
+            assert len(calls[CSRCondensation]) == tarjan
+            calls[CSRCondensation].clear()
             other.resync(u)
             if cross:
                 other.resync(v)
-            assert owners() == []
+            assert calls == {FragmentCSR: [], CSRCondensation: []}
+            for fid, held in kept.items():
+                assert cached_csr(cluster.fragmentation[fid]) is held
             assert writer.answer == other.answer == evaluate(cluster, other.query).answer
 
     def test_stale_arrays_never_reach_a_kernel_sweep(self):
@@ -889,16 +953,27 @@ class TestForwardCone:
         self._assert_same_rows(after, ReachQuery("d", "x"))
         self._assert_same_rows(after, ReachQuery("d", "x"), 4)
 
-    def test_relowered_view_builds_a_new_cone(self):
+    def test_relowered_view_builds_a_new_cone(self, monkeypatch):
+        # The write's source side is repaired, not lowered: its new view
+        # carries the cone as a new object, grown by the closure of the
+        # head it newly reaches (d, and with it e and y), plans unbuilt.
         cluster = self._cluster()
         before = cluster.fragmentation[0]
-        cone = self._in_cone(before)
+        view, cone = fragment_csr(before), self._in_cone(before)
+        cone.edges(view)
+        lowered = []
+        monkeypatch.setattr(FragmentCSR, "__init__", lambda *args: lowered.append(args))
         cluster.apply_edge_mutation("a", "d", add=True)
         after = cluster.fragmentation[0]
-        assert cached_csr(after) is None  # its graph moved
-        rebuilt = self._in_cone(after)
-        assert rebuilt is not cone
-        assert rebuilt.covers(fragment_csr(after).index["d"])
+        repaired = cached_csr(after)  # its graph moved, its view followed
+        assert repaired is not None and repaired is not view and not lowered
+        assert repaired.stamp == after.local_graph.mutation_stamp
+        grown = self._in_cone(after)
+        assert grown is not cone and grown is repaired.whole_cone()
+        assert grown.covers(repaired.index["d"]) and grown.covers(repaired.index["e"])
+        assert cone.covers(view.boundary(before).in_rows) and not cone.covers(view.index["d"])
+        self._assert_same_rows(after, ReachQuery("a", "x"))
+        self._assert_same_rows(after, ReachQuery("a", "x"), 4)
 
     def test_cached_cone_never_grows_for_the_source(self):
         fragment = self._fragmentation()[0]
