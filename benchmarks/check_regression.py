@@ -142,7 +142,6 @@ STALE_WHY = (
     "drifted from the committed baseline (deterministic quantities — regenerate "
     "benchmarks/baseline.json only for an intentional cost-model change)"
 )
-MAINTAIN_WHY = "incremental maintenance lost to rebuild-at-every-mutation"
 STATIC = rows_with(mode="static")
 
 GATES: Dict[str, Gate] = {
@@ -232,30 +231,6 @@ GATES: Dict[str, Gate] = {
               where=rows_with(mode="serving"), op=">=", factor=0.15),
         Check("scaled", ("p99_ms",), "admission-to-reply latency blew up",
               where=rows_with(mode="serving"), factor=8.0),
-    ]),
-    # Maintained per-fragment indexes (DESIGN.md §12) on the pinned zipf
-    # stream x mutation interleaving.
-    "oracles": Gate(("oracle",), [
-        Check("present", (), "run `python -m repro.bench oracles --json <file>`",
-              require={"oracle": ("none", "bfs", "tol", "landmarks")}),
-        Check("bound", ("answers_match", "executors_match"), "the maintained index "
-              "diverged from the index-free sweep (identity is exact)", op="==", limit=1),
-        # Deterministic repair counts: a TOL or landmark repair that silently
-        # falls back to a rebuild (the visit-budget abort) fails here instead
-        # of only getting slower.
-        Check("exact", ("maintains", "rebuilds"), "an in-place repair fell back to a "
-              "rebuild (deterministic counts)"),
-        # TOL's acceptance ceiling: total maintenance under half the rebuild.
-        Check("bound", ("maintain_s",), MAINTAIN_WHY, where=rows_with(oracle="tol"),
-              op="<", limit=col("rebuild_s", 0.5)),
-        Check("bound", ("maintain_s",), MAINTAIN_WHY, where=rows_with(oracle="landmarks"),
-              op="<", limit=col("rebuild_s")),
-        # Warm-query floor vs the BFS oracle: the measured ratios sit far
-        # above it (label intersection vs per-pair BFS), so the gap absorbs CI
-        # jitter without hiding an index that quietly degenerated into a BFS.
-        Check("bound", ("speedup_vs_bfs",), "the label index lost its lookup advantage "
-              "on the pinned stream", where=rows_with(oracle=("tol", "landmarks")),
-              op=">=", limit=3.0),
     ]),
     # Shortcut precompute (DESIGN.md §13).  The bench asserts bit-identity
     # across the four backends before emitting a row; build_ms/time_ms are

@@ -38,7 +38,6 @@ _FORWARDED = {
     "queries": "num_queries",
     "sessions": "sessions",
     "fixture": "fixture",
-    "oracle": "oracle",
     "snap_graph": "snap_graphs",
     "wall_budget_s": "wall_budget_s",
     "rss_budget_mb": "rss_budget_mb",
@@ -121,8 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Experiments construct their own clusters and plans internally; the
     # process-wide defaults are how one flag reaches all of them (the
-    # mutation experiment additionally sweeps maintain-vs-rebuild for a
-    # named --oracle; the 'shortcuts' experiment sweeps none and reach).
+    # 'shortcuts' experiment sweeps none and reach).
     set_strategy_defaults(args, STRATEGIES)
 
     if not args.experiment:

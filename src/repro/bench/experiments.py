@@ -489,57 +489,6 @@ def exp_fig11l(
 # ---------------------------------------------------------------------------
 # Ablations (not in the paper; Section 3 "Remarks" design choices)
 # ---------------------------------------------------------------------------
-def exp_ablation_index(
-    scale: float = SCALE / 2,
-    card: int = 4,
-    num_queries: int = 5,
-    seed: int = 0,
-) -> ExperimentResult:
-    """How the local reachability engine changes disReach's local-eval cost."""
-    from ..core.reachability import dis_reach
-    from ..index.registry import ORACLES
-    from ..index.store import fragment_oracle
-
-    graph = load_dataset("amazon", scale=scale, seed=seed)
-    cluster = _cluster(graph, card, seed=seed)
-    fragments = [cluster.site(i).fragment for i in range(cluster.num_sites)]
-    queries = random_reach_queries(graph, num_queries, seed=seed)
-    result = ExperimentResult(
-        "ablation-index",
-        "disReach local-evaluation engine ablation (Amazon analog)",
-        ["engine", "build_ms", "time_ms", "answers"],
-        notes=(
-            f"scale={scale}, card(F)={card}; 'sweep' is the default bitmask "
-            "DP (no index, build 0); index engines build once per fragment "
-            "(build_ms) and answer every query from the store"
-        ),
-    )
-    engines = ["sweep"] + [name for name in ORACLES if name != "none"]
-    for name in engines:
-        build_seconds = 0.0
-        if name != "sweep":
-            # Build once per fragment, up front — what the per-fragment
-            # store amortizes across the whole query stream; reported as
-            # its own column instead of silently inflating time_ms.
-            start = time.perf_counter()
-            for fragment in fragments:
-                fragment_oracle(fragment, name)
-            build_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        answers = []
-        for query in queries:
-            oracle = None if name == "sweep" else name
-            answers.append(dis_reach(cluster, query, oracle=oracle).answer)
-        elapsed = (time.perf_counter() - start) / len(queries)
-        result.add_row(
-            engine=name,
-            build_ms=build_seconds * 1e3,
-            time_ms=elapsed * 1e3,
-            answers="".join("T" if a else "F" for a in answers),
-        )
-    return result
-
-
 def exp_ablation_partitioner(
     scale: float = SCALE / 2,
     card: int = 8,
@@ -793,7 +742,6 @@ def exp_mutation(
     dataset: str = MUTATION_DATASET,
     partitioner: str = MUTATION_PARTITIONER,
     sessions: int = 0,
-    oracle: Optional[str] = None,
 ) -> ExperimentResult:
     """Dynamic graphs: a zipf query stream interleaved with edge mutations.
 
@@ -820,14 +768,6 @@ def exp_mutation(
     remap visits minus batched), the map rounds and the distinct tasks:
     batched remap cost grows sublinearly in S, which the CI gate enforces
     as ``remap_visits_saved > 0`` at S >= 4.
-
-    ``oracle`` (CLI: ``--oracle NAME``) appends the maintained-index
-    acceptance check: the same pinned stream is served once through the
-    index-free sweep and once with the named per-fragment oracle, answers
-    are asserted bit-identical (and again on the final graph across
-    sequential/thread/process/socket), and the notes report the total
-    maintenance cost against the rebuild-at-every-mutation equivalent
-    (the cumulative ratio's maximum over the stream).
     """
     from ..core.centralized import reachable
     from ..core.incremental import IncrementalReachSession
@@ -1051,298 +991,6 @@ def exp_mutation(
                 remap_rounds=remap_rounds,
                 remap_tasks=remap_tasks,
             )
-
-    if oracle is not None and oracle != "none":
-        # The maintained-index acceptance: the pinned mutation stream
-        # with a reach-only zipf stream (the oracle seam is disReach's),
-        # once index-free and once under the named oracle.
-        reach_queries = zipf_workload(
-            graph0, num_queries, mix=(("reach", 1.0),), seed=seed
-        )
-        reach_rounds = _split_rounds(reach_queries, rounds)
-        check_queries = _distinct_queries(reach_rounds)
-
-        def make_cluster() -> SimulatedCluster:
-            graph = load_dataset(dataset, scale=scale, seed=seed)
-            return SimulatedCluster.from_graph(
-                graph, card, partitioner=partitioner, seed=seed
-            )
-
-        reference = _oracle_stream(
-            make_cluster, reach_rounds, mutation_rounds, None, check_queries
-        )
-        run = _oracle_stream(
-            make_cluster, reach_rounds, mutation_rounds, oracle, check_queries
-        )
-        if run["answers"] != reference["answers"]:  # pragma: no cover - guard
-            raise AssertionError(
-                f"oracle {oracle!r} diverged from the index-free sweep on "
-                "the pinned mutation stream"
-            )
-        ref_sig = reference["executor_sigs"]["sequential"]
-        mismatched = sorted(
-            backend
-            for backend, sig in run["executor_sigs"].items()
-            if sig != ref_sig
-        )
-        if mismatched:  # pragma: no cover - guard
-            raise AssertionError(
-                f"oracle {oracle!r} diverged from the index-free sweep on "
-                f"backends: {', '.join(mismatched)}"
-            )
-        maintain_s = run["maintain_curve"][-1] if run["maintain_curve"] else 0.0
-        rebuild_s = run["rebuild_curve"][-1] if run["rebuild_curve"] else 0.0
-        ratios = [
-            m / r
-            for m, r in zip(run["maintain_curve"], run["rebuild_curve"])
-            if r > 0
-        ]
-        result.notes += (
-            f"; oracle={oracle}: answers bit-identical to the index-free "
-            f"sweep across {'/'.join(ORACLE_EXECUTORS)}; maintain "
-            f"{maintain_s * 1e3:.2f}ms vs rebuild-at-every-mutation "
-            f"{rebuild_s * 1e3:.2f}ms"
-            + (f", max cumulative ratio {max(ratios):.3f}" if ratios else "")
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# oracles: per-fragment index maintenance (maintain-vs-rebuild, DESIGN.md §12)
-# ---------------------------------------------------------------------------
-
-#: The oracles the maintain-vs-rebuild sweep compares (the registry's
-#: maintainable entries; ``bfs`` is the no-index reference the speedup
-#: column is measured against).
-ORACLE_SWEEP = ("bfs", "tol", "landmarks")
-
-#: Executor backends the identity check runs the final-state queries on.
-ORACLE_EXECUTORS = ("sequential", "thread", "process", "socket")
-
-
-def _modeled_signature(results: Sequence) -> Tuple:
-    """Answers + the modeled stats that must be oracle/backend-invariant."""
-    return (
-        "".join("T" if r.answer else "F" for r in results),
-        sum(r.stats.total_visits for r in results),
-        sum(r.stats.traffic_bytes for r in results),
-        sum(r.stats.num_messages for r in results),
-        sum(r.stats.supersteps for r in results),
-    )
-
-
-def _oracle_stream(
-    make_cluster: Callable[[], SimulatedCluster],
-    query_rounds: Sequence[Sequence],
-    mutation_rounds: Sequence[Sequence],
-    oracle: Optional[str],
-    check_queries: Sequence = (),
-) -> Dict[str, object]:
-    """One pass of the pinned zipf stream x mutation interleaving.
-
-    With ``oracle`` set, the per-fragment indexes are prebuilt (timed),
-    every mutation's delta is routed into them by the cluster's
-    :class:`~repro.index.store.OracleStore` (``maintain_curve`` samples
-    the cumulative maintenance seconds after each mutation), and a twin
-    cluster pays the rebuild-equivalent cost instead — after every
-    mutation, the touched fragment's index is invalidated and rebuilt
-    from scratch (``rebuild_curve``).  With ``oracle=None`` the stream
-    runs on the default bitmask sweep and only answers/timings are
-    collected.  ``check_queries`` are re-run on the final graph under
-    every backend in :data:`ORACLE_EXECUTORS`; the modeled signatures
-    land in ``executor_sigs``.
-    """
-    from ..core.reachability import dis_reach
-    from ..index.store import fragment_oracle, invalidate_fragment_oracles
-
-    cluster = make_cluster()
-    build_s = 0.0
-    if oracle:
-        start = time.perf_counter()
-        for fragment in cluster.fragmentation:
-            fragment_oracle(fragment, oracle)
-        build_s = time.perf_counter() - start
-
-    answers: List[bool] = []
-    query_s = 0.0
-    maintain_curve: List[float] = []
-    for index, chunk in enumerate(query_rounds):
-        start = time.perf_counter()
-        for query in chunk:
-            answers.append(dis_reach(cluster, query, oracle=oracle).answer)
-        query_s += time.perf_counter() - start
-        for op, u, v in mutation_rounds[index]:
-            cluster.apply_edge_mutation(u, v, op == "add")
-            if oracle:
-                stats = cluster.oracle_store.maintenance_stats().get(oracle)
-                maintain_curve.append(stats.maintain_seconds if stats else 0.0)
-
-    rebuild_curve: List[float] = []
-    if oracle:
-        twin = make_cluster()
-        for fragment in twin.fragmentation:
-            fragment_oracle(fragment, oracle)
-        stamps = {
-            fragment.fid: fragment.local_graph.mutation_stamp
-            for fragment in twin.fragmentation
-        }
-        total = 0.0
-        for chunk in mutation_rounds:
-            for op, u, v in chunk:
-                twin.apply_edge_mutation(u, v, op == "add")
-                for fragment in twin.fragmentation:
-                    stamp = fragment.local_graph.mutation_stamp
-                    if stamps.get(fragment.fid) == stamp:
-                        continue
-                    # The no-maintenance cost: the touched fragment's
-                    # stale index dies and is rebuilt from scratch.
-                    invalidate_fragment_oracles(fragment)
-                    start = time.perf_counter()
-                    fragment_oracle(fragment, oracle)
-                    total += time.perf_counter() - start
-                    stamps[fragment.fid] = stamp
-                rebuild_curve.append(total)
-
-    executor_sigs: Dict[str, Tuple] = {}
-    for backend in ORACLE_EXECUTORS if check_queries else ():
-        with cluster.using_executor(backend):
-            results = [
-                dis_reach(cluster, query, oracle=oracle) for query in check_queries
-            ]
-        executor_sigs[backend] = _modeled_signature(results)
-
-    stats = cluster.oracle_store.maintenance_stats().get(oracle) if oracle else None
-    return {
-        "answers": answers,
-        "build_s": build_s,
-        "query_s": query_s,
-        "maintain_curve": maintain_curve,
-        "rebuild_curve": rebuild_curve,
-        "maintains": stats.maintains if stats else 0,
-        "rebuilds": stats.rebuilds if stats else 0,
-        "maintenance": dict(stats.maintenance) if stats else {},
-        "executor_sigs": executor_sigs,
-    }
-
-
-def _distinct_queries(query_rounds: Sequence[Sequence], cap: int = 12) -> List:
-    """The first ``cap`` distinct (source, target) queries of the stream."""
-    seen = set()
-    distinct: List = []
-    for chunk in query_rounds:
-        for query in chunk:
-            key = (query.source, query.target)
-            if key not in seen:
-                seen.add(key)
-                distinct.append(query)
-    return distinct[:cap]
-
-
-def exp_oracles(
-    scale: float = SCALE / 2,
-    card: int = 4,
-    num_queries: int = 40,
-    num_mutations: int = 24,
-    rounds: int = 8,
-    seed: int = 0,
-    dataset: str = MUTATION_DATASET,
-    partitioner: str = MUTATION_PARTITIONER,
-) -> ExperimentResult:
-    """Maintained per-fragment indexes: maintain-vs-rebuild + identity.
-
-    The pinned zipf stream of the mutation experiment, served under each
-    registered maintainable oracle.  Per oracle: the one-off per-fragment
-    build cost (``build_s``), the total incremental maintenance cost the
-    :class:`~repro.index.store.OracleStore` routed into the live indexes
-    over the stream (``maintain_s``), the rebuild-equivalent cost a
-    non-maintained store would have paid — invalidate + rebuild the
-    touched fragment's index at every mutation (``rebuild_s``) — and the
-    warm query time over the stream (``query_ms``, ``speedup_vs_bfs``).
-    ``answers_match`` asserts bit-identity against the index-free sweep
-    reference; ``executors_match`` re-runs the distinct queries on the
-    final graph under sequential/thread/process/socket and compares the
-    full modeled signature.  ``benchmarks/check_regression.py`` gates
-    identity exactly and holds ``maintain_ratio`` (maintain_s/rebuild_s)
-    under its ceiling for the maintained oracles.
-    """
-    from ..workload.query_gen import random_edge_mutations, zipf_workload
-
-    graph0 = load_dataset(dataset, scale=scale, seed=seed)
-    # Reach-only stream: the oracle seam exists only in disReach's local
-    # evaluation (distance/RPQ plans have none), so a mixed stream would
-    # just dilute every per-oracle column with oracle-free queries.
-    queries = zipf_workload(graph0, num_queries, mix=(("reach", 1.0),), seed=seed)
-    mutations = random_edge_mutations(graph0, num_mutations, seed=seed)
-    query_rounds = _split_rounds(queries, rounds)
-    mutation_rounds = _split_rounds(mutations, rounds)
-    check_queries = _distinct_queries(query_rounds)
-
-    def make_cluster() -> SimulatedCluster:
-        graph = load_dataset(dataset, scale=scale, seed=seed)
-        return SimulatedCluster.from_graph(
-            graph, card, partitioner=partitioner, seed=seed
-        )
-
-    reference = _oracle_stream(
-        make_cluster, query_rounds, mutation_rounds, None, check_queries
-    )
-    ref_sig = reference["executor_sigs"]["sequential"]
-
-    result = ExperimentResult(
-        "oracles",
-        f"Mutation-maintained per-fragment indexes ({dataset} analog)",
-        [
-            "oracle", "build_s", "maintain_s", "rebuild_s", "maintain_ratio",
-            "maintains", "rebuilds", "query_ms", "speedup_vs_bfs",
-            "answers_match", "executors_match",
-        ],
-        notes=(
-            f"scale={scale}, card(F)={card}, {num_queries} zipf queries x "
-            f"{num_mutations} mutations in {rounds} rounds; rebuild_s = "
-            "invalidate+rebuild the touched fragment at every mutation; "
-            "identity vs the index-free sweep across "
-            + "/".join(ORACLE_EXECUTORS)
-        ),
-    )
-    result.add_row(
-        oracle="none",
-        build_s=0.0,
-        maintain_s=0.0,
-        rebuild_s=0.0,
-        maintain_ratio=None,
-        maintains=0,
-        rebuilds=0,
-        query_ms=reference["query_s"] * 1e3,
-        speedup_vs_bfs=None,
-        answers_match=1,
-        executors_match=1,
-    )
-
-    runs: Dict[str, Dict[str, object]] = {}
-    for name in ORACLE_SWEEP:
-        runs[name] = _oracle_stream(
-            make_cluster, query_rounds, mutation_rounds, name, check_queries
-        )
-    bfs_query_s = runs["bfs"]["query_s"]
-    for name in ORACLE_SWEEP:
-        run = runs[name]
-        maintain_s = run["maintain_curve"][-1] if run["maintain_curve"] else 0.0
-        rebuild_s = run["rebuild_curve"][-1] if run["rebuild_curve"] else 0.0
-        result.add_row(
-            oracle=name,
-            build_s=run["build_s"],
-            maintain_s=maintain_s,
-            rebuild_s=rebuild_s,
-            maintain_ratio=maintain_s / rebuild_s if rebuild_s > 0 else None,
-            maintains=run["maintains"],
-            rebuilds=run["rebuilds"],
-            query_ms=run["query_s"] * 1e3,
-            speedup_vs_bfs=bfs_query_s / run["query_s"] if run["query_s"] else None,
-            answers_match=int(run["answers"] == reference["answers"]),
-            executors_match=int(
-                all(sig == ref_sig for sig in run["executor_sigs"].values())
-            ),
-        )
     return result
 
 
@@ -2182,12 +1830,10 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig11j": exp_fig11j,
     "fig11k": exp_fig11k,
     "fig11l": exp_fig11l,
-    "ablation-index": exp_ablation_index,
     "ablation-partitioner": exp_ablation_partitioner,
     "workload": exp_workload,
     "partition": exp_partition,
     "mutation": exp_mutation,
-    "oracles": exp_oracles,
     "baselines": exp_baselines,
     "shortcuts": exp_shortcuts,
     "kernels": exp_kernels,

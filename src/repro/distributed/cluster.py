@@ -744,8 +744,11 @@ class SimulatedCluster:
         ``partitioner`` (a :data:`~repro.partition.partitioners.PARTITIONERS`
         name — typically ``refined`` or ``multilevel`` — a callable, or a
         ready node->fragment mapping), checked with
-        :func:`~repro.partition.validation.check_fragmentation`, and the
-        sites are rebuilt, one per fragment.  Answers to any query are
+        :func:`~repro.partition.validation.check_fragmentation`, and
+        installed on the current sites: fragment ``i`` stays on the site
+        that hosted fragment ``i``.  A new ``card(F)`` rebuilds one site per
+        fragment, and is refused on a cluster whose sites host several
+        fragments (there is no site map to carry).  Answers to any query are
         unchanged (the guarantees are partition-agnostic); what moves are
         the boundary statistics the theorems charge traffic to.
 
@@ -779,6 +782,13 @@ class SimulatedCluster:
         before = measure_quality(self.fragmentation)
         graph = self.fragmentation.restore_graph()
         k = num_fragments if num_fragments is not None else len(self.fragmentation)
+        same_card = k == len(self.fragmentation)
+        if not same_card and self.num_sites < len(self.fragmentation):
+            raise DistributedError(
+                f"cannot repartition {len(self.fragmentation)} fragments on "
+                f"{self.num_sites} sites into {k}: a shared-site cluster "
+                "keeps its card(F)"
+            )
         assignment, label = _resolve_assignment(graph, k, partitioner, seed)
         fragmentation = build_fragmentation(graph, assignment, k)
         check_fragmentation(graph, fragmentation)
@@ -788,7 +798,9 @@ class SimulatedCluster:
         }
         old_fids = tuple(frag.fid for frag in self.fragmentation)
         matches = _match_fragments(self.fragmentation, fragmentation)
-        self._install_fragmentation(fragmentation, None)
+        self._install_fragmentation(
+            fragmentation, self._site_of_fragment if same_card else None
+        )
         self._partition_epoch += 1
         # Matched fragments keep their maintained oracles (rebound to the
         # new graph objects); only moved fragments pay an index rebuild.

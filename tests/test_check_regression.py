@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -861,14 +863,32 @@ class TestGateTable:
         assert gate.main([perturbed, str(BASELINE)]) == 1
         assert check.why in capsys.readouterr().err
 
-    def test_oracle_rebuild_fallback_fails(self, gate, tmp_path, capsys):
-        payload = json.loads(BASELINE.read_text())
-        for row in payload["oracles"]["rows"]:
-            if row["oracle"] == "tol":
-                row["rebuilds"] += 1
-        perturbed = _write(tmp_path, "perturbed.json", payload)
-        assert gate.main([perturbed, str(BASELINE), "--only", "oracles"]) == 1
-        assert "oracles/tol/rebuilds" in capsys.readouterr().err
+    def test_ci_workflow_runs_and_gates_every_gate(self, gate):
+        """The CI workflow, read as text, drifts from neither table."""
+        from repro.bench import EXPERIMENTS
+
+        workflow = SCRIPT.parent.parent / ".github" / "workflows" / "ci.yml"
+        text = "\n".join(
+            line
+            for line in workflow.read_text(encoding="utf-8").splitlines()
+            if not line.lstrip().startswith("#")
+        )
+        assert set(re.findall(r"--only\s+(\S+)", text)) == set(gate.GATES)
+        benched = {
+            name
+            for args in re.findall(r"python -m repro\.bench\b([^\n]*)", text)
+            for name in takewhile(lambda a: not a.startswith("-"), args.split())
+        }
+        assert benched and benched <= set(EXPERIMENTS)
+        steps = re.split(r"\n\s*- (?:name|uses):", text)
+        compared = {
+            path
+            for step in steps
+            if "check_regression.py" in step
+            for path in re.findall(r"BENCH_\w+\.json", step)
+        }
+        written = set(re.findall(r"--json\s+(BENCH_\w+\.json)", text))
+        assert written and written <= compared
 
     def test_experiments_md_names_every_experiment_and_gate(self, gate):
         from repro.bench import EXPERIMENTS

@@ -105,3 +105,52 @@ class TestGuaranteesStillHold:
         assert packed_result.answer == solo_result.answer
         assert packed_result.stats.total_visits == 2
         assert solo_result.stats.total_visits == 5
+
+
+@pytest.fixture
+def shared():
+    """4 fragments on 3 sites (0,1 -> site 0; 2 -> site 1; 3 -> site 2)."""
+    g = erdos_renyi(40, 120, seed=4, num_labels=3)
+    frag = build_fragmentation(g, random_partition(g, 4, seed=4), 4)
+    assignment = {0: 0, 1: 0, 2: 1, 3: 2}
+    return g, SimulatedCluster(frag, fragment_assignment=assignment)
+
+
+class TestRepartitionKeepsSites:
+    def test_same_placement_keeps_sites_and_ships_nothing(self, shared):
+        _, cluster = shared
+        report = cluster.repartition(
+            dict(cluster.fragmentation.placement), num_fragments=4
+        )
+        assert cluster.num_sites == 3
+        assert [
+            [f.fid for f in cluster.site(sid).fragments] for sid in range(3)
+        ] == [[0, 1], [2], [3]]
+        assert report.moved_nodes == 0
+        assert report.shipping.traffic_bytes == 0
+
+    def test_answers_after_repartition_match_centralized(self, shared):
+        g, cluster = shared
+        cluster.repartition("refined", seed=4)
+        assert cluster.num_sites == 3
+        nodes = sorted(g.nodes())
+        for s in nodes[::7]:
+            for t in nodes[::6]:
+                assert dis_reach(cluster, (s, t)).answer == reachable(g, s, t)
+                assert (
+                    dis_dist(cluster, (s, t, 4)).answer
+                    == bounded_reachable(g, s, t, 4)
+                )
+                assert dis_rpq(cluster, (s, t, "L0* | L1*")).answer == (
+                    regular_reachable(g, s, t, "L0* | L1*")
+                )
+
+    def test_new_card_refused_before_any_change(self, shared):
+        _, cluster = shared
+        fragmentation = cluster.fragmentation
+        epoch = cluster.partition_epoch
+        with pytest.raises(DistributedError, match="shared-site"):
+            cluster.repartition("refined", num_fragments=3)
+        assert cluster.num_sites == 3
+        assert cluster.partition_epoch == epoch
+        assert cluster.fragmentation is fragmentation
