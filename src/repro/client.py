@@ -126,10 +126,12 @@ class LocalClient(Client):
         return self.engine.open_session(query, kernel=kernel or self._defaults.kernel)
 
     def stats(self):
-        """Local serving stats (served count and cache hit rate)."""
+        """Local serving stats (served count, cache hit rate, plan and
+        solved-answer reuse)."""
         return {
             "served": self._served,
             "cache_hit_rate": self.engine.cache.hit_rate,
+            **self.engine.cache.reuse_counts(),
             "open_sessions": 0,
         }
 
@@ -166,7 +168,8 @@ class RemoteClient(Client):
         return self._client.session(query, kernel=kernel or self._defaults.kernel)
 
     def stats(self):
-        """The server's serving stats (served, batches, p50/p99, inflight)."""
+        """The server's serving stats (served, batches, p50/p99, inflight,
+        plan and solved-answer reuse)."""
         return self._client.stats()
 
     def close(self):

@@ -211,10 +211,11 @@ class _IncrementalSession:
                 ):
                     self._partials[fragment.fid] = equations
                     parts.append(equations)
+                # One re-evaluated fragment ships its own partial, sized as
+                # is (as execute_plans does); several ship one merged one.
+                partial = parts[0] if len(parts) == 1 else plan.merge_partials(parts)
                 run.send_to_coordinator(
-                    site_id,
-                    plan.wrap_partial(plan.merge_partials(parts)),
-                    MessageKind.PARTIAL,
+                    site_id, plan.wrap_partial(partial), MessageKind.PARTIAL
                 )
         with run.coordinator_work():
             self._answer, _details = plan.assemble(self._partials, False)

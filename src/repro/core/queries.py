@@ -80,9 +80,12 @@ Query = Union[ReachQuery, BoundedReachQuery, RegularReachQuery]
 
 
 def _analyze_cached(regex: RegexNode):
-    # Local import to keep module import cost low; analysis itself is cheap
-    # and regexes are tiny, so a cache is unnecessary — the indirection only
-    # exists to keep RegularReachQuery free of automata internals.
+    # Local import to keep module import cost low and RegularReachQuery free
+    # of automata internals.  Not memoized here: building a regular plan
+    # (this analysis, the automaton, its compiled tables, its broadcast size)
+    # takes about 150 us on a 2-vCPU x86 guest, which a serving stream would
+    # pay per request, so the serving cache keeps each query's plan instead
+    # (DESIGN.md §6).
     from ..automata.glushkov import analyze
 
     return analyze(regex)

@@ -185,6 +185,13 @@ class WorkloadStats:
     cache_misses: int = 0
     #: Distinct per-fragment evaluations actually executed this batch.
     tasks_executed: int = 0
+    #: Lookups of the serving cache's plan table (``run_batch``) and of its
+    #: solved-answer table (phase 3 on a persistent cache); a hit skipped
+    #: building the plan or solving the query at the coordinator.
+    plan_hits: int = 0
+    plan_misses: int = 0
+    answer_hits: int = 0
+    answer_misses: int = 0
     #: The batched run's own accounting (None when nothing was batched).
     batch: Optional[ExecutionStats] = None
     total_response_seconds: float = 0.0
@@ -233,6 +240,13 @@ class WorkloadStats:
         )
         if self.num_unbatched:
             head += f" unbatched={self.num_unbatched}"
+        if self.plan_hits or self.plan_misses:
+            head += f" plans-reused={self.plan_hits}/{self.plan_hits + self.plan_misses}"
+        if self.answer_hits or self.answer_misses:
+            head += (
+                f" answers-reused={self.answer_hits}/"
+                f"{self.answer_hits + self.answer_misses}"
+            )
         parts = [head]
         if self.batch is not None:
             amortized = self.amortized_response_seconds or 0.0

@@ -425,7 +425,9 @@ class ServingServer:
 
         ``batches`` splits into ``batches_closed_early`` (every open
         connection was owed a reply), ``batches_closed_timer`` (the window
-        ran out) and ``batches_closed_max_batch``.
+        ran out) and ``batches_closed_max_batch``; ``plan_hits``/
+        ``plan_misses`` and ``answer_hits``/``answer_misses`` count the
+        serving cache's plan and solved-answer lookups.
         """
         samples = list(self._latencies)
         return {
@@ -437,6 +439,7 @@ class ServingServer:
             "inflight": self._queue.qsize() if self._queue is not None else 0,
             "open_sessions": len(self._sessions),
             "cache_hit_rate": self.engine.cache.hit_rate,
+            **self.engine.cache.reuse_counts(),
         }
 
 

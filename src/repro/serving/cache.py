@@ -19,15 +19,39 @@ the modeled wire size of the partial answer, so a cache hit can replay the
 per-query response-time and traffic accounting that one-by-one evaluation
 would have charged (the serving engine's bit-identical stats contract)
 without re-walking the rvset.
+
+Beside the partials the cache keeps the rest of what a warm engine reuses,
+one entry per distinct query:
+
+* the **plan** (:class:`~repro.serving.plans.QueryPlan`), keyed by
+  :data:`PlanKey` — the resolved algorithm, the query and the option names
+  resolved against the process defaults current at lookup, so changing a
+  default builds a new plan;
+* the **solved answer** (:class:`SolvedAnswer`), keyed by :data:`AnswerKey`
+  — the algorithm, the query and the partial-entry keys the query resolved.
+  Those keys carry every fragment's version, so a write retires the answers
+  that read the fragment the same way it retires its partials.
+
+Both tables are bounded by ``max_entries`` like the partials.  ``get``,
+``put``, ``invalidate_fragment``, ``len()`` and the ``hits``/``misses``/
+``evictions``/``invalidations`` counters speak of partial entries only;
+the two tables have their own lookups and hit/miss counters.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, NamedTuple, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .plans import QueryPlan
 
 #: (fragment id, fragment version, algorithm, boundary-relevant params).
 CacheKey = Tuple[int, int, str, Hashable]
+#: (algorithm, query, option names resolved against the process defaults).
+PlanKey = Tuple[str, Hashable, Tuple[Optional[str], ...]]
+#: (algorithm, query, the query's partial-entry keys in site order).
+AnswerKey = Tuple[str, Hashable, Tuple[CacheKey, ...]]
 
 
 class CacheEntry(NamedTuple):
@@ -43,8 +67,29 @@ class CacheEntry(NamedTuple):
     size: int
 
 
+class SolvedAnswer(NamedTuple):
+    """One query's coordinator result over one set of partial entries.
+
+    ``seconds`` is what the assemble took when it ran; a hit credits it to
+    the query's replayed stats, as a cached partial credits its compute.
+    """
+
+    answer: bool
+    details: Dict[str, object]
+    seconds: float
+
+
+def _lookup(table: "OrderedDict[Any, Any]", key: Hashable) -> Any:
+    """``table[key]`` refreshed to most recent, or ``None``."""
+    value = table.get(key)
+    if value is not None:
+        table.move_to_end(key)
+    return value
+
+
 class SiteResultCache:
-    """Bounded LRU cache of :class:`CacheEntry` keyed by :data:`CacheKey`."""
+    """Bounded LRU cache of :class:`CacheEntry` keyed by :data:`CacheKey`,
+    plus the plan and solved-answer tables (each bounded the same way)."""
 
     def __init__(self, max_entries: int = 4096) -> None:
         """Create an empty cache holding at most ``max_entries`` entries."""
@@ -60,6 +105,14 @@ class SiteResultCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self._plans: "OrderedDict[PlanKey, QueryPlan]" = OrderedDict()
+        self._answers: "OrderedDict[AnswerKey, SolvedAnswer]" = OrderedDict()
+        # fragment id -> answer keys that read the fragment.
+        self._answers_by_fid: Dict[int, Set[AnswerKey]] = {}
+        self.plan_hits = 0
+        self.plan_misses = 0
+        self.answer_hits = 0
+        self.answer_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,13 +148,16 @@ class SiteResultCache:
                 del self._keys_by_fid[key[0]]
 
     def invalidate_fragment(self, fid: int) -> int:
-        """Eagerly drop every entry of fragment ``fid``; returns the count.
+        """Eagerly drop every entry of fragment ``fid``, and every solved
+        answer that read it; returns the count of partial entries.
 
         Version-keyed lookups already miss stale entries; this reclaims the
         memory (and is the hook the cluster's mutation/repartition paths
         call for every registered cache).  O(keys of the fragment) via the
         per-fragment key index, not a scan of the whole cache.
         """
+        for key in self._answers_by_fid.pop(fid, ()):
+            self._drop_answer(key)
         dead = self._keys_by_fid.pop(fid, None)
         if not dead:
             return 0
@@ -111,17 +167,69 @@ class SiteResultCache:
         return len(dead)
 
     def clear(self) -> None:
-        """Drop every entry (counted as invalidations); counters survive."""
+        """Drop every partial (counted as invalidations), plan and solved
+        answer; counters survive."""
         self.invalidations += len(self._entries)
         self._entries.clear()
         self._keys_by_fid.clear()
+        self._plans.clear()
+        self._answers.clear()
+        self._answers_by_fid.clear()
+
+    # ------------------------------------------------------------------
+    # the plan and solved-answer tables
+    # ------------------------------------------------------------------
+    def get_plan(self, key: PlanKey) -> "Optional[QueryPlan]":
+        """The plan stored under ``key``, counting the hit/miss."""
+        plan = _lookup(self._plans, key)
+        if plan is None:
+            self.plan_misses += 1
+        else:
+            self.plan_hits += 1
+        return plan
+
+    def put_plan(self, key: PlanKey, plan: "QueryPlan") -> None:
+        """Store ``plan`` under ``key``, evicting the LRU tail past the cap."""
+        self._plans[key] = plan
+        self._plans.move_to_end(key)
+        if len(self._plans) > self.max_entries:
+            self._plans.popitem(last=False)
+
+    def get_answer(self, key: AnswerKey) -> Optional[SolvedAnswer]:
+        """The solved answer stored under ``key``, counting the hit/miss."""
+        solved = _lookup(self._answers, key)
+        if solved is None:
+            self.answer_misses += 1
+        else:
+            self.answer_hits += 1
+        return solved
+
+    def put_answer(self, key: AnswerKey, solved: SolvedAnswer) -> None:
+        """Store ``solved`` under ``key``, evicting the LRU tail past the cap."""
+        if key not in self._answers:
+            for entry_key in key[2]:
+                self._answers_by_fid.setdefault(entry_key[0], set()).add(key)
+        self._answers[key] = solved
+        self._answers.move_to_end(key)
+        if len(self._answers) > self.max_entries:
+            self._drop_answer(next(iter(self._answers)))
+
+    def _drop_answer(self, key: AnswerKey) -> None:
+        del self._answers[key]
+        for entry_key in key[2]:
+            keys = self._answers_by_fid.get(entry_key[0])
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._answers_by_fid[entry_key[0]]
 
     def check_index(self) -> None:
         """Assert the per-fragment index exactly mirrors the entries.
 
         Cheap O(cache) self-check used by the test suite (and available to
         callers after administration): every indexed key is live, every
-        live key is indexed, and no fragment bucket is empty.
+        live key is indexed, and no fragment bucket is empty — for the
+        partials and for the solved answers alike.
         """
         indexed = set()
         for fid, keys in self._keys_by_fid.items():
@@ -134,6 +242,20 @@ class SiteResultCache:
             f"index desync: {len(indexed - live)} dangling, "
             f"{len(live - indexed)} unindexed"
         )
+        expected: Dict[int, Set[AnswerKey]] = {}
+        for key in self._answers:
+            for entry_key in key[2]:
+                expected.setdefault(entry_key[0], set()).add(key)
+        assert expected == self._answers_by_fid, "solved-answer index desync"
+
+    def reuse_counts(self) -> Dict[str, int]:
+        """Hits and misses of the plan and solved-answer tables."""
+        return {
+            "plan_hits": self.plan_hits,
+            "plan_misses": self.plan_misses,
+            "answer_hits": self.answer_hits,
+            "answer_misses": self.answer_misses,
+        }
 
     @property
     def lookups(self) -> int:

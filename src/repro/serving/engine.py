@@ -54,10 +54,11 @@ from ..errors import QueryError
 from ..distributed.messages import MessageKind, payload_size
 from ..distributed.stats import ExecutionStats, WorkloadStats
 from ..partition.fragment import Fragment
-from .cache import CacheEntry, CacheKey, SiteResultCache
+from .cache import AnswerKey, CacheEntry, CacheKey, PlanKey, SiteResultCache, SolvedAnswer
 from .plans import QueryPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids the core cycle)
+    from ..core.options import EvalOptions
     from ..core.results import QueryResult
 
 #: One deduplicated unit of site work: (fn, fragment, args) — picklable.
@@ -127,12 +128,17 @@ def execute_plans(
     Phase 1 walks every (plan, fragment) pair, resolving each against the
     cache and collecting the distinct missing evaluations; phase 2 runs all
     misses in one parallel round on the cluster's executor backend; phase 3
-    replays each query's one-by-one accounting from the resolved entries.
-    Passing ``cache=None`` uses a throwaway cache — within-batch
-    deduplication still applies, nothing survives the call.
+    replays each query's one-by-one accounting from the resolved entries
+    and solves it at the coordinator — or, on a persistent ``cache``
+    without ``collect_details``, reads the answer solved earlier over the
+    same partial entries.  Passing ``cache=None`` uses a throwaway cache —
+    within-batch deduplication still applies, every query is solved,
+    nothing survives the call.
     """
     from ..core.results import QueryResult
 
+    # The one-shot path (cache=None) and detail collection always solve.
+    solved_answers = cache if cache is not None and not collect_details else None
     cache = cache if cache is not None else SiteResultCache()
     plans = list(plans)
     for plan in plans:
@@ -161,7 +167,9 @@ def execute_plans(
             workload.num_trivial += 1
             continue
         payloads.append(plan.broadcast_payload())
-        payload_sizes.append(payload_size(payloads[-1]))
+        if plan.broadcast_size is None:
+            plan.broadcast_size = payload_size(payloads[-1])
+        payload_sizes.append(plan.broadcast_size)
         keys: Dict[int, CacheKey] = {}
         missed = False
         for site in cluster.sites:
@@ -306,11 +314,31 @@ def execute_plans(
                     plan.wrap_partial(plan.merge_partials(parts)),
                     MessageKind.PARTIAL,
                 )
-        with run.coordinator_work():
-            answer, details = plan.assemble(partials, collect_details)
-        # The assemble really ran once, here; mirror its cost into the
-        # batch's accounting (a batching coordinator solves every query).
-        batch_run.stats.add_coordinator_time(run.stats.coordinator_seconds)
+        answer_key: Optional[AnswerKey] = None
+        solved = None
+        if solved_answers is not None:
+            answer_key = (plan.algorithm, plan.query, tuple(keys.values()))
+            solved = solved_answers.get_answer(answer_key)
+        if solved is None:
+            with run.coordinator_work():
+                answer, details = plan.assemble(partials, collect_details)
+            # The assemble really ran once, here; mirror its cost into the
+            # batch's accounting (a batching coordinator solves every query
+            # it has not solved before).
+            seconds = run.stats.coordinator_seconds
+            batch_run.stats.add_coordinator_time(seconds)
+            if answer_key is not None:
+                solved_answers.put_answer(
+                    answer_key, SolvedAnswer(answer, dict(details), seconds)
+                )
+                workload.answer_misses += 1
+        else:
+            # Solved earlier over these very entries: the query's stats
+            # replay the stored assemble time, as a cached partial replays
+            # its compute; the batch ran nothing for it.
+            answer, details = solved.answer, dict(solved.details)
+            run.stats.add_coordinator_time(solved.seconds)
+            workload.answer_hits += 1
         stats = run.finish()
         if any(key in scheduled_keys for key in keys.values()):
             stats.phase_wall_seconds += executed_wall
@@ -330,7 +358,8 @@ class BatchQueryEngine:
 
     Wraps :func:`execute_plans` with a persistent :class:`SiteResultCache`,
     so consecutive batches (and repeated queries within a batch) reuse
-    per-fragment partial results::
+    per-fragment partial results, each distinct query's plan and its
+    solved answer::
 
         engine = BatchQueryEngine(cluster)
         batch = engine.run_batch(queries)          # mixed query classes OK
@@ -375,7 +404,7 @@ class BatchQueryEngine:
         kernels produce bit-identical equations — while the oracle name is
         part of the cache key.
         """
-        from ..core.engine import evaluate, is_batchable, plan_for
+        from ..core.engine import evaluate, is_batchable
         from ..core.options import EvalOptions
 
         options = EvalOptions(kernel=kernel, oracle=oracle)
@@ -393,10 +422,47 @@ class BatchQueryEngine:
             for result in results:
                 _accumulate(workload, result.stats)
             return BatchResult(results=results, workload=workload)
-        plans = [plan_for(query, algorithm, options) for query in queries]
-        return execute_plans(
+        hits_before = self.cache.plan_hits
+        plans = [self._plan(query, algorithm, options) for query in queries]
+        hits = self.cache.plan_hits - hits_before
+        batch = execute_plans(
             self.cluster, plans, cache=self.cache, collect_details=collect_details
         )
+        batch.workload.plan_hits = hits
+        batch.workload.plan_misses = len(plans) - hits
+        return batch
+
+    def _plan(
+        self, query, algorithm: Optional[str], options: "EvalOptions"
+    ) -> QueryPlan:
+        """The cached plan of ``query``, built by ``plan_for`` on a miss.
+
+        The key holds each option as the plan would resolve it *now* — the
+        explicit name, else the process default (``set_default`` > env var
+        > fallback) where the algorithm takes the option — so a changed
+        default builds a new plan.  Only a miss pays ``plan_for``'s
+        availability probe and the plan's own construction (for a regular
+        query, its automaton).
+        """
+        from ..core import engine as core_engine
+        from ..core.options import OPTIONS
+
+        algorithm = core_engine.resolve_algorithm(query, algorithm)
+        key: PlanKey = (
+            algorithm,
+            query,
+            tuple(
+                value
+                if (value := getattr(options, name)) is not None
+                else spec.registry.default() if algorithm in spec.takers else None
+                for name, spec in OPTIONS.items()
+            ),
+        )
+        plan = self.cache.get_plan(key)
+        if plan is None:
+            plan = core_engine.plan_for(query, algorithm, options)
+            self.cache.put_plan(key, plan)
+        return plan
 
     def evaluate(
         self,

@@ -91,13 +91,20 @@ def endpoint_params(
 class QueryPlan(ABC):
     """One query's evaluation, decomposed for batched execution.
 
-    Instances are cheap value objects; the engine may build many per batch.
-    ``algorithm`` doubles as the query-kind component of cache keys, so two
-    plans of different classes can never share an entry.
+    A plan depends only on its query and its resolved options, never on the
+    graph, so the serving cache keeps one per distinct query and reuses it
+    across batches.  ``algorithm`` doubles as the query-kind component of
+    cache keys, so two plans of different classes can never share an entry.
     """
 
     #: Registry name of the algorithm (e.g. ``"disReach"``).
     algorithm: str = "abstract"
+    #: The query this plan evaluates (an immutable, hashable value).
+    query: Any
+    #: ``payload_size(broadcast_payload())``: the payload is immutable, so
+    #: the engine sizes it the first time it ships the plan and a cached
+    #: plan never sizes it again.
+    broadcast_size: Optional[int] = None
 
     @abstractmethod
     def validate(self, cluster) -> None:
