@@ -210,7 +210,7 @@ GATES: Dict[str, Gate] = {
         Check("present", (), "a kernel leg dropped out of the run",
               where=rows_with(mode="evaluate"), group=("dataset", "mode"),
               require={"kernel": ("numpy",),
-                       "backend": ("process", "sequential", "thread")}),
+                       "backend": ("sequential", "socket", "thread")}),
         Check("exact", IDENTITY_METRICS, "numpy/sequential modeled stats " + STALE_WHY,
               where=rows_with(mode="evaluate", kernel="numpy", backend="sequential")),
         Check("same", IDENTITY_METRICS, "kernel identity broken",
@@ -233,14 +233,14 @@ GATES: Dict[str, Gate] = {
               where=rows_with(mode="serving"), factor=8.0),
     ]),
     # Shortcut precompute (DESIGN.md §13).  The bench asserts bit-identity
-    # across the four backends before emitting a row; build_ms/time_ms are
+    # across every backend before emitting a row; build_ms/time_ms are
     # measured and never compared.
     "shortcuts": Gate(("dataset", "mode", "algorithm"), [
         Check("present", (), "a sweep cell was dropped or silently skipped"),
         Check("bound", ("status",), "a shortcut sweep cell degraded to a skip "
               "(backends must never drop silently)", op="==", limit="ok"),
         Check("bound", ("backends",), "a backend is missing from the identity sweep",
-              op="covers", limit="process/sequential/socket/thread"),
+              op="covers", limit="sequential/socket/thread"),
         # All superstep counts are deterministic; the tightest pinned cell
         # (reach on the tall grid) sits at 17x, the path row at ~128x.
         # longcycle rows are identity-checked but not floored — they exist

@@ -15,7 +15,7 @@ makes (Malewicz et al., SIGMOD 2010).  A task receives only what its site
 stores (its fragments, the pending messages and state values of its
 vertices) and returns a pure :class:`SiteSuperstepResult`; the engine then
 routes the outboxes through the master.  Consequently the Pregel baselines
-run on *every* executor backend — sequential, thread, process — with
+run on *every* executor backend — sequential, thread, socket — with
 bit-identical answers, visits, traffic, message logs and superstep counts
 (asserted by ``tests/test_executors.py``).
 
@@ -93,7 +93,7 @@ class VertexProgram:
     Subclasses are frozen dataclasses holding only the query parameters
     (target, bound, ...) — never per-vertex state, which lives in the
     engine's explicit value dict and is passed in per superstep.  The
-    process backend ships program instances to workers, so every field
+    socket backend ships program instances to brokers, so every field
     must be picklable.
     """
 

@@ -61,7 +61,7 @@ class SsspProgram(VertexProgram):
     """Textbook Pregel SSSP: non-negative weights, default 1.0 per edge.
 
     ``weight_fn`` must be picklable (a module-level function, not a
-    lambda) to run on the process backend; ``None`` means unit weights.
+    lambda) to run on the socket backend; ``None`` means unit weights.
     """
 
     weight_fn: Optional[Callable[[Node, Node], float]] = None

@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench table2          # one experiment
     python -m repro.bench all             # every experiment
     python -m repro.bench fig11a --scale 0.005 --csv out.csv
-    python -m repro.bench table2 --executor process   # parallel site work
+    python -m repro.bench table2 --executor socket    # sites on broker processes
     python -m repro.bench workload --json BENCH_pr.json   # CI regression gate
     python -m repro.bench partition --json BENCH_partition.json  # quality sweep
     python -m repro.bench mutation --json BENCH_mutation.json  # dynamic graphs

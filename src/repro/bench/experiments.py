@@ -1175,7 +1175,7 @@ def exp_shortcuts(
     Sweeps the pinned high-diameter datasets (path/grid/longcycle,
     DESIGN.md §13) under both shortcut modes for the message-passing
     baseline disReachm.  Queries span the diameter.  Every cell is run on
-    all four executor backends and asserted bit-identical (answers,
+    every executor backend and asserted bit-identical (answers,
     visits, traffic, messages, supersteps) to the sequential run; an
     unavailable backend gets a loud skip row.  ``reduction`` is the
     none-mode superstep count divided by the mode's — the number the CI
@@ -1387,7 +1387,7 @@ SNAP_FIXTURE_PARTITIONERS = ("hash", "refined")
 SNAP_FIXTURE_BACKENDS = ("sequential", "thread")
 #: Real-dataset sweep dimensions (budget-capped, skip-with-reason).
 SNAP_PARTITIONERS = ("hash", "chunk", "refined")
-SNAP_BACKENDS = ("sequential", "thread", "process")
+SNAP_BACKENDS = ("sequential", "thread")
 #: Theorem-envelope headroom: realized mean traffic bytes per query must
 #: stay under ``SNAP_ENV_FACTOR`` x the evaluated |Vq|^p * |Vf|^2 bound.
 #: The bound counts boundary-node terms; realized bytes carry per-term

@@ -16,8 +16,8 @@ Lets a user exercise the whole system from a shell, no Python required::
     python -m repro --graph g.txt --partitioner refined reach a b
     python -m repro --graph g.txt --partitioner multilevel reach a b
 
-    # run the site-local work on a real process pool
-    python -m repro --graph g.txt --executor process reach a b
+    # run the site-local work on TCP broker processes
+    python -m repro --graph g.txt --executor socket reach a b
 
     # built-in dataset stand-ins work too
     python -m repro --dataset amazon --scale 0.002 reach 0 100
@@ -28,7 +28,7 @@ Lets a user exercise the whole system from a shell, no Python required::
     python -m repro --dataset wiki-Vote --fragments 8 reach 3 25
 
     # serve a 100-query zipf workload as one batch (cross-query reuse)
-    python -m repro --graph g.txt --workload 100 --executor process
+    python -m repro --graph g.txt --workload 100 --executor socket
 
     # dynamic graph: interleave 20 edge mutations with the workload; a
     # drift monitor triggers bounded repartitioning when |Vf| degrades

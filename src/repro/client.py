@@ -8,7 +8,7 @@ session classes for standing queries, and now a TCP serving front end.
     import repro
 
     # in-process: a graph (fragmented for you) or an existing cluster
-    client = repro.connect(graph, fragments=4, executor="process")
+    client = repro.connect(graph, fragments=4, executor="socket")
     client = repro.connect(cluster)
 
     # networked: a repro-serve address

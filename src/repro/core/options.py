@@ -92,7 +92,7 @@ class EvalOptions:
     """Strategy names of one evaluation; ``None`` means "not given".
 
     Frozen, hashable and picklable: instances key admission groups, ride
-    in plans, and cross the process and socket executors.
+    in plans, and cross the socket executor's wire.
     """
 
     kernel: Optional[str] = None

@@ -168,8 +168,8 @@ class ReachPlan(QueryPlan):
             query = ReachQuery(*query)
         self.query = query
         # Resolved here (not at eval time) so the concrete kernel/oracle
-        # names ship inside local_eval_args to process-pool and socket
-        # workers, independent of their environment.
+        # names ship inside local_eval_args to socket brokers,
+        # independent of their environment.
         self.options = options.resolved(self.algorithm)
         self._keyed = self.options.cache_key()
 

@@ -1,15 +1,14 @@
 """Simulated distributed runtime: sites, coordinator, traffic/visit accounting.
 
 Parallel phases execute on a pluggable backend (:mod:`.executors`):
-``sequential`` (default, deterministic), ``thread``, ``process``, or
-``socket`` (separate OS processes over TCP; :mod:`repro.net`).
+``sequential`` (default, deterministic), ``thread``, or ``socket``
+(separate OS processes over TCP; :mod:`repro.net`).
 """
 
 from .cluster import ParallelPhase, Run, SimulatedCluster
 from .executors import (
     EXECUTORS,
     ExecutorBackend,
-    ProcessExecutor,
     SequentialExecutor,
     SiteTask,
     SocketExecutor,
@@ -33,7 +32,6 @@ __all__ = [
     "MessageKind",
     "ParallelPhase",
     "PhaseTimer",
-    "ProcessExecutor",
     "Run",
     "SequentialExecutor",
     "SimulatedCluster",

@@ -17,7 +17,7 @@ DESIGN.md §3.1 and §4):
 
 *Execution* of the site-local work is delegated to a pluggable backend
 (:mod:`repro.distributed.executors`, DESIGN.md §5): ``sequential`` (the
-default — inline, deterministic), ``thread``, or ``process``.  Backends only
+default — inline, deterministic), ``thread``, or ``socket``.  Backends only
 change how fast the wall clock runs; per-site compute is timed where it
 runs, so answers and the modeled costs above are identical under every
 backend.
@@ -100,7 +100,7 @@ class ParallelPhase(PhaseTimer):
 
     * ``phase.map(fn, tasks)`` — submit one closure per site to the
       cluster's executor backend.  ``fn`` must be module-level and its
-      arguments picklable (the process backend ships them to workers);
+      arguments picklable (the socket backend ships them to brokers);
       results come back in task order, each site's measured compute time
       folded into the phase timer.  Every algorithm in the repo —
       including the Pregel substrate's sharded supersteps — submits its
@@ -353,7 +353,7 @@ class SimulatedCluster:
 
         ``executor`` selects the execution backend for parallel phases — a
         name from :data:`repro.distributed.executors.EXECUTORS`
-        (``sequential``/``thread``/``process``/``socket``), a backend
+        (``sequential``/``thread``/``socket``), a backend
         instance, or ``None`` for the process-wide default (normally
         sequential)."""
         if bandwidth <= 0:
@@ -921,7 +921,7 @@ class SimulatedCluster:
     ) -> Iterator["SimulatedCluster"]:
         """Temporarily evaluate on a different execution backend::
 
-            with cluster.using_executor("process"):
+            with cluster.using_executor("socket"):
                 result = evaluate(cluster, query)
         """
         previous = self.executor

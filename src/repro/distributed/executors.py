@@ -3,14 +3,13 @@
 The paper's central performance claim is that partial evaluation runs "in
 parallel at each site, without waiting for the outcome or messages from any
 other site" (Section 1).  The simulator *models* that concurrency — each
-parallel phase charges the maximum of its per-site durations — but until now
-it always *executed* the site-local work sequentially in one process.  This
-module makes the execution strategy a pluggable backend (DESIGN.md §5):
+parallel phase charges the maximum of its per-site durations; this module
+makes how site-local work *executes* a pluggable backend (DESIGN.md §5):
 
 ``sequential``
-    Today's behavior and the default: run every site task inline, in
-    submission order.  Fully deterministic; zero overhead; the reference
-    semantics every other backend must reproduce bit-for-bit.
+    The default: run every site task inline, in submission order.  Fully
+    deterministic; zero overhead; the reference semantics every other
+    backend must reproduce bit-for-bit.
 
 ``thread``
     A shared :class:`concurrent.futures.ThreadPoolExecutor`.  Site tasks are
@@ -18,12 +17,11 @@ module makes the execution strategy a pluggable backend (DESIGN.md §5):
     scheduler freely; CPython's GIL limits the speedup for pure-Python
     compute, but any oracle/index releasing the GIL benefits immediately.
 
-``process``
-    A shared :class:`concurrent.futures.ProcessPoolExecutor`.  True
-    parallelism across cores.  Task functions must be module-level and all
-    task inputs/outputs picklable — which they are: fragments, queries,
-    query automata, Pregel vertex programs, and the partial-answer
-    containers all round-trip through :mod:`pickle`, and the
+``socket``
+    Broker processes reached over TCP (:mod:`repro.net`).  Task functions
+    must be module-level and all task inputs/outputs picklable — which they
+    are: fragments, queries, query automata, Pregel vertex programs, and the
+    partial-answer containers all round-trip through :mod:`pickle`, and the
     ``TRUE``/``TARGET`` sentinels preserve identity because their
     ``__new__`` returns the per-process singleton.
 
@@ -40,18 +38,17 @@ same max-of-phase semantics under every backend, while
 ``ExecutionStats.phase_wall_seconds`` records what actually elapsed — their
 ratio is the observed speedup.
 
-Worker pools are shared per (backend kind, worker count) across clusters and
-shut down at interpreter exit, so constructing many clusters (the test suite
-builds hundreds) costs nothing until a parallel phase actually runs.
+Thread pools are shared per worker count across clusters and shut down at
+interpreter exit, so constructing many clusters (the test suite builds
+hundreds) costs nothing until a parallel phase actually runs.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-import sys
 import time
+import weakref
 from concurrent import futures
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
@@ -62,7 +59,7 @@ from ..strategies import StrategyRegistry
 class SiteTask(NamedTuple):
     """One unit of site-local work submitted to a backend.
 
-    ``fn`` must be a module-level function (the process backend pickles it)
+    ``fn`` must be a module-level function (the socket backend pickles it)
     and ``args`` must be picklable for the same reason.
     """
 
@@ -85,7 +82,7 @@ def run_timed(task: SiteTask) -> TaskResult:
     The duration is *CPU time of the executing thread* (``thread_time``),
     not wall clock: concurrent backends time-slice tasks whenever workers
     outnumber schedulable cores (GIL contention for threads, oversubscribed
-    or cgroup-limited hosts for processes), which inflates each task's wall
+    or cgroup-limited hosts for brokers), which inflates each task's wall
     clock by the waiting.  CPU time measures the quantity the simulator
     models — the site's own compute — identically under every backend, so
     the modeled response time and the reported speedup stay honest even on
@@ -129,67 +126,22 @@ class SequentialExecutor(ExecutorBackend):
         return [run_timed(task) for task in tasks]
 
 
-# ---------------------------------------------------------------------------
-# shared worker pools
-# ---------------------------------------------------------------------------
-_POOLS: Dict[Tuple[str, int], futures.Executor] = {}
-
-
-def _worker_init(parent_sys_path: List[str]) -> None:
-    """Align a worker's import paths with the parent's.
-
-    Spawn/forkserver workers re-import task modules by qualified name and do
-    not inherit in-process ``sys.path`` edits (e.g. pytest's ``pythonpath``
-    config on an uninstalled checkout), so the parent ships its path over.
-    """
-    sys.path[:] = parent_sys_path
-
-
-def _process_context():
-    """A start method that is safe with live threads in the parent.
-
-    The thread and process backends share one interpreter, so the process
-    pool may be created while thread-pool workers are alive; plain ``fork``
-    with live threads is deprecated (3.12+) and can deadlock a child on an
-    inherited lock.  Prefer ``forkserver`` (POSIX), else the platform
-    default (``spawn`` on Windows/macOS).
-    """
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context()
-
-
-def _shared_pool(kind: str, max_workers: int) -> futures.Executor:
-    key = (kind, max_workers)
-    pool = _POOLS.get(key)
-    if pool is None:
-        if kind == "thread":
-            pool = futures.ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-site"
-            )
-        else:
-            pool = futures.ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=_process_context(),
-                initializer=_worker_init,
-                initargs=(list(sys.path),),
-            )
-        _POOLS[key] = pool
-    return pool
+#: Shared thread pools keyed by worker count.
+_POOLS: Dict[int, futures.ThreadPoolExecutor] = {}
 
 
 @atexit.register
 def shutdown_pools() -> None:
-    """Shut down every shared worker pool (idempotent; runs at exit)."""
+    """Shut down every shared thread pool (idempotent; runs at exit)."""
     while _POOLS:
         _, pool = _POOLS.popitem()
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-class _PoolBackend(ExecutorBackend):
-    """Common machinery for the thread and process backends."""
+class ThreadExecutor(ExecutorBackend):
+    """Concurrent site tasks on a shared thread pool."""
 
-    _kind = "abstract"
+    name = "thread"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -204,52 +156,39 @@ class _PoolBackend(ExecutorBackend):
     def run_tasks(self, tasks: Sequence[SiteTask]) -> List[TaskResult]:
         tasks = list(tasks)
         if len(tasks) <= 1:
-            # Nothing to overlap: skip pool dispatch (and its pickling).
+            # Nothing to overlap: skip pool dispatch.
             return [run_timed(task) for task in tasks]
-        pool = _shared_pool(self._kind, self.max_workers)
+        pool = _POOLS.get(self.max_workers)
+        if pool is None:
+            pool = _POOLS[self.max_workers] = futures.ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="repro-site"
+            )
         return list(pool.map(run_timed, tasks))
 
     def close(self) -> None:
-        pool = _POOLS.pop((self._kind, self.max_workers), None)
+        pool = _POOLS.pop(self.max_workers, None)
         if pool is not None:
             pool.shutdown(wait=True)
-
-
-class ThreadExecutor(_PoolBackend):
-    """Concurrent site tasks on a shared thread pool."""
-
-    name = "thread"
-    _kind = "thread"
-
-
-class ProcessExecutor(_PoolBackend):
-    """True multi-core parallelism on a shared process pool.
-
-    Requires module-level task functions and picklable inputs/outputs.
-    Strategies (kernel, oracle) cross the boundary as registry names.
-    """
-
-    name = "process"
-    _kind = "process"
 
 
 class SocketExecutor(ExecutorBackend):
     """Site tasks on broker *processes* reached over TCP (DESIGN.md §10).
 
-    The networked shape of the process backend: a coordinator (this side)
-    round-robins each phase's tasks over a pool of broker processes
-    speaking length-prefixed pickle frames, shipping each fragment across
-    the wire once and addressing it by ``(fid, Fragment.version, stamp)``
+    The one backend that crosses a process boundary, as the paper's sites
+    do: a coordinator (this side) round-robins each phase's tasks over
+    broker processes speaking length-prefixed pickle frames, shipping each
+    fragment once and addressing it by ``(fid, Fragment.version, stamp)``
     afterwards.  Answers and modeled stats stay bit-identical to
     ``sequential``; broker death degrades to retry-then-inline evaluation
     (``degraded_tasks`` counts how often), never to a wrong answer.
 
     By default the pool spawns ``num_brokers`` localhost children and is
-    shared per configuration across executor instances (like the
-    thread/process pools).  Pass ``addresses=["host:port", ...]`` to use
-    externally managed ``python -m repro.net.broker --listen`` brokers,
-    ``timeout`` to tighten the per-round response deadline, and
-    ``shared=False`` for a dedicated pool (what the crash tests use).
+    shared per configuration across executor instances.  Pass
+    ``addresses=["host:port", ...]`` to use externally managed ``python -m
+    repro.net.broker --listen`` brokers, ``timeout`` to tighten the
+    per-round response deadline, and ``shared=False`` for a dedicated pool
+    (what the crash tests use).  A configuration that can reach no broker
+    (empty ``addresses``, ``timeout <= 0``) is refused here, not degraded.
     """
 
     name = "socket"
@@ -262,12 +201,14 @@ class SocketExecutor(ExecutorBackend):
         shared: bool = True,
     ) -> None:
         """Configure the backend; brokers start on first ``run_tasks``."""
-        import weakref
-
         from ..net import coordinator
 
         if num_brokers is not None and num_brokers < 1:
             raise DistributedError(f"num_brokers must be >= 1, got {num_brokers}")
+        if addresses is not None and not addresses:
+            raise DistributedError("addresses must name at least one broker")
+        if timeout is not None and timeout <= 0:
+            raise DistributedError(f"timeout must be > 0 seconds, got {timeout}")
         self.num_brokers = num_brokers or coordinator.DEFAULT_NUM_BROKERS
         self.addresses = tuple(addresses) if addresses is not None else None
         self.timeout = coordinator.DEFAULT_TIMEOUT if timeout is None else timeout
@@ -298,7 +239,6 @@ class SocketExecutor(ExecutorBackend):
 EXECUTORS: Dict[str, Type[ExecutorBackend]] = {
     SequentialExecutor.name: SequentialExecutor,
     ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
     SocketExecutor.name: SocketExecutor,
 }
 

@@ -23,7 +23,7 @@ it is *monotone in content* and identical across algorithms, so the paper's
 comparative claims (disReach ships ~9% of disReachn, disRPQ ships ≤25% of
 disRPQd, ...) are measured on equal footing.
 
-Under the ``process`` executor backend (DESIGN.md §5), wire objects really
+Under the ``socket`` executor backend (DESIGN.md §5), wire objects really
 do cross a process boundary: every payload type here — queries, automata,
 the partial-answer dataclasses with their ``payload_size`` methods — must be
 picklable, and the :data:`repro.core.bes.TRUE` / ``TARGET`` sentinels keep

@@ -13,7 +13,7 @@ fragments, and the site adds identity only.  Local reachability indexes
 applied here") live on the fragments themselves (:mod:`repro.index.store`).
 
 Executor note (DESIGN.md §5): site-local tasks receive *fragments*, not
-sites, so the process backend never has to ship a :class:`Site`.
+sites, so the socket backend never has to ship a :class:`Site`.
 """
 
 from __future__ import annotations

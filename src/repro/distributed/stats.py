@@ -25,7 +25,7 @@ from *actual* parallelism: ``site_compute_seconds`` sums every site's
 measured compute over all phases (the serial work), and
 ``phase_wall_seconds`` is the real time those phases took — their ratio,
 :attr:`ExecutionStats.parallel_speedup`, is the observed speedup (~1.0 for
-the sequential backend, up to the core count for the process backend).
+the sequential backend, up to the broker count for the socket backend).
 Backends never change ``response_seconds`` semantics: per-site durations
 are measured where the task runs and combined as a maximum either way.
 """

@@ -82,7 +82,7 @@ class ShortcutSet:
     order.  Pairs already connected by an original graph edge are never
     present, so the Pregel substrate can classify a message as shortcut
     traffic by target membership alone.  Plain dicts/tuples throughout:
-    the set (or a per-site slice of it) ships to process/socket workers
+    the set (or a per-site slice of it) ships to socket brokers
     by pickle.
     """
 

@@ -1,7 +1,7 @@
 """Named, picklable reachability-oracle registry.
 
 Plans and serving-cache keys carry an oracle *name*, never a closure:
-names survive ``pickle`` across the process and socket executors, where a
+names survive ``pickle`` across the socket executor's wire, where a
 per-call factory lambda would not.  Selection follows the one
 strategy-registry precedence (explicit > ``set_default_oracle`` >
 ``REPRO_ORACLE`` > ``none`` — the label-sweep path with no oracle at all;

@@ -2,9 +2,9 @@
 
 The coordinator owns everything the brokers must not: the cluster, the
 modeled cost accounting, and `ParallelPhase.map` scheduling.  What crosses
-the wire is exactly what the process backend pickles today — module-level
-task functions and their arguments — except that fragments make the trip
-*once*.  The substitution walk in :func:`run_socket_tasks` replaces each
+the wire is pickled module-level task functions and their arguments,
+except that fragments make the trip *once*.  The substitution walk in
+:func:`run_socket_tasks` replaces each
 :class:`~repro.partition.fragment.Fragment` in a task's arguments with a
 :class:`~repro.net.framing.FragmentRef`; fragments a broker has not seen
 ride along in the same ``run`` frame (TCP ordering makes ship-before-use
@@ -112,10 +112,9 @@ class BrokerLink:
 def _broker_env() -> Dict[str, str]:
     """Environment for a spawned broker: the parent's import paths.
 
-    Mirrors the process backend's ``_worker_init``: a subprocess re-imports
-    ``repro`` by name and does not see in-process ``sys.path`` edits (e.g.
-    pytest's ``pythonpath`` config on an uninstalled checkout), so the
-    parent ships its path via ``PYTHONPATH``.
+    A subprocess re-imports ``repro`` by name and does not see in-process
+    ``sys.path`` edits (e.g. pytest's ``pythonpath`` config on an
+    uninstalled checkout), so the parent ships its path via ``PYTHONPATH``.
     """
     env = dict(os.environ)
     paths = [p for p in sys.path if p]
@@ -224,7 +223,7 @@ class BrokerPool:
             self._listener = None
 
 
-#: Shared pools keyed by configuration, mirroring the executors' ``_POOLS``.
+#: Shared pools keyed by configuration, mirroring the thread backend's ``_POOLS``.
 _BROKER_POOLS: Dict[Tuple[Any, ...], BrokerPool] = {}
 
 

@@ -92,8 +92,8 @@ class Fragment:
         The instance ``__dict__`` doubles as cache storage (CSR arrays,
         reachability oracles — see :mod:`repro.core.csr` and
         :mod:`repro.index.store`); those are derived, process-local and
-        sometimes large, so shipping a fragment to a process/socket
-        worker sends only the declared fields.  Workers rebuild their
+        sometimes large, so shipping a fragment to a socket broker
+        sends only the declared fields.  Brokers rebuild their
         own caches lazily on first use.
         """
         state = dict(self.__dict__)

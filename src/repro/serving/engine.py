@@ -68,7 +68,7 @@ FragmentJob = Tuple[Callable[..., Any], Fragment, Tuple[Any, ...]]
 def eval_fragment_jobs(jobs: Tuple[FragmentJob, ...]) -> Tuple[Tuple[Any, float], ...]:
     """One site's visit in a batched round: run its missing fragment jobs.
 
-    Module-level (hence picklable) so the process backend can ship it; each
+    Module-level (hence picklable) so the socket backend can ship it; each
     job is timed individually (CPU time, the simulator's per-site clock) so
     cache entries can later replay per-query response accounting.  Plans
     ship their resolved strategy names *inside* each job's args.

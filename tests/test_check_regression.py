@@ -404,7 +404,7 @@ def _baselines_payload(visits=398, traffic=7.197, messages=793, supersteps=26,
                        drift_backend=None):
     rows = []
     for algorithm in ("disReachm", "disDistm"):
-        for backend in ("process", "sequential", "thread"):
+        for backend in ("sequential", "socket", "thread"):
             row = {
                 "algorithm": algorithm,
                 "backend": backend,
@@ -437,7 +437,7 @@ class TestBaselinesGate:
     def test_backend_divergence_fails(self, gate, tmp_path, capsys):
         base = self._both(tmp_path, "base.json", _baselines_payload())
         cur = self._both(
-            tmp_path, "cur.json", _baselines_payload(drift_backend="process")
+            tmp_path, "cur.json", _baselines_payload(drift_backend="socket")
         )
         assert gate.main([cur, base]) == 1
         assert "cross-backend identity" in capsys.readouterr().err
@@ -461,7 +461,7 @@ class TestBaselinesGate:
         payload = _baselines_payload()
         payload["baselines"]["rows"] = [
             row for row in payload["baselines"]["rows"]
-            if row["backend"] != "process"
+            if row["backend"] != "socket"
         ]
         cur = self._both(tmp_path, "cur.json", payload)
         assert gate.main([cur, base]) == 1
@@ -489,7 +489,7 @@ class TestBaselinesGate:
         rows = gate.rows_by_key(payload, "baselines")
         assert rows, "baseline.json must carry the pinned baselines run"
         backends = {backend for _a, backend in rows}
-        assert backends == {"sequential", "thread", "process", "socket"}
+        assert backends == {"sequential", "thread", "socket"}
 
 
 def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
@@ -497,7 +497,7 @@ def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
     rows = []
     for dataset in ("amazon", "youtube"):
         for kernel in kernels:
-            for backend in ("process", "sequential", "thread"):
+            for backend in ("sequential", "socket", "thread"):
                 row = {
                     "dataset": dataset,
                     "mode": "evaluate",
@@ -557,7 +557,7 @@ class TestKernelsGate:
         payload = _kernels_payload()
         payload["kernels"]["rows"] = [
             row for row in payload["kernels"]["rows"]
-            if not (row["kernel"] == "numpy" and row.get("backend") == "process")
+            if not (row["kernel"] == "numpy" and row.get("backend") == "socket")
         ]
         cur = self._both(tmp_path, "cur.json", payload)
         assert gate.main([cur, base]) == 1
@@ -889,6 +889,18 @@ class TestGateTable:
         }
         written = set(re.findall(r"--json\s+(BENCH_\w+\.json)", text))
         assert written and written <= compared
+
+    def test_ci_smoke_loop_drives_every_executor(self):
+        """The CLI smoke loop runs exactly the registered backends and
+        diffs each one's normalized output against sequential's."""
+        from repro.distributed.executors import EXECUTORS
+
+        workflow = SCRIPT.parent.parent / ".github" / "workflows" / "ci.yml"
+        text = workflow.read_text(encoding="utf-8")
+        (loop,) = re.findall(r"for backend in ([\w ]+); do", text)
+        assert loop.split() == list(EXECUTORS)
+        diffed = set(re.findall(r"diff norm-sequential\.txt norm-(\w+)\.txt", text))
+        assert diffed == set(EXECUTORS) - {"sequential"}
 
     def test_experiments_md_names_every_experiment_and_gate(self, gate):
         from repro.bench import EXPERIMENTS

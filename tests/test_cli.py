@@ -168,4 +168,4 @@ class TestCli:
         code = main(["baselines", "--scale", "0.0005", "--queries", "1"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "disReachm" in out and "process" in out
+        assert "disReachm" in out and "socket" in out

@@ -1,7 +1,7 @@
 """Executor backends: identical answers and modeled costs on every backend.
 
 The tentpole guarantee of the executor layer (DESIGN.md §5): backends change
-*how* site-local work executes (inline / thread pool / process pool), never
+*how* site-local work executes (inline / thread pool / TCP brokers), never
 *what* it computes — answers, visits, traffic, message logs and supersteps
 must be bit-identical to the sequential reference.  Wall-clock quantities
 (``response_seconds``, ``phase_wall_seconds``) are measured and therefore
@@ -19,7 +19,6 @@ from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.distributed import SimulatedCluster
 from repro.distributed.executors import (
     EXECUTORS,
-    ProcessExecutor,
     SequentialExecutor,
     SiteTask,
     SocketExecutor,
@@ -185,7 +184,7 @@ class TestPhaseMap:
         assert values == [0, 2, 4]
         assert stats.supersteps == 1
 
-    @pytest.mark.parametrize("backend", ["process", "socket"])
+    @pytest.mark.parametrize("backend", ["socket"])
     def test_stats_round_trip_through_worker_processes(self, backend, figure1):
         # Message is a slotted frozen dataclass (no __dict__ to pickle): it
         # and the stats holding it must survive both directions of a real
@@ -218,15 +217,16 @@ def _explode():
 
 class TestRegistry:
     def test_known_backends(self):
-        assert set(EXECUTORS) == {"sequential", "thread", "process", "socket"}
+        assert set(EXECUTORS) == {"sequential", "thread", "socket"}
         assert isinstance(get_executor("sequential"), SequentialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
-        assert isinstance(get_executor("process"), ProcessExecutor)
         assert isinstance(get_executor("socket"), SocketExecutor)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(DistributedError, match="unknown executor"):
             get_executor("mapreduce")
+        with pytest.raises(DistributedError, match="unknown executor"):
+            get_executor("process")
         with pytest.raises(DistributedError):
             set_default_executor("mapreduce")
         with pytest.raises(DistributedError):

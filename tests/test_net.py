@@ -341,6 +341,15 @@ class TestFailureModel:
         with pytest.raises(DistributedError, match="num_brokers"):
             SocketExecutor(num_brokers=0)
 
+    def test_rejects_configurations_that_reach_no_broker(self):
+        # An empty address list or a non-positive deadline would degrade
+        # every task to inline evaluation (or fail on the first round).
+        with pytest.raises(DistributedError, match="addresses"):
+            SocketExecutor(addresses=[])
+        for timeout in (0, -1):
+            with pytest.raises(DistributedError, match="timeout"):
+                SocketExecutor(timeout=timeout)
+
 
 class TestSocketIdentityProperties:
     @settings(max_examples=5, deadline=None)

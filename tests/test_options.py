@@ -4,7 +4,7 @@ Walks ``core.engine.REGISTRY`` x the option table and checks, through
 ``evaluate``, ``LocalClient`` and ``RemoteClient``, that an *explicit*
 option is accepted or refused exactly as the table says and that a
 *default* (connect-level or process-wide) never raises; that the options
-object is hashable and crosses the process and socket executors; that its
+object is hashable and crosses the socket executor's wire; that its
 cache-key projection holds the oracle and not the kernel; and that a
 standing session evaluates one way on every path.
 """
@@ -199,7 +199,7 @@ class TestTheCarrier:
         request = {"op": "query", "kernel": "numpy", "shortcuts": "reach"}
         assert EvalOptions.from_wire(request) == EvalOptions(kernel="numpy")
 
-    @pytest.mark.parametrize("backend", ["process", "socket"])
+    @pytest.mark.parametrize("backend", ["socket"])
     def test_crosses_worker_process_boundaries(self, backend):
         cluster = _cluster()
         explicit = EvalOptions(kernel="numpy", oracle="tol")

@@ -402,8 +402,10 @@ class TestReplay:
         assert _signature(replayed, queries) == _signature(static, queries)
 
     def test_replay_with_process_backend_matches_sequential(self):
+        """Replay on the socket backend matches sequential: the broker
+        processes are the process boundary the replayed fragments cross."""
         signatures = []
-        for backend in ("sequential", "process"):
+        for backend in ("sequential", "socket"):
             cluster, _ = snap.nodes_only_cluster(
                 FIXTURE_GRAPH, 3, executor=backend
             )
