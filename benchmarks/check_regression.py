@@ -210,7 +210,7 @@ GATES: Dict[str, Gate] = {
         Check("present", (), "a kernel leg dropped out of the run",
               where=rows_with(mode="evaluate"), group=("dataset", "mode"),
               require={"kernel": ("numpy",),
-                       "backend": ("sequential", "socket", "thread")}),
+                       "backend": ("sequential", "socket")}),
         Check("exact", IDENTITY_METRICS, "numpy/sequential modeled stats " + STALE_WHY,
               where=rows_with(mode="evaluate", kernel="numpy", backend="sequential")),
         Check("same", IDENTITY_METRICS, "kernel identity broken",
@@ -240,7 +240,7 @@ GATES: Dict[str, Gate] = {
         Check("bound", ("status",), "a shortcut sweep cell degraded to a skip "
               "(backends must never drop silently)", op="==", limit="ok"),
         Check("bound", ("backends",), "a backend is missing from the identity sweep",
-              op="covers", limit="sequential/socket/thread"),
+              op="covers", limit="sequential/socket"),
         # All superstep counts are deterministic; the tightest pinned cell
         # (reach on the tall grid) sits at 17x, the path row at ~128x.
         # longcycle rows are identity-checked but not floored — they exist

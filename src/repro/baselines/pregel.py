@@ -15,7 +15,7 @@ makes (Malewicz et al., SIGMOD 2010).  A task receives only what its site
 stores (its fragments, the pending messages and state values of its
 vertices) and returns a pure :class:`SiteSuperstepResult`; the engine then
 routes the outboxes through the master.  Consequently the Pregel baselines
-run on *every* executor backend — sequential, thread, socket — with
+run on *every* executor backend — sequential and socket — with
 bit-identical answers, visits, traffic, message logs and superstep counts
 (asserted by ``tests/test_executors.py``).
 

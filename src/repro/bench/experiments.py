@@ -1008,7 +1008,7 @@ def exp_baselines(
 
     Since the supersteps are sharded through the executor protocol
     (stateless vertex programs via ``ParallelPhase.map``), ``disReachm``
-    and ``disDistm`` run on all three backends; this experiment evaluates
+    and ``disDistm`` run on every backend; this experiment evaluates
     the pinned workload on each and reports the modeled stats side by
     side.  Answers, visits, traffic, message counts and supersteps are
     deterministic and must be identical across backends — asserted here
@@ -1384,10 +1384,8 @@ def exp_serving(
 #: Pinned knobs of the ``snap`` experiment's offline fixture mode (what the
 #: CI gate enforces): small deterministic sweep on the committed fixtures.
 SNAP_FIXTURE_PARTITIONERS = ("hash", "refined")
-SNAP_FIXTURE_BACKENDS = ("sequential", "thread")
-#: Real-dataset sweep dimensions (budget-capped, skip-with-reason).
+#: Real-dataset sweep partitioners (budget-capped, skip-with-reason).
 SNAP_PARTITIONERS = ("hash", "chunk", "refined")
-SNAP_BACKENDS = ("sequential", "thread")
 #: Theorem-envelope headroom: realized mean traffic bytes per query must
 #: stay under ``SNAP_ENV_FACTOR`` x the evaluated |Vq|^p * |Vf|^2 bound.
 #: The bound counts boundary-node terms; realized bytes carry per-term
@@ -1489,12 +1487,13 @@ def exp_snap(
     * ``load`` — the streaming parse (:mod:`repro.workload.snap`) timed and
       RSS-stamped: the measured nodes/edges/wall/RSS record README's
       largest-graph-served number.
-    * ``static`` — the sweep of partitioners x algorithms x backends.
-      Each cell reports the fragmentation's ``|Vf|``, the
-      evaluated Theorem 1–2 envelope (``bound = |Vf|^2``) and the realized
-      mean modeled traffic next to it; ``env_ok`` holds realized bytes
-      under ``SNAP_ENV_FACTOR x bound`` and answers are asserted identical
-      across every cell of a (dataset, algorithm) pair.
+    * ``static`` — the sweep of partitioners x algorithms on the
+      ``sequential`` backend (modeled metrics are backend-independent; the
+      ``backend`` column names it).  Each cell reports the fragmentation's
+      ``|Vf|``, the evaluated Theorem 1–2 envelope (``bound = |Vf|^2``) and
+      the realized mean modeled traffic next to it; ``env_ok`` holds
+      realized bytes under ``SNAP_ENV_FACTOR x bound`` and answers are
+      asserted identical across every cell of a (dataset, algorithm) pair.
     * ``replay`` / ``replay-monitor`` — the edge-arrival replay: a
       nodes-only cluster (assignment computed on the full graph) absorbs
       the dataset's stream through ``apply_edge_mutation``; the plain
@@ -1526,15 +1525,12 @@ def exp_snap(
     if fixture:
         datasets = [(name, "fixture") for name in sorted(snap_mod.FIXTURES)]
         partitioners: Sequence[str] = SNAP_FIXTURE_PARTITIONERS
-        backends: Sequence[str] = SNAP_FIXTURE_BACKENDS
     elif snap_graphs:
         datasets = [(str(path), "path") for path in snap_graphs]
         partitioners = SNAP_PARTITIONERS
-        backends = SNAP_BACKENDS
     else:
         datasets = [(name, "snap") for name in sorted(snap_mod.SNAP_SPECS)]
         partitioners = SNAP_PARTITIONERS
-        backends = SNAP_BACKENDS
     kernel = resolve_kernel()
 
     result = ExperimentResult(
@@ -1609,91 +1605,54 @@ def exp_snap(
             ("disReach", reach_queries), ("disDist", bounded_queries),
         ]
 
-        # -- static sweep: partitioners x backends x algorithms -------------
+        # -- static sweep: partitioners x algorithms -----------------------
         # Modeled metrics (|Vf|, traffic, visits, answers) are
-        # backend-independent, so a budgeted run must cover every partitioner
-        # once before widening: the primary cells (first backend) answer the
-        # refined-vs-hash headline, the wide cells only add wall-clock
-        # cross-checks.  The replay rows run between the two passes, so the
-        # budget cuts the least informative cells first.
-        reference: Dict[str, Tuple] = {}
-        primary_cells = [(pname, backends[0]) for pname in partitioners]
-        wide_cells = [
-            (pname, backend) for pname in partitioners for backend in backends[1:]
-        ]
-
-        partition_cache: Dict[str, Tuple] = {}
-
-        def partition_info(pname):
-            if pname not in partition_cache:
-                assignment, _ = _resolve_assignment(graph, card, pname, seed)
-                partition_cache[pname] = (
-                    assignment,
-                    measure_quality(
-                        build_fragmentation(graph, assignment, card)
-                    ),
+        # backend-independent, so the sweep runs on the sequential reference;
+        # cross-backend identity is what the kernels and baselines benches gate.
+        reference: Dict[str, str] = {}
+        cut = False
+        for pname in partitioners:
+            assignment, _ = _resolve_assignment(graph, card, pname, seed)
+            fragmentation = build_fragmentation(graph, assignment, card)
+            quality = measure_quality(fragmentation)
+            engine = BatchQueryEngine(
+                SimulatedCluster(fragmentation, executor="sequential")
+            )
+            for algorithm, queries in workloads:
+                cut = over_budget()
+                if cut:
+                    break
+                with stopwatch() as watch:
+                    batch = engine.run_batch(queries, algorithm=algorithm)
+                answers = "".join("T" if a else "F" for a in batch.answers)
+                if reference.setdefault(algorithm, answers) != answers:  # pragma: no cover - guard
+                    raise AssertionError(
+                        f"{dataset}/{algorithm}: answers under {pname} "
+                        f"diverge ({answers} vs {reference[algorithm]})"
+                    )
+                n = len(queries)
+                traffic = sum(r.stats.traffic_bytes for r in batch.results)
+                bound = quality.traffic_bound(algorithm)
+                result.add_row(
+                    dataset=dataset, mode="static",
+                    partitioner=pname, algorithm=algorithm,
+                    backend="sequential", kernel=kernel,
+                    nodes=graph.num_nodes, edges=graph.num_edges,
+                    Vf=quality.num_boundary_nodes, bound=bound,
+                    traffic_KB=traffic / n / 1e3,
+                    network_ms=sum(
+                        r.stats.network_seconds for r in batch.results
+                    ) / n * 1e3,
+                    visits=sum(r.stats.total_visits for r in batch.results),
+                    answers=answers,
+                    env_ok=int(traffic / n <= SNAP_ENV_FACTOR * bound),
+                    wall_ms=watch[0] * 1e3,
+                    rss_MB=_peak_rss_mb(),
+                    status="ok",
                 )
-            return partition_cache[pname]
-
-        engine_key = None
-        engine = None
-
-        def run_cells(cells) -> bool:
-            """Evaluate static cells in order; True if the budget cut them."""
-            nonlocal engine_key, engine
-            for pname, backend in cells:
-                assignment, quality = partition_info(pname)
-                if engine_key != (pname, backend):
-                    engine = BatchQueryEngine(
-                        SimulatedCluster(
-                            build_fragmentation(graph, assignment, card),
-                            executor=backend,
-                        )
-                    )
-                    engine_key = (pname, backend)
-                for algorithm, queries in workloads:
-                    if over_budget():
-                        return True
-                    with stopwatch() as watch:
-                        batch = engine.run_batch(queries, algorithm=algorithm)
-                    answers = "".join(
-                        "T" if a else "F" for a in batch.answers
-                    )
-                    if algorithm not in reference:
-                        reference[algorithm] = answers
-                    elif answers != reference[algorithm]:  # pragma: no cover - guard
-                        raise AssertionError(
-                            f"{dataset}/{algorithm}: answers under "
-                            f"{pname}/{backend} diverge "
-                            f"({answers} vs {reference[algorithm]})"
-                        )
-                    n = len(queries)
-                    traffic = sum(
-                        r.stats.traffic_bytes for r in batch.results
-                    )
-                    bound = quality.traffic_bound(algorithm)
-                    result.add_row(
-                        dataset=dataset, mode="static",
-                        partitioner=pname, algorithm=algorithm,
-                        backend=backend, kernel=kernel,
-                        nodes=graph.num_nodes, edges=graph.num_edges,
-                        Vf=quality.num_boundary_nodes, bound=bound,
-                        traffic_KB=traffic / n / 1e3,
-                        network_ms=sum(
-                            r.stats.network_seconds for r in batch.results
-                        ) / n * 1e3,
-                        visits=sum(
-                            r.stats.total_visits for r in batch.results
-                        ),
-                        answers=answers,
-                        env_ok=int(traffic / n <= SNAP_ENV_FACTOR * bound),
-                        wall_ms=watch[0] * 1e3,
-                        rss_MB=_peak_rss_mb(),
-                        status="ok",
-                    )
-            return False
-
-        if run_cells(primary_cells):
+            if cut:
+                break
+        if cut:
             result.add_row(
                 dataset=dataset, mode="skip",
                 status=(
@@ -1783,16 +1742,6 @@ def exp_snap(
                 status="ok", replayed=report.applied,
                 refines=len(monitor.refinements),
                 moves=sum(r.moved_nodes for r in monitor.refinements),
-            )
-
-        # -- wide static cells: the wall-clock cross-checks -----------------
-        if run_cells(wide_cells):
-            result.add_row(
-                dataset=dataset, mode="skip",
-                status=(
-                    f"skipped remaining cells: wall budget {wall_budget_s:.0f}s "
-                    "exceeded (--wall-budget-s to raise)"
-                ),
             )
     return result
 

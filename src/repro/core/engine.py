@@ -149,7 +149,7 @@ def evaluate(
 
     With no ``algorithm``, the paper's partial-evaluation algorithm for the
     query's class is used.  ``executor`` overrides the cluster's execution
-    backend for this one evaluation (``sequential``/``thread``/``socket``).
+    backend for this one evaluation (``sequential``/``socket``).
     ``kernel``, ``oracle`` and ``shortcuts`` are explicit strategy choices:
     which algorithms take which is the option table of
     :mod:`repro.core.options` (DESIGN.md §14), and passing one to an

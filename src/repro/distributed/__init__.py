@@ -1,8 +1,8 @@
 """Simulated distributed runtime: sites, coordinator, traffic/visit accounting.
 
 Parallel phases execute on a pluggable backend (:mod:`.executors`):
-``sequential`` (default, deterministic), ``thread``, or ``socket``
-(separate OS processes over TCP; :mod:`repro.net`).
+``sequential`` (default, deterministic) or ``socket`` (separate OS
+processes over TCP; :mod:`repro.net`).
 """
 
 from .cluster import ParallelPhase, Run, SimulatedCluster
@@ -13,7 +13,6 @@ from .executors import (
     SiteTask,
     SocketExecutor,
     TaskResult,
-    ThreadExecutor,
     default_executor_name,
     get_executor,
     resolve_executor,
@@ -39,7 +38,6 @@ __all__ = [
     "SiteTask",
     "SocketExecutor",
     "TaskResult",
-    "ThreadExecutor",
     "WorkloadStats",
     "default_executor_name",
     "get_executor",

@@ -17,7 +17,7 @@ DESIGN.md §3.1 and §4):
 
 *Execution* of the site-local work is delegated to a pluggable backend
 (:mod:`repro.distributed.executors`, DESIGN.md §5): ``sequential`` (the
-default — inline, deterministic), ``thread``, or ``socket``.  Backends only
+default — inline, deterministic) or ``socket``.  Backends only
 change how fast the wall clock runs; per-site compute is timed where it
 runs, so answers and the modeled costs above are identical under every
 backend.
@@ -353,7 +353,7 @@ class SimulatedCluster:
 
         ``executor`` selects the execution backend for parallel phases — a
         name from :data:`repro.distributed.executors.EXECUTORS`
-        (``sequential``/``thread``/``socket``), a backend
+        (``sequential``/``socket``), a backend
         instance, or ``None`` for the process-wide default (normally
         sequential)."""
         if bandwidth <= 0:

@@ -8,14 +8,8 @@ makes how site-local work *executes* a pluggable backend (DESIGN.md §5):
 
 ``sequential``
     The default: run every site task inline, in submission order.  Fully
-    deterministic; zero overhead; the reference semantics every other
+    deterministic; zero overhead; the reference semantics the socket
     backend must reproduce bit-for-bit.
-
-``thread``
-    A shared :class:`concurrent.futures.ThreadPoolExecutor`.  Site tasks are
-    pure functions over immutable fragments, so they release work to the OS
-    scheduler freely; CPython's GIL limits the speedup for pure-Python
-    compute, but any oracle/index releasing the GIL benefits immediately.
 
 ``socket``
     Broker processes reached over TCP (:mod:`repro.net`).  Task functions
@@ -37,19 +31,12 @@ worker (:func:`run_timed`), so the modeled ``response_seconds`` keeps the
 same max-of-phase semantics under every backend, while
 ``ExecutionStats.phase_wall_seconds`` records what actually elapsed — their
 ratio is the observed speedup.
-
-Thread pools are shared per worker count across clusters and shut down at
-interpreter exit, so constructing many clusters (the test suite builds
-hundreds) costs nothing until a parallel phase actually runs.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
 import time
 import weakref
-from concurrent import futures
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, Union
 
 from ..errors import DistributedError
@@ -80,14 +67,14 @@ def run_timed(task: SiteTask) -> TaskResult:
     """Execute one task, timing it where it runs (worker side).
 
     The duration is *CPU time of the executing thread* (``thread_time``),
-    not wall clock: concurrent backends time-slice tasks whenever workers
-    outnumber schedulable cores (GIL contention for threads, oversubscribed
-    or cgroup-limited hosts for brokers), which inflates each task's wall
-    clock by the waiting.  CPU time measures the quantity the simulator
-    models — the site's own compute — identically under every backend, so
-    the modeled response time and the reported speedup stay honest even on
-    a contended machine (where ``parallel_speedup`` correctly reads ~1.0
-    instead of a phantom ``num_workers``x).
+    not wall clock: broker processes time-slice tasks whenever they
+    outnumber schedulable cores (oversubscribed or cgroup-limited hosts),
+    which inflates each task's wall clock by the waiting.  CPU time
+    measures the quantity the simulator models — the site's own compute —
+    identically under every backend, so the modeled response time and the
+    reported speedup stay honest even on a contended machine (where
+    ``parallel_speedup`` correctly reads ~1.0 instead of a phantom
+    ``num_brokers``x).
     """
     start = time.thread_time()
     value = task.fn(*task.args)
@@ -105,7 +92,7 @@ class ExecutorBackend:
     def bind_cluster(self, cluster: Any) -> None:
         """Notify the backend which cluster it executes for (optional hook).
 
-        The in-process backends ignore this; the socket backend uses it to
+        The sequential backend ignores this; the socket backend uses it to
         key shipped fragments by ``(cluster, fid, Fragment.version, stamp)``
         so writes and repartitions invalidate remote broker state.
         """
@@ -126,51 +113,6 @@ class SequentialExecutor(ExecutorBackend):
         return [run_timed(task) for task in tasks]
 
 
-#: Shared thread pools keyed by worker count.
-_POOLS: Dict[int, futures.ThreadPoolExecutor] = {}
-
-
-@atexit.register
-def shutdown_pools() -> None:
-    """Shut down every shared thread pool (idempotent; runs at exit)."""
-    while _POOLS:
-        _, pool = _POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class ThreadExecutor(ExecutorBackend):
-    """Concurrent site tasks on a shared thread pool."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise DistributedError(f"max_workers must be >= 1, got {max_workers}")
-        # Floor at 4: containerized environments routinely under-report
-        # cores (cgroup pinning can say 1 while several are schedulable),
-        # and a 1-worker pool would silently serialize every phase.  Mild
-        # oversubscription on a genuinely small host costs little for
-        # site-task shapes; pass max_workers explicitly to pin it.
-        self.max_workers = max_workers or max(os.cpu_count() or 1, 4)
-
-    def run_tasks(self, tasks: Sequence[SiteTask]) -> List[TaskResult]:
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            # Nothing to overlap: skip pool dispatch.
-            return [run_timed(task) for task in tasks]
-        pool = _POOLS.get(self.max_workers)
-        if pool is None:
-            pool = _POOLS[self.max_workers] = futures.ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-site"
-            )
-        return list(pool.map(run_timed, tasks))
-
-    def close(self) -> None:
-        pool = _POOLS.pop(self.max_workers, None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
 class SocketExecutor(ExecutorBackend):
     """Site tasks on broker *processes* reached over TCP (DESIGN.md §10).
 
@@ -188,7 +130,8 @@ class SocketExecutor(ExecutorBackend):
     repro.net.broker --listen`` brokers, ``timeout`` to tighten the
     per-round response deadline, and ``shared=False`` for a dedicated pool
     (what the crash tests use).  A configuration that can reach no broker
-    (empty ``addresses``, ``timeout <= 0``) is refused here, not degraded.
+    (empty ``addresses``, a bare address string, ``timeout <= 0``) is
+    refused here, not degraded.
     """
 
     name = "socket"
@@ -207,6 +150,11 @@ class SocketExecutor(ExecutorBackend):
             raise DistributedError(f"num_brokers must be >= 1, got {num_brokers}")
         if addresses is not None and not addresses:
             raise DistributedError("addresses must name at least one broker")
+        if isinstance(addresses, str):
+            raise DistributedError(
+                f"addresses must be a list of 'host:port' strings, got the "
+                f"string {addresses!r}"
+            )
         if timeout is not None and timeout <= 0:
             raise DistributedError(f"timeout must be > 0 seconds, got {timeout}")
         self.num_brokers = num_brokers or coordinator.DEFAULT_NUM_BROKERS
@@ -238,7 +186,6 @@ class SocketExecutor(ExecutorBackend):
 #: Registry of the interchangeable backends (``--executor`` choices).
 EXECUTORS: Dict[str, Type[ExecutorBackend]] = {
     SequentialExecutor.name: SequentialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     SocketExecutor.name: SocketExecutor,
 }
 

@@ -223,15 +223,15 @@ class BrokerPool:
             self._listener = None
 
 
-#: Shared pools keyed by configuration, mirroring the thread backend's ``_POOLS``.
-_BROKER_POOLS: Dict[Tuple[Any, ...], BrokerPool] = {}
+#: Shared broker pools keyed by configuration (see :func:`_pool_key`).
+_SHARED_BROKERS: Dict[Tuple[Any, ...], BrokerPool] = {}
 
 
 @atexit.register
 def shutdown_broker_pools() -> None:
     """Shut down every shared broker pool (idempotent; runs at exit)."""
-    while _BROKER_POOLS:
-        _, pool = _BROKER_POOLS.popitem()
+    while _SHARED_BROKERS:
+        _, pool = _SHARED_BROKERS.popitem()
         pool.close()
 
 
@@ -251,12 +251,12 @@ def pool_for(executor: Any) -> BrokerPool:
             )
         return executor._own_pool
     key = _pool_key(executor)
-    pool = _BROKER_POOLS.get(key)
+    pool = _SHARED_BROKERS.get(key)
     if pool is None:
         pool = BrokerPool(
             num_brokers=executor.num_brokers, addresses=executor.addresses
         )
-        _BROKER_POOLS[key] = pool
+        _SHARED_BROKERS[key] = pool
     return pool
 
 
@@ -266,7 +266,7 @@ def close_executor(executor: Any) -> None:
         executor._own_pool.close()
         executor._own_pool = None
         return
-    pool = _BROKER_POOLS.pop(_pool_key(executor), None)
+    pool = _SHARED_BROKERS.pop(_pool_key(executor), None)
     if pool is not None:
         pool.close()
 

@@ -5,7 +5,7 @@ any order, with any amount of cross-query reuse, on any executor backend —
 every query's answer and modeled per-query stats (visits, traffic, message
 log, supersteps) equal what sequential, uncached, one-by-one evaluation
 produces.  Hypothesis drives the shuffling; the executor matrix covers
-``sequential``/``thread``/``socket``.
+``sequential``/``socket``.
 """
 
 from __future__ import annotations

@@ -404,7 +404,7 @@ def _baselines_payload(visits=398, traffic=7.197, messages=793, supersteps=26,
                        drift_backend=None):
     rows = []
     for algorithm in ("disReachm", "disDistm"):
-        for backend in ("sequential", "socket", "thread"):
+        for backend in ("sequential", "socket"):
             row = {
                 "algorithm": algorithm,
                 "backend": backend,
@@ -489,7 +489,7 @@ class TestBaselinesGate:
         rows = gate.rows_by_key(payload, "baselines")
         assert rows, "baseline.json must carry the pinned baselines run"
         backends = {backend for _a, backend in rows}
-        assert backends == {"sequential", "thread", "socket"}
+        assert backends == {"sequential", "socket"}
 
 
 def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
@@ -497,7 +497,7 @@ def _kernels_payload(visits=24, traffic=97.526, messages=48, supersteps=6,
     rows = []
     for dataset in ("amazon", "youtube"):
         for kernel in kernels:
-            for backend in ("sequential", "socket", "thread"):
+            for backend in ("sequential", "socket"):
                 row = {
                     "dataset": dataset,
                     "mode": "evaluate",
@@ -533,7 +533,7 @@ class TestKernelsGate:
         base = self._both(tmp_path, "base.json", _kernels_payload())
         cur = self._both(
             tmp_path, "cur.json",
-            _kernels_payload(drift_pair=("numpy", "thread")),
+            _kernels_payload(drift_pair=("numpy", "socket")),
         )
         assert gate.main([cur, base]) == 1
         assert "kernel identity broken" in capsys.readouterr().err
@@ -605,7 +605,7 @@ class TestKernelsGate:
     def test_workload_only_baseline_skips_kernel_checks(self, gate, tmp_path):
         base = _write(tmp_path, "base.json", _payload())
         cur = self._both(
-            tmp_path, "cur.json", _kernels_payload(drift_pair=("numpy", "thread"))
+            tmp_path, "cur.json", _kernels_payload(drift_pair=("numpy", "socket"))
         )
         assert gate.main([cur, base]) == 0
 
@@ -635,28 +635,27 @@ def _snap_payload(
     ]
     for partitioner, vf in (("hash", 27), ("refined", refined_vf)):
         for algorithm in ("disReach", "disDist"):
-            for backend in ("sequential", "thread"):
-                rows.append(
-                    {
-                        "dataset": "fixture-plain",
-                        "mode": "static",
-                        "partitioner": partitioner,
-                        "algorithm": algorithm,
-                        "backend": backend,
-                        "kernel": "numpy",
-                        "Vf": vf,
-                        "bound": vf * vf,
-                        "traffic_KB": traffic * (2 if partitioner == "hash" else 1),
-                        "network_ms": 1.0,
-                        "visits": 16,
-                        "answers": (
-                            drift_answers
-                            if drift_answers and backend == "thread"
-                            else answers
-                        ),
-                        "env_ok": env_ok,
-                    }
-                )
+            rows.append(
+                {
+                    "dataset": "fixture-plain",
+                    "mode": "static",
+                    "partitioner": partitioner,
+                    "algorithm": algorithm,
+                    "backend": "sequential",
+                    "kernel": "numpy",
+                    "Vf": vf,
+                    "bound": vf * vf,
+                    "traffic_KB": traffic * (2 if partitioner == "hash" else 1),
+                    "network_ms": 1.0,
+                    "visits": 16,
+                    "answers": (
+                        drift_answers
+                        if drift_answers and partitioner == "refined"
+                        else answers
+                    ),
+                    "env_ok": env_ok,
+                }
+            )
     rows.append(
         {
             "dataset": "fixture-plain",
@@ -746,7 +745,7 @@ class TestSnapGate:
             row
             for row in payload["snap"]["rows"]
             if not (
-                row.get("mode") == "static" and row.get("backend") == "thread"
+                row.get("mode") == "static" and row.get("algorithm") == "disDist"
             )
         ]
         cur = _write(tmp_path, "cur.json", payload)
@@ -890,10 +889,15 @@ class TestGateTable:
         written = set(re.findall(r"--json\s+(BENCH_\w+\.json)", text))
         assert written and written <= compared
 
-    def test_ci_smoke_loop_drives_every_executor(self):
+    def test_ci_smoke_loop_drives_every_executor(self, gate):
         """The CLI smoke loop runs exactly the registered backends and
-        diffs each one's normalized output against sequential's."""
+        diffs each one's normalized output against sequential's; the gates
+        that name backends name exactly the registered ones too."""
         from repro.distributed.executors import EXECUTORS
+
+        (kernels_require,) = [c.require for c in gate.GATES["kernels"].checks if c.require]
+        (covers,) = [c.limit for c in gate.GATES["shortcuts"].checks if c.op == "covers"]
+        assert set(kernels_require["backend"]) == set(covers.split("/")) == set(EXECUTORS)
 
         workflow = SCRIPT.parent.parent / ".github" / "workflows" / "ci.yml"
         text = workflow.read_text(encoding="utf-8")

@@ -1,7 +1,7 @@
 """Executor backends: identical answers and modeled costs on every backend.
 
 The tentpole guarantee of the executor layer (DESIGN.md §5): backends change
-*how* site-local work executes (inline / thread pool / TCP brokers), never
+*how* site-local work executes (inline / TCP brokers), never
 *what* it computes — answers, visits, traffic, message logs and supersteps
 must be bit-identical to the sequential reference.  Wall-clock quantities
 (``response_seconds``, ``phase_wall_seconds``) are measured and therefore
@@ -22,7 +22,6 @@ from repro.distributed.executors import (
     SequentialExecutor,
     SiteTask,
     SocketExecutor,
-    ThreadExecutor,
     default_executor_name,
     get_executor,
     resolve_executor,
@@ -128,9 +127,9 @@ class TestBackendEquivalence:
         _graph, _fragmentation, cluster = figure1
         assert cluster.executor.name == "sequential"
         result = evaluate(
-            cluster, ReachQuery("Ann", "Mark"), "disReach", executor="thread"
+            cluster, ReachQuery("Ann", "Mark"), "disReach", executor="socket"
         )
-        assert result.stats.executor == "thread"
+        assert result.stats.executor == "socket"
         assert cluster.executor.name == "sequential"
 
 
@@ -217,20 +216,40 @@ def _explode():
 
 class TestRegistry:
     def test_known_backends(self):
-        assert set(EXECUTORS) == {"sequential", "thread", "socket"}
+        assert set(EXECUTORS) == {"sequential", "socket"}
         assert isinstance(get_executor("sequential"), SequentialExecutor)
-        assert isinstance(get_executor("thread"), ThreadExecutor)
         assert isinstance(get_executor("socket"), SocketExecutor)
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, figure1, tmp_path, capsys):
+        from repro.bench.__main__ import main as bench_main
+        from repro.cli import main as cli_main
+        from repro.graph import graph_io
+
+        graph, _fragmentation, cluster = figure1
+        graph_file = str(tmp_path / "figure1.txt")
+        graph_io.save(graph, graph_file)
         with pytest.raises(DistributedError, match="unknown executor"):
             get_executor("mapreduce")
-        with pytest.raises(DistributedError, match="unknown executor"):
-            get_executor("process")
         with pytest.raises(DistributedError):
             set_default_executor("mapreduce")
         with pytest.raises(DistributedError):
             resolve_executor(42)
+        # The removed backends are refused on every surface, with no alias.
+        original = default_executor_name()
+        for name in ("process", "thread"):
+            with pytest.raises(DistributedError, match="unknown executor"):
+                get_executor(name)
+            with pytest.raises(DistributedError, match="unknown executor"):
+                set_default_executor(name)
+            with pytest.raises(DistributedError, match="unknown executor"):
+                evaluate(cluster, ReachQuery("Ann", "Mark"), executor=name)
+            assert default_executor_name() == original
+            with pytest.raises(SystemExit) as cli_exit:
+                cli_main(["--graph", graph_file, "--executor", name, "reach", "Ann", "Mark"])
+            with pytest.raises(SystemExit) as bench_exit:
+                bench_main(["--executor", name])
+            assert cli_exit.value.code == bench_exit.value.code == 2
+        assert capsys.readouterr().err.count("invalid choice") == 4
 
     def test_resolve_accepts_instance_and_none(self):
         backend = SequentialExecutor()
@@ -240,16 +259,12 @@ class TestRegistry:
     def test_default_executor_roundtrip(self):
         original = default_executor_name()
         try:
-            set_default_executor("thread")
-            assert default_executor_name() == "thread"
+            set_default_executor("socket")
+            assert default_executor_name() == "socket"
             cluster = SimulatedCluster(figure1_fragmentation())
-            assert cluster.executor.name == "thread"
+            assert cluster.executor.name == "socket"
         finally:
             set_default_executor(original)
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(DistributedError, match="max_workers"):
-            ThreadExecutor(max_workers=0)
 
     def test_sequential_runs_tasks_in_order(self):
         backend = SequentialExecutor()

@@ -342,10 +342,12 @@ class TestFailureModel:
             SocketExecutor(num_brokers=0)
 
     def test_rejects_configurations_that_reach_no_broker(self):
-        # An empty address list or a non-positive deadline would degrade
-        # every task to inline evaluation (or fail on the first round).
-        with pytest.raises(DistributedError, match="addresses"):
-            SocketExecutor(addresses=[])
+        # An empty address list, a bare address string (which would split
+        # into one "address" per character) or a non-positive deadline would
+        # degrade every task to inline evaluation (or fail on the first round).
+        for addresses in ([], "127.0.0.1:9000"):
+            with pytest.raises(DistributedError, match="addresses"):
+                SocketExecutor(addresses=addresses)
         for timeout in (0, -1):
             with pytest.raises(DistributedError, match="timeout"):
                 SocketExecutor(timeout=timeout)

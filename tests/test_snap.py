@@ -369,28 +369,25 @@ class TestReplay:
     @settings(max_examples=25)
     @given(
         prefix=st.integers(0, len(FIXTURE_STREAM)),
-        backend=st.sampled_from(["sequential", "thread"]),
         partitioner=st.sampled_from(["chunk", "hash", "refined"]),
     )
-    def test_any_prefix_replay_matches_static_load(self, prefix, backend, partitioner):
+    def test_any_prefix_replay_matches_static_load(self, prefix, partitioner):
         """Replaying a stream prefix == statically loading that prefix.
 
         Bit-identical answers, visit counts and modeled traffic, for every
-        prefix length, executor backend and partitioner — the replay path
+        prefix length and partitioner — the replay path
         (apply_edge_mutation per record) is just a slower way to build the
-        same cluster.
+        same cluster.  The backend is the next test's axis.
         """
         replayed, assignment = snap.nodes_only_cluster(
-            FIXTURE_GRAPH, 3, partitioner=partitioner, executor=backend
+            FIXTURE_GRAPH, 3, partitioner=partitioner
         )
         snap.replay_edges(replayed, FIXTURE_STREAM[:prefix])
         static_graph = DiGraph()
         for node in FIXTURE_GRAPH.nodes():
             static_graph.add_node(node)
         static_graph.add_edges_from(FIXTURE_STREAM[:prefix])
-        static = SimulatedCluster(
-            build_fragmentation(static_graph, assignment, 3), executor=backend
-        )
+        static = SimulatedCluster(build_fragmentation(static_graph, assignment, 3))
         assert (
             replayed.fragmentation.restore_graph() == static_graph
         )
@@ -503,14 +500,14 @@ class TestExpSnap:
         """Budget expiry between phases emits a skip row per cut phase.
 
         A fake clock advancing one second per ``perf_counter`` call makes the
-        cut deterministic: 60 fake seconds is enough for the primary static
-        cells but expires before the replay loop, so the replay, the
-        replay-monitor and the wide-cell passes must each leave their own
+        cut deterministic: 60 fake seconds is enough for the whole static
+        sweep but expires before the replay loop, so the replay and the
+        replay-monitor passes of every dataset must each leave their own
         skip row (never a silent omission).
         """
         import time as time_mod
 
-        from repro.bench.experiments import exp_snap
+        from repro.bench.experiments import SNAP_FIXTURE_PARTITIONERS, exp_snap
 
         ticks = itertools.count(1)
         monkeypatch.setattr(
@@ -518,11 +515,12 @@ class TestExpSnap:
         )
         rows = exp_snap(fixture=True, num_queries=2, wall_budget_s=60.0).rows
         statics = [row for row in rows if row["mode"] == "static"]
-        assert statics, "primary cells should have run before the cut"
+        # every fixture x partitioner x (disReach, disDist) ran before the cut
+        assert len(statics) == len(snap.FIXTURES) * len(SNAP_FIXTURE_PARTITIONERS) * 2
         reasons = [row["status"] for row in rows if row["mode"] == "skip"]
-        assert any("skipped replay:" in r for r in reasons)
-        assert any("skipped replay-monitor:" in r for r in reasons)
-        assert any("skipped remaining cells" in r for r in reasons)
+        assert [r.split(":")[0] for r in reasons] == [
+            "skipped replay", "skipped replay-monitor"
+        ] * len(snap.FIXTURES)
 
 
 # ---------------------------------------------------------------------------

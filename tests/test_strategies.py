@@ -47,7 +47,7 @@ FAMILIES = {
         executors.EXECUTOR_REGISTRY,
         DistributedError,
         "unknown executor 'warp'; known: sequential, ",
-        "thread",
+        "socket",
     ),
 }
 
