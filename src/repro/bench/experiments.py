@@ -1181,7 +1181,9 @@ def exp_shortcuts(
     none-mode superstep count divided by the mode's — the number the CI
     gate keeps >= 4x on the path/grid rows.
     ``build_ms``/``shortcut_edges``/``shortcut_msgs`` expose the
-    precompute cost and how much of the traffic rode shortcut edges.
+    precompute cost and how much of the traffic rode shortcut edges;
+    they and ``time_ms`` are read off the ``sequential`` run, so no
+    broker spawn or wire time leaks into them.
     """
     from ..distributed.executors import EXECUTORS
     from ..core.queries import ReachQuery
@@ -1211,7 +1213,7 @@ def exp_shortcuts(
         for mode in ("none", "reach"):
             reference: Optional[Tuple] = None
             swept: List[str] = []
-            evaluations = []
+            reported: List = []
             elapsed = 0.0
             for backend in sorted(EXECUTORS):
                 try:
@@ -1224,7 +1226,9 @@ def exp_shortcuts(
                         evaluate(cluster, q, algorithm, shortcuts=mode)
                         for q in queries
                     ]
-                    elapsed = time.perf_counter() - start
+                    if backend == "sequential":
+                        reported = evaluations
+                        elapsed = time.perf_counter() - start
                 except Exception as exc:  # pragma: no cover - env-dependent
                     result.add_row(
                         dataset=name, mode=mode, algorithm=algorithm,
@@ -1252,7 +1256,7 @@ def exp_shortcuts(
             answers, _visits, _traffic, _messages, supersteps = reference
             if base_supersteps is None:
                 base_supersteps = supersteps
-            details = [r.details.get("shortcuts") for r in evaluations]
+            details = [r.details.get("shortcuts") for r in reported]
             built = [d for d in details if d]
             result.add_row(
                 dataset=name, mode=mode, algorithm=algorithm,

@@ -41,9 +41,9 @@ class Client:
     A client holds the connect-level strategy defaults itself.  They are
     *soft* (DESIGN.md §14): each call is sent with its explicit options
     plus the defaults every one of its queries' algorithms takes — a
-    default oracle serves a mixed stream without reaching the bounded or
-    regular queries in it — while an explicit option the algorithm does
-    not take raises :class:`~repro.errors.QueryError`.
+    default kernel serves a mixed stream without reaching the baseline
+    queries in it — while an explicit option the algorithm does not take
+    raises :class:`~repro.errors.QueryError`.
     """
 
     _defaults = EvalOptions()
@@ -53,10 +53,9 @@ class Client:
         queries: Sequence[Any],
         algorithm: Optional[str],
         kernel: Optional[str],
-        oracle: Optional[str],
     ) -> EvalOptions:
         """One call's options: explicit over the defaults that apply."""
-        return EvalOptions(kernel=kernel, oracle=oracle).over(
+        return EvalOptions(kernel=kernel).over(
             self._defaults, {resolve_algorithm(query, algorithm) for query in queries}
         )
 
@@ -65,7 +64,6 @@ class Client:
         query: Any,
         algorithm: Optional[str] = None,
         kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
     ) -> Any:
         """Evaluate one query; returns its :class:`QueryResult`."""
         raise NotImplementedError
@@ -75,7 +73,6 @@ class Client:
         queries: Sequence[Any],
         algorithm: Optional[str] = None,
         kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
     ) -> Any:
         """Evaluate ``queries`` as one batch; returns a :class:`BatchResult`."""
         raise NotImplementedError
@@ -110,14 +107,14 @@ class LocalClient(Client):
         self._defaults = defaults
         self._served = 0
 
-    def query(self, query, algorithm=None, kernel=None, oracle=None):
+    def query(self, query, algorithm=None, kernel=None):
         """Evaluate one query through the serving path (a batch of one)."""
-        return self.batch([query], algorithm, kernel=kernel, oracle=oracle).results[0]
+        return self.batch([query], algorithm, kernel=kernel).results[0]
 
-    def batch(self, queries, algorithm=None, kernel=None, oracle=None):
+    def batch(self, queries, algorithm=None, kernel=None):
         """Evaluate ``queries`` as one engine batch."""
         queries = list(queries)
-        options = self._options(queries, algorithm, kernel, oracle)
+        options = self._options(queries, algorithm, kernel)
         self._served += len(queries)
         return self.engine.run_batch(queries, algorithm, **options.given())
 
@@ -152,15 +149,15 @@ class RemoteClient(Client):
         self._client = ServeClient(address, timeout=timeout)
         self._defaults = defaults
 
-    def query(self, query, algorithm=None, kernel=None, oracle=None):
+    def query(self, query, algorithm=None, kernel=None):
         """Evaluate one query on the server (admission-batched)."""
-        options = self._options([query], algorithm, kernel, oracle)
+        options = self._options([query], algorithm, kernel)
         return self._client.query(query, algorithm, options)
 
-    def batch(self, queries, algorithm=None, kernel=None, oracle=None):
+    def batch(self, queries, algorithm=None, kernel=None):
         """Evaluate ``queries`` as one server-side engine batch."""
         queries = list(queries)
-        options = self._options(queries, algorithm, kernel, oracle)
+        options = self._options(queries, algorithm, kernel)
         return self._client.batch(queries, algorithm, options)
 
     def session(self, query, kernel=None):
@@ -184,7 +181,6 @@ def connect(
     partitioner: str = "chunk",
     executor: Any = None,
     kernel: Optional[str] = None,
-    oracle: Optional[str] = None,
     seed: int = 0,
     timeout: float = 60.0,
 ) -> Client:
@@ -200,16 +196,15 @@ def connect(
 
     ``executor`` (name or :class:`ExecutorBackend` instance) selects the
     execution backend when this call constructs the cluster; ``kernel``
-    and ``oracle`` set the client's default local-evaluation kernel and
-    reachability index (registry names, validated here so typos fail at
-    connect time; soft defaults — see :class:`Client`).  The parameter
-    names match the ``repro`` CLI flags (``--fragments --partitioner
-    --executor --kernel --oracle --seed``).
+    sets the client's default local-evaluation kernel (a registry name,
+    validated here so a typo fails at connect time; a soft default — see
+    :class:`Client`).  The parameter names match the ``repro`` CLI flags
+    (``--fragments --partitioner --executor --kernel --seed``).
     """
     from .distributed.cluster import SimulatedCluster
     from .graph.digraph import DiGraph
 
-    defaults = EvalOptions(kernel=kernel, oracle=oracle)
+    defaults = EvalOptions(kernel=kernel)
     defaults.check_names()
     if isinstance(target, SimulatedCluster):
         return LocalClient(target, defaults)

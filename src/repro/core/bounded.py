@@ -107,7 +107,6 @@ class BoundedReachPlan(QueryPlan):
             query = BoundedReachQuery(*query)
         self.query = query
         self.options = options.resolved(self.algorithm)
-        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)
@@ -131,7 +130,6 @@ class BoundedReachPlan(QueryPlan):
         return (
             *endpoint_params(fragment, self.query.source, self.query.target),
             self.query.bound,
-            *self._keyed,
         )
 
     def merge_partials(self, parts: Sequence[BoundedRows]) -> BoundedRows:

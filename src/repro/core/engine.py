@@ -142,7 +142,6 @@ def evaluate(
     algorithm: Optional[str] = None,
     executor: Union[str, ExecutorBackend, None] = None,
     kernel: Optional[str] = None,
-    oracle: Optional[str] = None,
     shortcuts: Optional[str] = None,
 ) -> QueryResult:
     """Evaluate ``query`` on ``cluster``.
@@ -150,15 +149,15 @@ def evaluate(
     With no ``algorithm``, the paper's partial-evaluation algorithm for the
     query's class is used.  ``executor`` overrides the cluster's execution
     backend for this one evaluation (``sequential``/``socket``).
-    ``kernel``, ``oracle`` and ``shortcuts`` are explicit strategy choices:
-    which algorithms take which is the option table of
+    ``kernel`` and ``shortcuts`` are explicit strategy choices: which
+    algorithms take which is the option table of
     :mod:`repro.core.options` (DESIGN.md §14), and passing one to an
     algorithm that does not take it raises :class:`QueryError`.  Backends,
-    kernels, oracles and shortcuts change superstep/wall-clock behavior
-    only — answers are identical under all.
+    kernels and shortcuts change superstep/wall-clock behavior only —
+    answers are identical under all.
     """
     algorithm = resolve_algorithm(query, algorithm)
-    names = EvalOptions(kernel, oracle, shortcuts).resolved(algorithm).given()
+    names = EvalOptions(kernel, shortcuts).resolved(algorithm).given()
     fn = REGISTRY[algorithm][1]
     if executor is None:
         return fn(cluster, query, **names)

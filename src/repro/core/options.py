@@ -2,8 +2,8 @@
 
 :class:`EvalOptions` is what travels beneath the public entry points:
 ``evaluate``/``dis_*``/``repro.connect``/``Client``/``BatchQueryEngine``
-and the session constructors keep their ``kernel=``/``oracle=``/
-``shortcuts=`` keywords and convert once; plans, the serving engine, the
+and the session constructors keep their ``kernel=``/``shortcuts=``
+keywords and convert once; plans, the serving engine, the
 serve protocol and the CLIs carry or read the one object.  :data:`OPTIONS`
 declares, per option, which registry owns its names, which algorithms of
 :data:`repro.core.engine.REGISTRY` take it, how a refusal reads, whether
@@ -27,7 +27,6 @@ from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 from ..distributed.executors import EXECUTOR_REGISTRY
 from ..errors import QueryError
 from ..graph.shortcuts import SHORTCUT_REGISTRY
-from ..index.registry import ORACLE_REGISTRY
 from ..strategies import StrategyRegistry
 from .kernels import KERNEL_REGISTRY
 
@@ -42,11 +41,6 @@ class OptionSpec:
     takers: FrozenSet[str]
     #: How "algorithm X does not take ..." ends.
     refusal: str
-    #: Whether the resolved name is part of serving-cache keys.  Kernels are
-    #: bit-identical, so partials are kernel-invariant and shared; an
-    #: oracle's name stays in the key so a cached partial is never
-    #: attributed to an engine that did not produce it.
-    keys_cache: bool
     #: Whether the serving surface (``Client``, ``BatchQueryEngine``, the
     #: ``repro-serve`` request keys) carries the option.
     served: bool
@@ -57,21 +51,12 @@ OPTIONS: Dict[str, OptionSpec] = {
         KERNEL_REGISTRY,
         frozenset({"disReach", "disDist", "disRPQ"}),
         "a kernel (only the partial-evaluation algorithms do)",
-        keys_cache=False,
-        served=True,
-    ),
-    "oracle": OptionSpec(
-        ORACLE_REGISTRY,
-        frozenset({"disReach"}),
-        "a reachability oracle (only disReach does)",
-        keys_cache=True,
         served=True,
     ),
     "shortcuts": OptionSpec(
         SHORTCUT_REGISTRY,
         frozenset({"disReachm"}),
         "shortcuts (only disReachm does)",
-        keys_cache=False,
         served=False,
     ),
 }
@@ -96,7 +81,6 @@ class EvalOptions:
     """
 
     kernel: Optional[str] = None
-    oracle: Optional[str] = None
     shortcuts: Optional[str] = None
 
     def given(self) -> Dict[str, str]:
@@ -142,15 +126,6 @@ class EvalOptions:
                 raise QueryError(f"algorithm {algorithm!r} does not take {spec.refusal}")
         return EvalOptions(**names)
 
-    def cache_key(self) -> Tuple[str, ...]:
-        """The names that join serving-cache keys: the ``keys_cache`` rows
-        that are set — after :meth:`resolved`, those the algorithm takes."""
-        return tuple(
-            value
-            for name, spec in OPTIONS.items()
-            if spec.keys_cache and (value := getattr(self, name)) is not None
-        )
-
     def wire(self) -> Dict[str, Optional[str]]:
         """The request keys of the serve protocol (``served`` rows, set or not)."""
         return {name: getattr(self, name) for name in SERVED}
@@ -165,7 +140,7 @@ class EvalOptions:
 # the CLIs and the docs read the same table
 # ---------------------------------------------------------------------------
 def add_strategy_arguments(parser, names: Iterable[str] = tuple(STRATEGIES)) -> None:
-    """Add ``--executor``/``--kernel``/``--oracle``/``--shortcuts`` to ``parser``."""
+    """Add ``--executor``/``--kernel``/``--shortcuts`` to ``parser``."""
     for name in names:
         STRATEGIES[name].add_argument(parser)
 
@@ -181,8 +156,8 @@ def set_strategy_defaults(args, names: Iterable[str]) -> None:
 def strategy_table_markdown() -> str:
     """The strategy/option table of README.md and DESIGN.md §14."""
     lines = [
-        "| flag / keyword | env var | default | names | taken by | keys the site cache |",
-        "|---|---|---|---|---|---|",
+        "| flag / keyword | env var | default | names | taken by |",
+        "|---|---|---|---|---|",
     ]
     for name, registry in STRATEGIES.items():
         spec = OPTIONS.get(name)
@@ -192,7 +167,6 @@ def strategy_table_markdown() -> str:
             f"| {f'`{registry.env_var}`' if registry.env_var else '–'} "
             f"| `{registry.fallback}` "
             f"| {', '.join(f'`{n}`' for n in registry.names)} "
-            f"| {takers} "
-            f"| {'yes' if spec and spec.keys_cache else 'no'} |"
+            f"| {takers} |"
         )
     return "\n".join(lines)

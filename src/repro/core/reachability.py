@@ -12,12 +12,11 @@ The three steps of Fig. 3:
 
 A fragment's equations travel as one :class:`~repro.core.bes.BitRows`:
 the in-node rows over the shared ``oset`` column table, rows of one local
-SCC pointing at one shared set.  Both paths (the numpy kernel and an
-oracle) emit it through :meth:`~repro.core.bes.BitRows.from_masks`, the
-wire size is arithmetic over it (:class:`BooleanPartialAnswer`), and the
-coordinator's :class:`~repro.core.bes.BooleanEquationSystem` loads it by
-reference.  The same wire type carries disRPQ's vectors
-(:mod:`repro.core.regular`).
+SCC pointing at one shared set.  The numpy kernel emits it through
+:meth:`~repro.core.bes.BitRows.from_masks`, the wire size is arithmetic
+over it (:class:`BooleanPartialAnswer`), and the coordinator's
+:class:`~repro.core.bes.BooleanEquationSystem` loads it by reference.
+The same wire type carries disRPQ's vectors (:mod:`repro.core.regular`).
 
 Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 ``O(|Vf||Fm|)`` time — asserted by the test suite on every run.
@@ -25,18 +24,16 @@ Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from dataclasses import dataclass
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
-from ..index.registry import resolve_oracle
-from ..index.store import fragment_oracle
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import TRUE, BitRows, BooleanEquationSystem
+from .bes import BitRows, BooleanEquationSystem
 from .kernels import reach_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
@@ -82,7 +79,6 @@ def local_eval_reach(
     fragment: Fragment,
     query: ReachQuery,
     kernel: Optional[str] = None,
-    oracle: Optional[str] = None,
 ) -> BitRows:
     """Procedure ``localEval`` (Fig. 3) on one fragment.
 
@@ -93,46 +89,12 @@ def local_eval_reach(
 
     The numpy kernel answers all ``des(v, Fi) ∩ oset`` questions in one
     sweep of the fragment's SCC condensation (:mod:`repro.core.kernels`);
-    ``kernel`` is resolved, which rejects an unknown name.  ``oracle``
-    names a registry index (Section 3's "any indexing techniques ... can
-    be applied here") resolved from the fragment's per-stamp store — built
-    at most once, maintained across mutations.  Both inner engines are
-    exact, so equations stay bit-identical either way.  Plans pass
-    resolved names; ``None`` falls back to the registry defaults for
-    direct callers.
+    ``kernel`` is resolved, which rejects an unknown name.  Plans pass the
+    resolved name; ``None`` falls back to the registry default for direct
+    callers.
     """
     resolve_kernel(kernel)
-    oracle = resolve_oracle(oracle)
-    if oracle == "none":
-        return reach_rows(fragment, query.source, query.target)
-    roots, seeds = _boundary(fragment, query.source, query.target)
-    columns = [TRUE if seed == query.target else seed for seed in seeds]
-    if not roots or not seeds:
-        return BitRows.from_masks(roots, columns, [0] * len(roots))
-    engine = fragment_oracle(fragment, oracle)
-    masks = [
-        sum(1 << j for j, seed in enumerate(seeds) if engine.reaches(v, seed))
-        for v in roots
-    ]
-    return BitRows.from_masks(roots, columns, masks)
-
-
-def _boundary(
-    fragment: Fragment, source: Node, target: Node
-) -> Tuple[List[Node], List[Node]]:
-    """The oracle path's roots and seeds on ``fragment``, sorted by ``repr``.
-
-    Roots are ``Fi.I`` plus ``source`` when it is stored here; seeds are
-    ``Fi.O`` plus ``target`` when it is stored here — what the numpy
-    kernel reads from :func:`~repro.core.csr.boundary_prologue`.
-    """
-    iset = set(fragment.in_nodes)
-    oset = set(fragment.virtual_nodes)
-    if source in fragment.nodes:
-        iset.add(source)
-    if target in fragment.nodes:
-        oset.add(target)
-    return sorted(iset, key=repr), sorted(oset, key=repr)
+    return reach_rows(fragment, query.source, query.target)
 
 
 def assemble_reach(
@@ -167,11 +129,10 @@ class ReachPlan(QueryPlan):
         if not isinstance(query, ReachQuery):
             query = ReachQuery(*query)
         self.query = query
-        # Resolved here (not at eval time) so the concrete kernel/oracle
-        # names ship inside local_eval_args to socket brokers,
-        # independent of their environment.
+        # Resolved here (not at eval time) so the concrete kernel name
+        # ships inside local_eval_args to socket brokers, independent of
+        # their environment.
         self.options = options.resolved(self.algorithm)
-        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)  # validates existence
@@ -190,13 +151,10 @@ class ReachPlan(QueryPlan):
         return local_eval_reach
 
     def local_eval_args(self) -> Tuple[object, ...]:
-        return (self.query, self.options.kernel, self.options.oracle)
+        return (self.query, self.options.kernel)
 
     def fragment_params(self, fragment: Fragment) -> Hashable:
-        return (
-            *endpoint_params(fragment, self.query.source, self.query.target),
-            *self._keyed,
-        )
+        return endpoint_params(fragment, self.query.source, self.query.target)
 
     def merge_partials(self, parts: Sequence[BitRows]) -> BitRows:
         return BitRows.concat(parts)
@@ -225,7 +183,6 @@ def dis_reach(
     query: Union[ReachQuery, Tuple[Node, Node]],
     collect_details: bool = False,
     kernel: Optional[str] = None,
-    oracle: Optional[str] = None,
 ) -> QueryResult:
     """Algorithm ``disReach`` (Fig. 3) on a simulated cluster.
 
@@ -234,6 +191,6 @@ def dis_reach(
     cache, the same broadcast → parallel local evaluation → assemble
     message sequence and accounting as ever.
     """
-    plan = ReachPlan(query, EvalOptions(kernel=kernel, oracle=oracle))
+    plan = ReachPlan(query, EvalOptions(kernel=kernel))
     batch = execute_plans(cluster, [plan], collect_details=collect_details)
     return batch.results[0]

@@ -115,7 +115,6 @@ class RegularReachPlan(QueryPlan):
         self.automaton = query.automaton()
         self.automaton.compiled
         self.options = options.resolved(self.algorithm)
-        self._keyed = self.options.cache_key()
 
     def validate(self, cluster: SimulatedCluster) -> None:
         cluster.site_of(self.query.source)
@@ -144,7 +143,6 @@ class RegularReachPlan(QueryPlan):
                 self.query.target,
                 source_matters_as_in_node=True,
             ),
-            *self._keyed,
         )
 
     def merge_partials(self, parts: Sequence[BitRows]) -> BitRows:

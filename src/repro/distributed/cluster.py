@@ -70,7 +70,6 @@ from typing import (
 
 from ..errors import DistributedError, QueryError
 from ..graph.digraph import DiGraph, Node
-from ..index.store import OracleStore
 from ..partition.builder import build_fragmentation
 from ..partition.fragment import Fragment, Fragmentation
 from ..partition.partitioners import call_partitioner, get_partitioner
@@ -318,22 +317,6 @@ def _resolve_assignment(
     return call_partitioner(fn, graph, num_fragments, seed), label
 
 
-def _match_fragments(old: Fragmentation, new: Fragmentation) -> Dict[int, Fragment]:
-    """New fid -> the outgoing fragment with the same node set and equal
-    local graph content (so every content-pure derived artifact carries
-    over), preferring the same fid.  Computed once per repartition.
-    """
-    by_nodes = {frag.nodes: frag for frag in old}
-    matches: Dict[int, Fragment] = {}
-    for frag in new:
-        previous = old[frag.fid] if frag.fid < len(old) else None
-        if previous is None or previous.nodes != frag.nodes:
-            previous = by_nodes.get(frag.nodes)
-        if previous is not None and previous.local_graph == frag.local_graph:
-            matches[frag.fid] = previous
-    return matches
-
-
 class SimulatedCluster:
     """Sites holding the fragments of one graph, plus a coordinator."""
 
@@ -382,11 +365,6 @@ class SimulatedCluster:
         # ticket so batched session remaps (and the shared-cache pick)
         # process registrants in a deterministic order.
         self._registration_counter = 0
-        # Per-fragment reachability-oracle store (DESIGN.md §12).  NOT a
-        # member of _caches: those registries exist to be invalidated on
-        # every mutation, while maintained oracles must *survive* one —
-        # apply_edge_mutation routes each delta into the store explicitly.
-        self.oracle_store = OracleStore(self)
         # Shortcut overlays (DESIGN.md §13), cached per mode.  Keyed on
         # every fragment version, so any write or repartition makes the
         # cached set unreachable and the next query rebuilds from the
@@ -656,8 +634,8 @@ class SimulatedCluster:
         applied to the source side's graph, ``None`` for a version bump.
         Successors come from ``Fragment.replaced`` (carry table ``CARRY``);
         then the source side's CSR view is repaired by the delta
-        (``core.csr.repair_view``) and its maintained oracles get it,
-        registered caches drop the fids and the monitor hears of the edge.
+        (``core.csr.repair_view``), registered caches drop the fids and the
+        monitor hears of the edge.
         """
         successors = [
             self.fragmentation[fid].replaced(**fields)
@@ -676,7 +654,6 @@ class SimulatedCluster:
                 from ..core.csr import repair_view
 
                 repair_view(successors[0], u, v, added)
-            self.oracle_store.on_edge_mutation(successors[0], u, v, added)
         self._invalidate_caches(affected)
         monitor = self.mutation_monitor
         if edge is not None and monitor is not None:
@@ -756,9 +733,7 @@ class SimulatedCluster:
         so serving-layer :class:`~repro.serving.cache.SiteResultCache`
         entries keyed ``(fid, version, ...)`` for the *old* fragments can
         never be served for the new ones (registered caches also get their
-        dead entries reclaimed eagerly).  Old and new fragments are matched
-        once (:func:`_match_fragments`) so unmoved fragments keep their
-        maintained oracles.
+        dead entries reclaimed eagerly).
 
         Dynamic-world protocol (DESIGN.md §8): the move is *not* free —
         every node whose hosting site changes is charged ``O(|Fi|)``-style
@@ -797,14 +772,10 @@ class SimulatedCluster:
             for node, fid in self.fragmentation.placement.items()
         }
         old_fids = tuple(frag.fid for frag in self.fragmentation)
-        matches = _match_fragments(self.fragmentation, fragmentation)
         self._install_fragmentation(
             fragmentation, self._site_of_fragment if same_card else None
         )
         self._partition_epoch += 1
-        # Matched fragments keep their maintained oracles (rebound to the
-        # new graph objects); only moved fragments pay an index rebuild.
-        self.oracle_store.after_repartition(matches)
         moved_nodes, shipping = self._charge_shipping(graph, old_site_of_node)
         # Versions alone keep registered caches *sound*; eager invalidation
         # reclaims the memory of every retired fragment state.

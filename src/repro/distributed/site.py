@@ -8,9 +8,7 @@ of fragments; the algorithms evaluate all of a site's fragments during its
 single visit and ship one combined partial answer.
 
 Sites stay thin otherwise: the algorithms are pure functions over
-fragments, and the site adds identity only.  Local reachability indexes
-(the paper's Section 3 remark that "any indexing techniques ... can be
-applied here") live on the fragments themselves (:mod:`repro.index.store`).
+fragments, and the site adds identity only.
 
 Executor note (DESIGN.md §5): site-local tasks receive *fragments*, not
 sites, so the socket backend never has to ship a :class:`Site`.

@@ -1,4 +1,8 @@
-"""Pluggable local reachability indexes (Section 3's remark)."""
+"""Local reachability indexes (Section 3's remark): a leaf library.
+
+No other ``repro`` module imports this package; evaluation runs the numpy
+cone sweep (DESIGN.md §12).
+"""
 
 from .base import (
     BFSOracle,
@@ -18,13 +22,6 @@ from .registry import (
     resolve_oracle,
     set_default_oracle,
 )
-from .store import (
-    OracleEntry,
-    OracleStore,
-    OracleStoreStats,
-    fragment_oracle,
-    invalidate_fragment_oracles,
-)
 from .tol import TOLOracle
 from .transitive_closure import TransitiveClosureOracle
 from .twohop import TwoHopOracle
@@ -37,10 +34,7 @@ __all__ = [
     "ORACLES",
     "ORACLE_ENV_VAR",
     "ORACLE_NAMES",
-    "OracleEntry",
     "OracleFactory",
-    "OracleStore",
-    "OracleStoreStats",
     "ReachabilityOracle",
     "TOLOracle",
     "TransitiveClosureOracle",
@@ -48,8 +42,6 @@ __all__ = [
     "TwoHopOracle",
     "build_oracle",
     "default_oracle",
-    "fragment_oracle",
-    "invalidate_fragment_oracles",
     "resolve_oracle",
     "set_default_oracle",
 ]

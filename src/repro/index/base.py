@@ -2,11 +2,10 @@
 
 Section 3's remark: "any indexing techniques (e.g., reachability matrix
 [31], 2-hop index [5]) ... developed for centralized graph query evaluation
-can be applied here, which will lead to lower computational cost."  The
-``localEval`` procedures select an oracle by *registry name*
-(:mod:`repro.index.registry`), resolved per fragment by
-:func:`repro.index.store.fragment_oracle`; the concrete indexes live in
-sibling modules and the ablation bench compares them.
+can be applied here, which will lead to lower computational cost."  No
+``localEval`` uses one: the numpy cone sweep answers every boundary pair
+faster (DESIGN.md §12).  The oracles are a leaf library, named in
+:mod:`repro.index.registry`; the concrete indexes live in sibling modules.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
 """Named, picklable reachability-oracle registry.
 
-Plans and serving-cache keys carry an oracle *name*, never a closure:
-names survive ``pickle`` across the socket executor's wire, where a
-per-call factory lambda would not.  Selection follows the one
-strategy-registry precedence (explicit > ``set_default_oracle`` >
+Oracles are selected by *name*, never by closure: names survive
+``pickle``, where a per-call factory lambda would not.  Selection follows
+the one strategy-registry precedence (explicit > ``set_default_oracle`` >
 ``REPRO_ORACLE`` > ``none`` — the label-sweep path with no oracle at all;
 :mod:`repro.strategies`, DESIGN.md §14).
 
 Unknown names raise :class:`~repro.errors.QueryError` listing the
-registered names, whether they arrive via CLI, environment, or
-``evaluate()``.  Degenerate fragments (empty, single-node, or edgeless
-local graphs) get a :class:`~repro.index.base.TrivialOracle` instead of
-whatever the name says — building a label index over nothing is a crash
-waiting to happen and identity reachability is already exact.
+registered names, whether they arrive by argument or environment.
+Degenerate graphs (empty, single-node, or edgeless) get a
+:class:`~repro.index.base.TrivialOracle` instead of whatever the name
+says — building a label index over nothing is a crash waiting to happen
+and identity reachability is already exact.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ ORACLE_REGISTRY = StrategyRegistry(
     error=QueryError,
     env_var="REPRO_ORACLE",
     listing="registered oracles",
-    summary="reachability index for disReach local evaluation: built per "
-    "fragment, cached by mutation stamp, maintained incrementally under "
-    "edge mutation (DESIGN.md §12)",
+    summary="reachability index over one fragment-local graph (a leaf "
+    "library; DESIGN.md §12)",
 )
 
 ORACLE_ENV_VAR = ORACLE_REGISTRY.env_var

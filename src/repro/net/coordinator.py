@@ -37,7 +37,9 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
+import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +54,12 @@ DEFAULT_TIMEOUT = 60.0
 
 #: How long the coordinator waits for a spawned broker to dial back.
 SPAWN_TIMEOUT = 30.0
+
+#: How often a pending dial-back checks whether the broker child exited.
+SPAWN_POLL = 0.05
+
+#: How much of a dead broker child's stderr its spawn error quotes.
+STDERR_TAIL = 2000
 
 #: Fragment keys remembered per broker before the oldest are evicted.
 SHIPPED_KEY_CAP = 512
@@ -162,7 +170,7 @@ class BrokerPool:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.bind(("127.0.0.1", 0))
             listener.listen()
-            listener.settimeout(SPAWN_TIMEOUT)
+            listener.settimeout(SPAWN_POLL)
             self._listener = listener
             try:
                 for _ in range(num_brokers):
@@ -175,29 +183,55 @@ class BrokerPool:
         """Launch one broker child and accept its dial-back connection."""
         assert self._listener is not None
         host, port = self._listener.getsockname()
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.net.broker",
-                "--connect",
-                f"{host}:{port}",
-            ],
-            env=_broker_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            conn, _addr = self._listener.accept()
-            conn.settimeout(SPAWN_TIMEOUT)
-            send_frame(conn, {"op": "ping"})
-            reply = recv_frame(conn)
-            if not (isinstance(reply, dict) and reply.get("ok")):
-                raise DistributedError(f"broker handshake failed: {reply!r}")
-        except (OSError, EOFError, QueryError, DistributedError) as exc:
-            proc.terminate()
-            raise DistributedError(f"broker failed to start: {exc}") from exc
+        # A file, not a pipe: nobody drains the child's stderr while it runs.
+        with tempfile.TemporaryFile() as stderr:
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.net.broker",
+                    "--connect",
+                    f"{host}:{port}",
+                ],
+                env=_broker_env(),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
+            try:
+                conn = self._accept(proc, stderr)
+                conn.settimeout(SPAWN_TIMEOUT)
+                send_frame(conn, {"op": "ping"})
+                reply = recv_frame(conn)
+                if not (isinstance(reply, dict) and reply.get("ok")):
+                    raise DistributedError(f"broker handshake failed: {reply!r}")
+            except (OSError, EOFError, QueryError, DistributedError) as exc:
+                proc.terminate()
+                raise DistributedError(f"broker failed to start: {exc}") from exc
         return BrokerLink(conn, proc)
+
+    def _accept(self, proc: subprocess.Popen, stderr: Any) -> socket.socket:
+        """The child's dial-back, accepted in ``SPAWN_POLL`` slices.
+
+        Between slices the child is polled, so one that exits first fails
+        the spawn at once with its status and the tail of its stderr.
+        """
+        assert self._listener is not None
+        deadline = time.monotonic() + SPAWN_TIMEOUT
+        while True:
+            try:
+                return self._listener.accept()[0]
+            except socket.timeout:
+                pass
+            status = proc.poll()
+            if status is not None:
+                stderr.seek(0)
+                tail = stderr.read()[-STDERR_TAIL:].decode(errors="replace").strip()
+                raise DistributedError(
+                    f"broker exited with status {status} before dialing back: "
+                    f"{tail or '<no stderr>'}"
+                )
+            if time.monotonic() >= deadline:
+                raise DistributedError(f"no dial-back within {SPAWN_TIMEOUT:g} s")
 
     def live_links(self) -> List[BrokerLink]:
         """The live links, respawning dead spawned brokers first."""

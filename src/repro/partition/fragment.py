@@ -31,13 +31,12 @@ from ..graph.digraph import DiGraph, Edge, Node
 #: How each derived artifact crosses a write (DESIGN.md §8).  ``kept``:
 #: carried, revalidated by ``mutation_stamp`` on use.  ``repaired``:
 #: carried, and the cluster routes the edge delta into the source side's
-#: copy (a new CSR view, maintained oracles); whatever it cannot repair
-#: rebuilds on its stamp mismatch.  ``dropped``: the cluster invalidates
-#: every registered holder.
-CARRY = {"_csr_cache": "repaired", "_oracle_cache": "repaired", "serving": "dropped"}
+#: copy (a new CSR view); whatever it cannot repair rebuilds on its stamp
+#: mismatch.  ``dropped``: the cluster invalidates every registered holder.
+CARRY = {"_csr_cache": "repaired", "serving": "dropped"}
 
 #: Instance-dict slots holding derived, process-local caches
-#: (:mod:`repro.core.csr`, :mod:`repro.index.store`) — the carried rows.
+#: (:mod:`repro.core.csr`) — the carried rows.
 _CACHE_SLOTS = tuple(slot for slot, rule in CARRY.items() if rule != "dropped")
 
 #: The one process-wide version source: no two fragment states share a
@@ -89,9 +88,8 @@ class Fragment:
     def __getstate__(self) -> dict:
         """Pickle the fragment without its site-local caches.
 
-        The instance ``__dict__`` doubles as cache storage (CSR arrays,
-        reachability oracles — see :mod:`repro.core.csr` and
-        :mod:`repro.index.store`); those are derived, process-local and
+        The instance ``__dict__`` doubles as cache storage (CSR arrays —
+        see :mod:`repro.core.csr`); those are derived, process-local and
         sometimes large, so shipping a fragment to a socket broker
         sends only the declared fields.  Brokers rebuild their
         own caches lazily on first use.

@@ -393,21 +393,19 @@ class BatchQueryEngine:
         algorithm: Optional[str] = None,
         collect_details: bool = False,
         kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
     ) -> BatchResult:
         """Evaluate ``queries`` as one batch (default algorithm per class).
 
-        ``kernel`` and ``oracle`` are explicit strategy choices for every
-        query in the batch (hard: a query whose algorithm does not take
-        one raises :class:`~repro.errors.QueryError`, baselines included;
-        DESIGN.md §14).  Cached partials are shared across kernels — all
-        kernels produce bit-identical equations — while the oracle name is
-        part of the cache key.
+        ``kernel`` is an explicit strategy choice for every query in the
+        batch (hard: a query whose algorithm does not take it raises
+        :class:`~repro.errors.QueryError`, baselines included; DESIGN.md
+        §14).  Cached partials are shared across kernels — all kernels
+        produce bit-identical equations.
         """
         from ..core.engine import evaluate, is_batchable
         from ..core.options import EvalOptions
 
-        options = EvalOptions(kernel=kernel, oracle=oracle)
+        options = EvalOptions(kernel=kernel)
         queries = list(queries)
         if algorithm is not None and not is_batchable(algorithm):
             # Baselines have no partial results to cache; evaluate honestly
@@ -470,12 +468,9 @@ class BatchQueryEngine:
         algorithm: Optional[str] = None,
         collect_details: bool = False,
         kernel: Optional[str] = None,
-        oracle: Optional[str] = None,
     ):
         """Single query through the serving path (a batch of one)."""
-        return self.run_batch(
-            [query], algorithm, collect_details, kernel=kernel, oracle=oracle
-        ).results[0]
+        return self.run_batch([query], algorithm, collect_details, kernel=kernel).results[0]
 
     def open_session(self, query, kernel: Optional[str] = None):
         """Open a standing incremental session for ``query``.

@@ -1,5 +1,7 @@
 """Unit tests for the bench harness and a smoke pass over every experiment."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench import EXPERIMENTS, ExperimentResult, run_workload
@@ -156,3 +158,36 @@ def test_exp_serving_smoke():
     assert rows["serving"]["batches"] >= 1
     assert rows["serving"]["p99_ms"] >= rows["serving"]["p50_ms"] >= 0.0
     assert result.format_table()
+
+
+def test_exp_shortcuts_reports_the_sequential_run(monkeypatch):
+    """``time_ms``, ``build_ms`` and the shortcut details come from the
+    ``sequential`` run: the socket run's broker spawn and wire time must
+    not leak into them.  A fake clock charges 1 ms per sequential query
+    and 10 s per socket one, and the socket run's details are inflated."""
+    from repro.bench import experiments
+
+    clock = [0.0]
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    real = experiments.evaluate
+
+    def evaluate(cluster, query, *args, **kwargs):
+        result = real(cluster, query, *args, **kwargs)
+        if cluster.executor.name == "sequential":
+            clock[0] += 0.001
+            return result
+        clock[0] += 10.0
+        built = result.details.get("shortcuts")
+        if built:
+            result.details["shortcuts"] = {**built, "build_seconds": 10.0, "messages": 10**6}
+        return result
+
+    monkeypatch.setattr(experiments, "evaluate", evaluate)
+    result = experiments.exp_shortcuts(scale=0.002, card=3, datasets=("path",))
+    rows = {row["mode"]: row for row in result.rows}
+    assert set(rows) == {"none", "reach"}
+    for row in rows.values():
+        assert row["status"] == "ok" and row["backends"] == "sequential/socket"
+        assert row["time_ms"] == pytest.approx(4.0)
+        assert row["build_ms"] < 10_000 and row["shortcut_msgs"] < 10**6
+    assert rows["reach"]["shortcut_edges"] > 0

@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro import DiGraph, connect
 from repro.client import LocalClient, RemoteClient
+from repro.core.options import OPTIONS
 from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.distributed import SimulatedCluster
 from repro.errors import DistributedError, QueryError
@@ -53,30 +54,34 @@ def server():
     srv.shutdown()
 
 
-def _assert_oracle_default_reaches_dis_reach_only(open_client, cache_of):
-    """A connect-level oracle serves a mixed stream; an explicit one raises."""
-    with open_client() as plain, open_client(oracle="tol") as indexed:
+def _assert_kernel_default_reaches_its_takers_only(open_client, cache_of, monkeypatch):
+    """A connect-level kernel serves a mixed stream; an explicit one raises.
+
+    The connect-level oracle this once checked is retired; the kernel
+    default follows the same soft rule.
+    """
+    # a made-up second kernel name, so the default is visible in the plans
+    registry = OPTIONS["kernel"].registry
+    monkeypatch.setattr(registry, "names", (*registry.names, "turbo"))
+    with open_client() as plain, open_client(kernel="turbo") as tuned:
         for query in QUERIES:  # reach, bounded and regular, one by one
-            a, b = plain.query(query), indexed.query(query)
+            a, b = plain.query(query), tuned.query(query)
             assert (a.answer, a.stats.traffic_bytes) == (b.answer, b.stats.traffic_bytes)
-        # the oracle is part of a disReach cache key and of no other
-        oracles = {}
-        for _fid, _version, algorithm, params in cache_of(indexed)._entries:
-            oracles.setdefault(algorithm, set()).add("tol" in params)
-        assert True in oracles["disReach"]
-        assert oracles["disDist"] == oracles["disRPQ"] == {False}
-        assert indexed.batch(QUERIES).answers == plain.batch(QUERIES).answers
-        assert indexed.batch(QUERIES[:2]).answers == [True, False]
-        # an explicit algorithm decides as the query class does
-        assert indexed.query(QUERIES[0], algorithm="disReach").answer is True
-        assert indexed.query(QUERIES[0], algorithm="disReachn").answer is True
-        # only the default is filtered: asking for an oracle where none
+        # the default reached the plan of every algorithm that takes it
+        plans = cache_of(tuned)._plans.values()
+        planned = {(plan.algorithm, plan.options.kernel) for plan in plans}
+        assert {("disReach", "turbo"), ("disDist", "turbo"), ("disRPQ", "turbo")} <= planned
+        assert tuned.batch(QUERIES).answers == plain.batch(QUERIES).answers
+        assert tuned.batch(QUERIES[:2]).answers == [True, False]
+        # a baseline does not take a kernel: the default skips it
+        assert tuned.query(QUERIES[0], algorithm="disReachn").answer is True
+        # only the default is filtered: asking for a kernel where none
         # applies is still an error, with or without a default
-        for client in (plain, indexed):
-            with pytest.raises(QueryError, match="only disReach"):
-                client.query(QUERIES[2], oracle="tol")
-            with pytest.raises(QueryError, match="only disReach"):
-                client.batch(QUERIES, oracle="tol")
+        for client in (plain, tuned):
+            with pytest.raises(QueryError, match="only the partial-evaluation"):
+                client.query(QUERIES[0], algorithm="disReachn", kernel="turbo")
+            with pytest.raises(QueryError, match="only the partial-evaluation"):
+                client.batch(QUERIES[:2], algorithm="disReachn", kernel="turbo")
 
 
 class TestConnectLocal:
@@ -140,13 +145,14 @@ class TestConnectLocal:
         assert isinstance(vectorized, LocalClient)
         assert vectorized.cluster.num_sites == 2
 
-    def test_oracle_default_reaches_dis_reach_only(self):
+    def test_oracle_default_reaches_dis_reach_only(self, monkeypatch):
         cluster = SimulatedCluster.from_graph(
             _chain_graph(), 2, partitioner="chunk", seed=0
         )
-        _assert_oracle_default_reaches_dis_reach_only(
+        _assert_kernel_default_reaches_its_takers_only(
             lambda **kwargs: connect(cluster, **kwargs),
             lambda client: client.engine.cache,
+            monkeypatch,
         )
 
     def test_garbage_target_rejected(self):
@@ -232,10 +238,11 @@ class TestRemoteTransport:
             with pytest.raises(QueryError, match="unknown algorithm|not batchable"):
                 remote.query(ReachQuery("a", "d"), algorithm="nope")
 
-    def test_oracle_default_reaches_dis_reach_only(self, server):
-        _assert_oracle_default_reaches_dis_reach_only(
+    def test_oracle_default_reaches_dis_reach_only(self, server, monkeypatch):
+        _assert_kernel_default_reaches_its_takers_only(
             lambda **kwargs: connect(server.address, **kwargs),
             lambda _client: server.engine.cache,
+            monkeypatch,
         )
 
     def test_stats_report_latency_percentiles(self, server):

@@ -67,14 +67,6 @@ class TestLocalEval:
         eqs = local_eval_reach(frag[0], ReachQuery("a", "b"))
         assert eqs["a"] == frozenset({TRUE})
 
-    def test_oracle_factory_gives_same_equations(self, figure1):
-        _, fragmentation, _ = figure1
-        query = ReachQuery("Ann", "Mark")
-        for frag in fragmentation:
-            default = local_eval_reach(frag, query)
-            indexed = local_eval_reach(frag, query, oracle="transitive-closure")
-            assert default == indexed
-
 
 class TestAssemble:
     def test_assemble_true(self, figure1):

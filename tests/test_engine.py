@@ -85,9 +85,6 @@ class TestEvaluate:
             ("disReachn", {"kernel": "numpy"},
              "algorithm 'disReachn' does not take a kernel "
              "(only the partial-evaluation algorithms do)"),
-            ("disReachm", {"oracle": "tol"},
-             "algorithm 'disReachm' does not take a reachability oracle "
-             "(only disReach does)"),
             ("disReach", {"shortcuts": "reach"},
              "algorithm 'disReach' does not take shortcuts "
              "(only disReachm does)"),

@@ -3,10 +3,11 @@
 Walks ``core.engine.REGISTRY`` x the option table and checks, through
 ``evaluate``, ``LocalClient`` and ``RemoteClient``, that an *explicit*
 option is accepted or refused exactly as the table says and that a
-*default* (connect-level or process-wide) never raises; that the options
-object is hashable and crosses the socket executor's wire; that its
-cache-key projection holds the oracle and not the kernel; and that a
-standing session evaluates one way on every path.
+*default* (connect-level or process-wide) never raises; that the retired
+``oracle`` option is an unexpected keyword everywhere; that the options
+object is hashable and crosses the socket executor's wire; that the site
+cache is shared across kernels; and that a standing session evaluates one
+way on every path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.core.options import (
 )
 from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.distributed import SimulatedCluster
-from repro.errors import KernelError, QueryError
+from repro.errors import KernelError, QueryError, ShortcutError
 from repro.net.server import start_background_server
 from repro.serving import engine as serving_engine
 from repro.serving.engine import BatchQueryEngine
@@ -45,11 +46,13 @@ QUERIES = {
 #: One runnable non-fallback name per option.
 VALUES = {
     "kernel": OPTIONS["kernel"].registry.available()[-1],
-    "oracle": "tol",
     "shortcuts": "reach",
 }
 
-CELLS = [(algorithm, option) for algorithm in REGISTRY for option in OPTIONS]
+#: A retired option: no entry point takes the keyword any more.
+RETIRED = "oracle"
+
+CELLS = [(algorithm, option) for algorithm in REGISTRY for option in (*OPTIONS, RETIRED)]
 
 
 def _cluster() -> SimulatedCluster:
@@ -92,7 +95,11 @@ class TestTheTable:
             for algorithm, (_query_type, fn) in REGISTRY.items():
                 takes = option in inspect.signature(fn).parameters
                 assert takes == (algorithm in spec.takers), (algorithm, option)
-        assert SERVED == ("kernel", "oracle")
+        assert SERVED == ("kernel",)
+        # the retired name is gone from the table, the carrier and every algorithm
+        assert RETIRED not in OPTIONS and RETIRED not in STRATEGIES
+        for _query_type, fn in REGISTRY.values():
+            assert RETIRED not in inspect.signature(fn).parameters
         # every batchable algorithm's options are served ones
         for option, spec in OPTIONS.items():
             if spec.takers & set(PLANS):
@@ -113,6 +120,12 @@ class TestExplicitIsHardDefaultIsSoft:
     def test_evaluate(self, algorithm, option):
         cluster = _cluster()
         query = QUERIES[REGISTRY[algorithm][0]]
+        if option == RETIRED:
+            with pytest.raises(TypeError, match=RETIRED):
+                evaluate(cluster, query, algorithm, **{option: "tol"})
+            with pytest.raises(TypeError, match=RETIRED):
+                connect(cluster, **{option: "tol"})
+            return
         reference = evaluate(cluster, query, algorithm)
         # a process-wide default is soft: it never raises
         OPTIONS[option].registry.set_default(VALUES[option])
@@ -131,11 +144,20 @@ class TestExplicitIsHardDefaultIsSoft:
 
     @pytest.mark.parametrize("transport", ["local", "tcp"])
     @pytest.mark.parametrize(
-        "algorithm,option", [cell for cell in CELLS if cell[1] in SERVED]
+        "algorithm,option", [cell for cell in CELLS if cell[1] in (*SERVED, RETIRED)]
     )
     def test_clients(self, algorithm, option, transport, server):
         target = _cluster() if transport == "local" else server.address
         query = QUERIES[REGISTRY[algorithm][0]]
+        if option == RETIRED:
+            with pytest.raises(TypeError, match=RETIRED):
+                connect(target, **{option: "tol"})
+            with connect(target) as client:
+                with pytest.raises(TypeError, match=RETIRED):
+                    client.query(query, algorithm, **{option: "tol"})
+                with pytest.raises(TypeError, match=RETIRED):
+                    client.batch([query], algorithm, **{option: "tol"})
+            return
         with connect(target) as plain, connect(target, **VALUES_SERVED) as defaulted:
             assert isinstance(plain, LocalClient if transport == "local" else RemoteClient)
             reference = _signature(plain.query(query, algorithm))
@@ -166,10 +188,10 @@ class TestExplicitIsHardDefaultIsSoft:
         cluster = _cluster()
         with pytest.raises(KernelError, match="unknown kernel 'fortran'"):
             evaluate(cluster, QUERIES[ReachQuery], kernel="fortran")
-        with pytest.raises(QueryError, match="unknown oracle 'nope'; registered oracles"):
-            plan_for(QUERIES[ReachQuery], options=EvalOptions(oracle="nope"))
-        with pytest.raises(QueryError, match="unknown oracle 'nope'"):
-            connect(cluster, oracle="nope")
+        with pytest.raises(KernelError, match="unknown kernel 'nope'; known: numpy"):
+            plan_for(QUERIES[ReachQuery], options=EvalOptions(kernel="nope"))
+        with pytest.raises(ShortcutError, match="unknown shortcut mode 'nope'"):
+            evaluate(cluster, QUERIES[ReachQuery], "disReachm", shortcuts="nope")
         with pytest.raises(KernelError, match="unknown kernel 'fortran'"):
             connect(cluster, kernel="fortran")
 
@@ -183,26 +205,28 @@ def _echo(value):
 
 class TestTheCarrier:
     def test_frozen_hashable_and_equal_by_value(self):
-        options = EvalOptions(kernel="numpy", oracle="tol")
-        assert options == EvalOptions("numpy", "tol", None)
-        assert len({options, EvalOptions(kernel="numpy", oracle="tol"), EvalOptions()}) == 2
+        options = EvalOptions(kernel="numpy", shortcuts="reach")
+        assert options == EvalOptions("numpy", "reach")
+        assert len({options, EvalOptions(kernel="numpy", shortcuts="reach"), EvalOptions()}) == 2
         with pytest.raises(AttributeError):
             options.kernel = "turbo"
-        assert options.given() == {"kernel": "numpy", "oracle": "tol"}
+        with pytest.raises(TypeError, match=RETIRED):
+            EvalOptions(oracle="tol")
+        assert options.given() == {"kernel": "numpy", "shortcuts": "reach"}
         assert EvalOptions().given() == {}
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(options, protocol)) == options
 
     def test_wire_projection_is_the_served_options(self):
         options = EvalOptions(kernel="numpy", shortcuts="reach")
-        assert options.wire() == {"kernel": "numpy", "oracle": None}
-        request = {"op": "query", "kernel": "numpy", "shortcuts": "reach"}
+        assert options.wire() == {"kernel": "numpy"}
+        request = {"op": "query", "kernel": "numpy", "shortcuts": "reach", RETIRED: "tol"}
         assert EvalOptions.from_wire(request) == EvalOptions(kernel="numpy")
 
     @pytest.mark.parametrize("backend", ["socket"])
     def test_crosses_worker_process_boundaries(self, backend):
         cluster = _cluster()
-        explicit = EvalOptions(kernel="numpy", oracle="tol")
+        explicit = EvalOptions(kernel="numpy")
         resolved = explicit.resolved("disReach")
         with cluster.using_executor(backend):
             run = cluster.start_run("x")
@@ -213,19 +237,19 @@ class TestTheCarrier:
         assert hash(echoed[0]) == hash(explicit)
 
     def test_resolution_fills_only_what_the_algorithm_takes(self):
-        assert EvalOptions().resolved("disReach") == EvalOptions("numpy", "none", None)
-        assert EvalOptions().resolved("disDist") == EvalOptions("numpy", None, None)
-        assert EvalOptions().resolved("disReachm") == EvalOptions(None, None, "none")
+        assert EvalOptions().resolved("disReach") == EvalOptions("numpy", None)
+        assert EvalOptions().resolved("disDist") == EvalOptions("numpy", None)
+        assert EvalOptions().resolved("disReachm") == EvalOptions(None, "none")
         assert EvalOptions().resolved("disRPQd") == EvalOptions()
-        OPTIONS["oracle"].registry.set_default("tol")
-        assert EvalOptions().resolved("disReach").oracle == "tol"
-        assert EvalOptions().resolved("disDist").oracle is None
-        assert EvalOptions(oracle="none").resolved("disReach").oracle == "none"
+        OPTIONS["shortcuts"].registry.set_default("reach")
+        assert EvalOptions().resolved("disReachm").shortcuts == "reach"
+        assert EvalOptions().resolved("disReach").shortcuts is None
+        assert EvalOptions(shortcuts="none").resolved("disReachm").shortcuts == "none"
 
     def test_plans_ship_plain_resolved_strings(self):
-        plan = plan_for(QUERIES[ReachQuery], options=EvalOptions(oracle="tol"))
-        assert plan.options == EvalOptions("numpy", "tol", None)
-        assert plan.local_eval_args() == (QUERIES[ReachQuery], "numpy", "tol")
+        plan = plan_for(QUERIES[ReachQuery], options=EvalOptions(kernel="numpy"))
+        assert plan.options == EvalOptions("numpy", None)
+        assert plan.local_eval_args() == (QUERIES[ReachQuery], "numpy")
         fragment = _cluster().sites[0].fragments[0]
         for query in QUERIES.values():
             plan = plan_for(query)
@@ -238,11 +262,11 @@ class TestTheCarrier:
             hash(params)
 
     def test_cache_key_holds_the_oracle_and_not_the_kernel(self, monkeypatch):
+        """No option keys the site cache (the oracle, which did, is retired)."""
         pytest.importorskip("numpy")
         # a made-up second kernel name, so two batches differ in kernel only
         registry = OPTIONS["kernel"].registry
         monkeypatch.setattr(registry, "names", (*registry.names, "turbo"))
-        assert EvalOptions("numpy", "tol", None).cache_key() == ("tol",)
         cluster = _cluster()
         engine = BatchQueryEngine(cluster)
         stream = list(QUERIES.values())
@@ -251,12 +275,6 @@ class TestTheCarrier:
         # a numpy batch hits what a turbo batch stored
         warm = engine.run_batch(stream, kernel="numpy").workload
         assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
-        # a tol batch does not hit the none entries (and stores its own)
-        reach = [QUERIES[ReachQuery]]
-        indexed = engine.run_batch(reach, oracle="tol").workload
-        assert indexed.cache_misses == cluster.num_sites and indexed.cache_hits == 0
-        again = engine.run_batch(reach, kernel="numpy", oracle="tol").workload
-        assert again.cache_misses == 0
 
 
 #: (answer, visits, traffic bytes, messages) of initialize() and five
@@ -311,19 +329,20 @@ class TestASessionEvaluatesOneWay:
     def test_update_path_runs_the_options_initialize_ran(
         self, cls, layer, job_args, monkeypatch
     ):
+        # a made-up second kernel name, set as the process-wide default
+        registry = OPTIONS["kernel"].registry
+        monkeypatch.setattr(registry, "names", (*registry.names, "turbo"))
         if layer == "env":
-            monkeypatch.setenv("REPRO_ORACLE", "tol")
+            monkeypatch.setenv("REPRO_KERNEL", "turbo")
         else:
-            OPTIONS["oracle"].registry.set_default("tol")
+            registry.set_default("turbo")
         query = QUERIES[ReachQuery if cls is IncrementalReachSession else RegularReachQuery]
         session = cls(_cluster(), query)
         observed = _drive(session)
         assert set(job_args["full"]) == set(job_args["update"]) and job_args["update"]
-        expected_oracle = "tol" if cls is IncrementalReachSession else None
-        assert session.plan.options.oracle == expected_oracle
-        if expected_oracle:
-            assert all(args[-1] == "tol" for _fn, args in job_args["update"])
-        # the oracle changes seconds only: same answers, visits, traffic
+        assert session.plan.options.kernel == "turbo"
+        assert all(args[-1] == "turbo" for _fn, args in job_args["update"])
+        # the kernel changes seconds only: same answers, visits, traffic
         assert observed == PINNED_SESSION_STATS[cls]
 
     @pytest.mark.parametrize("cls", list(PINNED_SESSION_STATS))

@@ -1,30 +1,30 @@
-"""The maintained oracle layer: registry, maintenance, store, identity.
+"""The oracle library: registry, maintenance, identity (DESIGN.md §12).
 
-Four contracts from DESIGN.md §12:
+No evaluation path uses an oracle; these contracts hold for the library
+itself until it is deleted:
 
-* **Registry** — oracles are named, picklable entries; plans carry the
-  name, unknown names die as :class:`QueryError` listing what exists,
-  and degenerate fragments get a trivial oracle instead of a crash.
+* **Registry** — oracles are named, picklable entries; unknown names die
+  as :class:`QueryError` listing what exists, and degenerate graphs get a
+  trivial oracle instead of a crash.  No algorithm takes ``oracle=``.
 * **Identity** — every registered oracle answers exactly like
   :class:`BFSOracle` on arbitrary graphs, including after arbitrary
-  mutation sequences routed through the maintenance hooks.
+  mutation sequences routed through the maintenance hooks, and agrees
+  with ``localEval``'s equations on every fragment after cluster writes.
 * **Maintenance** — a maintained TOL/landmark index equals a
   from-scratch build after any mutation sequence, and the stats ledger
   balances (``events == cheap + repairs + rebuilds``).
-* **Store** — per-fragment entries are keyed by
-  ``(fid, fragment_version, mutation_stamp)``, survive cross-fragment
-  mutations by migration and repartitions by content adoption, and
-  never leak through pickling.
 """
 
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reach_reference import oracle_rows
 
-from repro.core.engine import evaluate
-from repro.core.queries import BoundedReachQuery, ReachQuery
-from repro.core.reachability import dis_reach
+from repro.core.csr import fragment_csr
+from repro.core.engine import REGISTRY, evaluate
+from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
+from repro.core.reachability import local_eval_reach
 from repro.distributed.cluster import SimulatedCluster
 from repro.errors import QueryError
 from repro.graph import DiGraph
@@ -37,7 +37,6 @@ from repro.index import (
     TOLOracle,
     TrivialOracle,
     build_oracle,
-    fragment_oracle,
     resolve_oracle,
     set_default_oracle,
 )
@@ -136,8 +135,14 @@ class TestRegistry:
         cluster = SimulatedCluster.from_graph(
             _graph(6, [(0, 1), (1, 2), (3, 4)]), 2, partitioner="chunk"
         )
-        with pytest.raises(QueryError, match="only disReach"):
-            evaluate(cluster, BoundedReachQuery(0, 2, 4), oracle="tol")
+        queries = {
+            ReachQuery: ReachQuery(0, 2),
+            BoundedReachQuery: BoundedReachQuery(0, 2, 4),
+            RegularReachQuery: RegularReachQuery(0, 2, "L*"),
+        }
+        for algorithm, (query_type, _fn) in REGISTRY.items():
+            with pytest.raises(TypeError, match="oracle"):
+                evaluate(cluster, queries[query_type], algorithm, oracle="tol")
 
 
 class TestStaticIdentity:
@@ -212,95 +217,21 @@ def _figure_cluster(k=2, n=10):
 
 
 class TestStore:
-    def test_keys_carry_fid_version_stamp_name(self):
-        cluster = _figure_cluster()
-        fragment = cluster.site(0).fragment
-        fragment_oracle(fragment, "tol")
-        # The stamp is a content check on the entry, not part of the key.
-        assert cluster.oracle_store.keys() == [
-            (fragment.fid, fragment.version, "tol")
-        ]
-        assert fragment.version == cluster.fragment_version(fragment.fid)
-
-    def test_build_once_then_hits(self):
-        cluster = _figure_cluster()
-        fragment = cluster.site(0).fragment
-        first = fragment_oracle(fragment, "tol")
-        assert fragment_oracle(fragment, "tol") is first
-        stats = cluster.oracle_store.maintenance_stats()["tol"]
-        assert stats.builds == 1
-        assert stats.hits == 1
-
-    def test_intra_fragment_mutation_maintains_not_rebuilds(self):
-        cluster = _figure_cluster()
-        fragment = cluster.site(0).fragment
-        first = fragment_oracle(fragment, "tol")
-        nodes = sorted(fragment.local_graph.nodes())
-        u, v = nodes[0], nodes[1]
-        cluster.apply_edge_mutation(u, v, add=not fragment.local_graph.has_edge(u, v))
-        assert fragment_oracle(fragment, "tol") is first  # maintained, valid
-        stats = cluster.oracle_store.maintenance_stats()["tol"]
-        assert stats.maintains == 1
-        assert stats.rebuilds == 0
-
-    def test_unmaintainable_entry_rebuilds_after_mutation(self):
-        cluster = _figure_cluster()
-        fragment = cluster.site(0).fragment
-        first = fragment_oracle(fragment, "transitive-closure")
-        nodes = sorted(fragment.local_graph.nodes())
-        u, v = nodes[0], nodes[1]
-        cluster.apply_edge_mutation(u, v, add=not fragment.local_graph.has_edge(u, v))
-        fragment = cluster.site(0).fragment
-        assert fragment_oracle(fragment, "transitive-closure") is not first
-        stats = cluster.oracle_store.maintenance_stats()["transitive-closure"]
-        assert stats.rebuilds == 1
-
-    def test_cross_fragment_mutation_migrates_entries(self):
-        cluster = _figure_cluster()
-        frag0 = cluster.site(0).fragment
-        frag1 = cluster.site(1).fragment
-        oracle = fragment_oracle(frag0, "tol")
-        u = sorted(frag0.nodes)[0]
-        v = sorted(frag1.nodes)[0]
-        cluster.apply_edge_mutation(u, v, add=not frag0.local_graph.has_edge(u, v))
-        new0 = cluster.site(0).fragment
-        assert new0 is not frag0  # dataclasses.replace built a new Fragment
-        assert fragment_oracle(new0, "tol") is oracle  # slot migrated, maintained
-
-    def test_repartition_adopts_unmoved_fragments(self):
-        cluster = _figure_cluster()
-        oracles = [
-            fragment_oracle(cluster.site(i).fragment, "tol")
-            for i in range(cluster.num_sites)
-        ]
-        cluster.repartition("chunk")  # same split: every fragment unmoved
-        adopted = [
-            fragment_oracle(cluster.site(i).fragment, "tol")
-            for i in range(cluster.num_sites)
-        ]
-        assert adopted == oracles
-        stats = cluster.oracle_store.maintenance_stats()["tol"]
-        assert stats.rebuilds == 0
-
     def test_fragment_pickle_drops_oracle_slot(self):
+        """The one carried cache slot left, ``_csr_cache``, stays home."""
+        pytest.importorskip("numpy")
         cluster = _figure_cluster()
         fragment = cluster.site(0).fragment
-        fragment_oracle(fragment, "tol")
+        view = fragment_csr(fragment)
+        assert fragment.__dict__["_csr_cache"] is view
         clone = pickle.loads(pickle.dumps(fragment))
-        assert "_oracle_cache" not in clone.__dict__
         assert "_csr_cache" not in clone.__dict__
         assert clone.nodes == fragment.nodes
         # A worker process simply rebuilds its own copy on first use.
-        rebuilt = fragment_oracle(clone, "tol")
-        assert rebuilt.reaches is not None
-
-
-def _modeled(result):
-    """The answer and the modeled costs, which no oracle may change."""
-    stats = result.stats
-    return (
-        result.answer, stats.traffic_bytes, stats.visits_per_site(), stats.messages
-    )
+        assert fragment_csr(clone) is not view
+        assert local_eval_reach(clone, ReachQuery(0, 9)) == local_eval_reach(
+            fragment, ReachQuery(0, 9)
+        )
 
 
 class TestEndToEnd:
@@ -318,7 +249,9 @@ class TestEndToEnd:
                 cluster.apply_edge_mutation(u, v, add=True)
             elif not add and graph.has_edge(u, v):
                 cluster.apply_edge_mutation(u, v, add=False)
-            reference = [_modeled(dis_reach(cluster, q)) for q in queries]
-            for name in ("bfs", "tol", "landmarks"):
-                got = [_modeled(dis_reach(cluster, q, oracle=name)) for q in queries]
-                assert got == reference, name
+            for fragment in cluster.fragmentation:
+                for name in ("bfs", "tol", "landmarks"):
+                    oracle = build_oracle(name, fragment.local_graph)
+                    for query in queries:
+                        rows = local_eval_reach(fragment, query)
+                        assert oracle_rows(fragment, query, oracle) == rows, name

@@ -31,7 +31,6 @@ from repro.core.reachability import ReachPlan
 from repro.core.regular import RegularReachPlan
 from repro.distributed import SimulatedCluster
 from repro.graph import erdos_renyi
-from repro.index.registry import set_default_oracle
 from repro.net.server import start_background_server
 from repro.partition import build_fragmentation, random_partition
 from repro.serving import BatchQueryEngine, SiteResultCache, execute_plans
@@ -207,30 +206,35 @@ class TestRebuildAfterClear:
 
 class TestChangedDefaultsBuildNewPlans:
     @staticmethod
-    def _oracles_in_keys(engine):
-        return {key[3][-1] for key in engine.cache._entries if key[2] == "disReach"}
+    def _kernels_of_plans(engine):
+        return {plan.options.kernel for plan in engine.cache._plans.values()}
 
     @pytest.mark.parametrize("layer", ["set_default", "env"])
     def test_a_new_oracle_default_builds_a_plan_keyed_by_it(
         self, layer, counted, monkeypatch
     ):
+        """A new kernel default builds a new plan (the oracle option is retired)."""
+        # a made-up second kernel name, so the two batches differ in kernel only
+        registry = STRATEGIES["kernel"]
+        monkeypatch.setattr(registry, "names", (*registry.names, "turbo"))
         graph, cluster = _cluster(seed=7)
         nodes = sorted(graph.nodes())
         reach = ReachQuery(nodes[0], nodes[-1])
         bounded = BoundedReachQuery(nodes[0], nodes[-1], 4)
         engine = BatchQueryEngine(cluster)
         first = engine.run_batch([reach, bounded])
-        assert self._oracles_in_keys(engine) == {"none"}
+        assert self._kernels_of_plans(engine) == {"numpy"}
         if layer == "env":
-            monkeypatch.setenv("REPRO_ORACLE", "tol")
+            monkeypatch.setenv("REPRO_KERNEL", "turbo")
         else:
-            set_default_oracle("tol")
+            registry.set_default("turbo")
         second = engine.run_batch([reach, bounded])
-        # disReach takes the oracle: a new plan, new partials, a new solve;
-        # disDist does not: its plan and answer are reused.
-        assert counted == {"plan_for": 3, "assemble": 3}
-        assert (second.workload.plan_hits, second.workload.answer_hits) == (1, 1)
-        assert self._oracles_in_keys(engine) == {"none", "tol"}
+        # both algorithms take the kernel: two new plans.  Kernels are
+        # bit-identical, so the partials and the solved answers are reused.
+        assert counted == {"plan_for": 4, "assemble": 2}
+        assert (second.workload.plan_hits, second.workload.answer_hits) == (0, 2)
+        assert second.workload.cache_misses == 0
+        assert self._kernels_of_plans(engine) == {"numpy", "turbo"}
         assert [_signature(r) for r in second] == [_signature(r) for r in first]
 
 
