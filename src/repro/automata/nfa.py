@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Set, Union as TUnion
 
 from .ast import RegexNode
-from .glushkov import GlushkovAnalysis, PositionLabel, analyze
+from .glushkov import GlushkovAnalysis, analyze
 from .parser import parse_regex
 
 START = -1  # the synthetic initial state of the position NFA
@@ -34,9 +34,6 @@ class PositionNFA:
     @property
     def num_states(self) -> int:
         return self.analysis.num_positions + 1
-
-    def position_label(self, position: int) -> PositionLabel:
-        return self.analysis.position_labels[position]
 
     def transitions_from(self, state: int) -> FrozenSet[int]:
         """Positions reachable in one step (label checked at the target)."""

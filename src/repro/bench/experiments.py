@@ -1516,8 +1516,6 @@ def exp_snap(
     PATH``, repeatable) sweeps arbitrary edge-list files instead — any
     graph in the SNAP dialect, e.g. a generated real-scale stand-in.
     """
-    from pathlib import Path as _Path
-
     from ..core.kernels import resolve_kernel
     from ..distributed.cluster import _resolve_assignment
     from ..partition.builder import build_fragmentation

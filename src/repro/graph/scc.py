@@ -4,7 +4,7 @@ Tarjan's algorithm, implemented iteratively so that deep recursion on long
 chains (common in web-graph analogs) cannot overflow Python's stack.  The
 condensation underpins the CSR view's level-ordered sweep schedule
 (:mod:`repro.core.csr`), the regular kernel's transition order and the
-reachability indexes of :mod:`repro.index`.
+static reachability indexes of :mod:`repro.index`.
 
 Functions are generic over a ``(nodes, successors)`` view so they run both on
 :class:`~repro.graph.digraph.DiGraph` instances and on implicit product

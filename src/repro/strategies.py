@@ -1,10 +1,9 @@
 """The one named-strategy registry (DESIGN.md §14).
 
-Kernels, reachability oracles, shortcut modes and executor backends are the
-same kind of thing: a *named implementation* that changes seconds and never
-answers, visits or traffic.  Each family is one :class:`StrategyRegistry`
-instance, created in the module that owns the implementations
-(:mod:`repro.core.kernels`, :mod:`repro.index.registry`,
+Kernels, shortcut modes and executor backends are the same kind of thing:
+a *named implementation* that changes seconds and never answers, visits or
+traffic.  Each family is one :class:`StrategyRegistry` instance, created in
+the module that owns the implementations (:mod:`repro.core.kernels`,
 :mod:`repro.graph.shortcuts`, :mod:`repro.distributed.executors`); the
 ``resolve_*``/``set_default_*`` names those modules export are plain
 bindings to the methods below.
@@ -37,7 +36,6 @@ class StrategyRegistry:
         env_var: Optional[str] = None,
         missing: Optional[Callable[[str], Optional[str]]] = None,
         kind: Optional[str] = None,
-        listing: str = "known",
     ) -> None:
         """Declare the family.
 
@@ -46,8 +44,8 @@ class StrategyRegistry:
         own order (a tuple, or the name -> implementation dict of the
         owning module); ``missing(name)`` names the uninstalled dependency
         of a registered but unavailable strategy (``None`` = runnable);
-        ``kind`` (default: ``name``) and ``listing`` are how error messages
-        read; ``summary`` is the one-line description CLI help and the
+        ``kind`` (default: ``name``) is how error messages name the
+        family; ``summary`` is the one-line description CLI help and the
         README table are built from.
         """
         self.name = name
@@ -58,14 +56,13 @@ class StrategyRegistry:
         self.summary = summary
         self.env_var = env_var
         self._missing = missing
-        self._listing = listing
         self._default: Optional[str] = None
 
     def check(self, name: str) -> None:
         """Raise the family's error unless ``name`` is registered."""
         if name not in self.names:
             known = ", ".join(self.names)
-            raise self.error(f"unknown {self.kind} {name!r}; {self._listing}: {known}")
+            raise self.error(f"unknown {self.kind} {name!r}; known: {known}")
 
     def set_default(self, name: Optional[str]) -> None:
         """Set the process-wide default (what ``None`` resolves to).

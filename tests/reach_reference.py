@@ -2,8 +2,8 @@
 
 Section 3 lets a site answer ``des(v, Fi)`` with "any indexing
 techniques"; :func:`oracle_rows` rebuilds one fragment's disReach
-equations from a :mod:`repro.index` oracle, pair by pair, so tests can
-compare every registered index against
+equations from one of the static :mod:`repro.index` oracles, pair by
+pair, so tests can compare every registered index against
 :func:`repro.core.reachability.local_eval_reach`.
 """
 

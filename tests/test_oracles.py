@@ -1,4 +1,4 @@
-"""The oracle library: registry, maintenance, identity (DESIGN.md §12).
+"""The static oracle library: registry and identity (DESIGN.md §12).
 
 No evaluation path uses an oracle; these contracts hold for the library
 itself until it is deleted:
@@ -7,12 +7,8 @@ itself until it is deleted:
   as :class:`QueryError` listing what exists, and degenerate graphs get a
   trivial oracle instead of a crash.  No algorithm takes ``oracle=``.
 * **Identity** — every registered oracle answers exactly like
-  :class:`BFSOracle` on arbitrary graphs, including after arbitrary
-  mutation sequences routed through the maintenance hooks, and agrees
-  with ``localEval``'s equations on every fragment after cluster writes.
-* **Maintenance** — a maintained TOL/landmark index equals a
-  from-scratch build after any mutation sequence, and the stats ledger
-  balances (``events == cheap + repairs + rebuilds``).
+  :class:`BFSOracle` on arbitrary graphs, and an oracle built fresh after
+  cluster writes agrees with ``localEval``'s equations on every fragment.
 """
 
 import pickle
@@ -28,20 +24,7 @@ from repro.core.reachability import local_eval_reach
 from repro.distributed.cluster import SimulatedCluster
 from repro.errors import QueryError
 from repro.graph import DiGraph
-from repro.index import (
-    BFSOracle,
-    LandmarkOracle,
-    MaintainableOracle,
-    ORACLE_NAMES,
-    ORACLES,
-    TOLOracle,
-    TrivialOracle,
-    build_oracle,
-    resolve_oracle,
-    set_default_oracle,
-)
-
-MAINTAINED = {"bfs": BFSOracle, "tol": TOLOracle, "landmarks": LandmarkOracle}
+from repro.index import BFSOracle, ORACLE_NAMES, ORACLES, TrivialOracle, build_oracle
 
 
 def _graph(n, edges):
@@ -92,23 +75,16 @@ def mutation_sequences(draw, max_nodes=10, max_steps=10):
 
 class TestRegistry:
     def test_registered_names_are_stable(self):
-        assert ORACLE_NAMES == ("none", "bfs", "transitive-closure", "twohop",
-                                "grail", "tol", "landmarks")
+        assert ORACLE_NAMES == tuple(ORACLES) == (
+            "bfs", "transitive-closure", "twohop", "grail"
+        )
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(QueryError, match="registered oracles: none, bfs"):
-            resolve_oracle("nope")
-
-    def test_unknown_default_rejected(self):
-        with pytest.raises(QueryError, match="unknown oracle"):
-            set_default_oracle("nope")
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE", "tol")
-        assert resolve_oracle(None) == "tol"
-        monkeypatch.setenv("REPRO_ORACLE", "bogus")
-        with pytest.raises(QueryError, match="unknown oracle 'bogus'"):
-            resolve_oracle(None)
+        with pytest.raises(
+            QueryError,
+            match="unknown oracle 'nope'; known: bfs, transitive-closure, twohop, grail",
+        ):
+            build_oracle("nope", _graph(2, [(0, 1)]))
 
     def test_registry_entries_are_picklable(self):
         for name, cls in ORACLES.items():
@@ -120,15 +96,13 @@ class TestRegistry:
         single.add_node("a", label="L")
         for graph in (empty, single):
             for name in ORACLE_NAMES:
-                if name == "none":
-                    continue
                 oracle = build_oracle(name, graph)
                 assert isinstance(oracle, TrivialOracle), (name, graph)
-        assert build_oracle("tol", single).reaches("a", "a")
-        assert not build_oracle("tol", single).reaches("a", "b")
+        assert build_oracle("grail", single).reaches("a", "a")
+        assert not build_oracle("grail", single).reaches("a", "b")
 
     def test_building_none_is_an_error(self):
-        with pytest.raises(QueryError, match="names the sweep path"):
+        with pytest.raises(QueryError, match="unknown oracle 'none'; known: bfs"):
             build_oracle("none", _graph(2, [(0, 1)]))
 
     def test_evaluate_rejects_oracle_for_non_disreach(self):
@@ -142,7 +116,7 @@ class TestRegistry:
         }
         for algorithm, (query_type, _fn) in REGISTRY.items():
             with pytest.raises(TypeError, match="oracle"):
-                evaluate(cluster, queries[query_type], algorithm, oracle="tol")
+                evaluate(cluster, queries[query_type], algorithm, oracle="grail")
 
 
 class TestStaticIdentity:
@@ -152,63 +126,7 @@ class TestStaticIdentity:
         nodes = sorted(graph.nodes())
         reference = _all_pairs(BFSOracle(graph), nodes)
         for name in ORACLE_NAMES:
-            if name == "none":
-                continue
             assert _all_pairs(build_oracle(name, graph), nodes) == reference, name
-
-
-class TestMaintenance:
-    @given(mutation_sequences())
-    @settings(max_examples=40, deadline=None)
-    def test_maintained_equals_fresh_after_mutations(self, case):
-        n, edges, steps = case
-        for name, cls in MAINTAINED.items():
-            graph = _graph(n, edges)
-            oracle = cls(graph)
-            for add, u, v in steps:
-                if add and u != v and not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    oracle.on_edge_added(u, v)
-                elif not add and graph.has_edge(u, v):
-                    graph.remove_edge(u, v)
-                    oracle.on_edge_removed(u, v)
-            nodes = sorted(graph.nodes())
-            fresh = _all_pairs(cls(graph), nodes)
-            assert _all_pairs(oracle, nodes) == fresh, name
-            reference = _all_pairs(BFSOracle(graph), nodes)
-            assert fresh == reference, name
-
-    @given(mutation_sequences())
-    @settings(max_examples=25, deadline=None)
-    def test_stats_ledger_balances(self, case):
-        n, edges, steps = case
-        for name, cls in MAINTAINED.items():
-            graph = _graph(n, edges)
-            oracle = cls(graph)
-            applied = 0
-            for add, u, v in steps:
-                if add and u != v and not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    oracle.on_edge_added(u, v)
-                    applied += 1
-                elif not add and graph.has_edge(u, v):
-                    graph.remove_edge(u, v)
-                    oracle.on_edge_removed(u, v)
-                    applied += 1
-            stats = oracle.maintenance_stats()
-            assert stats["events"] == applied, name
-            assert stats["events"] == (
-                stats["cheap"] + stats["repairs"] + stats["rebuilds"]
-            ), name
-
-    def test_maintainable_protocol_surface(self):
-        graph = _graph(3, [(0, 1)])
-        for cls in MAINTAINED.values():
-            oracle = cls(graph)
-            assert isinstance(oracle, MaintainableOracle)
-            assert set(oracle.maintenance_stats()) == {
-                "events", "cheap", "repairs", "rebuilds"
-            }
 
 
 def _figure_cluster(k=2, n=10):
@@ -250,7 +168,7 @@ class TestEndToEnd:
             elif not add and graph.has_edge(u, v):
                 cluster.apply_edge_mutation(u, v, add=False)
             for fragment in cluster.fragmentation:
-                for name in ("bfs", "tol", "landmarks"):
+                for name in ORACLES:
                     oracle = build_oracle(name, fragment.local_graph)
                     for query in queries:
                         rows = local_eval_reach(fragment, query)

@@ -1,7 +1,7 @@
 """Unit tests for the Pregel-style BSP substrate (sharded supersteps)."""
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 import pytest
 

@@ -1,6 +1,6 @@
-"""The one strategy registry, checked once for all four families.
+"""The one strategy registry, checked once for all three families.
 
-Kernels, oracles, shortcut modes and executors share one
+Kernels, shortcut modes and executors share one
 :class:`~repro.strategies.StrategyRegistry` implementation (DESIGN.md §14):
 explicit > ``set_default`` > environment variable (where the family has
 one) > fallback, unknown names rejected from every layer with the family's
@@ -12,14 +12,16 @@ co.) that tests, CI and the benchmark import.
 from __future__ import annotations
 
 import argparse
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
 from repro.core import kernels
 from repro.distributed import executors
-from repro.errors import DistributedError, KernelError, QueryError, ShortcutError
+from repro.errors import DistributedError, KernelError, ShortcutError
 from repro.graph import shortcuts
-from repro.index import registry as oracles
 from repro.strategies import StrategyRegistry
 
 #: family -> (registry, error class, how an unknown name reads, a registered
@@ -30,12 +32,6 @@ FAMILIES = {
         KernelError,
         "unknown kernel 'warp'; known: numpy, turbo",
         None,
-    ),
-    "oracle": (
-        oracles.ORACLE_REGISTRY,
-        QueryError,
-        "unknown oracle 'warp'; registered oracles: none, bfs, ",
-        "tol",
     ),
     "shortcuts": (
         shortcuts.SHORTCUT_REGISTRY,
@@ -59,7 +55,7 @@ def family(request, monkeypatch):
     if other is None:  # kernels: numpy is the one registered kernel
         other = "turbo"
         monkeypatch.setattr(registry, "names", (*registry.names, other))
-    for name in ("REPRO_KERNEL", "REPRO_ORACLE", "REPRO_SHORTCUTS", "REPRO_EXECUTOR"):
+    for name in ("REPRO_KERNEL", "REPRO_SHORTCUTS", "REPRO_EXECUTOR"):
         monkeypatch.delenv(name, raising=False)
     registry.set_default(None)
     yield registry, error, message, other
@@ -173,7 +169,7 @@ class TestAvailabilityProbe:
         )
 
     def test_families_without_a_probe_run_every_registered_name(self):
-        for name in ("oracle", "shortcuts", "executor"):
+        for name in ("shortcuts", "executor"):
             registry = FAMILIES[name][0]
             assert registry.available() == tuple(registry.names)
 
@@ -185,9 +181,6 @@ def test_module_level_names_are_bindings_to_the_one_implementation():
         (kernels.default_kernel, kernels.KERNEL_REGISTRY.default),
         (kernels.kernel_available, kernels.KERNEL_REGISTRY.is_available),
         (kernels.available_kernels, kernels.KERNEL_REGISTRY.available),
-        (oracles.resolve_oracle, oracles.ORACLE_REGISTRY.resolve),
-        (oracles.set_default_oracle, oracles.ORACLE_REGISTRY.set_default),
-        (oracles.default_oracle, oracles.ORACLE_REGISTRY.default),
         (shortcuts.resolve_shortcuts, shortcuts.SHORTCUT_REGISTRY.resolve),
         (shortcuts.set_default_shortcuts, shortcuts.SHORTCUT_REGISTRY.set_default),
         (shortcuts.default_shortcuts, shortcuts.SHORTCUT_REGISTRY.default),
@@ -198,10 +191,23 @@ def test_module_level_names_are_bindings_to_the_one_implementation():
         assert binding == method and binding.__func__ is method.__func__
         assert type(binding.__self__) is StrategyRegistry
     assert kernels.KERNEL_REGISTRY.names is kernels.KERNELS
-    assert oracles.ORACLE_REGISTRY.names is oracles.ORACLES
     assert shortcuts.SHORTCUT_REGISTRY.names is shortcuts.SHORTCUT_MODES
     assert executors.EXECUTOR_REGISTRY.names is executors.EXECUTORS
     assert executors.EXECUTOR_REGISTRY.env_var is None
-    assert (kernels.KERNEL_ENV_VAR, oracles.ORACLE_ENV_VAR, shortcuts.SHORTCUTS_ENV_VAR) == (
-        "REPRO_KERNEL", "REPRO_ORACLE", "REPRO_SHORTCUTS"
+    assert (kernels.KERNEL_ENV_VAR, shortcuts.SHORTCUTS_ENV_VAR) == (
+        "REPRO_KERNEL", "REPRO_SHORTCUTS"
     )
+
+
+def test_precedence_suite_covers_every_family():
+    """Every module-level :class:`StrategyRegistry` in ``repro`` is a FAMILIES row."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            if isinstance(value, StrategyRegistry):
+                found.setdefault(id(value), f"{info.name}.{attr}")
+    covered = {id(row[0]) for row in FAMILIES.values()}
+    assert set(found) == covered, sorted(found[key] for key in set(found) - covered)
