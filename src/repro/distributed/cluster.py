@@ -135,14 +135,20 @@ class ParallelPhase(PhaseTimer):
 class Run:
     """Accounting context for one distributed query evaluation."""
 
-    def __init__(self, cluster: "SimulatedCluster", algorithm: str) -> None:
+    def __init__(
+        self,
+        cluster: "SimulatedCluster",
+        algorithm: str,
+        started: Optional[float] = None,
+    ) -> None:
+        """``started`` is an earlier ``perf_counter`` reading to time ``wall_seconds`` from."""
         self.cluster = cluster
         self.stats = ExecutionStats(
             algorithm=algorithm,
             num_sites=len(cluster.sites),
             executor=cluster.executor.name,
         )
-        self._start = time.perf_counter()
+        self._start = time.perf_counter() if started is None else started
         self._finished = False
         self._phase_bytes: Optional[Dict[int, int]] = None  # per-sender, in-phase
 
@@ -883,8 +889,8 @@ class SimulatedCluster:
     def num_sites(self) -> int:
         return len(self.sites)
 
-    def start_run(self, algorithm: str) -> Run:
-        return Run(self, algorithm)
+    def start_run(self, algorithm: str, started: Optional[float] = None) -> Run:
+        return Run(self, algorithm, started)
 
     @contextmanager
     def using_executor(

@@ -53,25 +53,16 @@ class MessageKind(enum.Enum):
 class Message:
     """One simulated network transfer.
 
-    Slotted: every query's stats keep one per transfer (16 on an 8-site
-    cluster), so the per-instance ``__dict__`` dominated both the retained
-    size of a ``QueryResult`` and its pickled reply frame.
+    A decoded view: :class:`~repro.distributed.stats.ExecutionStats` keeps
+    its log as packed ints and builds these on demand
+    (``stats.messages``), so no query's stats hold or pickle one object
+    per transfer.
     """
 
     src: int  # site id, or COORDINATOR
     dst: int
     kind: MessageKind
     size_bytes: int
-
-    def __reduce__(self):
-        """Pickle as a constructor call.
-
-        The state hooks ``dataclass`` generates for a frozen slotted class
-        walk ``fields()`` per instance in Python, which doubled the cost of
-        framing a reply; this is faster than the ``__dict__`` form was and
-        smaller on the wire.
-        """
-        return (Message, (self.src, self.dst, self.kind, self.size_bytes))
 
 
 #: Pseudo site-id of the coordinator ``Sc``.

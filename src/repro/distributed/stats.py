@@ -18,6 +18,14 @@ For every query evaluation the simulator tracks
    (sites compute concurrently) plus any coordinator-side time.  This is the
    quantity Theorems 1–3 bound by ``O(|Vf||Fm|)`` etc.
 
+The message log is the one record of what crossed the network: packed int
+arrays (:attr:`ExecutionStats.log_ends` holds ``(src, dst, kind code)`` per
+transfer, :attr:`ExecutionStats.log_sizes` its byte size), so recording a
+transfer appends ints and pickling a query's stats copies two buffers
+instead of building one object per transfer.  ``messages`` decodes the log
+into :class:`~repro.distributed.messages.Message` values and ``visits`` is
+counted from it.
+
 ``wall_seconds`` additionally records real elapsed time of the whole
 simulation.  Since the executor backends (:mod:`repro.distributed.executors`)
 can run site tasks concurrently, two further counters separate *modeled*
@@ -33,12 +41,18 @@ are measured where the task runs and combined as a maximum either way.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional
 
 from .messages import COORDINATOR, Message, MessageKind
+
+#: The log stores a transfer's kind as its index in this tuple.
+_KINDS = tuple(MessageKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 @dataclass
@@ -47,8 +61,6 @@ class ExecutionStats:
 
     algorithm: str
     num_sites: int
-    visits: Counter = field(default_factory=Counter)
-    messages: List[Message] = field(default_factory=list)
     traffic_bytes: int = 0
     response_seconds: float = 0.0
     coordinator_seconds: float = 0.0
@@ -64,15 +76,18 @@ class ExecutionStats:
     #: it is what the CI benchmark-regression gate compares.
     network_seconds: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
+    #: The message log, packed: ``(src, dst, kind code)`` per transfer, and
+    #: the transfer's size in bytes.  :meth:`record_message` is its writer.
+    log_ends: array = field(default_factory=partial(array, "i"))
+    log_sizes: array = field(default_factory=partial(array, "q"))
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def record_message(self, src: int, dst: int, kind: MessageKind, size: int) -> None:
-        self.messages.append(Message(src, dst, kind, size))
+        self.log_ends.extend((src, dst, _KIND_CODES[kind]))
+        self.log_sizes.append(size)
         self.traffic_bytes += size
-        if dst != COORDINATOR:
-            self.visits[dst] += 1
 
     def add_parallel_phase(
         self, site_seconds: Dict[int, float], wall_seconds: float = 0.0
@@ -101,8 +116,8 @@ class ExecutionStats:
         modeled/measured time sums — rounds are sequential, they do not
         overlap the way sites within one round do.
         """
-        self.visits.update(other.visits)
-        self.messages.extend(other.messages)
+        self.log_ends.extend(other.log_ends)
+        self.log_sizes.extend(other.log_sizes)
         self.traffic_bytes += other.traffic_bytes
         self.response_seconds += other.response_seconds
         self.coordinator_seconds += other.coordinator_seconds
@@ -112,16 +127,41 @@ class ExecutionStats:
         self.phase_wall_seconds += other.phase_wall_seconds
         self.network_seconds += other.network_seconds
 
+    def copy(self) -> "ExecutionStats":
+        """An independent copy: the log and ``extras`` are not shared."""
+        clone = object.__new__(ExecutionStats)
+        clone.__dict__.update(self.__dict__)
+        clone.log_ends = self.log_ends[:]
+        clone.log_sizes = self.log_sizes[:]
+        clone.extras = dict(self.extras)
+        return clone
+
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
     @property
+    def messages(self) -> List[Message]:
+        """The message log decoded, one :class:`Message` per transfer."""
+        ends = self.log_ends
+        return [
+            Message(ends[i], ends[i + 1], _KINDS[ends[i + 2]], size)
+            for i, size in zip(range(0, len(ends), 3), self.log_sizes)
+        ]
+
+    @property
+    def visits(self) -> Counter:
+        """Work deliveries per site: the transfers not bound for ``Sc``."""
+        visits = Counter(self.log_ends[1::3])
+        visits.pop(COORDINATOR, None)
+        return visits
+
+    @property
     def num_messages(self) -> int:
-        return len(self.messages)
+        return len(self.log_sizes)
 
     @property
     def total_visits(self) -> int:
-        return sum(self.visits.values())
+        return len(self.log_sizes) - self.log_ends[1::3].count(COORDINATOR)
 
     @property
     def max_visits_per_site(self) -> int:
@@ -136,12 +176,14 @@ class ExecutionStats:
         return self.site_compute_seconds / self.phase_wall_seconds
 
     def visits_per_site(self) -> Dict[int, int]:
-        return {sid: self.visits.get(sid, 0) for sid in range(self.num_sites)}
+        visits = self.visits
+        return {sid: visits.get(sid, 0) for sid in range(self.num_sites)}
 
     def traffic_by_kind(self) -> Dict[MessageKind, int]:
         out: Dict[MessageKind, int] = {}
-        for msg in self.messages:
-            out[msg.kind] = out.get(msg.kind, 0) + msg.size_bytes
+        for code, size in zip(self.log_ends[2::3], self.log_sizes):
+            kind = _KINDS[code]
+            out[kind] = out.get(kind, 0) + size
         return out
 
     def summary(self) -> str:

@@ -44,6 +44,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Hashable, NamedTuple, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..distributed.stats import ExecutionStats
     from .plans import QueryPlan
 
 #: (fragment id, fragment version, algorithm, boundary-relevant params).
@@ -70,13 +71,17 @@ class CacheEntry(NamedTuple):
 class SolvedAnswer(NamedTuple):
     """One query's coordinator result over one set of partial entries.
 
-    ``seconds`` is what the assemble took when it ran; a hit credits it to
-    the query's replayed stats, as a cached partial credits its compute.
+    ``stats`` is the solving run's :class:`ExecutionStats`, taken right after
+    it finished, with the observed-parallelism pair (``site_compute_seconds``,
+    ``phase_wall_seconds``) zeroed.  Every modeled field of a query's stats
+    is a function of its partial entries, so a hit whose entries this batch
+    did not recompute returns a copy of it; one that did replays the run
+    and charges ``stats.coordinator_seconds`` as the solve's time.
     """
 
     answer: bool
     details: Dict[str, object]
-    seconds: float
+    stats: "ExecutionStats"
 
 
 def _lookup(table: "OrderedDict[Any, Any]", key: Hashable) -> Any:

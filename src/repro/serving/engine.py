@@ -19,7 +19,10 @@ engine exploits that three ways:
    while every query still gets the paper-faithful *per-query* stats.  A
    partial answer's modeled wire size is a function of its rvset alone, so
    it is computed once, when the cache entry is produced, and every later
-   charge reads it from the entry.
+   charge reads it from the entry.  Likewise a query's stats are a
+   function of its partial entries: a persistent cache stores them with
+   the solved answer, and a repeat whose entries this batch did not
+   recompute gets a copy of them — one lookup, no replayed message.
 
 The per-query accounting contract: each query's answer, details, visits,
 traffic, message log and superstep count are **bit-identical** to
@@ -129,11 +132,15 @@ def execute_plans(
     cache and collecting the distinct missing evaluations; phase 2 runs all
     misses in one parallel round on the cluster's executor backend; phase 3
     replays each query's one-by-one accounting from the resolved entries
-    and solves it at the coordinator — or, on a persistent ``cache``
-    without ``collect_details``, reads the answer solved earlier over the
-    same partial entries.  Passing ``cache=None`` uses a throwaway cache —
-    within-batch deduplication still applies, every query is solved,
-    nothing survives the call.
+    and solves it at the coordinator.  On a persistent ``cache`` without
+    ``collect_details``, a query solved earlier over the same partial
+    entries takes its answer from the cache, and also its stats when this
+    batch recomputed none of those entries (else the replay runs and
+    charges the stored solve time).  A persistent cache serves one
+    cluster: the stored stats carry its site layout and network model.
+    Passing ``cache=None`` uses a throwaway cache — within-batch
+    deduplication still applies, every query is solved, nothing survives
+    the call.
     """
     from ..core.results import QueryResult
 
@@ -259,7 +266,7 @@ def execute_plans(
                 )
 
     # ------------------------------------------------------------------
-    # phase 3: per-query replay — bit-identical one-by-one accounting
+    # phase 3: per-query one-by-one accounting — stored or replayed
     # ------------------------------------------------------------------
     # Observed-parallelism bookkeeping for the replayed stats: a query whose
     # partials were (even partly) computed by this batch's round reports
@@ -283,7 +290,31 @@ def execute_plans(
             resolved_partials.append(None)
             continue
         keys = plan_keys[index]
-        run = cluster.start_run(plan.algorithm)
+        scheduled = bool(scheduled_keys) and any(
+            key in scheduled_keys for key in keys.values()
+        )
+        answer_key: Optional[AnswerKey] = None
+        solved = start = None
+        if solved_answers is not None:
+            # The lookup is timed as part of the query: a hit's wall, or
+            # the start of the run a miss or a replay goes on to.
+            start = time.perf_counter()
+            answer_key = (plan.algorithm, plan.query, tuple(keys.values()))
+            solved = solved_answers.get_answer(answer_key)
+            if solved is not None:
+                workload.answer_hits += 1
+            if solved is not None and not scheduled:
+                # Solved earlier over these very entries, none of which
+                # this batch recomputed: the stored stats are the replay's.
+                stats = solved.stats.copy()
+                stats.wall_seconds = time.perf_counter() - start
+                _accumulate(workload, stats)
+                results.append(QueryResult(solved.answer, stats, dict(solved.details)))
+                resolved_partials.append(
+                    {fid: resolved[key].equations for fid, key in keys.items()}
+                )
+                continue
+        run = cluster.start_run(plan.algorithm, start)
         run.broadcast(payloads[index], MessageKind.QUERY, size=payload_sizes[index])
         partials: Dict[int, Dict] = {}
         with run.parallel_phase() as phase:
@@ -314,33 +345,27 @@ def execute_plans(
                     plan.wrap_partial(plan.merge_partials(parts)),
                     MessageKind.PARTIAL,
                 )
-        answer_key: Optional[AnswerKey] = None
-        solved = None
-        if solved_answers is not None:
-            answer_key = (plan.algorithm, plan.query, tuple(keys.values()))
-            solved = solved_answers.get_answer(answer_key)
         if solved is None:
             with run.coordinator_work():
                 answer, details = plan.assemble(partials, collect_details)
             # The assemble really ran once, here; mirror its cost into the
             # batch's accounting (a batching coordinator solves every query
             # it has not solved before).
-            seconds = run.stats.coordinator_seconds
-            batch_run.stats.add_coordinator_time(seconds)
-            if answer_key is not None:
-                solved_answers.put_answer(
-                    answer_key, SolvedAnswer(answer, dict(details), seconds)
-                )
-                workload.answer_misses += 1
+            batch_run.stats.add_coordinator_time(run.stats.coordinator_seconds)
         else:
-            # Solved earlier over these very entries: the query's stats
-            # replay the stored assemble time, as a cached partial replays
-            # its compute; the batch ran nothing for it.
+            # A key of this query was (re)computed by this batch: replay the
+            # run over the entries, charging the stored solve's time.
             answer, details = solved.answer, dict(solved.details)
-            run.stats.add_coordinator_time(solved.seconds)
-            workload.answer_hits += 1
+            run.stats.add_coordinator_time(solved.stats.coordinator_seconds)
         stats = run.finish()
-        if any(key in scheduled_keys for key in keys.values()):
+        if solved is None and answer_key is not None:
+            template = stats.copy()
+            template.site_compute_seconds = template.phase_wall_seconds = 0.0
+            solved_answers.put_answer(
+                answer_key, SolvedAnswer(answer, dict(details), template)
+            )
+            workload.answer_misses += 1
+        if scheduled:
             stats.phase_wall_seconds += executed_wall
         else:
             stats.site_compute_seconds = 0.0

@@ -6,9 +6,10 @@ result: whatever the engine reuses, each query's answer, details, traffic,
 visits and message log equal what a fresh engine on an empty cache
 computes, and the answer equals the centralized one — across batches of
 repeated and distinct queries, session edge writes, ``resync``,
-``invalidate_fragment``, ``clear()`` and a repartition.  The remaining
-tests pin when the tables are bypassed or rebuilt and what the counters
-count.
+``invalidate_fragment``, ``clear()`` and a repartition.  A hit returns the
+solving run's stored stats without replaying a message; a query whose
+partial this batch recomputed replays its run.  The remaining tests pin
+when the tables are bypassed or rebuilt and what the counters count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.options import STRATEGIES
 from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.core.reachability import ReachPlan
 from repro.core.regular import RegularReachPlan
-from repro.distributed import SimulatedCluster
+from repro.distributed import COORDINATOR, ExecutionStats, MessageKind, SimulatedCluster
 from repro.graph import erdos_renyi
 from repro.net.server import start_background_server
 from repro.partition import build_fragmentation, random_partition
@@ -68,6 +69,19 @@ def _signature(result):
         stats.traffic_bytes,
         dict(stats.visits),
         [(m.src, m.dst, m.kind, m.size_bytes) for m in stats.messages],
+    )
+
+
+def _modeled(stats):
+    """Every modeled field of a query's stats (the measured ones excluded)."""
+    return (
+        stats.response_seconds,
+        stats.network_seconds,
+        stats.coordinator_seconds,
+        stats.supersteps,
+        stats.traffic_bytes,
+        dict(stats.visits),
+        stats.messages,
     )
 
 
@@ -168,6 +182,87 @@ class TestReuseEqualsFreshEvaluation:
             now = cluster.fragmentation.restore_graph()
             assert session.answer == evaluate_centralized(now, session.query)
             engine.cache.check_index()
+
+
+class TestStoredStats:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Counts of started runs and of recorded messages."""
+        calls = {"start_run": 0, "record_message": 0}
+        real_start_run = SimulatedCluster.start_run
+        real_record = ExecutionStats.record_message
+
+        def start_run(self, *args, **kwargs):
+            calls["start_run"] += 1
+            return real_start_run(self, *args, **kwargs)
+
+        def record_message(self, *args):
+            calls["record_message"] += 1
+            return real_record(self, *args)
+
+        monkeypatch.setattr(SimulatedCluster, "start_run", start_run)
+        monkeypatch.setattr(ExecutionStats, "record_message", record_message)
+        return calls
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_hit_returns_the_solving_runs_stats(self, shared, runs):
+        graph, cluster = _cluster(seed=14, shared=shared)
+        nodes = sorted(graph.nodes())
+        queries = [
+            ReachQuery(nodes[0], nodes[-1]),
+            BoundedReachQuery(nodes[0], nodes[-1], 5),
+            RegularReachQuery(nodes[0], nodes[-1], "L0* | L1*"),
+        ]
+        engine = BatchQueryEngine(cluster)
+        solving = [engine.evaluate(query) for query in queries]
+        runs.update(start_run=0, record_message=0)
+        hits = [engine.evaluate(query) for query in queries]
+        # each batch of one starts its (empty) batch run and nothing else
+        assert runs == {"start_run": 3, "record_message": 0}
+        assert engine.cache.answer_hits == 3
+        for hit, solved in zip(hits, solving):
+            assert "trivial" not in solved.details
+            assert (hit.answer, hit.details) == (solved.answer, solved.details)
+            assert _modeled(hit.stats) == _modeled(solved.stats)
+            assert hit.stats.site_compute_seconds == hit.stats.phase_wall_seconds == 0.0
+            assert hit.stats.wall_seconds > 0.0
+
+    def test_mutating_a_hit_leaves_the_next_hit_unchanged(self):
+        graph, cluster = _cluster(seed=15)
+        nodes = sorted(graph.nodes())
+        query = RegularReachQuery(nodes[0], nodes[-1], "L0* | L2*")
+        engine = BatchQueryEngine(cluster)
+        engine.evaluate(query)
+        first = engine.evaluate(query)
+        expected = _modeled(first.stats)
+        first.stats.accumulate(first.stats.copy())
+        first.stats.record_message(COORDINATOR, 0, MessageKind.QUERY, 99)
+        first.stats.extras["seen"] = True
+        first.details["seen"] = True
+        second = engine.evaluate(query)
+        assert _modeled(second.stats) == expected
+        assert second.stats.extras == {} and "seen" not in second.details
+
+    def test_a_recomputed_partial_replays_the_run(self, runs):
+        graph, cluster = _cluster(seed=16, k=3)
+        nodes = sorted(graph.nodes())
+        query = ReachQuery(nodes[0], nodes[-1])
+        engine = BatchQueryEngine(cluster, SiteResultCache(max_entries=2))
+        solved = engine.evaluate(query)
+        # one of the three partials was evicted; the answer stays
+        assert (len(engine.cache), len(engine.cache._answers)) == (2, 1)
+        runs.update(start_run=0, record_message=0)
+        batch = engine.run_batch([query, query])
+        assert batch.workload.tasks_executed == 1
+        assert (batch.workload.answer_hits, batch.workload.answer_misses) == (2, 0)
+        # the batch run (one send, one partial) and two replayed runs (a
+        # broadcast and a partial per site each)
+        assert runs == {"start_run": 3, "record_message": 2 + 2 * 2 * cluster.num_sites}
+        fresh = _signature(BatchQueryEngine(cluster).evaluate(query))
+        for result in batch:
+            assert _signature(result) == fresh
+            assert result.stats.coordinator_seconds == solved.stats.coordinator_seconds
+            assert result.stats.phase_wall_seconds > 0.0
 
 
 class TestRebuildAfterClear:

@@ -1,5 +1,7 @@
 """Unit tests for execution statistics."""
 
+import pickle
+
 import pytest
 
 from repro.distributed import COORDINATOR, ExecutionStats, MessageKind, PhaseTimer
@@ -173,3 +175,66 @@ class TestAccumulate:
         assert a.site_compute_seconds == pytest.approx(7.0)
         assert a.phase_wall_seconds == pytest.approx(0.75)
         assert a.coordinator_seconds == pytest.approx(1.0)
+
+
+class TestPackedLog:
+    """The message log is packed ints; ``messages`` and ``visits`` read it."""
+
+    SENDS = [
+        (COORDINATOR, 0, MessageKind.QUERY, 12),
+        (COORDINATOR, 2, MessageKind.QUERY, 12),
+        (0, COORDINATOR, MessageKind.PARTIAL, 40),
+        (2, 1, MessageKind.TOKEN, 9),
+        (1, 2, MessageKind.TOKEN, 9),
+        (COORDINATOR, 2, MessageKind.REQUEST, 3),
+        (2, COORDINATOR, MessageKind.DATA, 5_000_000_000),
+        (1, COORDINATOR, MessageKind.CONTROL, 1),
+    ]
+
+    def _logged(self):
+        stats = ExecutionStats(algorithm="x", num_sites=3)
+        for send in self.SENDS:
+            stats.record_message(*send)
+        return stats
+
+    def test_messages_decode_the_log_in_order(self):
+        from repro.distributed import Message
+
+        stats = self._logged()
+        assert stats.messages == [Message(*send) for send in self.SENDS]
+        for message, send in zip(stats.messages, self.SENDS):
+            assert message.kind is send[2]
+        assert stats.num_messages == len(self.SENDS)
+        assert stats.traffic_bytes == sum(send[3] for send in self.SENDS)
+
+    def test_visits_are_counted_from_the_log(self):
+        stats = self._logged()
+        by_hand = {}
+        for _src, dst, _kind, _size in self.SENDS:
+            if dst != COORDINATOR:
+                by_hand[dst] = by_hand.get(dst, 0) + 1
+        assert dict(stats.visits) == by_hand == {0: 1, 1: 1, 2: 3}
+        assert stats.total_visits == 5
+        assert stats.max_visits_per_site == 3
+        assert stats.visits_per_site() == {0: 1, 1: 1, 2: 3}
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_the_log_round_trips_through_pickle(self, protocol):
+        stats = self._logged()
+        copy = pickle.loads(pickle.dumps(stats, protocol))
+        assert copy == stats
+        assert copy.messages == stats.messages
+        assert copy.messages[0].kind is MessageKind.QUERY
+        assert copy.visits == stats.visits
+
+    def test_copy_shares_no_log(self):
+        stats = self._logged()
+        stats.extras["note"] = 1
+        clone = stats.copy()
+        assert clone == stats
+        clone.record_message(COORDINATOR, 0, MessageKind.QUERY, 1)
+        clone.accumulate(self._logged())
+        clone.extras["note"] = 2
+        expected = self._logged()
+        expected.extras["note"] = 1
+        assert stats == expected
