@@ -221,8 +221,8 @@ GATES: Dict[str, Gate] = {
     # (every TCP-served answer vs direct sequential evaluation).  QPS and p99
     # are measured (wall clock across TCP + thread scheduling), so the floor
     # and ceiling are deliberately loose: they catch a serving path falling
-    # off a cliff (serialization in the batcher, a lost admission window),
-    # not machine-to-machine jitter.
+    # off a cliff (serialization in the batcher, queued queries no longer
+    # batched), not machine-to-machine jitter.
     "serving": Gate(("mode",), [
         Check("present", (), "run `python -m repro.bench serving --json <file>`"),
         Check("bound", ("answers_match",), "TCP-served answers diverged from direct "

@@ -18,8 +18,8 @@ its production shape (DESIGN.md §10):
   references), timeout → retry → inline-degrade failure handling.
 * :mod:`repro.net.server` — the asyncio front end (``repro-serve``):
   concurrent client query streams feed a
-  :class:`~repro.serving.engine.BatchQueryEngine` through an
-  admission-batching window with bounded in-flight backpressure and
+  :class:`~repro.serving.engine.BatchQueryEngine`, which runs whatever
+  is queued as one batch, with bounded in-flight backpressure and
   per-query latency stats.
 * :mod:`repro.net.client` — the blocking TCP client
   (:class:`~repro.net.client.ServeClient`) that

@@ -5,14 +5,11 @@ Concurrent client connections stream query frames into one
 run immediately: they enter a bounded admission queue (the backpressure
 bound — when ``max_inflight`` queries are in flight, readers stop
 accepting more, which TCP propagates to the clients) and a batcher
-coroutine drains it with an *admission window*: the first query opens a
-window of at most ``window`` seconds, everything arriving before it closes
-(up to ``max_batch``) joins the same engine batch, so concurrent clients
-get the cross-query amortization the batch engine exists for (DESIGN.md
-§6).  The window exists to wait for arrivals, so it closes early once
-every open connection is owed a reply: a connection is request/response,
-nothing can arrive on it before its reply leaves, and waiting out the
-timer would only delay the batch (DESIGN.md §10).
+coroutine drains it: it takes the first queued query, then everything
+else already queued (up to ``max_batch``), and runs that as one engine
+batch, so concurrent clients get the cross-query amortization the batch
+engine exists for (DESIGN.md §6).  It never waits for a query that has
+not arrived.
 
 Per-query latency is measured enqueue→reply and served as p50/p99 through
 the ``stats`` op — the quantities the closed-loop ``bench serving`` load
@@ -21,11 +18,10 @@ test reports and CI gates.
 All engine and session work runs on the event loop itself: the engine,
 its cache and the cluster are single-threaded by design, and the loop is
 the one thread that serializes them.  A batch holds the loop while it
-runs; frames that arrive meanwhile wait in the socket buffer and join the
-next batch — the batch they would join anyway, since the admission window
-of the running one is closed.  Under the GIL a separate engine thread
-bought no parallelism, only a worker wake-up and a thread-safe return per
-batch.
+runs; frames that arrive meanwhile wait in the socket buffer and are
+queued together once it ends, so they form the next batch.  Under the GIL
+a separate engine thread bought no parallelism, only a worker wake-up and
+a thread-safe return per batch.
 """
 
 from __future__ import annotations
@@ -53,18 +49,14 @@ def percentile(samples: List[float], q: float) -> float:
 
 
 class _Connection:
-    """One client connection: its write side and what the server owes it."""
+    """One client connection: its write side and the sessions it opened."""
 
-    __slots__ = ("writer", "lock", "sessions", "owed", "open")
+    __slots__ = ("writer", "lock", "sessions")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.lock = asyncio.Lock()  # one reply frame on the wire at a time
         self.sessions: Set[int] = set()
-        #: Frames read from the connection and not yet replied to.
-        self.owed = 0
-        #: False once the server stopped reading from the connection.
-        self.open = True
 
 
 class _Pending:
@@ -96,18 +88,17 @@ class ServingServer:
         engine: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        window: float = 0.002,
+        window: Any = None,
         max_batch: int = 32,
         max_inflight: int = 256,
     ) -> None:
         """Configure the front end (``port=0`` picks an ephemeral port).
 
-        ``window`` and ``max_batch`` are upper bounds on how long and how
-        large an admitted batch may grow; a batch closes before either once
-        no open connection could still add to it.
+        ``max_batch`` bounds how many queued queries one engine batch
+        takes.  ``window`` is accepted and ignored: the batcher no longer
+        waits for arrivals, and the keyword stays only for callers that
+        still pass it.
         """
-        if window < 0:
-            raise DistributedError(f"window must be >= 0, got {window}")
         if max_batch < 1:
             raise DistributedError(f"max_batch must be >= 1, got {max_batch}")
         if max_inflight < 1:
@@ -115,7 +106,6 @@ class ServingServer:
         self.engine = engine
         self.host = host
         self.port = port
-        self.window = window
         self.max_batch = max_batch
         self.max_inflight = max_inflight
         self.address: Optional[str] = None
@@ -128,14 +118,8 @@ class ServingServer:
         self._sessions: Dict[int, Any] = {}
         self._session_ids = itertools.count(1)
         self._served = 0
-        #: Admitted batches by what closed their window.
-        self._closed_by = {"early": 0, "timer": 0, "max_batch": 0}
+        self._batches = 0
         self._latencies: deque = deque(maxlen=8192)
-        #: Open connections owed no reply: the ones a frame may arrive on.
-        self._listening = 0
-        #: Set when the batcher's wait may be over (arrival, timer, or a
-        #: change to ``_listening``).
-        self._wakeup: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -144,7 +128,6 @@ class ServingServer:
         """Bind the listener and launch the batcher (call inside a loop)."""
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.max_inflight)
-        self._wakeup = asyncio.Event()
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -194,7 +177,6 @@ class ServingServer:
     ) -> None:
         """Read frames from one client until EOF or a torn frame."""
         conn = _Connection(writer)
-        self._listening += 1
         try:
             while True:
                 try:
@@ -204,16 +186,12 @@ class ServingServer:
                 except QueryError as exc:
                     # A torn or malformed frame leaves the stream position
                     # unknown: report the error and close the connection.
-                    self._hang_up(conn)
-                    self._owe(conn)
                     await self._reply(conn, {"qid": None, "error": exc})
                     break
-                self._owe(conn)
                 await self._dispatch(request, conn)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         finally:
-            self._hang_up(conn)
             for sid in conn.sessions:
                 self._sessions.pop(sid, None)
             writer.close()
@@ -222,30 +200,6 @@ class ServingServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    # Owed-reply bookkeeping: every frame read is owed exactly one reply,
-    # and ``_listening`` counts the open connections owed none.  Only these
-    # three methods touch either.
-    def _owe(self, conn: _Connection) -> None:
-        """A frame was read from ``conn``: it is owed one more reply."""
-        conn.owed += 1
-        if conn.owed == 1 and conn.open:
-            self._listening -= 1
-            self._wakeup.set()
-
-    def _settle(self, conn: _Connection) -> None:
-        """One reply to ``conn`` left (or its client is gone)."""
-        conn.owed -= 1
-        if conn.owed == 0 and conn.open:
-            self._listening += 1
-
-    def _hang_up(self, conn: _Connection) -> None:
-        """The server reads no more from ``conn`` (idempotent)."""
-        if conn.open:
-            conn.open = False
-            if conn.owed == 0:
-                self._listening -= 1
-            self._wakeup.set()
-
     async def _reply(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         """Write one reply frame under the connection's write lock."""
         try:
@@ -253,8 +207,6 @@ class ServingServer:
                 await write_frame(conn.writer, payload)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # client went away; nothing to tell it
-        finally:
-            self._settle(conn)
 
     async def _dispatch(self, request: Any, conn: _Connection) -> None:
         """Route one request frame."""
@@ -267,7 +219,6 @@ class ServingServer:
                     raise QueryError("malformed 'query' request: missing 'query'")
                 item = _Pending(qid, request, conn, enqueued=self._loop.time())
                 await self._queue.put(item)  # blocks at max_inflight
-                self._wakeup.set()
                 return
             if op == "batch":
                 value = self.engine.run_batch(
@@ -322,12 +273,13 @@ class ServingServer:
     # batching
     # ------------------------------------------------------------------
     async def _batcher(self) -> None:
-        """Drain the admission queue window by window, forever."""
+        """Run what is queued (up to ``max_batch``) as one batch, forever."""
         assert self._queue is not None
         while True:
             batch = [await self._queue.get()]
-            closed_by = await self._fill(batch)
-            self._closed_by[closed_by] += 1
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            self._batches += 1
             try:
                 await self._run_admitted(batch)
             except Exception as exc:  # noqa: BLE001 - batcher must survive
@@ -336,35 +288,6 @@ class ServingServer:
                 error = QueryError(f"internal serving error: {exc!r}")
                 for item in batch:
                     await self._finish(item, {"qid": item.qid, "error": error})
-
-    async def _fill(self, batch: List[_Pending]) -> str:
-        """Grow ``batch`` until its window closes; returns what closed it.
-
-        Whatever is already queued joins first.  Then the batch waits for
-        arrivals — at most ``window`` seconds, at most ``max_batch`` queries
-        — but only while some open connection is owed no reply: once every
-        one has a frame outstanding, nothing can arrive before this batch
-        is answered, and the window closes ``"early"``.
-        """
-        assert self._queue is not None and self._loop is not None
-        deadline = self._loop.time() + self.window
-        timer = self._loop.call_at(deadline, self._wakeup.set)
-        try:
-            while True:
-                while len(batch) < self.max_batch and not self._queue.empty():
-                    batch.append(self._queue.get_nowait())
-                if len(batch) >= self.max_batch:
-                    return "max_batch"
-                if self._listening == 0:
-                    return "early"
-                if self._loop.time() >= deadline:
-                    return "timer"
-                # No await separates the checks above from the wait, so no
-                # arrival or bookkeeping change can fall between them.
-                self._wakeup.clear()
-                await self._wakeup.wait()
-        finally:
-            timer.cancel()
 
     async def _run_admitted(self, batch: List[_Pending]) -> None:
         """Evaluate one admitted batch, grouped by (algorithm, options)."""
@@ -423,17 +346,14 @@ class ServingServer:
     def stats_snapshot(self) -> Dict[str, Any]:
         """Served counters and latency percentiles (the ``stats`` op).
 
-        ``batches`` splits into ``batches_closed_early`` (every open
-        connection was owed a reply), ``batches_closed_timer`` (the window
-        ran out) and ``batches_closed_max_batch``; ``plan_hits``/
-        ``plan_misses`` and ``answer_hits``/``answer_misses`` count the
-        serving cache's plan and solved-answer lookups.
+        ``batches`` counts the engine batches the batcher ran;
+        ``plan_hits``/``plan_misses`` and ``answer_hits``/``answer_misses``
+        count the serving cache's plan and solved-answer lookups.
         """
         samples = list(self._latencies)
         return {
             "served": self._served,
-            "batches": sum(self._closed_by.values()),
-            **{f"batches_closed_{why}": n for why, n in self._closed_by.items()},
+            "batches": self._batches,
             "p50_ms": percentile(samples, 0.50) * 1e3,
             "p99_ms": percentile(samples, 0.99) * 1e3,
             "inflight": self._queue.qsize() if self._queue is not None else 0,
@@ -493,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-serve",
         description="Serve distributed reachability queries over TCP: "
         "concurrent clients stream queries into one batch engine "
-        "(admission window batching, bounded in-flight backpressure).",
+        "(queued queries run as one batch, bounded in-flight backpressure).",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="edge-list or .json graph file")
@@ -522,12 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "on a trusted, isolated network)")
     parser.add_argument("--port", type=int, default=0,
                         help="listen port (default: 0 = ephemeral, printed)")
-    parser.add_argument("--window", type=float, default=2.0, metavar="MS",
-                        help="upper bound on the admission-batching window "
-                        "in milliseconds; a batch closes sooner once every "
-                        "open connection is owed a reply (default: 2.0)")
     parser.add_argument("--max-batch", type=int, default=32,
-                        help="upper bound on queries per admitted batch "
+                        help="upper bound on queued queries per engine batch "
                         "(default: 32)")
     parser.add_argument("--max-inflight", type=int, default=256,
                         help="bounded in-flight queries before backpressure "
@@ -566,7 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine,
             host=args.host,
             port=args.port,
-            window=args.window / 1e3,
             max_batch=args.max_batch,
             max_inflight=args.max_inflight,
         )
@@ -578,8 +493,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         await server.start()
         print(f"repro-serve listening on {server.address} "
               f"(sites={cluster.num_sites}, executor={cluster.executor.name}, "
-              f"window={args.window}ms, max-batch={args.max_batch}, "
-              f"max-inflight={args.max_inflight})", flush=True)
+              f"max-batch={args.max_batch}, max-inflight={args.max_inflight})",
+              flush=True)
         await server.run_until_stopped()
 
     try:

@@ -49,7 +49,7 @@ def server():
     cluster = SimulatedCluster.from_graph(
         _chain_graph(), 2, partitioner="chunk", seed=0
     )
-    srv = start_background_server(BatchQueryEngine(cluster), window=0.001)
+    srv = start_background_server(BatchQueryEngine(cluster))
     yield srv
     srv.shutdown()
 
@@ -311,7 +311,7 @@ class TestBackpressureAndValidation:
             _chain_graph(), 2, partitioner="chunk", seed=0
         )
         server = start_background_server(
-            BatchQueryEngine(cluster), window=0.0, max_batch=1, max_inflight=1
+            BatchQueryEngine(cluster), max_batch=1, max_inflight=1
         )
         try:
             answers = []
@@ -349,9 +349,7 @@ class TestBackpressureAndValidation:
         cluster = SimulatedCluster.from_graph(
             _chain_graph(), 2, partitioner="chunk", seed=0
         )
-        server = start_background_server(
-            BatchQueryEngine(cluster), window=0.0
-        )
+        server = start_background_server(BatchQueryEngine(cluster))
         server.engine = FlakyEngine(server.engine)
         try:
             with connect(server.address) as remote:
@@ -363,8 +361,6 @@ class TestBackpressureAndValidation:
 
     def test_constructor_validation(self):
         engine = object()
-        with pytest.raises(DistributedError, match="window"):
-            ServingServer(engine, window=-0.1)
         with pytest.raises(DistributedError, match="max_batch"):
             ServingServer(engine, max_batch=0)
         with pytest.raises(DistributedError, match="max_inflight"):

@@ -7,6 +7,7 @@ EXPERIMENTS.md.  Marked slow: ~1 minute total.
 """
 
 import gc
+import statistics
 
 import pytest
 
@@ -154,4 +155,11 @@ class TestFig11lShape:
         # One untimed job first: the first mapper of a fresh process pays
         # numpy's lazy import, which would land in whichever count runs first.
         mrd_rpq(graph, queries[0], 2, runtime=runtime)
-        assert mean_response(20) < mean_response(2)
+        # A run is ~3 ms, so one sample per side is a coin with a bias: take
+        # the median of 5 runs per count, interleaved so host drift hits
+        # both counts alike.
+        samples = {20: [], 2: []}
+        for _ in range(5):
+            for mappers, runs in samples.items():
+                runs.append(mean_response(mappers))
+        assert statistics.median(samples[20]) < statistics.median(samples[2])

@@ -61,7 +61,7 @@ def _cluster() -> SimulatedCluster:
 
 @pytest.fixture(scope="module")
 def server():
-    srv = start_background_server(BatchQueryEngine(_cluster()), window=0.001)
+    srv = start_background_server(BatchQueryEngine(_cluster()))
     yield srv
     srv.shutdown()
 

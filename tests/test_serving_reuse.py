@@ -437,7 +437,7 @@ class TestObservability:
     def test_serve_stats_op_reports_plan_and_answer_reuse(self):
         graph, cluster = _cluster(seed=13)
         nodes = sorted(graph.nodes())
-        server = start_background_server(BatchQueryEngine(cluster), window=0.0)
+        server = start_background_server(BatchQueryEngine(cluster))
         try:
             with repro.connect(server.address) as client:
                 for _ in range(3):

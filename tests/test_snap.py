@@ -496,24 +496,24 @@ class TestExpSnap:
         for row in by_mode["skip"]:
             assert "wall budget 0s exceeded" in row["status"]
 
-    def test_mid_run_wall_budget_skips_every_phase_loudly(self, monkeypatch):
+    def test_mid_run_wall_budget_skips_every_phase_loudly(self):
         """Budget expiry between phases emits a skip row per cut phase.
 
-        A fake clock advancing one second per ``perf_counter`` call makes the
-        cut deterministic: 60 fake seconds is enough for the whole static
-        sweep but expires before the replay loop, so the replay and the
+        A fake budget clock advancing one second per read makes the cut
+        deterministic: the static sweep reads it once per cell, so 4 fake
+        seconds is enough for the fixture's 2 partitioners x 2 algorithms
+        but expires before the replay loop, so the replay and the
         replay-monitor passes of every dataset must each leave their own
-        skip row (never a silent omission).
+        skip row (never a silent omission).  Only the budget reads the
+        fake clock, so other timing in the sweep cannot move the cut.
         """
-        import time as time_mod
-
         from repro.bench.experiments import SNAP_FIXTURE_PARTITIONERS, exp_snap
 
         ticks = itertools.count(1)
-        monkeypatch.setattr(
-            time_mod, "perf_counter", lambda: float(next(ticks))
-        )
-        rows = exp_snap(fixture=True, num_queries=2, wall_budget_s=60.0).rows
+        rows = exp_snap(
+            fixture=True, num_queries=2, wall_budget_s=4.0,
+            clock=lambda: float(next(ticks)),
+        ).rows
         statics = [row for row in rows if row["mode"] == "static"]
         # every fixture x partitioner x (disReach, disDist) ran before the cut
         assert len(statics) == len(snap.FIXTURES) * len(SNAP_FIXTURE_PARTITIONERS) * 2
