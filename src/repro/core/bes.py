@@ -20,12 +20,16 @@ Variables *used* but never *defined* are ``false`` (they correspond to
 boundary nodes from which the target was locally proven unreachable — the
 paper's formulas simply never mention them; we allow them for robustness).
 
-A site ships its equations as one :class:`BitRows`: Section 3's "|Fi.I|
-equations, each of |Fi.O| bits", with rows that share a bit pattern (the
-in-nodes of one local SCC, typically) pointing at one shared set.  The
-system loads it by reference and decodes a set only when the search first
-reaches it; the decoded disjuncts are cached on the immutable rows object,
-so a partial answer served from cache is never decoded twice.
+A disRPQ site ships its vectors as one :class:`BitRows` (and sizes it
+with :class:`BooleanPartialAnswer`): Section 5's equations over (node,
+state) pairs, with rows that share a bit pattern (the in-nodes of one
+local SCC, typically) pointing at one shared set.  The system loads it by
+reference and decodes a set only when the search first reaches it; the
+decoded disjuncts are cached on the immutable rows object, so a partial
+answer served from cache is never decoded twice.  disReach ships the
+paper's bit matrix over interned ``Vf`` ids instead and solves it as a
+bitset closure (:mod:`repro.core.reachability`); this system is built for
+its ``details["bes"]`` and for the Suciu baseline.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import (
@@ -319,6 +324,39 @@ class BitRows(Mapping):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BitRows(rows={len(self.rows)}, sets={self.num_sets}, columns={len(self.columns)})"
+
+
+@dataclass(frozen=True)
+class BooleanPartialAnswer:
+    """A :class:`BitRows` on the wire: what a disRPQ site ships as ``Fi.rvset``.
+
+    Wire format per Sections 3 and 5's traffic analysis — a shared column
+    table of boundary ids plus one (bitset or sparse) row per equation.
+    The rows already are that format, so the size is arithmetic over them:
+    the charge :func:`~repro.distributed.messages.equation_set_size` models,
+    with each distinct set's row cost computed once.  A plain
+    ``{var: disjuncts}`` mapping is converted to :class:`BitRows` once.
+    disReach's :class:`~repro.core.reachability.ReachRows` is its own wire
+    type and charges the same formula.
+    """
+
+    equations: BitRows
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.equations, BitRows):
+            object.__setattr__(self, "equations", BitRows.from_mapping(self.equations))
+
+    def payload_size(self) -> int:
+        rows = self.equations
+        used = set(rows.cols)
+        dense = (len(used) + 7) // 8
+        row_cost = [min(dense, 2 * count + 2) for count in rows.set_sizes()]
+        return (
+            2
+            + rows.row_bytes
+            + sum(map(rows.col_bytes.__getitem__, used))
+            + sum(map(row_cost.__getitem__, rows.row_set))
+        )
 
 
 class BooleanEquationSystem:

@@ -72,6 +72,7 @@ import numpy as np
 
 from ..distributed.messages import payload_size
 from ..graph.scc import tarjan_scc
+from ..partition.fragment import TRUE_ID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..partition.fragment import Fragment
@@ -88,19 +89,25 @@ LabelFilter = Tuple[np.ndarray, Optional[SubCSR]]
 class Boundary(NamedTuple):
     """``Fi.I`` and ``Fi.O`` of one fragment state, as interned rows.
 
-    ``in_ref``/``out_ref`` are the ``in_nodes``/``virtual_nodes`` objects
-    it was built from (the identity :meth:`FragmentCSR.boundary` checks);
-    rows ascend, so the node tuples are in the kernels' ``repr`` order.
+    ``in_ref``/``out_ref``/``ids_ref`` are the ``in_nodes``/
+    ``virtual_nodes``/``boundary_ids`` objects it was built from (the
+    identity :meth:`FragmentCSR.boundary` checks); rows ascend, so the node
+    tuples are in the kernels' ``repr`` order.  ``in_ids``/``out_ids`` are
+    the nodes' ``Vf`` ids (``Fragment.boundary_ids``), aligned with the
+    rows.
     """
 
     in_ref: Any
     out_ref: Any
+    ids_ref: Any
     in_rows: np.ndarray
     in_nodes: Tuple[Any, ...]
     in_bytes: int
+    in_ids: np.ndarray
     out_rows: np.ndarray
     out_nodes: Tuple[Any, ...]
     out_bytes: np.ndarray
+    out_ids: np.ndarray
 
 
 class Prologue(NamedTuple):
@@ -108,15 +115,19 @@ class Prologue(NamedTuple):
 
     ``row_bytes`` sums the roots' modeled id sizes; ``col_bytes`` holds one
     per column (``int64``).  ``columns`` are nodes, except that the target
-    becomes the caller's token when one is given.
+    becomes the caller's token when one is given.  ``root_ids``/``col_ids``
+    are their ``Vf`` ids: ``-1`` for a local endpoint outside ``Vf``, and
+    ``TRUE_ID`` for the token's column.
     """
 
     roots: Tuple[Any, ...]
     root_rows: np.ndarray
     row_bytes: int
+    root_ids: np.ndarray
     columns: Tuple[Any, ...]
     seed_rows: np.ndarray
     col_bytes: np.ndarray
+    col_ids: np.ndarray
 
 
 class FragmentCSR:
@@ -222,36 +233,44 @@ class FragmentCSR:
         """The (cached) :class:`Boundary` of ``fragment``, whose local graph
         this view lowers.
 
-        Rebuilt when ``fragment.in_nodes`` or ``fragment.virtual_nodes`` is
-        not the object it was built from: a cross-edge write keeps the
-        target side's view but gives it a new ``in_nodes``.
+        Rebuilt when ``fragment.in_nodes``, ``fragment.virtual_nodes`` or
+        ``fragment.boundary_ids`` is not the object it was built from: a
+        cross-edge write keeps the target side's view but gives it a new
+        ``in_nodes``.
         """
         cached = self._boundary
         if (
             cached is not None
             and cached.in_ref is fragment.in_nodes
             and cached.out_ref is fragment.virtual_nodes
+            and cached.ids_ref is fragment.boundary_ids
         ):
             return cached
-        order, node_bytes = self.order, self.node_bytes
+        order, node_bytes, ids = self.order, self.node_bytes, fragment.boundary_ids
 
-        def rows_of(nodes: Any) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+        def rows_of(nodes: Any) -> Tuple[np.ndarray, Tuple[Any, ...], np.ndarray]:
             rows = np.sort(
                 np.fromiter(map(self.index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
             )
-            return rows, tuple(map(order.__getitem__, rows.tolist()))
+            ordered = tuple(map(order.__getitem__, rows.tolist()))
+            return rows, ordered, np.fromiter(
+                map(ids.__getitem__, ordered), dtype=np.int64, count=len(ordered)
+            )
 
-        in_rows, in_nodes = rows_of(fragment.in_nodes)
-        out_rows, out_nodes = rows_of(fragment.virtual_nodes)
+        in_rows, in_nodes, in_ids = rows_of(fragment.in_nodes)
+        out_rows, out_nodes, out_ids = rows_of(fragment.virtual_nodes)
         cached = Boundary(
             fragment.in_nodes,
             fragment.virtual_nodes,
+            ids,
             in_rows,
             in_nodes,
             int(node_bytes.take(in_rows).sum()),
+            in_ids,
             out_rows,
             out_nodes,
             node_bytes.take(out_rows),
+            out_ids,
         )
         self._boundary = cached
         return cached
@@ -719,6 +738,16 @@ def repair_view(fragment: "Fragment", u: Any, v: Any, added: bool) -> None:
             object.__setattr__(fragment, _CACHE_SLOT, repaired)
 
 
+def _insert(array: np.ndarray, at: int, value: Any) -> np.ndarray:
+    """``np.insert(array, at, value)`` for a 1-D array, without its
+    general-axis overhead (several times the copy at prologue sizes)."""
+    out = np.empty(array.size + 1, dtype=array.dtype)
+    out[:at] = array[:at]
+    out[at] = value
+    out[at + 1 :] = array[at:]
+    return out
+
+
 def boundary_prologue(
     fragment: "Fragment", source: Any, target: Any, token: Any = None
 ) -> Tuple[FragmentCSR, Cone, Prologue]:
@@ -730,35 +759,44 @@ def boundary_prologue(
     cached :meth:`FragmentCSR.boundary`, the endpoints inserted by
     ``searchsorted`` so every order stays the kernels' ``repr`` order.
     With a ``token`` (``TRUE`` or ``TARGET``), the target's column — local
-    or virtual — becomes the token, charged at the token's size.  The cone
-    is the view's in-node cone, or the whole-fragment cone when ``source``
-    is an extra root outside it.
+    or virtual — becomes the token, charged at the token's size, with id
+    ``TRUE_ID``.  A local source that is no in-node is outside ``Vf``: its
+    row's id is ``-1``.  The cone is the view's in-node cone, or the
+    whole-fragment cone when ``source`` is an extra root outside it.
     """
     csr = fragment_csr(fragment)
     found = csr.boundary(fragment)
     cone = csr.cone(found.in_rows)
     roots, root_rows, row_bytes = found.in_nodes, found.in_rows, found.in_bytes
+    root_ids = found.in_ids
     if source in fragment.nodes and source not in fragment.in_nodes:
         row = csr.index[source]
         if not cone.covers(row):
             cone = csr.whole_cone()
         at = int(np.searchsorted(root_rows, row))
         roots = (*roots[:at], source, *roots[at:])
-        root_rows = np.insert(root_rows, at, row)
+        root_rows = _insert(root_rows, at, row)
         row_bytes += int(csr.node_bytes[row])
+        root_ids = _insert(root_ids, at, -1)
     columns, seed_rows, col_bytes = found.out_nodes, found.out_rows, found.out_bytes
+    col_ids = found.out_ids
     row = csr.index.get(target)
     if row is not None:
         at = int(np.searchsorted(seed_rows, row))
         if target in fragment.nodes:
             columns = (*columns[:at], target, *columns[at:])
-            seed_rows = np.insert(seed_rows, at, row)
-            col_bytes = np.insert(col_bytes, at, csr.node_bytes[row])
+            seed_rows = _insert(seed_rows, at, row)
+            col_bytes = _insert(col_bytes, at, csr.node_bytes[row])
+            col_ids = _insert(col_ids, at, fragment.boundary_ids.get(target, -1))
         if token is not None:
             columns = (*columns[:at], token, *columns[at + 1 :])
             col_bytes = col_bytes.copy()
             col_bytes[at] = payload_size(token)
-    return csr, cone, Prologue(roots, root_rows, row_bytes, columns, seed_rows, col_bytes)
+            col_ids = col_ids.copy()
+            col_ids[at] = TRUE_ID
+    return csr, cone, Prologue(
+        roots, root_rows, row_bytes, root_ids, columns, seed_rows, col_bytes, col_ids
+    )
 
 
 def cached_csr(fragment: "Fragment") -> "FragmentCSR | None":

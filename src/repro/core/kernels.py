@@ -33,11 +33,15 @@ when a plan resolves it.
 
 **Identity contract**: the kernels produce exactly the equations of the
 pure-python sweeps kept as the test reference (``tests/kernel_reference.py``)
-— the same :class:`~repro.core.bes.BitRows` and
-:class:`~repro.core.minplus.BoundedRows` rows, columns, id sizes and
-disjunct sets or buffers — because they keep that reference's
-deterministic sorted-by-``repr`` seed/root order and return stdlib objects
-drawn from the fragment's own node set.  Roots and columns come from the
+because they keep that reference's deterministic sorted-by-``repr``
+seed/root order and draw rows and columns from the fragment's own node
+set.  Reach emits the id-space matrix,
+:class:`~repro.core.reachability.ReachRows` — each column's bit at its
+``Vf`` id, ``TRUE`` at bit 0 — whose rows, columns, id sizes, decoded
+equations and wire size equal the reference's; regular emits
+:class:`~repro.core.bes.BitRows` and bounded
+:class:`~repro.core.minplus.BoundedRows` identical to the reference's
+rows, columns, id sizes and disjunct sets or buffers.  Roots and columns come from the
 boundary prologue cached on the CSR view
 (:func:`~repro.core.csr.boundary_prologue`).  The kernels change *how* a
 fragment is swept, never *what* the paper's cost model observes, which is
@@ -58,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..partition.fragment import Fragment
     from .bes import BitRows
     from .minplus import BoundedRows
+    from .reachability import ReachRows
 
 #: The selectable kernel names (``--kernel`` choices).
 KERNELS: Tuple[str, ...] = ("numpy",)
@@ -99,10 +104,17 @@ resolve_kernel = KERNEL_REGISTRY.resolve
 # and the ``np.take`` wrapper adds about as much again as the gather itself)
 # and row scatters are one store through flat 1-D indices.
 # ---------------------------------------------------------------------------
+def _id_bits(np, ids):
+    """``(word, bit)``: each int64 id's word index and its ``uint64`` bit.
+
+    The shift runs in ``uint64`` on both sides, so bit 63 never meets a
+    signed int (numpy would promote the pair to ``float64``)."""
+    return ids >> 6, np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+
+
 def _seed_bits(np, num_seeds: int):
     """``(word, bit)``: seed ``j``'s word index and its ``uint64`` bit."""
-    j = np.arange(num_seeds, dtype=np.int64)
-    return j >> 6, np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    return _id_bits(np, np.arange(num_seeds, dtype=np.int64))
 
 
 def _flat_rows(np, rows, words: int):
@@ -113,7 +125,8 @@ def _flat_rows(np, rows, words: int):
 
 
 def _rows_to_ints(bitset_rows) -> List[int]:
-    """Bitset rows decoded to the python-int masks ``BitRows.from_masks`` takes."""
+    """Bitset rows decoded to the python-int masks ``BitRows.from_masks`` takes
+    (the regular kernel's hand-over)."""
     raw = bitset_rows.astype("<u8", copy=False).tobytes()
     width = bitset_rows.shape[1] * 8
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
@@ -122,8 +135,11 @@ def _rows_to_ints(bitset_rows) -> List[int]:
 # ---------------------------------------------------------------------------
 # Boolean reachability (localEval)
 # ---------------------------------------------------------------------------
-def _reach_masks(np, csr: Any, cone: Any, root_rows: Any, seed_rows: Any) -> List[int]:
-    """Per root row, the python-int bitmask of the seed rows it reaches.
+def _reach_masks(
+    np, csr: Any, cone: Any, root_rows: Any, seed_rows: Any, seed_ids: Any, words: int
+) -> Any:
+    """Per root row, the ``uint64[words]`` bitset of the seeds it reaches,
+    seed ``j`` at bit ``seed_ids[j]``.
 
     The sweep runs over the fragment's *cached* level-ordered SCC
     condensation (:meth:`~repro.core.csr.FragmentCSR.condensation`): every
@@ -134,38 +150,49 @@ def _reach_masks(np, csr: Any, cone: Any, root_rows: Any, seed_rows: Any) -> Lis
     pass over the condensation edges *out of the roots' forward cone*
     (:class:`~repro.core.csr.Cone`), the only components a root row reads,
     with the Tarjan work amortized across all queries on the fragment
-    version.
+    version.  The ids are distinct and below ``64 * words``.
     """
     cond = csr.condensation()
-    words = max(1, (len(seed_rows) + 63) >> 6)
-    word, bit = _seed_bits(np, len(seed_rows))
+    word, bit = _id_bits(np, seed_ids)
     cbits = np.zeros(cond.num_comps * words, dtype=np.uint64)
     np.bitwise_or.at(cbits, cond.comp.take(seed_rows) * words + word, bit)
     cbits = cbits.reshape(cond.num_comps, words)
     for ids, starts, segment in cone.schedule(cond):
         cbits[ids] |= np.bitwise_or.reduceat(cbits.take(segment, axis=0), starts, axis=0)
-    return _rows_to_ints(cbits.take(cond.comp.take(root_rows), axis=0))
+    return cbits.take(cond.comp.take(root_rows), axis=0)
 
 
-def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "BitRows":
-    """``localEval``'s :class:`~repro.core.bes.BitRows` for ``qr(source, target)``.
+def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "ReachRows":
+    """``localEval``'s :class:`~repro.core.reachability.ReachRows` for
+    ``qr(source, target)``: the paper's |Fi.I| × |Fi.O| bit matrix.
 
-    Roots, columns (``TRUE`` for the target) and their id sizes come from
-    the cached boundary prologue; the masks from one condensation sweep
-    over the prologue's cone.
+    Roots, columns (``TRUE`` for the target) and their ``Vf`` ids and id
+    sizes come from the cached boundary prologue; the rows from one
+    condensation sweep over the prologue's cone, each column's bit at its
+    ``Vf`` id (``TRUE`` at bit 0), so a row is as wide as the fragment's
+    largest column id needs.
     """
     import numpy as np
 
-    from .bes import TRUE, BitRows
+    from .bes import TRUE
     from .csr import boundary_prologue
+    from .reachability import ReachRows
 
     csr, cone, found = boundary_prologue(fragment, source, target, TRUE)
+    col_ids = found.col_ids
+    words = int(col_ids.max()) // 64 + 1 if col_ids.size else 1
     if found.root_rows.size and found.seed_rows.size:
-        masks = _reach_masks(np, csr, cone, found.root_rows, found.seed_rows)
+        bits = _reach_masks(np, csr, cone, found.root_rows, found.seed_rows, col_ids, words)
     else:
-        masks = [0] * len(found.roots)
-    return BitRows.from_masks(
-        found.roots, found.columns, masks, found.row_bytes, found.col_bytes.tobytes()
+        bits = np.zeros((len(found.roots), words), dtype=np.uint64)
+    return ReachRows(
+        found.roots,
+        found.root_ids,
+        bits,
+        found.columns,
+        col_ids,
+        found.row_bytes,
+        found.col_bytes,
     )
 
 

@@ -10,13 +10,19 @@ The three steps of Fig. 3:
 3. the coordinator assembles the equations into a Boolean Equation System
    and solves it with :func:`assemble_reach` (procedure ``evalDG``).
 
-A fragment's equations travel as one :class:`~repro.core.bes.BitRows`:
-the in-node rows over the shared ``oset`` column table, rows of one local
-SCC pointing at one shared set.  The numpy kernel emits it through
-:meth:`~repro.core.bes.BitRows.from_masks`, the wire size is arithmetic
-over it (:class:`BooleanPartialAnswer`), and the coordinator's
-:class:`~repro.core.bes.BooleanEquationSystem` loads it by reference.
-The same wire type carries disRPQ's vectors (:mod:`repro.core.regular`).
+A fragment's equations travel as one :class:`ReachRows`: Section 3's
+"|Fi.I| equations, each of |Fi.O| bits", literally — one ``uint64`` row per
+in-node (plus a local ``s``), with column ``v'``'s bit at ``v'``'s id in
+the fragmentation's interned ``Vf``
+(:attr:`~repro.partition.fragment.Fragmentation.boundary_ids`) and
+``true`` at bit 0.  The numpy kernel emits the matrix its condensation
+sweep computes, the wire size is computed once from it, and the
+coordinator scatters every fragment's rows into one ``[ids, words]``
+matrix and solves ``evalDG`` as a bitset closure over it: the dependency
+graph of Fig. 4 is that matrix, read as adjacency.  The ``{node:
+frozenset}`` equations are decoded only for ``collect_details``.
+disRPQ's vectors keep :class:`~repro.core.bes.BitRows`
+(:mod:`repro.core.regular`).
 
 Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 ``O(|Vf||Fm|)`` time — asserted by the test suite on every run.
@@ -24,62 +30,222 @@ Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
-
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections.abc import Mapping
+from itertools import compress
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import BitRows, BooleanEquationSystem
+from .bes import BooleanEquationSystem, Disjunct
 from .kernels import reach_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
 from .results import QueryResult
 
 
-@dataclass(frozen=True)
-class BooleanPartialAnswer:
-    """What a site ships to the coordinator: ``Fi.rvset`` (disReach, disRPQ).
+def _wire_size(np, bits: Any, col_ids: Any, row_bytes: int, col_bytes: Any) -> Tuple[int, int]:
+    """``(wire bytes, disjuncts)`` of a bit matrix, in
+    :func:`~repro.distributed.messages.equation_set_size`'s format.
 
-    Wire format per Sections 3 and 5's traffic analysis — a shared column
-    table of boundary ids plus one (bitset or sparse) row per equation.
-    The rows already are that format, so the size is arithmetic over them:
-    the charge :func:`~repro.distributed.messages.equation_set_size` models,
-    with each distinct set's row cost computed once.  A plain
-    ``{var: disjuncts}`` mapping is converted to :class:`BitRows` once.
+    The used columns are the OR of every row; each row costs the cheaper of
+    the dense bitset over them and its sparse list (``2 * popcount + 2``).
+    """
+    counts = np.bitwise_count(bits).sum(axis=1)
+    used = np.bitwise_or.reduce(bits, axis=0)
+    flags = np.unpackbits(used.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    dense = (int(np.count_nonzero(flags)) + 7) // 8
+    col_total = int(np.dot(col_bytes, flags.take(col_ids)))
+    row_total = int(np.minimum(counts * 2 + 2, dense).sum())
+    return 2 + row_bytes + col_total + row_total, int(counts.sum())
+
+
+class ReachRows(Mapping):
+    """One site's ``localEval`` answer: the paper's |Fi.I| × |Fi.O| bit matrix.
+
+    Row ``i`` is the equation of variable ``rows[i]`` (an in-node, or a
+    local ``s``), whose ``Vf`` id is ``row_ids[i]`` (``-1``: the query's
+    source, a local node outside ``Vf``); ``bits[i]`` is a
+    ``uint64[words]`` bitset over ``Vf`` ids with ``true`` at bit 0.
+    ``columns`` are the disjuncts the rows may hold (``oset``, ``TRUE`` for
+    the target), ``col_ids`` their ids and ``col_bytes`` their modeled id
+    sizes; ``row_bytes`` sums the variables'.
+    ``size`` is the wire size (:meth:`payload_size`) and ``num_entries`` the
+    disjunct count, both computed once from the matrix when it is built.
+
+    As a read-only mapping, ``rows[v]`` decodes to the frozenset of the
+    equation ``Xv = ∨ ...``, so it compares equal to the plain dict form;
+    the decoding happens once, on first access.
     """
 
-    equations: BitRows
+    __slots__ = (
+        "rows",
+        "row_ids",
+        "bits",
+        "columns",
+        "col_ids",
+        "row_bytes",
+        "col_bytes",
+        "size",
+        "num_entries",
+        "_equations",
+    )
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.equations, BitRows):
-            object.__setattr__(self, "equations", BitRows.from_mapping(self.equations))
+    def __init__(
+        self,
+        rows: Sequence[Node],
+        row_ids: Any,
+        bits: Any,
+        columns: Sequence[Disjunct],
+        col_ids: Any,
+        row_bytes: int,
+        col_bytes: Any,
+        size: Optional[int] = None,
+        num_entries: Optional[int] = None,
+    ) -> None:
+        """Wrap the arrays (``int64`` ids and sizes, ``uint64[rows, words]``
+        bits); the wire size and disjunct count are computed unless given."""
+        set_ = object.__setattr__
+        set_(self, "rows", tuple(rows))
+        set_(self, "row_ids", row_ids)
+        set_(self, "bits", bits)
+        set_(self, "columns", tuple(columns))
+        set_(self, "col_ids", col_ids)
+        set_(self, "row_bytes", int(row_bytes))
+        set_(self, "col_bytes", col_bytes)
+        if size is None or num_entries is None:
+            import numpy as np
 
-    def payload_size(self) -> int:
-        rows = self.equations
-        used = set(rows.cols)
-        dense = (len(used) + 7) // 8
-        row_cost = [min(dense, 2 * count + 2) for count in rows.set_sizes()]
-        return (
-            2
-            + rows.row_bytes
-            + sum(map(rows.col_bytes.__getitem__, used))
-            + sum(map(row_cost.__getitem__, rows.row_set))
+            size, num_entries = _wire_size(np, bits, col_ids, self.row_bytes, col_bytes)
+        set_(self, "size", size)
+        set_(self, "num_entries", num_entries)
+        set_(self, "_equations", None)
+        if (
+            bits.ndim != 2
+            or not len(self.rows) == len(row_ids) == bits.shape[0]
+            or not len(self.columns) == len(col_ids) == len(col_bytes)
+        ):
+            raise ValueError("ReachRows arrays disagree on rows or columns")
+
+    @classmethod
+    def concat(cls, parts: Sequence["ReachRows"]) -> "ReachRows":
+        """One matrix holding every part's rows, as a site holding several
+        fragments ships them: rows stacked (narrower ones zero-padded),
+        columns shared by id, the wire size computed over the whole."""
+        import numpy as np
+
+        words = max((part.words for part in parts), default=1)
+        bits = np.zeros((sum(map(len, parts)), words), dtype=np.uint64)
+        at = 0
+        for part in parts:
+            bits[at : at + len(part), : part.words] = part.bits
+            at += len(part)
+        col_ids = np.concatenate([part.col_ids for part in parts] or [np.zeros(0, np.int64)])
+        col_ids, first = np.unique(col_ids, return_index=True)
+        columns = [column for part in parts for column in part.columns]
+        col_bytes = [part.col_bytes for part in parts] or [np.zeros(0, np.int64)]
+        return cls(
+            [var for part in parts for var in part.rows],
+            np.concatenate([part.row_ids for part in parts] or [np.zeros(0, np.int64)]),
+            bits,
+            map(columns.__getitem__, first.tolist()),
+            col_ids,
+            sum(part.row_bytes for part in parts),
+            np.concatenate(col_bytes).take(first),
         )
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-#: The disReach name of the one Boolean wire type.
-ReachPartialAnswer = BooleanPartialAnswer
+    def __reduce__(self):
+        return (
+            ReachRows,
+            (
+                self.rows,
+                self.row_ids,
+                self.bits,
+                self.columns,
+                self.col_ids,
+                self.row_bytes,
+                self.col_bytes,
+                self.size,
+                self.num_entries,
+            ),
+        )
+
+    @property
+    def words(self) -> int:
+        """``uint64`` words per row."""
+        return self.bits.shape[1]
+
+    def payload_size(self) -> int:
+        """The modeled wire size (DESIGN.md §3.1), computed at construction."""
+        return self.size
+
+    def position(self, node: Node) -> int:
+        """The row index of ``node`` (``-1`` if it has none).
+
+        The kernel emits variables in ascending ``repr`` order, so this is
+        a binary search; nodes with equal ``repr`` are told apart by ``==``.
+        """
+        rows = self.rows
+        key = repr(node)
+        at = bisect_left(rows, key, key=repr)
+        while at < len(rows) and repr(rows[at]) == key:
+            if rows[at] == node:
+                return at
+            at += 1
+        return -1
+
+    # -- decoding ------------------------------------------------------------
+    def _decoded(self) -> Dict[Node, FrozenSet[Disjunct]]:
+        equations = self._equations
+        if equations is None:
+            import numpy as np
+
+            flags = np.unpackbits(
+                self.bits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+            )
+            held = flags.take(self.col_ids, axis=1).astype(bool).tolist()
+            equations = {
+                var: frozenset(compress(self.columns, row))
+                for var, row in zip(self.rows, held)
+            }
+            object.__setattr__(self, "_equations", equations)
+        return equations
+
+    def __getitem__(self, var: Node) -> FrozenSet[Disjunct]:
+        return self._decoded()[var]
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ReachRows(rows={len(self.rows)}, columns={len(self.columns)}, words={self.words})"
 
 
 def local_eval_reach(
     fragment: Fragment,
     query: ReachQuery,
     kernel: Optional[str] = None,
-) -> BitRows:
+) -> ReachRows:
     """Procedure ``localEval`` (Fig. 3) on one fragment.
 
     ``iset`` is ``Fi.I`` (plus ``s`` when local); ``oset`` is ``Fi.O`` (plus
@@ -97,15 +263,48 @@ def local_eval_reach(
     return reach_rows(fragment, query.source, query.target)
 
 
-def assemble_reach(
-    partials: Dict[int, Mapping],
-    query: ReachQuery,
-) -> Tuple[bool, BooleanEquationSystem]:
-    """Procedure ``evalDG`` (Fig. 4): solve the assembled BES for ``Xs``."""
-    bes = BooleanEquationSystem()
-    for equations in partials.values():
-        bes.update(equations)
-    return bes.solve_reachability(query.source), bes
+def assemble_reach(partials: Mapping[int, ReachRows], query: ReachQuery) -> bool:
+    """Procedure ``evalDG`` (Fig. 4): is ``Xs`` true in the least fixpoint?
+
+    Every fragment's rows are scattered into one ``uint64[ids, words]``
+    matrix at their ``Vf`` ids — the dependency graph ``Gd`` as adjacency
+    bitsets, ``s``'s row last when ``s`` is outside ``Vf`` (id ``-1``).  A
+    frontier closure from ``s``'s row then ORs in the rows of every newly
+    reached id, level by level, until bit 0 (``true``) is set or nothing new
+    is reached.  An id without a row is a variable no site defines:
+    ``false``, as in the paper's formulas.
+    """
+    import numpy as np
+
+    parts = list(partials.values())
+    for part in parts:
+        at = part.position(query.source)
+        if at >= 0:
+            start = int(part.row_ids[at])
+            break
+    else:
+        return False  # no site defines Xs
+    words = max(part.words for part in parts)
+    ids = np.concatenate([part.row_ids for part in parts])
+    matrix = np.zeros((max(64 * words, int(ids.max()) + 1) + 1, words), dtype=np.uint64)
+    if all(part.words == words for part in parts):
+        matrix[ids] = np.concatenate([part.bits for part in parts])
+    else:
+        for part in parts:
+            matrix[part.row_ids, : part.words] = part.bits
+    reach = matrix[start].copy()
+    frontier = reach
+    one = np.uint64(1)
+    while not reach[0] & one:
+        (reached,) = np.unpackbits(
+            frontier.astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        ).nonzero()
+        if not reached.size:
+            return False
+        new = np.bitwise_or.reduce(matrix.take(reached, axis=0), axis=0)
+        frontier = new & ~reach
+        reach |= new
+    return True
 
 
 class ReachPlan(QueryPlan):
@@ -156,24 +355,26 @@ class ReachPlan(QueryPlan):
     def fragment_params(self, fragment: Fragment) -> Hashable:
         return endpoint_params(fragment, self.query.source, self.query.target)
 
-    def merge_partials(self, parts: Sequence[BitRows]) -> BitRows:
-        return BitRows.concat(parts)
+    def merge_partials(self, parts: Sequence[ReachRows]) -> ReachRows:
+        return ReachRows.concat(parts)
 
-    def wrap_partial(self, site_equations: BitRows) -> BooleanPartialAnswer:
-        return BooleanPartialAnswer(site_equations)
+    def wrap_partial(self, site_equations: ReachRows) -> ReachRows:
+        return site_equations
 
     def assemble(
-        self, partials: Dict[int, BitRows], collect_details: bool
+        self, partials: Dict[int, ReachRows], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
-        answer, bes = assemble_reach(partials, self.query)
+        answer = assemble_reach(partials, self.query)
         details: Dict[str, object] = {
-            "num_variables": len(bes),
-            "num_disjuncts": bes.num_disjuncts,
+            "num_variables": sum(map(len, partials.values())),
+            "num_disjuncts": sum(rows.num_entries for rows in partials.values()),
         }
         if collect_details:
-            details["equations"] = {
-                fid: dict(equations) for fid, equations in partials.items()
-            }
+            equations = {fid: dict(rows) for fid, rows in partials.items()}
+            bes = BooleanEquationSystem()
+            for rows in equations.values():
+                bes.update(rows)
+            details["equations"] = equations
             details["bes"] = bes
         return answer, details
 

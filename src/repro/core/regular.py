@@ -14,10 +14,13 @@ pairs of the query automaton ``Gq(R)``:
    of ``X(s, us)`` (Lemma 4).
 
 A fragment's vectors travel as one :class:`~repro.core.bes.BitRows` over
-(node, state) rows and columns, ``TRUE`` standing for ``(t, ut)`` — the
-wire type, sizing and by-reference loading of
-:mod:`repro.core.reachability`, with every pair's id size ``2 + node +
-state`` bytes.
+(node, state) rows and columns, ``TRUE`` standing for ``(t, ut)``, sized
+by :class:`~repro.core.bes.BooleanPartialAnswer` and loaded by reference
+into the :class:`~repro.core.bes.BooleanEquationSystem`, with every
+pair's id size ``2 + node + state`` bytes.  (disReach's
+:class:`~repro.core.reachability.ReachRows` addresses columns by ``Vf``
+id instead; the product-pair space, ``|Vf|·|Vq|`` bits wide, is too wide
+to place seeds in directly — ROADMAP item 17.)
 
 Instead of the paper's recursive ``cmpRvec`` memoization — which, as
 written, does not terminate on cyclic fragments (the ``visit`` flag is only
@@ -39,17 +42,16 @@ from ..graph.digraph import Node
 from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
-from .bes import BitRows, BooleanEquationSystem
+from .bes import BitRows, BooleanEquationSystem, BooleanPartialAnswer
 from .kernels import regular_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import RegularReachQuery
-from .reachability import BooleanPartialAnswer
 from .results import QueryResult
 
 #: A (node, state) product pair — the variables of the regular BES.
 Pair = Tuple[Node, State]
 
-#: The disRPQ name of the one Boolean wire type (Section 5's
+#: The disRPQ name of the :class:`BitRows` wire type (Section 5's
 #: ``O(|R|^2 |Fi.I| |Fi.O|)`` vector set).
 RegularPartialAnswer = BooleanPartialAnswer
 

@@ -323,6 +323,15 @@ def _resolve_assignment(
     return call_partitioner(fn, graph, num_fragments, seed), label
 
 
+def _without(ids: Mapping[Node, int], node: Node, kept: bool) -> Mapping[Node, int]:
+    """A fragment's ``boundary_ids`` after a cross-edge removal: ``ids``
+    itself while ``node`` stays on its boundary (``kept``), else a copy
+    without it (the fragmentation's table keeps its id)."""
+    if kept:
+        return ids
+    return {other: i for other, i in ids.items() if other != node}
+
+
 class SimulatedCluster:
     """Sites holding the fragments of one graph, plus a coordinator."""
 
@@ -677,9 +686,18 @@ class SimulatedCluster:
             local.add_node(v, frag_v.local_graph.label(v))
         local.add_edge(u, v)
         cross = tuple(sorted(frag_u.cross_edges + ((u, v),), key=repr))
+        # v joins Vf (if new to it) under the table's id for it, minted once.
+        ids = {v: self.fragmentation.intern(v)}
         return {
-            frag_u.fid: {"virtual_nodes": frag_u.virtual_nodes | {v}, "cross_edges": cross},
-            frag_v.fid: {"in_nodes": frag_v.in_nodes | {v}},
+            frag_u.fid: {
+                "virtual_nodes": frag_u.virtual_nodes | {v},
+                "cross_edges": cross,
+                "boundary_ids": {**frag_u.boundary_ids, **ids},
+            },
+            frag_v.fid: {
+                "in_nodes": frag_v.in_nodes | {v},
+                "boundary_ids": {**frag_v.boundary_ids, **ids},
+            },
         }
 
     def _remove_cross_edge(
@@ -704,8 +722,15 @@ class SimulatedCluster:
         )
         in_nodes = frag_v.in_nodes if still_in else frag_v.in_nodes - {v}
         return {
-            frag_u.fid: {"virtual_nodes": virtual, "cross_edges": new_cross},
-            frag_v.fid: {"in_nodes": in_nodes},
+            frag_u.fid: {
+                "virtual_nodes": virtual,
+                "cross_edges": new_cross,
+                "boundary_ids": _without(frag_u.boundary_ids, v, v in virtual),
+            },
+            frag_v.fid: {
+                "in_nodes": in_nodes,
+                "boundary_ids": _without(frag_v.boundary_ids, v, still_in),
+            },
         }
 
     def _invalidate_caches(self, fids: Iterable[int]) -> None:

@@ -10,8 +10,15 @@ numpy by design (DESIGN.md §1) and the payloads are the library's own picklable
 objects — queries, automata, fragments, equations, ``QueryResult``\\ s —
 so :mod:`pickle` (highest protocol) is both the simplest and the fastest
 encoding available.  All endpoints are processes of this same codebase on
-links the operator controls (localhost first); frames are not a trust
-boundary.
+links the operator controls (localhost first).
+
+Decoding fails closed all the same: :class:`WireUnpickler` resolves only
+classes and functions of the ``repro`` package plus the short named list
+:data:`WIRE_GLOBALS` (numpy's array reconstructors and ``dtype``, the
+``array`` reconstructor, ``copyreg``'s, the builtin containers and the
+builtin exception classes a broker sends back).  Any other global — say
+``os.system`` or ``builtins.eval`` — is refused before its module is
+imported or anything is called.
 
 Error contract: a frame that cannot be read — wrong magic, a length
 beyond :data:`MAX_FRAME_BYTES`, a connection closing mid-frame, an
@@ -23,10 +30,13 @@ from a torn frame.
 
 from __future__ import annotations
 
+import builtins
+import io
 import pickle
 import socket
 import struct
-from typing import Any, NamedTuple, Tuple
+from types import FunctionType
+from typing import Any, FrozenSet, NamedTuple, Tuple
 
 from ..errors import QueryError
 
@@ -120,10 +130,60 @@ def decode_header(header: bytes) -> int:
     return length
 
 
+#: ``(module, name)`` of every global a frame may name outside ``repro``.
+WIRE_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset(
+    {
+        *(
+            (module, name)
+            for module in ("numpy.core.multiarray", "numpy._core.multiarray")
+            for name in ("_reconstruct", "scalar")
+        ),
+        ("numpy.core.numeric", "_frombuffer"),
+        ("numpy._core.numeric", "_frombuffer"),
+        ("numpy", "dtype"),
+        ("numpy", "ndarray"),
+        ("array", "array"),
+        ("array", "_array_reconstructor"),
+        ("copyreg", "_reconstructor"),
+        ("copyreg", "__newobj__"),
+        ("copyreg", "__newobj_ex__"),
+        *(
+            ("builtins", name)
+            for name in (
+                "bytearray", "bytes", "dict", "frozenset", "list", "object", "set", "tuple",
+            )
+        ),
+        *(
+            ("builtins", name)
+            for name, value in vars(builtins).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        ),
+    }
+)
+
+
+class WireUnpickler(pickle.Unpickler):
+    """The frame decoder: ``repro`` classes and functions plus
+    :data:`WIRE_GLOBALS`, nothing else."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in WIRE_GLOBALS:
+            return super().find_class(module, name)
+        if module == "repro" or module.startswith("repro."):
+            found = super().find_class(module, name)
+            # Only what the package itself defines: never a module or a
+            # foreign callable reached through one of its imports.
+            if isinstance(found, (type, FunctionType)) and (
+                getattr(found, "__module__", "") or ""
+            ).startswith("repro."):
+                return found
+        raise pickle.UnpicklingError(f"global {module}.{name} is not allowed on the wire")
+
+
 def decode_payload(body: bytes) -> Any:
-    """Deserialize one frame's payload bytes."""
+    """Deserialize one frame's payload bytes (:class:`WireUnpickler`)."""
     try:
-        return pickle.loads(body)
+        return WireUnpickler(io.BytesIO(body)).load()
     except Exception as exc:
         raise QueryError(f"malformed frame payload: {exc}") from exc
 

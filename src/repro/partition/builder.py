@@ -11,7 +11,7 @@ from typing import List, Mapping, Set
 
 from ..errors import FragmentationError
 from ..graph.digraph import DiGraph, Edge, Node
-from .fragment import Fragment, Fragmentation
+from .fragment import TRUE_ID, Fragment, Fragmentation
 
 
 def build_fragmentation(
@@ -52,6 +52,11 @@ def build_fragmentation(
             in_nodes[fv].add(v)
             cross[fu].append((u, v))
 
+    # Vf interned once, in repr order (deterministic across processes);
+    # every virtual node is an in-node of its owner, so the in-nodes cover it.
+    vf = sorted(set().union(*in_nodes), key=repr)
+    boundary_ids = {node: i for i, node in enumerate(vf, TRUE_ID + 1)}
+
     fragments: List[Fragment] = []
     for fid in range(num_fragments):
         local = DiGraph()
@@ -75,6 +80,9 @@ def build_fragmentation(
                 virtual_nodes=frozenset(virtual[fid]),
                 in_nodes=frozenset(in_nodes[fid]),
                 cross_edges=tuple(sorted(cross[fid], key=repr)),
+                boundary_ids={
+                    node: boundary_ids[node] for node in in_nodes[fid] | virtual[fid]
+                },
             )
         )
     return Fragmentation(fragments, dict(assignment))

@@ -61,6 +61,12 @@ class Fragment:
     A ``Fragment`` is one *state* of fragment ``fid``; ``version``, unique
     in the process, is its identity and every cache key reads it.  A write
     installs a successor built by :meth:`replaced`.
+
+    ``boundary_ids`` maps every node of ``Fi.I ∪ Fi.O`` to its id in the
+    fragmentation's interned ``Vf`` (:attr:`Fragmentation.boundary_ids`),
+    so a site addresses the paper's |Fi.I| × |Fi.O| bit matrix without the
+    table.  Derived and read-only: a write that changes ``Fi.I`` or
+    ``Fi.O`` installs a new dict with them.
     """
 
     fid: int
@@ -69,6 +75,7 @@ class Fragment:
     virtual_nodes: FrozenSet[Node]  # Fi.O
     in_nodes: FrozenSet[Node]  # Fi.I
     cross_edges: Tuple[Edge, ...]  # cEi
+    boundary_ids: Mapping[Node, int] = field(compare=False)
     version: int = field(default_factory=next_version, compare=False)
 
     @property
@@ -126,14 +133,31 @@ class Fragment:
         )
 
 
+#: The id of the ``true`` disjunct in every fragmentation's ``Vf`` id space.
+TRUE_ID = 0
+
+
 class Fragmentation:
-    """A complete fragmentation: the fragments plus node placement."""
+    """A complete fragmentation: the fragments plus node placement.
+
+    It also owns the interned ``Vf`` of disReach's equations: every in-node
+    (hence every virtual node) has a dense id, ``TRUE_ID`` (0) standing for
+    ``true``.  The table is append-only: :meth:`intern` mints a fresh id for
+    a node that joins ``Vf`` and never hands an id to a second node, so a
+    node that leaves ``Vf`` keeps its id should it come back.  Repartition
+    builds a new fragmentation, and with it a new table.
+    """
 
     def __init__(self, fragments: Sequence[Fragment], placement: Mapping[Node, int]):
-        """Bind ``fragments`` to the node -> fragment-id ``placement``."""
+        """Bind ``fragments`` to the node -> fragment-id ``placement``; the
+        interned ``Vf`` is the union of the fragments' ``boundary_ids``."""
         self._fragments: Tuple[Fragment, ...] = tuple(fragments)
         self._placement: Dict[Node, int] = dict(placement)
         self._fragment_graph: Optional[DiGraph] = None
+        self._boundary_ids: Dict[Node, int] = {}
+        for frag in self._fragments:
+            self._boundary_ids.update(frag.boundary_ids)
+        self._next_id = max(self._boundary_ids.values(), default=TRUE_ID) + 1
 
     @property
     def fragments(self) -> Tuple[Fragment, ...]:
@@ -144,6 +168,19 @@ class Fragmentation:
     def placement(self) -> Mapping[Node, int]:
         """The node -> owning-fragment-id mapping the split was built from."""
         return self._placement
+
+    @property
+    def boundary_ids(self) -> Mapping[Node, int]:
+        """The interned ``Vf``: node -> id (ids from 1; 0 is ``TRUE_ID``)."""
+        return self._boundary_ids
+
+    def intern(self, node: Node) -> int:
+        """``node``'s ``Vf`` id, minted (never reused) if it has none yet."""
+        found = self._boundary_ids.get(node)
+        if found is None:
+            found = self._boundary_ids[node] = self._next_id
+            self._next_id += 1
+        return found
 
     def __len__(self) -> int:
         """``card(F)`` — the number of fragments."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.automata.query_automaton import US, UT, QueryAutomaton
-from repro.core.bes import TRUE, BitRows
+from repro.core.bes import TRUE, BitRows, BooleanPartialAnswer
 from repro.core.minplus import TARGET, BoundedRows
 from repro.core.queries import BoundedReachQuery, ReachQuery
 from repro.graph.digraph import Node
@@ -194,6 +194,32 @@ def local_eval_reach(fragment: Fragment, query: ReachQuery) -> BitRows:
     # Sweep only what the in-nodes can see (one shared forward closure).
     reached = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
     return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
+
+
+def reach_view(rows: Any) -> tuple:
+    """What the identity suites compare of a reach partial, this module's
+    :class:`BitRows` or the kernel's ``ReachRows``: roots and columns in
+    order, the decoded equations, the recorded id sizes, the wire size and
+    the disjunct count."""
+    if isinstance(rows, BitRows):
+        return (
+            rows.rows,
+            rows.columns,
+            dict(rows),
+            rows.row_bytes,
+            list(rows.col_bytes),
+            BooleanPartialAnswer(rows).payload_size(),
+            rows.num_entries(),
+        )
+    return (
+        rows.rows,
+        rows.columns,
+        dict(rows),
+        rows.row_bytes,
+        rows.col_bytes.tolist(),
+        rows.payload_size(),
+        rows.num_entries,
+    )
 
 
 def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedRows:

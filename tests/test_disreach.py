@@ -4,9 +4,8 @@ import kernel_reference
 import pytest
 
 from repro.core import ReachQuery, dis_reach, local_eval_reach, reachable
-from repro.core.bes import TRUE
-from repro.core.bes import BitRows
-from repro.core.reachability import ReachPartialAnswer, assemble_reach
+from repro.core.bes import TRUE, BitRows, BooleanPartialAnswer
+from repro.core.reachability import ReachPlan, ReachRows, assemble_reach
 from repro.distributed import MessageKind, SimulatedCluster, payload_size
 from repro.distributed.messages import equation_set_size
 from repro.errors import QueryError
@@ -75,9 +74,11 @@ class TestAssemble:
         partials = {
             frag.fid: local_eval_reach(frag, query) for frag in fragmentation
         }
-        answer, bes = assemble_reach(partials, query)
+        assert assemble_reach(partials, query) is True
+        answer, details = ReachPlan(query).assemble(partials, collect_details=True)
         assert answer
-        assert len(bes) == 7
+        assert details["num_variables"] == len(details["bes"]) == 7
+        assert details["num_disjuncts"] == details["bes"].num_disjuncts
 
     def test_assemble_false(self, figure1):
         _, fragmentation, _ = figure1
@@ -85,8 +86,7 @@ class TestAssemble:
         partials = {
             frag.fid: local_eval_reach(frag, query) for frag in fragmentation
         }
-        answer, _ = assemble_reach(partials, query)
-        assert not answer
+        assert assemble_reach(partials, query) is False
 
 
 class TestDisReach:
@@ -148,23 +148,41 @@ class TestDisReach:
 
 
 class TestPartialAnswerPayload:
-    def test_size_scales_with_equations(self):
-        small = ReachPartialAnswer({"a": frozenset({"x"})})
-        big = ReachPartialAnswer(
-            {"a": frozenset({"x"}), "b": frozenset({"x", "y"})}
-        )
+    def test_size_scales_with_equations(self, figure1):
+        _, fragmentation, _ = figure1
+        query = ReachQuery("Ann", "Mark")
+        small = local_eval_reach(fragmentation[2], query)
+        big = ReachRows.concat([small, local_eval_reach(fragmentation[1], query)])
+        assert len(small) < len(big)
         assert payload_size(small) < payload_size(big)
 
     def test_dense_rows_capped_by_bitset(self):
-        cols = frozenset(range(800))
-        dense = ReachPartialAnswer({"a": cols})
+        np = pytest.importorskip("numpy")
+        # one row holding 800 columns at ids 1..800: 13 words
+        col_ids = np.arange(1, 801, dtype=np.int64)
+        bits = np.zeros((1, 13), dtype=np.uint64)
+        for i in col_ids.tolist():
+            bits[0, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+        dense = ReachRows(
+            ("a",),
+            np.array([801]),
+            bits,
+            tuple(range(800)),
+            col_ids,
+            1,
+            np.full(800, 8, dtype=np.int64),
+        )
         # header 2 + row id 1 + column table 800*8 + bitset row ceil(800/8)
         assert payload_size(dense) == 2 + 1 + 800 * 8 + 100
+        assert dense.num_entries == 800
 
-    def test_plain_mapping_is_converted_once(self):
-        answer = ReachPartialAnswer({"a": frozenset({"x"})})
-        assert isinstance(answer.equations, BitRows)
-        assert ReachPartialAnswer(answer.equations).equations is answer.equations
+    def test_plain_mapping_is_converted_once(self, figure1):
+        # The reach partial is its own wire type, and its equations are
+        # decoded from the bit matrix once.
+        _, fragmentation, _ = figure1
+        rows = local_eval_reach(fragmentation[0], ReachQuery("Ann", "Mark"))
+        assert ReachPlan(("Ann", "Mark")).wrap_partial(rows) is rows
+        assert rows["Ann"] is rows["Ann"] == frozenset({"Pat", "Mat"})
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_arithmetic_size_matches_the_equation_set_model(self, random_case, kernel):
@@ -183,11 +201,12 @@ class TestPartialAnswerPayload:
                     for fragment in cluster.fragmentation
                 ]
                 # one fragment each, then a site shipping all of them
-                for rows in (*parts, BitRows.concat(parts)):
+                concat = BitRows.concat if kernel == "python" else ReachRows.concat
+                for rows in (*parts, concat(parts)):
                     plain = {var: frozenset(d) for var, d in rows.items()}
                     columns = set().union(*plain.values())
                     expected = equation_set_size(
                         plain.keys(), columns, map(len, plain.values()), len(columns)
                     )
-                    assert payload_size(ReachPartialAnswer(rows)) == expected
-                    assert payload_size(ReachPartialAnswer(plain)) == expected
+                    assert kernel_reference.reach_view(rows)[-2] == expected
+                    assert payload_size(BooleanPartialAnswer(plain)) == expected

@@ -161,12 +161,20 @@ class TestRegularPartialPayload:
         )
         assert payload_size(small) < payload_size(big)
 
-    def test_one_wire_type_for_both_boolean_classes(self):
-        from repro.core.reachability import BooleanPartialAnswer, ReachPartialAnswer
+    def test_one_wire_type_for_both_boolean_classes(self, figure1):
+        # disReach ships its Vf-id bit matrix, disRPQ BitRows: one wire
+        # formula for both Boolean classes.
+        from repro.core.bes import BooleanPartialAnswer
+        from repro.core.queries import ReachQuery
+        from repro.core.reachability import local_eval_reach
 
-        assert RegularPartialAnswer is BooleanPartialAnswer is ReachPartialAnswer
+        assert RegularPartialAnswer is BooleanPartialAnswer
         answer = RegularPartialAnswer({("a", 0): frozenset({("w", 1), TRUE})})
         assert isinstance(answer.equations, BitRows)
+        _, fragmentation, _ = figure1
+        for fragment in fragmentation:
+            rows = local_eval_reach(fragment, ReachQuery("Ann", "Mark"))
+            assert payload_size(rows) == payload_size(RegularPartialAnswer(dict(rows)))
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_arithmetic_size_matches_the_equation_set_model(

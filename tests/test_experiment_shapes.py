@@ -101,23 +101,37 @@ class TestFig11efShapes:
     """disRPQ beats disRPQn and disRPQd; ships at most what disRPQd ships
     and far less than disRPQn."""
 
+    ALGORITHMS = ("disRPQ", "disRPQn", "disRPQd")
+
     @pytest.fixture(scope="class")
-    def rpq_metrics(self):
-        gc.collect()
+    def rpq_setups(self):
         out = {}
         for name in ["youtube", "citation"]:
             graph = load_dataset(name, scale=0.005, seed=0)
             cluster = SimulatedCluster.from_graph(graph, 10, "chunk")
-            queries = random_regular_queries(graph, 3, num_states=8, seed=0)
-            out[name] = {
-                algo: run_workload(cluster, queries, algo)
-                for algo in ["disRPQ", "disRPQn", "disRPQd"]
-            }
+            out[name] = (cluster, random_regular_queries(graph, 3, num_states=8, seed=0))
         return out
 
-    def test_time_ordering(self, rpq_metrics):
-        for name, m in rpq_metrics.items():
-            t = {a: m[a].mean_response_seconds for a in m}
+    @pytest.fixture(scope="class")
+    def rpq_metrics(self, rpq_setups):
+        gc.collect()
+        return {
+            name: {algo: run_workload(cluster, queries, algo) for algo in self.ALGORITHMS}
+            for name, (cluster, queries) in rpq_setups.items()
+        }
+
+    def test_time_ordering(self, rpq_setups, rpq_metrics):
+        # rpq_metrics ran every workload once, which warms the automata and
+        # numpy.  A workload is a few ms, so one sample per side is a coin
+        # with a bias (1 inversion in 200 replays of each comparison): take
+        # the median of 5 runs per algorithm, interleaved so host drift hits
+        # all three alike.
+        for name, (cluster, queries) in rpq_setups.items():
+            samples = {algo: [] for algo in self.ALGORITHMS}
+            for _ in range(5):
+                for algo, runs in samples.items():
+                    runs.append(run_workload(cluster, queries, algo).mean_response_seconds)
+            t = {algo: statistics.median(runs) for algo, runs in samples.items()}
             assert t["disRPQ"] < t["disRPQn"], name
             # vs disRPQd the single-digit-ms datapoints carry timing noise;
             # allow 35% (EXPERIMENTS.md documents one genuine inversion on

@@ -73,7 +73,7 @@ from repro.core.queries import (  # noqa: E402
     ReachQuery,
     RegularReachQuery,
 )
-from repro.core.reachability import ReachPartialAnswer, local_eval_reach  # noqa: E402
+from repro.core.reachability import ReachRows, local_eval_reach  # noqa: E402
 from repro.core.regular import (  # noqa: E402
     RegularPartialAnswer,
     RegularReachPlan,
@@ -117,13 +117,20 @@ def turbo(monkeypatch):
 
 
 def _row_fields(rows):
+    if isinstance(rows, ReachRows):
+        arrays = (rows.row_ids, rows.bits, rows.col_ids)
+        return (*kernel_reference.reach_view(rows), *(array.tolist() for array in arrays))
     names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
     return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
 
 
 def _assert_identical(got, expected):
     """Element-by-element identity of two partial answers: rows, columns,
-    sets or distances, and the recorded id sizes."""
+    sets or distances, and the recorded id sizes (a reach partial: its
+    :func:`kernel_reference.reach_view`, wire size included)."""
+    if isinstance(got, ReachRows):
+        assert kernel_reference.reach_view(got) == kernel_reference.reach_view(expected)
+        return
     assert got == expected
     assert _row_fields(got) == _row_fields(expected)
 
@@ -682,12 +689,14 @@ class TestBoundaryPrologue:
         reference = kernel_reference.local_eval_reach(fragment, query)
         got = local_eval_reach(fragment, query, kernel="numpy")
         assert got == reference
-        for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
-            assert getattr(got, field) == getattr(reference, field), field
-        assert _sized(got)
-        assert payload_size(ReachPartialAnswer(got)) == payload_size(
-            ReachPartialAnswer(dict(reference))
-        )
+        assert kernel_reference.reach_view(got) == kernel_reference.reach_view(reference)
+        assert got.row_bytes == sum(map(payload_size, got.rows))
+        assert got.col_bytes.tolist() == [payload_size(column) for column in got.columns]
+        # Every row and column sits at its Vf id; true at id 0.
+        ids = fragment.boundary_ids
+        assert got.row_ids.tolist() == [ids.get(root, -1) for root in got.rows]
+        assert got.col_ids.tolist() == [ids.get(c, 0) for c in got.columns]
+        assert payload_size(got) == payload_size(RegularPartialAnswer(dict(reference)))
 
     @pytest.mark.parametrize(
         "fid, s, t", [case[:3] for case in PROLOGUE_CASES],
@@ -1104,23 +1113,32 @@ class TestMultiWordKernels:
         seeds = [HUB_CORE[5], HUB_CORE[9]]
         roots = [HUB_CORE[0], HUB_CORE[5], HUB_CORE[11]]
         csr = fragment_csr(fragment)
-        masks = dict(
-            zip(
-                roots,
-                _reach_masks(
-                    np,
-                    csr,
-                    csr.whole_cone(),
-                    np.array([csr.index[root] for root in roots]),
-                    np.array([csr.index[seed] for seed in seeds]),
-                ),
-            )
+        # Seed ids in two different words, the second at bit 63: the bits
+        # must accumulate in one component row and never wrap or go signed.
+        seed_ids = np.array([1, 127], dtype=np.int64)
+        bits = _reach_masks(
+            np,
+            csr,
+            csr.whole_cone(),
+            np.array([csr.index[root] for root in roots]),
+            np.array([csr.index[seed] for seed in seeds]),
+            seed_ids,
+            2,
         )
-        assert masks == {root: 0b11 for root in roots}
+        assert bits.dtype == np.uint64 and bits.shape == (3, 2)
+        assert bits.tolist() == [[0b10, 1 << 63]] * 3
+        masks = {
+            root: sum(
+                1 << j
+                for j, seed_id in enumerate(seed_ids.tolist())
+                if row[seed_id >> 6] >> (seed_id & 63) & 1
+            )
+            for root, row in zip(roots, bits.tolist())
+        }
         reference = kernel_reference.reachable_seed_masks_from(
             roots, fragment.local_graph.successors, seeds
         )
-        assert masks == {root: reference[root] for root in roots}
+        assert masks == {root: reference[root] for root in roots} == {root: 0b11 for root in roots}
 
     def test_label_cache_is_bounded_by_the_alphabet(self, hub):
         graph, fragmentation, _ = hub

@@ -33,7 +33,8 @@ from repro.core.engine import evaluate
 from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
 from repro.distributed import SimulatedCluster
 from repro.distributed.executors import SocketExecutor
-from repro.errors import DistributedError, QueryError
+from repro.core.kernels import resolve_kernel
+from repro.errors import DistributedError, KernelError, QueryError
 from repro.graph import erdos_renyi
 from repro.net import coordinator
 from repro.net.broker import FragmentStore, _run_request, resolve_refs
@@ -53,6 +54,17 @@ from repro.workload.paper_example import figure1_fragmentation
 
 def _pair():
     return socket.socketpair()
+
+
+def _calling_pickle(module: str, name: str, arg: str) -> bytes:
+    """A protocol-4 pickle that calls ``module.name(arg)`` when loaded."""
+
+    def text(value: str) -> bytes:
+        raw = value.encode()
+        return b"\x8c" + bytes([len(raw)]) + raw  # SHORT_BINUNICODE
+
+    # PROTO 4, STACK_GLOBAL, TUPLE1, REDUCE, STOP
+    return b"\x80\x04" + text(module) + text(name) + b"\x93" + text(arg) + b"\x85R."
 
 
 class TestFraming:
@@ -115,6 +127,32 @@ class TestFraming:
     def test_unpicklable_payload_is_a_query_error(self):
         with pytest.raises(QueryError, match="unpicklable"):
             encode_frame(socket.socket())
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("os", "system"),
+            ("posix", "system"),
+            ("builtins", "eval"),
+            ("builtins", "getattr"),
+            ("subprocess", "getoutput"),
+            ("repro.strategies", "os.system"),  # a foreign callable via a repro import
+            ("repro.net", "broker"),  # a module, not a class or function
+            ("colorsys", "rgb_to_hsv"),  # never imported by decoding
+        ],
+    )
+    def test_hostile_globals_fail_closed(self, module, name, tmp_path):
+        marker = tmp_path / "ran"
+        unloaded = {mod for mod in ("colorsys", "subprocess") if mod not in sys.modules}
+        body = _calling_pickle(module, name, f"touch {marker}")
+        a, b = _pair()
+        with b:
+            a.sendall(MAGIC + struct.pack(">I", len(body)) + body)
+            a.close()
+            with pytest.raises(QueryError, match="not allowed on the wire"):
+                recv_frame(b)
+        assert not marker.exists()
+        assert not any(mod in sys.modules for mod in unloaded)
 
 
 class TestBindGuard:
@@ -286,17 +324,37 @@ class TestFragmentShipping:
             executor.close()
 
 
-def _explode_at(sid):
-    raise ValueError(f"boom {sid}")
+def _triple(x):
+    return 3 * x
 
 
 class TestFailureModel:
     def test_task_exception_reraises_submission_order_first(self):
+        # resolve_kernel is a task the wire admits: each broker raises
+        # KernelError naming its argument, and the first in submission
+        # order reaches the caller.
         cluster = SimulatedCluster(figure1_fragmentation(), executor="socket")
         run = cluster.start_run("x")
-        with pytest.raises(ValueError, match="boom 0"):
+        with pytest.raises(KernelError, match="boom 0"):
             with run.parallel_phase() as phase:
-                phase.map(_explode_at, [(sid, (sid,)) for sid in range(3)])
+                phase.map(resolve_kernel, [(sid, (f"boom {sid}",)) for sid in range(3)])
+        assert cluster.executor.degraded_tasks == 0
+
+    def test_a_foreign_task_callable_is_refused_by_the_broker(self):
+        # A callable outside the wire's allowlist (this test module's) never
+        # runs on a broker: the frame is refused and the round degrades to
+        # inline evaluation — same values, counted.
+        executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)
+        cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
+        try:
+            run = cluster.start_run("x")
+            with run.parallel_phase() as phase:
+                values = phase.map(_triple, [(sid, (sid,)) for sid in range(3)])
+            run.finish()
+            assert values == [0, 3, 6]
+            assert executor.degraded_tasks == 3
+        finally:
+            executor.close()
 
     def test_broker_crash_degrades_then_respawns(self):
         executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)

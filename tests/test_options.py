@@ -199,10 +199,6 @@ class TestExplicitIsHardDefaultIsSoft:
 VALUES_SERVED = {name: VALUES[name] for name in SERVED}
 
 
-def _echo(value):
-    return value
-
-
 class TestTheCarrier:
     def test_frozen_hashable_and_equal_by_value(self):
         options = EvalOptions(kernel="numpy", shortcuts="reach")
@@ -231,10 +227,11 @@ class TestTheCarrier:
         with cluster.using_executor(backend):
             run = cluster.start_run("x")
             with run.parallel_phase() as phase:
-                echoed = phase.map(_echo, [(0, (explicit,)), (1, (resolved,))])
+                echoed = phase.map(list, [(0, ([explicit],)), (1, ([resolved],))])
             run.finish()
-        assert echoed == [explicit, resolved]
-        assert hash(echoed[0]) == hash(explicit)
+            assert cluster.executor.degraded_tasks == 0
+        assert echoed == [[explicit], [resolved]]
+        assert hash(echoed[0][0]) == hash(explicit)
 
     def test_resolution_fills_only_what_the_algorithm_takes(self):
         assert EvalOptions().resolved("disReach") == EvalOptions("numpy", None)

@@ -19,7 +19,7 @@ from repro.core import (
     dis_rpq,
     local_eval_reach,
 )
-from repro.core.reachability import assemble_reach
+from repro.core.reachability import ReachPlan, assemble_reach
 from repro.distributed import MessageKind
 from repro.partition import check_fragmentation
 from repro.workload.paper_example import (
@@ -119,9 +119,10 @@ class TestExample4Assembling:
         partials = {
             frag.fid: local_eval_reach(frag, query) for frag in fragmentation
         }
-        answer, bes = assemble_reach(partials, query)
+        assert assemble_reach(partials, query)
+        answer, details = ReachPlan(query).assemble(partials, collect_details=True)
         assert answer
-        gd = bes.dependency_graph()
+        gd = details["bes"].dependency_graph()
         # Fig. 5(a): the path XAnn -> XMat -> XFred -> XEmmy -> XRoss -> true
         for u, v in [("Ann", "Mat"), ("Mat", "Fred"), ("Fred", "Emmy"),
                      ("Emmy", "Ross"), ("Ross", TRUE)]:
@@ -134,8 +135,8 @@ class TestExample4Assembling:
         partials = {
             frag.fid: local_eval_reach(frag, query) for frag in fragmentation
         }
-        _, bes = assemble_reach(partials, query)
-        gd = bes.dependency_graph()
+        _, details = ReachPlan(query).assemble(partials, collect_details=True)
+        gd = details["bes"].dependency_graph()
         from repro.graph import is_reachable
 
         # Fred -> Emmy -> Fred in the dependency graph.

@@ -12,7 +12,8 @@ from reach_reference import oracle_rows
 
 from repro.core.bounded import local_eval_bounded
 from repro.core.queries import BoundedReachQuery, ReachQuery
-from repro.core.reachability import ReachPartialAnswer, local_eval_reach
+from repro.core.bes import BooleanPartialAnswer
+from repro.core.reachability import local_eval_reach
 from repro.distributed import payload_size
 from repro.graph import DiGraph
 from repro.index import ORACLE_NAMES, build_oracle
@@ -79,8 +80,9 @@ def test_partial_answer_payload_is_positive_and_monotone(case):
     query = ReachQuery(s, t)
     for fragment in fragmentation:
         equations = local_eval_reach(fragment, query)
-        size = payload_size(ReachPartialAnswer(equations))
+        size = payload_size(equations)
         assert size >= 2
+        assert payload_size(BooleanPartialAnswer(dict(equations))) == size
         grown = dict(equations)
         grown["extra-row"] = frozenset({"extra-col"})
-        assert payload_size(ReachPartialAnswer(grown)) > size
+        assert payload_size(BooleanPartialAnswer(grown)) > size
