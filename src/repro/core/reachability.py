@@ -263,6 +263,10 @@ def local_eval_reach(
     return reach_rows(fragment, query.source, query.target)
 
 
+#: Frontier size up to which a closure level ORs rows as python ints.
+_NARROW = 8
+
+
 def assemble_reach(partials: Mapping[int, ReachRows], query: ReachQuery) -> bool:
     """Procedure ``evalDG`` (Fig. 4): is ``Xs`` true in the least fixpoint?
 
@@ -273,6 +277,13 @@ def assemble_reach(partials: Mapping[int, ReachRows], query: ReachQuery) -> bool
     reached id, level by level, until bit 0 (``true``) is set or nothing new
     is reached.  An id without a row is a variable no site defines:
     ``false``, as in the paper's formulas.
+
+    A wide level is one ``take`` and OR-reduce over the matrix; a level of
+    at most ``_NARROW`` ids ORs their rows as python ints, which costs a
+    fraction of the numpy calls' overhead.  Both kinds occur on the e2e
+    fixture; the narrow one keeps a deep dependency chain (a path cut at
+    every edge: one or two ids per level, a thousand levels) as cheap per
+    level as a search.
     """
     import numpy as np
 
@@ -286,22 +297,35 @@ def assemble_reach(partials: Mapping[int, ReachRows], query: ReachQuery) -> bool
         return False  # no site defines Xs
     words = max(part.words for part in parts)
     ids = np.concatenate([part.row_ids for part in parts])
-    matrix = np.zeros((max(64 * words, int(ids.max()) + 1) + 1, words), dtype=np.uint64)
+    matrix = np.zeros((max(64 * words, int(ids.max()) + 1) + 1, words), dtype="<u8")
     if all(part.words == words for part in parts):
         matrix[ids] = np.concatenate([part.bits for part in parts])
     else:
         for part in parts:
             matrix[part.row_ids, : part.words] = part.bits
-    reach = matrix[start].copy()
-    frontier = reach
-    one = np.uint64(1)
-    while not reach[0] & one:
-        (reached,) = np.unpackbits(
-            frontier.astype("<u8", copy=False).view(np.uint8), bitorder="little"
-        ).nonzero()
-        if not reached.size:
+    width = 8 * words
+
+    def row(i: int) -> int:
+        return int.from_bytes(matrix[i].tobytes(), "little")
+
+    reach = frontier = row(start)
+    while not reach & 1:
+        if not frontier:
             return False
-        new = np.bitwise_or.reduce(matrix.take(reached, axis=0), axis=0)
+        if frontier.bit_count() <= _NARROW:
+            new = 0
+            while frontier:
+                low = frontier & -frontier
+                new |= row(low.bit_length() - 1)
+                frontier ^= low
+        else:
+            (reached,) = np.unpackbits(
+                np.frombuffer(frontier.to_bytes(width, "little"), dtype=np.uint8),
+                bitorder="little",
+            ).nonzero()
+            new = int.from_bytes(
+                np.bitwise_or.reduce(matrix.take(reached, axis=0), axis=0).tobytes(), "little"
+            )
         frontier = new & ~reach
         reach |= new
     return True
