@@ -31,6 +31,8 @@ from a torn frame.
 from __future__ import annotations
 
 import builtins
+import functools
+import importlib
 import io
 import pickle
 import socket
@@ -162,22 +164,39 @@ WIRE_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _wire_global(module: str, name: str) -> Any:
+    """The object a frame may name as ``module.name``; raises for any other.
+
+    Cached: only admitted globals are stored (a refusal raises), so the
+    cache holds at most the finite set the wire admits.
+    """
+    refused = pickle.UnpicklingError(f"global {module}.{name} is not allowed on the wire")
+    if (module, name) in WIRE_GLOBALS:
+        return getattr(importlib.import_module(module), name)
+    if not (module == "repro" or module.startswith("repro.")):
+        raise refused
+    try:
+        found: Any = importlib.import_module(module)
+        for part in name.split("."):
+            found = getattr(found, part)
+    except (ImportError, AttributeError):
+        raise refused from None
+    # Only what the package itself defines: never a module or a foreign
+    # callable reached through one of its imports.
+    if isinstance(found, (type, FunctionType)) and (
+        getattr(found, "__module__", "") or ""
+    ).startswith("repro."):
+        return found
+    raise refused
+
+
 class WireUnpickler(pickle.Unpickler):
     """The frame decoder: ``repro`` classes and functions plus
     :data:`WIRE_GLOBALS`, nothing else."""
 
     def find_class(self, module: str, name: str) -> Any:
-        if (module, name) in WIRE_GLOBALS:
-            return super().find_class(module, name)
-        if module == "repro" or module.startswith("repro."):
-            found = super().find_class(module, name)
-            # Only what the package itself defines: never a module or a
-            # foreign callable reached through one of its imports.
-            if isinstance(found, (type, FunctionType)) and (
-                getattr(found, "__module__", "") or ""
-            ).startswith("repro."):
-                return found
-        raise pickle.UnpicklingError(f"global {module}.{name} is not allowed on the wire")
+        return _wire_global(module, name)
 
 
 def decode_payload(body: bytes) -> Any:
