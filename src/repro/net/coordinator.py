@@ -491,13 +491,12 @@ def run_socket_tasks(executor: Any, tasks: Sequence[Any]) -> List[Any]:
         for index in pending:
             if first_error is not None and index > first_error[0]:
                 continue  # the sequential reference would already have raised
+            executor.degraded_tasks += 1
             try:
                 results[index] = run_timed(tasks[index])
             except BaseException as exc:  # noqa: BLE001 - reconciled below
                 if first_error is None or index < first_error[0]:
                     first_error = (index, exc)
-            else:
-                executor.degraded_tasks += 1
 
     if first_error is not None:
         raise first_error[1]

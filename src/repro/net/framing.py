@@ -135,12 +135,8 @@ def decode_header(header: bytes) -> int:
 #: ``(module, name)`` of every global a frame may name outside ``repro``.
 WIRE_GLOBALS: FrozenSet[Tuple[str, str]] = frozenset(
     {
-        *(
-            (module, name)
-            for module in ("numpy.core.multiarray", "numpy._core.multiarray")
-            for name in ("_reconstruct", "scalar")
-        ),
-        ("numpy.core.numeric", "_frombuffer"),
+        ("numpy._core.multiarray", "_reconstruct"),
+        ("numpy._core.multiarray", "scalar"),
         ("numpy._core.numeric", "_frombuffer"),
         ("numpy", "dtype"),
         ("numpy", "ndarray"),

@@ -169,8 +169,11 @@ class TestRegularPartialPayload:
         from repro.core.reachability import local_eval_reach
 
         assert RegularPartialAnswer is BooleanPartialAnswer
+        # A plain mapping is converted to BitRows once; wrapping BitRows
+        # again keeps the very same buffers.
         answer = RegularPartialAnswer({("a", 0): frozenset({("w", 1), TRUE})})
         assert isinstance(answer.equations, BitRows)
+        assert BooleanPartialAnswer(answer.equations).equations is answer.equations
         _, fragmentation, _ = figure1
         for fragment in fragmentation:
             rows = local_eval_reach(fragment, ReachQuery("Ann", "Mark"))

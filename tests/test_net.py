@@ -31,9 +31,9 @@ from hypothesis import strategies as st
 
 from repro.core.engine import evaluate
 from repro.core.queries import BoundedReachQuery, ReachQuery, RegularReachQuery
+from repro.core.reachability import local_eval_reach
 from repro.distributed import SimulatedCluster
 from repro.distributed.executors import SocketExecutor
-from repro.core.kernels import resolve_kernel
 from repro.errors import DistributedError, KernelError, QueryError
 from repro.graph import erdos_renyi
 from repro.net import coordinator
@@ -328,17 +328,34 @@ def _triple(x):
     return 3 * x
 
 
+def _explode(sid):
+    raise ValueError(f"boom {sid}")
+
+
 class TestFailureModel:
     def test_task_exception_reraises_submission_order_first(self):
-        # resolve_kernel is a task the wire admits: each broker raises
-        # KernelError naming its argument, and the first in submission
-        # order reaches the caller.
-        cluster = SimulatedCluster(figure1_fragmentation(), executor="socket")
-        run = cluster.start_run("x")
-        with pytest.raises(KernelError, match="boom 0"):
-            with run.parallel_phase() as phase:
-                phase.map(resolve_kernel, [(sid, (f"boom {sid}",)) for sid in range(3)])
-        assert cluster.executor.degraded_tasks == 0
+        # local_eval_reach is a task the wire admits, and it resolves its
+        # kernel first: each broker raises KernelError naming the bogus
+        # kernel and ships it back, and the first in submission order
+        # reaches the caller.  The tasks ran on the brokers: no link died,
+        # none was respawned, nothing ran inline.
+        executor = SocketExecutor(num_brokers=2, shared=False, timeout=10.0)
+        cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
+        try:
+            links = list(coordinator.pool_for(executor).live_links())
+            assert len(links) == 2
+            run = cluster.start_run("x")
+            with pytest.raises(KernelError, match="boom 0"):
+                with run.parallel_phase() as phase:
+                    phase.map(
+                        local_eval_reach,
+                        [(sid, (None, None, f"boom {sid}")) for sid in range(3)],
+                    )
+            assert executor.degraded_tasks == 0
+            assert coordinator.pool_for(executor).live_links() == links
+            assert all(link.alive for link in links)
+        finally:
+            executor.close()
 
     def test_a_foreign_task_callable_is_refused_by_the_broker(self):
         # A callable outside the wire's allowlist (this test module's) never
@@ -353,6 +370,21 @@ class TestFailureModel:
             run.finish()
             assert values == [0, 3, 6]
             assert executor.degraded_tasks == 3
+        finally:
+            executor.close()
+
+    def test_a_refused_task_that_raises_inline_is_counted(self):
+        # The refused round runs inline, and the task that raises there
+        # counts as degraded like one that returns; the tasks after it in
+        # submission order never run, as in the sequential backend.
+        executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)
+        cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
+        try:
+            run = cluster.start_run("x")
+            with pytest.raises(ValueError, match="boom 0"):
+                with run.parallel_phase() as phase:
+                    phase.map(_explode, [(sid, (sid,)) for sid in range(3)])
+            assert executor.degraded_tasks == 1
         finally:
             executor.close()
 
