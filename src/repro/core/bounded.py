@@ -9,6 +9,17 @@ Booleans:
 * ``evalDGd`` — assemble the weighted dependency graph (Fig. 5(b)) and run
   Dijkstra from ``Xs``; answer ``true`` iff the distance to ``Xt`` is ≤ l.
 
+A fragment's equations travel as one :class:`HopRows`: the paper's
+|Fi.I| × |Fi.O| matrix of local hop distances, each column at its node's
+id in the fragmentation's interned ``Vf``
+(:attr:`~repro.partition.fragment.Fragmentation.boundary_ids`) and
+``TARGET`` at ``TRUE_ID``.  The numpy kernel reads the matrix off its
+level sweep, the wire size is computed once from it, and the coordinator
+runs Dijkstra over ids with a bucket queue — weights are integer hops of
+at most ``l`` — decoding only the rows it settles.  The ``{node: ((Xv',
+hops), ...)}`` equations and their :class:`~.minplus.MinPlusSystem` are
+built only for ``collect_details``.
+
 Fidelity note (DESIGN.md §3.3): the paper prunes local legs with
 ``dist(v, v') < l``; we keep ``<= l``, since a leg of length exactly ``l``
 ending at ``t`` still witnesses ``dist(s, t) <= l``.
@@ -19,72 +30,247 @@ Guarantees (Theorem 2): identical to Theorem 1 — one visit per site,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
+from bisect import bisect_right
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
-from ..partition.fragment import Fragment
+from ..partition.fragment import TRUE_ID, Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .kernels import bounded_seed_rows, resolve_kernel
-from .minplus import BoundedRows, MinPlusSystem
+from .minplus import MinPlusSystem, Term
 from .options import EvalOptions
 from .queries import BoundedReachQuery
+from .reachability import ReachRows
 from .results import QueryResult
 
-@dataclass(frozen=True)
-class BoundedPartialAnswer:
-    """What a site ships: ``Fi.rvset`` of min-plus equations.
 
-    Wire format mirrors the Boolean case (shared column table of boundary
-    ids) except each set entry also carries its local distance — 2 bytes of
-    column index + 4 bytes of distance per term, bounded by O(|Vf|^2) total
-    as Theorem 2 requires.  The matrix already is that format, so its size
-    is arithmetic over the buffers and the id sizes the emitter recorded."""
+class HopRows(Mapping):
+    """One site's ``localEvald`` answer: the paper's |Fi.I| × |Fi.O| hop matrix.
 
-    equations: BoundedRows
+    Row ``i`` is the equation of variable ``rows[i]`` (an in-node, or a
+    local ``s``), whose ``Vf`` id is ``row_ids[i]`` (``-1``: the query's
+    source, a local node outside ``Vf``).  ``hops[i, j]`` is the local hop
+    distance from ``rows[i]`` to ``columns[j]`` (``oset``, ``TARGET`` for
+    the target), whose id is ``col_ids[j]`` (``TRUE_ID`` for ``TARGET``);
+    ``bound + 1`` marks "no term", so the matrix is the narrowest unsigned
+    dtype that holds it.  ``col_bytes`` are the columns' modeled id sizes
+    and ``row_bytes`` sums the variables'.
+
+    ``size`` is the wire size (:meth:`payload_size`): a shared column table
+    of the used columns, then 2 bytes of column index + 4 bytes of distance
+    per term, bounded by O(|Vf|^2) total as Theorem 2 requires.  It and
+    ``num_terms`` are computed once from the matrix when it is built.
+
+    As a read-only mapping, ``rows[v]`` decodes to the term tuple the
+    paper's ``Xv = min(Xv' + d, ...)`` lists, in column order with float
+    distances, so it compares equal to the plain dict form; the decoding
+    happens once, on first access.
+    """
+
+    __slots__ = (
+        "rows",
+        "row_ids",
+        "hops",
+        "columns",
+        "col_ids",
+        "row_bytes",
+        "col_bytes",
+        "bound",
+        "size",
+        "num_terms",
+        "_equations",
+    )
+
+    def __init__(
+        self,
+        rows: Sequence[Node],
+        row_ids: Any,
+        hops: Any,
+        columns: Sequence[Hashable],
+        col_ids: Any,
+        row_bytes: int,
+        col_bytes: Any,
+        bound: int,
+        size: Optional[int] = None,
+        num_terms: Optional[int] = None,
+    ) -> None:
+        """Wrap the arrays (``int64`` ids and sizes, ``[rows, columns]``
+        hops); the wire size and term count are computed unless given."""
+        set_ = object.__setattr__
+        set_(self, "rows", tuple(rows))
+        set_(self, "row_ids", row_ids)
+        set_(self, "hops", hops)
+        set_(self, "columns", tuple(columns))
+        set_(self, "col_ids", col_ids)
+        set_(self, "row_bytes", int(row_bytes))
+        set_(self, "col_bytes", col_bytes)
+        set_(self, "bound", bound)
+        if hops.ndim != 2 or hops.shape != (len(self.rows), len(self.columns)) or not (
+            len(row_ids) == len(self.rows) and len(col_ids) == len(col_bytes) == len(self.columns)
+        ):
+            raise ValueError("HopRows arrays disagree on rows or columns")
+        if size is None or num_terms is None:
+            import numpy as np
+
+            held = hops <= bound
+            num_terms = int(np.count_nonzero(held))
+            used = int(np.dot(col_bytes, held.any(axis=0)))
+            size = 2 + self.row_bytes + used + 6 * num_terms
+        set_(self, "size", size)
+        set_(self, "num_terms", num_terms)
+        set_(self, "_equations", None)
+
+    @classmethod
+    def concat(cls, parts: Sequence["HopRows"]) -> "HopRows":
+        """One matrix holding every part's rows, as a site holding several
+        fragments ships them: columns shared by id, a part's missing
+        columns "no term", the wire size computed over the whole."""
+        import numpy as np
+
+        first = parts[0]
+        col_ids, at, where = np.unique(
+            np.concatenate([part.col_ids for part in parts]),
+            return_index=True,
+            return_inverse=True,
+        )
+        hops = np.full((sum(map(len, parts)), len(col_ids)), first.bound + 1, first.hops.dtype)
+        row = col = 0
+        for part in parts:
+            width = len(part.columns)
+            hops[row : row + len(part), where[col : col + width]] = part.hops
+            row += len(part)
+            col += width
+        columns = [column for part in parts for column in part.columns]
+        return cls(
+            [var for part in parts for var in part.rows],
+            np.concatenate([part.row_ids for part in parts]),
+            hops,
+            map(columns.__getitem__, at.tolist()),
+            col_ids,
+            sum(part.row_bytes for part in parts),
+            np.concatenate([part.col_bytes for part in parts]).take(at),
+            first.bound,
+        )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Every field but the decoding cache, in constructor order.
+        return (HopRows, tuple(getattr(self, name) for name in HopRows.__slots__[:-1]))
 
     def payload_size(self) -> int:
-        rows = self.equations
-        return (
-            2
-            + rows.row_bytes
-            + sum(map(rows.col_bytes.__getitem__, set(rows.cols)))
-            + 6 * len(rows.cols)
-        )
+        """The modeled wire size (DESIGN.md §3.1), computed at construction."""
+        return self.size
+
+    #: The row index of a node (``-1`` if none): rows are ``repr``-sorted.
+    position = ReachRows.position
+
+    # -- decoding ------------------------------------------------------------
+    def _decoded(self) -> Dict[Node, Tuple[Term, ...]]:
+        equations = self._equations
+        if equations is None:
+            bound, columns = self.bound, self.columns
+            equations = {
+                var: tuple(
+                    (column, float(hops)) for column, hops in zip(columns, row) if hops <= bound
+                )
+                for var, row in zip(self.rows, self.hops.tolist())
+            }
+            object.__setattr__(self, "_equations", equations)
+        return equations
+
+    def __getitem__(self, var: Node) -> Tuple[Term, ...]:
+        return self._decoded()[var]
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"HopRows(rows={len(self)}, columns={len(self.columns)}, terms={self.num_terms})"
 
 
 def local_eval_bounded(
     fragment: Fragment,
     query: BoundedReachQuery,
     kernel: Optional[str] = None,
-) -> BoundedRows:
+) -> HopRows:
     """Procedure ``localEvald`` on one fragment.
 
     The numpy kernel propagates a per-seed bitset level by level, cut off
     at the bound, and reads each root's hop distances off one snapshot of
     the root rows per level (:mod:`repro.core.kernels`); ``kernel`` is
     resolved, which rejects an unknown name.  The result is a
-    :class:`~.minplus.BoundedRows`: rows (``iset``) and columns (``oset``,
-    the target as ``TARGET``) sorted by ``repr``, each row's terms in
-    column order.
+    :class:`HopRows`: rows (``iset``) and columns (``oset``, the target as
+    ``TARGET``) sorted by ``repr``.
     """
     resolve_kernel(kernel)
     return bounded_seed_rows(fragment, query.source, query.target, query.bound)
 
 
 def assemble_bounded(
-    partials: Dict[int, BoundedRows],
-    query: BoundedReachQuery,
-) -> Tuple[bool, Optional[float], MinPlusSystem]:
-    """Procedure ``evalDGd``: Dijkstra over the weighted dependency graph."""
-    system = MinPlusSystem()
-    for equations in partials.values():
-        system.update(equations)
-    dist = system.solve_distance(query.source, cutoff=float(query.bound))
-    answer = dist is not None and dist <= query.bound
-    return answer, dist, system
+    partials: Mapping[int, HopRows], query: BoundedReachQuery
+) -> Optional[float]:
+    """Procedure ``evalDGd``: ``dist(s, t)`` if it is at most ``l``, else ``None``.
+
+    Dijkstra over ``Vf`` ids from ``s``'s row (id ``-1`` when ``s`` is
+    outside ``Vf``), with a bucket queue keyed by distance: weights are
+    integer hops of at most ``l``.  Settling an id reads its row, in the
+    part its id maps to, and pushes every column within the remaining
+    bound; the first settled ``TRUE_ID`` is ``Xt``.  An id without a row
+    is a variable no site defines: a dead end, as in the paper's formulas.
+    Only settled rows are read, and the id map is one ``int64`` per id.
+    """
+    import numpy as np
+
+    bound = query.bound
+    parts = list(partials.values())
+    for part in parts:
+        row = part.position(query.source)
+        if row >= 0:
+            break
+    else:
+        return None  # no site defines Xs
+    start = int(part.row_ids[row])
+    slot: Any = None
+    settled = set()
+    buckets: Dict[int, List[int]] = {0: [start]}
+    while buckets:
+        dist = min(buckets)
+        for var in buckets.pop(dist):
+            if var in settled:
+                continue
+            settled.add(var)
+            if var == TRUE_ID:
+                return float(dist)
+            if var != start:
+                if slot is None:
+                    # Built on the first settle past s (most queries on the
+                    # e2e fixture end at s's row): each id's index in the
+                    # parts' stacked rows (-1: no row); s's id -1 has the
+                    # extra last slot.
+                    ids = np.concatenate([part.row_ids for part in parts])
+                    top = int(ids.max())
+                    slot = np.full(top + 2, -1)
+                    slot[ids] = np.arange(len(ids))
+                    offsets = np.cumsum([0, *map(len, parts)]).tolist()
+                at = int(slot[var]) if var <= top else -1
+                if at < 0:
+                    continue
+                index = bisect_right(offsets, at) - 1
+                part, row = parts[index], at - offsets[index]
+            hops = part.hops[row]
+            (near,) = np.nonzero(hops <= bound - dist)
+            for col, step in zip(part.col_ids.take(near).tolist(), hops.take(near).tolist()):
+                if col not in settled:
+                    buckets.setdefault(dist + step, []).append(col)
+    return None
 
 
 class BoundedReachPlan(QueryPlan):
@@ -132,27 +318,29 @@ class BoundedReachPlan(QueryPlan):
             self.query.bound,
         )
 
-    def merge_partials(self, parts: Sequence[BoundedRows]) -> BoundedRows:
-        return BoundedRows.concat(parts)
+    def merge_partials(self, parts: Sequence[HopRows]) -> HopRows:
+        return HopRows.concat(parts)
 
-    def wrap_partial(self, site_equations: BoundedRows) -> BoundedPartialAnswer:
-        return BoundedPartialAnswer(site_equations)
+    def wrap_partial(self, site_equations: HopRows) -> HopRows:
+        return site_equations
 
     def assemble(
-        self, partials: Dict[int, BoundedRows], collect_details: bool
+        self, partials: Dict[int, HopRows], collect_details: bool
     ) -> Tuple[bool, Dict[str, object]]:
-        answer, dist, system = assemble_bounded(partials, self.query)
+        dist = assemble_bounded(partials, self.query)
         details: Dict[str, object] = {
             "distance": dist,
-            "num_variables": len(system),
-            "num_terms": system.num_terms,
+            "num_variables": sum(map(len, partials.values())),
+            "num_terms": sum(rows.num_terms for rows in partials.values()),
         }
         if collect_details:
-            details["equations"] = {
-                fid: dict(equations) for fid, equations in partials.items()
-            }
+            equations = {fid: dict(rows) for fid, rows in partials.items()}
+            system = MinPlusSystem()
+            for rows in equations.values():
+                system.update(rows)
+            details["equations"] = equations
             details["system"] = system
-        return answer, details
+        return dist is not None, details
 
 
 def dis_dist(

@@ -38,10 +38,12 @@ seed/root order and draw rows and columns from the fragment's own node
 set.  Reach emits the id-space matrix,
 :class:`~repro.core.reachability.ReachRows` — each column's bit at its
 ``Vf`` id, ``TRUE`` at bit 0 — whose rows, columns, id sizes, decoded
-equations and wire size equal the reference's; regular emits
-:class:`~repro.core.bes.BitRows` and bounded
-:class:`~repro.core.minplus.BoundedRows` identical to the reference's
-rows, columns, id sizes and disjunct sets or buffers.  Roots and columns come from the
+equations and wire size equal the reference's; bounded emits the
+id-space hop matrix, :class:`~repro.core.bounded.HopRows` — each column at
+its ``Vf`` id, ``TARGET`` at ``TRUE_ID``, ``bound + 1`` for "no term" —
+whose rows, columns, id sizes, decoded equations and wire size equal the
+reference's; regular emits :class:`~repro.core.bes.BitRows` identical to
+the reference's rows, columns, id sizes and disjunct sets.  Roots and columns come from the
 boundary prologue cached on the CSR view
 (:func:`~repro.core.csr.boundary_prologue`).  The kernels change *how* a
 fragment is swept, never *what* the paper's cost model observes, which is
@@ -61,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.query_automaton import QueryAutomaton
     from ..partition.fragment import Fragment
     from .bes import BitRows
-    from .minplus import BoundedRows
+    from .bounded import HopRows
     from .reachability import ReachRows
 
 #: The selectable kernel names (``--kernel`` choices).
@@ -201,8 +203,9 @@ def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "ReachRows":
 # ---------------------------------------------------------------------------
 def bounded_seed_rows(
     fragment: "Fragment", source: Any, target: Any, bound: int
-) -> "BoundedRows":
-    """Per-root hop distances to each seed within ``bound``, as a matrix.
+) -> "HopRows":
+    """``localEvald``'s :class:`~repro.core.bounded.HopRows` for
+    ``qbr(source, target, bound)``: the paper's |Fi.I| × |Fi.O| hop matrix.
 
     Level-synchronous propagation of a per-seed reachability bitset: seed
     ``j``'s bit first turns on in a row at level ``d`` exactly when the
@@ -214,26 +217,31 @@ def bounded_seed_rows(
     distance to seed ``j`` is the number of snapshots in which bit ``j`` is
     still clear, read off all snapshots in one unpack after the sweep — no
     Dijkstra-style priority queue and no per-level bookkeeping.  The counts
-    sum in the narrowest unsigned dtype holding ``bound + 1``, so none
-    wraps; the hits are one ``flatnonzero`` over the flat ``[roots *
-    seeds]`` counts, split into ``(root, seed)`` by one ``divmod``.
+    sum in the narrowest unsigned dtype holding ``bound + 1``, the matrix's
+    "no term" mark, and every subtraction takes a count from a larger one,
+    so none wraps.
 
-    Roots, columns (``TARGET`` for the target) and their id sizes come from
-    the cached boundary prologue, and the levels gather only the edges out
-    of its cone (:meth:`~repro.core.csr.Cone.edges`), the rows a root
-    reads; the hits become the matrix entries, handed over as ``int64``
-    buffers with no per-term loop.
+    Roots, columns (``TARGET`` for the target), their ``Vf`` ids and id
+    sizes come from the cached boundary prologue, and the levels gather
+    only the edges out of its cone (:meth:`~repro.core.csr.Cone.edges`),
+    the rows a root reads.
     """
     import numpy as np
 
+    from .bounded import HopRows
     from .csr import boundary_prologue
-    from .minplus import TARGET, BoundedRows
+    from .minplus import TARGET
 
     csr, cone, found = boundary_prologue(fragment, source, target, TARGET)
-    roots, root_rows = found.roots, found.root_rows
-    if not roots or not found.columns:
-        return BoundedRows.from_lists(roots, (), ([] for _ in roots), found.row_bytes, ())
-    num_seeds = len(found.columns)
+    roots, root_rows, columns = found.roots, found.root_rows, found.columns
+    col_ids, col_bytes = found.col_ids, found.col_bytes
+    dtype = np.min_scalar_type(bound + 1)
+    if not roots or not columns:  # no term: no column either, as in the reference
+        hops = np.empty((len(roots), 0), dtype)
+        return HopRows(
+            roots, found.root_ids, hops, (), col_ids[:0], found.row_bytes, col_bytes[:0], bound
+        )
+    num_seeds = len(columns)
     words = max(1, (num_seeds + 63) >> 6)
     word, bit = _seed_bits(np, num_seeds)
     bits = np.zeros((csr.num_nodes, words), dtype=np.uint64)
@@ -259,22 +267,13 @@ def bounded_seed_rows(
         axis=-1,
         count=num_seeds,
         bitorder="little",
-    ).sum(axis=0, dtype=np.min_scalar_type(len(snapshots))).reshape(-1)
-    # All roots in one flat scan: hits come out row-major, so each root's
-    # entries are contiguous and in seed order, and row starts are a
-    # searchsorted over the hits' roots.
-    hits = np.flatnonzero(held_in)
-    ri, rj = np.divmod(hits, num_seeds)
-    dists = len(snapshots) - held_in.take(hits)
-    row_starts = np.searchsorted(ri, np.arange(len(roots) + 1))
-    return BoundedRows(
-        roots,
-        found.columns,
-        row_starts.astype(np.int64, copy=False).tobytes(),
-        rj.astype(np.int64, copy=False).tobytes(),
-        dists.astype(np.int64, copy=False).tobytes(),
-        found.row_bytes,
-        found.col_bytes.tobytes(),
+    ).sum(axis=0, dtype=dtype)
+    # A seed first held at level d is held in the last n - d of n snapshots.
+    hops = len(snapshots) - held_in
+    if len(snapshots) <= bound:  # a converged sweep: unheld reads n, not l + 1
+        hops[held_in == 0] = bound + 1
+    return HopRows(
+        roots, found.root_ids, hops, columns, col_ids, found.row_bytes, col_bytes, bound
     )
 
 

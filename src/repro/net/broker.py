@@ -29,6 +29,11 @@ strict request/response loop of :mod:`repro.net.framing` frames:
 ``{"op": "exit"}``
     Acknowledge and close.
 
+A whole frame the wire decoder refuses (a global outside its allowlist,
+say) is answered ``{"refused": QueryError}`` and the connection keeps
+serving: the stream is still in step.  A torn or truncated frame ends the
+connection.
+
 The broker holds no cluster, no accounting and no query state: visits,
 traffic and response time stay modeled at the coordinator, which is what
 keeps answers and modeled stats bit-identical to the in-process backends.
@@ -43,7 +48,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import QueryError
-from .framing import FragmentRef, recv_frame, send_frame
+from .framing import FragmentRef, decode_payload, recv_body, send_frame
 
 
 class FragmentStore:
@@ -141,34 +146,41 @@ def _run_request(request: Dict[str, Any], store: FragmentStore) -> Dict[str, Any
     return {"results": results, "error": error, "error_index": error_index}
 
 
+def _respond(request: Any, store: FragmentStore) -> Dict[str, Any]:
+    """The reply to one decoded request other than ``exit``."""
+    import os
+
+    op = request.get("op") if isinstance(request, dict) else None
+    try:
+        if op == "ping":
+            return {"ok": True, "pid": os.getpid()}
+        if op == "run":
+            return _run_request(request, store)
+        raise QueryError(f"unknown broker op {op!r}")
+    except QueryError as exc:
+        return {"error": exc, "results": [], "error_index": -1}
+
+
 def serve_connection(sock: socket.socket) -> None:
     """Answer one coordinator's frames until it hangs up or says exit."""
     store = FragmentStore()
-    import os
-
     with sock:
         while True:
             try:
-                request = recv_frame(sock)
+                body = recv_body(sock)
             except (EOFError, QueryError, OSError):
-                return
-            op = request.get("op") if isinstance(request, dict) else None
+                return  # a hang-up, or a torn frame: the stream is lost
             try:
-                if op == "ping":
-                    response: Dict[str, Any] = {"ok": True, "pid": os.getpid()}
-                elif op == "run":
-                    response = _run_request(request, store)
-                elif op == "exit":
+                request = decode_payload(body)
+            except QueryError as exc:
+                # A whole frame the decoder refuses: a typed reply, and the
+                # stream, still in step, keeps serving.
+                response = {"refused": exc}
+            else:
+                if isinstance(request, dict) and request.get("op") == "exit":
                     send_frame(sock, {"ok": True})
                     return
-                else:
-                    response = {
-                        "error": QueryError(f"unknown broker op {op!r}"),
-                        "results": [],
-                        "error_index": -1,
-                    }
-            except QueryError as exc:
-                response = {"error": exc, "results": [], "error_index": -1}
+                response = _respond(request, store)
             try:
                 send_frame(sock, response)
             except OSError:

@@ -25,8 +25,10 @@ failures (timeout, torn frame, connection reset) mark the broker dead; its
 tasks are retried once on the surviving brokers, and whatever still cannot
 be placed degrades to inline evaluation on the coordinator — the answer is
 computed either way, never wrong, and ``SocketExecutor.degraded_tasks``
-counts the degradations.  Spawned pools replace dead brokers lazily at the
-start of the next round.
+counts the degradations.  A frame the broker's wire decoder refuses comes
+back as a typed ``refused`` reply: the link stays up, and its tasks run
+inline without a retry, which every broker would refuse alike.  Spawned
+pools replace dead brokers lazily at the start of the next round.
 """
 
 from __future__ import annotations
@@ -437,6 +439,7 @@ def run_socket_tasks(executor: Any, tasks: Sequence[Any]) -> List[Any]:
 
     results: List[Optional[Any]] = [None] * len(tasks)
     first_error: Optional[Tuple[int, BaseException]] = None
+    refused: List[int] = []
 
     with pool.lock:
         pending = list(range(len(tasks)))
@@ -462,13 +465,21 @@ def run_socket_tasks(executor: Any, tasks: Sequence[Any]) -> List[Any]:
                     link.mark_dead()
                     failed.extend(indices)
                 else:
-                    sent.append((link, indices))
-            for link, indices in sent:
+                    sent.append((link, indices, frame))
+            for link, indices, frame in sent:
                 try:
                     response = recv_frame(link.sock)
                 except (OSError, EOFError, QueryError):
                     link.mark_dead()
                     failed.extend(indices)
+                    continue
+                if "refused" in response:
+                    # The broker's decoder refused the whole frame: the link
+                    # is sound and installed nothing, and every broker would
+                    # refuse it, so these tasks run inline.
+                    for key in frame["ship"]:
+                        link.shipped.pop(key, None)
+                    refused.extend(indices)
                     continue
                 for offset, result in enumerate(response.get("results", ())):
                     results[indices[offset]] = result
@@ -488,7 +499,7 @@ def run_socket_tasks(executor: Any, tasks: Sequence[Any]) -> List[Any]:
 
         # Whatever could not be placed on any broker runs inline: graceful
         # degradation — slower, never wrong.
-        for index in pending:
+        for index in sorted(pending + refused):
             if first_error is not None and index > first_error[0]:
                 continue  # the sequential reference would already have raised
             executor.degraded_tasks += 1

@@ -229,15 +229,20 @@ def send_frame(sock: socket.socket, payload: Any) -> None:
     sock.sendall(encode_frame(payload))
 
 
-def recv_frame(sock: socket.socket) -> Any:
-    """Read one frame from a blocking socket.
+def recv_body(sock: socket.socket) -> bytes:
+    """Read one whole frame from a blocking socket; its undecoded payload.
 
     Raises :class:`EOFError` on a clean close before any header byte and
-    :class:`~repro.errors.QueryError` on malformed or truncated frames.
+    :class:`~repro.errors.QueryError` on a malformed or truncated frame.
     """
-    header = _recv_exactly(sock, HEADER_BYTES, "header")
-    length = decode_header(header)
-    return decode_payload(_recv_exactly(sock, length, "payload"))
+    length = decode_header(_recv_exactly(sock, HEADER_BYTES, "header"))
+    return _recv_exactly(sock, length, "payload")
+
+
+def recv_frame(sock: socket.socket) -> Any:
+    """Read and decode one frame (:func:`recv_body`'s errors, and a
+    :class:`~repro.errors.QueryError` for a payload the decoder refuses)."""
+    return decode_payload(recv_body(sock))
 
 
 # ---------------------------------------------------------------------------

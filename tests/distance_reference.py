@@ -71,7 +71,7 @@ def oracle_terms(
     """``localEvald`` on one fragment, every distance looked up in an oracle
     built over the fragment's local graph (same ``iset``/``oset`` and the
     same target→``TARGET`` rewrite as the real procedure), in the dict form
-    a :class:`~repro.core.minplus.BoundedRows` compares equal to."""
+    a :class:`~repro.core.bounded.HopRows` compares equal to."""
     iset = set(fragment.in_nodes)
     oset = set(fragment.virtual_nodes)
     if query.source in fragment.nodes:

@@ -26,15 +26,17 @@ fragments (see DESIGN.md §3.2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.automata.query_automaton import US, UT, QueryAutomaton
 from repro.core.bes import TRUE, BitRows, BooleanPartialAnswer
-from repro.core.minplus import TARGET, BoundedRows
+from repro.core.minplus import TARGET, Term
 from repro.core.queries import BoundedReachQuery, ReachQuery
 from repro.graph.digraph import Node
 from repro.graph.product import product_successors
 from repro.graph.scc import tarjan_scc
+from repro.distributed.messages import payload_size
 from repro.graph.traversal import bfs_distances
 from repro.partition.fragment import Fragment
 
@@ -222,7 +224,66 @@ def reach_view(rows: Any) -> tuple:
     )
 
 
-def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedRows:
+class BoundedTerms(Mapping):
+    """The reference's ``localEvald`` answer: ``var -> ((column, float
+    hops), ...)`` in column order, with the roots and columns in order and
+    their modeled id sizes."""
+
+    def __init__(
+        self,
+        rows: Sequence[Node],
+        columns: Sequence[Any],
+        terms: Iterable[Iterable[Tuple[int, int]]],
+    ) -> None:
+        self.rows, self.columns = tuple(rows), tuple(columns)
+        self._equations = {
+            var: tuple((self.columns[j], float(hops)) for j, hops in row)
+            for var, row in zip(self.rows, terms)
+        }
+        self.row_bytes = sum(map(payload_size, self.rows))
+        self.col_bytes = [payload_size(column) for column in self.columns]
+
+    def __getitem__(self, var: Node) -> Tuple[Term, ...]:
+        return self._equations[var]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def bounded_size(equations: Mapping) -> int:
+    """The wire size of bounded equations, from their dict form: the
+    variables' ids, a column table of the columns some term uses, then
+    2 bytes of column index + 4 bytes of distance per term."""
+    plain = dict(equations)
+    used = {column for terms in plain.values() for column, _ in terms}
+    num_terms = sum(map(len, plain.values()))
+    return 2 + sum(map(payload_size, plain)) + sum(map(payload_size, used)) + 6 * num_terms
+
+
+def bounded_view(rows: Any) -> tuple:
+    """What the identity suites compare of a bounded partial, this module's
+    :class:`BoundedTerms` or the kernel's ``HopRows``: roots and columns in
+    order, the decoded equations, the recorded id sizes, the wire size and
+    the term count."""
+    if isinstance(rows, BoundedTerms):
+        size, num_terms = bounded_size(rows), sum(map(len, rows.values()))
+    else:
+        size, num_terms = rows.payload_size(), rows.num_terms
+    return (
+        rows.rows,
+        rows.columns,
+        dict(rows),
+        rows.row_bytes,
+        [int(nbytes) for nbytes in rows.col_bytes],
+        size,
+        num_terms,
+    )
+
+
+def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedTerms:
     """``localEvald``'s rows: one cutoff BFS per node on the smaller side.
 
     Local distances are computed with one *reverse* BFS per boundary node
@@ -231,7 +292,7 @@ def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedR
     """
     roots, seeds = python_boundary(fragment, query.source, query.target)
     if not roots or not seeds:
-        return BoundedRows.from_lists(roots, (), ([] for _ in roots))
+        return BoundedTerms(roots, (), ([] for _ in roots))
     term_vars = [TARGET if o == query.target else o for o in seeds]
 
     # One BFS per node on the smaller side of the (iset × oset) rectangle:
@@ -258,7 +319,7 @@ def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedR
                 d = dist_to_o.get(v)
                 if d is not None and d <= query.bound:
                     row.append((j, d))
-    return BoundedRows.from_lists(roots, term_vars, terms)
+    return BoundedTerms(roots, term_vars, terms)
 
 
 def local_eval_regular(fragment: Fragment, automaton: QueryAutomaton) -> BitRows:

@@ -58,7 +58,7 @@ REGEXES = ("L0* L1", "(L0 | L2)* .", ". .* L1", "lonely | L1*")
 
 
 def _rows(partial):
-    names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
+    names = ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes")
     return {name: getattr(partial, name) for name in names if hasattr(partial, name)}
 
 
@@ -133,6 +133,8 @@ def _assert_rows_match_reference(fragment, queries):
         elif isinstance(query, BoundedReachQuery):
             got = local_eval_bounded(fragment, query, kernel="numpy")
             want = kernel_reference.local_eval_bounded(fragment, query)
+            assert kernel_reference.bounded_view(got) == kernel_reference.bounded_view(want)
+            continue
         else:
             got = local_eval_reach(fragment, query, kernel="numpy")
             want = kernel_reference.local_eval_reach(fragment, query)

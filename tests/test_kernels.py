@@ -44,7 +44,7 @@ np = pytest.importorskip("numpy")
 from repro.automata import query_automaton  # noqa: E402
 from repro.automata.query_automaton import QueryAutomaton  # noqa: E402
 from repro.core.bes import TRUE  # noqa: E402
-from repro.core.bounded import BoundedPartialAnswer, local_eval_bounded  # noqa: E402
+from repro.core.bounded import HopRows, local_eval_bounded  # noqa: E402
 from repro.core.csr import (  # noqa: E402
     CSRCondensation,
     Cone,
@@ -120,16 +120,23 @@ def _row_fields(rows):
     if isinstance(rows, ReachRows):
         arrays = (rows.row_ids, rows.bits, rows.col_ids)
         return (*kernel_reference.reach_view(rows), *(array.tolist() for array in arrays))
-    names = ("rows", "columns", "row_set", "starts", "cols", "dists", "row_bytes", "col_bytes")
+    if isinstance(rows, HopRows):
+        arrays = (rows.row_ids, rows.hops, rows.col_ids)
+        return (*kernel_reference.bounded_view(rows), *(array.tolist() for array in arrays))
+    names = ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes")
     return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
 
 
 def _assert_identical(got, expected):
     """Element-by-element identity of two partial answers: rows, columns,
-    sets or distances, and the recorded id sizes (a reach partial: its
-    :func:`kernel_reference.reach_view`, wire size included)."""
+    sets or distances, and the recorded id sizes (a reach or bounded
+    partial: its :func:`kernel_reference.reach_view` or
+    :func:`~kernel_reference.bounded_view`, wire size included)."""
     if isinstance(got, ReachRows):
         assert kernel_reference.reach_view(got) == kernel_reference.reach_view(expected)
+        return
+    if isinstance(got, HopRows):
+        assert kernel_reference.bounded_view(got) == kernel_reference.bounded_view(expected)
         return
     assert got == expected
     assert _row_fields(got) == _row_fields(expected)
@@ -707,12 +714,13 @@ class TestBoundaryPrologue:
         query = BoundedReachQuery(s, t, 3)
         reference = kernel_reference.local_eval_bounded(fragment, query)
         got = local_eval_bounded(fragment, query, kernel="numpy")
-        for field in ("rows", "columns", "starts", "cols", "dists", "row_bytes", "col_bytes"):
-            assert getattr(got, field) == getattr(reference, field), field
+        assert kernel_reference.bounded_view(got) == kernel_reference.bounded_view(reference)
         assert _sized(got)
-        assert payload_size(BoundedPartialAnswer(got)) == payload_size(
-            BoundedPartialAnswer(reference)
-        )
+        assert payload_size(got) == kernel_reference.bounded_size(reference)
+        # Every row and column sits at its Vf id; TARGET at id 0.
+        ids = fragment.boundary_ids
+        assert got.row_ids.tolist() == [ids.get(root, -1) for root in got.rows]
+        assert got.col_ids.tolist() == [ids.get(c, 0) for c in got.columns]
 
     @pytest.mark.parametrize(
         "fid, s, t", [case[:3] for case in PROLOGUE_CASES],

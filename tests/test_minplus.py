@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TARGET, MinPlusSystem
-from repro.core.minplus import BoundedRows
+np = pytest.importorskip("numpy")
+
+from repro.core import TARGET, MinPlusSystem  # noqa: E402
+from repro.core.bounded import HopRows, assemble_bounded  # noqa: E402
+from repro.core.queries import BoundedReachQuery  # noqa: E402
+from repro.distributed.messages import payload_size  # noqa: E402
+from repro.net.framing import HEADER_BYTES, decode_payload, encode_frame  # noqa: E402
+from repro.partition.fragment import TRUE_ID  # noqa: E402
+
+import kernel_reference  # noqa: E402
 
 
 @pytest.fixture
@@ -92,44 +100,75 @@ class TestWeightedDependencyGraph:
         assert weights[("Ross", TARGET)] == 1.0
 
 
-def _rows():
-    """Two rows over three columns; ``c`` is referenced by both."""
-    return BoundedRows.from_lists(
-        ["u", "v", "w"], ["a", TARGET, "c"], [[(0, 1), (2, 3)], [], [(2, 0), (1, 2)]]
+#: The ``Vf`` ids of the variables below (``TARGET`` at ``TRUE_ID``).
+IDS = {TARGET: TRUE_ID, **{name: i for i, name in enumerate("uvwacdex", 1)}}
+
+
+def _hop_rows(rows, columns, terms, bound=9):
+    """A :class:`HopRows` over named variables; ``terms[i]`` maps row
+    ``i``'s column indices to hops."""
+    hops = np.full((len(rows), len(columns)), bound + 1, np.min_scalar_type(bound + 1))
+    for i, row in enumerate(terms):
+        for j, step in row.items():
+            hops[i, j] = step
+    return HopRows(
+        rows,
+        np.array([IDS[var] for var in rows], dtype=np.int64),
+        hops,
+        columns,
+        np.array([IDS[var] for var in columns], dtype=np.int64),
+        sum(map(payload_size, rows)),
+        np.array([payload_size(var) for var in columns], dtype=np.int64),
+        bound,
     )
 
 
+def _rows():
+    """Three rows over three columns; ``c`` is referenced by two."""
+    return _hop_rows(["u", "v", "w"], ["a", TARGET, "c"], [{0: 1, 2: 3}, {}, {2: 0, 1: 2}])
+
+
 class TestBoundedRows:
+    """The id-space hop matrix a site ships (:class:`HopRows`)."""
+
     def test_equals_its_dict_form_both_ways(self):
         rows = _rows()
         expected = {
             "u": (("a", 1.0), ("c", 3.0)),
             "v": (),
-            "w": (("c", 0.0), (TARGET, 2.0)),
+            "w": ((TARGET, 2.0), ("c", 0.0)),
         }
         assert rows == expected
         assert expected == rows
         assert dict(rows) == expected
-        assert rows["w"] == (("c", 0.0), (TARGET, 2.0))
+        assert rows["w"] == ((TARGET, 2.0), ("c", 0.0))
         assert all(isinstance(d, float) for _, d in rows["u"])
         assert list(rows) == ["u", "v", "w"] and len(rows) == 3
         assert rows != {"u": (("a", 1.0),)}
+        assert rows.num_terms == 4
+        assert rows.payload_size() == kernel_reference.bounded_size(expected)
 
     def test_pickle_round_trip(self):
         import pickle
 
         rows = _rows()
-        back = pickle.loads(pickle.dumps(rows))
-        assert back == rows
-        assert (back.rows, back.columns) == (rows.rows, rows.columns)
-        assert (back.starts, back.cols, back.dists) == (rows.starts, rows.cols, rows.dists)
-        assert back["w"][1][0] is TARGET
+        for back in (
+            pickle.loads(pickle.dumps(rows)),
+            decode_payload(encode_frame(rows)[HEADER_BYTES:]),
+        ):
+            assert back == rows
+            assert (back.rows, back.columns, back.bound) == (rows.rows, rows.columns, rows.bound)
+            assert back.hops.dtype == rows.hops.dtype == np.uint8
+            assert back.hops.tolist() == rows.hops.tolist()
+            assert (back.size, back.num_terms) == (rows.size, rows.num_terms)
+            assert back["w"][0][0] is TARGET
 
     def test_empty(self):
-        none = BoundedRows.from_lists([], [], [])
-        assert none == {} and len(none) == 0
-        bare = BoundedRows.from_lists(["x", "y"], [], [[], []])
-        assert bare == {"x": (), "y": ()}
+        none = _hop_rows([], [], [])
+        assert none == {} and len(none) == 0 and none.payload_size() == 2
+        bare = _hop_rows(["x", "u"], [], [{}, {}])
+        assert bare == {"x": (), "u": ()}
+        assert bare.payload_size() == 2 + 2 and bare.num_terms == 0
 
     def test_immutable(self):
         rows = _rows()
@@ -137,20 +176,31 @@ class TestBoundedRows:
             rows.rows = ()
 
     def test_buffers_must_agree(self):
+        rows = _rows()
         with pytest.raises(ValueError):
-            BoundedRows(["x"], ["a"], [0], [0], [1])
+            HopRows(["x"], rows.row_ids[:1], rows.hops, rows.columns, rows.col_ids,
+                    1, rows.col_bytes, rows.bound)
+        with pytest.raises(ValueError):
+            HopRows(rows.rows, rows.row_ids, rows.hops, rows.columns, rows.col_ids[:2],
+                    rows.row_bytes, rows.col_bytes, rows.bound)
 
     def test_concat_retables_overlapping_columns(self):
         first = _rows()
-        second = BoundedRows.from_lists(["x"], ["c", "d", "a"], [[(0, 4), (1, 1), (2, 2)]])
-        merged = BoundedRows.concat([first, second])
-        assert merged == {**dict(first), **dict(second)}
-        assert merged.columns == ("a", TARGET, "c", "d")
-        with pytest.raises(ValueError):
-            BoundedRows.concat([first, first])
+        second = _hop_rows(["x"], ["c", "d", "a"], [{0: 4, 1: 1, 2: 2}])
+        merged = HopRows.concat([first, second])
+        as_sets = {var: set(terms) for var, terms in {**first, **second}.items()}
+        assert {var: set(terms) for var, terms in merged.items()} == as_sets
+        # One column per id, in id order; each part's other columns no term.
+        assert merged.columns == (TARGET, "a", "c", "d")
+        assert merged.col_ids.tolist() == [0, 4, 5, 6]
+        assert merged.hops[0, 3] == merged.bound + 1
+        assert merged.payload_size() == kernel_reference.bounded_size(merged)
+        assert merged.num_terms == first.num_terms + second.num_terms
 
 
 class TestRowBackedSystem:
+    """The node-keyed system a hop matrix decodes into (``details["system"]``)."""
+
     def test_loads_by_reference(self):
         mps = MinPlusSystem()
         mps.update(_rows())
@@ -168,7 +218,7 @@ class TestRowBackedSystem:
     def test_variable_defined_twice_min_merges(self):
         mps = MinPlusSystem()
         mps.update(_rows())
-        mps.update(BoundedRows.from_lists(["u"], ["c", "e"], [[(0, 1), (1, 5)]]))
+        mps.update(_hop_rows(["u"], ["c", "e"], [{0: 1, 1: 5}]))
         assert mps.terms_of("u") == {"a": 1.0, "c": 1.0, "e": 5.0}
         assert len(mps) == 3 and mps.num_terms == 5
         mps.add_equation("w", [("c", 7.0)])
@@ -177,40 +227,44 @@ class TestRowBackedSystem:
 
     def test_rejects_negative_distance_at_load(self):
         mps = MinPlusSystem()
-        for negative in (-1, -256, -(2**40)):
+        for negative in (-1.0, -256.0, -(2.0**40)):
             with pytest.raises(ValueError):
-                mps.update(BoundedRows(["x"], ["y"], [0, 1], [0], [negative]))
-        assert len(mps) == 0
-        # Low bytes with the high bit set are not a sign.
-        mps.update(BoundedRows(["x"], ["y"], [0, 1], [0], [200]))
-        assert mps.terms_of("x") == {"y": 200.0}
+                mps.update({"x": (("y", negative),)})
+        # A uint8 hop with the high bit set is a distance, not a sign.
+        mps.update(_hop_rows(["x"], ["c"], [{0: 200}], bound=254))
+        assert mps.terms_of("x") == {"c": 200.0}
 
 
 @st.composite
 def _matrices(draw):
     """Bounded partials of a few fragments over shared variables."""
     names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    ids = {TARGET: TRUE_ID, **{name: i for i, name in enumerate(names, 1)}}
     variables = names + [TARGET]
     parts, defined = [], set()
     for _ in range(draw(st.integers(1, 3))):
         rows = [v for v in names if v not in defined and draw(st.booleans())]
         defined.update(rows)
         columns = draw(st.permutations(variables))[: draw(st.integers(0, len(variables)))]
-        terms = [
-            sorted(
-                draw(
-                    st.dictionaries(
-                        st.integers(0, max(0, len(columns) - 1)),
-                        st.integers(0, 4),
-                        max_size=len(columns),
-                    )
-                ).items()
+        hops = np.full((len(rows), len(columns)), 41, np.uint8)
+        for i in range(len(rows)):
+            for j, step in draw(
+                st.dictionaries(st.integers(0, max(0, len(columns) - 1)), st.integers(0, 4))
+            ).items():
+                if columns:
+                    hops[i, j] = step
+        parts.append(
+            HopRows(
+                rows,
+                np.array([ids[v] for v in rows], dtype=np.int64),
+                hops,
+                columns,
+                np.array([ids[v] for v in columns], dtype=np.int64),
+                sum(map(payload_size, rows)),
+                np.array([payload_size(v) for v in columns], dtype=np.int64),
+                40,
             )
-            if columns
-            else []
-            for _ in rows
-        ]
-        parts.append(BoundedRows.from_lists(rows, columns, terms))
+        )
     return names, parts
 
 
@@ -218,16 +272,26 @@ class TestRowBackedSolverProperties:
     @settings(max_examples=150, deadline=None)
     @given(_matrices(), st.one_of(st.none(), st.integers(0, 8)))
     def test_row_backed_equals_dict_backed_and_bellman_ford(self, drawn, cutoff):
+        """The id-space Dijkstra equals the node-keyed one and Bellman–Ford
+        (no cutoff: the parts' bound 40 exceeds every path of the system)."""
         names, parts = drawn
-        rows_backed, dict_backed = MinPlusSystem(), MinPlusSystem()
+        dict_backed = MinPlusSystem()
         for part in parts:
-            rows_backed.update(part)
             dict_backed.update(dict(part))
-        assert len(rows_backed) == len(dict_backed)
-        assert rows_backed.num_terms == dict_backed.num_terms
-        bound = None if cutoff is None else float(cutoff)
+        assert sum(map(len, parts)) == len(dict_backed)
+        assert sum(part.num_terms for part in parts) == dict_backed.num_terms
+        bound = 40 if cutoff is None else cutoff
+        partials = {}
+        for part in parts:
+            keep = part.hops <= bound
+            partials[len(partials)] = HopRows(
+                part.rows, part.row_ids, np.where(keep, part.hops, bound + 1).astype(
+                    np.min_scalar_type(bound + 1)
+                ), part.columns, part.col_ids, part.row_bytes, part.col_bytes, bound,
+            )
         for source in names:
-            expected = dict_backed.solve_distance(source, cutoff=bound)
-            assert rows_backed.solve_distance(source, cutoff=bound) == expected
+            expected = dict_backed.solve_distance(source, cutoff=float(bound))
+            query = BoundedReachQuery(source, "t", bound)
+            assert assemble_bounded(partials, query) == expected
             if cutoff is None:
-                assert rows_backed.solve_bellman_ford(source) == expected
+                assert dict_backed.solve_bellman_ford(source) == expected

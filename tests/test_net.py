@@ -332,6 +332,10 @@ def _explode(sid):
     raise ValueError(f"boom {sid}")
 
 
+def _fid_of(fragment):
+    return fragment.fid
+
+
 class TestFailureModel:
     def test_task_exception_reraises_submission_order_first(self):
         # local_eval_reach is a task the wire admits, and it resolves its
@@ -364,12 +368,43 @@ class TestFailureModel:
         executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)
         cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
         try:
+            (link,) = coordinator.pool_for(executor).live_links()
+            pid = link.proc.pid
             run = cluster.start_run("x")
             with run.parallel_phase() as phase:
                 values = phase.map(_triple, [(sid, (sid,)) for sid in range(3)])
             run.finish()
             assert values == [0, 3, 6]
             assert executor.degraded_tasks == 3
+            # The refusal is a typed reply, not a hang-up: the same broker
+            # process still serves the same link.
+            assert coordinator.pool_for(executor).live_links() == [link] and link.alive
+            assert link.proc.pid == pid and link.proc.poll() is None
+        finally:
+            executor.close()
+
+    def test_a_refused_frame_ships_no_fragment(self):
+        # The refused frame carried the fragments its tasks needed, and the
+        # broker installed none of them: the coordinator forgets it shipped
+        # them, so the next round on the same link ships them again and
+        # runs there.
+        executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)
+        cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
+        sequential = SimulatedCluster(figure1_fragmentation())
+        query = ReachQuery("Ann", "Mark")
+        try:
+            run = cluster.start_run("x")
+            with run.parallel_phase() as phase:
+                fids = phase.map(
+                    _fid_of, [(site.site_id, (site.fragments[0],)) for site in cluster.sites]
+                )
+            run.finish()
+            assert fids == [site.fragments[0].fid for site in cluster.sites]
+            assert executor.degraded_tasks == len(fids)
+            assert _modeled_signature(evaluate(cluster, query)) == _modeled_signature(
+                evaluate(sequential, query)
+            )
+            assert executor.degraded_tasks == len(fids)
         finally:
             executor.close()
 
@@ -508,34 +543,47 @@ class TestOracleOverSocket:
     def _spawn_brokers(count=2, timeout=20.0):
         import subprocess
         import sys
+        import tempfile
         import time as time_mod
 
-        procs, addresses = [], []
+        procs, addresses, logs = [], [], []
         for _ in range(count):
             probe = socket.socket()
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
             probe.close()
+            # The checkout's import path (pytest's ``pythonpath`` does not
+            # reach a child), and stderr in a file the failure quotes.
+            logs.append(tempfile.TemporaryFile())
             procs.append(
                 subprocess.Popen(
                     [sys.executable, "-m", "repro.net.broker", "--listen", str(port)],
+                    env=coordinator._broker_env(),
                     stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
+                    stderr=logs[-1],
                 )
             )
             addresses.append(f"127.0.0.1:{port}")
         deadline = time_mod.monotonic() + timeout
-        for address in addresses:
-            host, _, port = address.rpartition(":")
-            while True:
-                try:
-                    socket.create_connection((host, int(port)), timeout=1.0).close()
-                    break
-                except OSError:
-                    if time_mod.monotonic() > deadline:
-                        for proc in procs:
-                            proc.kill()
-                        pytest.fail(f"broker at {address} never came up")
+        try:
+            for address, proc, log in zip(addresses, procs, logs):
+                host, _, port = address.rpartition(":")
+                while True:
+                    try:
+                        socket.create_connection((host, int(port)), timeout=1.0).close()
+                        break
+                    except OSError:
+                        if time_mod.monotonic() > deadline or proc.poll() is not None:
+                            for each in procs:
+                                each.kill()
+                            log.seek(0)
+                            tail = log.read()[-2000:].decode(errors="replace").strip()
+                            pytest.fail(
+                                f"broker at {address} never came up: {tail or '<no stderr>'}"
+                            )
+        finally:
+            for log in logs:
+                log.close()
         return procs, addresses
 
     def test_tol_plan_identical_on_external_brokers(self):
