@@ -108,7 +108,7 @@ class HopRows(Mapping):
         set_(self, "row_bytes", int(row_bytes))
         set_(self, "col_bytes", col_bytes)
         set_(self, "bound", bound)
-        if hops.ndim != 2 or hops.shape != (len(self.rows), len(self.columns)) or not (
+        if hops.shape != (len(self.rows), len(self.columns)) or not (
             len(row_ids) == len(self.rows) and len(col_ids) == len(col_bytes) == len(self.columns)
         ):
             raise ValueError("HopRows arrays disagree on rows or columns")
