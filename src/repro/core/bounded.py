@@ -32,57 +32,41 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..distributed.cluster import SimulatedCluster
 from ..graph.digraph import Node
 from ..partition.fragment import TRUE_ID, Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
+from .idrows import IdRows
 from .kernels import bounded_seed_rows, resolve_kernel
 from .minplus import MinPlusSystem, Term
 from .options import EvalOptions
 from .queries import BoundedReachQuery
-from .reachability import ReachRows
 from .results import QueryResult
 
 
-class HopRows(Mapping):
+class HopRows(IdRows):
     """One site's ``localEvald`` answer: the paper's |Fi.I| × |Fi.O| hop matrix.
 
-    Row ``i`` is the equation of variable ``rows[i]`` (an in-node, or a
-    local ``s``), whose ``Vf`` id is ``row_ids[i]`` (``-1``: the query's
-    source, a local node outside ``Vf``).  ``hops[i, j]`` is the local hop
-    distance from ``rows[i]`` to ``columns[j]`` (``oset``, ``TARGET`` for
-    the target), whose id is ``col_ids[j]`` (``TRUE_ID`` for ``TARGET``);
-    ``bound + 1`` marks "no term", so the matrix is the narrowest unsigned
-    dtype that holds it.  ``col_bytes`` are the columns' modeled id sizes
-    and ``row_bytes`` sums the variables'.
+    The rows and columns of an :class:`~.idrows.IdRows` (the columns are
+    ``oset``, ``TARGET`` for the target); ``hops[i, j]`` is the local hop
+    distance from ``rows[i]`` to ``columns[j]``, and ``bound + 1`` marks
+    "no term", so the matrix is the narrowest unsigned dtype that holds it.
 
     ``size`` is the wire size (:meth:`payload_size`): a shared column table
     of the used columns, then 2 bytes of column index + 4 bytes of distance
     per term, bounded by O(|Vf|^2) total as Theorem 2 requires.  It and
     ``num_terms`` are computed once from the matrix when it is built.
-
-    As a read-only mapping, ``rows[v]`` decodes to the term tuple the
-    paper's ``Xv = min(Xv' + d, ...)`` lists, in column order with float
-    distances, so it compares equal to the plain dict form; the decoding
-    happens once, on first access.
+    ``rows[v]`` decodes to the term tuple the paper's ``Xv = min(Xv' + d,
+    ...)`` lists, in column order with float distances, so it compares
+    equal to the plain dict form.
     """
 
-    __slots__ = (
-        "rows",
-        "row_ids",
-        "hops",
-        "columns",
-        "col_ids",
-        "row_bytes",
-        "col_bytes",
-        "bound",
-        "size",
-        "num_terms",
-        "_equations",
-    )
+    __slots__ = ("hops", "bound", "num_terms")
+    _payload = "hops"
+    _args = "rows row_ids hops columns col_ids row_bytes col_bytes bound size num_terms".split()
 
     def __init__(
         self,
@@ -99,18 +83,8 @@ class HopRows(Mapping):
     ) -> None:
         """Wrap the arrays (``int64`` ids and sizes, ``[rows, columns]``
         hops); the wire size and term count are computed unless given."""
-        set_ = object.__setattr__
-        set_(self, "rows", tuple(rows))
-        set_(self, "row_ids", row_ids)
-        set_(self, "hops", hops)
-        set_(self, "columns", tuple(columns))
-        set_(self, "col_ids", col_ids)
-        set_(self, "row_bytes", int(row_bytes))
-        set_(self, "col_bytes", col_bytes)
-        set_(self, "bound", bound)
-        if hops.shape != (len(self.rows), len(self.columns)) or not (
-            len(row_ids) == len(self.rows) and len(col_ids) == len(col_bytes) == len(self.columns)
-        ):
+        self._init(rows, row_ids, hops, columns, col_ids, row_bytes, col_bytes)
+        if hops.shape[1] != len(self.columns):
             raise ValueError("HopRows arrays disagree on rows or columns")
         if size is None or num_terms is None:
             import numpy as np
@@ -119,78 +93,31 @@ class HopRows(Mapping):
             num_terms = int(np.count_nonzero(held))
             used = int(np.dot(col_bytes, held.any(axis=0)))
             size = 2 + self.row_bytes + used + 6 * num_terms
+        set_ = object.__setattr__
+        set_(self, "bound", bound)
         set_(self, "size", size)
         set_(self, "num_terms", num_terms)
-        set_(self, "_equations", None)
 
     @classmethod
-    def concat(cls, parts: Sequence["HopRows"]) -> "HopRows":
-        """One matrix holding every part's rows, as a site holding several
-        fragments ships them: columns shared by id, a part's missing
-        columns "no term", the wire size computed over the whole."""
+    def _stack(cls, parts: Sequence["HopRows"], where: Any, width: int) -> Tuple[Any, int]:
+        # A part's missing columns are "no term".
         import numpy as np
 
         first = parts[0]
-        col_ids, at, where = np.unique(
-            np.concatenate([part.col_ids for part in parts]),
-            return_index=True,
-            return_inverse=True,
-        )
-        hops = np.full((sum(map(len, parts)), len(col_ids)), first.bound + 1, first.hops.dtype)
+        hops = np.full((sum(map(len, parts)), width), first.bound + 1, first.hops.dtype)
         row = col = 0
         for part in parts:
-            width = len(part.columns)
-            hops[row : row + len(part), where[col : col + width]] = part.hops
+            hops[row : row + len(part), where[col : col + len(part.columns)]] = part.hops
             row += len(part)
-            col += width
-        columns = [column for part in parts for column in part.columns]
-        return cls(
-            [var for part in parts for var in part.rows],
-            np.concatenate([part.row_ids for part in parts]),
-            hops,
-            map(columns.__getitem__, at.tolist()),
-            col_ids,
-            sum(part.row_bytes for part in parts),
-            np.concatenate([part.col_bytes for part in parts]).take(at),
-            first.bound,
-        )
+            col += len(part.columns)
+        return hops, first.bound
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # Every field but the decoding cache, in constructor order.
-        return (HopRows, tuple(getattr(self, name) for name in HopRows.__slots__[:-1]))
-
-    def payload_size(self) -> int:
-        """The modeled wire size (DESIGN.md §3.1), computed at construction."""
-        return self.size
-
-    #: The row index of a node (``-1`` if none): rows are ``repr``-sorted.
-    position = ReachRows.position
-
-    # -- decoding ------------------------------------------------------------
-    def _decoded(self) -> Dict[Node, Tuple[Term, ...]]:
-        equations = self._equations
-        if equations is None:
-            bound, columns = self.bound, self.columns
-            equations = {
-                var: tuple(
-                    (column, float(hops)) for column, hops in zip(columns, row) if hops <= bound
-                )
-                for var, row in zip(self.rows, self.hops.tolist())
-            }
-            object.__setattr__(self, "_equations", equations)
-        return equations
-
-    def __getitem__(self, var: Node) -> Tuple[Term, ...]:
-        return self._decoded()[var]
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    def _decode(self) -> Dict[Node, Tuple[Term, ...]]:
+        bound, columns = self.bound, self.columns
+        return {
+            var: tuple((column, float(hops)) for column, hops in zip(columns, row) if hops <= bound)
+            for var, row in zip(self.rows, self.hops.tolist())
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HopRows(rows={len(self)}, columns={len(self.columns)}, terms={self.num_terms})"

@@ -30,7 +30,6 @@ Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import compress
 from typing import (
@@ -39,7 +38,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterator,
     Optional,
     Sequence,
     Tuple,
@@ -52,6 +50,7 @@ from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .bes import BooleanEquationSystem, Disjunct
+from .idrows import IdRows
 from .kernels import reach_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
@@ -74,36 +73,21 @@ def _wire_size(np, bits: Any, col_ids: Any, row_bytes: int, col_bytes: Any) -> T
     return 2 + row_bytes + col_total + row_total, int(counts.sum())
 
 
-class ReachRows(Mapping):
+class ReachRows(IdRows):
     """One site's ``localEval`` answer: the paper's |Fi.I| × |Fi.O| bit matrix.
 
-    Row ``i`` is the equation of variable ``rows[i]`` (an in-node, or a
-    local ``s``), whose ``Vf`` id is ``row_ids[i]`` (``-1``: the query's
-    source, a local node outside ``Vf``); ``bits[i]`` is a
-    ``uint64[words]`` bitset over ``Vf`` ids with ``true`` at bit 0.
-    ``columns`` are the disjuncts the rows may hold (``oset``, ``TRUE`` for
-    the target), ``col_ids`` their ids and ``col_bytes`` their modeled id
-    sizes; ``row_bytes`` sums the variables'.
-    ``size`` is the wire size (:meth:`payload_size`) and ``num_entries`` the
-    disjunct count, both computed once from the matrix when it is built.
-
-    As a read-only mapping, ``rows[v]`` decodes to the frozenset of the
-    equation ``Xv = ∨ ...``, so it compares equal to the plain dict form;
-    the decoding happens once, on first access.
+    The rows and columns of an :class:`~.idrows.IdRows` (the columns are
+    the disjuncts the rows may hold: ``oset``, ``TRUE`` for the target);
+    ``bits[i]`` is row ``i``'s ``uint64[words]`` bitset over ``Vf`` ids
+    with ``true`` at bit 0.  ``size`` is the wire size and ``num_entries``
+    the disjunct count, both computed once from the matrix when it is
+    built.  ``rows[v]`` decodes to the frozenset of the equation ``Xv = ∨
+    ...``, so it compares equal to the plain dict form.
     """
 
-    __slots__ = (
-        "rows",
-        "row_ids",
-        "bits",
-        "columns",
-        "col_ids",
-        "row_bytes",
-        "col_bytes",
-        "size",
-        "num_entries",
-        "_equations",
-    )
+    __slots__ = ("bits", "num_entries")
+    _payload = "bits"
+    _args = "rows row_ids bits columns col_ids row_bytes col_bytes size num_entries".split()
 
     def __init__(
         self,
@@ -119,33 +103,17 @@ class ReachRows(Mapping):
     ) -> None:
         """Wrap the arrays (``int64`` ids and sizes, ``uint64[rows, words]``
         bits); the wire size and disjunct count are computed unless given."""
-        set_ = object.__setattr__
-        set_(self, "rows", tuple(rows))
-        set_(self, "row_ids", row_ids)
-        set_(self, "bits", bits)
-        set_(self, "columns", tuple(columns))
-        set_(self, "col_ids", col_ids)
-        set_(self, "row_bytes", int(row_bytes))
-        set_(self, "col_bytes", col_bytes)
+        self._init(rows, row_ids, bits, columns, col_ids, row_bytes, col_bytes)
         if size is None or num_entries is None:
             import numpy as np
 
             size, num_entries = _wire_size(np, bits, col_ids, self.row_bytes, col_bytes)
-        set_(self, "size", size)
-        set_(self, "num_entries", num_entries)
-        set_(self, "_equations", None)
-        if (
-            bits.ndim != 2
-            or not len(self.rows) == len(row_ids) == bits.shape[0]
-            or not len(self.columns) == len(col_ids) == len(col_bytes)
-        ):
-            raise ValueError("ReachRows arrays disagree on rows or columns")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "num_entries", num_entries)
 
     @classmethod
-    def concat(cls, parts: Sequence["ReachRows"]) -> "ReachRows":
-        """One matrix holding every part's rows, as a site holding several
-        fragments ships them: rows stacked (narrower ones zero-padded),
-        columns shared by id, the wire size computed over the whole."""
+    def _stack(cls, parts: Sequence["ReachRows"], where: Any, width: int) -> Tuple[Any]:
+        # Bits sit at their ids, not their columns: narrower rows zero-pad.
         import numpy as np
 
         words = max((part.words for part in parts), default=1)
@@ -154,88 +122,21 @@ class ReachRows(Mapping):
         for part in parts:
             bits[at : at + len(part), : part.words] = part.bits
             at += len(part)
-        col_ids = np.concatenate([part.col_ids for part in parts] or [np.zeros(0, np.int64)])
-        col_ids, first = np.unique(col_ids, return_index=True)
-        columns = [column for part in parts for column in part.columns]
-        col_bytes = [part.col_bytes for part in parts] or [np.zeros(0, np.int64)]
-        return cls(
-            [var for part in parts for var in part.rows],
-            np.concatenate([part.row_ids for part in parts] or [np.zeros(0, np.int64)]),
-            bits,
-            map(columns.__getitem__, first.tolist()),
-            col_ids,
-            sum(part.row_bytes for part in parts),
-            np.concatenate(col_bytes).take(first),
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return (
-            ReachRows,
-            (
-                self.rows,
-                self.row_ids,
-                self.bits,
-                self.columns,
-                self.col_ids,
-                self.row_bytes,
-                self.col_bytes,
-                self.size,
-                self.num_entries,
-            ),
-        )
+        return (bits,)
 
     @property
     def words(self) -> int:
         """``uint64`` words per row."""
         return self.bits.shape[1]
 
-    def payload_size(self) -> int:
-        """The modeled wire size (DESIGN.md §3.1), computed at construction."""
-        return self.size
+    def _decode(self) -> Dict[Node, FrozenSet[Disjunct]]:
+        import numpy as np
 
-    def position(self, node: Node) -> int:
-        """The row index of ``node`` (``-1`` if it has none).
-
-        The kernel emits variables in ascending ``repr`` order, so this is
-        a binary search; nodes with equal ``repr`` are told apart by ``==``.
-        """
-        rows = self.rows
-        key = repr(node)
-        at = bisect_left(rows, key, key=repr)
-        while at < len(rows) and repr(rows[at]) == key:
-            if rows[at] == node:
-                return at
-            at += 1
-        return -1
-
-    # -- decoding ------------------------------------------------------------
-    def _decoded(self) -> Dict[Node, FrozenSet[Disjunct]]:
-        equations = self._equations
-        if equations is None:
-            import numpy as np
-
-            flags = np.unpackbits(
-                self.bits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
-            )
-            held = flags.take(self.col_ids, axis=1).astype(bool).tolist()
-            equations = {
-                var: frozenset(compress(self.columns, row))
-                for var, row in zip(self.rows, held)
-            }
-            object.__setattr__(self, "_equations", equations)
-        return equations
-
-    def __getitem__(self, var: Node) -> FrozenSet[Disjunct]:
-        return self._decoded()[var]
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
+        flags = np.unpackbits(
+            self.bits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+        )
+        held = flags.take(self.col_ids, axis=1).astype(bool).tolist()
+        return {var: frozenset(compress(self.columns, row)) for var, row in zip(self.rows, held)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReachRows(rows={len(self.rows)}, columns={len(self.columns)}, words={self.words})"

@@ -476,9 +476,15 @@ def run_socket_tasks(executor: Any, tasks: Sequence[Any]) -> List[Any]:
                 if "refused" in response:
                     # The broker's decoder refused the whole frame: the link
                     # is sound and installed nothing, and every broker would
-                    # refuse it, so these tasks run inline.
+                    # refuse it, so these tasks run inline.  Nor did it run
+                    # the frame's evictions: those keys go back at the
+                    # oldest end, so the next frame evicts them again.
                     for key in frame["ship"]:
                         link.shipped.pop(key, None)
+                    for key in reversed(frame["evict"]):
+                        if key not in frame["ship"]:
+                            link.shipped[key] = None
+                            link.shipped.move_to_end(key, last=False)
                     refused.extend(indices)
                     continue
                 for offset, result in enumerate(response.get("results", ())):

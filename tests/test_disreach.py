@@ -155,6 +155,12 @@ class TestPartialAnswerPayload:
         big = ReachRows.concat([small, local_eval_reach(fragmentation[1], query)])
         assert len(small) < len(big)
         assert payload_size(small) < payload_size(big)
+        # The merged rows stay in repr order, so position() finds each one.
+        assert list(big.rows) == sorted(big.rows, key=repr)
+        assert all(big.position(var) == at for at, var in enumerate(big.rows))
+        assert big == {**small, **local_eval_reach(fragmentation[1], query)}
+        with pytest.raises(ValueError):
+            ReachRows.concat([small, small])
 
     def test_dense_rows_capped_by_bitset(self):
         np = pytest.importorskip("numpy")

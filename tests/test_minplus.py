@@ -196,6 +196,20 @@ class TestBoundedRows:
         assert merged.hops[0, 3] == merged.bound + 1
         assert merged.payload_size() == kernel_reference.bounded_size(merged)
         assert merged.num_terms == first.num_terms + second.num_terms
+        with pytest.raises(ValueError):
+            HopRows.concat([first, first])
+
+    def test_concat_keeps_rows_in_repr_order(self):
+        # Parts [v, x] and [u, w] interleave: the merged rows are re-sorted
+        # with their ids and hops, so position() finds every row.
+        first = _hop_rows(["v", "x"], ["a", TARGET], [{0: 1}, {1: 2}])
+        second = _hop_rows(["u", "w"], ["c"], [{0: 3}, {}])
+        merged = HopRows.concat([first, second])
+        assert merged.rows == ("u", "v", "w", "x")
+        assert merged.row_ids.tolist() == [IDS[var] for var in merged.rows]
+        assert [merged.position(var) for var in "uvwx"] == [0, 1, 2, 3]
+        assert merged.position("a") == -1
+        assert merged == {**first, **second}
 
 
 class TestRowBackedSystem:

@@ -383,16 +383,29 @@ class TestFailureModel:
         finally:
             executor.close()
 
-    def test_a_refused_frame_ships_no_fragment(self):
+    def test_a_refused_frame_ships_no_fragment(self, monkeypatch):
         # The refused frame carried the fragments its tasks needed, and the
         # broker installed none of them: the coordinator forgets it shipped
         # them, so the next round on the same link ships them again and
-        # runs there.
+        # runs there.  Nor did the broker run the frame's evictions: with
+        # room for one cluster's fragments, the other cluster's keys stay
+        # owed, and the next frame on the link evicts them.
+        monkeypatch.setattr(coordinator, "SHIPPED_KEY_CAP", 3)
+        frames = []
+        build = coordinator._build_run_frame
+        monkeypatch.setattr(
+            coordinator, "_build_run_frame", lambda *args: frames.append(build(*args)) or frames[-1]
+        )
         executor = SocketExecutor(num_brokers=1, shared=False, timeout=10.0)
         cluster = SimulatedCluster(figure1_fragmentation(), executor=executor)
+        other = SimulatedCluster(figure1_fragmentation(), executor=executor)
         sequential = SimulatedCluster(figure1_fragmentation())
         query = ReachQuery("Ann", "Mark")
+        reference = _modeled_signature(evaluate(sequential, query))
         try:
+            assert _modeled_signature(evaluate(other, query)) == reference
+            other_keys = set(frames[-1]["ship"])
+            assert len(other_keys) == 3 and executor.degraded_tasks == 0
             run = cluster.start_run("x")
             with run.parallel_phase() as phase:
                 fids = phase.map(
@@ -401,9 +414,13 @@ class TestFailureModel:
             run.finish()
             assert fids == [site.fragments[0].fid for site in cluster.sites]
             assert executor.degraded_tasks == len(fids)
-            assert _modeled_signature(evaluate(cluster, query)) == _modeled_signature(
-                evaluate(sequential, query)
-            )
+            assert set(frames[-1]["evict"]) == other_keys
+            (link,) = coordinator.pool_for(executor).live_links()
+            assert set(link.shipped) == other_keys
+            assert _modeled_signature(evaluate(cluster, query)) == reference
+            assert set(frames[-1]["evict"]) == other_keys
+            assert set(frames[-1]["ship"]) == set(link.shipped)
+            assert not other_keys & set(link.shipped)
             assert executor.degraded_tasks == len(fids)
         finally:
             executor.close()
