@@ -62,6 +62,33 @@ class GlushkovAnalysis:
     def __getstate__(self) -> dict:
         return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
+    def payload_size(self) -> int:
+        """The structural wire size of this dataclass, by arithmetic.
+
+        :func:`~repro.distributed.messages.payload_size`'s dataclass rule
+        (2 bytes plus the fields) walked this object and its regex field by
+        field; this computes the same number from the fields' shapes: 2 per
+        regex node, 2 more per ``parts`` tuple, plus each symbol's label; a
+        2-byte header per tuple or set, 8 bytes per position index, 1 for
+        ``nullable``.
+        """
+        from ..distributed.messages import payload_size
+
+        regex, stack = 0, [self.regex]
+        while stack:
+            node = stack.pop()
+            regex += 2
+            if isinstance(node, Symbol):
+                regex += payload_size(node.label)
+            elif isinstance(node, (Concat, Union)):
+                regex += 2
+                stack.extend(node.parts)
+            elif isinstance(node, Star):
+                stack.append(node.inner)
+        labels = 2 + sum(map(payload_size, self.position_labels))
+        follow = 2 + sum(2 + 8 * len(nexts) for nexts in self.follow)
+        return 2 + regex + labels + 1 + 2 + 8 * len(self.first) + 2 + 8 * len(self.last) + follow
+
 
 @dataclass
 class _NodeFacts:

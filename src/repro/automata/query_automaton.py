@@ -92,12 +92,20 @@ class QueryAutomaton:
         """Compile ``regex`` into a query automaton for ``(source, target)``."""
         return cls(analyze(parse_regex(regex)), source, target)
 
+    def payload_size(self) -> int:
+        """What the coordinator ships: the dataclass rule's size (2 bytes
+        plus the fields), the analysis sized by arithmetic."""
+        from ..distributed.messages import payload_size
+
+        ends = payload_size(self.source) + payload_size(self.target)
+        return 2 + self.analysis.payload_size() + ends
+
     @cached_property
     def compiled(self) -> CompiledAutomaton:
         """This automaton's :class:`CompiledAutomaton`, built on first use
         and kept in the instance dict, so it pickles along with the
-        automaton; equality, hashing and ``payload_size`` read the fields
-        only."""
+        automaton; equality, hashing and :meth:`payload_size` read the
+        fields only."""
         return compile_automaton(self)
 
     # ------------------------------------------------------------------

@@ -42,9 +42,12 @@ equations and wire size equal the reference's; bounded emits the
 id-space hop matrix, :class:`~repro.core.bounded.HopRows` — each column at
 its ``Vf`` id, ``TARGET`` at ``TRUE_ID``, ``bound + 1`` for "no term" —
 whose rows, columns, id sizes, decoded equations and wire size equal the
-reference's; regular emits :class:`~repro.core.bes.BitRows` identical to
-the reference's rows, columns, id sizes and disjunct sets.  Roots and columns come from the
-boundary prologue cached on the CSR view
+reference's; regular emits the pair-id matrix,
+:class:`~repro.core.regular.RegularRows` — rows and columns as interned
+(node, state) pair ids, ``(t, ut)`` at ``TRUE_ID``, each column at its
+own bit in the kernel's seed order — whose rows, columns, id sizes,
+decoded equations and wire size equal the reference's.  Roots and columns
+come from the boundary prologue cached on the CSR view
 (:func:`~repro.core.csr.boundary_prologue`).  The kernels change *how* a
 fragment is swept, never *what* the paper's cost model observes, which is
 why the kernel is deliberately absent from serving-cache keys
@@ -54,17 +57,19 @@ why the kernel is deliberately absent from serving-cache keys
 from __future__ import annotations
 
 import importlib.util
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional, Tuple
 
 from ..errors import KernelError
+from ..partition.fragment import TRUE_ID
 from ..strategies import StrategyRegistry
+from .bes import TRUE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..automata.query_automaton import QueryAutomaton
     from ..partition.fragment import Fragment
-    from .bes import BitRows
     from .bounded import HopRows
     from .reachability import ReachRows
+    from .regular import RegularRows
 
 #: The selectable kernel names (``--kernel`` choices).
 KERNELS: Tuple[str, ...] = ("numpy",)
@@ -126,14 +131,6 @@ def _flat_rows(np, rows, words: int):
     return (rows[:, None] * words + np.arange(words)).ravel()
 
 
-def _rows_to_ints(bitset_rows) -> List[int]:
-    """Bitset rows decoded to the python-int masks ``BitRows.from_masks`` takes
-    (the regular kernel's hand-over)."""
-    raw = bitset_rows.astype("<u8", copy=False).tobytes()
-    width = bitset_rows.shape[1] * 8
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
 # ---------------------------------------------------------------------------
 # Boolean reachability (localEval)
 # ---------------------------------------------------------------------------
@@ -176,7 +173,6 @@ def reach_rows(fragment: "Fragment", source: Any, target: Any) -> "ReachRows":
     """
     import numpy as np
 
-    from .bes import TRUE
     from .csr import boundary_prologue
     from .reachability import ReachRows
 
@@ -288,16 +284,19 @@ _WILDCARD = -2
 
 class RegularPrologue(NamedTuple):
     """The regular algorithm's :class:`~repro.core.csr.Prologue`: product
-    pairs, addressed as cells of the ``[states * V]`` cube, plus the
-    fragment's label code per position."""
+    pairs as pair ids and as cells of the ``[states * V]`` cube, plus the
+    fragment's label code per position and the nodes behind the node ids
+    (which :class:`~repro.core.regular.RegularRows` decodes from)."""
 
-    roots: List[Tuple[Any, int]]
+    row_ids: Any
     root_cells: Any
     row_bytes: int
-    columns: List[Any]
+    col_ids: Any
     seed_cells: Any
     col_bytes: Any
     codes: Any
+    nodes: Tuple[Any, ...]
+    node_ids: Any
 
 
 def regular_boundary_pairs(
@@ -306,86 +305,124 @@ def regular_boundary_pairs(
     """The view of ``fragment``, the prologue's cone and the regular
     algorithm's roots and seeds.
 
-    Node rows come from the cached boundary prologue, states and their id
-    sizes from the query's compiled tables
+    Node rows and ``Vf`` ids come from the cached boundary prologue, states
+    and their id sizes from the query's compiled tables
     (:attr:`~repro.automata.query_automaton.QueryAutomaton.compiled`); per
     fragment only the positions' label codes and one match matrix over the
     root and seed rows are built.  The pairs are in exactly the python
     reference's order — nodes sorted by ``repr``, states in column order,
     one pair per matching combination (seeds skip ``US``, which no
     transition enters).  Row-major ``nonzero`` over the match matrix
-    reproduces the nested loops.  The seed ``(t, UT)`` becomes the ``TRUE``
-    column, and every pair's modeled id size is ``2 + node + state`` bytes
-    (a 2-tuple), read off the view's ``node_bytes``.
+    reproduces the nested loops.  Pair ``(w, col)`` gets id ``vf_id(w) ·
+    |Vq| + col``, and ``~(block · |Vq| + col)`` for a local endpoint outside
+    ``Vf`` (block 0 for the source, 1 for a target that is not the
+    source); the seed ``(t, UT)`` becomes the ``TRUE`` column at
+    ``TRUE_ID``.  Every pair's modeled id size is ``2 + node + state``
+    bytes (a 2-tuple), read off the view's ``node_bytes``.  No pair tuple
+    is built.
     """
     import numpy as np
 
-    from ..distributed.messages import payload_size
-    from .bes import TRUE
     from .csr import boundary_prologue
 
     compiled = automaton.compiled
-    states = compiled.states
-    state_bytes = np.array(compiled.state_bytes, dtype=np.int64)
-    csr, cone, found = boundary_prologue(fragment, automaton.source, automaton.target)
-    num_nodes = csr.num_nodes
+    num_states = len(compiled.states)
+    source, target = automaton.source, automaton.target
+    csr, cone, found = boundary_prologue(fragment, source, target)
     label_index = csr.label_index
-    codes = np.array(
-        [
-            _WILDCARD if label is None else label_index.get(label, _ABSENT)
-            for label in compiled.position_labels
-        ],
-        dtype=np.int64,
-    )
-    # bool[rows, states]: US is the source row, a position its label, UT the
-    # target row; seeds skip US, which no transition enters.
-    num_roots = found.root_rows.size
-    rows = np.concatenate((found.root_rows, found.seed_rows))
-    target_row = csr.index.get(automaton.target, -1)
-    match = np.empty((rows.size, len(states)), dtype=bool)
-    match[:, 0] = rows == csr.index.get(automaton.source, -1)
-    match[num_roots:, 0] = False
-    match[:, -1] = rows == target_row
+    code_list = [
+        _WILDCARD if label is None else label_index.get(label, _ABSENT)
+        for label in compiled.position_labels
+    ]
+    codes = np.array(code_list, dtype=np.int64)
+    # bool[rows, states], roots then seeds: a position matches its label,
+    # the wildcard everything; US is the source's root row alone and UT the
+    # target's rows alone (seeds skip US, which no transition enters).  Both
+    # halves ascend, so an endpoint's row is one searchsorted away.
+    root_rows, seed_rows = found.root_rows, found.seed_rows
+    num_roots = root_rows.size
+    rows = np.concatenate((root_rows, seed_rows))
+    match = np.zeros((rows.size, num_states), dtype=bool)
     np.equal(csr.label_codes.take(rows)[:, None], codes, out=match[:, 1:-1])
-    match[:, 1:-1] |= codes == _WILDCARD
+    if _WILDCARD in code_list:
+        match[:, [1 + p for p, code in enumerate(code_list) if code == _WILDCARD]] = True
+    node_ids = np.concatenate((found.root_ids, found.col_ids))
+    negative = False
+    if source in fragment.nodes:
+        match[int(root_rows.searchsorted(csr.index[source])), 0] = True
+        negative = source not in fragment.boundary_ids
+    target_row = csr.index.get(target)
+    if target_row is not None:
+        at = num_roots + int(seed_rows.searchsorted(target_row))
+        match[at, -1] = True
+        if target in fragment.in_nodes or target == source and target in fragment.nodes:
+            match[int(root_rows.searchsorted(target_row)), -1] = True
+        if target != source and target in fragment.nodes and target not in fragment.boundary_ids:
+            node_ids[at] = -2  # block 1 of the negative ids, apart from s
+            negative = True
     # One row-major scan for roots and seeds; the roots' hits come first.
-    hit_rows, hit_cols = np.nonzero(match)
+    hit_rows, hit_cols = match.nonzero()
+    hit_ids = node_ids.take(hit_rows)
+    pair_ids = hit_ids * num_states + hit_cols
+    if negative:
+        low = hit_ids < 0
+        pair_ids[low] = ~(~hit_ids[low] * num_states + hit_cols[low])
     node_rows = rows.take(hit_rows)
-    nodes = map(csr.order.__getitem__, node_rows.tolist())
-    pairs = list(zip(nodes, map(states.__getitem__, hit_cols.tolist())))
-    cells = hit_cols * num_nodes + node_rows
-    sizes = 2 + csr.node_bytes.take(node_rows) + state_bytes.take(hit_cols)
-    split = int(np.searchsorted(hit_rows, num_roots))
-    seeds, seed_cells, col_bytes = pairs[split:], cells[split:], sizes[split:]
-    if target_row >= 0:
-        for at in np.flatnonzero(seed_cells == (len(states) - 1) * num_nodes + target_row):
-            seeds[at] = TRUE
-            col_bytes[at] = payload_size(TRUE)
+    cells = hit_cols * csr.num_nodes + node_rows
+    state_bytes = np.array(compiled.state_bytes, dtype=np.int64)
+    sizes = csr.node_bytes.take(node_rows) + state_bytes.take(hit_cols) + 2
+    split = int(hit_rows.searchsorted(num_roots))
+    col_ids, col_bytes = pair_ids[split:], sizes[split:]
+    if target_row is not None:
+        # (t, UT) is the seed row's last hit: the TRUE column.
+        true_at = int(hit_rows.searchsorted(at, side="right")) - 1 - split
+        col_ids[true_at] = TRUE_ID
+        col_bytes[true_at] = TRUE.payload_size()
     return csr, cone, RegularPrologue(
-        pairs[:split], cells[:split], int(sizes[:split].sum()), seeds, seed_cells, col_bytes, codes
+        pair_ids[:split],
+        cells[:split],
+        int(sizes[:split].sum()),
+        col_ids,
+        cells[split:],
+        col_bytes,
+        codes,
+        (*found.roots, *found.columns),
+        node_ids,
     )
 
 
-def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "BitRows":
-    """``localEvalr``'s :class:`~repro.core.bes.BitRows` for ``automaton``."""
+def regular_rows(fragment: "Fragment", automaton: "QueryAutomaton") -> "RegularRows":
+    """``localEvalr``'s :class:`~repro.core.regular.RegularRows` for
+    ``automaton``: per root pair, the seed pairs it reaches, column ``j``
+    at bit ``j``, sized once here."""
     import numpy as np
 
-    from .bes import BitRows
+    from .regular import RegularRows
 
     csr, cone, found = regular_boundary_pairs(fragment, automaton)
-    if found.columns:
-        masks = _regular_masks(np, csr, cone, automaton, found)
+    if found.col_ids.size:
+        bits = _regular_masks(np, csr, cone, automaton, found)
     else:
-        masks = [0] * len(found.roots)
-    return BitRows.from_masks(
-        found.roots, found.columns, masks, found.row_bytes, found.col_bytes.tobytes()
+        bits = np.zeros((found.row_ids.size, 1), dtype=np.uint64)
+    return RegularRows(
+        None,
+        found.row_ids,
+        bits,
+        None,
+        found.col_ids,
+        found.row_bytes,
+        found.col_bytes,
+        len(automaton.compiled.states),
+        found.nodes,
+        found.node_ids,
     )
 
 
 def _regular_masks(
     np, csr: Any, cone: Any, automaton: "QueryAutomaton", found: "RegularPrologue"
-) -> List[int]:
-    """Per root cell, the seed bitmask it reaches over the local product graph.
+) -> Any:
+    """Per root cell, the ``uint64[words]`` bitset of the seeds it reaches
+    over the local product graph, seed ``j`` at bit ``j``.
 
     The product vertex set is ``V x Vq`` laid out as a ``[states, V,
     words]`` bitset cube, so each state's plane is one contiguous
@@ -464,4 +501,4 @@ def _regular_masks(
             for u_col, u2_col in internal:
                 if step(u_col, u2_col):
                     changed = True
-    return _rows_to_ints(bits.reshape(-1, words).take(found.root_cells, axis=0))
+    return bits.reshape(-1, words).take(found.root_cells, axis=0)

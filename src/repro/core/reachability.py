@@ -21,7 +21,7 @@ coordinator stacks every fragment's rows into one matrix indexed by id
 and solves ``evalDG`` as a bitset closure over it: the dependency
 graph of Fig. 4 is that matrix, read as adjacency.  The ``{node:
 frozenset}`` equations are decoded only for ``collect_details``.
-disRPQ's vectors keep :class:`~repro.core.bes.BitRows`
+disRPQ ships the same kind of matrix over (node, state) pair ids
 (:mod:`repro.core.regular`).
 
 Guarantees (Theorem 1): one visit per site, ``O(|Vf|^2)`` traffic,
@@ -50,27 +50,11 @@ from ..partition.fragment import Fragment
 from ..serving.engine import execute_plans
 from ..serving.plans import QueryPlan, endpoint_params
 from .bes import BooleanEquationSystem, Disjunct
-from .idrows import IdRows
+from .idrows import IdRows, boolean_size
 from .kernels import reach_rows, resolve_kernel
 from .options import EvalOptions
 from .queries import ReachQuery
 from .results import QueryResult
-
-
-def _wire_size(np, bits: Any, col_ids: Any, row_bytes: int, col_bytes: Any) -> Tuple[int, int]:
-    """``(wire bytes, disjuncts)`` of a bit matrix, in
-    :func:`~repro.distributed.messages.equation_set_size`'s format.
-
-    The used columns are the OR of every row; each row costs the cheaper of
-    the dense bitset over them and its sparse list (``2 * popcount + 2``).
-    """
-    counts = np.bitwise_count(bits).sum(axis=1)
-    used = np.bitwise_or.reduce(bits, axis=0)
-    flags = np.unpackbits(used.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    dense = (int(np.count_nonzero(flags)) + 7) // 8
-    col_total = int(np.dot(col_bytes, flags.take(col_ids)))
-    row_total = int(np.minimum(counts * 2 + 2, dense).sum())
-    return 2 + row_bytes + col_total + row_total, int(counts.sum())
 
 
 class ReachRows(IdRows):
@@ -107,7 +91,7 @@ class ReachRows(IdRows):
         if size is None or num_entries is None:
             import numpy as np
 
-            size, num_entries = _wire_size(np, bits, col_ids, self.row_bytes, col_bytes)
+            size, num_entries = boolean_size(np, bits, col_ids, self.row_bytes, col_bytes)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "num_entries", num_entries)
 

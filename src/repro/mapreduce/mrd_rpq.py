@@ -20,11 +20,7 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from ..automata.ast import Wildcard
 from ..core.queries import RegularReachQuery
-from ..core.regular import (
-    RegularPartialAnswer,
-    assemble_regular,
-    local_eval_regular,
-)
+from ..core.regular import RegularRows, assemble_regular, local_eval_regular
 from ..errors import MapReduceError, QueryError
 from ..graph.digraph import DiGraph, Node
 from ..partition.builder import build_fragmentation
@@ -83,14 +79,11 @@ def mrd_rpq(
     def map_fn(key: Hashable, value) -> List[KeyValue]:
         fragment = fragments[key]
         _, received_automaton = value
-        rvset = local_eval_regular(fragment, received_automaton)
-        return [(1, RegularPartialAnswer(rvset))]
+        return [(1, local_eval_regular(fragment, received_automaton))]
 
     # ---- reduceRPQ: evalDGr as the Reduce function -----------------------
-    def reduce_fn(key: Hashable, values: List[RegularPartialAnswer]) -> List[KeyValue]:
-        partials = {i: rvset.equations for i, rvset in enumerate(values)}
-        answer, _ = assemble_regular(partials, automaton)
-        return [(0, answer)]
+    def reduce_fn(key: Hashable, values: List[RegularRows]) -> List[KeyValue]:
+        return [(0, assemble_regular(dict(enumerate(values)), automaton))]
 
     outputs, stats = runtime.run(
         inputs, map_fn, reduce_fn, num_reducers=1, partitioner=lambda key, n: 0

@@ -140,7 +140,7 @@ class QueryPlan(ABC):
     def merge_partials(self, parts: Sequence[Mapping]) -> Mapping:
         """One site's partial from its fragments' ``parts`` (disjoint rows):
         the plan's row type concatenated under one shared column table
-        (``ReachRows.concat``, ``HopRows.concat``, ``BitRows.concat``)."""
+        (``ReachRows.concat``, ``HopRows.concat``, ``RegularRows.concat``)."""
 
     @abstractmethod
     def wrap_partial(self, site_equations: Mapping) -> object:

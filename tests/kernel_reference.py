@@ -30,13 +30,13 @@ from collections.abc import Mapping
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.automata.query_automaton import US, UT, QueryAutomaton
-from repro.core.bes import TRUE, BitRows, BooleanPartialAnswer
+from repro.core.bes import TRUE
 from repro.core.minplus import TARGET, Term
 from repro.core.queries import BoundedReachQuery, ReachQuery
 from repro.graph.digraph import Node
 from repro.graph.product import product_successors
 from repro.graph.scc import tarjan_scc
-from repro.distributed.messages import payload_size
+from repro.distributed.messages import equation_set_size, payload_size
 from repro.graph.traversal import bfs_distances
 from repro.partition.fragment import Fragment
 
@@ -187,41 +187,100 @@ def python_boundary(fragment: "Fragment", source: Any, target: Any) -> Tuple[lis
     return sorted(iset, key=repr), sorted(oset, key=repr)
 
 
-def local_eval_reach(fragment: Fragment, query: ReachQuery) -> BitRows:
+class BooleanRows(Mapping):
+    """The reference's Boolean answer (``localEval``, ``localEvalr``): ``var
+    -> frozenset`` of the columns its seed mask holds (bit ``j`` =
+    ``columns[j]``), with the roots and columns in order and their modeled
+    id sizes."""
+
+    def __init__(self, rows: Sequence[Any], columns: Sequence[Any], masks: Iterable[int]) -> None:
+        self.rows, self.columns = tuple(rows), tuple(columns)
+        self._equations = {
+            var: frozenset(column for j, column in enumerate(self.columns) if mask >> j & 1)
+            for var, mask in zip(self.rows, masks)
+        }
+        self.row_bytes = sum(map(payload_size, self.rows))
+        self.col_bytes = [payload_size(column) for column in self.columns]
+
+    def __getitem__(self, var: Any) -> FrozenSet[Any]:
+        return self._equations[var]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def boolean_size(equations: Mapping) -> int:
+    """The wire size of Boolean equations, from their dict form
+    (:func:`~repro.distributed.messages.equation_set_size`): the variables'
+    ids, a column table of the disjuncts some row holds, then each row as
+    the cheaper of a dense bitset over them and a sparse list."""
+    plain = dict(equations)
+    columns = set().union(*plain.values())
+    return equation_set_size(plain.keys(), columns, map(len, plain.values()), len(columns))
+
+
+#: disRPQ's partial is a Boolean one too: the same size rule.
+regular_size = boolean_size
+
+
+def local_eval_reach(fragment: Fragment, query: ReachQuery) -> BooleanRows:
     """``localEval``'s rows: one closure-restricted seed-mask sweep."""
     roots, seeds = python_boundary(fragment, query.source, query.target)
     columns = [TRUE if seed == query.target else seed for seed in seeds]
     if not roots or not seeds:
-        return BitRows.from_masks(roots, columns, [0] * len(roots))
+        return BooleanRows(roots, columns, [0] * len(roots))
     # Sweep only what the in-nodes can see (one shared forward closure).
     reached = reachable_seed_masks_from(roots, fragment.local_graph.successors, seeds)
-    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
+    return BooleanRows(roots, columns, map(reached.__getitem__, roots))
 
 
 def reach_view(rows: Any) -> tuple:
-    """What the identity suites compare of a reach partial, this module's
-    :class:`BitRows` or the kernel's ``ReachRows``: roots and columns in
-    order, the decoded equations, the recorded id sizes, the wire size and
-    the disjunct count."""
-    if isinstance(rows, BitRows):
-        return (
-            rows.rows,
-            rows.columns,
-            dict(rows),
-            rows.row_bytes,
-            list(rows.col_bytes),
-            BooleanPartialAnswer(rows).payload_size(),
-            rows.num_entries(),
-        )
+    """What the identity suites compare of a Boolean partial, this module's
+    :class:`BooleanRows` or the kernel's ``ReachRows``/``RegularRows``:
+    roots and columns in order, the decoded equations, the recorded id
+    sizes, the wire size and the disjunct count."""
+    if isinstance(rows, BooleanRows):
+        size, num_entries = boolean_size(rows), sum(map(len, rows.values()))
+    else:
+        size, num_entries = rows.payload_size(), rows.num_entries
     return (
         rows.rows,
         rows.columns,
         dict(rows),
         rows.row_bytes,
-        rows.col_bytes.tolist(),
-        rows.payload_size(),
-        rows.num_entries,
+        [int(nbytes) for nbytes in rows.col_bytes],
+        size,
+        num_entries,
     )
+
+
+#: disRPQ's partial is compared the same way.
+regular_view = reach_view
+
+
+def regular_ids(fragment: Fragment, automaton: QueryAutomaton, pairs: Iterable[Any]) -> List[int]:
+    """The interned pair id of each of ``pairs`` on ``fragment``:
+    ``vf_id · |Vq| + column`` for a node in ``Vf``, ``-1 - column`` for a
+    local source outside it, ``-1 - |Vq| - column`` for a local target
+    outside it (not the source), and 0 for ``TRUE`` — ``(t, ut)``."""
+    states = automaton.states()
+    ids = fragment.boundary_ids
+    out = []
+    for pair in pairs:
+        if pair is TRUE:
+            out.append(0)
+            continue
+        node, state = pair
+        column = states.index(state)
+        if node in ids:
+            out.append(ids[node] * len(states) + column)
+        else:
+            block = 0 if node == automaton.source else 1
+            out.append(-1 - block * len(states) - column)
+    return out
 
 
 class BoundedTerms(Mapping):
@@ -322,7 +381,7 @@ def local_eval_bounded(fragment: Fragment, query: BoundedReachQuery) -> BoundedT
     return BoundedTerms(roots, term_vars, terms)
 
 
-def local_eval_regular(fragment: Fragment, automaton: QueryAutomaton) -> BitRows:
+def local_eval_regular(fragment: Fragment, automaton: QueryAutomaton) -> BooleanRows:
     """``localEvalr``'s rows: one closure sweep over the local product graph."""
     # Roots: every state each in-node (and local source) matches; seeds:
     # every state a boundary node may occupy.  (t, UT) is the ``true``
@@ -343,11 +402,11 @@ def local_eval_regular(fragment: Fragment, automaton: QueryAutomaton) -> BitRows
     ]
     columns = [TRUE if pair == (target, UT) else pair for pair in seeds]
     if not roots or not seeds:
-        return BitRows.from_masks(roots, columns, [0] * len(roots))
+        return BooleanRows(roots, columns, [0] * len(roots))
     successors = product_successors(local, automaton.successors, matches)
     # Sweep only the product vertices some in-pair can actually see: one
     # shared forward closure from every (in-node, state) row, instead of
     # enumerating the full |Fi| × |Vq| product (or, as the per-pair
     # formulation of [30] does, re-walking it once per row).
     reached = reachable_seed_masks_from(roots, successors, seeds)
-    return BitRows.from_masks(roots, columns, map(reached.__getitem__, roots))
+    return BooleanRows(roots, columns, map(reached.__getitem__, roots))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.bes import TRUE, BitRows
+from kernel_reference import BooleanRows
+from repro.core.bes import TRUE
 from repro.core.queries import ReachQuery
 from repro.graph.digraph import Node
 from repro.index import ReachabilityOracle
@@ -33,7 +34,7 @@ def _boundary(fragment: Fragment, source: Node, target: Node) -> Tuple[List[Node
     return sorted(iset, key=repr), sorted(oset, key=repr)
 
 
-def oracle_rows(fragment: Fragment, query: ReachQuery, oracle: ReachabilityOracle) -> BitRows:
+def oracle_rows(fragment: Fragment, query: ReachQuery, oracle: ReachabilityOracle) -> BooleanRows:
     """``fragment``'s equations for ``query``, each pair asked of ``oracle``."""
     roots, seeds = _boundary(fragment, query.source, query.target)
     columns = [TRUE if seed == query.target else seed for seed in seeds]
@@ -41,4 +42,4 @@ def oracle_rows(fragment: Fragment, query: ReachQuery, oracle: ReachabilityOracl
         sum(1 << j for j, seed in enumerate(seeds) if oracle.reaches(v, seed))
         for v in roots
     ]
-    return BitRows.from_masks(roots, columns, masks)
+    return BooleanRows(roots, columns, masks)

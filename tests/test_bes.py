@@ -1,5 +1,7 @@
-"""Unit tests for the Boolean Equation System solvers (evalDG) and the
-:class:`~repro.core.bes.BitRows` partial answers they load by reference."""
+"""Unit tests for the Boolean Equation System solvers (evalDG), and for
+disRPQ's :class:`~repro.core.regular.RegularRows` partial answers, which
+decode into the system and are solved over pair ids by
+:func:`~repro.core.regular.assemble_regular`."""
 
 import pickle
 
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from repro.baselines.suciu import assemble_accessibility, dis_rpq_d, site_accessibility
 from repro.core import TRUE, BooleanEquationSystem
-from repro.core.bes import BitRows
+from repro.automata import US, QueryAutomaton
 from repro.core.queries import RegularReachQuery
+from repro.core.regular import RegularRows, assemble_regular, local_eval_regular
 from repro.distributed.messages import payload_size
+from repro.graph import DiGraph, erdos_renyi
+from repro.partition import build_fragmentation, random_partition
 
 
 @pytest.fixture
@@ -141,127 +146,147 @@ class TestDependencyGraph:
 
 
 # ---------------------------------------------------------------------------
-# BitRows: the shared-set wire form of a fragment's equations
+# RegularRows: disRPQ's pair-id matrix, decoded into the system
 # ---------------------------------------------------------------------------
-#: Rows x and y share one set; z has its own; w has none.
+def _fragmentation():
+    """F0 = {s, a, b}, F1 = {c, t}, F2 = {d}; a, b, c, d are labeled A.
+
+    With ``A*`` (states US, position 0, UT): F0's rows are (a, 0) and the
+    local source's (s, US), both holding (c, 0) — one shared pattern; F1's
+    row (c, 0) holds (a, 0), (d, 0) and TRUE; F2's row (d, 0) holds (c, 0)
+    too, so F0 and F2 share that column.
+    """
+    edges = [("s", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "t"),
+             ("c", "a"), ("c", "d"), ("d", "c")]
+    labels = {"s": "X", "t": "X", "a": "A", "b": "A", "c": "A", "d": "A"}
+    graph = DiGraph.from_edges(edges, labels=labels)
+    assignment = {"s": 0, "a": 0, "b": 0, "c": 1, "t": 1, "d": 2}
+    return build_fragmentation(graph, assignment, 3)
+
+
+AUTOMATON = QueryAutomaton.build("A*", "s", "t")
+
+#: F0's equations: (s, US) and (a, 0) share one set.
 PLAIN = {
-    "x": frozenset({"a", TRUE}),
-    "y": frozenset({"a", TRUE}),
-    "z": frozenset({"b"}),
-    "w": frozenset(),
+    ("a", 0): frozenset({("c", 0)}),
+    ("s", US): frozenset({("c", 0)}),
 }
 
 
-def _rows():
-    # columns a, TRUE, b; masks 0b011, 0b011, 0b100, 0
-    return BitRows.from_masks(("x", "y", "z", "w"), ("a", TRUE, "b"), [3, 3, 4, 0])
+def _rows(fid=0):
+    return local_eval_regular(_fragmentation()[fid], AUTOMATON)
 
 
 class TestBitRows:
+    """disRPQ's partial, :class:`RegularRows` (the ids of the former
+    shared-set rows it replaced)."""
+
     def test_equals_its_dict_form_both_ways(self):
         rows = _rows()
         assert rows == PLAIN and PLAIN == rows
         assert dict(rows) == PLAIN
-        assert rows != {**PLAIN, "w": frozenset({"a"})}
-
-    def test_masks_deduplicated_by_value(self):
-        rows = _rows()
-        assert rows.num_sets == 3
-        assert list(rows.row_set) == [0, 0, 1, 2]
-        assert rows["x"] is rows["y"]  # one shared frozenset per set
-        assert rows.num_entries() == 5
+        assert rows != {**PLAIN, ("a", 0): frozenset()}
 
     def test_id_sizes_default_to_payload_size(self):
-        rows = _rows()
-        assert rows.row_bytes == sum(map(payload_size, "xyzw"))
-        assert list(rows.col_bytes) == [1, 1, 1]
-        explicit = BitRows.from_masks(("x",), ("a",), [1], 40, [7])
-        assert (explicit.row_bytes, list(explicit.col_bytes)) == (40, [7])
+        rows = _rows(1)
+        assert rows.row_bytes == sum(map(payload_size, rows.rows))
+        assert rows.col_bytes.tolist() == [payload_size(column) for column in rows.columns]
+        assert rows.col_bytes[rows.columns.index(TRUE)] == 1
 
     def test_pickle_round_trip(self):
-        rows = _rows()
+        rows = _rows(1)
         back = pickle.loads(pickle.dumps(rows))
-        assert back == rows == PLAIN
-        for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
-            assert getattr(back, field) == getattr(rows, field)
-        assert back.columns[1] is TRUE
+        assert back == rows == {("c", 0): frozenset({("a", 0), ("d", 0), TRUE})}
+        for field in ("row_ids", "bits", "col_ids", "col_bytes", "node_ids"):
+            assert getattr(back, field).tolist() == getattr(rows, field).tolist()
+        assert (back.row_bytes, back.size, back.num_entries) == (
+            rows.row_bytes, rows.size, rows.num_entries
+        )
+        assert TRUE in back.columns and back.columns[back.col_ids.tolist().index(0)] is TRUE
 
     def test_pickle_ships_no_decode_cache(self):
         rows = _rows()
         before = len(pickle.dumps(rows))
-        bes = BooleanEquationSystem()
-        bes.update(rows)
-        assert bes.solve_reachability("x")
-        dict(rows)  # fills the frozenset cache too
+        assert assemble_regular({0: rows, 1: _rows(1)}, AUTOMATON)
+        dict(rows)  # fills the pair and frozenset caches too
         assert len(pickle.dumps(rows)) == before
 
     def test_immutable(self):
         rows = _rows()
         with pytest.raises(AttributeError):
-            rows.rows = ()
+            rows.bits = None
         with pytest.raises(AttributeError):
             rows.extra = 1
         with pytest.raises(TypeError):
-            rows["x"] = frozenset()
+            rows[("a", 0)] = frozenset()
 
     def test_empty(self):
-        none = BitRows.from_masks((), (), [])
-        assert none == {} and len(none) == 0 and none.num_sets == 0
-        bare = BitRows.from_masks(("x", "y"), (), [0, 0])
-        assert bare == {"x": frozenset(), "y": frozenset()}
-        assert bare.num_sets == 1
+        graph = DiGraph.from_edges([("a", "b"), ("b", "c")], labels=dict.fromkeys("abc", "A"))
+        fragmentation = build_fragmentation(graph, {"a": 0, "b": 1, "c": 1}, 3)
+        automaton = QueryAutomaton.build("A*", "a", "c")
+        none = local_eval_regular(fragmentation[2], automaton)
+        assert none == {} and len(none) == 0 and none.bits.shape == (0, 1)
+        bare = local_eval_regular(fragmentation[1], QueryAutomaton.build("A*", "a", "a"))
+        assert bare == {("b", 0): frozenset()} and len(bare.col_ids) == 0
 
     def test_inconsistent_buffers_rejected(self):
-        with pytest.raises(ValueError):
-            BitRows(("x",), ("a",), [0, 0], [0, 1], [0])
-        with pytest.raises(ValueError):
-            BitRows(("x",), ("a",), [0], [0, 2], [0])
-
-    def test_from_mapping(self):
-        rows = BitRows.from_mapping(PLAIN)
-        assert rows == PLAIN
-        assert BitRows.from_mapping(rows) is rows
+        rows = _rows()
+        args = [None, rows.row_ids, rows.bits, None, rows.col_ids, rows.row_bytes,
+                rows.col_bytes, rows.num_states, rows.nodes, rows.node_ids]
+        RegularRows(*args)  # consistent
+        for at, value in ((1, rows.row_ids[:1]), (6, rows.col_bytes[:0]),
+                          (2, rows.bits.repeat(2, axis=1)), (9, rows.node_ids[:1])):
+            with pytest.raises(ValueError):
+                RegularRows(*args[:at], value, *args[at + 1 :])
 
     def test_concat_retables_overlapping_columns(self):
-        first = _rows()
-        second = BitRows.from_masks(("u", "v"), ("b", "c", TRUE), [0b101, 0b010])
-        merged = BitRows.concat([first, second])
-        assert merged == {**PLAIN, "u": frozenset({"b", TRUE}), "v": frozenset({"c"})}
-        assert merged.columns == ("a", TRUE, "b", "c")
+        first, second = _rows(0), _rows(2)
+        merged = RegularRows.concat([first, second])
+        assert merged == {**PLAIN, ("d", 0): frozenset({("c", 0)})}
+        # (c, 0) is one column, shared by id; rows in node, then state order.
+        assert merged.columns == (("c", 0),)
+        assert merged.rows == (("a", 0), ("d", 0), ("s", US))
         assert merged.row_bytes == first.row_bytes + second.row_bytes
-        assert list(merged.col_bytes) == [1, 1, 1, 1]
-        assert BitRows.concat([]) == {}
+        assert merged.col_bytes.tolist() == [payload_size(("c", 0))]
+        assert merged.position(("d", 0)) == 1 and merged.position(("d", US)) == -1
 
     def test_concat_rejects_a_duplicated_row(self):
         with pytest.raises(ValueError):
-            BitRows.concat([_rows(), BitRows.from_masks(("z",), ("q",), [1])])
+            RegularRows.concat([_rows(), _rows()])
 
 
 class TestRowBackedSolver:
+    """The dict-form system built from decoded partials, against the
+    id-space closure."""
+
     def test_update_loads_by_reference(self):
+        # A partial decodes into the system, disjunct for disjunct.
+        rows = _rows()
         bes = BooleanEquationSystem()
-        bes.update(_rows())
-        assert len(bes) == 4 and "w" in bes
-        assert bes.disjuncts_of("x") == {"a", TRUE}
-        assert bes.num_disjuncts == 5
-        assert bes.solve_reachability("x") and not bes.solve_reachability("z")
+        bes.update(rows)
+        assert len(bes) == len(rows) == 2 and ("a", 0) in bes
+        assert bes.disjuncts_of(("s", US)) == {("c", 0)}
+        assert bes.num_disjuncts == rows.num_entries == 2
+        assert not bes.solve_reachability(("s", US))  # (c, 0) is defined elsewhere
 
     def test_decoded_sets_are_cached_on_the_rows(self):
         rows = _rows()
-        first = rows.disjuncts(0)
-        assert rows.disjuncts(0) is first and set(first) == {"a", TRUE}
+        first = rows[("a", 0)]
+        assert rows[("a", 0)] is first and first == {("c", 0)}
+        assert rows.rows is rows.rows
 
     def test_num_disjuncts_exact_across_mixed_definitions(self):
         bes = BooleanEquationSystem()
-        bes.add_equation("x", {"q"})  # x defined before the rows load
-        bes.update(_rows())  # x's row unions into {q, a, TRUE}
-        bes.update({"z": {"b", "c"}})  # z row-backed, then redefined
+        bes.add_equation(("a", 0), {"q"})  # (a, 0) defined before the rows load
+        bes.update(_rows())  # its row unions into {q, (c, 0)}
+        bes.update({"z": {"b", "c"}})
+        bes.add_equation("z", {"c", "e"})  # redefined
         bes.add_equation("fresh", set())
-        bes.update(BitRows.from_masks(("y2",), ("a",), [1]))
+        bes.update(_rows(1))
         expected = sum(len(bes.disjuncts_of(var)) for var in bes.variables())
-        assert bes.num_disjuncts == expected == 3 + 2 + 2 + 0 + 0 + 1
-        assert bes.disjuncts_of("x") == {"q", "a", TRUE}
-        assert len(bes) == 6
+        assert bes.num_disjuncts == expected == 2 + 1 + 3 + 0 + 3
+        assert bes.disjuncts_of(("a", 0)) == {"q", ("c", 0)}
+        assert len(bes) == 5
 
     def test_suciu_add_equation_path_counts_exactly(self, figure1):
         # The [30] baseline assembles through add_equation alone.
@@ -278,60 +303,49 @@ class TestRowBackedSolver:
             len(bes.disjuncts_of(var)) for var in bes.variables()
         )
 
-    def test_solvers_materialize_rows(self, paper_system):
-        rows = BitRows.from_mapping(
-            {var: paper_system.disjuncts_of(var) for var in paper_system.variables()}
-        )
+    def test_solvers_materialize_rows(self):
+        partials = {f.fid: local_eval_regular(f, AUTOMATON) for f in _fragmentation()}
         bes = BooleanEquationSystem()
-        bes.update(rows)
-        assert bes.solve_all() == paper_system.solve_all()
-        assert bes.solve_fixpoint() == paper_system.solve_fixpoint()
+        for rows in partials.values():
+            bes.update(rows)
+        solved = bes.solve_all()
+        assert solved == bes.solve_fixpoint()
+        assert solved[("s", US)] is True is assemble_regular(partials, AUTOMATON)
         gd = bes.dependency_graph()
-        assert gd.has_edge("Ross", TRUE) and gd.has_edge("Ann", "Mat")
+        assert gd.has_edge(("c", 0), TRUE) and gd.has_edge(("s", US), ("c", 0))
 
 
-_VARS = st.integers(0, 7)
+#: Regexes over the graphs' labels L0-L2: a wildcard, a nullable one, stars.
+_REGEXES = (".*", "L0 (L1 | L2)*", "(L0 | .)* L1", "L1? L2*", "L0 . L1*", "(L2 L0)*")
 
 
 @st.composite
 def split_systems(draw):
-    """A random disjunctive system, split into row-backed parts and plain
-    equations (some variables defined in both)."""
-    equations = draw(
-        st.dictionaries(
-            _VARS,
-            st.frozensets(st.one_of(_VARS, st.just(TRUE)), max_size=4),
-            max_size=8,
-        )
-    )
-    cut = draw(st.integers(0, len(equations)))
-    items = list(equations.items())
-    extra = draw(
-        st.dictionaries(
-            _VARS, st.frozensets(st.one_of(_VARS, st.just(TRUE)), max_size=3), max_size=3
-        )
-    )
-    return items[:cut], items[cut:], extra
+    """A random labeled graph in 1-4 fragments and one regular query on it."""
+    num_nodes = draw(st.integers(4, 16))
+    seed = draw(st.integers(0, 10_000))
+    graph = erdos_renyi(num_nodes, draw(st.integers(0, 3 * num_nodes)), seed=seed, num_labels=3)
+    k = draw(st.integers(1, 4))
+    fragmentation = build_fragmentation(graph, random_partition(graph, k, seed=seed), k)
+    nodes = sorted(graph.nodes(), key=repr)
+    s, t = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+    return fragmentation, QueryAutomaton.build(draw(st.sampled_from(_REGEXES)), s, t)
 
 
 class TestRowBackedSolverProperties:
-    @given(split_systems(), _VARS)
+    @given(split_systems())
     @settings(max_examples=150, deadline=None)
-    def test_row_backed_solve_matches_dict_backed(self, parts, start):
-        loaded, plain, extra = parts
-        rows = BitRows.from_mapping(dict(loaded))
-        row_backed = BooleanEquationSystem()
-        row_backed.update(rows)
-        row_backed.update(dict(plain))
-        row_backed.update(extra)
-        dict_backed = BooleanEquationSystem()
-        for var, disjuncts in loaded + plain:
-            dict_backed.add_equation(var, disjuncts)
-        dict_backed.update(extra)
-        assert row_backed.solve_reachability(start) == dict_backed.solve_reachability(start)
-        fixpoint = dict_backed.solve_fixpoint()
-        assert row_backed.solve_fixpoint() == fixpoint == row_backed.solve_all()
-        if start in fixpoint:
-            assert row_backed.solve_reachability(start) == fixpoint[start]
-        assert row_backed.num_disjuncts == dict_backed.num_disjuncts
-        assert len(row_backed) == len(dict_backed)
+    def test_row_backed_solve_matches_dict_backed(self, case):
+        # The id-space closure over the partials agrees with every solver of
+        # the dict-form system their decoded equations build.
+        fragmentation, automaton = case
+        partials = {f.fid: local_eval_regular(f, automaton) for f in fragmentation}
+        bes = BooleanEquationSystem()
+        for rows in partials.values():
+            bes.update(dict(rows))
+        start = (automaton.source, US)
+        answer = assemble_regular(partials, automaton)
+        assert answer == bes.solve_reachability(start) == bes.solve_fixpoint().get(start, False)
+        assert bes.solve_fixpoint() == bes.solve_all()
+        assert bes.num_disjuncts == sum(rows.num_entries for rows in partials.values())
+        assert len(bes) == sum(map(len, partials.values()))

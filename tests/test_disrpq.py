@@ -7,11 +7,11 @@ from repro.automata import US, UT, QueryAutomaton
 from repro.core import dis_rpq, regular_reachable
 from repro.core.bes import TRUE
 from repro.core.regular import (
-    RegularPartialAnswer,
+    RegularReachPlan,
+    RegularRows,
     assemble_regular,
     local_eval_regular,
 )
-from repro.core.bes import BitRows
 from repro.distributed import payload_size
 from repro.distributed.messages import equation_set_size
 from repro.errors import QueryError
@@ -73,8 +73,7 @@ class TestAssembleRegular:
             frag.fid: local_eval_regular(frag, figure1_automaton)
             for frag in fragmentation
         }
-        answer, bes = assemble_regular(partials, figure1_automaton)
-        assert answer
+        assert assemble_regular(partials, figure1_automaton) is True
 
     def test_wrong_label_chain_is_false(self, figure1):
         _, fragmentation, _ = figure1
@@ -83,8 +82,7 @@ class TestAssembleRegular:
             frag.fid: local_eval_regular(frag, automaton)
             for frag in fragmentation
         }
-        answer, _ = assemble_regular(partials, automaton)
-        assert not answer
+        assert assemble_regular(partials, automaton) is False
 
 
 class TestDisRPQ:
@@ -151,33 +149,35 @@ class TestDisRPQ:
 
 
 class TestRegularPartialPayload:
-    def test_scales_with_vectors(self):
-        small = RegularPartialAnswer({("a", 0): frozenset({("w", 1)})})
-        big = RegularPartialAnswer(
-            {
-                ("a", 0): frozenset({("w", 1)}),
-                ("b", 0): frozenset({("w", 1), ("x", 2)}),
-            }
+    def test_scales_with_vectors(self, figure1):
+        # One more position state in the automaton: more (node, state) rows
+        # on the same fragment, and a larger partial.
+        _, fragmentation, _ = figure1
+        small = local_eval_regular(fragmentation[1], QueryAutomaton.build("HR*", "Ann", "Mark"))
+        big = local_eval_regular(
+            fragmentation[1], QueryAutomaton.build("HR* | (DB HR)*", "Ann", "Mark")
         )
+        assert len(small) < len(big)
         assert payload_size(small) < payload_size(big)
 
     def test_one_wire_type_for_both_boolean_classes(self, figure1):
-        # disReach ships its Vf-id bit matrix, disRPQ BitRows: one wire
-        # formula for both Boolean classes.
-        from repro.core.bes import BooleanPartialAnswer
+        # disReach ships its Vf-id bit matrix, disRPQ its pair-id one: one
+        # wire formula for both Boolean classes, and each partial is its own
+        # wire type.
+        from repro.core.idrows import IdRows
         from repro.core.queries import ReachQuery
-        from repro.core.reachability import local_eval_reach
+        from repro.core.reachability import ReachRows, local_eval_reach
 
-        assert RegularPartialAnswer is BooleanPartialAnswer
-        # A plain mapping is converted to BitRows once; wrapping BitRows
-        # again keeps the very same buffers.
-        answer = RegularPartialAnswer({("a", 0): frozenset({("w", 1), TRUE})})
-        assert isinstance(answer.equations, BitRows)
-        assert BooleanPartialAnswer(answer.equations).equations is answer.equations
+        assert issubclass(RegularRows, IdRows) and issubclass(ReachRows, IdRows)
         _, fragmentation, _ = figure1
+        plan = RegularReachPlan(("Ann", "Mark", "DB* | HR*"))
         for fragment in fragmentation:
-            rows = local_eval_reach(fragment, ReachQuery("Ann", "Mark"))
-            assert payload_size(rows) == payload_size(RegularPartialAnswer(dict(rows)))
+            reach = local_eval_reach(fragment, ReachQuery("Ann", "Mark"))
+            assert payload_size(reach) == kernel_reference.boolean_size(reach)
+            rows = local_eval_regular(fragment, plan.automaton)
+            assert plan.wrap_partial(rows) is rows
+            assert payload_size(rows) == kernel_reference.regular_size(rows)
+            assert rows[next(iter(rows))] is rows[next(iter(rows))]  # decoded once
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_arithmetic_size_matches_the_equation_set_model(
@@ -193,11 +193,16 @@ class TestRegularPartialPayload:
         parts = [
             local_eval(fragment, figure1_automaton) for fragment in fragmentation
         ]
-        for rows in (*parts, BitRows.concat(parts)):
+        if kernel == "python":  # the reference's site: one mapping
+            merged = {var: eqs for part in parts for var, eqs in part.items()}
+        else:
+            merged = RegularRows.concat(parts)
+        for rows in (*parts, merged):
             plain = dict(rows)
             columns = set().union(*plain.values())
             expected = equation_set_size(
                 plain.keys(), columns, map(len, plain.values()), len(columns)
             )
-            assert payload_size(RegularPartialAnswer(rows)) == expected
-            assert payload_size(RegularPartialAnswer(plain)) == expected
+            if kernel == "numpy":
+                assert payload_size(rows) == expected
+            assert kernel_reference.regular_size(plain) == expected

